@@ -52,7 +52,6 @@ from .optimal_paths import (
 )
 from .simulate import (
     ExperimentResult,
-    ScaledTrajectory,
     SimConfig,
     Trajectory,
     WeightedTrajectory,
@@ -61,7 +60,6 @@ from .simulate import (
     occupation_fractions,
     replication_rng,
     sample_path,
-    scaled_path,
     tilted_sample_path,
     tilted_window_experiment,
 )

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -94,11 +94,18 @@ class ProbabilityVector:
         return 0.5 * float(np.abs(self.mass - other.mass).sum())
 
     def cumulative(self) -> np.ndarray:
-        return np.cumsum(self.mass)
+        """Running sums of the mass (read-only, computed once per vector)."""
+        return self._cumulative
+
+    @cached_property
+    def _cumulative(self) -> np.ndarray:
+        cumulative = np.cumsum(self.mass)
+        cumulative.flags.writeable = False
+        return cumulative
 
     def sample_state(self, uniform: float) -> int:
         """Inverse-CDF draw: map a uniform in [0,1) to a 1-based state."""
-        idx = int(np.searchsorted(self.cumulative(), uniform, side="right"))
+        idx = int(np.searchsorted(self._cumulative, uniform, side="right"))
         return min(idx, self.n_states - 1) + 1
 
     def to_csv(self, path) -> None:

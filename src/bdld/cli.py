@@ -174,11 +174,8 @@ def _run_simulate(settings):
     tv = occupation.tv_distance(stationary_distribution(params))
     results = {"n": params.n_states, "jumps": trajectory.n_jumps,
                "occupation_tv_to_stationary": tv}
-    rows = [(0.0, trajectory.initial_state)]
-    rows.extend((float(t), int(s)) for t, s in
-                zip(trajectory.jump_times, trajectory.states_after_jump))
     tables = {
-        "trajectory.csv": (["time", "state"], rows),
+        "trajectory.csv": trajectory.csv_table(),
         "occupation.csv": (["state", "mass"], list(enumerate(occupation.mass, start=1))),
     }
     return results, {}, tables
@@ -247,6 +244,10 @@ def _run_rate_curve(settings):
 def _solve_many(figure: str | None, settings):
     lam = float(settings["lam"])
     if figure is None:
+        missing = [key for key in ("gamma0", "gamma_t") if settings.get(key) is None]
+        if missing:
+            raise UsageError(f"opt-path: missing required setting(s): {', '.join(missing)} "
+                             "(or give --figure)")
         horizon = float(settings["horizon"])
         pairs = [(float(settings["gamma0"]), float(settings["gamma_t"]))]
     else:

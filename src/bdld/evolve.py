@@ -121,6 +121,9 @@ def _check_time_tol(t: float, tol: float) -> None:
         raise ValueError(f"time must be finite and >= 0, got {t!r}")
     if not (0.0 < tol <= 1e-6):
         raise ValueError(f"tol must lie in (0, 1e-6], got {tol!r}")
+    if 1.0 - 0.5 * tol == 1.0:
+        # the Poisson cutoff is the (1 - tol/2)-quantile, which must stay below 1
+        raise ValueError(f"tol={tol!r} is below double precision: 1 - tol/2 rounds to 1")
 
 
 def evolve_distribution(params: ModelParams, dist, t: float, tol: float = 1e-12) -> ProbabilityVector:

@@ -1,15 +1,11 @@
-"""Exact event-driven simulation of the chain and its scaled version X/N.
+"""Exact event-driven simulation of the chain.
 
 Sampling is Gillespie-style: at state m draw an Exponential holding time at
 the total exit rate, then pick the direction proportionally to the up/down
 rates.  Nothing is time-discretized and trajectories are stored sparsely
-(jump times plus visited states only).
-
-Randomness comes from counter-based Philox streams keyed by
-(seed, replication index), so replications are reproducible independently of
-execution order.  Every jump event consumes exactly one exponential and one
-uniform variate from its stream; a stationary start consumes one extra
-uniform up front.
+(jump times plus visited states only).  The plain chain runs in one kernel,
+``_walk``; the tilted sampler thins against a majorant in its own loop.  Both
+read their randomness from ``_variates``, which states the stream layout.
 """
 
 from __future__ import annotations
@@ -24,13 +20,11 @@ from .serialize import write_csv
 
 __all__ = [
     "Trajectory",
-    "ScaledTrajectory",
     "SimConfig",
     "WeightedTrajectory",
     "ExperimentResult",
     "replication_rng",
     "sample_path",
-    "scaled_path",
     "occupation_fractions",
     "lln_point_experiment",
     "lln_stationary_experiment",
@@ -39,6 +33,7 @@ __all__ = [
 ]
 
 _BLOCK = 8192
+_CHUNK = 256
 
 
 def replication_rng(seed: int, replication: int = 0) -> np.random.Generator:
@@ -86,21 +81,15 @@ class Trajectory:
         idx = int(np.searchsorted(self.jump_times, t, side="right"))
         return self.initial_state if idx == 0 else int(self.states_after_jump[idx - 1])
 
-    def to_csv(self, path) -> None:
+    def csv_table(self) -> tuple[list[str], list[tuple]]:
+        """Header and (time, state) rows: time 0 with the initial state, then
+        one row per jump."""
         rows = [(0.0, self.initial_state)]
-        rows.extend((float(t), int(s)) for t, s in zip(self.jump_times, self.states_after_jump))
-        write_csv(path, ["time", "state"], rows)
+        rows.extend(zip(self.jump_times.tolist(), self.states_after_jump.tolist()))
+        return ["time", "state"], rows
 
-
-@dataclass(frozen=True)
-class ScaledTrajectory:
-    """The same path divided by N, living on {1/N, ..., 1}."""
-
-    initial_value: float
-    jump_times: np.ndarray
-    values_after_jump: np.ndarray
-    horizon: float
-    n_states: int
+    def to_csv(self, path) -> None:
+        write_csv(path, *self.csv_table())
 
 
 @dataclass(frozen=True)
@@ -173,53 +162,67 @@ def _resolve_initial(params: ModelParams, config: SimConfig, rng: np.random.Gene
     return m0
 
 
+def _variates(rng: np.random.Generator):
+    """Yield one (exponential, uniform) pair per event from a replication's
+    stream.
+
+    This is the stream contract every sampler shares.  Each replication owns
+    a counter-based Philox stream keyed by (seed, replication), so it
+    reproduces independently of execution order.  The stream is read in
+    blocks of _BLOCK standard exponentials followed by _BLOCK uniforms, and
+    event i takes the i-th variate of each; a stationary start takes one
+    uniform before the first block.  Blocks are drawn only when needed and
+    converted to Python floats _CHUNK pairs at a time.
+    """
+    while True:
+        exps = rng.standard_exponential(_BLOCK)
+        unis = rng.random(_BLOCK)
+        for start in range(0, _BLOCK, _CHUNK):
+            yield from zip(exps[start:start + _CHUNK].tolist(),
+                           unis[start:start + _CHUNK].tolist())
+
+
+def _walk(n: int, lam: float, m: int, stops, rng: np.random.Generator,
+          times: list[float], states: list[int]):
+    """Run the chain on {1..n} from state m, appending each jump's time and
+    new state to ``times``/``states``, and yield the state at each of the
+    increasing ``stops``.  A jump at exactly a stop counts, as in
+    Trajectory.state_at; nothing past the last stop read is simulated."""
+    if n == 1:
+        for _ in stops:
+            yield m
+        return
+    stops = iter(stops)
+    stop = next(stops)
+    two_lam = 2.0 * lam
+    lam_top = lam * n
+    t = 0.0
+    for e, u in _variates(rng):
+        t += e / (two_lam * m if 1 < m < n else (lam if m == 1 else lam_top))
+        while t > stop:
+            yield m
+            stop = next(stops, None)
+            if stop is None:
+                return
+        if m == 1:
+            m = 2
+        elif m == n:
+            m = n - 1
+        else:
+            m = m + 1 if u < 0.5 else m - 1
+        times.append(t)
+        states.append(m)
+
+
 def sample_path(params: ModelParams, config: SimConfig, replication: int = 0) -> Trajectory:
     """Draw one exact trajectory on [0, horizon]."""
     rng = replication_rng(config.seed, replication)
     m0 = _resolve_initial(params, config, rng)
-    n, lam, horizon = params.n_states, params.lam, config.horizon
     times: list[float] = []
     states: list[int] = []
-    if n > 1:
-        two_lam = 2.0 * lam
-        lam_top = lam * n
-        exps = rng.standard_exponential(_BLOCK).tolist()
-        unis = rng.random(_BLOCK).tolist()
-        idx = 0
-        m = m0
-        t = 0.0
-        while True:
-            rate = two_lam * m if 1 < m < n else (lam if m == 1 else lam_top)
-            t += exps[idx] / rate
-            if t >= horizon:
-                break
-            u = unis[idx]
-            idx += 1
-            if m == 1:
-                m = 2
-            elif m == n:
-                m = n - 1
-            else:
-                m = m + 1 if u < 0.5 else m - 1
-            times.append(t)
-            states.append(m)
-            if idx == _BLOCK:
-                exps = rng.standard_exponential(_BLOCK).tolist()
-                unis = rng.random(_BLOCK).tolist()
-                idx = 0
-    return Trajectory(m0, np.array(times), np.array(states, dtype=np.int64), horizon)
-
-
-def scaled_path(trajectory: Trajectory, params: ModelParams) -> ScaledTrajectory:
-    """Divide the states by N; purely representational."""
-    n = params.n_states
-    return ScaledTrajectory(
-        initial_value=trajectory.initial_state / n,
-        jump_times=trajectory.jump_times,
-        values_after_jump=trajectory.states_after_jump / n,
-        horizon=trajectory.horizon,
-        n_states=n,
-    )
+    for _ in _walk(params.n_states, params.lam, m0, (config.horizon,), rng, times, states):
+        pass
+    return Trajectory(m0, np.array(times), np.array(states, dtype=np.int64), config.horizon)
 
 
 def occupation_fractions(trajectory: Trajectory, n_states: int | None = None) -> ProbabilityVector:
@@ -262,47 +265,15 @@ def lln_point_experiment(params: ModelParams, gamma0: float, epsilon: float,
                                 extra={"bound": bound, "hits": 0})
     hits = 0
     for rep in range(reps):
-        rng = replication_rng(config.seed, rep)
-        if _sup_hit(n, lam, m0, horizon, lo, hi, rng):
+        states = [m0]
+        for _ in _walk(n, lam, m0, (horizon,), replication_rng(config.seed, rep), [], states):
+            pass
+        if min(states) <= lo or max(states) >= hi:
             hits += 1
     p = hits / reps
     stderr = math.sqrt(p * (1.0 - p) / reps)
     return ExperimentResult(p, stderr, reps, config.seed, params,
                             extra={"bound": bound, "hits": hits})
-
-
-def _sup_hit(n: int, lam: float, m0: int, horizon: float,
-             lo: int, hi: int, rng: np.random.Generator) -> bool:
-    if m0 <= lo or m0 >= hi:
-        return True
-    if n == 1:
-        return False
-    two_lam = 2.0 * lam
-    lam_top = lam * n
-    exps = rng.standard_exponential(_BLOCK).tolist()
-    unis = rng.random(_BLOCK).tolist()
-    idx = 0
-    m = m0
-    t = 0.0
-    while True:
-        rate = two_lam * m if 1 < m < n else (lam if m == 1 else lam_top)
-        t += exps[idx] / rate
-        if t >= horizon:
-            return False
-        u = unis[idx]
-        idx += 1
-        if m == 1:
-            m = 2
-        elif m == n:
-            m = n - 1
-        else:
-            m = m + 1 if u < 0.5 else m - 1
-        if m <= lo or m >= hi:
-            return True
-        if idx == _BLOCK:
-            exps = rng.standard_exponential(_BLOCK).tolist()
-            unis = rng.random(_BLOCK).tolist()
-            idx = 0
 
 
 def lln_stationary_experiment(params: ModelParams, u: float, sample_times,
@@ -319,56 +290,18 @@ def lln_stationary_experiment(params: ModelParams, u: float, sample_times,
     if times[0] < 0.0 or times[-1] > config.horizon:
         raise ValueError("sample times must lie within [0, horizon]")
     n, lam = params.n_states, params.lam
-    cumulative = stationary_distribution(params).cumulative()
+    pi = stationary_distribution(params)
     reps = config.replications
     successes = 0
     for rep in range(reps):
         rng = replication_rng(config.seed, rep)
-        m0 = min(int(np.searchsorted(cumulative, rng.random(), side="right")), n - 1) + 1
-        if _all_below(n, lam, m0, u, times, rng):
+        m0 = pi.sample_state(rng.random())
+        if all(m / n < u for m in _walk(n, lam, m0, times, rng, [], [])):
             successes += 1
     p = successes / reps
     stderr = math.sqrt(p * (1.0 - p) / reps)
     return ExperimentResult(p, stderr, reps, config.seed, params,
                             extra={"threshold": u, "sample_times": times})
-
-
-def _all_below(n: int, lam: float, m0: int, u: float, times: list[float],
-               rng: np.random.Generator) -> bool:
-    two_lam = 2.0 * lam
-    lam_top = lam * n
-    exps = rng.standard_exponential(_BLOCK).tolist()
-    unis = rng.random(_BLOCK).tolist()
-    idx = 0
-    m = m0
-    t = 0.0
-    ptr = 0
-    n_times = len(times)
-    while True:
-        if n > 1:
-            rate = two_lam * m if 1 < m < n else (lam if m == 1 else lam_top)
-            t_next = t + exps[idx] / rate
-        else:
-            t_next = math.inf
-        while ptr < n_times and times[ptr] < t_next:
-            if not (m / n) < u:
-                return False
-            ptr += 1
-        if ptr == n_times:
-            return True
-        t = t_next
-        u_draw = unis[idx]
-        idx += 1
-        if m == 1:
-            m = 2
-        elif m == n:
-            m = n - 1
-        else:
-            m = m + 1 if u_draw < 0.5 else m - 1
-        if idx == _BLOCK:
-            exps = rng.standard_exponential(_BLOCK).tolist()
-            unis = rng.random(_BLOCK).tolist()
-            idx = 0
 
 
 def tilted_sample_path(params: ModelParams, tilt, config: SimConfig,
@@ -395,20 +328,17 @@ def tilted_sample_path(params: ModelParams, tilt, config: SimConfig,
     m = m0
     t = 0.0
     seg_start = 0.0
-    exps = rng.standard_exponential(_BLOCK).tolist()
-    unis = rng.random(_BLOCK).tolist()
-    idx = 0
+    variates = _variates(rng)
     while True:
         up_nom = lam * m if m < n else 0.0
         down_nom = lam * m if m > 1 else 0.0
         r_major = (up_nom + down_nom) * zbar
         if r_major == 0.0:
             break
-        t += exps[idx] / r_major
+        e, u = next(variates)
+        t += e / r_major
         if t >= horizon:
             break
-        u = unis[idx]
-        idx += 1
         z = tilt.value(t)
         p_up = up_nom * z / r_major
         p_down = down_nom / z / r_major
@@ -425,10 +355,6 @@ def tilted_sample_path(params: ModelParams, tilt, config: SimConfig,
             times.append(t)
             states.append(m)
         # else: thinning ghost, state unchanged
-        if idx == _BLOCK:
-            exps = rng.standard_exponential(_BLOCK).tolist()
-            unis = rng.random(_BLOCK).tolist()
-            idx = 0
     up_nom = lam * m if m < n else 0.0
     down_nom = lam * m if m > 1 else 0.0
     log_w += (up_nom * tilt.up_excess_integral(seg_start, horizon)

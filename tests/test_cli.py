@@ -42,6 +42,26 @@ class TestExitCodes:
         assert main(["opt-path", "--gamma0", "0.2", "--gamma-t", "0.7",
                      "--grid", "1", "--out", str(tmp_path)]) == 2
 
+    def test_usage_error_opt_path_without_endpoints(self, tmp_path, capsys):
+        # no --figure and no --gamma0/--gamma-t: a usage error naming both
+        assert main(["opt-path", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "gamma0" in err and "gamma_t" in err
+        assert main(["opt-path", "--gamma0", "0.5", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "setting(s): gamma_t " in err
+
+    @pytest.mark.parametrize("argv", [
+        ["tilted-mc", "--n", "100", "--gamma0", "0.5", "--gamma-t", "0.8",
+         "--reps", "10", "--tol", "1e-17"],
+        ["rate-curve", "--n-ladder", "50,100", "--gamma0", "0.5", "--gamma-t", "0.8",
+         "--tol", "1e-20"],
+    ])
+    def test_usage_error_tol_below_double_precision(self, tmp_path, capsys, argv):
+        # 1 - tol/2 rounds to 1, so the Poisson cutoff quantile would be infinite
+        assert main(argv + ["--out", str(tmp_path)]) == 2
+        assert "tol" in capsys.readouterr().err
+
     def test_library_contract_breach_is_usage_error(self, tmp_path, capsys):
         # u outside (0, 1] violates the experiment's contract: still "you
         # called it wrong", so exit 2
@@ -106,6 +126,15 @@ class TestSimulateCommand:
         assert main(args + ["--out", str(b)]) == 0
         assert _read(a / "trajectory.csv") == _read(b / "trajectory.csv")
         assert _read(a / "occupation.csv") == _read(b / "occupation.csv")
+
+    def test_trajectory_csv_matches_library_writer(self, tmp_path):
+        from bdld.chain import ModelParams
+        from bdld.simulate import SimConfig, sample_path
+        assert main(["simulate", "--n", "20", "--horizon", "5", "--seed", "3",
+                     "--initial", "stationary", "--out", str(tmp_path)]) == 0
+        traj = sample_path(ModelParams(20, 1.0), SimConfig(horizon=5.0, seed=3))
+        traj.to_csv(tmp_path / "direct.csv")
+        assert (tmp_path / "trajectory.csv").read_bytes() == (tmp_path / "direct.csv").read_bytes()
 
 
 class TestLlnCommands:

@@ -66,6 +66,15 @@ class TestEndpointDistribution:
         with pytest.raises(ValueError):
             endpoint_distribution(params, 2, 1.0, tol=1e-3)
 
+    def test_tol_below_double_precision(self):
+        # 1 - tol/2 must stay below 1 for the Poisson cutoff quantile to exist
+        params = ModelParams(5, 1.0)
+        for tol in (1e-17, 1.1e-16):
+            with pytest.raises(ValueError, match="tol"):
+                endpoint_distribution(params, 2, 1.0, tol=tol)
+        dist = endpoint_distribution(params, 2, 1.0, tol=2.3e-16)
+        assert abs(float(dist.mass.sum()) - 1.0) <= 1e-12
+
     def test_chapman_kolmogorov(self):
         params = ModelParams(50, 1.3)
         rng = np.random.default_rng(1)

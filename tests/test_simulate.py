@@ -1,6 +1,7 @@
 """Tests for the event-driven sampler, the LLN experiments and the tilted
 importance sampler."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -18,7 +19,6 @@ from bdld.simulate import (
     occupation_fractions,
     replication_rng,
     sample_path,
-    scaled_path,
     tilted_sample_path,
     tilted_window_experiment,
 )
@@ -119,6 +119,8 @@ class TestTrajectoryType:
         with pytest.raises(ValueError):
             Trajectory(1, np.array([0.5]), np.array([3]), 1.0)  # step of 2
         with pytest.raises(ValueError):
+            Trajectory(2, np.array([0.5]), np.array([2]), 1.0)  # step of 0
+        with pytest.raises(ValueError):
             Trajectory(1, np.array([0.5, 0.4]), np.array([2, 3]), 1.0)  # times not increasing
         with pytest.raises(ValueError):
             Trajectory(1, np.array([1.5]), np.array([2]), 1.0)  # beyond horizon
@@ -137,27 +139,6 @@ class TestTrajectoryType:
         assert lines[0] == "time,state"
         assert lines[1] == "0,2"
         assert lines[2] == "0.25,3"
-
-
-class TestScaledPath:
-    def test_division(self):
-        traj = Trajectory(1, np.array([0.2, 0.5]), np.array([2, 1]), 1.0)
-        scaled = scaled_path(traj, ModelParams(4, 1.0))
-        assert scaled.initial_value == 0.25
-        np.testing.assert_allclose(scaled.values_after_jump, [0.5, 0.25])
-
-    def test_constant(self):
-        traj = Trajectory(3, np.array([]), np.array([]), 2.0)
-        scaled = scaled_path(traj, ModelParams(4, 1.0))
-        assert scaled.initial_value == 0.75
-        assert scaled.values_after_jump.size == 0
-
-    def test_increments(self, long_trajectory):
-        params, traj = long_trajectory
-        scaled = scaled_path(traj, params)
-        values = np.concatenate(([scaled.initial_value], scaled.values_after_jump))
-        steps = np.unique(np.round(np.abs(np.diff(values)) * params.n_states))
-        assert steps.tolist() == [1.0]
 
 
 class TestOccupationFractions:
@@ -351,3 +332,151 @@ class TestSimConfig:
             SimConfig(horizon=1.0, seed=1, replications=0)
         with pytest.raises(ValueError):
             SimConfig(horizon=1.0, seed=1, initial="equilibrium")
+
+
+def _digest(*parts) -> str:
+    """SHA-256 of exact values: arrays by dtype and raw bytes, scalars by repr
+    (which round-trips float64)."""
+    h = hashlib.sha256()
+    for part in parts:
+        if isinstance(part, np.ndarray):
+            h.update(part.dtype.str.encode())
+            h.update(part.tobytes())
+        else:
+            h.update(repr(part).encode())
+        h.update(b"|")
+    return h.hexdigest()
+
+
+def _path_parts(traj):
+    return (traj.initial_state, traj.horizon, traj.jump_times, traj.states_after_jump)
+
+
+# (N, initial, horizon): every (N, initial) pair of N in {1, 2, 3, 50, 1000};
+# the N=1000 path from the top makes ~20k jumps, across three variate blocks.
+_GOLDEN_PATHS = {
+    (1, 1, 10.0): "aa3c6dbb1e215c13b5dadc9fa7df8f46273a1c437553fa29d4013f78481709bc",
+    (1, "stationary", 10.0): "aa3c6dbb1e215c13b5dadc9fa7df8f46273a1c437553fa29d4013f78481709bc",
+    (2, 1, 20.0): "ca27e21382a9ad0a3ad8e7aac47034770022166257d0cc5396066412e096ab4b",
+    (2, 2, 20.0): "28eecdbefc503bba15b54a76672661bbcf37957749997e4253d04e8af5fd37e7",
+    (2, "stationary", 20.0): "02ee7f2b0c7a87ed756dd7deccf2c22702d1df94fbec888213cf914ef35eead3",
+    (3, 1, 20.0): "521aed30a816036e2f4dcf5f64aa82c97b1ed928856954920a1805ad04e4aa0c",
+    (3, 3, 20.0): "cda54ad21d48d91bc149a7b7e86d6c7c6846bd09767e8ea293d2b9c2f98fcfcc",
+    (3, "stationary", 20.0): "26d1cac380727313672c50beb8fc3dfd32a8407500bee6d2a721f14ee76110e2",
+    (50, 1, 5.0): "496abc99c94fe2f45da1b8f797739ddb94c7d563b27ba77949429dfc36c60561",
+    (50, 50, 5.0): "c77310244f50a7b77009bed08ac91e1400fb9e6af01bc959801f24efb18eb776",
+    (50, "stationary", 5.0): "e4bad10b9d03b94e15efcd7cabdeaaee1228c0526f7ec8e02f24596d86df9aad",
+    (1000, 1, 1.0): "3031b549be9502bdf988154a86574c1d0bb08d0d0adc67c5fc84cfb65ee505e2",
+    (1000, 1000, 10.0): "b77d0c0fb3c481b43fe6a4333c0357230662ba82d01889111fed18847c2ea361",
+    (1000, "stationary", 1.0): "cb1113b7e63c23145c0dcde2b57f6a60c8dc552127a154ce719a6a790620d96c",
+}
+
+# (N, gamma0, epsilon, horizon, replications): N=1, a band wider than the
+# state space, and a start outside the band (m0=50 <= lo=50).
+_GOLDEN_LLN_POINT = {
+    (1, 1.0, 0.5, 1.0, 20): "0998fc7696765f9c7fa1442f6fda6b7258e1f44f31ae5d39d83e2cafe6d95c31",
+    (2, 0.5, 0.4, 2.0, 200): "8c7e3fd408a261e8cc1c018bc24e8719792b6bbb4ad1e02a94ae417b56d27bf3",
+    (3, 0.5, 0.3, 1.0, 200): "0b36f482d3bed194b9a2a31643d2ba54db54423b561bd45f7debc55ad390d2b6",
+    (50, 0.5, 0.6, 1.0, 20): "0998fc7696765f9c7fa1442f6fda6b7258e1f44f31ae5d39d83e2cafe6d95c31",
+    (100, 0.504, 0.003, 1.0, 20): "7249384252cc2f384aa20a1717bd17b1b2bfd95a9cc42cacaabb946da0a2de5b",
+    (200, 0.5, 0.05, 1.0, 300): "df6633845f67e41cbc1b9f02b2b2171990e767f0b942329c534e1ae8cc4b1288",
+    (1000, 0.5, 0.02, 1.0, 100): "ac87c4ca1f2eed48def5df4afc2843c7b52385053a7d9f82ca27c65c05758418",
+}
+
+# (N, u, sample times, horizon, replications): N=1, sample time 0 and a
+# repeated sample time.
+_GOLDEN_LLN_STATIONARY = {
+    (1, 1.0, (0.5,), 1.0, 20): "def2128a04b92c4206b51187bcbce7f0aab2311cf8815bf200a9d72da31303ff",
+    (2, 0.75, (0.0, 1.0), 1.0, 200): "752728a7565b0ca0b4974d5f7131d7403a1c2041e9ddca53e7de239beb76bbc2",
+    (3, 0.5, (0.0, 0.5, 0.5, 2.0), 2.0, 200): "374d3dcd651bd5999175df73f970194787f49c690be89a1c40ad4e7b377d5a80",
+    (50, 0.2, (0.25, 0.0, 0.25, 1.0), 1.0, 300): "79ecddbe3b1eb2bcad5cc3c8478252de33eaa24cb0d22e5ade7579fd33399630",
+    (1000, 0.1, (0.25, 0.5, 0.75, 1.0), 1.0, 100): "60225f88e933ec19f572918a7b3acdd0187c2649c42596981f6cea5018bae78b",
+}
+
+
+def _golden_tilt(name):
+    if name == "dual":
+        from bdld.optimal_paths import dual_tilt, solve_boundary
+        return dual_tilt(solve_boundary(0.5, 0.8, 1.0, 1.0))
+    return ConstantTilt(float(name))
+
+
+# (N, tilt, initial, horizon): tilted paths with their log-weights.
+_GOLDEN_TILTED = {
+    (30, "2.0", 15, 0.5): "eec32dcaca4ea61a631a63e7e962fdc525696154e621c25c88b7051fbdd707f5",
+    (30, "0.5", 15, 0.5): "7596e72fa7d79a65fa5f95a6c7322ba0d3ec0952c195b99fbac4d653d461e63b",
+    (3, "1.5", "stationary", 2.0): "ef75c4188363741584f848a59126542261e2204c452403e28f034f24cda39523",
+    (100, "dual", 50, 1.0): "eed7e4071c672174326529e1eddfeb6eae5d5ff51e2be82b4941d71b30540c57",
+}
+
+
+def _sample_path_digest(case):
+    n, initial, horizon = case
+    config = SimConfig(horizon=horizon, seed=2024 + n, initial=initial)
+    trajs = [sample_path(ModelParams(n, 1.0), config, replication=rep) for rep in range(3)]
+    return _digest(*[part for traj in trajs for part in _path_parts(traj)]), trajs
+
+
+def _lln_point_digest(case):
+    n, gamma0, epsilon, horizon, reps = case
+    config = SimConfig(horizon=horizon, seed=31 + n, replications=reps)
+    res = lln_point_experiment(ModelParams(n, 1.0), gamma0, epsilon, config)
+    return _digest(res.extra["hits"], res.estimate, res.stderr)
+
+
+def _lln_stationary_digest(case):
+    n, u, times, horizon, reps = case
+    config = SimConfig(horizon=horizon, seed=47 + n, replications=reps)
+    res = lln_stationary_experiment(ModelParams(n, 1.0), u, times, config)
+    return _digest(res.estimate, res.stderr)
+
+
+def _tilted_digest(case):
+    n, tilt_name, initial, horizon = case
+    tilt = _golden_tilt(tilt_name)
+    config = SimConfig(horizon=horizon, seed=59 + n, initial=initial)
+    parts = []
+    for rep in range(10):
+        weighted = tilted_sample_path(ModelParams(n, 1.0), tilt, config, replication=rep)
+        parts.append(weighted.log_weight)
+        parts.extend(_path_parts(weighted.trajectory))
+    return _digest(*parts)
+
+
+def _csv_digest(tmp_path):
+    config = SimConfig(horizon=2.0, seed=5, initial="stationary")
+    out = tmp_path / "traj.csv"
+    sample_path(ModelParams(50, 1.0), config).to_csv(out)
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+_GOLDEN_CSV = "999e3574ef56a2c8eda1ef6967e81c2bc524cee139ca4e52b819ce2436840815"
+
+
+class TestGoldenStream:
+    """Bit-for-bit pins of every sampler's output.  The digests were computed
+    from the original hand-written loops; any change to the variate stream
+    (block size, exponentials before uniforms, the extra uniform of a
+    stationary start) or to the jump rule changes them."""
+
+    @pytest.mark.parametrize("case", sorted(_GOLDEN_PATHS, key=repr))
+    def test_sample_path(self, case):
+        digest, trajs = _sample_path_digest(case)
+        if case == (1000, 1000, 10.0):
+            assert min(traj.n_jumps for traj in trajs) > 2 * 8192
+        assert digest == _GOLDEN_PATHS[case]
+
+    @pytest.mark.parametrize("case", sorted(_GOLDEN_LLN_POINT, key=repr))
+    def test_lln_point(self, case):
+        assert _lln_point_digest(case) == _GOLDEN_LLN_POINT[case]
+
+    @pytest.mark.parametrize("case", sorted(_GOLDEN_LLN_STATIONARY, key=repr))
+    def test_lln_stationary(self, case):
+        assert _lln_stationary_digest(case) == _GOLDEN_LLN_STATIONARY[case]
+
+    @pytest.mark.parametrize("case", sorted(_GOLDEN_TILTED, key=repr))
+    def test_tilted(self, case):
+        assert _tilted_digest(case) == _GOLDEN_TILTED[case]
+
+    def test_csv_bytes(self, tmp_path):
+        assert _csv_digest(tmp_path) == _GOLDEN_CSV
