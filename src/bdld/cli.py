@@ -28,7 +28,8 @@ import numpy as np
 from . import __version__
 from .chain import (ModelParams, embedded_stationary, embedded_transition_row,
                     jump_rates, stationary_distribution)
-from .evolve import empirical_rate_curve, stationary_dwell_probability, window_probability
+from .evolve import (check_tol, empirical_rate_curve, stationary_dwell_probability,
+                     window_probability)
 from .ldp import GridPath, ProbeFunction, hamiltonian, prelimit_hamiltonian, rate_functional_report
 from .optimal_paths import (ParabolaParams, dual_tilt, hamiltonian_residual,
                             sample_rows, solve_boundary)
@@ -194,8 +195,20 @@ def _run_lln_point(settings):
     return results, verdicts, tables
 
 
+def _oracle_tol(settings) -> float:
+    """The --tol of an exact cross-check, validated before any Monte Carlo
+    run spends its time."""
+    tol = float(settings["tol"])
+    try:
+        check_tol(tol)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    return tol
+
+
 def _run_lln_stationary(settings):
     params = _params(settings)
+    tol = _oracle_tol(settings)
     times = _parse_floats(settings["times"])
     if not times:
         raise UsageError("times must be a non-empty list")
@@ -206,8 +219,7 @@ def _run_lln_stationary(settings):
     results = res.to_json_obj()
     verdicts = {}
     if params.n_states <= _ORACLE_N_CAP:
-        exact = stationary_dwell_probability(params, float(settings["u"]), times,
-                                             tol=float(settings["tol"]))
+        exact = stationary_dwell_probability(params, float(settings["u"]), times, tol=tol)
         results["exact"] = exact
         slack = 3.0 * max(res.stderr, 1e-12)
         verdicts["matches_oracle"] = abs(res.estimate - exact) <= slack
@@ -313,6 +325,7 @@ def _run_action(settings):
 
 def _run_tilted_mc(settings):
     params = _params(settings)
+    tol = _oracle_tol(settings)
     lam = params.lam
     gamma0, gammaT = float(settings["gamma0"]), float(settings["gamma_t"])
     horizon = float(settings["horizon"])
@@ -329,8 +342,7 @@ def _run_tilted_mc(settings):
     results = res.to_json_obj()
     verdicts = {}
     if n <= _ORACLE_N_CAP:
-        exact = window_probability(params, m0, horizon, range(window[0], window[1] + 1),
-                                   tol=float(settings["tol"]))
+        exact = window_probability(params, m0, horizon, range(window[0], window[1] + 1), tol=tol)
         results["exact"] = exact
         verdicts["matches_oracle"] = abs(res.estimate - exact) <= 3.0 * max(res.stderr, 1e-15)
     rows = [(res.estimate, res.stderr, results.get("exact", math.nan), res.replications)]

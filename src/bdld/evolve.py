@@ -7,7 +7,11 @@ certified, which makes this the brute-force oracle that every Monte Carlo
 estimate and every large-deviation rate in the package is checked against.
 
 Probabilities are carried in linear space; window queries fall back to a
-log-space product chain when the linear mass underflows.  The oracle is
+log-space product chain when the linear mass underflows.  That chain stops
+on a certified relative rule: once k + 2 > mu, the weight of every Poisson
+order past k is at most pmf(k+1) / (1 - mu/(k+2)), and the sum ends when
+that bound is at most tol/2 of the window mass accumulated so far (after
+Fox & Glynn, "Computing Poisson probabilities", CACM 1988).  The oracle is
 practical up to roughly N = 5000 (seconds per evaluation); larger N is
 Monte Carlo territory.
 """
@@ -19,10 +23,9 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 from scipy.stats import poisson
 
-from .chain import ModelParams, ProbabilityVector, jump_rates, stationary_distribution
+from .chain import ModelParams, ProbabilityVector, stationary_distribution
 
 __all__ = [
     "GeneratorMatrix",
@@ -64,11 +67,11 @@ class GeneratorMatrix:
 
     @classmethod
     def from_params(cls, params: ModelParams) -> "GeneratorMatrix":
-        n = params.n_states
-        up = np.empty(n)
-        down = np.empty(n)
-        for m in range(1, n + 1):
-            up[m - 1], down[m - 1] = jump_rates(params, m)
+        # the rates of chain.jump_rates, for every state at once
+        n, lam = params.n_states, params.lam
+        m = np.arange(1, n + 1, dtype=float)
+        up = np.where(m < n, lam * m, 0.0)
+        down = np.where(m > 1, lam * m, 0.0)
         return cls(up=up, down=down, diag=-(up + down))
 
     @property
@@ -116,14 +119,19 @@ def _poisson_terms(mu: float, tol: float) -> np.ndarray:
     return poisson.pmf(np.arange(_poisson_k_max(mu, tol) + 1), mu)
 
 
-def _check_time_tol(t: float, tol: float) -> None:
-    if not (t >= 0.0 and math.isfinite(t)):
-        raise ValueError(f"time must be finite and >= 0, got {t!r}")
+def check_tol(tol: float) -> None:
+    """Raise ValueError unless tol is a usable truncation tolerance."""
     if not (0.0 < tol <= 1e-6):
         raise ValueError(f"tol must lie in (0, 1e-6], got {tol!r}")
     if 1.0 - 0.5 * tol == 1.0:
         # the Poisson cutoff is the (1 - tol/2)-quantile, which must stay below 1
         raise ValueError(f"tol={tol!r} is below double precision: 1 - tol/2 rounds to 1")
+
+
+def _check_time_tol(t: float, tol: float) -> None:
+    if not (t >= 0.0 and math.isfinite(t)):
+        raise ValueError(f"time must be finite and >= 0, got {t!r}")
+    check_tol(tol)
 
 
 def evolve_distribution(params: ModelParams, dist, t: float, tol: float = 1e-12) -> ProbabilityVector:
@@ -189,44 +197,74 @@ def _log_space_window(params: ModelParams, m0: int, t: float, states: np.ndarray
     The truncation is adaptive: unlike the bulk computation, a deep-tail
     window draws its entire mass from Poisson orders far beyond the usual
     cutoff (the chain must make at least distance-many jumps), so the sum
-    keeps extending until the remaining Poisson tail provably cannot change
-    the accumulated window mass by a relative tol.
+    keeps extending until the omitted terms provably cannot change the
+    accumulated window mass by more than tol/2 of itself.  Once k + 2 > mu
+    the Poisson pmf falls at least by the ratio mu/(k+2) per order, so the
+    weight of every order past k is at most pmf(k+1) / (1 - mu/(k+2)); each
+    order's window mass is at most its weight.  The bound is carried in log
+    space and nothing in it underflows.
+
+    After k steps only the states m0-k..m0+k can hold mass, so each step
+    updates that band alone: one max-shifted three-way log-sum-exp on
+    preallocated buffers, swapped from step to step.  The buffers carry one
+    -inf entry of padding at either end, standing for the absent moves
+    below state 1 and above state N.
     """
     _check_time_tol(t, tol)
     kern = _uniformized_kernel(params)
     mu = kern.rate * t
+    if mu == 0.0:
+        return 0.0 if m0 in states else -math.inf
     n = params.n_states
+    pad = np.full(n + 2, -np.inf)
+    l_up, l_down, l_stay = pad.copy(), pad.copy(), pad.copy()
     with np.errstate(divide="ignore"):
-        l_up = np.log(kern.up)
-        l_down = np.log(kern.down)
-        l_stay = np.log(kern.stay)
-    lp = np.full(n, -np.inf)
-    lp[m0 - 1] = 0.0
-    idx = states - 1
+        np.log(kern.up, out=l_up[1:-1])
+        np.log(kern.down, out=l_down[1:-1])
+        np.log(kern.stay, out=l_stay[1:-1])
+    lp, nxt = pad.copy(), pad.copy()  # state m sits at index m
+    lp[m0] = 0.0
+    work = np.empty((4, n))
+    window = np.empty(states.size)
     log_pmf = -mu  # ln pmf(0)
-    log_acc = log_pmf + lp
-    log_mu = math.log(mu) if mu > 0.0 else -math.inf
+    log_mu = math.log(mu)
     log_rel = math.log(0.5 * tol)
+    acc = log_pmf if m0 in states else -math.inf  # the k = 0 term
     k = 0
     k_cap = int(mu + 10.0 * math.sqrt(mu + 1.0)) + 6 * n + 1000
     while True:
-        window_acc = float(logsumexp(log_acc[idx]))
-        log_tail = float(poisson.logsf(k, mu))  # every remaining term's window mass <= its pmf
-        if log_tail <= window_acc + log_rel or log_tail == -math.inf:
-            return window_acc
+        if k + 2 > mu and acc > -math.inf:
+            log_tail = log_pmf + math.log(mu / (k + 1)) - math.log1p(-mu / (k + 2))
+            if log_tail <= acc + log_rel:
+                return acc
         if k >= k_cap:
             raise ArithmeticError(
                 f"log-space uniformization did not converge within {k_cap} terms "
-                f"(window mass so far exp({window_acc}))")
+                f"(window mass so far exp({acc}))")
         k += 1
         log_pmf += log_mu - math.log(k)
-        nxt = lp + l_stay
-        shift_up = np.full_like(lp, -np.inf)
-        shift_up[1:] = lp[:-1] + l_up[:-1]
-        shift_down = np.full_like(lp, -np.inf)
-        shift_down[:-1] = lp[1:] + l_down[1:]
-        lp = np.logaddexp(np.logaddexp(nxt, shift_up), shift_down)
-        log_acc = np.logaddexp(log_acc, log_pmf + lp)
+        lo, hi = max(1, m0 - k), min(n, m0 + k)
+        w = hi - lo + 1
+        a, b, c, mx = work[:, :w]  # stay, up, down terms and their maximum
+        np.add(lp[lo:hi + 1], l_stay[lo:hi + 1], out=a)
+        np.add(lp[lo - 1:hi], l_up[lo - 1:hi], out=b)
+        np.add(lp[lo + 1:hi + 2], l_down[lo + 1:hi + 2], out=c)
+        np.maximum(a, b, out=mx)
+        np.maximum(mx, c, out=mx)
+        for part in (a, b, c):
+            np.subtract(part, mx, out=part)
+            np.exp(part, out=part)
+        a += b
+        a += c
+        np.log(a, out=a)
+        np.add(a, mx, out=nxt[lo:hi + 1])
+        lp, nxt = nxt, lp
+        lp.take(states, out=window)
+        peak = float(window.max())
+        if peak > -math.inf:
+            window -= peak
+            np.exp(window, out=window)
+            acc = float(np.logaddexp(acc, log_pmf + peak + math.log(float(window.sum()))))
 
 
 class RatePoint(NamedTuple):

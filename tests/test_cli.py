@@ -62,6 +62,24 @@ class TestExitCodes:
         assert main(argv + ["--out", str(tmp_path)]) == 2
         assert "tol" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tol", ["1e-17", "1e-3"])
+    @pytest.mark.parametrize("kind, experiment, argv", [
+        ("tilted-mc", "tilted_window_experiment",
+         ["--n", "100", "--gamma0", "0.5", "--gamma-t", "0.8", "--reps", "10"]),
+        ("lln-stationary", "lln_stationary_experiment",
+         ["--n", "20", "--u", "0.5", "--reps", "10"]),
+    ])
+    def test_bad_tol_rejected_before_monte_carlo(self, tmp_path, capsys, monkeypatch,
+                                                 kind, experiment, argv, tol):
+        import bdld.cli as cli_mod
+
+        def never(*args, **kwargs):
+            raise AssertionError("the Monte Carlo run started before --tol was checked")
+
+        monkeypatch.setattr(cli_mod, experiment, never)
+        assert main([kind, *argv, "--tol", tol, "--out", str(tmp_path)]) == 2
+        assert "tol" in capsys.readouterr().err
+
     def test_library_contract_breach_is_usage_error(self, tmp_path, capsys):
         # u outside (0, 1] violates the experiment's contract: still "you
         # called it wrong", so exit 2

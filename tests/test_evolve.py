@@ -2,10 +2,11 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
-from bdld.chain import ModelParams, stationary_distribution
+from bdld.chain import ModelParams, jump_rates, stationary_distribution
 from bdld.evolve import (
     GeneratorMatrix,
     empirical_rate_curve,
@@ -28,6 +29,14 @@ class TestGeneratorMatrix:
         np.testing.assert_array_equal(gen.up, [2.0, 4.0, 6.0, 0.0])
         np.testing.assert_array_equal(gen.down, [0.0, 4.0, 6.0, 8.0])
         np.testing.assert_array_equal(gen.diag, -(gen.up + gen.down))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 50, 1000])
+    def test_from_params_matches_jump_rates(self, n):
+        params = ModelParams(n, 1.7)
+        gen = GeneratorMatrix.from_params(params)
+        rates = [jump_rates(params, m) for m in range(1, n + 1)]
+        assert gen.up.tobytes() == np.array([up for up, _ in rates]).tobytes()
+        assert gen.down.tobytes() == np.array([down for _, down in rates]).tobytes()
 
     def test_row_sum_validation(self):
         with pytest.raises(ValueError):
@@ -160,6 +169,79 @@ class TestWindowProbability:
             gaps.append(rate - edge_action)
         assert gaps[1] < gaps[0]
         assert gaps[1] <= 0.01
+
+
+def _mpmath_log_window(n, lam, m0, t, lo, hi, dps=30):
+    """ln P(X(t) in lo..hi | X(0) = m0) by a uniformization sum in mpmath,
+    carried in linear space at dps digits, where nothing underflows.  The sum
+    stops once the next Poisson weight, which bounds the window mass of every
+    later order up to the geometric factor 1/(1 - mu/(k+2)), is below 10^-dps
+    of the sum."""
+    with mp.workdps(dps):
+        rate = 2 * lam * n
+        mu = mp.mpf(rate) * t
+        up = {m: mp.mpf(lam * m) / rate if m < n else 0 for m in range(1, n + 1)}
+        down = {m: mp.mpf(lam * m) / rate if m > 1 else 0 for m in range(1, n + 1)}
+        p = {m0: mp.mpf(1)}
+        pmf = mp.exp(-mu)
+        total = mp.mpf(0)
+        k = 0
+        while True:
+            total += pmf * sum(v for m, v in p.items() if lo <= m <= hi)
+            if k + 2 > mu and total > 0 and pmf * mu / (k + 1) < total * mp.mpf(10) ** -dps:
+                return float(mp.log(total))
+            k += 1
+            pmf *= mu / k
+            nxt = {}
+            for m, v in p.items():
+                nxt[m] = nxt.get(m, 0) + v * (1 - up[m] - down[m])
+                if up[m]:
+                    nxt[m + 1] = nxt.get(m + 1, 0) + v * up[m]
+                if down[m]:
+                    nxt[m - 1] = nxt.get(m - 1, 0) + v * down[m]
+            p = nxt
+
+
+class TestLogSpaceWindow:
+    def test_mass_below_exp_minus_745(self):
+        # ln P is about -943: every Poisson tail term lies below the smallest
+        # double, so a stop rule built on scipy's logsf saw a zero tail at
+        # k = 0 and returned -inf.
+        params = ModelParams(400, 1.0)
+        logp = window_log_probability(params, 200, 0.002, range(395, 401), tol=1e-10)
+        exact = _mpmath_log_window(400, 1.0, 200, 0.002, 395, 400)
+        assert exact < -745.0
+        assert abs(logp - exact) <= 1e-9 * abs(exact)
+
+    @pytest.mark.parametrize("states", [range(25, 36), range(1, 61), [2, 30, 59]])
+    def test_window_holding_the_start(self, states):
+        # the k = 0 term counts toward the window mass
+        from bdld.evolve import _log_space_window
+        params = ModelParams(60, 1.0)
+        linear = window_probability(params, 30, 0.8, states, tol=1e-12)
+        logp = _log_space_window(params, 30, 0.8, np.array(states), 1e-12)
+        assert abs(logp - math.log(linear)) <= 1e-9
+
+    def test_time_zero(self):
+        from bdld.evolve import _log_space_window
+        params = ModelParams(20_000, 1.0)
+        states = np.arange(19_990, 20_001)
+        assert window_log_probability(params, 10, 0.0, states) == -math.inf
+        assert _log_space_window(params, 10, 0.0, states, 1e-12) == -math.inf
+        assert window_log_probability(params, 19_995, 0.0, states) == 0.0
+        assert _log_space_window(params, 19_995, 0.0, states, 1e-12) == 0.0
+
+    def test_non_contiguous_window(self):
+        # one half below m0 and one above, of masses within e^10 of each
+        # other, so dropping either half would show
+        params = ModelParams(600, 1.0)
+        tol = 1e-10
+        halves = (range(70, 76), range(575, 581))
+        both = window_log_probability(params, 300, 0.01, [*halves[0], *halves[1]], tol)
+        parts = [window_log_probability(params, 300, 0.01, half, tol) for half in halves]
+        assert max(parts) < math.log(1e-280)  # answered by the log-space chain
+        assert abs(parts[0] - parts[1]) < 10.0
+        assert abs(both - np.logaddexp(*parts)) <= 2.0 * tol + 1e-12 * abs(both)
 
 
 class TestEmpiricalRateCurve:
