@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -154,16 +153,9 @@ class ExperimentResult:
         return obj
 
 
-@lru_cache(maxsize=8)
-def _stationary_law(params: ModelParams) -> ProbabilityVector:
-    """The stationary law, built once per ModelParams for the many
-    replications that start from it."""
-    return stationary_distribution(params)
-
-
 def _resolve_initial(params: ModelParams, config: SimConfig, rng: np.random.Generator) -> int:
     if config.initial == "stationary":
-        return _stationary_law(params).sample_state(rng.random())
+        return stationary_distribution(params).sample_state(rng.random())
     m0 = int(config.initial)
     if not 1 <= m0 <= params.n_states:
         raise ValueError(f"initial state {m0} outside 1..{params.n_states}")

@@ -113,26 +113,6 @@ class TestSamplePath:
         with pytest.raises(ValueError):
             sample_path(ModelParams(5, 1.0), SimConfig(horizon=1.0, seed=1, initial=6))
 
-    def test_stationary_law_built_once_per_params(self, monkeypatch):
-        import bdld.simulate as sim_mod
-        built = []
-
-        def counting(params):
-            built.append(params)
-            return stationary_distribution(params)
-
-        monkeypatch.setattr(sim_mod, "stationary_distribution", counting)
-        sim_mod._stationary_law.cache_clear()
-        config = SimConfig(horizon=0.01, seed=5, initial="stationary")
-        try:
-            for rep in range(3):
-                sample_path(ModelParams(40, 1.0), config, replication=rep)
-                tilted_sample_path(ModelParams(40, 1.0), ConstantTilt(2.0), config, replication=rep)
-            sample_path(ModelParams(41, 1.0), config)
-        finally:
-            sim_mod._stationary_law.cache_clear()
-        assert built == [ModelParams(40, 1.0), ModelParams(41, 1.0)]
-
 
 class TestTrajectoryType:
     def test_validation(self):
