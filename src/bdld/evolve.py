@@ -7,11 +7,12 @@ certified, which makes this the brute-force oracle that every Monte Carlo
 estimate and every large-deviation rate in the package is checked against.
 
 Probabilities are carried in linear space; window queries fall back to a
-log-space product chain when the linear mass underflows.  That chain stops
-on a certified relative rule: once k + 2 > mu, the weight of every Poisson
-order past k is at most pmf(k+1) / (1 - mu/(k+2)), and the sum ends when
-that bound is at most tol/2 of the window mass accumulated so far (after
-Fox & Glynn, "Computing Poisson probabilities", CACM 1988).  The oracle is
+log-space product chain when the linear mass underflows.  Window queries
+stop on a certified relative rule in both spaces: once k + 2 > mu, the
+weight of every Poisson order past k is at most pmf(k+1) / (1 - mu/(k+2)),
+and the sum ends when that bound is at most tol/2 of the window mass
+accumulated so far (after Fox & Glynn, "Computing Poisson probabilities",
+CACM 1988).  The oracle is
 practical up to roughly N = 5000 (seconds per evaluation); larger N is
 Monte Carlo territory.
 """
@@ -141,13 +142,19 @@ def evolve_distribution(params: ModelParams, dist, t: float, tol: float = 1e-12)
     if p.size != params.n_states:
         raise ValueError("distribution dimension does not match n_states")
     kern = _uniformized_kernel(params)
-    weights = _poisson_terms(kern.rate * t, tol)
+    acc, _ = _poisson_mixture(p, kern, _poisson_terms(kern.rate * t, tol))
+    acc /= acc.sum()
+    return ProbabilityVector(acc)
+
+
+def _poisson_mixture(p: np.ndarray, kern: _UniformizedKernel,
+                     weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sum of weights[k] * p K^k over k, and the last power p K^k."""
     acc = weights[0] * p
     for w in weights[1:]:
         p = _kernel_apply(p, kern)
         acc += w * p
-    acc /= acc.sum()
-    return ProbabilityVector(acc)
+    return acc, p
 
 
 def endpoint_distribution(params: ModelParams, m0: int, t: float, tol: float = 1e-12) -> ProbabilityVector:
@@ -168,11 +175,44 @@ def _normalize_window(params: ModelParams, window) -> np.ndarray:
     return states
 
 
+def _window_mass(params: ModelParams, m0: int, t: float, states: np.ndarray, tol: float) -> float:
+    """P(X(t) in states | X(0) = m0) from the linear-space Poisson mixture.
+
+    The bulk cutoff of _poisson_k_max leaves out at most tol/2 of the total
+    mass, which says nothing about a small window fed by the orders near the
+    cutoff.  A window of mass at least _LOG_SPACE_THRESHOLD therefore keeps
+    adding orders until the bound of _log_space_window on the omitted weight,
+    pmf(k+1) / (1 - mu/(k+2)), is at most tol/2 of its own mass.  A window
+    already certified at the cutoff gets the endpoint_distribution answer
+    bit for bit; a smaller one is returned as it stands at the cutoff.
+    """
+    if not 1 <= m0 <= params.n_states:
+        raise ValueError(f"m0={m0} outside the state space 1..{params.n_states}")
+    _check_time_tol(t, tol)
+    point = np.zeros(params.n_states)
+    point[m0 - 1] = 1.0
+    kern = _uniformized_kernel(params)
+    mu = kern.rate * t
+    weights = _poisson_terms(mu, tol)
+    acc, p = _poisson_mixture(point, kern, weights)
+    idx = states - 1
+    prob = float((acc / acc.sum())[idx].sum())
+    if prob < _LOG_SPACE_THRESHOLD:
+        return prob
+    k, w = weights.size - 1, float(weights[-1])
+    while not (k + 2 > mu and w * mu / (k + 1) / (1.0 - mu / (k + 2))
+               <= 0.5 * tol * float(acc[idx].sum())):
+        k += 1
+        w *= mu / k
+        p = _kernel_apply(p, kern)
+        acc += w * p
+    return float((acc / acc.sum())[idx].sum())
+
+
 def window_probability(params: ModelParams, m0: int, t: float, window, tol: float = 1e-12) -> float:
-    """P(X(t) in window | X(0) = m0), summed from the endpoint distribution."""
-    states = _normalize_window(params, window)
-    dist = endpoint_distribution(params, m0, t, tol)
-    prob = float(dist.mass[states - 1].sum())
+    """P(X(t) in window | X(0) = m0), with the Poisson truncation certified
+    to tol/2 of the window mass (see _window_mass)."""
+    prob = _window_mass(params, m0, t, _normalize_window(params, window), tol)
     if prob == 0.0:
         raise ValueError(
             "window probability underflowed to zero in linear space; "
@@ -182,10 +222,10 @@ def window_probability(params: ModelParams, m0: int, t: float, window, tol: floa
 
 def window_log_probability(params: ModelParams, m0: int, t: float, window, tol: float = 1e-12) -> float:
     """ln P(X(t) in window | X(0) = m0); switches to a log-space product chain
-    when the linear-space mass underflows."""
+    when the linear-space mass underflows.  Either way the Poisson truncation
+    is certified to tol/2 of the window mass."""
     states = _normalize_window(params, window)
-    dist = endpoint_distribution(params, m0, t, tol)
-    prob = float(dist.mass[states - 1].sum())
+    prob = _window_mass(params, m0, t, states, tol)
     if prob >= _LOG_SPACE_THRESHOLD:
         return math.log(prob)
     return _log_space_window(params, m0, t, states, tol)

@@ -3,9 +3,18 @@
 Sampling is Gillespie-style: at state m draw an Exponential holding time at
 the total exit rate, then pick the direction proportionally to the up/down
 rates.  Nothing is time-discretized and trajectories are stored sparsely
-(jump times plus visited states only).  The plain chain runs in one kernel,
-``_walk``; the tilted sampler thins against a majorant in its own loop.  Both
-read their randomness from ``_variates``, which states the stream layout.
+(jump times plus visited states only).  Every sampler reads its randomness
+from ``_blocks``, which states the stream layout.
+
+The plain chain runs in one kernel, ``_walk``, which takes the events of a
+variate block _CHUNK at a time in a few numpy passes: steps from the
+uniforms, states from their prefix sum with a closed form for the forced
+move at whichever end is within reach, rates from the states before each
+jump, and jump times from np.add.accumulate, which adds in sequence exactly
+as the scalar loop does.  Where both ends are within reach of a chunk (small
+N) its states are replayed event by event.  Either way the trajectories are
+bit-identical to Gillespie's scalar algorithm.  The tilted sampler thins
+against a majorant in its own event-by-event loop, fed by ``_variates``.
 """
 
 from __future__ import annotations
@@ -162,32 +171,88 @@ def _resolve_initial(params: ModelParams, config: SimConfig, rng: np.random.Gene
     return m0
 
 
-def _variates(rng: np.random.Generator):
-    """Yield one (exponential, uniform) pair per event from a replication's
-    stream.
+def _blocks(rng: np.random.Generator):
+    """Yield a replication's variates as (exponentials, uniforms) blocks.
 
     This is the stream contract every sampler shares.  Each replication owns
     a counter-based Philox stream keyed by (seed, replication), so it
     reproduces independently of execution order.  The stream is read in
     blocks of _BLOCK standard exponentials followed by _BLOCK uniforms, and
     event i takes the i-th variate of each; a stationary start takes one
-    uniform before the first block.  Blocks are drawn only when needed and
-    converted to Python floats _CHUNK pairs at a time.
+    uniform before the first block.  Blocks are drawn only when needed.
     """
     while True:
         exps = rng.standard_exponential(_BLOCK)
-        unis = rng.random(_BLOCK)
+        yield exps, rng.random(_BLOCK)
+
+
+def _variates(rng: np.random.Generator):
+    """Yield one (exponential, uniform) pair per event, converting the
+    blocks of ``_blocks`` to Python floats _CHUNK pairs at a time."""
+    for exps, unis in _blocks(rng):
         for start in range(0, _BLOCK, _CHUNK):
             yield from zip(exps[start:start + _CHUNK].tolist(),
                            unis[start:start + _CHUNK].tolist())
 
 
-def _walk(n: int, lam: float, m: int, stops, rng: np.random.Generator,
-          times: list[float], states: list[int]):
-    """Run the chain on {1..n} from state m, appending each jump's time and
-    new state to ``times``/``states``, and yield the state at each of the
+def _chunk_states(n: int, m: int, unis: np.ndarray) -> np.ndarray:
+    """States after each of the events driven by ``unis``, from state m.
+
+    Away from the ends a uniform below 1/2 steps up, otherwise down, so the
+    states are m plus a prefix sum of the steps (the free walk F).  When
+    only the lower end is within reach of the chunk, each forced move 1 -> 2
+    lifts the rest of the walk by 2, and the lift so far is the smallest even
+    number keeping every state >= 1: X = F + 2*max.accumulate(max(0, (2-F)//2)).
+    The upper end is the mirror image.  When both ends are within reach the
+    events are replayed one at a time.
+    """
+    c = unis.size
+    lower, upper = m <= c, m + c > n  # can a state before a jump be 1, or n?
+    if lower and upper:
+        states = []
+        for up in (unis < 0.5).tolist():
+            if m == 1:
+                m = 2
+            elif m == n:
+                m = n - 1
+            else:
+                m = m + 1 if up else m - 1
+            states.append(m)
+        return np.array(states, dtype=np.int64)
+    free = np.where(unis < 0.5, 1, -1)
+    np.cumsum(free, out=free)
+    free += m
+    if lower:
+        lift = np.floor_divide(2 - free, 2)
+        np.maximum(lift, 0, out=lift)
+        np.maximum.accumulate(lift, out=lift)
+        free += 2 * lift
+    elif upper:
+        drop = np.floor_divide(free - (n - 1), 2)
+        np.maximum(drop, 0, out=drop)
+        np.maximum.accumulate(drop, out=drop)
+        free -= 2 * drop
+    return free
+
+
+def _walk(n: int, lam: float, m: int, stops, rng: np.random.Generator, jumps: list):
+    """Run the chain on {1..n} from state m, append the (times, states)
+    arrays of its jumps to ``jumps``, and yield the state at each of the
     increasing ``stops``.  A jump at exactly a stop counts, as in
-    Trajectory.state_at; nothing past the last stop read is simulated."""
+    Trajectory.state_at; the jumps appended when a stop is yielded are
+    exactly those at or before it, and nothing past the last stop read is
+    recorded.
+
+    The events of a variate block are taken _CHUNK at a time.  A chunk's
+    states come from ``_chunk_states``: numpy passes when at most one end of
+    {1..n} is within _CHUNK jumps of the current state, an event-by-event
+    replay of the scalar loop when both are (possible only for n < 2*_CHUNK).
+    Each event's rate is read from the state before it, and its jump time is
+    the running sum of the holding times seeded with the current time.
+    np.add.accumulate adds strictly in sequence, and every division and
+    product is the one the scalar Gillespie loop makes, so each trajectory is
+    bit-identical to that loop's.
+    """
     if n == 1:
         for _ in stops:
             yield m
@@ -195,34 +260,48 @@ def _walk(n: int, lam: float, m: int, stops, rng: np.random.Generator,
     stops = iter(stops)
     stop = next(stops)
     two_lam = 2.0 * lam
-    lam_top = lam * n
     t = 0.0
-    for e, u in _variates(rng):
-        t += e / (two_lam * m if 1 < m < n else (lam if m == 1 else lam_top))
-        while t > stop:
-            yield m
-            stop = next(stops, None)
-            if stop is None:
-                return
-        if m == 1:
-            m = 2
-        elif m == n:
-            m = n - 1
-        else:
-            m = m + 1 if u < 0.5 else m - 1
-        times.append(t)
-        states.append(m)
+    for exps, unis in _blocks(rng):
+        for start in range(0, _BLOCK, _CHUNK):
+            states = _chunk_states(n, m, unis[start:start + _CHUNK])
+            before = np.concatenate(([m], states[:-1]))
+            rates = two_lam * before
+            if m <= _CHUNK:
+                rates[before == 1] = lam
+            if m + _CHUNK > n:
+                rates[before == n] = lam * n
+            clock = np.empty(_CHUNK + 1)
+            clock[0] = t
+            np.divide(exps[start:start + _CHUNK], rates, out=clock[1:])
+            np.add.accumulate(clock, out=clock)
+            times = clock[1:]
+            done = 0
+            while True:
+                k = int(times.searchsorted(stop, side="right"))  # first jump past stop
+                if k == _CHUNK:
+                    break
+                if k > done:
+                    jumps.append((times[done:k], states[done:k]))
+                    done = k
+                yield int(states[k - 1]) if k else m
+                stop = next(stops, None)
+                if stop is None:
+                    return
+            if done < _CHUNK:
+                jumps.append((times[done:], states[done:]))
+            m, t = int(states[-1]), float(times[-1])
 
 
 def sample_path(params: ModelParams, config: SimConfig, replication: int = 0) -> Trajectory:
     """Draw one exact trajectory on [0, horizon]."""
     rng = replication_rng(config.seed, replication)
     m0 = _resolve_initial(params, config, rng)
-    times: list[float] = []
-    states: list[int] = []
-    for _ in _walk(params.n_states, params.lam, m0, (config.horizon,), rng, times, states):
+    jumps: list = []
+    for _ in _walk(params.n_states, params.lam, m0, (config.horizon,), rng, jumps):
         pass
-    return Trajectory(m0, np.array(times), np.array(states, dtype=np.int64), config.horizon)
+    times = np.concatenate([np.empty(0)] + [times for times, _ in jumps])
+    states = np.concatenate([np.empty(0, dtype=np.int64)] + [states for _, states in jumps])
+    return Trajectory(m0, times, states, config.horizon)
 
 
 def occupation_fractions(trajectory: Trajectory, n_states: int | None = None) -> ProbabilityVector:
@@ -245,8 +324,9 @@ def lln_point_experiment(params: ModelParams, gamma0: float, epsilon: float,
     the point start round(gamma0*N).
 
     The config's ``initial`` field is ignored: this experiment's start is
-    fixed by gamma0.  The theoretical bound T/(epsilon^2 N) rides along in the
-    result's extra fields.
+    fixed by gamma0.  The theoretical bound T/(epsilon^2 N) and the number of
+    jumps simulated up to the horizon (0 when the band holds the whole state
+    space and nothing is simulated) ride along in the result's extra fields.
     """
     if not epsilon > 0.0:
         raise ValueError("epsilon must be positive")
@@ -262,24 +342,31 @@ def lln_point_experiment(params: ModelParams, gamma0: float, epsilon: float,
     bound = horizon / (epsilon * epsilon * n)
     if lo < 1 and hi > n and not (m0 <= lo or m0 >= hi):
         return ExperimentResult(0.0, 0.0, reps, config.seed, params,
-                                extra={"bound": bound, "hits": 0})
-    hits = 0
+                                extra={"bound": bound, "hits": 0, "jumps": 0})
+    hits = n_jumps = 0
     for rep in range(reps):
-        states = [m0]
-        for _ in _walk(n, lam, m0, (horizon,), replication_rng(config.seed, rep), [], states):
+        jumps: list = []
+        for _ in _walk(n, lam, m0, (horizon,), replication_rng(config.seed, rep), jumps):
             pass
-        if min(states) <= lo or max(states) >= hi:
+        n_jumps += sum(states.size for _, states in jumps)
+        if m0 <= lo or m0 >= hi or any(states.min() <= lo or states.max() >= hi
+                                       for _, states in jumps):
             hits += 1
     p = hits / reps
     stderr = math.sqrt(p * (1.0 - p) / reps)
     return ExperimentResult(p, stderr, reps, config.seed, params,
-                            extra={"bound": bound, "hits": hits})
+                            extra={"bound": bound, "hits": hits, "jumps": n_jumps})
 
 
 def lln_stationary_experiment(params: ModelParams, u: float, sample_times,
                               config: SimConfig) -> ExperimentResult:
     """Monte Carlo estimate of P(X(t_i)/N < u for every sample time) with the
-    chain started from its stationary law."""
+    chain started from its stationary law.
+
+    A replication stops at the first sample time with X/N >= u; ``jumps`` in
+    the extra fields counts the jumps at or before the last sample time each
+    replication read.
+    """
     if config.initial != "stationary":
         raise ValueError("lln_stationary_experiment requires a stationary initial condition")
     if not 0.0 < u <= 1.0:
@@ -292,16 +379,18 @@ def lln_stationary_experiment(params: ModelParams, u: float, sample_times,
     n, lam = params.n_states, params.lam
     pi = stationary_distribution(params)
     reps = config.replications
-    successes = 0
+    successes = n_jumps = 0
     for rep in range(reps):
         rng = replication_rng(config.seed, rep)
         m0 = pi.sample_state(rng.random())
-        if all(m / n < u for m in _walk(n, lam, m0, times, rng, [], [])):
+        jumps: list = []
+        if all(m / n < u for m in _walk(n, lam, m0, times, rng, jumps)):
             successes += 1
+        n_jumps += sum(states.size for _, states in jumps)
     p = successes / reps
     stderr = math.sqrt(p * (1.0 - p) / reps)
     return ExperimentResult(p, stderr, reps, config.seed, params,
-                            extra={"threshold": u, "sample_times": times})
+                            extra={"threshold": u, "sample_times": times, "jumps": n_jumps})
 
 
 def tilted_sample_path(params: ModelParams, tilt, config: SimConfig,

@@ -164,6 +164,7 @@ class TestLlnCommands:
         report = json.loads(_read(tmp_path / "report.json"))
         assert report["verdicts"]["within_bound"] is True
         assert report["results"]["estimate"] <= report["results"]["bound"]
+        assert report["results"]["jumps"] > 300 * 300  # about 400 per replication
 
     def test_lln_stationary_oracle_verdict(self, tmp_path):
         code = main(["lln-stationary", "--n", "100", "--u", "0.3",
@@ -173,6 +174,7 @@ class TestLlnCommands:
         report = json.loads(_read(tmp_path / "report.json"))
         assert report["verdicts"]["matches_oracle"] is True
         assert 0.0 < report["results"]["exact"] < 1.0
+        assert report["results"]["jumps"] > 0
 
 
 class TestRateCurveCommand:

@@ -202,6 +202,37 @@ def _mpmath_log_window(n, lam, m0, t, lo, hi, dps=30):
             p = nxt
 
 
+class TestLinearWindowCertificate:
+    """A window answered in linear space is certified relative to its own
+    mass, not to the total mass the bulk Poisson cutoff covers."""
+
+    @pytest.mark.parametrize("lo", [230, 240, 250, 258, 260])
+    def test_small_window_matches_log_space_chain(self, lo):
+        # mu = 60 puts the bulk cutoff at K = 117, while these windows draw
+        # their mass from orders near or past it: at lo = 260 the cutoff
+        # alone gives ln P = -126.75 against -116.57
+        from bdld.evolve import _log_space_window
+        params = ModelParams(300, 1.0)
+        states = np.arange(lo, lo + 6)
+        logp = window_log_probability(params, 150, 0.1, states, tol=1e-10)
+        exact = _log_space_window(params, 150, 0.1, states, 1e-10)
+        assert abs(logp - exact) <= 2e-10 + 1e-12 * abs(exact)
+        assert math.exp(logp) > 1e-280  # answered in linear space
+        assert math.log(window_probability(params, 150, 0.1, states, tol=1e-10)) == logp
+        if lo == 260:
+            assert abs(exact - -116.5727) <= 1e-4
+
+    def test_certified_window_is_unchanged(self):
+        # the bulk window is certified at the cutoff, so its answer is the
+        # endpoint distribution's, bit for bit
+        params = ModelParams(100, 1.0)
+        dist = endpoint_distribution(params, 50, 1.0, tol=1e-12)
+        assert window_probability(params, 50, 1.0, range(1, 101), tol=1e-12) == float(
+            dist.mass.sum())
+        assert window_probability(params, 50, 1.0, range(40, 61), tol=1e-12) == float(
+            dist.mass[39:60].sum())
+
+
 class TestLogSpaceWindow:
     def test_mass_below_exp_minus_745(self):
         # ln P is about -943: every Poisson tail term lies below the smallest

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from bdld import simulate
 from bdld.chain import ModelParams, stationary_distribution
 from bdld.evolve import stationary_dwell_probability, window_probability
 from bdld.simulate import (
@@ -199,6 +200,15 @@ class TestLlnPointExperiment:
         assert obj["params"] == {"n_states": 200, "lambda": 1.0}
         assert res.extra["bound"] == pytest.approx(1.0 / (0.04 * 200))
 
+    def test_jump_count_matches_sample_paths(self):
+        params = ModelParams(1000, 1.0)
+        res = lln_point_experiment(params, 0.5, 0.03,
+                                   SimConfig(horizon=1.0, seed=9, replications=20))
+        start = SimConfig(horizon=1.0, seed=9, initial=500)
+        assert res.extra["hits"] > 0
+        assert res.extra["jumps"] == sum(sample_path(params, start, rep).n_jumps
+                                         for rep in range(20))
+
     def test_bad_start(self):
         with pytest.raises(ValueError):
             lln_point_experiment(ModelParams(100, 1.0), 0.001, 0.2,
@@ -227,6 +237,22 @@ class TestLlnStationaryExperiment:
             res = lln_stationary_experiment(params, u, [0.25, 0.75], config)
             estimates.append(res.estimate)
         assert estimates[0] <= estimates[1] <= estimates[2]
+
+    def test_jump_count_stops_at_last_time_read(self):
+        # a replication reads sample times up to the first one above the
+        # threshold, and counts the jumps at or before it
+        params = ModelParams(300, 1.0)
+        times = [0.1, 0.4, 0.7]
+        res = lln_stationary_experiment(params, 0.05, times,
+                                        SimConfig(horizon=0.7, seed=4, replications=60))
+        start = SimConfig(horizon=0.7, seed=4, initial="stationary")
+        want = 0
+        for rep in range(60):
+            traj = sample_path(params, start, rep)
+            read = next((t for t in times if traj.state_at(t) / 300 >= 0.05), times[-1])
+            want += int(np.searchsorted(traj.jump_times, read, side="right"))
+        assert 0 < res.estimate < 1
+        assert res.extra["jumps"] == want
 
     def test_matches_exact_oracle(self):
         params = ModelParams(200, 1.0)
@@ -352,8 +378,11 @@ def _path_parts(traj):
     return (traj.initial_state, traj.horizon, traj.jump_times, traj.states_after_jump)
 
 
-# (N, initial, horizon): every (N, initial) pair of N in {1, 2, 3, 50, 1000};
-# the N=1000 path from the top makes ~20k jumps, across three variate blocks.
+# (N, initial, horizon): every (N, initial) pair of N in {1, 2, 3, 50, 1000,
+# 10000}; the N=1000 path from the top makes ~20k jumps, across three variate
+# blocks.  At N=10000 only one end is within reach of a chunk of events: the
+# paths from 1 and from stationarity linger near 1 and reflect there dozens
+# of times, the path from the top reflects at N.
 _GOLDEN_PATHS = {
     (1, 1, 10.0): "aa3c6dbb1e215c13b5dadc9fa7df8f46273a1c437553fa29d4013f78481709bc",
     (1, "stationary", 10.0): "aa3c6dbb1e215c13b5dadc9fa7df8f46273a1c437553fa29d4013f78481709bc",
@@ -369,6 +398,9 @@ _GOLDEN_PATHS = {
     (1000, 1, 1.0): "3031b549be9502bdf988154a86574c1d0bb08d0d0adc67c5fc84cfb65ee505e2",
     (1000, 1000, 10.0): "b77d0c0fb3c481b43fe6a4333c0357230662ba82d01889111fed18847c2ea361",
     (1000, "stationary", 1.0): "cb1113b7e63c23145c0dcde2b57f6a60c8dc552127a154ce719a6a790620d96c",
+    (10000, 1, 200.0): "300a2daeb2cc7b85af02d19f53724a682a560722eaff10f7646c2b959e5f5e53",
+    (10000, 10000, 0.5): "80f43fc12e120b023e616304ddfb5bea645d586694d42df91bad89baaf05b120",
+    (10000, "stationary", 200.0): "635cd31a4cba52da6bc3dccb63342090a402d261a10ce72d32e193e655fbd3ae",
 }
 
 # (N, gamma0, epsilon, horizon, replications): N=1, a band wider than the
@@ -381,16 +413,18 @@ _GOLDEN_LLN_POINT = {
     (100, 0.504, 0.003, 1.0, 20): "7249384252cc2f384aa20a1717bd17b1b2bfd95a9cc42cacaabb946da0a2de5b",
     (200, 0.5, 0.05, 1.0, 300): "df6633845f67e41cbc1b9f02b2b2171990e767f0b942329c534e1ae8cc4b1288",
     (1000, 0.5, 0.02, 1.0, 100): "ac87c4ca1f2eed48def5df4afc2843c7b52385053a7d9f82ca27c65c05758418",
+    (1000, 0.5, 0.03, 1.0, 100): "2521fe9ab238ae0b2cc23fa4553290f20659fc703dd25730a30e17e4ddf785cf",
 }
 
-# (N, u, sample times, horizon, replications): N=1, sample time 0 and a
-# repeated sample time.
+# (N, u, sample times, horizon, replications): N=1, sample time 0, a
+# repeated sample time, and the lln benchmark's N=10000 case.
 _GOLDEN_LLN_STATIONARY = {
     (1, 1.0, (0.5,), 1.0, 20): "def2128a04b92c4206b51187bcbce7f0aab2311cf8815bf200a9d72da31303ff",
     (2, 0.75, (0.0, 1.0), 1.0, 200): "752728a7565b0ca0b4974d5f7131d7403a1c2041e9ddca53e7de239beb76bbc2",
     (3, 0.5, (0.0, 0.5, 0.5, 2.0), 2.0, 200): "374d3dcd651bd5999175df73f970194787f49c690be89a1c40ad4e7b377d5a80",
     (50, 0.2, (0.25, 0.0, 0.25, 1.0), 1.0, 300): "79ecddbe3b1eb2bcad5cc3c8478252de33eaa24cb0d22e5ade7579fd33399630",
     (1000, 0.1, (0.25, 0.5, 0.75, 1.0), 1.0, 100): "60225f88e933ec19f572918a7b3acdd0187c2649c42596981f6cea5018bae78b",
+    (10000, 0.1, (0.25, 0.5, 0.75, 1.0), 1.0, 100): "d93f988141f1231389f5596fa8528e0b2c80fef6eead93dbf8e1505d0fa5c47b",
 }
 
 
@@ -421,14 +455,14 @@ def _lln_point_digest(case):
     n, gamma0, epsilon, horizon, reps = case
     config = SimConfig(horizon=horizon, seed=31 + n, replications=reps)
     res = lln_point_experiment(ModelParams(n, 1.0), gamma0, epsilon, config)
-    return _digest(res.extra["hits"], res.estimate, res.stderr)
+    return _digest(res.extra["hits"], res.estimate, res.stderr), res
 
 
 def _lln_stationary_digest(case):
     n, u, times, horizon, reps = case
     config = SimConfig(horizon=horizon, seed=47 + n, replications=reps)
     res = lln_stationary_experiment(ModelParams(n, 1.0), u, times, config)
-    return _digest(res.estimate, res.stderr)
+    return _digest(res.estimate, res.stderr), res
 
 
 def _tilted_digest(case):
@@ -468,11 +502,11 @@ class TestGoldenStream:
 
     @pytest.mark.parametrize("case", sorted(_GOLDEN_LLN_POINT, key=repr))
     def test_lln_point(self, case):
-        assert _lln_point_digest(case) == _GOLDEN_LLN_POINT[case]
+        assert _lln_point_digest(case)[0] == _GOLDEN_LLN_POINT[case]
 
     @pytest.mark.parametrize("case", sorted(_GOLDEN_LLN_STATIONARY, key=repr))
     def test_lln_stationary(self, case):
-        assert _lln_stationary_digest(case) == _GOLDEN_LLN_STATIONARY[case]
+        assert _lln_stationary_digest(case)[0] == _GOLDEN_LLN_STATIONARY[case]
 
     @pytest.mark.parametrize("case", sorted(_GOLDEN_TILTED, key=repr))
     def test_tilted(self, case):
@@ -480,3 +514,20 @@ class TestGoldenStream:
 
     def test_csv_bytes(self, tmp_path):
         assert _csv_digest(tmp_path) == _GOLDEN_CSV
+
+    @pytest.mark.parametrize("chunk", [32, 1024])
+    def test_chunk_size_does_not_matter(self, chunk, monkeypatch):
+        # a chunk of 32 takes the one-sided closed forms at N=50, one of 1024
+        # sends N=1000 through the event-by-event replay; every output, jump
+        # counts included, must stay the same
+        lln = [(_lln_point_digest, _GOLDEN_LLN_POINT),
+               (_lln_stationary_digest, _GOLDEN_LLN_STATIONARY)]
+        jumps = {case: run(case)[1].extra["jumps"] for run, golden in lln for case in golden}
+        monkeypatch.setattr(simulate, "_CHUNK", chunk)
+        for case, digest in _GOLDEN_PATHS.items():
+            assert _sample_path_digest(case)[0] == digest
+        for run, golden in lln:
+            for case, digest in golden.items():
+                got, res = run(case)
+                assert got == digest
+                assert res.extra["jumps"] == jumps[case]
