@@ -432,15 +432,25 @@ def _golden_tilt(name):
     if name == "dual":
         from bdld.optimal_paths import dual_tilt, solve_boundary
         return dual_tilt(solve_boundary(0.5, 0.8, 1.0, 1.0))
+    if name == "callable":
+        return CallableTilt(lambda t: 1.5 - 0.5 * t, bound=1.5)
     return ConstantTilt(float(name))
 
 
-# (N, tilt, initial, horizon): tilted paths with their log-weights.
+# (N, tilt, initial, horizon): tilted paths with their log-weights.  The dual
+# tilt runs at the rare-event benchmark's rungs N=400 and N=800 and from
+# stationarity at N=1000, where the paths start near 1 and some reach N; the
+# ConstantTilt(1.5) paths at N=30 and the callable paths at N=50 reflect at N.
 _GOLDEN_TILTED = {
     (30, "2.0", 15, 0.5): "eec32dcaca4ea61a631a63e7e962fdc525696154e621c25c88b7051fbdd707f5",
     (30, "0.5", 15, 0.5): "7596e72fa7d79a65fa5f95a6c7322ba0d3ec0952c195b99fbac4d653d461e63b",
     (3, "1.5", "stationary", 2.0): "ef75c4188363741584f848a59126542261e2204c452403e28f034f24cda39523",
     (100, "dual", 50, 1.0): "eed7e4071c672174326529e1eddfeb6eae5d5ff51e2be82b4941d71b30540c57",
+    (400, "dual", 200, 1.0): "ea9835bf63df6c5c4b455f372bcac1f1190f946a694ef8829ab2ff290579aaa8",
+    (800, "dual", 400, 1.0): "443a5b840c4ae3944d5f597b892ef80be6a3b3a36b615bf1d4a2d130366748a1",
+    (30, "1.5", 25, 2.0): "46201d4478dd920077b8c571207cc8643c3457d3c3e42032ad23477bba4c2625",
+    (50, "callable", 25, 1.0): "31a0d588e48f5eedb36af4ae985f65eee57caf39fe464bcc712d2b1ba81d89ad",
+    (1000, "dual", "stationary", 1.0): "2c118c822fca99b929b26fe4202b6302b7c5c2daefe961191d239edb678f5706",
 }
 
 
@@ -531,3 +541,9 @@ class TestGoldenStream:
                 got, res = run(case)
                 assert got == digest
                 assert res.extra["jumps"] == jumps[case]
+
+    @pytest.mark.parametrize("chunk", [32, 1024])
+    def test_tilted_chunk_size_does_not_matter(self, chunk, monkeypatch):
+        monkeypatch.setattr(simulate, "_CHUNK", chunk)
+        for case, digest in _GOLDEN_TILTED.items():
+            assert _tilted_digest(case) == digest
