@@ -237,7 +237,12 @@ def _run_rate_curve(settings):
     horizon = float(settings["horizon"])
     half_width = float(settings["half_width"])
     from .optimal_paths import optimal_action
-    action = optimal_action(gamma0, gammaT, horizon, lam, tol=1e-9)
+    # The LDP limit of a_N for the window [gammaT - h, gammaT + h] is the infimum of
+    # I(gamma0 -> .) over it: the symmetric chain has no drift, so I(gamma0 -> .) is
+    # convex with its zero at gamma0, and the infimum sits at the window point nearest
+    # gamma0 (0 when the window holds gamma0).
+    nearest = min(max(gamma0, gammaT - half_width), gammaT + half_width)
+    action = 0.0 if nearest == gamma0 else optimal_action(gamma0, nearest, horizon, lam, tol=1e-9)
     curve = empirical_rate_curve([ModelParams(n, lam) for n in ladder],
                                  gamma0, gammaT, horizon, half_width,
                                  tol=float(settings["tol"]))

@@ -42,13 +42,15 @@ def jsonable(obj):
 
 
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write the header and the rows, which must all have the same length;
+    the values are formatted a whole column at a time."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    columns = [list(map(format_value, column)) for column in zip(*rows, strict=True)]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([format_value(x) for x in row])
+        writer.writerows(zip(*columns))
 
 
 def read_csv(path) -> tuple[list[str], list[list[str]]]:

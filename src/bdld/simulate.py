@@ -12,9 +12,18 @@ uniforms, states from their prefix sum with a closed form for the forced
 move at whichever end is within reach, rates from the states before each
 jump, and jump times from np.add.accumulate, which adds in sequence exactly
 as the scalar loop does.  Where both ends are within reach of a chunk (small
-N) its states are replayed event by event.  Either way the trajectories are
-bit-identical to Gillespie's scalar algorithm.  The tilted sampler thins
-against a majorant in its own event-by-event loop, fed by ``_variates``.
+N) its states are replayed event by event.
+
+The tilted chain thins candidate events against a majorant in a second
+kernel, ``_tilted_walk``.  A candidate's acceptance depends on its time,
+which depends on the states before it, so a window of candidates is
+computed in numpy from guessed states and recomputed from the states it
+gives until the guesses hold (speculate and verify); near the ends of
+{1..N} and just before the horizon the scalar loop body takes over.  The
+likelihood-ratio weight is a function of the finished path
+(``_log_weight``), so an experiment computes it only for the paths that
+count.  Both kernels give trajectories and weights bit-identical to the
+scalar loops.
 """
 
 from __future__ import annotations
@@ -43,6 +52,8 @@ __all__ = [
 
 _BLOCK = 8192
 _CHUNK = 256
+_PASSES = 8       # speculation passes over a window before the scalar loop takes over
+_MIN_EVENTS = 24  # fewer expected candidates before the horizon go to the scalar loop
 
 
 def replication_rng(seed: int, replication: int = 0) -> np.random.Generator:
@@ -178,21 +189,23 @@ def _blocks(rng: np.random.Generator):
     a counter-based Philox stream keyed by (seed, replication), so it
     reproduces independently of execution order.  The stream is read in
     blocks of _BLOCK standard exponentials followed by _BLOCK uniforms, and
-    event i takes the i-th variate of each; a stationary start takes one
-    uniform before the first block.  Blocks are drawn only when needed.
+    event i takes the i-th variate of each: a jump of the plain chain, a
+    candidate event (accepted or a thinning ghost) of the tilted chain.  A
+    stationary start takes one uniform before the first block.  Blocks are
+    drawn only when needed, and how a kernel splits them into chunks or
+    windows does not change which variates an event reads.
     """
     while True:
         exps = rng.standard_exponential(_BLOCK)
         yield exps, rng.random(_BLOCK)
 
 
-def _variates(rng: np.random.Generator):
-    """Yield one (exponential, uniform) pair per event, converting the
-    blocks of ``_blocks`` to Python floats _CHUNK pairs at a time."""
+def _chunks(rng: np.random.Generator):
+    """Yield the (exponentials, uniforms) of ``_blocks`` _CHUNK events at a
+    time."""
     for exps, unis in _blocks(rng):
         for start in range(0, _BLOCK, _CHUNK):
-            yield from zip(exps[start:start + _CHUNK].tolist(),
-                           unis[start:start + _CHUNK].tolist())
+            yield exps[start:start + _CHUNK], unis[start:start + _CHUNK]
 
 
 def _chunk_states(n: int, m: int, unis: np.ndarray) -> np.ndarray:
@@ -261,35 +274,34 @@ def _walk(n: int, lam: float, m: int, stops, rng: np.random.Generator, jumps: li
     stop = next(stops)
     two_lam = 2.0 * lam
     t = 0.0
-    for exps, unis in _blocks(rng):
-        for start in range(0, _BLOCK, _CHUNK):
-            states = _chunk_states(n, m, unis[start:start + _CHUNK])
-            before = np.concatenate(([m], states[:-1]))
-            rates = two_lam * before
-            if m <= _CHUNK:
-                rates[before == 1] = lam
-            if m + _CHUNK > n:
-                rates[before == n] = lam * n
-            clock = np.empty(_CHUNK + 1)
-            clock[0] = t
-            np.divide(exps[start:start + _CHUNK], rates, out=clock[1:])
-            np.add.accumulate(clock, out=clock)
-            times = clock[1:]
-            done = 0
-            while True:
-                k = int(times.searchsorted(stop, side="right"))  # first jump past stop
-                if k == _CHUNK:
-                    break
-                if k > done:
-                    jumps.append((times[done:k], states[done:k]))
-                    done = k
-                yield int(states[k - 1]) if k else m
-                stop = next(stops, None)
-                if stop is None:
-                    return
-            if done < _CHUNK:
-                jumps.append((times[done:], states[done:]))
-            m, t = int(states[-1]), float(times[-1])
+    for exps, unis in _chunks(rng):
+        states = _chunk_states(n, m, unis)
+        before = np.concatenate(([m], states[:-1]))
+        rates = two_lam * before
+        if m <= _CHUNK:
+            rates[before == 1] = lam
+        if m + _CHUNK > n:
+            rates[before == n] = lam * n
+        clock = np.empty(_CHUNK + 1)
+        clock[0] = t
+        np.divide(exps, rates, out=clock[1:])
+        np.add.accumulate(clock, out=clock)
+        times = clock[1:]
+        done = 0
+        while True:
+            k = int(times.searchsorted(stop, side="right"))  # first jump past stop
+            if k == _CHUNK:
+                break
+            if k > done:
+                jumps.append((times[done:k], states[done:k]))
+                done = k
+            yield int(states[k - 1]) if k else m
+            stop = next(stops, None)
+            if stop is None:
+                return
+        if done < _CHUNK:
+            jumps.append((times[done:], states[done:]))
+        m, t = int(states[-1]), float(times[-1])
 
 
 def sample_path(params: ModelParams, config: SimConfig, replication: int = 0) -> Trajectory:
@@ -393,6 +405,182 @@ def lln_stationary_experiment(params: ModelParams, u: float, sample_times,
                             extra={"threshold": u, "sample_times": times, "jumps": n_jumps})
 
 
+def _speculate(n, lam, m, t, horizon, tilt, zbar, exps, unis):
+    """Verify as many of a window's candidate events as speculation passes
+    can; see ``_tilted_walk``.
+
+    Returns (k, crossed, prior, clock, accept): the first k events are
+    verified, and crossed says whether event k is the one at or past the
+    horizon.  For i <= k, prior[i] is the state before event i and clock[i]
+    the time of event i-1 (clock[0] = t); for i < k, accept[i] says whether
+    event i is a jump.
+    """
+    c = exps.size
+    prior = np.full(c + 1, m, dtype=np.int64)
+    clock = np.empty(c + 1)
+    clock[0] = t
+    z, accept, up = np.empty(c), np.empty(c, dtype=bool), np.empty(c, dtype=bool)
+    path = np.empty(c + 1, dtype=np.int64)
+    k = 0
+    if not 1 < m < n:
+        return k, False, prior, clock, accept
+    for _ in range(_PASSES):
+        mk = int(prior[k])
+        if (horizon - clock[k]) * (2.0 * lam * mk * zbar) < _MIN_EVENTS:
+            break
+        rate = lam * prior[k:c]
+        major = rate + rate
+        major *= zbar
+        np.divide(exps[k:], major, out=clock[k + 1:])
+        np.add.accumulate(clock[k:], out=clock[k:])
+        live = int(clock[k + 1:].searchsorted(horizon))  # events k..k+live-1 precede it
+        if not live:
+            return k, True, prior, clock, accept
+        # z is never evaluated at or past the horizon: those events only need guesses
+        zk = z[k:]
+        zk[:live] = tilt.value(clock[k + 1:k + 1 + live])
+        zk[live:] = zk[live - 1]
+        p_up = rate * zk
+        p_up /= major
+        p_any = rate / zk
+        p_any /= major
+        p_any += p_up
+        np.less(unis[k:], p_any, out=accept[k:])
+        np.less(unis[k:], p_up, out=up[k:])
+        np.add(up[k:], up[k:], out=path[k + 1:], dtype=np.int64)
+        path[k + 1:] -= accept[k:]
+        path[k] = mk
+        np.cumsum(path[k:], out=path[k:])
+        top = min(k + live, c - 1)  # the last event whose prior must be verified
+        wrong = prior[k + 1:top + 1] != path[k + 1:top + 1]
+        first = int(wrong.argmax()) if wrong.size else 0
+        bad = wrong.size and wrong[first]
+        if mk - (c - k) <= 1 or mk + (c - k) >= n:
+            known = path[k + 1:k + 2 + first] if bad else path[k + 1:top + 1]
+            if known.size and (known.min() <= 1 or known.max() >= n):
+                break  # the path reaches an end, where the rates are one-sided
+            if bad:  # keep the guesses past the first wrong one inside, so rates stay positive
+                np.clip(path[k + 2 + first:], 2, n - 1, out=path[k + 2 + first:])
+        prior[k + 1:] = path[k + 1:]
+        if not bad:
+            return k + live, k + live < c, prior, clock, accept
+        k += 1 + first
+    return k, False, prior, clock, accept
+
+
+def _tilted_walk(n: int, lam: float, m: int, horizon: float, tilt, zbar: float,
+                 rng: np.random.Generator, jumps: list) -> tuple[int, int]:
+    """Run the tilted chain on {1..n} from state m up to the horizon by
+    thinning, append the (times, states) arrays of its jumps to ``jumps``,
+    and return the final state and the number of thinning rejections.
+
+    Candidate event i takes the i-th (exponential, uniform) pair of
+    ``_blocks``.  From state m the majorant rate is (up + down)*zbar with up =
+    lam*m below n and down = lam*m above 1, the candidate time is t + e/rate,
+    and the candidate at or past the horizon ends the walk.  Otherwise, with
+    z = z(t), the event is an up jump if u < up*z/rate, a down jump if
+    u < up*z/rate + down/z/rate, and a ghost that leaves the state unchanged
+    if not.
+
+    The events are taken in windows of at least _CHUNK, sized to reach the
+    horizon at the current majorant rate with half as many again to spare.
+    ``_speculate`` guesses each event's prior state (first the current
+    state, then the states its last pass computed) and computes from the
+    guesses, in numpy and in the scalar loop's order of operations, the
+    rates, the times by np.add.accumulate seeded with t, z on the times
+    before the horizon, the accept and up tests and the states by a prefix
+    sum.  The first event whose computed prior state differs from its guess
+    bounds the verified prefix, which grows by at least one event per pass;
+    passes repeat until every guess up to and including the event that
+    crosses the horizon (its time depends on its own prior state) is
+    confirmed.  A pass whose verified states reach 1 or n (where the rates
+    are one-sided), fewer than _MIN_EVENTS expected candidates before the
+    horizon, or _PASSES passes without a verdict hand the rest of the window
+    to the scalar loop body, event by event, from the first unverified
+    event.  z is only ever evaluated inside [0, horizon).  So the path is the
+    scalar loop's bit for bit.
+    """
+    t = 0.0
+    ghosts = 0
+    blocks = _blocks(rng)
+    exps = unis = np.empty(0)  # what is left of the current block
+    crossed = n == 1  # a single state has no events
+    while not crossed:
+        if not exps.size:
+            exps, unis = next(blocks)
+        size = max(_CHUNK, int(3.0 * lam * m * zbar * (horizon - t)))
+        e, u, exps, unis = exps[:size], unis[:size], exps[size:], unis[size:]
+        k, crossed, prior, clock, accept = _speculate(n, lam, m, t, horizon, tilt, zbar, e, u)
+        if k:
+            hit = np.flatnonzero(accept[:k])
+            jumps.append((clock[1:][hit], prior[1:][hit]))
+            ghosts += k - hit.size
+            m, t = int(prior[k]), float(clock[k])
+        if crossed:
+            break
+        times, states = [], []
+        for ei, ui in zip(e[k:].tolist(), u[k:].tolist()):
+            up_nom = lam * m if m < n else 0.0
+            down_nom = lam * m if m > 1 else 0.0
+            r_major = (up_nom + down_nom) * zbar
+            t += ei / r_major
+            if t >= horizon:
+                crossed = True
+                break
+            z = tilt.value(t)
+            p_up = up_nom * z / r_major
+            p_down = down_nom / z / r_major
+            if ui < p_up + p_down:
+                m += 1 if ui < p_up else -1
+                times.append(t)
+                states.append(m)
+            else:
+                ghosts += 1
+        if times:
+            jumps.append((np.array(times), np.array(states, dtype=np.int64)))
+    return m, ghosts
+
+
+def _log_weight(tilt, lam: float, n: int, m0: int, times, states, horizon: float) -> float:
+    """The log-likelihood ratio of nominal against tilted dynamics for the
+    path from m0 with jumps (times, states) up to the horizon.
+
+    In the order of the scalar thinning loop: each jump adds the
+    compensator up*U + down*D over the time since the previous jump (U, D
+    the tilt's up and down excess integrals, up = lam*m below n and down =
+    lam*m above 1 at the state m before it), then -ln z for an up jump or
+    +ln z for a down jump; the compensator up to the horizon closes the
+    weight.  Every log is math.log (np.log differs from it in the last bit
+    on some inputs), and np.add.accumulate adds in sequence.
+    """
+    before = np.concatenate(([m0], states))  # the state on each segment
+    rate = lam * before
+    up_rate = np.where(before < n, rate, 0.0)
+    down_rate = np.where(before > 1, rate, 0.0)
+    starts = np.concatenate(([0.0], times))
+    ends = np.concatenate((times, [horizon]))
+    terms = np.zeros(2 * times.size + 2)
+    np.add(up_rate * tilt.up_excess_integral(starts, ends),
+           down_rate * tilt.down_excess_integral(starts, ends), out=terms[1::2])
+    log_z = np.fromiter(map(math.log, tilt.value(times).tolist()), float, times.size)
+    np.negative(log_z, out=log_z, where=states > before[:-1])
+    terms[2::2] = log_z
+    return float(np.add.accumulate(terms, out=terms)[-1])
+
+
+def _tilt_bound(tilt, horizon: float) -> float:
+    zbar = tilt.sup_bound(horizon)
+    if not (math.isfinite(zbar) and zbar >= 1.0):
+        raise ValueError(f"tilt bound must be finite and >= 1, got {zbar!r}")
+    return zbar
+
+
+def _joined(jumps: list) -> tuple[np.ndarray, np.ndarray]:
+    times = np.concatenate([np.empty(0)] + [times for times, _ in jumps])
+    states = np.concatenate([np.empty(0, dtype=np.int64)] + [states for _, states in jumps])
+    return times, states
+
+
 def tilted_sample_path(params: ModelParams, tilt, config: SimConfig,
                        replication: int = 0) -> WeightedTrajectory:
     """Sample under the tilted dynamics up' = lam*m*z(t), down' = lam*m/z(t)
@@ -402,71 +590,64 @@ def tilted_sample_path(params: ModelParams, tilt, config: SimConfig,
     Sampling uses thinning against the majorant rate (up+down)*sup(z, 1/z),
     which stays exact for any positive piecewise-continuous schedule.  The
     weight is jump terms plus the compensator integrals supplied by the
-    schedule, so E_tilted[exp(log_weight); A] = P_nominal(A).
+    schedule, so E_tilted[exp(log_weight); A] = P_nominal(A).  The tilt's
+    ``value`` and integrals must also take numpy arrays element by element
+    (see ``bdld.tilting``).
     """
     horizon = config.horizon
-    zbar = tilt.sup_bound(horizon)
-    if not (math.isfinite(zbar) and zbar >= 1.0):
-        raise ValueError(f"tilt bound must be finite and >= 1, got {zbar!r}")
+    zbar = _tilt_bound(tilt, horizon)
     rng = replication_rng(config.seed, replication)
     m0 = _resolve_initial(params, config, rng)
     n, lam = params.n_states, params.lam
-    times: list[float] = []
-    states: list[int] = []
-    log_w = 0.0
-    m = m0
-    t = 0.0
-    seg_start = 0.0
-    variates = _variates(rng)
-    while True:
-        up_nom = lam * m if m < n else 0.0
-        down_nom = lam * m if m > 1 else 0.0
-        r_major = (up_nom + down_nom) * zbar
-        if r_major == 0.0:
-            break
-        e, u = next(variates)
-        t += e / r_major
-        if t >= horizon:
-            break
-        z = tilt.value(t)
-        p_up = up_nom * z / r_major
-        p_down = down_nom / z / r_major
-        if u < p_up + p_down:
-            log_w += (up_nom * tilt.up_excess_integral(seg_start, t)
-                      + down_nom * tilt.down_excess_integral(seg_start, t))
-            seg_start = t
-            if u < p_up:
-                log_w -= math.log(z)
-                m += 1
-            else:
-                log_w += math.log(z)
-                m -= 1
-            times.append(t)
-            states.append(m)
-        # else: thinning ghost, state unchanged
-    up_nom = lam * m if m < n else 0.0
-    down_nom = lam * m if m > 1 else 0.0
-    log_w += (up_nom * tilt.up_excess_integral(seg_start, horizon)
-              + down_nom * tilt.down_excess_integral(seg_start, horizon))
-    trajectory = Trajectory(m0, np.array(times), np.array(states, dtype=np.int64), horizon)
-    return WeightedTrajectory(trajectory, log_w)
+    jumps: list = []
+    _tilted_walk(n, lam, m0, horizon, tilt, zbar, rng, jumps)
+    times, states = _joined(jumps)
+    log_w = _log_weight(tilt, lam, n, m0, times, states, horizon)
+    return WeightedTrajectory(Trajectory(m0, times, states, horizon), log_w)
 
 
 def tilted_window_experiment(params: ModelParams, tilt, window: tuple[int, int],
                              config: SimConfig) -> ExperimentResult:
     """Importance-sampling estimate of P(X(horizon) in [window]) under the
-    nominal law, using the tilted sampler."""
+    nominal law, using the tilted sampler.  A replication's weight is
+    computed only when it ends in the window.
+
+    The extra fields carry the accepted ``jumps`` and the
+    ``thinning_rejections`` (ghost candidates) over all replications, and
+    the health of the weights: over the replication values v (the weight,
+    or 0 off the window), ``ess`` = (sum v)^2 / sum v^2 and
+    ``max_weight_share`` = max v / sum v (0 and null when no replication
+    hits the window), and ``rel_err_per_sample`` = stderr * sqrt(reps) /
+    estimate (null when the estimate is 0).
+    """
     lo, hi = int(window[0]), int(window[1])
-    if not (1 <= lo <= hi <= params.n_states):
-        raise ValueError(f"bad window [{lo}, {hi}] for N={params.n_states}")
+    n, lam = params.n_states, params.lam
+    if not (1 <= lo <= hi <= n):
+        raise ValueError(f"bad window [{lo}, {hi}] for N={n}")
+    horizon = config.horizon
+    zbar = _tilt_bound(tilt, horizon)
     reps = config.replications
-    values = np.empty(reps)
+    values = np.zeros(reps)
+    n_jumps = n_ghosts = 0
     for rep in range(reps):
-        weighted = tilted_sample_path(params, tilt, config, replication=rep)
-        traj = weighted.trajectory
-        final = traj.states_after_jump[-1] if traj.n_jumps else traj.initial_state
-        values[rep] = math.exp(weighted.log_weight) if lo <= final <= hi else 0.0
+        rng = replication_rng(config.seed, rep)
+        m0 = _resolve_initial(params, config, rng)
+        jumps: list = []
+        final, ghosts = _tilted_walk(n, lam, m0, horizon, tilt, zbar, rng, jumps)
+        times, states = _joined(jumps)
+        n_jumps += times.size
+        n_ghosts += ghosts
+        if lo <= final <= hi:
+            values[rep] = math.exp(_log_weight(tilt, lam, n, m0, times, states, horizon))
     estimate = float(values.mean())
     stderr = float(values.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
-    return ExperimentResult(estimate, stderr, reps, config.seed, params,
-                            extra={"window": [lo, hi]})
+    top = float(values.max())
+    scaled = values / top if top > 0.0 else values  # sum v^2 could underflow
+    return ExperimentResult(estimate, stderr, reps, config.seed, params, extra={
+        "window": [lo, hi],
+        "jumps": n_jumps,
+        "thinning_rejections": n_ghosts,
+        "ess": float(scaled.sum() ** 2 / (scaled @ scaled)) if top > 0.0 else 0.0,
+        "max_weight_share": top / float(values.sum()) if top > 0.0 else None,
+        "rel_err_per_sample": stderr * math.sqrt(reps) / estimate if estimate else None,
+    })

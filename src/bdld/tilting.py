@@ -11,6 +11,10 @@ and a finite upper bound on max(z, 1/z) over the horizon, which the thinning
 sampler uses as its proposal-rate majorant.  Closed-form schedules integrate
 exactly; the generic callable schedule falls back to adaptive quadrature, so
 its weight bias stays far below Monte Carlo noise.
+
+``value`` and the two integrals also take numpy arrays (of times, and of
+interval ends) and then apply, element by element, the IEEE operations they
+apply to floats, so the vectorised sampler gets bit-identical numbers.
 """
 
 from __future__ import annotations
@@ -18,9 +22,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .quadrature import integrate
 
 __all__ = ["ConstantTilt", "ClosedFormDualTilt", "CallableTilt"]
+
+
+def _log(x):
+    """math.log, element by element on an array: np.log differs from it in
+    the last bit on some inputs."""
+    if isinstance(x, np.ndarray):
+        return np.array(list(map(math.log, x.tolist())))
+    return math.log(x)
 
 
 @dataclass(frozen=True)
@@ -33,8 +47,8 @@ class ConstantTilt:
         if not (self.z > 0.0 and math.isfinite(self.z)):
             raise ValueError(f"tilt value must be positive and finite, got {self.z!r}")
 
-    def value(self, t: float) -> float:
-        return self.z
+    def value(self, t):
+        return np.full(t.shape, self.z) if isinstance(t, np.ndarray) else self.z
 
     def up_excess_integral(self, a: float, b: float) -> float:
         return (self.z - 1.0) * (b - a)
@@ -75,16 +89,16 @@ class ClosedFormDualTilt:
                 f"dual schedule singular or non-positive on [0, {horizon}]: "
                 f"lam*t - c1 spans [{x0}, {xT}] which meets [-1, 0]")
 
-    def value(self, t: float) -> float:
+    def value(self, t):
         return 1.0 / self._x(t) + 1.0
 
-    def up_excess_integral(self, a: float, b: float) -> float:
+    def up_excess_integral(self, a, b):
         # z - 1 = 1/(lam*t - c1)
-        return math.log(self._x(b) / self._x(a)) / self.lam
+        return _log(self._x(b) / self._x(a)) / self.lam
 
-    def down_excess_integral(self, a: float, b: float) -> float:
+    def down_excess_integral(self, a, b):
         # 1/z - 1 = -1/(lam*t - c1 + 1)
-        return -math.log((self._x(b) + 1.0) / (self._x(a) + 1.0)) / self.lam
+        return -_log((self._x(b) + 1.0) / (self._x(a) + 1.0)) / self.lam
 
     def sup_bound(self, horizon: float) -> float:
         self.validate_horizon(horizon)
@@ -107,7 +121,12 @@ class CallableTilt:
         self._bound = float(bound)
         self._quad_tol = float(quad_tol)
 
-    def value(self, t: float) -> float:
+    def value(self, t):
+        if isinstance(t, np.ndarray):
+            return np.array([self._checked(s) for s in t.tolist()])
+        return self._checked(t)
+
+    def _checked(self, t: float) -> float:
         z = float(self._fn(t))
         if not (z > 0.0 and math.isfinite(z)):
             raise ValueError(f"tilt must be positive and finite, got z({t}) = {z!r}")
@@ -115,15 +134,20 @@ class CallableTilt:
             raise ValueError(f"tilt exceeds its declared bound at t={t}: z={z}")
         return z
 
-    def up_excess_integral(self, a: float, b: float) -> float:
+    def _excess(self, integrand, a, b):
+        if isinstance(b, np.ndarray):
+            a, b = np.broadcast_arrays(a, b)
+            return np.array([self._excess(integrand, x, y)
+                             for x, y in zip(a.tolist(), b.tolist())])
         if a == b:
             return 0.0
-        return integrate(lambda s: self.value(s) - 1.0, a, b, abs_tol=self._quad_tol).value
+        return integrate(integrand, a, b, abs_tol=self._quad_tol).value
 
-    def down_excess_integral(self, a: float, b: float) -> float:
-        if a == b:
-            return 0.0
-        return integrate(lambda s: 1.0 / self.value(s) - 1.0, a, b, abs_tol=self._quad_tol).value
+    def up_excess_integral(self, a, b):
+        return self._excess(lambda s: self._checked(s) - 1.0, a, b)
+
+    def down_excess_integral(self, a, b):
+        return self._excess(lambda s: 1.0 / self._checked(s) - 1.0, a, b)
 
     def sup_bound(self, horizon: float) -> float:
         return self._bound

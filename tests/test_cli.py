@@ -186,6 +186,27 @@ class TestRateCurveCommand:
         assert lines[0] == "N,a_N,window_prob,I_ref"
         assert len(lines) == 4
 
+    def test_long_ladder_against_window_infimum(self, tmp_path):
+        # a_N tends to the infimum of I(0.5 -> .) over the window [0.78, 0.82],
+        # I(0.5 -> 0.78), not to I(0.5 -> 0.8) = 0.03493, which a_N passes
+        # between N=400 and N=1600
+        from bdld.optimal_paths import optimal_action
+        code = main(["rate-curve", "--n-ladder", "100,400,1600,3200", "--gamma0", "0.5",
+                     "--gamma-t", "0.8", "--horizon", "1", "--out", str(tmp_path)])
+        assert code == 0
+        report = json.loads(_read(tmp_path / "report.json"))
+        assert report["results"]["I_ref"] == optimal_action(0.5, 0.78, 1.0, 1.0, tol=1e-9)
+        assert abs(report["results"]["I_ref"] - 0.03087) <= 1e-5
+        assert report["verdicts"]["gap_decreasing"] is True
+
+    def test_window_holding_the_start_has_zero_reference(self, tmp_path):
+        code = main(["rate-curve", "--n-ladder", "50,100", "--gamma0", "0.5",
+                     "--gamma-t", "0.51", "--horizon", "1", "--out", str(tmp_path)])
+        assert code == 0
+        report = json.loads(_read(tmp_path / "report.json"))
+        assert report["results"]["I_ref"] == 0.0
+        assert _read(tmp_path / "rate_curve.csv").splitlines()[1].endswith(",0")
+
 
 class TestOptPathCommand:
     def test_single_path(self, tmp_path):
@@ -277,6 +298,14 @@ class TestTiltedMcCommand:
         assert code == 0
         report = json.loads(_read(tmp_path / "report.json"))
         assert report["verdicts"]["matches_oracle"] is True
+        results = report["results"]
+        assert results["jumps"] > 0 and results["thinning_rejections"] > 0
+        assert 1.0 <= results["ess"] <= 1500
+        assert 0.0 < results["max_weight_share"] <= 1.0
+        assert results["rel_err_per_sample"] == pytest.approx(
+            results["stderr"] * math.sqrt(1500) / results["estimate"])
+        header = _read(tmp_path / "tilted_mc.csv").splitlines()[0]
+        assert header == "estimate,stderr,exact,replications"
 
 
 class TestConfigHandling:

@@ -335,6 +335,49 @@ class TestTiltedSampling:
         np.testing.assert_array_equal(a.trajectory.jump_times, b.trajectory.jump_times)
         assert abs(a.log_weight - b.log_weight) <= 1e-9
 
+    def test_unit_tilt_counters(self):
+        # with z = 1 the majorant is the nominal rate: no ghosts, the paths of
+        # sample_path, and every weight 1, so the ESS is the hit count
+        params = ModelParams(40, 1.0)
+        config = SimConfig(horizon=1.0, seed=13, initial=20, replications=200)
+        res = tilted_window_experiment(params, ConstantTilt(1.0), (22, 26), config)
+        finals = [sample_path(params, config, rep) for rep in range(200)]
+        hits = sum(22 <= traj.state_at(1.0) <= 26 for traj in finals)
+        assert res.extra["thinning_rejections"] == 0
+        assert res.extra["jumps"] == sum(traj.n_jumps for traj in finals)
+        assert 0 < hits < 200
+        assert res.estimate == hits / 200
+        assert res.extra["ess"] == pytest.approx(hits, rel=1e-12)
+        assert res.extra["max_weight_share"] == pytest.approx(1.0 / hits, rel=1e-12)
+
+    def test_weight_health_fields(self):
+        from bdld.optimal_paths import dual_tilt, solve_boundary
+        params = ModelParams(100, 1.0)
+        tilt = dual_tilt(solve_boundary(0.5, 0.8, 1.0, 1.0))
+        config = SimConfig(horizon=1.0, seed=3, initial=50, replications=300)
+        res = tilted_window_experiment(params, tilt, (78, 82), config)
+        values = []
+        for rep in range(300):
+            weighted = tilted_sample_path(params, tilt, config, rep)
+            final = weighted.trajectory.state_at(1.0)
+            values.append(math.exp(weighted.log_weight) if 78 <= final <= 82 else 0.0)
+        values = np.array(values)
+        assert res.estimate == float(values.mean())
+        assert res.extra["jumps"] > 0 and res.extra["thinning_rejections"] > 0
+        assert res.extra["ess"] == pytest.approx(values.sum() ** 2 / (values ** 2).sum())
+        assert res.extra["max_weight_share"] == pytest.approx(values.max() / values.sum())
+        assert res.extra["rel_err_per_sample"] == pytest.approx(
+            res.stderr * math.sqrt(300) / res.estimate)
+
+    def test_no_hit_health_fields(self):
+        res = tilted_window_experiment(ModelParams(50, 1.0), ConstantTilt(1.0), (50, 50),
+                                       SimConfig(horizon=0.01, seed=1, initial=10,
+                                                 replications=5))
+        assert res.estimate == 0.0
+        assert res.extra["ess"] == 0.0
+        assert res.extra["max_weight_share"] is None
+        assert res.extra["rel_err_per_sample"] is None
+
     def test_weighted_trajectory_requires_finite_weight(self):
         traj = Trajectory(1, np.array([]), np.array([]), 1.0)
         with pytest.raises(ValueError):
