@@ -200,14 +200,6 @@ def _blocks(rng: np.random.Generator):
         yield exps, rng.random(_BLOCK)
 
 
-def _chunks(rng: np.random.Generator):
-    """Yield the (exponentials, uniforms) of ``_blocks`` _CHUNK events at a
-    time."""
-    for exps, unis in _blocks(rng):
-        for start in range(0, _BLOCK, _CHUNK):
-            yield exps[start:start + _CHUNK], unis[start:start + _CHUNK]
-
-
 def _chunk_states(n: int, m: int, unis: np.ndarray) -> np.ndarray:
     """States after each of the events driven by ``unis``, from state m.
 
@@ -274,34 +266,35 @@ def _walk(n: int, lam: float, m: int, stops, rng: np.random.Generator, jumps: li
     stop = next(stops)
     two_lam = 2.0 * lam
     t = 0.0
-    for exps, unis in _chunks(rng):
-        states = _chunk_states(n, m, unis)
-        before = np.concatenate(([m], states[:-1]))
-        rates = two_lam * before
-        if m <= _CHUNK:
-            rates[before == 1] = lam
-        if m + _CHUNK > n:
-            rates[before == n] = lam * n
-        clock = np.empty(_CHUNK + 1)
-        clock[0] = t
-        np.divide(exps, rates, out=clock[1:])
-        np.add.accumulate(clock, out=clock)
-        times = clock[1:]
-        done = 0
-        while True:
-            k = int(times.searchsorted(stop, side="right"))  # first jump past stop
-            if k == _CHUNK:
-                break
-            if k > done:
-                jumps.append((times[done:k], states[done:k]))
-                done = k
-            yield int(states[k - 1]) if k else m
-            stop = next(stops, None)
-            if stop is None:
-                return
-        if done < _CHUNK:
-            jumps.append((times[done:], states[done:]))
-        m, t = int(states[-1]), float(times[-1])
+    for exps, unis in _blocks(rng):
+        for start in range(0, _BLOCK, _CHUNK):
+            states = _chunk_states(n, m, unis[start:start + _CHUNK])
+            before = np.concatenate(([m], states[:-1]))
+            rates = two_lam * before
+            if m <= _CHUNK:
+                rates[before == 1] = lam
+            if m + _CHUNK > n:
+                rates[before == n] = lam * n
+            clock = np.empty(_CHUNK + 1)
+            clock[0] = t
+            np.divide(exps[start:start + _CHUNK], rates, out=clock[1:])
+            np.add.accumulate(clock, out=clock)
+            times = clock[1:]
+            done = 0
+            while True:
+                k = int(times.searchsorted(stop, side="right"))  # first jump past stop
+                if k == _CHUNK:
+                    break
+                if k > done:
+                    jumps.append((times[done:k], states[done:k]))
+                    done = k
+                yield int(states[k - 1]) if k else m
+                stop = next(stops, None)
+                if stop is None:
+                    return
+            if done < _CHUNK:
+                jumps.append((times[done:], states[done:]))
+            m, t = int(states[-1]), float(times[-1])
 
 
 def sample_path(params: ModelParams, config: SimConfig, replication: int = 0) -> Trajectory:
@@ -634,11 +627,10 @@ def tilted_window_experiment(params: ModelParams, tilt, window: tuple[int, int],
         m0 = _resolve_initial(params, config, rng)
         jumps: list = []
         final, ghosts = _tilted_walk(n, lam, m0, horizon, tilt, zbar, rng, jumps)
-        times, states = _joined(jumps)
-        n_jumps += times.size
+        n_jumps += sum(times.size for times, _ in jumps)
         n_ghosts += ghosts
         if lo <= final <= hi:
-            values[rep] = math.exp(_log_weight(tilt, lam, n, m0, times, states, horizon))
+            values[rep] = math.exp(_log_weight(tilt, lam, n, m0, *_joined(jumps), horizon))
     estimate = float(values.mean())
     stderr = float(values.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
     top = float(values.max())

@@ -384,6 +384,86 @@ class TestTiltedSampling:
             WeightedTrajectory(traj, math.inf)
 
 
+def _scalar_tilted_path(params, tilt, config, replication):
+    """The event-by-event thinning loop the tilted kernel must match bit for
+    bit: (jump times, states, log-weight)."""
+    horizon, n, lam = config.horizon, params.n_states, params.lam
+    zbar = tilt.sup_bound(horizon)
+    rng = replication_rng(config.seed, replication)
+    m = simulate._resolve_initial(params, config, rng)
+    variates = (pair for exps, unis in simulate._blocks(rng)
+                for pair in zip(exps.tolist(), unis.tolist()))
+    times, states = [], []
+    log_w = t = seg = 0.0
+    while True:
+        up_nom = lam * m if m < n else 0.0
+        down_nom = lam * m if m > 1 else 0.0
+        r_major = (up_nom + down_nom) * zbar
+        if r_major == 0.0:
+            break
+        e, u = next(variates)
+        t += e / r_major
+        if t >= horizon:
+            break
+        z = tilt.value(t)
+        p_up = up_nom * z / r_major
+        p_down = down_nom / z / r_major
+        if u < p_up + p_down:
+            log_w += (up_nom * tilt.up_excess_integral(seg, t)
+                      + down_nom * tilt.down_excess_integral(seg, t))
+            seg = t
+            if u < p_up:
+                log_w -= math.log(z)
+                m += 1
+            else:
+                log_w += math.log(z)
+                m -= 1
+            times.append(t)
+            states.append(m)
+    up_nom = lam * m if m < n else 0.0
+    down_nom = lam * m if m > 1 else 0.0
+    log_w += (up_nom * tilt.up_excess_integral(seg, horizon)
+              + down_nom * tilt.down_excess_integral(seg, horizon))
+    return np.array(times), np.array(states, dtype=np.int64), log_w
+
+
+def _random_tilted_cases(count):
+    rnd = np.random.default_rng(20261018)
+    for _ in range(count):
+        n = int(rnd.choice([1, 2, 3, 10, 40, 300, 700, 3000]))
+        kind = rnd.integers(3)
+        if kind == 0:
+            tilt = ConstantTilt(float(rnd.choice([0.5, 0.8, 1.3, 2.0])))
+        elif kind == 1:
+            tilt = ClosedFormDualTilt(c1=-float(rnd.uniform(1.5, 6.0)), lam=1.0)
+        else:
+            a = float(rnd.uniform(0.2, 1.0))
+            tilt = CallableTilt(lambda t, a=a: 1.0 + a * math.sin(3.0 * t) ** 2, bound=1.0 + a)
+            n = min(n, 300)
+        initial = rnd.choice(["stationary", "1", "n", "mid", "near"])
+        m0 = {"stationary": "stationary", "1": 1, "n": n, "mid": max(1, n // 2),
+              "near": max(1, n - 5)}[initial]
+        horizon = float(rnd.choice([0.05, 0.5, 1.0, 2.0]))
+        lam = float(rnd.choice([1.0, 1.3]))
+        yield (ModelParams(n, lam), tilt,
+               SimConfig(horizon=horizon, seed=int(rnd.integers(1000)), initial=m0),
+               int(rnd.integers(4)))
+
+
+class TestTiltedKernelMatchesScalarLoop:
+    @pytest.mark.parametrize("chunk", [32, 256])
+    def test_random_cases(self, chunk, monkeypatch):
+        # constant, dual and callable tilts; point and stationary starts;
+        # paths that reflect at either end; small and large windows
+        monkeypatch.setattr(simulate, "_CHUNK", chunk)
+        for params, tilt, config, rep in _random_tilted_cases(60):
+            times, states, log_w = _scalar_tilted_path(params, tilt, config, rep)
+            weighted = tilted_sample_path(params, tilt, config, rep)
+            assert weighted.trajectory.jump_times.tobytes() == times.tobytes()
+            assert weighted.trajectory.states_after_jump.tobytes() == states.tobytes()
+            assert weighted.log_weight.hex() == log_w.hex()
+
+
 class TestReplicationRng:
     def test_streams_are_keyed(self):
         a = replication_rng(5, 0).random(4)
