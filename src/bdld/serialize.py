@@ -10,10 +10,13 @@ from __future__ import annotations
 import csv
 import json
 import math
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
+
+_CSV_BATCH = 512
 
 
 def format_value(x) -> str:
@@ -42,15 +45,20 @@ def jsonable(obj):
 
 
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Write the header and the rows, which must all have the same length;
-    the values are formatted a whole column at a time."""
+    """Write the header and the rows, which must all have the same length.
+
+    The rows are taken _CSV_BATCH at a time and each batch is formatted a
+    whole column per call, which is faster than row by row and keeps only
+    one batch of formatted values in memory."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    columns = [list(map(format_value, column)) for column in zip(*rows, strict=True)]
+    rows = iter(rows)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows(zip(*columns))
+        while batch := list(islice(rows, _CSV_BATCH)):
+            columns = [list(map(format_value, column)) for column in zip(*batch, strict=True)]
+            writer.writerows(zip(*columns))
 
 
 def read_csv(path) -> tuple[list[str], list[list[str]]]:

@@ -308,6 +308,33 @@ class TestTiltedMcCommand:
         assert header == "estimate,stderr,exact,replications"
 
 
+class TestWriteCsv:
+    def test_matches_row_by_row_formatting(self, tmp_path):
+        # several batches of rows mixing Python and numpy floats and ints
+        import csv
+        import io
+
+        import numpy as np
+
+        from bdld.serialize import format_value, write_csv
+        rows = [(i, np.int64(-i), 0.1 * i, np.float64(1.0 / (i + 1)), f"s{i}",
+                 math.inf if i % 7 == 0 else -0.0)
+                for i in range(1300)]
+        write_csv(tmp_path / "t.csv", ["a", "b", "c", "d", "e", "f"], rows)
+        want = io.StringIO(newline="")
+        writer = csv.writer(want)
+        writer.writerow(["a", "b", "c", "d", "e", "f"])
+        for row in rows:
+            writer.writerow([format_value(x) for x in row])
+        assert (tmp_path / "t.csv").read_bytes() == want.getvalue().encode()
+        assert want.getvalue().splitlines()[2] == "1,-1,0.10000000000000001,0.5,s1,-0"
+
+    def test_ragged_rows_rejected(self, tmp_path):
+        from bdld.serialize import write_csv
+        with pytest.raises(ValueError):
+            write_csv(tmp_path / "t.csv", ["a", "b"], [(1, 2), (3,)])
+
+
 class TestConfigHandling:
     def test_config_file_with_flag_override(self, tmp_path):
         config = tmp_path / "cfg.json"
