@@ -43,11 +43,8 @@ from .optimal_paths import (
     ParabolaParams,
     PathCase,
     dual_tilt,
-    dual_value,
     hamiltonian_residual,
     optimal_action,
-    path_derivative,
-    path_value,
     solve_boundary,
 )
 from .simulate import (

@@ -6,9 +6,11 @@ error.  Identical specs (including the seed) reproduce byte-identical CSVs;
 the JSON report additionally carries wall time, which is the only
 non-reproducible field.
 
-Settings may come from a JSON config file (--config), with explicit flags
-taking precedence over file fields.  The BDLD_OUT environment variable sets
-the default output directory.
+Each subcommand declares the settings it reads, once, in ``_COMMANDS``; it
+takes only those flags, and a config field it does not declare is a usage
+error.  Settings may come from a JSON config file (--config), with explicit
+flags taking precedence over file fields.  The BDLD_OUT environment variable
+sets the default output directory.
 """
 
 from __future__ import annotations
@@ -16,12 +18,14 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import os
 import sys
 import time
 import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -32,12 +36,12 @@ from .evolve import (check_tol, empirical_rate_curve, stationary_dwell_probabili
                      window_probability)
 from .ldp import GridPath, ProbeFunction, hamiltonian, prelimit_hamiltonian, rate_functional_report
 from .optimal_paths import (ParabolaParams, dual_tilt, hamiltonian_residual,
-                            sample_rows, solve_boundary)
+                            optimal_action, sample_rows, solve_boundary)
 from .serialize import write_csv, write_json
 from .simulate import (SimConfig, lln_point_experiment, lln_stationary_experiment,
                        occupation_fractions, sample_path, tilted_window_experiment)
 
-__all__ = ["ExperimentSpec", "Report", "UsageError", "run", "emit_figure_data", "main"]
+__all__ = ["ExperimentSpec", "Report", "UsageError", "run", "main"]
 
 _ORACLE_N_CAP = 20_000
 
@@ -55,6 +59,8 @@ class UsageError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentSpec:
+    """A subcommand and its settings as given; ``run`` normalises them."""
+
     kind: str
     settings: dict
     out_dir: Path
@@ -84,20 +90,18 @@ class Report:
 
 
 def run(spec: ExperimentSpec) -> Report:
-    """Dispatch a spec to its handler and assemble the report."""
-    handler = _HANDLERS.get(spec.kind)
-    if handler is None:
-        raise UsageError(f"unknown experiment kind {spec.kind!r}")
+    """Normalise the spec's settings, run its handler and assemble the report."""
+    settings = _normalise(spec.kind, spec.settings)
     t0 = time.perf_counter()
-    results, verdicts, tables = handler(spec.settings)
+    results, verdicts, tables = _COMMANDS[spec.kind].handler(settings)
     report = Report(
         kind=spec.kind,
-        spec={"kind": spec.kind, "settings": spec.settings, "out": str(spec.out_dir)},
+        spec={"kind": spec.kind, "settings": settings, "out": str(spec.out_dir)},
         results=results,
         verdicts=verdicts,
         provenance={
             "version": __version__,
-            "seed": spec.settings.get("seed"),
+            "seed": settings.get("seed"),
             "wall_time_s": time.perf_counter() - t0,
         },
         tables=tables,
@@ -107,24 +111,13 @@ def run(spec: ExperimentSpec) -> Report:
 
 def write_report(report: Report, out_dir: Path) -> None:
     out_dir = Path(out_dir)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot create output directory {out_dir}: {exc}") from None
     write_json(out_dir / "report.json", report.to_json_obj())
     for name, (header, rows) in report.tables.items():
         write_csv(out_dir / name, header, rows)
-
-
-def emit_figure_data(report: Report, figure: str) -> dict:
-    """Pull one CSV table per curve out of a path-producing report."""
-    if figure not in _FIGURES:
-        raise UsageError(f"unknown figure {figure!r}")
-    if report.kind != "opt-path":
-        raise UsageError(f"report of kind {report.kind!r} carries no figure data")
-    if report.results.get("figure") != figure:
-        raise UsageError(f"report holds figure {report.results.get('figure')!r}, not {figure!r}")
-    bundle = {name: table for name, table in report.tables.items()
-              if name.startswith(figure)}
-    if not bundle:
-        raise UsageError("report carries no curve tables")
-    return bundle
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +125,7 @@ def emit_figure_data(report: Report, figure: str) -> dict:
 
 
 def _params(settings) -> ModelParams:
-    return ModelParams(int(settings["n"]), float(settings["lam"]))
+    return ModelParams(settings["n"], settings["lam"])
 
 
 def _run_stationary(settings):
@@ -168,7 +161,7 @@ def _run_embedded(settings):
 
 def _run_simulate(settings):
     params = _params(settings)
-    config = SimConfig(horizon=float(settings["horizon"]), seed=int(settings["seed"]),
+    config = SimConfig(horizon=settings["horizon"], seed=settings["seed"],
                        initial=settings["initial"])
     trajectory = sample_path(params, config)
     occupation = occupation_fractions(trajectory, params.n_states)
@@ -184,10 +177,9 @@ def _run_simulate(settings):
 
 def _run_lln_point(settings):
     params = _params(settings)
-    config = SimConfig(horizon=float(settings["horizon"]), seed=int(settings["seed"]),
-                       initial="stationary", replications=int(settings["reps"]))
-    res = lln_point_experiment(params, float(settings["gamma0"]),
-                               float(settings["eps"]), config)
+    config = SimConfig(horizon=settings["horizon"], seed=settings["seed"],
+                       initial="stationary", replications=settings["reps"])
+    res = lln_point_experiment(params, settings["gamma0"], settings["eps"], config)
     results = res.to_json_obj()
     verdicts = {"within_bound": res.estimate <= res.extra["bound"]}
     tables = {"lln_point.csv": (["estimate", "stderr", "bound", "replications"],
@@ -198,7 +190,7 @@ def _run_lln_point(settings):
 def _oracle_tol(settings) -> float:
     """The --tol of an exact cross-check, validated before any Monte Carlo
     run spends its time."""
-    tol = float(settings["tol"])
+    tol = settings["tol"]
     try:
         check_tol(tol)
     except ValueError as exc:
@@ -209,17 +201,14 @@ def _oracle_tol(settings) -> float:
 def _run_lln_stationary(settings):
     params = _params(settings)
     tol = _oracle_tol(settings)
-    times = _parse_floats(settings["times"])
-    if not times:
-        raise UsageError("times must be a non-empty list")
-    horizon = float(settings.get("horizon") or max(times))
-    config = SimConfig(horizon=horizon, seed=int(settings["seed"]),
-                       initial="stationary", replications=int(settings["reps"]))
-    res = lln_stationary_experiment(params, float(settings["u"]), times, config)
+    times = settings["times"]
+    config = SimConfig(horizon=settings["horizon"] or max(times), seed=settings["seed"],
+                       initial="stationary", replications=settings["reps"])
+    res = lln_stationary_experiment(params, settings["u"], times, config)
     results = res.to_json_obj()
     verdicts = {}
     if params.n_states <= _ORACLE_N_CAP:
-        exact = stationary_dwell_probability(params, float(settings["u"]), times, tol=tol)
+        exact = stationary_dwell_probability(params, settings["u"], times, tol=tol)
         results["exact"] = exact
         slack = 3.0 * max(res.stderr, 1e-12)
         verdicts["matches_oracle"] = abs(res.estimate - exact) <= slack
@@ -229,14 +218,11 @@ def _run_lln_stationary(settings):
 
 
 def _run_rate_curve(settings):
-    ladder = _parse_ints(settings["n_ladder"])
-    if not ladder:
-        raise UsageError("n_ladder must be a non-empty list of integers")
-    lam = float(settings["lam"])
-    gamma0, gammaT = float(settings["gamma0"]), float(settings["gamma_t"])
-    horizon = float(settings["horizon"])
-    half_width = float(settings["half_width"])
-    from .optimal_paths import optimal_action
+    ladder = settings["n_ladder"]
+    lam = settings["lam"]
+    gamma0, gammaT = settings["gamma0"], settings["gamma_t"]
+    horizon = settings["horizon"]
+    half_width = settings["half_width"]
     # The LDP limit of a_N for the window [gammaT - h, gammaT + h] is the infimum of
     # I(gamma0 -> .) over it: the symmetric chain has no drift, so I(gamma0 -> .) is
     # convex with its zero at gamma0, and the infimum sits at the window point nearest
@@ -245,7 +231,7 @@ def _run_rate_curve(settings):
     action = 0.0 if nearest == gamma0 else optimal_action(gamma0, nearest, horizon, lam, tol=1e-9)
     curve = empirical_rate_curve([ModelParams(n, lam) for n in ladder],
                                  gamma0, gammaT, horizon, half_width,
-                                 tol=float(settings["tol"]))
+                                 tol=settings["tol"])
     gaps = [abs(pt.rate - action) for pt in curve]
     results = {
         "I_ref": action,
@@ -259,27 +245,24 @@ def _run_rate_curve(settings):
 
 
 def _solve_many(figure: str | None, settings):
-    lam = float(settings["lam"])
     if figure is None:
-        missing = [key for key in ("gamma0", "gamma_t") if settings.get(key) is None]
+        missing = [key for key in ("gamma0", "gamma_t") if settings[key] is None]
         if missing:
             raise UsageError(f"opt-path: missing required setting(s): {', '.join(missing)} "
                              "(or give --figure)")
-        horizon = float(settings["horizon"])
-        pairs = [(float(settings["gamma0"]), float(settings["gamma_t"]))]
+        horizon = settings["horizon"]
+        pairs = [(settings["gamma0"], settings["gamma_t"])]
     else:
         fig = _FIGURES[figure]
         horizon = fig["horizon"]
         pairs = [(g0, gT) for g0 in fig["gamma0"] for gT in fig["gammaT"]]
-    return [(g0, gT, solve_boundary(g0, gT, horizon, lam)) for g0, gT in pairs]
+    return [(g0, gT, solve_boundary(g0, gT, horizon, settings["lam"])) for g0, gT in pairs]
 
 
 def _run_opt_path(settings):
-    figure = settings.get("figure")
-    if figure is not None and figure not in _FIGURES:
-        raise UsageError(f"unknown figure {figure!r} (choose from {sorted(_FIGURES)})")
+    figure = settings["figure"]
     solved = _solve_many(figure, settings)
-    grid = int(settings["grid"])
+    grid = settings["grid"]
     if grid < 2:
         raise UsageError(f"grid must be >= 2, got {grid}")
     columns = _FIGURES[figure]["columns"] if figure else ("t", "gamma", "z", "kappa")
@@ -307,17 +290,23 @@ def _run_opt_path(settings):
 
 
 def _run_action(settings):
-    lam = float(settings["lam"])
-    tol = float(settings["tol"])
-    if settings.get("path_csv"):
-        path = GridPath.from_csv(settings["path_csv"])
-    elif settings.get("parabola_json"):
-        with open(settings["parabola_json"]) as fh:
-            params = ParabolaParams.from_json_obj(json.load(fh))
-        path = GridPath.from_descriptor(params, 0.0, params.horizon)
+    lam = settings["lam"]
+    tol = settings["tol"]
+    if settings["path_csv"] or settings["parabola_json"]:
+        try:
+            if settings["path_csv"]:
+                path = GridPath.from_csv(settings["path_csv"])
+            else:
+                with open(settings["parabola_json"]) as fh:
+                    params = ParabolaParams.from_json_obj(json.load(fh))
+                path = GridPath.from_descriptor(params, 0.0, params.horizon)
+        except OSError as exc:
+            raise UsageError(f"action: cannot read input: {exc}") from None
+    elif None in (settings["gamma0"], settings["gamma_t"], settings["horizon"]):
+        raise UsageError("action: give --gamma0/--gamma-t/--horizon, "
+                         "or --path-csv, or --parabola-json")
     else:
-        params = solve_boundary(float(settings["gamma0"]), float(settings["gamma_t"]),
-                                float(settings["horizon"]), lam)
+        params = solve_boundary(settings["gamma0"], settings["gamma_t"], settings["horizon"], lam)
         path = GridPath.from_descriptor(params, 0.0, params.horizon)
     report = rate_functional_report(path, lam, tol=tol)
     verdicts = {"quadrature_converged":
@@ -332,17 +321,17 @@ def _run_tilted_mc(settings):
     params = _params(settings)
     tol = _oracle_tol(settings)
     lam = params.lam
-    gamma0, gammaT = float(settings["gamma0"]), float(settings["gamma_t"])
-    horizon = float(settings["horizon"])
-    half_width = float(settings["half_width"])
+    gamma0, gammaT = settings["gamma0"], settings["gamma_t"]
+    horizon = settings["horizon"]
+    half_width = settings["half_width"]
     n = params.n_states
     m0 = round(gamma0 * n)
     window = (max(1, round((gammaT - half_width) * n)),
               min(n, round((gammaT + half_width) * n)))
     parabola = solve_boundary(gamma0, gammaT, horizon, lam)
     tilt = dual_tilt(parabola)
-    config = SimConfig(horizon=horizon, seed=int(settings["seed"]), initial=m0,
-                       replications=int(settings["reps"]))
+    config = SimConfig(horizon=horizon, seed=settings["seed"], initial=m0,
+                       replications=settings["reps"])
     res = tilted_window_experiment(params, tilt, window, config)
     results = res.to_json_obj()
     verdicts = {}
@@ -356,10 +345,10 @@ def _run_tilted_mc(settings):
 
 
 def _run_hconv(settings):
-    ladder = _parse_ints(settings["n_ladder"])
+    ladder = settings["n_ladder"]
     if len(ladder) < 2:
         raise UsageError("n_ladder needs at least two sizes to measure halving")
-    lam = float(settings["lam"])
+    lam = settings["lam"]
     probe = ProbeFunction(fn=lambda x: 0.5 * (1.0 - x) ** 2,
                           deriv=lambda x: x - 1.0,
                           zero_derivative_at_one=True)
@@ -381,66 +370,134 @@ def _run_hconv(settings):
     return results, verdicts, tables
 
 
-_HANDLERS = {
-    "stationary": _run_stationary,
-    "embedded": _run_embedded,
-    "simulate": _run_simulate,
-    "lln-point": _run_lln_point,
-    "lln-stationary": _run_lln_stationary,
-    "rate-curve": _run_rate_curve,
-    "opt-path": _run_opt_path,
-    "action": _run_action,
-    "tilted-mc": _run_tilted_mc,
-    "hconv": _run_hconv,
-}
-
-
 # ---------------------------------------------------------------------------
-# argument handling
+# settings and subcommands
 
-_DEFAULTS = {
-    "stationary": {"lam": 1.0},
-    "embedded": {"lam": 1.0},
-    "simulate": {"lam": 1.0, "seed": 0, "initial": "stationary"},
-    "lln-point": {"lam": 1.0, "horizon": 1.0, "seed": 0, "reps": 1000},
-    "lln-stationary": {"lam": 1.0, "seed": 0, "reps": 1000,
-                       "times": "0.25,0.5,0.75,1.0", "tol": 1e-10, "horizon": None},
-    "rate-curve": {"lam": 1.0, "horizon": 1.0, "half_width": 0.02, "tol": 1e-12},
-    "opt-path": {"lam": 1.0, "horizon": 2.0, "grid": 201, "figure": None},
-    "action": {"lam": 1.0, "tol": 1e-9, "path_csv": None, "parabola_json": None},
-    "tilted-mc": {"lam": 1.0, "horizon": 1.0, "half_width": 0.02, "seed": 0,
-                  "reps": 10000, "tol": 1e-12},
-    "hconv": {"lam": 1.0, "n_ladder": "100,200,400,800,1600"},
+
+def _int(value) -> int:
+    """An integer from a flag's text or a config number.  JSON has one number
+    type, so an integral float such as 4.0 counts; 4.7 does not."""
+    if isinstance(value, str):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    return operator.index(value)
+
+
+def _list_of(item):
+    """Parser of a non-empty list, given as a list or as comma-separated text."""
+    def parse(value) -> list:
+        if not isinstance(value, (list, tuple)):
+            value = [x for x in str(value).split(",") if x.strip()]
+        if not value:
+            raise ValueError("expected a non-empty list")
+        return [item(x) for x in value]
+    return parse
+
+
+def _initial(value):
+    return value if value == "stationary" else _int(value)
+
+
+def _figure(value) -> str:
+    if value not in _FIGURES:
+        raise ValueError(f"choose from {', '.join(sorted(_FIGURES))}")
+    return value
+
+
+# setting -> (flag, parser[, help]).  Every value, from a flag, a config file
+# or a default, goes through its parser once, in _normalise.
+_SETTINGS = {
+    "n": ("--n", _int, "number of states N"),
+    "lam": ("--lambda", float, "rate scale"),
+    "horizon": ("--horizon", float, "time horizon T"),
+    "seed": ("--seed", _int),
+    "reps": ("--reps", _int, "Monte Carlo replications"),
+    "tol": ("--tol", float, "tolerance of the exact oracle or the quadrature"),
+    "initial": ("--initial", _initial, 'state index or "stationary"'),
+    "gamma0": ("--gamma0", float, "scaled start state"),
+    "gamma_t": ("--gamma-t", float, "scaled end state"),
+    "eps": ("--eps", float, "deviation from gamma0"),
+    "u": ("--u", float, "scaled threshold"),
+    "times": ("--times", _list_of(float), "comma-separated sample times"),
+    "half_width": ("--half-width", float, "half-width of the end window"),
+    "n_ladder": ("--n-ladder", _list_of(_int), "comma-separated chain sizes"),
+    "grid": ("--grid", _int, "points per path table"),
+    "figure": ("--figure", _figure, f"one of {', '.join(sorted(_FIGURES))}"),
+    "path_csv": ("--path-csv", str, "CSV with columns t,gamma[,dgamma]"),
+    "parabola_json": ("--parabola-json", str, "JSON of a solved path"),
 }
 
-_REQUIRED = {
-    "stationary": ["n"],
-    "embedded": ["n"],
-    "simulate": ["n", "horizon"],
-    "lln-point": ["n", "gamma0", "eps"],
-    "lln-stationary": ["n", "u"],
-    "rate-curve": ["n_ladder", "gamma0", "gamma_t"],
-    "opt-path": [],
-    "action": [],
-    "tilted-mc": ["n", "gamma0", "gamma_t"],
-    "hconv": [],
+_NO_DEFAULT = object()  # marks a required setting
+
+
+class _Command(NamedTuple):
+    handler: Callable[[dict], tuple]
+    help: str
+    settings: dict  # setting -> default, None (optional) or _NO_DEFAULT (required)
+
+
+_COMMANDS = {
+    "stationary": _Command(_run_stationary, "stationary law of the chain",
+                           {"n": _NO_DEFAULT, "lam": 1.0}),
+    "embedded": _Command(_run_embedded, "stationary law of the embedded jump chain",
+                         {"n": _NO_DEFAULT, "lam": 1.0}),
+    "simulate": _Command(_run_simulate, "sample one trajectory",
+                         {"n": _NO_DEFAULT, "horizon": _NO_DEFAULT, "lam": 1.0, "seed": 0,
+                          "initial": "stationary"}),
+    "lln-point": _Command(_run_lln_point, "sup-deviation probability from a point start",
+                          {"n": _NO_DEFAULT, "gamma0": _NO_DEFAULT, "eps": _NO_DEFAULT,
+                           "lam": 1.0, "horizon": 1.0, "seed": 0, "reps": 1000}),
+    "lln-stationary": _Command(_run_lln_stationary,
+                               "below-threshold probability from stationarity",
+                               {"n": _NO_DEFAULT, "u": _NO_DEFAULT, "lam": 1.0, "seed": 0,
+                                "reps": 1000, "times": (0.25, 0.5, 0.75, 1.0), "tol": 1e-10,
+                                "horizon": None}),
+    "rate-curve": _Command(_run_rate_curve, "finite-N decay rates against the optimal action",
+                           {"n_ladder": _NO_DEFAULT, "gamma0": _NO_DEFAULT,
+                            "gamma_t": _NO_DEFAULT, "lam": 1.0, "horizon": 1.0,
+                            "half_width": 0.02, "tol": 1e-12}),
+    "opt-path": _Command(_run_opt_path, "closed-form optimal paths (optionally a figure bundle)",
+                         {"gamma0": None, "gamma_t": None, "lam": 1.0, "horizon": 2.0,
+                          "grid": 201, "figure": None}),
+    "action": _Command(_run_action, "action integral of a path",
+                       {"gamma0": None, "gamma_t": None, "horizon": None, "lam": 1.0,
+                        "tol": 1e-9, "path_csv": None, "parabola_json": None}),
+    "tilted-mc": _Command(_run_tilted_mc, "importance-sampling window probability",
+                          {"n": _NO_DEFAULT, "gamma0": _NO_DEFAULT, "gamma_t": _NO_DEFAULT,
+                           "lam": 1.0, "horizon": 1.0, "half_width": 0.02, "seed": 0,
+                           "reps": 10000, "tol": 1e-12}),
+    "hconv": _Command(_run_hconv, "prelimit-generator convergence sweep",
+                      {"n_ladder": (100, 200, 400, 800, 1600), "lam": 1.0}),
 }
 
 
-def _parse_floats(text) -> list[float]:
-    if isinstance(text, (list, tuple)):
-        return [float(x) for x in text]
-    return [float(x) for x in str(text).split(",") if x.strip()]
-
-
-def _parse_ints(text) -> list[int]:
-    if isinstance(text, (list, tuple)):
-        return [int(x) for x in text]
-    return [int(x) for x in str(text).split(",") if x.strip()]
-
-
-def _initial_arg(text: str):
-    return text if text == "stationary" else int(text)
+def _normalise(kind: str, given: dict) -> dict:
+    """The settings a subcommand reads, from those given: defaults filled in
+    and every value parsed.  A setting given as None counts as not given."""
+    command = _COMMANDS.get(kind)
+    if command is None:
+        raise UsageError(f"unknown experiment kind {kind!r}")
+    undeclared = [str(name) for name in given if name not in command.settings]
+    if undeclared:
+        raise UsageError(f"{kind} takes no setting(s): {', '.join(undeclared)}")
+    missing = [name for name, default in command.settings.items()
+               if default is _NO_DEFAULT and given.get(name) is None]
+    if missing:
+        raise UsageError(f"{kind}: missing required setting(s): {', '.join(missing)}")
+    settings = {}
+    for name, default in command.settings.items():
+        value = given.get(name)
+        if value is None:
+            value = default
+        if value is not None:
+            flag, parse = _SETTINGS[name][:2]
+            try:
+                value = parse(value)
+            except (TypeError, ValueError) as exc:
+                raise UsageError(f"{kind}: bad {flag} value {value!r}: {exc}") from None
+        settings[name] = value
+    return settings
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -449,74 +506,20 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Birth-death chain analytics, simulation and large-deviation experiments.")
     parser.add_argument("--version", action="version", version=f"bdld {__version__}")
     sub = parser.add_subparsers(dest="kind", required=True)
-
-    def add(kind: str, help_text: str, extra):
-        p = sub.add_parser(kind, help=help_text)
+    for kind, command in _COMMANDS.items():
+        p = sub.add_parser(kind, help=command.help)
         p.add_argument("--config", type=str, default=None,
                        help="JSON file with settings; flags override its fields")
         p.add_argument("--out", type=str, default=None,
                        help="output directory (default: $BDLD_OUT or '.')")
-        p.add_argument("--n", dest="n", type=int, default=None)
-        p.add_argument("--lambda", dest="lam", type=float, default=None)
-        p.add_argument("--horizon", type=float, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--reps", type=int, default=None)
-        p.add_argument("--tol", type=float, default=None)
-        extra(p)
-        return p
-
-    add("stationary", "stationary law of the chain", lambda p: None)
-    add("embedded", "stationary law of the embedded jump chain", lambda p: None)
-    add("simulate", "sample one trajectory", lambda p: p.add_argument(
-        "--initial", type=_initial_arg, default=None,
-        help='state index or "stationary"'))
-
-    def lln_point_args(p):
-        p.add_argument("--gamma0", type=float, default=None)
-        p.add_argument("--eps", type=float, default=None)
-    add("lln-point", "sup-deviation probability from a point start", lln_point_args)
-
-    def lln_st_args(p):
-        p.add_argument("--u", type=float, default=None)
-        p.add_argument("--times", type=str, default=None,
-                       help="comma-separated sample times")
-    add("lln-stationary", "below-threshold probability from stationarity", lln_st_args)
-
-    def rate_curve_args(p):
-        p.add_argument("--n-ladder", dest="n_ladder", type=str, default=None)
-        p.add_argument("--gamma0", type=float, default=None)
-        p.add_argument("--gamma-t", dest="gamma_t", type=float, default=None)
-        p.add_argument("--half-width", dest="half_width", type=float, default=None)
-    add("rate-curve", "finite-N decay rates against the optimal action", rate_curve_args)
-
-    def opt_path_args(p):
-        p.add_argument("--gamma0", type=float, default=None)
-        p.add_argument("--gamma-t", dest="gamma_t", type=float, default=None)
-        p.add_argument("--grid", type=int, default=None)
-        p.add_argument("--figure", type=str, default=None, choices=sorted(_FIGURES))
-    add("opt-path", "closed-form optimal paths (optionally a figure bundle)", opt_path_args)
-
-    def action_args(p):
-        p.add_argument("--gamma0", type=float, default=None)
-        p.add_argument("--gamma-t", dest="gamma_t", type=float, default=None)
-        p.add_argument("--path-csv", dest="path_csv", type=str, default=None)
-        p.add_argument("--parabola-json", dest="parabola_json", type=str, default=None)
-    add("action", "action integral of a path", action_args)
-
-    def tilted_args(p):
-        p.add_argument("--gamma0", type=float, default=None)
-        p.add_argument("--gamma-t", dest="gamma_t", type=float, default=None)
-        p.add_argument("--half-width", dest="half_width", type=float, default=None)
-    add("tilted-mc", "importance-sampling window probability", tilted_args)
-
-    add("hconv", "prelimit-generator convergence sweep", lambda p: p.add_argument(
-        "--n-ladder", dest="n_ladder", type=str, default=None))
+        for name in command.settings:
+            flag, _, *help_text = _SETTINGS[name]
+            p.add_argument(flag, dest=name, default=None, help=help_text[0] if help_text else None)
     return parser
 
 
 def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
-    kind = args.kind
-    settings = dict(_DEFAULTS[kind])
+    settings = {}
     if args.config:
         try:
             with open(args.config) as fh:
@@ -530,16 +533,8 @@ def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
     for key, value in vars(args).items():
         if key not in skip and value is not None:
             settings[key] = value
-    missing = [key for key in _REQUIRED[kind] if settings.get(key) is None]
-    if missing:
-        raise UsageError(f"{kind}: missing required setting(s): {', '.join(missing)}")
-    if kind == "action" and not (settings.get("path_csv") or settings.get("parabola_json")):
-        for key in ("gamma0", "gamma_t", "horizon"):
-            if settings.get(key) is None:
-                raise UsageError("action: give --gamma0/--gamma-t/--horizon, "
-                                 "or --path-csv, or --parabola-json")
     out_dir = Path(args.out or os.environ.get("BDLD_OUT") or ".")
-    return ExperimentSpec(kind=kind, settings=settings, out_dir=out_dir)
+    return ExperimentSpec(kind=args.kind, settings=settings, out_dir=out_dir)
 
 
 def main(argv=None) -> int:

@@ -12,9 +12,10 @@ stop on a certified relative rule in both spaces: once k + 2 > mu, the
 weight of every Poisson order past k is at most pmf(k+1) / (1 - mu/(k+2)),
 and the sum ends when that bound is at most tol/2 of the window mass
 accumulated so far (after Fox & Glynn, "Computing Poisson probabilities",
-CACM 1988).  The oracle is
-practical up to roughly N = 5000 (seconds per evaluation); larger N is
-Monte Carlo territory.
+CACM 1988).  Measured costs of one window query on a 2-core machine
+(gamma0 = 0.5, window 0.8 +- 0.02, T = 1): 1.1 s at N = 12800, 13.9 s at
+N = 25600 (log space), 57 s at N = 51200; beyond that is Monte Carlo
+territory.
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Protocol, runtime_checkable
+from typing import Callable
 
 import numpy as np
 from scipy.interpolate import CubicHermiteSpline
@@ -39,7 +39,6 @@ __all__ = [
     "BracketError",
     "ProbeFunction",
     "GridPath",
-    "ClosedFormPath",
     "hamiltonian",
     "kappa_star",
     "lagrangian",
@@ -196,22 +195,15 @@ def _expm1_guarded(exponent: float) -> float:
     return math.expm1(exponent)
 
 
-@runtime_checkable
-class ClosedFormPath(Protocol):
-    """Anything that can evaluate a path and its time derivative exactly."""
-
-    def value(self, t: float) -> float: ...
-
-    def derivative(self, t: float) -> float: ...
-
-
 @dataclass(frozen=True)
 class GridPath:
     """A smooth candidate path sampled on a time grid, with derivative values
     and optionally the closed form it was sampled from.
 
-    When the closed form is present, integration uses it directly; otherwise
-    the samples are interpolated with a cubic Hermite spline.  Derivatives
+    The closed form, ``descriptor``, is any object whose methods ``value(t)``
+    and ``derivative(t)`` evaluate the path and its time derivative exactly,
+    such as ``ParabolaParams``.  When it is present, integration uses it
+    directly; otherwise the samples are interpolated with a cubic Hermite spline.  Derivatives
     omitted at construction are filled by central differences (one-sided at
     the ends), per the usual trade-off: analytic where possible, differencing
     only as a fallback.
@@ -220,7 +212,7 @@ class GridPath:
     times: np.ndarray
     values: np.ndarray
     derivatives: np.ndarray
-    descriptor: ClosedFormPath | None = None
+    descriptor: object | None = None
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
@@ -250,12 +242,14 @@ class GridPath:
     def from_samples(cls, times, values, derivatives=None) -> "GridPath":
         times = np.asarray(times, dtype=float)
         values = np.asarray(values, dtype=float)
+        if times.size < 2:
+            raise ValueError("need at least two grid points")
         if derivatives is None:
             derivatives = np.gradient(values, times, edge_order=2)
         return cls(times, values, np.asarray(derivatives, dtype=float))
 
     @classmethod
-    def from_descriptor(cls, descriptor: ClosedFormPath, t0: float, t1: float,
+    def from_descriptor(cls, descriptor, t0: float, t1: float,
                         n_points: int = 1001) -> "GridPath":
         times = np.linspace(t0, t1, n_points)
         values = np.array([descriptor.value(float(t)) for t in times])

@@ -35,9 +35,6 @@ __all__ = [
     "ParabolaParams",
     "AdmissibilityError",
     "solve_boundary",
-    "path_value",
-    "path_derivative",
-    "dual_value",
     "hamiltonian_residual",
     "optimal_action",
     "dual_tilt",
@@ -87,6 +84,8 @@ class ParabolaParams:
         return self.c2 * self.lam * (2.0 * x + 1.0)
 
     def dual(self, t: float) -> float:
+        """z(t) = e^kappa(t); always > 0 for admissible params, errors where the
+        closed form is singular (a path touching zero at an endpoint)."""
         if self.case is PathCase.CONSTANT:
             return 1.0
         x = self.lam * t - self.c1
@@ -115,6 +114,10 @@ class ParabolaParams:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "ParabolaParams":
+        missing = [key for key in ("c1", "c2", "case", "lambda", "T", "gamma0", "gammaT")
+                   if key not in obj]
+        if missing:
+            raise ValueError(f"parabola JSON lacks field(s): {', '.join(missing)}")
         case = PathCase(obj["case"])
         level = obj["gamma0"] if case is PathCase.CONSTANT else None
         return cls(c1=float(obj["c1"]), c2=float(obj["c2"]), case=case,
@@ -181,28 +184,6 @@ def _verify_admissible(params: ParabolaParams, grid_size: int = 1000) -> None:
     if abs(params.value(params.horizon) - params.gammaT) > 1e-10:
         raise AdmissibilityError(f"gamma(T) misses gammaT by "
                                  f"{params.value(params.horizon) - params.gammaT}")
-
-
-def _check_time(params: ParabolaParams, t: float) -> None:
-    if not -1e-12 <= t <= params.horizon + 1e-12:
-        raise ValueError(f"t={t} outside [0, {params.horizon}]")
-
-
-def path_value(params: ParabolaParams, t: float) -> float:
-    _check_time(params, t)
-    return params.value(t)
-
-
-def path_derivative(params: ParabolaParams, t: float) -> float:
-    _check_time(params, t)
-    return params.derivative(t)
-
-
-def dual_value(params: ParabolaParams, t: float) -> float:
-    """z(t) = e^kappa(t); always > 0 for admissible params, errors where the
-    closed form is singular (a path touching zero at an endpoint)."""
-    _check_time(params, t)
-    return params.dual(t)
 
 
 def hamiltonian_residual(params: ParabolaParams, grid_size: int = 1000) -> tuple[float, float]:

@@ -333,8 +333,10 @@ def lln_point_experiment(params: ModelParams, gamma0: float, epsilon: float,
     jumps simulated up to the horizon (0 when the band holds the whole state
     space and nothing is simulated) ride along in the result's extra fields.
     """
-    if not epsilon > 0.0:
-        raise ValueError("epsilon must be positive")
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
+    if not math.isfinite(gamma0):
+        raise ValueError(f"gamma0 must be finite, got {gamma0!r}")
     n, lam, horizon = params.n_states, params.lam, config.horizon
     m0 = round(gamma0 * n)
     if not 1 <= m0 <= n:

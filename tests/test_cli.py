@@ -3,10 +3,14 @@ determinism and figure bundles."""
 
 import json
 import math
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
-from bdld.cli import ExperimentSpec, UsageError, emit_figure_data, main, run
+from bdld import cli
+from bdld.cli import ExperimentSpec, UsageError, main, run
 
 
 def _read(path):
@@ -89,15 +93,38 @@ class TestExitCodes:
         assert "error:" in capsys.readouterr().err
 
     def test_internal_error(self, tmp_path, capsys, monkeypatch):
-        import bdld.cli as cli_mod
-
         def boom(settings):
             raise RuntimeError("synthetic failure")
 
-        monkeypatch.setitem(cli_mod._HANDLERS, "stationary", boom)
+        command = cli._COMMANDS["stationary"]
+        monkeypatch.setitem(cli._COMMANDS, "stationary", command._replace(handler=boom))
         code = main(["stationary", "--n", "4", "--out", str(tmp_path)])
         assert code == 3
         assert "Traceback" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["action", "--path-csv", "missing.csv"],
+        ["action", "--parabola-json", "missing.json"],
+        ["action", "--parabola-json", "bad.json"],       # lacks "case" and more
+        ["action", "--path-csv", "one.csv"],             # a single grid point
+        ["stationary", "--n", "4", "--out", "a_file"],   # --out names a file
+        ["lln-point", "--n", "100", "--gamma0", "0.5", "--eps", "inf", "--reps", "5"],
+        ["lln-point", "--n", "100", "--gamma0", "nan", "--eps", "0.2", "--reps", "5"],
+        ["stationary", "--n", "4", "--seed", "3"],       # a flag stationary does not read
+        ["simulate", "--n", "4", "--horizon", "1", "--reps", "1000"],
+        ["opt-path", "--figure", "fig9"],
+    ])
+    def test_bad_input_exits_2_without_traceback(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad.json").write_text(json.dumps({"c1": 1}))
+        (tmp_path / "one.csv").write_text("t,gamma\n0,0.5\n")
+        (tmp_path / "a_file").write_text("")
+        if "--out" not in argv:
+            argv = argv + ["--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "error" in err
 
 
 class TestStationaryCommand:
@@ -233,18 +260,6 @@ class TestOptPathCommand:
         header = _read(tmp_path / "f3" / fig3[0]).splitlines()[0]
         assert header == "t,gamma,z,kappa"
 
-    def test_emit_figure_data(self, tmp_path):
-        spec = ExperimentSpec("opt-path", {"lam": 1.0, "grid": 51, "figure": "fig2",
-                                           "horizon": 2.0}, tmp_path)
-        report = run(spec)
-        bundle = emit_figure_data(report, "fig2")
-        assert len(bundle) == 4
-        with pytest.raises(UsageError):
-            emit_figure_data(report, "fig3")
-        other = run(ExperimentSpec("stationary", {"n": 4, "lam": 1.0}, tmp_path))
-        with pytest.raises(UsageError):
-            emit_figure_data(other, "fig2")
-
 
 class TestActionCommand:
     def test_boundary_mode(self, tmp_path):
@@ -353,6 +368,43 @@ class TestConfigHandling:
         assert main(["stationary", "--config", str(config), "--n", "4",
                      "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("fields", [
+        {"n": [3]},                  # wrong JSON type
+        {"n": 4.7},                  # an integer setting given a fraction
+        {"n": "four"},
+        {"n": 4, "seed": 3},         # a field stationary does not declare
+    ])
+    def test_bad_config_field(self, tmp_path, capsys, fields):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(fields))
+        assert main(["stationary", "--config", str(config), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "error" in err
+
+    def test_integral_float_config(self, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"n": 4.0, "lam": 2}))
+        assert main(["stationary", "--config", str(config), "--out", str(tmp_path)]) == 0
+        settings = json.loads(_read(tmp_path / "report.json"))["spec"]["settings"]
+        assert settings == {"n": 4, "lam": 2.0}
+
+    def test_settings_echo_is_typed(self, tmp_path):
+        assert main(["lln-stationary", "--n", "20", "--u", "0.5", "--times", "0.2,0.6",
+                     "--reps", "5", "--out", str(tmp_path)]) == 0
+        settings = json.loads(_read(tmp_path / "report.json"))["spec"]["settings"]
+        assert settings["times"] == [0.2, 0.6]
+        assert settings["reps"] == 5 and settings["horizon"] is None
+
+    def test_library_spec_is_normalised(self, tmp_path):
+        report = run(ExperimentSpec("stationary", {"n": "4"}, tmp_path))
+        assert report.spec["settings"] == {"n": 4, "lam": 1.0}
+        with pytest.raises(UsageError, match="seed"):
+            run(ExperimentSpec("stationary", {"n": 4, "seed": 1}, tmp_path))
+        with pytest.raises(UsageError, match="missing required"):
+            run(ExperimentSpec("stationary", {"lam": 2.0}, tmp_path))
+        with pytest.raises(UsageError, match="--n"):
+            run(ExperimentSpec("stationary", {"n": [3]}, tmp_path))
+
     def test_env_var_output_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("BDLD_OUT", str(tmp_path / "envout"))
         assert main(["stationary", "--n", "3"]) == 0
@@ -370,3 +422,21 @@ class TestSerializeHelpers:
         scrubbed = jsonable(obj)
         assert scrubbed == {"a": 1.5, "b": [3, "inf"], "c": "nan", "d": [1.0, 2.0]}
         json.dumps(scrubbed, allow_nan=False)  # strict JSON round-trips
+
+
+def _readme_commands():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return [line.split("#")[0] for line in readme.splitlines() if re.match(r"bdld \w", line)]
+
+
+class TestReadmeCommands:
+    def test_block_found(self):
+        assert len(_readme_commands()) >= 10
+
+    @pytest.mark.parametrize("line", _readme_commands())
+    def test_command_parses(self, line):
+        # every README command names only flags its subcommand declares,
+        # and its settings normalise; nothing is run
+        args = cli._build_parser().parse_args(shlex.split(line)[1:])
+        spec = cli._spec_from_args(args)
+        cli._normalise(spec.kind, spec.settings)

@@ -12,11 +12,8 @@ from bdld.optimal_paths import (
     ParabolaParams,
     PathCase,
     dual_tilt,
-    dual_value,
     hamiltonian_residual,
     optimal_action,
-    path_derivative,
-    path_value,
     sample_rows,
     solve_boundary,
 )
@@ -135,49 +132,42 @@ class TestSolveBoundary:
 class TestPathValue:
     def test_constant_case(self):
         pp = solve_boundary(0.3, 0.3, 2.0, 1.0)
-        assert path_value(pp, 1.234) == 0.3
-        assert path_derivative(pp, 1.234) == 0.0
-
-    def test_time_domain(self):
-        pp = solve_boundary(0.0, 0.5, 2.0, 1.0)
-        with pytest.raises(ValueError):
-            path_value(pp, -0.5)
-        with pytest.raises(ValueError):
-            path_value(pp, 2.5)
+        assert pp.value(1.234) == 0.3
+        assert pp.derivative(1.234) == 0.0
 
     def test_derivative_matches_finite_differences(self):
         pp = solve_boundary(0.2, 0.7, 2.0, 1.5)
         h = 1e-6
         for t in (0.3, 1.0, 1.7):
-            fd = (path_value(pp, t + h) - path_value(pp, t - h)) / (2 * h)
-            assert abs(fd - path_derivative(pp, t)) <= 1e-8
+            fd = (pp.value(t + h) - pp.value(t - h)) / (2 * h)
+            assert abs(fd - pp.derivative(t)) <= 1e-8
 
 
 class TestDualValue:
     def test_constant_case_is_unit(self):
         pp = solve_boundary(0.4, 0.4, 2.0, 1.0)
-        assert dual_value(pp, 0.8) == 1.0
+        assert pp.dual(0.8) == 1.0
 
     def test_worked_example(self):
         pp = solve_boundary(0.5, 1.0, 2.0, 1.0)
         c1_exact = (-3.0 - math.sqrt(33.0)) / 2.0
-        assert abs(dual_value(pp, 0.0) - (1.0 / (-c1_exact) + 1.0)) <= 1e-12
+        assert abs(pp.dual(0.0) - (1.0 / (-c1_exact) + 1.0)) <= 1e-12
 
     def test_increasing_dual_exceeds_one(self):
         pp = solve_boundary(0.2, 0.9, 2.0, 1.0)
         for i in range(33):
-            assert dual_value(pp, 2.0 * i / 32) > 1.0
+            assert pp.dual(2.0 * i / 32) > 1.0
 
     def test_decreasing_dual_below_one(self):
         pp = solve_boundary(0.9, 0.2, 2.0, 1.0)
         for i in range(33):
-            assert 0.0 < dual_value(pp, 2.0 * i / 32) < 1.0
+            assert 0.0 < pp.dual(2.0 * i / 32) < 1.0
 
     def test_singular_at_zero_touch(self):
         with pytest.raises(ValueError):
-            dual_value(solve_boundary(0.0, 0.5, 2.0, 1.0), 0.0)
+            solve_boundary(0.0, 0.5, 2.0, 1.0).dual(0.0)
         with pytest.raises(ValueError):
-            dual_value(solve_boundary(0.5, 0.0, 2.0, 1.0), 2.0)
+            solve_boundary(0.5, 0.0, 2.0, 1.0).dual(2.0)
 
 
 class TestHamiltonianResidual:

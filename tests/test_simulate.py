@@ -217,6 +217,15 @@ class TestLlnPointExperiment:
             lln_point_experiment(ModelParams(100, 1.0), 0.5, 0.0,
                                  SimConfig(horizon=1.0, seed=1, replications=5))
 
+    @pytest.mark.parametrize("gamma0, epsilon, message", [
+        (0.5, math.inf, "epsilon"), (0.5, math.nan, "epsilon"),
+        (math.nan, 0.2, "gamma0"), (math.inf, 0.2, "gamma0")])
+    def test_non_finite_arguments(self, gamma0, epsilon, message):
+        # an infinite epsilon would overflow math.floor(n*(gamma0 - epsilon))
+        with pytest.raises(ValueError, match=f"{message} must be"):
+            lln_point_experiment(ModelParams(100, 1.0), gamma0, epsilon,
+                                 SimConfig(horizon=1.0, seed=1, replications=5))
+
 
 class TestLlnStationaryExperiment:
     def test_empty_times_rejected(self):
