@@ -203,10 +203,10 @@ class GridPath:
     The closed form, ``descriptor``, is any object whose methods ``value(t)``
     and ``derivative(t)`` evaluate the path and its time derivative exactly,
     such as ``ParabolaParams``.  When it is present, integration uses it
-    directly; otherwise the samples are interpolated with a cubic Hermite spline.  Derivatives
-    omitted at construction are filled by central differences (one-sided at
-    the ends), per the usual trade-off: analytic where possible, differencing
-    only as a fallback.
+    directly; otherwise the samples are interpolated with a cubic Hermite
+    spline.  Derivatives omitted at construction are filled by central
+    differences (one-sided at the ends), per the usual trade-off: analytic
+    where possible, differencing only as a fallback.
     """
 
     times: np.ndarray

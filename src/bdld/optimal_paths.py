@@ -114,6 +114,8 @@ class ParabolaParams:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "ParabolaParams":
+        if not isinstance(obj, dict):
+            raise ValueError("parabola JSON must hold an object")
         missing = [key for key in ("c1", "c2", "case", "lambda", "T", "gamma0", "gammaT")
                    if key not in obj]
         if missing:

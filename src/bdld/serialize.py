@@ -64,7 +64,9 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
 def read_csv(path) -> tuple[list[str], list[list[str]]]:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path} is empty")
         rows = [row for row in reader if row]
     return header, rows
 

@@ -3,7 +3,6 @@ determinism and figure bundles."""
 
 import json
 import math
-import re
 import shlex
 from pathlib import Path
 
@@ -107,6 +106,8 @@ class TestExitCodes:
         ["action", "--parabola-json", "missing.json"],
         ["action", "--parabola-json", "bad.json"],       # lacks "case" and more
         ["action", "--path-csv", "one.csv"],             # a single grid point
+        ["action", "--path-csv", "empty.csv"],
+        ["action", "--parabola-json", "number.json"],    # not a JSON object
         ["stationary", "--n", "4", "--out", "a_file"],   # --out names a file
         ["lln-point", "--n", "100", "--gamma0", "0.5", "--eps", "inf", "--reps", "5"],
         ["lln-point", "--n", "100", "--gamma0", "nan", "--eps", "0.2", "--reps", "5"],
@@ -119,6 +120,8 @@ class TestExitCodes:
         (tmp_path / "bad.json").write_text(json.dumps({"c1": 1}))
         (tmp_path / "one.csv").write_text("t,gamma\n0,0.5\n")
         (tmp_path / "a_file").write_text("")
+        (tmp_path / "empty.csv").write_text("")
+        (tmp_path / "number.json").write_text("3")
         if "--out" not in argv:
             argv = argv + ["--out", str(tmp_path / "o")]
         assert main(argv) == 2
@@ -426,7 +429,8 @@ class TestSerializeHelpers:
 
 def _readme_commands():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    return [line.split("#")[0] for line in readme.splitlines() if re.match(r"bdld \w", line)]
+    block = readme.partition("## Command line")[2].partition("```sh\n")[2].partition("```")[0]
+    return [line.split("#")[0] for line in block.splitlines() if line.startswith("bdld ")]
 
 
 class TestReadmeCommands:
