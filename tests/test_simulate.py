@@ -393,6 +393,15 @@ class TestTiltedSampling:
             WeightedTrajectory(traj, math.inf)
 
 
+def _v1_variates(rng):
+    """(exponential, uniform) pairs in the v1 stream layout, drawn here and
+    not by the sampler: blocks of 8192 standard exponentials, then 8192
+    uniforms; event i reads the i-th of each."""
+    while True:
+        exps = rng.standard_exponential(8192).tolist()
+        yield from zip(exps, rng.random(8192).tolist())
+
+
 def _scalar_tilted_path(params, tilt, config, replication):
     """The event-by-event thinning loop the tilted kernel must match bit for
     bit: (jump times, states, log-weight)."""
@@ -400,8 +409,7 @@ def _scalar_tilted_path(params, tilt, config, replication):
     zbar = tilt.sup_bound(horizon)
     rng = replication_rng(config.seed, replication)
     m = simulate._resolve_initial(params, config, rng)
-    variates = (pair for exps, unis in simulate._blocks(rng)
-                for pair in zip(exps.tolist(), unis.tolist()))
+    variates = _v1_variates(rng)
     times, states = [], []
     log_w = t = seg = 0.0
     while True:
@@ -514,7 +522,11 @@ def _path_parts(traj):
 # 10000}; the N=1000 path from the top makes ~20k jumps, across three variate
 # blocks.  At N=10000 only one end is within reach of a chunk of events: the
 # paths from 1 and from stationarity linger near 1 and reflect there dozens
-# of times, the path from the top reflects at N.
+# of times, the path from the top reflects at N.  At N=512..700 a chunk of
+# hundreds or thousands of events can reach both ends: the path from 1 at
+# N=512 reflects at 1 only, the one from the top at N=700 at N only, the one
+# from 300 at N=600 at neither, and the one from 30 at N=512 reaches 1 and
+# N over ~40 blocks.  At N=100 and N=300 paths reflect at both ends.
 _GOLDEN_PATHS = {
     (1, 1, 10.0): "aa3c6dbb1e215c13b5dadc9fa7df8f46273a1c437553fa29d4013f78481709bc",
     (1, "stationary", 10.0): "aa3c6dbb1e215c13b5dadc9fa7df8f46273a1c437553fa29d4013f78481709bc",
@@ -533,10 +545,17 @@ _GOLDEN_PATHS = {
     (10000, 1, 200.0): "300a2daeb2cc7b85af02d19f53724a682a560722eaff10f7646c2b959e5f5e53",
     (10000, 10000, 0.5): "80f43fc12e120b023e616304ddfb5bea645d586694d42df91bad89baaf05b120",
     (10000, "stationary", 200.0): "635cd31a4cba52da6bc3dccb63342090a402d261a10ce72d32e193e655fbd3ae",
+    (512, 1, 50.0): "3cbc0753c31fd3f90d2836b5a9c86dece501dff95d6931cb9bd7745e717adadd",
+    (700, 700, 2.0): "0d4c0f806c092266d5ea6feb8867c8566f679377392518fe5154f3bb9146e92f",
+    (600, 300, 5.0): "59c1700d3766059de757ddd98d492b71be36bae40bae007ac80aaab591e6e0b5",
+    (512, 30, 1000.0): "66ceaa690dd898766384b04237ff183eb58ee9a1e1bb6b5aa543cc32a3e6cc38",
+    (100, 50, 20.0): "02ed6f8d59c11904c2f148c85c6b29fb5c68a4afb68cc8ce5a049ec9d2a34952",
+    (300, "stationary", 30.0): "9a6584bd0330dcf30588966b3d74dc1b234644ca9caf07ddd9bfb451b663ade4",
 }
 
 # (N, gamma0, epsilon, horizon, replications): N=1, a band wider than the
-# state space, and a start outside the band (m0=50 <= lo=50).
+# state space, a start outside the band (m0=50 <= lo=50), and replications
+# of ~14k jumps at N=600 that cross a block boundary.
 _GOLDEN_LLN_POINT = {
     (1, 1.0, 0.5, 1.0, 20): "0998fc7696765f9c7fa1442f6fda6b7258e1f44f31ae5d39d83e2cafe6d95c31",
     (2, 0.5, 0.4, 2.0, 200): "8c7e3fd408a261e8cc1c018bc24e8719792b6bbb4ad1e02a94ae417b56d27bf3",
@@ -546,10 +565,12 @@ _GOLDEN_LLN_POINT = {
     (200, 0.5, 0.05, 1.0, 300): "df6633845f67e41cbc1b9f02b2b2171990e767f0b942329c534e1ae8cc4b1288",
     (1000, 0.5, 0.02, 1.0, 100): "ac87c4ca1f2eed48def5df4afc2843c7b52385053a7d9f82ca27c65c05758418",
     (1000, 0.5, 0.03, 1.0, 100): "2521fe9ab238ae0b2cc23fa4553290f20659fc703dd25730a30e17e4ddf785cf",
+    (600, 0.5, 0.3, 20.0, 5): "8ea1e15ad51b063503652288d652080a50730f8a0a4c89b34b546150f64a9de6",
 }
 
 # (N, u, sample times, horizon, replications): N=1, sample time 0, a
-# repeated sample time, and the lln benchmark's N=10000 case.
+# repeated sample time, the lln benchmark's N=10000 case, and a case at
+# N=1000 where most replications end at their first sample time.
 _GOLDEN_LLN_STATIONARY = {
     (1, 1.0, (0.5,), 1.0, 20): "def2128a04b92c4206b51187bcbce7f0aab2311cf8815bf200a9d72da31303ff",
     (2, 0.75, (0.0, 1.0), 1.0, 200): "752728a7565b0ca0b4974d5f7131d7403a1c2041e9ddca53e7de239beb76bbc2",
@@ -557,6 +578,7 @@ _GOLDEN_LLN_STATIONARY = {
     (50, 0.2, (0.25, 0.0, 0.25, 1.0), 1.0, 300): "79ecddbe3b1eb2bcad5cc3c8478252de33eaa24cb0d22e5ade7579fd33399630",
     (1000, 0.1, (0.25, 0.5, 0.75, 1.0), 1.0, 100): "60225f88e933ec19f572918a7b3acdd0187c2649c42596981f6cea5018bae78b",
     (10000, 0.1, (0.25, 0.5, 0.75, 1.0), 1.0, 100): "d93f988141f1231389f5596fa8528e0b2c80fef6eead93dbf8e1505d0fa5c47b",
+    (1000, 0.01, (0.5, 2.0, 8.0, 20.0), 20.0, 50): "9f41f265c0a84aebe4c9c3d774bd90d59b4beb64621ca734da4ba95ffd283fdc",
 }
 
 
@@ -631,7 +653,8 @@ _GOLDEN_CSV = "999e3574ef56a2c8eda1ef6967e81c2bc524cee139ca4e52b819ce2436840815"
 
 class TestGoldenStream:
     """Bit-for-bit pins of every sampler's output.  The digests were computed
-    from the original hand-written loops; any change to the variate stream
+    from the original hand-written loops, or from kernels that matched them,
+    before any later change to a kernel; any change to the variate stream
     (block size, exponentials before uniforms, the extra uniform of a
     stationary start) or to the jump rule changes them."""
 
