@@ -6,13 +6,16 @@ rates.  Nothing is time-discretized and trajectories are stored sparsely
 (jump times plus visited states only).  Every sampler reads its randomness
 from ``_blocks``, which states the stream layout.
 
-The plain chain runs in one kernel, ``_walk``, which takes the events of a
-variate block _CHUNK at a time in a few numpy passes: steps from the
-uniforms, states from their prefix sum with a closed form for the forced
-move at whichever end is within reach, rates from the states before each
-jump, and jump times from np.add.accumulate, which adds in sequence exactly
-as the scalar loop does.  Where both ends are within reach of a chunk (small
-N) its states are replayed event by event.
+The plain chain runs in one kernel, ``_walk``, which takes its events a
+chunk at a time in a few numpy passes: steps from the uniforms, states from
+their prefix sum with a closed form for the forced moves at an end, rates
+from the states before each jump, and jump times from np.add.accumulate,
+which adds in sequence exactly as the scalar loop does.  A chunk is _CHUNK
+events on a small chain and is sized to reach the next stop on a larger
+one; where the path reaches both ends within a chunk its states are
+replayed event by event.  ``_blocks`` draws the uniforms only as the chunks
+read them, so a short replication draws few more than it uses, and the
+stream layout stays the same.
 
 The tilted chain thins candidate events against a majorant in a second
 kernel, ``_tilted_walk``.  A candidate's acceptance depends on its time,
@@ -183,7 +186,7 @@ def _resolve_initial(params: ModelParams, config: SimConfig, rng: np.random.Gene
 
 
 def _blocks(rng: np.random.Generator):
-    """Yield a replication's variates as (exponentials, uniforms) blocks.
+    """Hand out a replication's variates, a group of events at a time.
 
     This is the stream contract every sampler shares.  Each replication owns
     a counter-based Philox stream keyed by (seed, replication), so it
@@ -191,13 +194,60 @@ def _blocks(rng: np.random.Generator):
     blocks of _BLOCK standard exponentials followed by _BLOCK uniforms, and
     event i takes the i-th variate of each: a jump of the plain chain, a
     candidate event (accepted or a thinning ghost) of the tilted chain.  A
-    stationary start takes one uniform before the first block.  Blocks are
-    drawn only when needed, and how a kernel splits them into chunks or
-    windows does not change which variates an event reads.
+    stationary start takes one uniform before the first block.
+
+    A kernel starts the generator with next() and then sends it the number
+    of events it wants; it gets back the (exponentials, uniforms) of that
+    many events, or of the rest of the current block if fewer.  A block's
+    exponentials are drawn whole when its first event is asked for: the
+    ziggurat's rejections make their word count vary, and that count fixes
+    where the uniforms begin.  The uniforms are drawn only as they are
+    handed out, which reads the same words as drawing them whole, since
+    Philox random() takes exactly one 64-bit word per double; a replication
+    that ends early never draws the rest.  The next block is drawn only
+    after every event of the current one has been handed out, and how a
+    kernel groups the events does not change which variates an event reads.
     """
+    size = yield
     while True:
         exps = rng.standard_exponential(_BLOCK)
-        yield exps, rng.random(_BLOCK)
+        while exps.size:
+            head, exps = exps[:size], exps[size:]
+            size = yield head, rng.random(head.size)
+
+
+def _replay(n: int, m: int, unis: np.ndarray) -> np.ndarray:
+    """The states after each event, from state m, one event at a time."""
+    states = []
+    for up in (unis < 0.5).tolist():
+        if m == 1:
+            m = 2
+        elif m == n:
+            m = n - 1
+        else:
+            m = m + 1 if up else m - 1
+        states.append(m)
+    return np.array(states, dtype=np.int64)
+
+
+def _lift(free: np.ndarray) -> np.ndarray:
+    """The walk with each forced move 1 -> 2 of the lower end put back."""
+    lift = np.floor_divide(2 - free, 2)
+    np.maximum(lift, 0, out=lift)
+    np.maximum.accumulate(lift, out=lift)
+    lift *= 2
+    lift += free
+    return lift
+
+
+def _drop(free: np.ndarray, n: int) -> np.ndarray:
+    """The walk with each forced move n -> n-1 of the upper end put back."""
+    drop = np.floor_divide(free - (n - 1), 2)
+    np.maximum(drop, 0, out=drop)
+    np.maximum.accumulate(drop, out=drop)
+    drop *= -2
+    drop += free
+    return drop
 
 
 def _chunk_states(n: int, m: int, unis: np.ndarray) -> np.ndarray:
@@ -208,35 +258,36 @@ def _chunk_states(n: int, m: int, unis: np.ndarray) -> np.ndarray:
     only the lower end is within reach of the chunk, each forced move 1 -> 2
     lifts the rest of the walk by 2, and the lift so far is the smallest even
     number keeping every state >= 1: X = F + 2*max.accumulate(max(0, (2-F)//2)).
-    The upper end is the mirror image.  When both ends are within reach the
-    events are replayed one at a time.
+    The upper end is the mirror image.
+
+    When both ends are within reach, a chunk of a small chain (n < 2*_CHUNK)
+    is replayed event by event.  A larger chain's chunk takes the first of
+    these that holds: F if it stays within [2, n-1]; the lower-end form if
+    it stays below n, so the upper end was never reached; the upper-end form
+    if it stays above 1; and only when the path really reaches both ends,
+    the replay.
     """
     c = unis.size
     lower, upper = m <= c, m + c > n  # can a state before a jump be 1, or n?
-    if lower and upper:
-        states = []
-        for up in (unis < 0.5).tolist():
-            if m == 1:
-                m = 2
-            elif m == n:
-                m = n - 1
-            else:
-                m = m + 1 if up else m - 1
-            states.append(m)
-        return np.array(states, dtype=np.int64)
+    if lower and upper and n < 2 * _CHUNK:
+        return _replay(n, m, unis)
     free = np.where(unis < 0.5, 1, -1)
     np.cumsum(free, out=free)
     free += m
+    if lower and upper:
+        if 1 < m < n and free.min() > 1 and free.max() < n:
+            return free
+        states = _lift(free)
+        if m < n and states.max() < n:
+            return states
+        states = _drop(free, n)
+        if m > 1 and states.min() > 1:
+            return states
+        return _replay(n, m, unis)
     if lower:
-        lift = np.floor_divide(2 - free, 2)
-        np.maximum(lift, 0, out=lift)
-        np.maximum.accumulate(lift, out=lift)
-        free += 2 * lift
-    elif upper:
-        drop = np.floor_divide(free - (n - 1), 2)
-        np.maximum(drop, 0, out=drop)
-        np.maximum.accumulate(drop, out=drop)
-        free -= 2 * drop
+        return _lift(free)
+    if upper:
+        return _drop(free, n)
     return free
 
 
@@ -248,15 +299,18 @@ def _walk(n: int, lam: float, m: int, stops, rng: np.random.Generator, jumps: li
     exactly those at or before it, and nothing past the last stop read is
     recorded.
 
-    The events of a variate block are taken _CHUNK at a time.  A chunk's
-    states come from ``_chunk_states``: numpy passes when at most one end of
-    {1..n} is within _CHUNK jumps of the current state, an event-by-event
-    replay of the scalar loop when both are (possible only for n < 2*_CHUNK).
-    Each event's rate is read from the state before it, and its jump time is
-    the running sum of the holding times seeded with the current time.
-    np.add.accumulate adds strictly in sequence, and every division and
-    product is the one the scalar Gillespie loop makes, so each trajectory is
-    bit-identical to that loop's.
+    The events are taken a chunk at a time from ``_blocks``.  For n <
+    2*_CHUNK a chunk is _CHUNK events.  For larger n it is sized to reach
+    the next stop at the current rate 2*lam*m with half as many again to
+    spare, and at least _CHUNK, so a short replication draws few more
+    uniforms than it reads.  A chunk's states come from ``_chunk_states``:
+    numpy passes, or an event-by-event replay of the scalar loop when the
+    path reaches both ends of {1..n} within the chunk.  Each event's rate is
+    read from the state before it, and its jump time is the running sum of
+    the holding times seeded with the current time.  np.add.accumulate adds
+    strictly in sequence, and every division and product is the one the
+    scalar Gillespie loop makes, so each trajectory is bit-identical to that
+    loop's.
     """
     if n == 1:
         for _ in stops:
@@ -265,36 +319,49 @@ def _walk(n: int, lam: float, m: int, stops, rng: np.random.Generator, jumps: li
     stops = iter(stops)
     stop = next(stops)
     two_lam = 2.0 * lam
+    sized = n >= 2 * _CHUNK
     t = 0.0
-    for exps, unis in _blocks(rng):
-        for start in range(0, _BLOCK, _CHUNK):
-            states = _chunk_states(n, m, unis[start:start + _CHUNK])
-            before = np.concatenate(([m], states[:-1]))
-            rates = two_lam * before
-            if m <= _CHUNK:
-                rates[before == 1] = lam
-            if m + _CHUNK > n:
-                rates[before == n] = lam * n
-            clock = np.empty(_CHUNK + 1)
-            clock[0] = t
-            np.divide(exps[start:start + _CHUNK], rates, out=clock[1:])
-            np.add.accumulate(clock, out=clock)
-            times = clock[1:]
-            done = 0
-            while True:
-                k = int(times.searchsorted(stop, side="right"))  # first jump past stop
-                if k == _CHUNK:
-                    break
-                if k > done:
-                    jumps.append((times[done:k], states[done:k]))
-                    done = k
-                yield int(states[k - 1]) if k else m
-                stop = next(stops, None)
-                if stop is None:
-                    return
-            if done < _CHUNK:
-                jumps.append((times[done:], states[done:]))
-            m, t = int(states[-1]), float(times[-1])
+    blocks = _blocks(rng)
+    next(blocks)
+    while True:
+        size = _CHUNK
+        if sized:
+            size = max(_CHUNK, math.ceil(min(_BLOCK, 3.0 * lam * m * (stop - t))))
+        exps, unis = blocks.send(size)
+        c = exps.size
+        states = _chunk_states(n, m, unis)
+        before = np.concatenate(([m], states[:-1]))
+        rates = two_lam * before
+        if m <= c:
+            rates[before == 1] = lam
+        if m + c > n:
+            rates[before == n] = lam * n
+        clock = np.empty(c + 1)
+        clock[0] = t
+        np.divide(exps, rates, out=clock[1:])
+        np.add.accumulate(clock, out=clock)
+        times = clock[1:]
+        done = 0
+        while True:
+            k = int(times.searchsorted(stop, side="right"))  # first jump past stop
+            if k == c:
+                break
+            if k > done:
+                jumps.append((times[done:k], states[done:k]))
+                done = k
+            yield int(states[k - 1]) if k else m
+            stop = next(stops, None)
+            if stop is None:
+                return
+        if done < c:
+            jumps.append((times[done:], states[done:]))
+        m, t = int(states[-1]), float(times[-1])
+
+
+def _joined(jumps: list) -> tuple[np.ndarray, np.ndarray]:
+    times = np.concatenate([np.empty(0)] + [times for times, _ in jumps])
+    states = np.concatenate([np.empty(0, dtype=np.int64)] + [states for _, states in jumps])
+    return times, states
 
 
 def sample_path(params: ModelParams, config: SimConfig, replication: int = 0) -> Trajectory:
@@ -304,9 +371,7 @@ def sample_path(params: ModelParams, config: SimConfig, replication: int = 0) ->
     jumps: list = []
     for _ in _walk(params.n_states, params.lam, m0, (config.horizon,), rng, jumps):
         pass
-    times = np.concatenate([np.empty(0)] + [times for times, _ in jumps])
-    states = np.concatenate([np.empty(0, dtype=np.int64)] + [states for _, states in jumps])
-    return Trajectory(m0, times, states, config.horizon)
+    return Trajectory(m0, *_joined(jumps), config.horizon)
 
 
 def occupation_fractions(trajectory: Trajectory, n_states: int | None = None) -> ProbabilityVector:
@@ -498,13 +563,10 @@ def _tilted_walk(n: int, lam: float, m: int, horizon: float, tilt, zbar: float,
     t = 0.0
     ghosts = 0
     blocks = _blocks(rng)
-    exps = unis = np.empty(0)  # what is left of the current block
+    next(blocks)
     crossed = n == 1  # a single state has no events
     while not crossed:
-        if not exps.size:
-            exps, unis = next(blocks)
-        size = max(_CHUNK, int(3.0 * lam * m * zbar * (horizon - t)))
-        e, u, exps, unis = exps[:size], unis[:size], exps[size:], unis[size:]
+        e, u = blocks.send(max(_CHUNK, int(3.0 * lam * m * zbar * (horizon - t))))
         k, crossed, prior, clock, accept = _speculate(n, lam, m, t, horizon, tilt, zbar, e, u)
         if k:
             hit = np.flatnonzero(accept[:k])
@@ -568,12 +630,6 @@ def _tilt_bound(tilt, horizon: float) -> float:
     if not (math.isfinite(zbar) and zbar >= 1.0):
         raise ValueError(f"tilt bound must be finite and >= 1, got {zbar!r}")
     return zbar
-
-
-def _joined(jumps: list) -> tuple[np.ndarray, np.ndarray]:
-    times = np.concatenate([np.empty(0)] + [times for times, _ in jumps])
-    states = np.concatenate([np.empty(0, dtype=np.int64)] + [states for _, states in jumps])
-    return times, states
 
 
 def tilted_sample_path(params: ModelParams, tilt, config: SimConfig,

@@ -526,7 +526,9 @@ def _path_parts(traj):
 # hundreds or thousands of events can reach both ends: the path from 1 at
 # N=512 reflects at 1 only, the one from the top at N=700 at N only, the one
 # from 300 at N=600 at neither, and the one from 30 at N=512 reaches 1 and
-# N over ~40 blocks.  At N=100 and N=300 paths reflect at both ends.
+# N over ~40 blocks.  At N=64, 100 and 300 paths reflect at both ends; with
+# a chunk of 32 these chains take chunks sized to the horizon, and at N=64
+# some of them reach both ends.
 _GOLDEN_PATHS = {
     (1, 1, 10.0): "aa3c6dbb1e215c13b5dadc9fa7df8f46273a1c437553fa29d4013f78481709bc",
     (1, "stationary", 10.0): "aa3c6dbb1e215c13b5dadc9fa7df8f46273a1c437553fa29d4013f78481709bc",
@@ -551,6 +553,7 @@ _GOLDEN_PATHS = {
     (512, 30, 1000.0): "66ceaa690dd898766384b04237ff183eb58ee9a1e1bb6b5aa543cc32a3e6cc38",
     (100, 50, 20.0): "02ed6f8d59c11904c2f148c85c6b29fb5c68a4afb68cc8ce5a049ec9d2a34952",
     (300, "stationary", 30.0): "9a6584bd0330dcf30588966b3d74dc1b234644ca9caf07ddd9bfb451b663ade4",
+    (64, 2, 200.0): "fec54c4fafb1f04888384426baea99809eaf05f6f6b8c8eeebc6803c2289a89f",
 }
 
 # (N, gamma0, epsilon, horizon, replications): N=1, a band wider than the
