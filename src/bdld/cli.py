@@ -324,12 +324,15 @@ def _run_tilted_mc(settings):
     gamma0, gammaT = settings["gamma0"], settings["gamma_t"]
     horizon = settings["horizon"]
     half_width = settings["half_width"]
+    # solve_boundary first checks that gamma0 and gammaT lie in [0, 1] (NaN
+    # does not), so only checked values are rounded to states below
+    tilt = dual_tilt(solve_boundary(gamma0, gammaT, horizon, lam))
+    if not 0.0 <= half_width < math.inf:
+        raise UsageError(f"half_width must be finite and >= 0, got {half_width!r}")
     n = params.n_states
     m0 = round(gamma0 * n)
     window = (max(1, round((gammaT - half_width) * n)),
               min(n, round((gammaT + half_width) * n)))
-    parabola = solve_boundary(gamma0, gammaT, horizon, lam)
-    tilt = dual_tilt(parabola)
     config = SimConfig(horizon=horizon, seed=settings["seed"], initial=m0,
                        replications=settings["reps"])
     res = tilted_window_experiment(params, tilt, window, config)

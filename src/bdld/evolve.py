@@ -323,8 +323,8 @@ def empirical_rate_curve(params_list: Sequence[ModelParams], gamma0: float, gamm
     """
     if not (0.0 < gamma0 < 1.0 and 0.0 < gammaT < 1.0):
         raise ValueError("gamma0 and gammaT must lie in (0, 1)")
-    if not (half_width > 0.0 and T > 0.0):
-        raise ValueError("half_width and T must be positive")
+    if not (0.0 < half_width < math.inf and 0.0 < T < math.inf):
+        raise ValueError("half_width and T must be positive and finite")
     points = []
     for params in params_list:
         n = params.n_states

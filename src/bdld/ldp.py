@@ -261,12 +261,17 @@ class GridPath:
         header, rows = read_csv(path)
         if header[:2] != ["t", "gamma"]:
             raise ValueError(f"expected columns t,gamma[,dgamma], got {header}")
-        times = np.array([float(r[0]) for r in rows])
-        values = np.array([float(r[1]) for r in rows])
-        if len(header) >= 3 and header[2] == "dgamma":
-            derivs = np.array([float(r[2]) for r in rows])
-            return cls.from_samples(times, values, derivs)
-        return cls.from_samples(times, values)
+        width = 3 if header[2:3] == ["dgamma"] else 2
+        parsed = []
+        for i, row in enumerate(rows, start=1):
+            try:
+                if len(row) < width:
+                    raise ValueError(f"{len(row)} field(s) for {width} columns")
+                parsed.append([float(x) for x in row[:width]])
+            except ValueError as exc:
+                raise ValueError(f"{path}: data row {i} {row}: {exc}") from None
+        columns = np.array(parsed, dtype=float).reshape(-1, width).T.copy()
+        return cls.from_samples(*columns)
 
 
 def rate_functional(path: GridPath, lam: float, tol: float = 1e-9) -> float:

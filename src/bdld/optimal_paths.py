@@ -120,12 +120,20 @@ class ParabolaParams:
                    if key not in obj]
         if missing:
             raise ValueError(f"parabola JSON lacks field(s): {', '.join(missing)}")
-        case = PathCase(obj["case"])
-        level = obj["gamma0"] if case is PathCase.CONSTANT else None
-        return cls(c1=float(obj["c1"]), c2=float(obj["c2"]), case=case,
-                   lam=float(obj["lambda"]), horizon=float(obj["T"]),
-                   gamma0=float(obj["gamma0"]), gammaT=float(obj["gammaT"]),
-                   level=level)
+        try:
+            case = PathCase(obj["case"])
+        except ValueError:
+            raise ValueError(f"parabola JSON field 'case' must be one of "
+                             f"{', '.join(c.value for c in PathCase)}, got {obj['case']!r}") from None
+        numbers = {}
+        for key, name in (("c1", "c1"), ("c2", "c2"), ("lambda", "lam"), ("T", "horizon"),
+                          ("gamma0", "gamma0"), ("gammaT", "gammaT")):
+            value = obj[key]
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"parabola JSON field {key!r} must be a number, got {value!r}")
+            numbers[name] = float(value)
+        level = numbers["gamma0"] if case is PathCase.CONSTANT else None
+        return cls(case=case, level=level, **numbers)
 
 
 def solve_boundary(gamma0: float, gammaT: float, T: float, lam: float) -> ParabolaParams:

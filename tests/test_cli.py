@@ -16,6 +16,18 @@ def _read(path):
     return path.read_text()
 
 
+def _write_bad_inputs(directory):
+    (directory / "bad.json").write_text(json.dumps({"c1": 1}))
+    (directory / "list_field.json").write_text(json.dumps(
+        {"c1": [1], "c2": 1, "case": "constant", "lambda": 1, "T": 1,
+         "gamma0": 0.5, "gammaT": 0.5}))
+    (directory / "one.csv").write_text("t,gamma\n0,0.5\n")
+    (directory / "short_row.csv").write_text("t,gamma\n0.5\n")
+    (directory / "a_file").write_text("")
+    (directory / "empty.csv").write_text("")
+    (directory / "number.json").write_text("3")
+
+
 class TestExitCodes:
     def test_success(self, tmp_path):
         assert main(["stationary", "--n", "4", "--out", str(tmp_path)]) == 0
@@ -114,20 +126,42 @@ class TestExitCodes:
         ["stationary", "--n", "4", "--seed", "3"],       # a flag stationary does not read
         ["simulate", "--n", "4", "--horizon", "1", "--reps", "1000"],
         ["opt-path", "--figure", "fig9"],
+        ["action", "--parabola-json", "list_field.json"],  # "c1": [1]
+        ["action", "--path-csv", "short_row.csv"],         # a row shorter than its header
+        ["tilted-mc", "--n", "100", "--gamma0", "nan", "--gamma-t", "0.8", "--reps", "10"],
+        ["tilted-mc", "--n", "100", "--gamma0", "0.5", "--gamma-t", "nan", "--reps", "10"],
+        ["tilted-mc", "--n", "100", "--gamma0", "0.5", "--gamma-t", "0.8", "--half-width", "inf",
+         "--reps", "10"],
+        ["rate-curve", "--gamma0", "0.5", "--gamma-t", "0.8", "--n-ladder", "10,20",
+         "--half-width", "inf"],
     ])
     def test_bad_input_exits_2_without_traceback(self, tmp_path, capsys, monkeypatch, argv):
         monkeypatch.chdir(tmp_path)
-        (tmp_path / "bad.json").write_text(json.dumps({"c1": 1}))
-        (tmp_path / "one.csv").write_text("t,gamma\n0,0.5\n")
-        (tmp_path / "a_file").write_text("")
-        (tmp_path / "empty.csv").write_text("")
-        (tmp_path / "number.json").write_text("3")
+        _write_bad_inputs(tmp_path)
         if "--out" not in argv:
             argv = argv + ["--out", str(tmp_path / "o")]
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert "error" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["action", "--parabola-json", "list_field.json"],
+         "parabola JSON field 'c1' must be a number, got [1]"),
+        (["action", "--path-csv", "short_row.csv"], "data row 1 ['0.5']"),
+        (["tilted-mc", "--n", "100", "--gamma0", "nan", "--gamma-t", "0.8", "--reps", "10"],
+         "gamma0 must lie in [0, 1], got nan"),
+        (["tilted-mc", "--n", "100", "--gamma0", "0.5", "--gamma-t", "nan", "--reps", "10"],
+         "gammaT must lie in [0, 1], got nan"),
+        (["tilted-mc", "--n", "100", "--gamma0", "0.5", "--gamma-t", "0.8", "--half-width",
+          "nan", "--reps", "10"], "half_width must be finite and >= 0, got nan"),
+    ])
+    def test_bad_input_message_names_the_culprit(self, tmp_path, capsys, monkeypatch,
+                                                 argv, message):
+        monkeypatch.chdir(tmp_path)
+        _write_bad_inputs(tmp_path)
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+        assert message in capsys.readouterr().err
 
 
 class TestStationaryCommand:

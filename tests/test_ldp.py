@@ -266,6 +266,17 @@ class TestGridPath:
         csv_file2.write_text("t,gamma\n0,0.5\n0.5,0.55\n1,0.6\n")
         assert GridPath.from_csv(csv_file2).values[1] == 0.55
 
+    @pytest.mark.parametrize("text, message", [
+        ("t,gamma\n0,0.5\n0.5\n1,0.6\n", "data row 2"),
+        ("t,gamma,dgamma\n0,0.5,0.1\n1,0.6\n", "data row 2"),
+        ("t,gamma\n0,0.5\n1,x\n", "data row 2"),
+    ])
+    def test_from_csv_bad_row(self, tmp_path, text, message):
+        csv_file = tmp_path / "path.csv"
+        csv_file.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            GridPath.from_csv(csv_file)
+
 
 class TestRateFunctional:
     def test_constant_path_is_free(self):

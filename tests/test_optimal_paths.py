@@ -271,6 +271,20 @@ class TestSerialization:
         back = ParabolaParams.from_json_obj(obj)
         assert back == pp
 
+    @pytest.mark.parametrize("field, value", [
+        ("c1", [1]), ("T", "1"), ("gammaT", None), ("lambda", True), ("case", [1]),
+    ])
+    def test_json_field_of_wrong_type(self, field, value):
+        obj = solve_boundary(0.5, 0.8, 1.0, 1.0).to_json_obj()
+        obj[field] = value
+        with pytest.raises(ValueError, match=f"field '{field}'"):
+            ParabolaParams.from_json_obj(obj)
+
+    def test_json_constant_level_is_a_float(self):
+        obj = solve_boundary(0.5, 0.5, 1.0, 1.0).to_json_obj()
+        obj["gamma0"] = obj["gammaT"] = 1
+        assert type(ParabolaParams.from_json_obj(obj).value(0.5)) is float
+
     def test_sample_rows_marks_singular_dual(self):
         rows = sample_rows(solve_boundary(0.0, 0.5, 2.0, 1.0), n_points=5)
         assert math.isnan(rows[0][2])  # z undefined at the zero endpoint
