@@ -264,9 +264,10 @@ class GridPath:
         width = 3 if header[2:3] == ["dgamma"] else 2
         parsed = []
         for i, row in enumerate(rows, start=1):
+            if len(row) < width:
+                raise ValueError(f"{path}: data row {i} {row} has {len(row)} field(s) "
+                                 f"for {width} columns")
             try:
-                if len(row) < width:
-                    raise ValueError(f"{len(row)} field(s) for {width} columns")
                 parsed.append([float(x) for x in row[:width]])
             except ValueError as exc:
                 raise ValueError(f"{path}: data row {i} {row}: {exc}") from None
