@@ -10,12 +10,11 @@ The plain chain runs in one kernel, ``_walk``, which takes its events a
 chunk at a time in a few numpy passes: steps from the uniforms, states from
 their prefix sum with a closed form for the forced moves at an end, rates
 from the states before each jump, and jump times from np.add.accumulate,
-which adds in sequence exactly as the scalar loop does.  A chunk is _CHUNK
-events on a small chain and is sized to reach the next stop on a larger
-one; where the path reaches both ends within a chunk its states are
-replayed event by event.  ``_blocks`` draws the uniforms only as the chunks
-read them, so a short replication draws few more than it uses, and the
-stream layout stays the same.
+which adds in sequence exactly as the scalar loop does.  A chunk is sized
+to reach the next stop, and only where the path reaches both ends within
+a chunk are its states replayed event by event.  ``_blocks`` draws the
+uniforms only as the chunks read them, so a short replication draws few
+more than it uses, and the stream layout stays the same.
 
 The tilted chain thins candidate events against a majorant in a second
 kernel, ``_tilted_walk``.  A candidate's acceptance depends on its time,
@@ -55,6 +54,7 @@ __all__ = [
 
 _BLOCK = 8192
 _CHUNK = 256
+_REPLAY_N = 64    # chains with fewer states replay their events one at a time
 _PASSES = 8       # speculation passes over a window before the scalar loop takes over
 _MIN_EVENTS = 24  # fewer expected candidates before the horizon go to the scalar loop
 
@@ -255,40 +255,32 @@ def _chunk_states(n: int, m: int, unis: np.ndarray) -> np.ndarray:
 
     Away from the ends a uniform below 1/2 steps up, otherwise down, so the
     states are m plus a prefix sum of the steps (the free walk F).  When
-    only the lower end is within reach of the chunk, each forced move 1 -> 2
-    lifts the rest of the walk by 2, and the lift so far is the smallest even
+    the path reaches only the lower end, each forced move 1 -> 2 lifts the
+    rest of the walk by 2, and the lift so far is the smallest even
     number keeping every state >= 1: X = F + 2*max.accumulate(max(0, (2-F)//2)).
     The upper end is the mirror image.
 
-    When both ends are within reach, a chunk of a small chain (n < 2*_CHUNK)
-    is replayed event by event.  A larger chain's chunk takes the first of
-    these that holds: F if it stays within [2, n-1]; the lower-end form if
-    it stays below n, so the upper end was never reached; the upper-end form
-    if it stays above 1; and only when the path really reaches both ends,
-    the replay.
+    F is the path while it stays within [1, n].  Otherwise the chunk takes
+    the lower-end form if F drops below 1, else the upper-end form; that
+    form leaves [1, n] only when the path reaches both ends, and then the
+    chunk is replayed event by event.  A chain of fewer than
+    _REPLAY_N states is always replayed: its walk reaches both ends within
+    most chunks, so the numpy passes would only add to the replay.
     """
-    c = unis.size
-    lower, upper = m <= c, m + c > n  # can a state before a jump be 1, or n?
-    if lower and upper and n < 2 * _CHUNK:
+    if n < _REPLAY_N:
         return _replay(n, m, unis)
     free = np.where(unis < 0.5, 1, -1)
     np.cumsum(free, out=free)
     free += m
-    if lower and upper:
-        if 1 < m < n and free.min() > 1 and free.max() < n:
-            return free
+    if free.min() < 1:
         states = _lift(free)
-        if m < n and states.max() < n:
-            return states
+    elif free.max() > n:
         states = _drop(free, n)
-        if m > 1 and states.min() > 1:
-            return states
+    else:
+        return free
+    if states.min() < 1 or states.max() > n:
         return _replay(n, m, unis)
-    if lower:
-        return _lift(free)
-    if upper:
-        return _drop(free, n)
-    return free
+    return states
 
 
 def _walk(n: int, lam: float, m: int, stops, rng: np.random.Generator, jumps: list):
@@ -299,13 +291,13 @@ def _walk(n: int, lam: float, m: int, stops, rng: np.random.Generator, jumps: li
     exactly those at or before it, and nothing past the last stop read is
     recorded.
 
-    The events are taken a chunk at a time from ``_blocks``.  For n <
-    2*_CHUNK a chunk is _CHUNK events.  For larger n it is sized to reach
-    the next stop at the current rate 2*lam*m with half as many again to
-    spare, and at least _CHUNK, so a short replication draws few more
-    uniforms than it reads.  A chunk's states come from ``_chunk_states``:
-    numpy passes, or an event-by-event replay of the scalar loop when the
-    path reaches both ends of {1..n} within the chunk.  Each event's rate is
+    The events are taken a chunk at a time from ``_blocks``.  A chunk is
+    sized to reach the next stop at the current rate 2*lam*m with half as
+    many again to spare, and is at least _CHUNK events, so a short
+    replication draws few more uniforms than it reads.  A chunk's states
+    come from ``_chunk_states``: numpy passes, or an event-by-event replay
+    of the scalar loop when the path reaches both ends of {1..n} within the
+    chunk.  Each event's rate is
     read from the state before it, and its jump time is the running sum of
     the holding times seeded with the current time.  np.add.accumulate adds
     strictly in sequence, and every division and product is the one the
@@ -319,14 +311,11 @@ def _walk(n: int, lam: float, m: int, stops, rng: np.random.Generator, jumps: li
     stops = iter(stops)
     stop = next(stops)
     two_lam = 2.0 * lam
-    sized = n >= 2 * _CHUNK
     t = 0.0
     blocks = _blocks(rng)
     next(blocks)
     while True:
-        size = _CHUNK
-        if sized:
-            size = max(_CHUNK, math.ceil(min(_BLOCK, 3.0 * lam * m * (stop - t))))
+        size = max(_CHUNK, math.ceil(min(_BLOCK, 3.0 * lam * m * (stop - t))))
         exps, unis = blocks.send(size)
         c = exps.size
         states = _chunk_states(n, m, unis)

@@ -481,6 +481,28 @@ class TestTiltedKernelMatchesScalarLoop:
             assert weighted.log_weight.hex() == log_w.hex()
 
 
+def _scalar_states(n, m, unis):
+    states = []
+    for u in unis:
+        m = 2 if m == 1 else n - 1 if m == n else m + 1 if u < 0.5 else m - 1
+        states.append(m)
+    return states
+
+
+class TestChunkStates:
+    @pytest.mark.parametrize("n", [2, 3, 10, 64])
+    def test_numpy_passes_match_scalar_loop(self, n, monkeypatch):
+        # short chunks from every start, through the numpy passes even for
+        # the smallest chains: free walks, one end reached, the second end
+        # overshot by one or more after a lift or a drop
+        monkeypatch.setattr(simulate, "_REPLAY_N", 2)
+        rnd = np.random.default_rng(n)
+        for _ in range(600):
+            m = int(rnd.integers(1, n + 1))
+            unis = rnd.random(int(rnd.integers(1, 3 * n)))
+            assert simulate._chunk_states(n, m, unis).tolist() == _scalar_states(n, m, unis)
+
+
 class TestReplicationRng:
     def test_streams_are_keyed(self):
         a = replication_rng(5, 0).random(4)
@@ -526,9 +548,10 @@ def _path_parts(traj):
 # hundreds or thousands of events can reach both ends: the path from 1 at
 # N=512 reflects at 1 only, the one from the top at N=700 at N only, the one
 # from 300 at N=600 at neither, and the one from 30 at N=512 reaches 1 and
-# N over ~40 blocks.  At N=64, 100 and 300 paths reflect at both ends; with
-# a chunk of 32 these chains take chunks sized to the horizon, and at N=64
-# some of them reach both ends.
+# N over ~40 blocks.  At N=64, 80, 100 and 300 paths reflect at both ends:
+# from stationarity at N=64 and from 40 at N=80 some chunks' free walks
+# leave {1..N} on both sides, and others reach the second end only after
+# a one-end closed form has lifted or dropped the walk.
 _GOLDEN_PATHS = {
     (1, 1, 10.0): "aa3c6dbb1e215c13b5dadc9fa7df8f46273a1c437553fa29d4013f78481709bc",
     (1, "stationary", 10.0): "aa3c6dbb1e215c13b5dadc9fa7df8f46273a1c437553fa29d4013f78481709bc",
@@ -554,6 +577,8 @@ _GOLDEN_PATHS = {
     (100, 50, 20.0): "02ed6f8d59c11904c2f148c85c6b29fb5c68a4afb68cc8ce5a049ec9d2a34952",
     (300, "stationary", 30.0): "9a6584bd0330dcf30588966b3d74dc1b234644ca9caf07ddd9bfb451b663ade4",
     (64, 2, 200.0): "fec54c4fafb1f04888384426baea99809eaf05f6f6b8c8eeebc6803c2289a89f",
+    (64, "stationary", 300.0): "fb34d1c2a466b081b3a4f230d078606a965c61587bd261e958bc5991dccadcd9",
+    (80, 40, 100.0): "e6159caf2a4a79b1e34f3881af1ccd441f0ec1d0b1aad17f5f36cf33631b655c",
 }
 
 # (N, gamma0, epsilon, horizon, replications): N=1, a band wider than the
@@ -685,8 +710,8 @@ class TestGoldenStream:
 
     @pytest.mark.parametrize("chunk", [32, 1024])
     def test_chunk_size_does_not_matter(self, chunk, monkeypatch):
-        # a chunk of 32 takes the one-sided closed forms at N=50, one of 1024
-        # sends N=1000 through the event-by-event replay; every output, jump
+        # a chunk of 32 cuts the lln replications into many more chunks, one
+        # of 1024 lets N=1000 chunks reach both ends; every output, jump
         # counts included, must stay the same
         lln = [(_lln_point_digest, _GOLDEN_LLN_POINT),
                (_lln_stationary_digest, _GOLDEN_LLN_STATIONARY)]
@@ -699,6 +724,18 @@ class TestGoldenStream:
                 got, res = run(case)
                 assert got == digest
                 assert res.extra["jumps"] == jumps[case]
+
+    @pytest.mark.parametrize("replay_n", [2, 1 << 30])
+    def test_replay_threshold_does_not_matter(self, replay_n, monkeypatch):
+        # 2 sends the smallest chains through the numpy passes, 1 << 30
+        # replays every chunk of every chain event by event
+        monkeypatch.setattr(simulate, "_REPLAY_N", replay_n)
+        for case, digest in _GOLDEN_PATHS.items():
+            assert _sample_path_digest(case)[0] == digest
+        for case, digest in _GOLDEN_LLN_POINT.items():
+            assert _lln_point_digest(case)[0] == digest
+        for case, digest in _GOLDEN_LLN_STATIONARY.items():
+            assert _lln_stationary_digest(case)[0] == digest
 
     @pytest.mark.parametrize("chunk", [32, 1024])
     def test_tilted_chunk_size_does_not_matter(self, chunk, monkeypatch):
