@@ -12,9 +12,10 @@ their prefix sum with a closed form for the forced moves at an end, rates
 from the states before each jump, and jump times from np.add.accumulate,
 which adds in sequence exactly as the scalar loop does.  A chunk is sized
 to reach the next stop, and only where the path reaches both ends within
-a chunk are its states replayed event by event.  ``_blocks`` draws the
-uniforms only as the chunks read them, so a short replication draws few
-more than it uses, and the stream layout stays the same.
+a chunk, or on a chain of a few dozen states, are its states replayed
+event by event.  ``_blocks`` draws the uniforms only as the chunks read
+them, so a short replication draws few more than it uses, and the stream
+layout stays the same.
 
 The tilted chain thins candidate events against a majorant in a second
 kernel, ``_tilted_walk``.  A candidate's acceptance depends on its time,
@@ -54,6 +55,7 @@ __all__ = [
 
 _BLOCK = 8192
 _CHUNK = 256
+_MAX_CHUNK = 4096  # longer plain-chain chunks compute too many events past a stop
 _REPLAY_N = 64    # chains with fewer states replay their events one at a time
 _PASSES = 8       # speculation passes over a window before the scalar loop takes over
 _MIN_EVENTS = 24  # fewer expected candidates before the horizon go to the scalar loop
@@ -293,15 +295,16 @@ def _walk(n: int, lam: float, m: int, stops, rng: np.random.Generator, jumps: li
 
     The events are taken a chunk at a time from ``_blocks``.  A chunk is
     sized to reach the next stop at the current rate 2*lam*m with half as
-    many again to spare, and is at least _CHUNK events, so a short
-    replication draws few more uniforms than it reads.  A chunk's states
+    many again to spare, within [_CHUNK, _MAX_CHUNK] events, so a short
+    replication draws few more uniforms than it reads and a long one
+    computes few events past its last stop.  A chunk's states
     come from ``_chunk_states``: numpy passes, or an event-by-event replay
     of the scalar loop when the path reaches both ends of {1..n} within the
-    chunk.  Each event's rate is
-    read from the state before it, and its jump time is the running sum of
-    the holding times seeded with the current time.  np.add.accumulate adds
-    strictly in sequence, and every division and product is the one the
-    scalar Gillespie loop makes, so each trajectory is bit-identical to that
+    chunk or n is below _REPLAY_N.  Each event's rate is read from the
+    state before it, and its jump time is the running sum of the holding
+    times seeded with the current time.  np.add.accumulate adds strictly in
+    sequence, and every division and product is the one the scalar
+    Gillespie loop makes, so each trajectory is bit-identical to that
     loop's.
     """
     if n == 1:
@@ -315,7 +318,7 @@ def _walk(n: int, lam: float, m: int, stops, rng: np.random.Generator, jumps: li
     blocks = _blocks(rng)
     next(blocks)
     while True:
-        size = max(_CHUNK, math.ceil(min(_BLOCK, 3.0 * lam * m * (stop - t))))
+        size = max(_CHUNK, math.ceil(min(_MAX_CHUNK, 3.0 * lam * m * (stop - t))))
         exps, unis = blocks.send(size)
         c = exps.size
         states = _chunk_states(n, m, unis)
