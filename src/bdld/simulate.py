@@ -56,7 +56,7 @@ __all__ = [
 _BLOCK = 8192
 _CHUNK = 256
 _MAX_CHUNK = 4096  # longer plain-chain chunks compute too many events past a stop
-_REPLAY_N = 64    # chains with fewer states replay their events one at a time
+_REPLAY_N = 40    # chains with fewer states replay their events one at a time
 _PASSES = 8       # speculation passes over a window before the scalar loop takes over
 _MIN_EVENTS = 24  # fewer expected candidates before the horizon go to the scalar loop
 
