@@ -265,9 +265,9 @@ def _chunk_states(n: int, m: int, unis: np.ndarray) -> np.ndarray:
     F is the path while it stays within [1, n].  Otherwise the chunk takes
     the lower-end form if F drops below 1, else the upper-end form; that
     form leaves [1, n] only when the path reaches both ends, and then the
-    chunk is replayed event by event.  A chain of fewer than
-    _REPLAY_N states is always replayed: its walk reaches both ends within
-    most chunks, so the numpy passes would only add to the replay.
+    chunk is replayed event by event.  A chain of fewer than _REPLAY_N
+    states is always replayed: its walk reaches both ends within most
+    chunks, so the numpy passes would only add to the replay.
     """
     if n < _REPLAY_N:
         return _replay(n, m, unis)
@@ -297,10 +297,10 @@ def _walk(n: int, lam: float, m: int, stops, rng: np.random.Generator, jumps: li
     sized to reach the next stop at the current rate 2*lam*m with half as
     many again to spare, within [_CHUNK, _MAX_CHUNK] events, so a short
     replication draws few more uniforms than it reads and a long one
-    computes few events past its last stop.  A chunk's states
-    come from ``_chunk_states``: numpy passes, or an event-by-event replay
-    of the scalar loop when the path reaches both ends of {1..n} within the
-    chunk or n is below _REPLAY_N.  Each event's rate is read from the
+    computes few events past its last stop.  A chunk's states come from
+    ``_chunk_states``: numpy passes, or an event-by-event replay of the
+    scalar loop when the path reaches both ends of {1..n} within the chunk
+    or n is below _REPLAY_N.  Each event's rate is read from the
     state before it, and its jump time is the running sum of the holding
     times seeded with the current time.  np.add.accumulate adds strictly in
     sequence, and every division and product is the one the scalar
