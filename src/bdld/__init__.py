@@ -15,7 +15,6 @@ from .chain import (
     stationary_distribution,
 )
 from .evolve import (
-    GeneratorMatrix,
     RatePoint,
     empirical_rate_curve,
     endpoint_distribution,

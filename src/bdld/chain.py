@@ -18,8 +18,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .serialize import read_csv, write_csv
-
 __all__ = [
     "EULER_MASCHERONI",
     "ModelParams",
@@ -108,29 +106,9 @@ class ProbabilityVector:
         idx = int(np.searchsorted(self._cumulative, uniform, side="right"))
         return min(idx, self.n_states - 1) + 1
 
-    def to_csv(self, path) -> None:
-        write_csv(path, ["state", "mass"],
-                  ((m, float(p)) for m, p in enumerate(self.mass, start=1)))
-
-    @classmethod
-    def from_csv(cls, path) -> "ProbabilityVector":
-        header, rows = read_csv(path)
-        if header != ["state", "mass"]:
-            raise ValueError(f"unexpected CSV header {header}")
-        mass = np.empty(len(rows))
-        for state, value in rows:
-            mass[int(state) - 1] = float(value)
-        return cls(mass)
-
-    def to_json_obj(self) -> list[dict]:
-        return [{"state": m, "mass": float(p)} for m, p in enumerate(self.mass, start=1)]
-
-    @classmethod
-    def from_json_obj(cls, obj) -> "ProbabilityVector":
-        mass = np.empty(len(obj))
-        for entry in obj:
-            mass[int(entry["state"]) - 1] = float(entry["mass"])
-        return cls(mass)
+    def csv_table(self) -> tuple[list[str], list[tuple]]:
+        """Header and (state, mass) rows, state 1 first."""
+        return ["state", "mass"], list(enumerate(self.mass.tolist(), start=1))
 
 
 def jump_rates(params: ModelParams, m: int) -> tuple[float, float]:

@@ -139,7 +139,7 @@ def _run_stationary(settings):
     results = {"n": params.n_states, "lambda": params.lam,
                "detailed_balance_residual": residual}
     verdicts = {"detailed_balance": residual <= 1e-12}
-    tables = {"stationary.csv": (["state", "mass"], list(enumerate(pi.mass, start=1)))}
+    tables = {"stationary.csv": pi.csv_table()}
     return results, verdicts, tables
 
 
@@ -155,7 +155,7 @@ def _run_embedded(settings):
     residual = float(np.abs(flow - pi_hat.mass).max())
     results = {"n": params.n_states, "fixed_point_residual": residual}
     verdicts = {"fixed_point": residual <= 1e-12}
-    tables = {"embedded.csv": (["state", "mass"], list(enumerate(pi_hat.mass, start=1)))}
+    tables = {"embedded.csv": pi_hat.csv_table()}
     return results, verdicts, tables
 
 
@@ -170,7 +170,7 @@ def _run_simulate(settings):
                "occupation_tv_to_stationary": tv}
     tables = {
         "trajectory.csv": trajectory.csv_table(),
-        "occupation.csv": (["state", "mass"], list(enumerate(occupation.mass, start=1))),
+        "occupation.csv": occupation.csv_table(),
     }
     return results, {}, tables
 

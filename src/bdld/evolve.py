@@ -1,13 +1,15 @@
 """Exact finite-N transition probabilities by uniformization.
 
-The generator is tridiagonal, so the law of X(t) is computed as a Poisson
-mixture of powers of the uniformized kernel K = I + Q/Lam with Lam = 2*lam*N.
-Each kernel-vector product costs O(N) and the Poisson truncation error is
-certified, which makes this the brute-force oracle that every Monte Carlo
-estimate and every large-deviation rate in the package is checked against.
+The generator Q is tridiagonal, with the rates of chain.jump_rates off the
+diagonal, so the law of X(t) is computed as a Poisson mixture of powers of
+the uniformized kernel K = I + Q/Lam with Lam = 2*lam*N.  Each kernel-vector
+product costs O(N) and the Poisson truncation error is certified, which
+makes this the brute-force oracle that every Monte Carlo estimate and every
+large-deviation rate in the package is checked against.
 
-Probabilities are carried in linear space; window queries fall back to a
-log-space product chain when the linear mass underflows.  Window queries
+Probabilities are carried in linear space; a window whose linear mass falls
+below 1e-280 is answered by a log-space product chain instead, by
+window_probability and window_log_probability alike.  Window queries
 stop on a certified relative rule in both spaces: once k + 2 > mu, the
 weight of every Poisson order past k is at most pmf(k+1) / (1 - mu/(k+2)),
 and the sum ends when that bound is at most tol/2 of the window mass
@@ -21,7 +23,6 @@ territory.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -30,7 +31,6 @@ from scipy.stats import poisson
 from .chain import ModelParams, ProbabilityVector, stationary_distribution
 
 __all__ = [
-    "GeneratorMatrix",
     "endpoint_distribution",
     "evolve_distribution",
     "window_probability",
@@ -44,43 +44,6 @@ __all__ = [
 _LOG_SPACE_THRESHOLD = 1e-280
 
 
-@dataclass(frozen=True)
-class GeneratorMatrix:
-    """Tridiagonal generator: off-diagonals from the jump rates, diagonal
-    balancing each row to zero."""
-
-    up: np.ndarray
-    down: np.ndarray
-    diag: np.ndarray
-
-    def __post_init__(self):
-        up = np.asarray(self.up, dtype=float)
-        down = np.asarray(self.down, dtype=float)
-        diag = np.asarray(self.diag, dtype=float)
-        if not (up.shape == down.shape == diag.shape) or up.ndim != 1:
-            raise ValueError("up/down/diag must be one-dimensional arrays of equal length")
-        if np.any(up < 0.0) or np.any(down < 0.0):
-            raise ValueError("off-diagonal rates must be non-negative")
-        if float(np.abs(up + down + diag).max()) > 1e-14 * max(1.0, float(np.abs(diag).max())):
-            raise ValueError("generator rows must sum to zero within 1e-14")
-        for name, arr in (("up", up), ("down", down), ("diag", diag)):
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-
-    @classmethod
-    def from_params(cls, params: ModelParams) -> "GeneratorMatrix":
-        # the rates of chain.jump_rates, for every state at once
-        n, lam = params.n_states, params.lam
-        m = np.arange(1, n + 1, dtype=float)
-        up = np.where(m < n, lam * m, 0.0)
-        down = np.where(m > 1, lam * m, 0.0)
-        return cls(up=up, down=down, diag=-(up + down))
-
-    @property
-    def dimension(self) -> int:
-        return self.diag.size
-
-
 class _UniformizedKernel(NamedTuple):
     up: np.ndarray    # K(m, m+1), entry m-1
     down: np.ndarray  # K(m, m-1), entry m-1
@@ -89,12 +52,14 @@ class _UniformizedKernel(NamedTuple):
 
 
 def _uniformized_kernel(params: ModelParams) -> _UniformizedKernel:
-    gen = GeneratorMatrix.from_params(params)
-    lam_unif = 2.0 * params.lam * params.n_states
-    up = gen.up / lam_unif
-    down = gen.down / lam_unif
-    stay = 1.0 + gen.diag / lam_unif
-    return _UniformizedKernel(up, down, stay, lam_unif)
+    # the rates of chain.jump_rates, for every state at once
+    n, lam = params.n_states, params.lam
+    m = np.arange(1, n + 1, dtype=float)
+    up = np.where(m < n, lam * m, 0.0)
+    down = np.where(m > 1, lam * m, 0.0)
+    lam_unif = 2.0 * lam * n
+    return _UniformizedKernel(up / lam_unif, down / lam_unif,
+                              1.0 + -(up + down) / lam_unif, lam_unif)
 
 
 def _kernel_apply(p: np.ndarray, kern: _UniformizedKernel) -> np.ndarray:
@@ -185,7 +150,8 @@ def _window_mass(params: ModelParams, m0: int, t: float, states: np.ndarray, tol
     adding orders until the bound of _log_space_window on the omitted weight,
     pmf(k+1) / (1 - mu/(k+2)), is at most tol/2 of its own mass.  A window
     already certified at the cutoff gets the endpoint_distribution answer
-    bit for bit; a smaller one is returned as it stands at the cutoff.
+    bit for bit; a smaller one is returned as it stands at the cutoff, and
+    _certified_window replaces it by the log-space chain's answer.
     """
     if not 1 <= m0 <= params.n_states:
         raise ValueError(f"m0={m0} outside the state space 1..{params.n_states}")
@@ -210,13 +176,30 @@ def _window_mass(params: ModelParams, m0: int, t: float, states: np.ndarray, tol
     return float((acc / acc.sum())[idx].sum())
 
 
+def _certified_window(params: ModelParams, m0: int, t: float, window,
+                      tol: float) -> tuple[float, bool]:
+    """The window mass with its truncation certified to tol/2 of itself:
+    (P, False) from the linear-space mixture when P is at least
+    _LOG_SPACE_THRESHOLD, else (ln P, True) from the log-space chain."""
+    states = _normalize_window(params, window)
+    prob = _window_mass(params, m0, t, states, tol)
+    if prob >= _LOG_SPACE_THRESHOLD:
+        return prob, False
+    return _log_space_window(params, m0, t, states, tol), True
+
+
 def window_probability(params: ModelParams, m0: int, t: float, window, tol: float = 1e-12) -> float:
     """P(X(t) in window | X(0) = m0), with the Poisson truncation certified
-    to tol/2 of the window mass (see _window_mass)."""
-    prob = _window_mass(params, m0, t, _normalize_window(params, window), tol)
+    to tol/2 of the window mass.  A mass below _LOG_SPACE_THRESHOLD is
+    exp(window_log_probability): below the smallest normal double (ln P <
+    -708.4) it carries fewer digits, and ValueError if it underflows to zero."""
+    value, in_log_space = _certified_window(params, m0, t, window, tol)
+    if not in_log_space:
+        return value
+    prob = math.exp(value)
     if prob == 0.0:
         raise ValueError(
-            "window probability underflowed to zero in linear space; "
+            f"window probability exp({value}) underflows to zero in double precision; "
             "use window_log_probability")
     return prob
 
@@ -225,11 +208,8 @@ def window_log_probability(params: ModelParams, m0: int, t: float, window, tol: 
     """ln P(X(t) in window | X(0) = m0); switches to a log-space product chain
     when the linear-space mass underflows.  Either way the Poisson truncation
     is certified to tol/2 of the window mass."""
-    states = _normalize_window(params, window)
-    prob = _window_mass(params, m0, t, states, tol)
-    if prob >= _LOG_SPACE_THRESHOLD:
-        return math.log(prob)
-    return _log_space_window(params, m0, t, states, tol)
+    value, in_log_space = _certified_window(params, m0, t, window, tol)
+    return value if in_log_space else math.log(value)
 
 
 def _log_space_window(params: ModelParams, m0: int, t: float, states: np.ndarray, tol: float) -> float:

@@ -15,8 +15,9 @@ exactly, so the residual check below is pure round-off.  Five cases fix
 (c1, c2): constant, start at zero, end at zero, and the two generic monotone
 cases, where c1 solves a quadratic and the branch (smaller root for
 increasing paths, larger for decreasing) is the one keeping the parabola's
-vertex outside (0, T).  The branch choice is re-verified by an explicit
-admissibility sweep instead of being trusted.
+vertex outside (0, T).  The branch choice is re-verified instead of being
+trusted: the path is checked against [0, 1] at both ends and at its vertex,
+where a parabola takes its extremes.
 """
 
 from __future__ import annotations
@@ -24,8 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
 
 from .ldp import GridPath, rate_functional
 from .tilting import ClosedFormDualTilt, ConstantTilt
@@ -180,13 +179,20 @@ def solve_boundary(gamma0: float, gammaT: float, T: float, lam: float) -> Parabo
     return params
 
 
-def _verify_admissible(params: ParabolaParams, grid_size: int = 1000) -> None:
-    ts = np.linspace(0.0, params.horizon, grid_size + 1)
+def _verify_admissible(params: ParabolaParams) -> None:
+    """Raise AdmissibilityError unless the path stays in [0, 1] on [0, T] and
+    meets its boundary data.  A parabola's extremes on [0, T] lie at the ends
+    or at its vertex t = (c1 - 1/2)/lam, so those points are checked, in
+    order of t."""
+    ts = [0.0, params.horizon]
+    vertex = (params.c1 - 0.5) / params.lam
+    if 0.0 < vertex < params.horizon:  # never for the constant case, c1 = 0
+        ts.insert(1, vertex)
     for t in ts:
-        g = params.value(float(t))
+        g = params.value(t)
         if g < -1e-12 or g > 1.0 + 1e-12:
             raise AdmissibilityError(
-                f"solved path leaves [0, 1]: gamma({float(t)}) = {g} "
+                f"solved path leaves [0, 1]: gamma({t}) = {g} "
                 f"(gamma0={params.gamma0}, gammaT={params.gammaT})")
     if abs(params.value(0.0) - params.gamma0) > 1e-12:
         raise AdmissibilityError(f"gamma(0) misses gamma0 by "

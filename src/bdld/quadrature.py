@@ -50,6 +50,11 @@ _WEIGHTS_G = (
 )
 
 
+# Past this many intervals the sum is returned with its error estimate as it
+# stands.
+_MAX_INTERVALS = 4000
+
+
 class NonIntegrableError(ArithmeticError):
     """The integrand evaluated to a non-finite value inside an interval."""
 
@@ -84,7 +89,6 @@ def _gk15(f, a: float, b: float) -> tuple[float, float]:
 
 
 def integrate(f, a: float, b: float, abs_tol: float = 1e-9,
-              max_intervals: int = 4000,
               split_at: Iterable[float] = ()) -> QuadratureResult:
     """Integrate f over [a, b] to the requested absolute tolerance."""
     if not (b > a):
@@ -101,7 +105,7 @@ def integrate(f, a: float, b: float, abs_tol: float = 1e-9,
     heapq.heapify(heap)
     while True:
         total_err = -math.fsum(item[0] for item in heap)
-        if total_err <= abs_tol or len(heap) >= max_intervals:
+        if total_err <= abs_tol or len(heap) >= _MAX_INTERVALS:
             value = math.fsum(item[4] for item in heap)
             return QuadratureResult(value, total_err, len(heap))
         _, _, left, right, _ = heapq.heappop(heap)

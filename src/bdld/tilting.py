@@ -28,6 +28,9 @@ from .quadrature import integrate
 
 __all__ = ["ConstantTilt", "ClosedFormDualTilt", "CallableTilt"]
 
+# Absolute tolerance of CallableTilt's compensator integrals.
+_QUAD_TOL = 1e-10
+
 
 def _log(x):
     """math.log, element by element on an array: np.log differs from it in
@@ -114,12 +117,11 @@ class CallableTilt:
     silently biasing the sampler.
     """
 
-    def __init__(self, fn, bound: float, quad_tol: float = 1e-10):
+    def __init__(self, fn, bound: float):
         if not (bound >= 1.0 and math.isfinite(bound)):
             raise ValueError("bound must be finite and >= 1")
         self._fn = fn
         self._bound = float(bound)
-        self._quad_tol = float(quad_tol)
 
     def value(self, t):
         if isinstance(t, np.ndarray):
@@ -141,7 +143,7 @@ class CallableTilt:
                              for x, y in zip(a.tolist(), b.tolist())])
         if a == b:
             return 0.0
-        return integrate(integrand, a, b, abs_tol=self._quad_tol).value
+        return integrate(integrand, a, b, abs_tol=_QUAD_TOL).value
 
     def up_excess_integral(self, a, b):
         return self._excess(lambda s: self._checked(s) - 1.0, a, b)

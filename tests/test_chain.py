@@ -186,19 +186,20 @@ class TestProbabilityVector:
         with pytest.raises(ValueError):
             ProbabilityVector(np.array([1.2, -0.2]))
 
-    def test_csv_roundtrip(self, tmp_path):
-        pi = stationary_distribution(ModelParams(6, 2.0))
-        path = tmp_path / "pi.csv"
-        pi.to_csv(path)
-        back = ProbabilityVector.from_csv(path)
-        np.testing.assert_array_equal(pi.mass, back.mass)
-
-    def test_json_roundtrip(self):
-        pi = stationary_distribution(ModelParams(5, 1.0))
-        obj = pi.to_json_obj()
-        assert obj[0] == {"state": 1, "mass": pi.prob(1)}
-        back = ProbabilityVector.from_json_obj(obj)
-        np.testing.assert_array_equal(pi.mass, back.mass)
+    @pytest.mark.parametrize("pv", [
+        stationary_distribution(ModelParams(6, 2.0)),
+        embedded_stationary(ModelParams(5, 1.0)),
+        ProbabilityVector(np.array([0.0, 0.1, 0.2, 0.30000000000000004, 0.39999999999999997])),
+    ])
+    def test_csv_table(self, tmp_path, pv):
+        # the same bytes as the (state, numpy mass) rows the CLI wrote before
+        from bdld.serialize import write_csv
+        header, rows = pv.csv_table()
+        assert header == ["state", "mass"]
+        assert [state for state, _ in rows] == list(range(1, pv.n_states + 1))
+        write_csv(tmp_path / "table.csv", header, rows)
+        write_csv(tmp_path / "enumerated.csv", ["state", "mass"], list(enumerate(pv.mass, start=1)))
+        assert (tmp_path / "table.csv").read_bytes() == (tmp_path / "enumerated.csv").read_bytes()
 
     def test_inverse_cdf_sampling(self):
         pi = stationary_distribution(ModelParams(3, 1.0))

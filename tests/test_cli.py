@@ -359,6 +359,17 @@ class TestTiltedMcCommand:
         header = _read(tmp_path / "tilted_mc.csv").splitlines()[0]
         assert header == "estimate,stderr,exact,replications"
 
+    def test_oracle_below_the_linear_threshold(self, tmp_path):
+        # the window 588..600's linear mass at the bulk Poisson cutoff
+        # underflows to zero; the oracle answers from the log-space chain
+        code = main(["tilted-mc", "--n", "600", "--gamma0", "0.5", "--gamma-t", "0.99",
+                     "--half-width", "0.01", "--horizon", "0.1", "--reps", "10",
+                     "--out", str(tmp_path)])
+        assert code in (0, 1)
+        exact = json.loads(_read(tmp_path / "report.json"))["results"]["exact"]
+        # ln P from tests/test_evolve.py's _mpmath_log_window
+        assert math.log(exact) == pytest.approx(-341.16046390633267, rel=1e-9)
+
 
 class TestWriteCsv:
     def test_matches_row_by_row_formatting(self, tmp_path):

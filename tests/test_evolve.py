@@ -8,7 +8,7 @@ import pytest
 
 from bdld.chain import ModelParams, jump_rates, stationary_distribution
 from bdld.evolve import (
-    GeneratorMatrix,
+    _uniformized_kernel,
     empirical_rate_curve,
     endpoint_distribution,
     evolve_distribution,
@@ -24,27 +24,18 @@ WINDOW_FIXTURE = 0.004377798794991296
 
 
 class TestGeneratorMatrix:
-    def test_from_params(self):
-        gen = GeneratorMatrix.from_params(ModelParams(4, 2.0))
-        np.testing.assert_array_equal(gen.up, [2.0, 4.0, 6.0, 0.0])
-        np.testing.assert_array_equal(gen.down, [0.0, 4.0, 6.0, 8.0])
-        np.testing.assert_array_equal(gen.diag, -(gen.up + gen.down))
+    """The generator's rates as the uniformized kernel carries them."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 50, 1000])
     def test_from_params_matches_jump_rates(self, n):
         params = ModelParams(n, 1.7)
-        gen = GeneratorMatrix.from_params(params)
+        kern = _uniformized_kernel(params)
+        assert kern.rate == 2.0 * 1.7 * n
         rates = [jump_rates(params, m) for m in range(1, n + 1)]
-        assert gen.up.tobytes() == np.array([up for up, _ in rates]).tobytes()
-        assert gen.down.tobytes() == np.array([down for _, down in rates]).tobytes()
-
-    def test_row_sum_validation(self):
-        with pytest.raises(ValueError):
-            GeneratorMatrix(up=np.array([1.0]), down=np.array([0.0]),
-                            diag=np.array([-0.5]))
-        with pytest.raises(ValueError):
-            GeneratorMatrix(up=np.array([-1.0]), down=np.array([0.0]),
-                            diag=np.array([1.0]))
+        assert kern.up.tobytes() == (np.array([up for up, _ in rates]) / kern.rate).tobytes()
+        assert kern.down.tobytes() == (np.array([down for _, down in rates]) / kern.rate).tobytes()
+        # each row of K = I + Q/Lam sums to one: the generator's rows sum to zero
+        assert float(np.abs(kern.up + kern.down + kern.stay - 1.0).max()) <= 1e-15
 
 
 class TestEndpointDistribution:
@@ -135,6 +126,23 @@ class TestWindowProbability:
     def test_regression_fixture(self):
         prob = window_probability(ModelParams(100, 1.0), 50, 1.0, range(78, 83), tol=1e-12)
         assert abs(prob - WINDOW_FIXTURE) <= 1e-10 * WINDOW_FIXTURE + 1e-15
+
+    @pytest.mark.parametrize("n, lo, t, log_p", [
+        # ln P from _mpmath_log_window; the linear mass at the bulk cutoff
+        # underflows to zero here, and reads e^-733.6 in the second case
+        (600, 590, 0.1, -344.5587498670288),
+        (2150, 2007, 0.2, -633.7553380338289),
+    ])
+    def test_mass_below_the_linear_threshold(self, n, lo, t, log_p):
+        params = ModelParams(n, 1.0)
+        prob = window_probability(params, n // 2, t, range(lo, n + 1))
+        assert prob == math.exp(window_log_probability(params, n // 2, t, range(lo, n + 1)))
+        assert abs(math.log(prob) - log_p) <= 1e-9 * abs(log_p)
+
+    def test_mass_below_the_smallest_double(self):
+        # ln P is about -943 (TestLogSpaceWindow)
+        with pytest.raises(ValueError, match="underflows to zero"):
+            window_probability(ModelParams(400, 1.0), 200, 0.002, range(395, 401), tol=1e-10)
 
     def test_log_agrees_with_linear(self):
         logp = window_log_probability(ModelParams(100, 1.0), 50, 1.0, range(78, 83), tol=1e-12)

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bdld import optimal_paths
 from bdld.ldp import GridPath, rate_functional
 from bdld.optimal_paths import (
+    AdmissibilityError,
     ParabolaParams,
     PathCase,
     dual_tilt,
@@ -127,6 +129,75 @@ class TestSolveBoundary:
         for gamma0, gamma_t in ((0.9, 0.2), (0.55, 0.45)):
             pp = solve_boundary(gamma0, gamma_t, 2.0, 1.0)
             assert (pp.c1 - 0.5) / pp.lam > 2.0
+
+
+def _sweep_admissible(params: ParabolaParams, grid_size: int = 1000) -> None:
+    """The admissibility check as a sweep over grid_size + 1 equally spaced
+    times: the reference for the exact check of _verify_admissible."""
+    ts = np.linspace(0.0, params.horizon, grid_size + 1)
+    for t in ts:
+        g = params.value(float(t))
+        if g < -1e-12 or g > 1.0 + 1e-12:
+            raise AdmissibilityError(
+                f"solved path leaves [0, 1]: gamma({float(t)}) = {g} "
+                f"(gamma0={params.gamma0}, gammaT={params.gammaT})")
+    if abs(params.value(0.0) - params.gamma0) > 1e-12:
+        raise AdmissibilityError(f"gamma(0) misses gamma0 by "
+                                 f"{params.value(0.0) - params.gamma0}")
+    if abs(params.value(params.horizon) - params.gammaT) > 1e-10:
+        raise AdmissibilityError(f"gamma(T) misses gammaT by "
+                                 f"{params.value(params.horizon) - params.gammaT}")
+
+
+def _admits(check, params: ParabolaParams) -> bool:
+    try:
+        check(params)
+    except AdmissibilityError:
+        return False
+    return True
+
+
+class TestExactAdmissibility:
+    """_verify_admissible checks the ends and the vertex of the parabola,
+    where its extremes lie, instead of sweeping a grid of times."""
+
+    def test_agrees_with_the_sweep(self, monkeypatch):
+        # every solved path, and the parabola through the same boundary data
+        # on the other root of the quadratic for c1, whose vertex may lie
+        # inside (0, T)
+        exact = optimal_paths._verify_admissible
+        monkeypatch.setattr(optimal_paths, "_verify_admissible", lambda params: None)
+        grid = [i / 10 for i in range(11)]
+        counts = {True: 0, False: 0}
+        for horizon in (0.05, 0.5, 1.0, 2.0, 10.0):
+            for lam in (0.3, 1.0, 1.3, 4.0):
+                for gamma0 in grid:
+                    for gamma_t in grid:
+                        pp = solve_boundary(gamma0, gamma_t, horizon, lam)
+                        cases = [pp]
+                        if pp.case in (PathCase.GENERAL_INCREASING, PathCase.GENERAL_DECREASING):
+                            lt = lam * horizon
+                            c1 = -lt * (lt + 1.0) * gamma0 / (gamma_t - gamma0) / pp.c1
+                            if c1 not in (0.0, 1.0):
+                                cases.append(ParabolaParams(
+                                    c1, gamma0 / (c1 * (c1 - 1.0)), pp.case, lam, horizon,
+                                    gamma0, gamma_t))
+                        for params in cases:
+                            verdict = _admits(_sweep_admissible, params)
+                            assert _admits(exact, params) == verdict, params
+                            counts[verdict] += 1
+        assert counts[True] > 2000 and counts[False] > 1000
+
+    def test_dip_between_grid_points_is_rejected(self):
+        # the vertex t = 0.5004 lies between the sweep's times 0.500 and 0.501,
+        # where the path dips to -c2/4 = -3.6e-8
+        lam, c1, c2 = 5000.0, 2502.5, 1.44e-7
+        shape = ParabolaParams(c1, c2, PathCase.GENERAL_DECREASING, lam, 1.0, 0.0, 0.0)
+        pp = ParabolaParams(c1, c2, PathCase.GENERAL_DECREASING, lam, 1.0,
+                            shape.value(0.0), shape.value(1.0))
+        assert _admits(_sweep_admissible, pp)
+        with pytest.raises(AdmissibilityError, match=r"leaves \[0, 1\]: gamma\(0.5004\)"):
+            optimal_paths._verify_admissible(pp)
 
 
 class TestPathValue:
