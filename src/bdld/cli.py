@@ -198,6 +198,20 @@ def _oracle_tol(settings) -> float:
     return tol
 
 
+def _against_oracle(res, table: str, floor: float, exact_value):
+    """Results, verdicts and tables of a Monte Carlo estimate: the exact value
+    from exact_value() when N <= _ORACLE_N_CAP, and the verdict that the
+    estimate lies within 3 standard errors of it, the error floored at floor."""
+    results = res.to_json_obj()
+    verdicts = {}
+    if res.params.n_states <= _ORACLE_N_CAP:
+        exact = exact_value()
+        results["exact"] = exact
+        verdicts["matches_oracle"] = abs(res.estimate - exact) <= 3.0 * max(res.stderr, floor)
+    rows = [(res.estimate, res.stderr, results.get("exact", math.nan), res.replications)]
+    return results, verdicts, {table: (["estimate", "stderr", "exact", "replications"], rows)}
+
+
 def _run_lln_stationary(settings):
     params = _params(settings)
     tol = _oracle_tol(settings)
@@ -205,16 +219,9 @@ def _run_lln_stationary(settings):
     config = SimConfig(horizon=settings["horizon"] or max(times), seed=settings["seed"],
                        initial="stationary", replications=settings["reps"])
     res = lln_stationary_experiment(params, settings["u"], times, config)
-    results = res.to_json_obj()
-    verdicts = {}
-    if params.n_states <= _ORACLE_N_CAP:
-        exact = stationary_dwell_probability(params, settings["u"], times, tol=tol)
-        results["exact"] = exact
-        slack = 3.0 * max(res.stderr, 1e-12)
-        verdicts["matches_oracle"] = abs(res.estimate - exact) <= slack
-    rows = [(res.estimate, res.stderr, results.get("exact", math.nan), res.replications)]
-    tables = {"lln_stationary.csv": (["estimate", "stderr", "exact", "replications"], rows)}
-    return results, verdicts, tables
+    return _against_oracle(res, "lln_stationary.csv", 1e-12,
+                           lambda: stationary_dwell_probability(params, settings["u"], times,
+                                                                tol=tol))
 
 
 def _run_rate_curve(settings):
@@ -299,6 +306,9 @@ def _run_action(settings):
             else:
                 with open(settings["parabola_json"]) as fh:
                     params = ParabolaParams.from_json_obj(json.load(fh))
+                if params.lam != lam:
+                    raise UsageError(f"action: --lambda {lam!r} differs from the parabola "
+                                     f"JSON's lambda {params.lam!r}")
                 path = GridPath.from_descriptor(params, 0.0, params.horizon)
         except OSError as exc:
             raise UsageError(f"action: cannot read input: {exc}") from None
@@ -336,15 +346,9 @@ def _run_tilted_mc(settings):
     config = SimConfig(horizon=horizon, seed=settings["seed"], initial=m0,
                        replications=settings["reps"])
     res = tilted_window_experiment(params, tilt, window, config)
-    results = res.to_json_obj()
-    verdicts = {}
-    if n <= _ORACLE_N_CAP:
-        exact = window_probability(params, m0, horizon, range(window[0], window[1] + 1), tol=tol)
-        results["exact"] = exact
-        verdicts["matches_oracle"] = abs(res.estimate - exact) <= 3.0 * max(res.stderr, 1e-15)
-    rows = [(res.estimate, res.stderr, results.get("exact", math.nan), res.replications)]
-    tables = {"tilted_mc.csv": (["estimate", "stderr", "exact", "replications"], rows)}
-    return results, verdicts, tables
+    return _against_oracle(res, "tilted_mc.csv", 1e-15,
+                           lambda: window_probability(params, m0, horizon,
+                                                      range(window[0], window[1] + 1), tol=tol))
 
 
 def _run_hconv(settings):

@@ -7,17 +7,19 @@ product costs O(N) and the Poisson truncation error is certified, which
 makes this the brute-force oracle that every Monte Carlo estimate and every
 large-deviation rate in the package is checked against.
 
-Probabilities are carried in linear space; a window whose linear mass falls
-below 1e-280 is answered by a log-space product chain instead, by
-window_probability and window_log_probability alike.  Window queries
-stop on a certified relative rule in both spaces: once k + 2 > mu, the
-weight of every Poisson order past k is at most pmf(k+1) / (1 - mu/(k+2)),
-and the sum ends when that bound is at most tol/2 of the window mass
-accumulated so far (after Fox & Glynn, "Computing Poisson probabilities",
-CACM 1988).  Measured costs of one window query on a 2-core machine
-(gamma0 = 0.5, window 0.8 +- 0.02, T = 1): 1.1 s at N = 12800, 13.9 s at
-N = 25600 (log space), 57 s at N = 51200; beyond that is Monte Carlo
-territory.
+Probabilities are carried in linear space.  A window query
+(window_probability and window_log_probability alike) starts from the
+point law of endpoint_distribution and runs the bulk mixture of
+evolve_distribution up to its Poisson cutoff.  A window whose linear mass
+is then at least 1e-280 keeps adding orders until it is certified; a
+smaller one is answered by a log-space product chain instead.  Both stop
+on a certified relative rule: once k + 2 > mu, the weight of every Poisson
+order past k is at most pmf(k+1) / (1 - mu/(k+2)), and the sum ends when
+that bound is at most tol/2 of the window mass accumulated so far (after
+Fox & Glynn, "Computing Poisson probabilities", CACM 1988).  Measured
+costs of one window query on a 2-core machine (gamma0 = 0.5, window
+0.8 +- 0.02, T = 1): 1.1 s at N = 12800, 13.9 s at N = 25600 (log space),
+57 s at N = 51200; beyond that is Monte Carlo territory.
 """
 
 from __future__ import annotations
@@ -70,20 +72,15 @@ def _kernel_apply(p: np.ndarray, kern: _UniformizedKernel) -> np.ndarray:
     return q
 
 
-def _poisson_k_max(mu: float, tol: float) -> int:
-    """Smallest-ish K with the omitted Poisson(mu) tail mass below tol/2."""
+def _poisson_terms(mu: float, tol: float) -> np.ndarray:
+    """The Poisson(mu) pmf at the orders 0..K, for a smallest-ish K with the
+    omitted tail mass below tol/2."""
     if mu == 0.0:
-        return 0
+        return np.ones(1)
     k_max = int(poisson.ppf(1.0 - 0.5 * tol, mu)) + 1
     while poisson.sf(k_max, mu) > 0.5 * tol:
         k_max += max(4, int(0.05 * k_max))
-    return k_max
-
-
-def _poisson_terms(mu: float, tol: float) -> np.ndarray:
-    if mu == 0.0:
-        return np.ones(1)
-    return poisson.pmf(np.arange(_poisson_k_max(mu, tol) + 1), mu)
+    return poisson.pmf(np.arange(k_max + 1), mu)
 
 
 def check_tol(tol: float) -> None:
@@ -107,29 +104,36 @@ def evolve_distribution(params: ModelParams, dist, t: float, tol: float = 1e-12)
     p = dist.mass if isinstance(dist, ProbabilityVector) else np.asarray(dist, dtype=float)
     if p.size != params.n_states:
         raise ValueError("distribution dimension does not match n_states")
-    kern = _uniformized_kernel(params)
-    acc, _ = _poisson_mixture(p, kern, _poisson_terms(kern.rate * t, tol))
+    acc, *_ = _poisson_mixture(p, _uniformized_kernel(params), t, tol)
     acc /= acc.sum()
     return ProbabilityVector(acc)
 
 
-def _poisson_mixture(p: np.ndarray, kern: _UniformizedKernel,
-                     weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The sum of weights[k] * p K^k over k, and the last power p K^k."""
+def _poisson_mixture(p: np.ndarray, kern: _UniformizedKernel, t: float, tol: float):
+    """The bulk mixture: the sum over k of pmf(k) * p K^k for the Poisson(mu)
+    orders k up to the cutoff of _poisson_terms, mu = Lam*t.  Returns it with
+    the last power p K^k, its order k, its weight pmf(k) and mu."""
+    mu = kern.rate * t
+    weights = _poisson_terms(mu, tol)
     acc = weights[0] * p
     for w in weights[1:]:
         p = _kernel_apply(p, kern)
         acc += w * p
-    return acc, p
+    return acc, p, weights.size - 1, float(weights[-1]), mu
 
 
-def endpoint_distribution(params: ModelParams, m0: int, t: float, tol: float = 1e-12) -> ProbabilityVector:
-    """Law of X(t) given X(0) = m0, to certified truncation error below tol."""
+def _point(params: ModelParams, m0: int) -> np.ndarray:
+    """The law of a chain started at state m0."""
     if not 1 <= m0 <= params.n_states:
         raise ValueError(f"m0={m0} outside the state space 1..{params.n_states}")
     point = np.zeros(params.n_states)
     point[m0 - 1] = 1.0
-    return evolve_distribution(params, point, t, tol)
+    return point
+
+
+def endpoint_distribution(params: ModelParams, m0: int, t: float, tol: float = 1e-12) -> ProbabilityVector:
+    """Law of X(t) given X(0) = m0, to certified truncation error below tol."""
+    return evolve_distribution(params, _point(params, m0), t, tol)
 
 
 def _normalize_window(params: ModelParams, window) -> np.ndarray:
@@ -141,51 +145,35 @@ def _normalize_window(params: ModelParams, window) -> np.ndarray:
     return states
 
 
-def _window_mass(params: ModelParams, m0: int, t: float, states: np.ndarray, tol: float) -> float:
-    """P(X(t) in states | X(0) = m0) from the linear-space Poisson mixture.
+def _certified_window(params: ModelParams, m0: int, t: float, window,
+                      tol: float) -> tuple[float, bool]:
+    """The window mass with its truncation certified to tol/2 of itself:
+    (P, False) from the linear-space mixture when P is at least
+    _LOG_SPACE_THRESHOLD, else (ln P, True) from the log-space chain.
 
-    The bulk cutoff of _poisson_k_max leaves out at most tol/2 of the total
+    The bulk cutoff of _poisson_terms leaves out at most tol/2 of the total
     mass, which says nothing about a small window fed by the orders near the
     cutoff.  A window of mass at least _LOG_SPACE_THRESHOLD therefore keeps
     adding orders until the bound of _log_space_window on the omitted weight,
     pmf(k+1) / (1 - mu/(k+2)), is at most tol/2 of its own mass.  A window
     already certified at the cutoff gets the endpoint_distribution answer
-    bit for bit; a smaller one is returned as it stands at the cutoff, and
-    _certified_window replaces it by the log-space chain's answer.
+    bit for bit.
     """
-    if not 1 <= m0 <= params.n_states:
-        raise ValueError(f"m0={m0} outside the state space 1..{params.n_states}")
+    states = _normalize_window(params, window)
+    point = _point(params, m0)
     _check_time_tol(t, tol)
-    point = np.zeros(params.n_states)
-    point[m0 - 1] = 1.0
     kern = _uniformized_kernel(params)
-    mu = kern.rate * t
-    weights = _poisson_terms(mu, tol)
-    acc, p = _poisson_mixture(point, kern, weights)
+    acc, p, k, w, mu = _poisson_mixture(point, kern, t, tol)
     idx = states - 1
-    prob = float((acc / acc.sum())[idx].sum())
-    if prob < _LOG_SPACE_THRESHOLD:
-        return prob
-    k, w = weights.size - 1, float(weights[-1])
+    if float((acc / acc.sum())[idx].sum()) < _LOG_SPACE_THRESHOLD:
+        return _log_space_window(params, m0, t, states, tol), True
     while not (k + 2 > mu and w * mu / (k + 1) / (1.0 - mu / (k + 2))
                <= 0.5 * tol * float(acc[idx].sum())):
         k += 1
         w *= mu / k
         p = _kernel_apply(p, kern)
         acc += w * p
-    return float((acc / acc.sum())[idx].sum())
-
-
-def _certified_window(params: ModelParams, m0: int, t: float, window,
-                      tol: float) -> tuple[float, bool]:
-    """The window mass with its truncation certified to tol/2 of itself:
-    (P, False) from the linear-space mixture when P is at least
-    _LOG_SPACE_THRESHOLD, else (ln P, True) from the log-space chain."""
-    states = _normalize_window(params, window)
-    prob = _window_mass(params, m0, t, states, tol)
-    if prob >= _LOG_SPACE_THRESHOLD:
-        return prob, False
-    return _log_space_window(params, m0, t, states, tol), True
+    return float((acc / acc.sum())[idx].sum()), False
 
 
 def window_probability(params: ModelParams, m0: int, t: float, window, tol: float = 1e-12) -> float:
@@ -229,9 +217,8 @@ def _log_space_window(params: ModelParams, m0: int, t: float, states: np.ndarray
     updates that band alone: one max-shifted three-way log-sum-exp on
     preallocated buffers, swapped from step to step.  The buffers carry one
     -inf entry of padding at either end, standing for the absent moves
-    below state 1 and above state N.
+    below state 1 and above state N.  The caller has checked m0, t and tol.
     """
-    _check_time_tol(t, tol)
     kern = _uniformized_kernel(params)
     mu = kern.rate * t
     if mu == 0.0:

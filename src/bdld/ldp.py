@@ -302,6 +302,8 @@ def rate_functional_report(path: GridPath, lam: float, tol: float = 1e-9) -> dic
 def _integrate_action(path: GridPath, lam: float, tol: float) -> tuple[float, float, int]:
     if not (lam > 0.0 and math.isfinite(lam)):
         raise ValueError("lam must be positive and finite")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     t0, t1 = path.horizon
     interior = slice(1, -1)
     zero_moving = (path.values[interior] == 0.0) & (path.derivatives[interior] != 0.0)

@@ -130,9 +130,21 @@ class ParabolaParams:
             value = obj[key]
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ValueError(f"parabola JSON field {key!r} must be a number, got {value!r}")
-            numbers[name] = float(value)
+            try:
+                number = float(value)
+            except OverflowError:  # an integer beyond the largest double
+                number = math.inf
+            if not math.isfinite(number):
+                raise ValueError(f"parabola JSON field {key!r} must be finite, got {value!r}")
+            if key in ("lambda", "T") and not number > 0.0:
+                raise ValueError(f"parabola JSON field {key!r} must be positive, got {value!r}")
+            if key in ("gamma0", "gammaT") and not 0.0 <= number <= 1.0:
+                raise ValueError(f"parabola JSON field {key!r} must lie in [0, 1], got {value!r}")
+            numbers[name] = number
         level = numbers["gamma0"] if case is PathCase.CONSTANT else None
-        return cls(case=case, level=level, **numbers)
+        params = cls(case=case, level=level, **numbers)
+        _verify_admissible(params)
+        return params
 
 
 def solve_boundary(gamma0: float, gammaT: float, T: float, lam: float) -> ParabolaParams:

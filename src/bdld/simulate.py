@@ -242,16 +242,6 @@ def _lift(free: np.ndarray) -> np.ndarray:
     return lift
 
 
-def _drop(free: np.ndarray, n: int) -> np.ndarray:
-    """The walk with each forced move n -> n-1 of the upper end put back."""
-    drop = np.floor_divide(free - (n - 1), 2)
-    np.maximum(drop, 0, out=drop)
-    np.maximum.accumulate(drop, out=drop)
-    drop *= -2
-    drop += free
-    return drop
-
-
 def _chunk_states(n: int, m: int, unis: np.ndarray) -> np.ndarray:
     """States after each of the events driven by ``unis``, from state m.
 
@@ -260,7 +250,7 @@ def _chunk_states(n: int, m: int, unis: np.ndarray) -> np.ndarray:
     the path reaches only the lower end, each forced move 1 -> 2 lifts the
     rest of the walk by 2, and the lift so far is the smallest even
     number keeping every state >= 1: X = F + 2*max.accumulate(max(0, (2-F)//2)).
-    The upper end is the mirror image.
+    The upper end is the mirror image, m -> n+1-m, of the lower one.
 
     F is the path while it stays within [1, n].  Otherwise the chunk takes
     the lower-end form if F drops below 1, else the upper-end form; that
@@ -277,7 +267,7 @@ def _chunk_states(n: int, m: int, unis: np.ndarray) -> np.ndarray:
     if free.min() < 1:
         states = _lift(free)
     elif free.max() > n:
-        states = _drop(free, n)
+        states = n + 1 - _lift(n + 1 - free)
     else:
         return free
     if states.min() < 1 or states.max() > n:
@@ -368,15 +358,15 @@ def sample_path(params: ModelParams, config: SimConfig, replication: int = 0) ->
 
 def occupation_fractions(trajectory: Trajectory, n_states: int | None = None) -> ProbabilityVector:
     """Fraction of the horizon spent in each state."""
-    top = int(trajectory.visited_states().max())
+    visited = trajectory.visited_states()
+    top = int(visited.max())
     if n_states is None:
         n_states = top
     elif n_states < top:
         raise ValueError(f"n_states={n_states} below the highest visited state {top}")
     edges = np.concatenate(([0.0], trajectory.jump_times, [trajectory.horizon]))
     durations = np.diff(edges)
-    acc = np.zeros(n_states)
-    np.add.at(acc, trajectory.visited_states() - 1, durations)
+    acc = np.bincount(visited - 1, weights=durations, minlength=n_states)
     return ProbabilityVector(acc / acc.sum())
 
 

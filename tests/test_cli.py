@@ -10,6 +10,7 @@ import pytest
 
 from bdld import cli
 from bdld.cli import ExperimentSpec, UsageError, main, run
+from bdld.optimal_paths import optimal_action, solve_boundary
 
 
 def _read(path):
@@ -26,6 +27,11 @@ def _write_bad_inputs(directory):
     (directory / "a_file").write_text("")
     (directory / "empty.csv").write_text("")
     (directory / "number.json").write_text("3")
+    solved = solve_boundary(0.5, 0.8, 1.0, 1.0).to_json_obj()
+    for name, field, value in (("nan_c1", "c1", math.nan), ("nan_gamma0", "gamma0", math.nan),
+                               ("negative_lambda", "lambda", -1.0),
+                               ("misfit", "gamma0", 0.4)):  # c1, c2 give gamma(0) = 0.5
+        (directory / f"{name}.json").write_text(json.dumps({**solved, field: value}))
 
 
 class TestExitCodes:
@@ -134,6 +140,12 @@ class TestExitCodes:
          "--reps", "10"],
         ["rate-curve", "--gamma0", "0.5", "--gamma-t", "0.8", "--n-ladder", "10,20",
          "--half-width", "inf"],
+        ["action", "--parabola-json", "nan_c1.json"],
+        ["action", "--parabola-json", "nan_gamma0.json"],
+        ["action", "--parabola-json", "negative_lambda.json"],
+        ["action", "--parabola-json", "misfit.json"],
+        *(["action", "--gamma0", "0.5", "--gamma-t", "0.8", "--horizon", "1", "--tol", tol]
+          for tol in ("0", "-1", "nan", "inf")),
     ])
     def test_bad_input_exits_2_without_traceback(self, tmp_path, capsys, monkeypatch, argv):
         monkeypatch.chdir(tmp_path)
@@ -155,6 +167,14 @@ class TestExitCodes:
          "gammaT must lie in [0, 1], got nan"),
         (["tilted-mc", "--n", "100", "--gamma0", "0.5", "--gamma-t", "0.8", "--half-width",
           "nan", "--reps", "10"], "half_width must be finite and >= 0, got nan"),
+        (["action", "--parabola-json", "nan_c1.json"], "field 'c1' must be finite, got nan"),
+        (["action", "--parabola-json", "nan_gamma0.json"],
+         "field 'gamma0' must be finite, got nan"),
+        (["action", "--parabola-json", "negative_lambda.json"],
+         "field 'lambda' must be positive, got -1.0"),
+        (["action", "--parabola-json", "misfit.json"], "gamma(0) misses gamma0"),
+        (["action", "--gamma0", "0.5", "--gamma-t", "0.8", "--horizon", "1", "--tol", "nan"],
+         "tol must be positive and finite, got nan"),
     ])
     def test_bad_input_message_names_the_culprit(self, tmp_path, capsys, monkeypatch,
                                                  argv, message):
@@ -329,6 +349,22 @@ class TestActionCommand:
 
     def test_missing_inputs(self, tmp_path, capsys):
         assert main(["action", "--out", str(tmp_path)]) == 2
+
+    def test_parabola_json_lambda_must_match(self, tmp_path, capsys):
+        # the file's path was solved for lambda = 2, so it is no optimal path
+        # under the default --lambda 1
+        assert main(["opt-path", "--gamma0", "0.5", "--gamma-t", "0.8", "--horizon", "1",
+                     "--lambda", "2", "--out", str(tmp_path / "p")]) == 0
+        report = json.loads(_read(tmp_path / "p" / "report.json"))
+        blob = tmp_path / "pp.json"
+        blob.write_text(json.dumps(report["results"]["paths"][0]))
+        argv = ["action", "--parabola-json", str(blob), "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        assert "--lambda 1.0 differs from the parabola JSON's lambda 2.0" in capsys.readouterr().err
+        assert main(argv + ["--lambda", "2"]) == 0
+        action = json.loads(_read(tmp_path / "o" / "report.json"))["results"]["I"]
+        assert abs(action - optimal_action(0.5, 0.8, 1.0, 2.0)) <= 1e-9
+        assert abs(action - 0.0175242737) <= 1e-9
 
     def test_infinite_action_serializes_cleanly(self, tmp_path):
         # a path resting at zero with nonzero velocity has infinite action;

@@ -337,6 +337,13 @@ class TestRateFunctional:
         assert abs(report["I"] - ACTION_FIXTURE) <= 1e-8
         assert report["quadrature_error_estimate"] <= 1e-8
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_tol_must_be_positive_and_finite(self, tol):
+        path = GridPath.from_descriptor(solve_boundary(0.5, 0.8, 1.0, 1.0), 0.0, 1.0)
+        for integrate in (rate_functional, rate_functional_report):
+            with pytest.raises(ValueError, match="tol must be positive and finite"):
+                integrate(path, 1.0, tol=tol)
+
 
 class TestBracketGuard:
     def test_numeric_lagrangian_never_escapes(self):

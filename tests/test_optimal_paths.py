@@ -1,6 +1,8 @@
 """Tests for the closed-form boundary-value solutions and their duals."""
 
+import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -290,6 +292,21 @@ class TestOptimalAction:
         numeric = optimal_action(gamma0, gamma_t, horizon, 1.0, tol=1e-10)
         assert abs(numeric - analytic_action(pp)) <= 1e-9
 
+    def test_action_is_gamma_kappa_at_the_ends(self):
+        # Along the solved path H = lam*c2 is constant and kappa' gamma = -H, so
+        # I = int (kappa gamma' - H) dt = gamma(T) kappa(T) - gamma(0) kappa(0) with
+        # kappa = ln z, and gamma kappa -> 0 where the path touches zero.
+        def gamma_kappa(pp, t, gamma):
+            return 0.0 if gamma == 0.0 else gamma * math.log(pp.dual(t))
+
+        gammas = (0.0, 0.05, 0.2, 0.5, 0.8, 0.95, 1.0)
+        grid = itertools.product(gammas, gammas, (0.1, 1.0, 2.0, 5.0), (0.5, 1.0, 3.0))
+        for gamma0, gamma_t, horizon, lam in grid:  # 588 cases, all admissible
+            pp = solve_boundary(gamma0, gamma_t, horizon, lam)
+            exact = gamma_kappa(pp, horizon, gamma_t) - gamma_kappa(pp, 0.0, gamma0)
+            assert abs(optimal_action(gamma0, gamma_t, horizon, lam) - exact) <= 2e-9, \
+                (gamma0, gamma_t, horizon, lam)
+
     def test_local_optimality_small_batch(self):
         pp = solve_boundary(0.5, 0.8, 1.0, 1.0)
         base_action = optimal_action(0.5, 0.8, 1.0, 1.0, tol=1e-11)
@@ -349,6 +366,25 @@ class TestSerialization:
         obj = solve_boundary(0.5, 0.8, 1.0, 1.0).to_json_obj()
         obj[field] = value
         with pytest.raises(ValueError, match=f"field '{field}'"):
+            ParabolaParams.from_json_obj(obj)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("c1", math.nan, "must be finite"), ("c2", math.inf, "must be finite"),
+        ("gamma0", math.nan, "must be finite"), ("T", -math.inf, "must be finite"),
+        pytest.param("lambda", 10 ** 400, "must be finite", id="lambda-huge-int"),
+        ("lambda", -1.0, "must be positive"), ("T", 0, "must be positive"),
+        ("gammaT", 1.5, "must lie in [0, 1]"), ("gamma0", -0.1, "must lie in [0, 1]"),
+    ])
+    def test_json_field_out_of_range(self, field, value, message):
+        obj = solve_boundary(0.5, 0.8, 1.0, 1.0).to_json_obj()
+        obj[field] = value
+        with pytest.raises(ValueError, match=re.escape(f"field '{field}' {message}")):
+            ParabolaParams.from_json_obj(obj)
+
+    def test_json_path_must_meet_its_boundary_data(self):
+        obj = solve_boundary(0.5, 0.8, 1.0, 1.0).to_json_obj()
+        obj["gamma0"] = 0.4
+        with pytest.raises(AdmissibilityError, match="misses gamma0"):
             ParabolaParams.from_json_obj(obj)
 
     def test_json_constant_level_is_a_float(self):

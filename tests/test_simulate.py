@@ -171,6 +171,19 @@ class TestOccupationFractions:
         occ_rev = occupation_fractions(reversed_traj, 4)
         np.testing.assert_allclose(occ.mass, occ_rev.mass, atol=1e-12)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 50, 1000, 10_000])
+    def test_matches_add_at_byte_for_byte(self, n):
+        # np.bincount and np.add.at both add each duration in path order;
+        # about a thousand jumps per path, revisiting its states many times
+        params = ModelParams(n, 1.0)
+        for seed in range(3):
+            config = SimConfig(horizon=1000.0 / n, seed=seed, initial=(n + 1) // 2)
+            traj = sample_path(params, config)
+            durations = np.diff(np.concatenate(([0.0], traj.jump_times, [traj.horizon])))
+            acc = np.zeros(n)
+            np.add.at(acc, traj.visited_states() - 1, durations)
+            assert occupation_fractions(traj, n).mass.tobytes() == (acc / acc.sum()).tobytes()
+
     def test_long_run_matches_stationary(self):
         params = ModelParams(50, 1.0)
         traj = sample_path(params, SimConfig(horizon=2000.0, seed=5, initial="stationary"))
