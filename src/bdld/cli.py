@@ -188,8 +188,8 @@ def _run_lln_point(settings):
 
 
 def _oracle_tol(settings) -> float:
-    """The --tol of an exact cross-check, validated before any Monte Carlo
-    run spends its time."""
+    """The --tol of an exact computation, validated before any Monte Carlo
+    run spends its time: one range, (0, 1e-6], for every subcommand."""
     tol = settings["tol"]
     try:
         check_tol(tol)
@@ -298,7 +298,7 @@ def _run_opt_path(settings):
 
 def _run_action(settings):
     lam = settings["lam"]
-    tol = settings["tol"]
+    tol = _oracle_tol(settings)
     if settings["path_csv"] or settings["parabola_json"]:
         try:
             if settings["path_csv"]:

@@ -93,6 +93,16 @@ class Trajectory:
             if np.any(np.abs(np.diff(visited)) != 1):
                 raise ValueError("consecutive states must differ by exactly 1")
 
+    @classmethod
+    def _built(cls, initial_state: int, jump_times: np.ndarray, states_after_jump: np.ndarray,
+               horizon: float) -> "Trajectory":
+        """A path the kernels built: float times and int64 states that already
+        hold what __post_init__ checks, so they are not checked again."""
+        traj = object.__new__(cls)
+        traj.__dict__.update(initial_state=initial_state, jump_times=jump_times,
+                             states_after_jump=states_after_jump, horizon=horizon)
+        return traj
+
     @property
     def n_jumps(self) -> int:
         return self.jump_times.size
@@ -353,7 +363,7 @@ def sample_path(params: ModelParams, config: SimConfig, replication: int = 0) ->
     jumps: list = []
     for _ in _walk(params.n_states, params.lam, m0, (config.horizon,), rng, jumps):
         pass
-    return Trajectory(m0, *_joined(jumps), config.horizon)
+    return Trajectory._built(m0, *_joined(jumps), config.horizon)
 
 
 def occupation_fractions(trajectory: Trajectory, n_states: int | None = None) -> ProbabilityVector:
@@ -636,7 +646,7 @@ def tilted_sample_path(params: ModelParams, tilt, config: SimConfig,
     _tilted_walk(n, lam, m0, horizon, tilt, zbar, rng, jumps)
     times, states = _joined(jumps)
     log_w = _log_weight(tilt, lam, n, m0, times, states, horizon)
-    return WeightedTrajectory(Trajectory(m0, times, states, horizon), log_w)
+    return WeightedTrajectory(Trajectory._built(m0, times, states, horizon), log_w)
 
 
 def tilted_window_experiment(params: ModelParams, tilt, window: tuple[int, int],

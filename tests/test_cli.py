@@ -145,7 +145,7 @@ class TestExitCodes:
         ["action", "--parabola-json", "negative_lambda.json"],
         ["action", "--parabola-json", "misfit.json"],
         *(["action", "--gamma0", "0.5", "--gamma-t", "0.8", "--horizon", "1", "--tol", tol]
-          for tol in ("0", "-1", "nan", "inf")),
+          for tol in ("0", "-1", "nan", "inf", "1e300", "1e-3")),
     ])
     def test_bad_input_exits_2_without_traceback(self, tmp_path, capsys, monkeypatch, argv):
         monkeypatch.chdir(tmp_path)
@@ -175,6 +175,8 @@ class TestExitCodes:
         (["action", "--parabola-json", "misfit.json"], "gamma(0) misses gamma0"),
         (["action", "--gamma0", "0.5", "--gamma-t", "0.8", "--horizon", "1", "--tol", "nan"],
          "tol must be positive and finite, got nan"),
+        (["action", "--gamma0", "0", "--gamma-t", "0.5", "--horizon", "2", "--tol", "1e300"],
+         "tol must be at most 1e-6, got 1e+300"),
     ])
     def test_bad_input_message_names_the_culprit(self, tmp_path, capsys, monkeypatch,
                                                  argv, message):

@@ -6,8 +6,13 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from bdld import evolve
 from bdld.chain import ModelParams, jump_rates, stationary_distribution
 from bdld.evolve import (
+    _kernel_apply,
+    _log_space_window,
+    _log_window_bound,
+    _poisson_mixture,
     _uniformized_kernel,
     empirical_rate_curve,
     endpoint_distribution,
@@ -327,3 +332,144 @@ class TestStationaryDwellProbability:
     def test_empty_times_rejected(self):
         with pytest.raises(ValueError):
             stationary_dwell_probability(ModelParams(4, 1.0), 0.5, [])
+
+
+def _reference_mixture(p, kern, weights):
+    """The Poisson mixture one order at a time: the sum over k of
+    weights[k] * p K^k, and the last power."""
+    acc = weights[0] * p
+    for w in weights[1:]:
+        p = _kernel_apply(p, kern)
+        acc += w * p
+    return acc, p
+
+
+def _log_space_reference(params, m0, t, states, tol):
+    """ln of the window mass by the log-space uniformization sum, one Poisson
+    order at a time over every state, with _log_space_window's stopping rule."""
+    kern = _uniformized_kernel(params)
+    mu = kern.rate * t
+    with np.errstate(divide="ignore"):
+        l_up, l_down, l_stay = np.log(kern.up), np.log(kern.down), np.log(kern.stay)
+    lp = np.full(params.n_states, -np.inf)
+    lp[m0 - 1] = 0.0
+    idx = np.asarray(states) - 1
+    k, log_pmf = 0, -mu
+    acc = log_pmf + np.logaddexp.reduce(lp[idx])
+    while not (k + 2 > mu and acc > -np.inf and log_pmf + math.log(mu / (k + 1))
+               - math.log1p(-mu / (k + 2)) <= acc + math.log(0.5 * tol)):
+        k += 1
+        log_pmf += math.log(mu) - math.log(k)
+        nxt = lp + l_stay
+        nxt[1:] = np.logaddexp(nxt[1:], lp[:-1] + l_up[:-1])
+        nxt[:-1] = np.logaddexp(nxt[:-1], lp[1:] + l_down[1:])
+        lp = nxt
+        acc = np.logaddexp(acc, log_pmf + np.logaddexp.reduce(lp[idx]))
+    return float(acc)
+
+
+class TestBlockedKernel:
+    """The oracle steps _S Poisson orders per numpy pass through the band of
+    K^_S; these compare it with plain loops over one order at a time."""
+
+    @pytest.mark.parametrize("n", [2, 3, 50, 1000])
+    @pytest.mark.parametrize("k_max", [0, 1, 7, 8, 9, 16, 17])
+    def test_linear_mixture_matches_order_by_order_loop(self, n, k_max, monkeypatch):
+        # arbitrary positive weights for the orders 0..k_max, so the cutoff
+        # K is pinned at the block edges
+        weights = np.random.default_rng(k_max).uniform(0.5, 1.5, k_max + 1)
+        monkeypatch.setattr(evolve, "_poisson_terms", lambda mu, tol: weights)
+        params = ModelParams(n, 1.0)
+        kern = _uniformized_kernel(params)
+        starts = [np.eye(n)[m - 1] for m in (1, n, (n + 1) // 2)]
+        for p in starts + [stationary_distribution(params).mass]:
+            acc, last, k, w, mu = _poisson_mixture(p, kern, 0.3, 1e-12)
+            ref_acc, ref_last = _reference_mixture(p, kern, weights)
+            assert (k, w, mu) == (k_max, weights[-1], kern.rate * 0.3)
+            for got, ref in ((acc, ref_acc), (last, ref_last)):
+                assert np.array_equal(got == 0.0, ref == 0.0)
+                nonzero = ref != 0.0
+                assert np.all(np.abs(got[nonzero] / ref[nonzero] - 1.0) <= 1e-13)
+
+    def test_time_zero_is_exact(self):
+        params = ModelParams(50, 1.0)
+        p = stationary_distribution(params).mass
+        acc, last, k, w, mu = _poisson_mixture(p, _uniformized_kernel(params), 0.0, 1e-12)
+        assert acc.tobytes() == p.tobytes() and last.tobytes() == p.tobytes()
+        assert (k, w, mu) == (0, 1.0, 0.0)
+
+    @pytest.mark.parametrize("n, m0, t, states, tol", [
+        (400, 200, 0.002, range(395, 401), 1e-13),
+        (600, 300, 0.1, range(590, 601), 1e-13),
+        (2000, 1000, 0.1, range(1940, 1981), 1e-13),
+        (60, 30, 0.8, [2, 30, 59], 1e-13),
+        (600, 300, 0.01, [*range(70, 76), *range(575, 581)], 1e-13),
+        (3, 1, 0.5, [3], 1e-13),
+        (1000, 1, 0.05, range(1, 4), 1e-13),
+    ])
+    def test_log_space_chain_matches_order_by_order_loop(self, n, m0, t, states, tol):
+        params = ModelParams(n, 1.0)
+        logp = _log_space_window(params, m0, t, np.array(states), tol)
+        ref = _log_space_reference(params, m0, t, states, tol)
+        # relative to ln P, or to P itself when |ln P| < 1
+        assert abs(logp - ref) <= 1e-13 * max(1.0, abs(ref))
+
+    @pytest.mark.parametrize("n, m0, t, lo, hi", [
+        (60, 30, 0.05, 55, 60),
+        (200, 100, 0.005, 195, 200),
+    ])
+    def test_log_space_chain_matches_mpmath(self, n, m0, t, lo, hi):
+        logp = _log_space_window(ModelParams(n, 1.0), m0, t, np.arange(lo, hi + 1), 1e-13)
+        assert abs(logp - _mpmath_log_window(n, 1.0, m0, t, lo, hi)) <= 1e-13 * abs(logp)
+
+
+class TestLogSpaceGate:
+    """A window whose mass _log_window_bound certifies below e^-667.7
+    (1e-290) goes to the log-space chain without a linear pass."""
+
+    def _counted(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return _poisson_mixture(*args)
+
+        monkeypatch.setattr(evolve, "_poisson_mixture", counting)
+        return calls
+
+    def test_gated_query_skips_the_linear_mixture(self, monkeypatch):
+        params = ModelParams(2000, 1.0)
+        states = np.arange(1940, 1981)
+        assert _log_window_bound(2 * 2000 * 0.1, 1000, states) < math.log(1e-290)
+        calls = self._counted(monkeypatch)
+        logp = window_log_probability(params, 1000, 0.1, states, tol=1e-10)
+        assert not calls
+        assert logp == _log_space_window(params, 1000, 0.1, states, 1e-10)
+
+    def test_ungated_deep_query_runs_the_linear_mixture(self, monkeypatch):
+        # the bound stays above the gate here, though the mass is e^-344.6
+        states = np.arange(590, 601)
+        assert _log_window_bound(2 * 600 * 0.1, 300, states) >= math.log(1e-290)
+        calls = self._counted(monkeypatch)
+        window_log_probability(ModelParams(600, 1.0), 300, 0.1, states, tol=1e-10)
+        assert len(calls) == 1
+
+    def test_no_window_of_linear_mass_above_the_threshold_is_gated(self):
+        gated = ungated = 0
+        for n, m0, t in ((300, 150, 0.05), (600, 300, 0.1), (600, 1, 0.1), (1500, 200, 0.05)):
+            params = ModelParams(n, 1.0)
+            kern = _uniformized_kernel(params)
+            acc, *_ = _poisson_mixture(np.eye(n)[m0 - 1], kern, t, 1e-10)
+            acc /= acc.sum()
+            for lo in range(1, n + 1, max(1, n // 40)):
+                states = np.arange(lo, min(n, lo + 5) + 1)
+                bound = _log_window_bound(kern.rate * t, m0, states)
+                mass = float(acc[states - 1].sum())
+                if mass > 0.0:  # the bound holds wherever the mass is a normal double
+                    assert math.log(mass) <= bound + 1e-9
+                if bound < math.log(1e-290):
+                    gated += 1
+                    assert mass < 1e-280
+                else:
+                    ungated += 1
+        assert gated > 20 and ungated > 20

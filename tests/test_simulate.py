@@ -705,6 +705,11 @@ class TestGoldenStream:
         if case == (1000, 1000, 10.0):
             assert min(traj.n_jumps for traj in trajs) > 2 * 8192
         assert digest == _GOLDEN_PATHS[case]
+        # the kernels build their paths without Trajectory's checks; each
+        # path passes them and comes out the same, dtypes included
+        checked = [Trajectory(traj.initial_state, traj.jump_times, traj.states_after_jump,
+                              traj.horizon) for traj in trajs]
+        assert _digest(*[part for traj in checked for part in _path_parts(traj)]) == digest
 
     @pytest.mark.parametrize("case", sorted(_GOLDEN_LLN_POINT, key=repr))
     def test_lln_point(self, case):
