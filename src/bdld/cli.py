@@ -32,8 +32,8 @@ import numpy as np
 from . import __version__
 from .chain import (ModelParams, embedded_stationary, embedded_transition_row,
                     jump_rates, stationary_distribution)
-from .evolve import (check_tol, empirical_rate_curve, stationary_dwell_probability,
-                     window_probability)
+from .evolve import (check_tol, empirical_rate_curve, lattice_window,
+                     stationary_dwell_probability, window_probability)
 from .ldp import GridPath, ProbeFunction, hamiltonian, prelimit_hamiltonian, rate_functional_report
 from .optimal_paths import (ParabolaParams, dual_tilt, hamiltonian_residual,
                             optimal_action, sample_rows, solve_boundary)
@@ -341,8 +341,7 @@ def _run_tilted_mc(settings):
         raise UsageError(f"half_width must be finite and >= 0, got {half_width!r}")
     n = params.n_states
     m0 = round(gamma0 * n)
-    window = (max(1, round((gammaT - half_width) * n)),
-              min(n, round((gammaT + half_width) * n)))
+    window = lattice_window(n, gammaT, half_width)
     config = SimConfig(horizon=horizon, seed=settings["seed"], initial=m0,
                        replications=settings["reps"])
     res = tilted_window_experiment(params, tilt, window, config)

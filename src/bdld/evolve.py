@@ -1,38 +1,29 @@
 """Exact finite-N transition probabilities by uniformization.
 
 The generator Q is tridiagonal, with the rates of chain.jump_rates off the
-diagonal, so the law of X(t) is computed as a Poisson mixture of powers of
-the uniformized kernel K = I + Q/Lam with Lam = 2*lam*N.  Each kernel-vector
-product costs O(N) and the Poisson truncation error is certified, which
-makes this the brute-force oracle that every Monte Carlo estimate and every
-large-deviation rate in the package is checked against.
+diagonal, so the law of X(t) is a Poisson mixture of powers of the
+uniformized kernel K = I + Q/Lam, Lam = 2*lam*N.  Each kernel-vector product
+costs O(N) and the Poisson truncation is certified: this is the brute-force
+oracle every Monte Carlo estimate and large-deviation rate is checked against.
 
-Both sums below take _S = 8 Poisson orders per numpy pass, stepping by the
-band of B = K^8 (_poisson_mixture, _log_space_window).  That pays numpy's
-cost per call once per eight orders, which is most of the cost at the N of
-most queries (hundreds to a few thousand).  Summed in this order, results
-differ from an order-by-order sum in their last digits (below 1e-13
-relative).
-
-Probabilities are carried in linear space.  A window query
-(window_probability and window_log_probability alike) starts from the
-point law of endpoint_distribution and runs the bulk mixture of
-evolve_distribution up to its Poisson cutoff.  A window whose linear mass
-is then at least 1e-280 keeps adding orders until it is certified; a
-smaller one is answered by a log-space product chain instead, and so is a
-window that a Chernoff bound puts below 1e-290 before any linear pass.
-Both sums stop on a certified relative rule: once k + 2 > mu, the weight of
-every Poisson order past k is at most pmf(k+1) / (1 - mu/(k+2)), and the sum
-ends when that bound is at most tol/2 of the window mass accumulated so far
-(after Fox & Glynn, "Computing Poisson probabilities", CACM 1988).  Measured
-costs of one window query on a 2-core machine (gamma0 = 0.5, window
-0.8 +- 0.02, T = 1): 0.3-0.4 s at N = 6400, 1.5-2.1 s at N = 12800,
-17 s at N = 25600 (log space), 66 s at N = 51200; beyond that is Monte
-Carlo territory.
+Powers are taken _S = 8 orders per numpy pass through the band of K^8
+(_block_powers), which pays numpy's cost per call once per eight orders;
+results differ from an order-by-order sum below 1e-13 relative.  A law
+(evolve_distribution) is the bulk mixture of _poisson_mixture, cut where
+the Poisson tail falls below tol/2.  A window query never builds a law: one
+window chain (_window_chain) sums each order's window mass, y_j * (K^r 1_W),
+until a certified relative stop rule holds.  It runs in linear arithmetic
+first; a window whose mass at the bulk cutoff is below 1e-280, or that a
+Chernoff bound puts below 1e-290, is answered in log arithmetic, which
+reaches far below 1e-308.  Measured costs of one window query on a 2-core
+machine (gamma0 = 0.5, window 0.8 +- 0.02, T = 1): 0.3-0.4 s at N = 6400,
+1.3-2.2 s at N = 12800, 17 s at N = 25600 (log space), 69 s at N = 51200;
+beyond that is Monte Carlo territory.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import NamedTuple, Sequence
 
@@ -87,28 +78,22 @@ def _kernel_apply(p: np.ndarray, kern: _UniformizedKernel) -> np.ndarray:
     return q
 
 
-def _transposed(kern: _UniformizedKernel) -> _UniformizedKernel:
-    """The kernel whose _kernel_apply is v <- K v: K transposed, with the
-    up and down moves swapped and shifted by one state."""
-    up = np.append(kern.down[1:], 0.0)
-    down = np.insert(kern.up[:-1], 0, 0.0)
-    return _UniformizedKernel(up, down, kern.stay, kern.rate)
-
-
 def _block_gather(kern: _UniformizedKernel) -> np.ndarray:
     """The band of B = K^_S in gather form: G[i, m] = B[m+i-_S, m], zero
     where row m+i-_S lies outside the chain, so that (y B)[m] is the sum over
     i of y[m+i-_S] G[i, m].  Built by _S kernel steps from the identity's
     band, a step C <- C K reading in this form
-    (C K)[m+i-_S, m] = C[i, m] stay[m] + C[i+1, m-1] up[m-1] + C[i-1, m+1] down[m+1]."""
-    g = np.zeros((2 * _S + 1, kern.stay.size))
-    g[_S] = 1.0
-    for _ in range(_S):
-        h = g * kern.stay
-        h[:-1, 1:] += g[1:, :-1] * kern.up[:-1]
-        h[1:, :-1] += g[:-1, 1:] * kern.down[1:]
-        g = h
-    return g
+    (C K)[m+i-_S, m] = C[i, m] stay[m] + C[i+1, m-1] up[m-1] + C[i-1, m+1] down[m+1].
+    Step r writes only the 2r+1 rows _S-r.._S+r that K^r can fill, into the
+    other of two buffers."""
+    g = np.zeros((2, 2 * _S + 1, kern.stay.size))
+    g[0, _S] = 1.0
+    for r in range(1, _S + 1):
+        c, h = g[(r - 1) % 2, _S - r:_S + r + 1], g[r % 2, _S - r:_S + r + 1]
+        np.multiply(c, kern.stay, out=h)
+        h[:-1, 1:] += c[1:, :-1] * kern.up[:-1]
+        h[1:, :-1] += c[:-1, 1:] * kern.down[1:]
+    return g[_S % 2]
 
 
 def _poisson_terms(mu: float, tol: float) -> np.ndarray:
@@ -145,67 +130,72 @@ def evolve_distribution(params: ModelParams, dist, t: float, tol: float = 1e-12)
     p = dist.mass if isinstance(dist, ProbabilityVector) else np.asarray(dist, dtype=float)
     if p.size != params.n_states:
         raise ValueError("distribution dimension does not match n_states")
-    acc, *_ = _poisson_mixture(p, _uniformized_kernel(params), t, tol)
-    acc /= acc.sum()
-    return ProbabilityVector(acc)
+    acc = _poisson_mixture(p, _uniformized_kernel(params), t, tol)
+    return ProbabilityVector(acc / acc.sum())
 
 
-def _poisson_mixture(p: np.ndarray, kern: _UniformizedKernel, t: float, tol: float):
-    """The bulk mixture: the sum over k of pmf(k) * p K^k for the Poisson(mu)
-    orders k up to the cutoff K of _poisson_terms, mu = Lam*t.  Returns it with
-    the last power p K^K, its order K, its weight pmf(K) and mu.
+def _block_powers(kern: _UniformizedKernel, p: np.ndarray, log_space: bool):
+    """Yield (lo, hi, y_j[lo:hi]) for y_j = p K^(j*_S), j = 0, 1, ..., where
+    lo..hi-1 index the states y_j can reach; in log space p and y_j are
+    logarithms.  A step is one axis-0 sum (in log space a max-shifted
+    log-sum-exp) over a sliding view of y_j, padded by _S empty entries for
+    the states outside 1..N, times the band of K^_S.  The band is built once a
+    second power is asked for; a yielded view is overwritten two steps on."""
+    empty = -np.inf if log_space else 0.0
+    n = p.size
+    support = np.flatnonzero(p != empty)
+    lo, hi = (int(support[0]), int(support[-1]) + 1) if support.size else (0, 0)
+    ring = np.full((2, n + 2 * _S), empty)  # y_j at row j mod 2
+    ring[0, _S:_S + n] = p
+    yield lo, hi, ring[0, _S + lo:_S + hi]
+    g = _block_gather(kern)
+    if log_space:
+        with np.errstate(divide="ignore"):
+            g = np.log(g)
+    views = np.lib.stride_tricks.sliding_window_view(ring, n, axis=1)
+    for j in itertools.count(1):
+        lo, hi = max(0, lo - _S), min(n, hi + _S)
+        band = ring[j % 2, _S + lo:_S + hi]
+        if log_space:
+            terms = views[1 - j % 2, :, lo:hi] + g[:, lo:hi]
+            peak = terms.max(axis=0)
+            terms -= peak
+            np.exp(terms, out=terms)
+            np.log(np.add.reduce(terms, axis=0), out=band)
+            band += peak
+        else:
+            np.add.reduce(views[1 - j % 2, :, lo:hi] * g[:, lo:hi], axis=0, out=band)
+        yield lo, hi, band
 
-    The powers are taken _S at a time: y_j = p K^(j*_S) steps to y_(j+1) by
-    one product with the band of K^_S (_block_gather) over the states y_j can
-    reach, and Z_r collects pmf(j*_S + r) * y_j for r < _S.  The mixture is
-    then the sum over r of Z_r K^r, by Horner's rule in _S - 1 kernel steps.
-    With K < _S no band is built: Z_r = pmf(r) * p and Horner's rule takes
-    the K steps.  Only y_j and y_(j+1) are held, never all the powers."""
-    mu = kern.rate * t
-    weights = _poisson_terms(mu, tol)
+
+def _poisson_mixture(p: np.ndarray, kern: _UniformizedKernel, t: float, tol: float) -> np.ndarray:
+    """The bulk mixture: the sum over k of pmf(k) * p K^k, Poisson(Lam*t), up
+    to the cutoff K of _poisson_terms.  Z_r collects pmf(j*_S + r) * y_j over
+    the powers of _block_powers, and the mixture is the sum over r < _S of
+    Z_r K^r, by Horner's rule; with K < _S no band is built."""
+    weights = _poisson_terms(kern.rate * t, tol)
     k_max = weights.size - 1
     blocks, rows = k_max // _S + 1, min(_S, k_max + 1)
     w = np.zeros(blocks * _S)
     w[:k_max + 1] = weights
-    w = w.reshape(blocks, _S)[:, :rows, None]
-    n = p.size
-    support = np.flatnonzero(p)
-    lo, hi = (int(support[0]), int(support[-1]) + 1) if support.size else (0, 0)
-    z = np.zeros((rows, n))
-    z[:, lo:hi] += w[0] * p[lo:hi]
-    y = p
-    if blocks > 1:
-        g = _block_gather(kern)
-        ring = np.zeros((2, n + 2 * _S))  # y_j at row j mod 2, padded by _S zeros
-        ring[0, _S:_S + n] = p
-        views = np.lib.stride_tricks.sliding_window_view(ring, n, axis=1)
-        for j in range(1, blocks):
-            lo, hi = max(0, lo - _S), min(n, hi + _S)
-            band = ring[j % 2, _S + lo:_S + hi]
-            np.add.reduce(views[1 - j % 2, :, lo:hi] * g[:, lo:hi], axis=0, out=band)
-            z[:, lo:hi] += w[j] * band
-        y = ring[(blocks - 1) % 2, _S:_S + n].copy()
-    for _ in range(k_max % _S):
-        y = _kernel_apply(y, kern)
+    z = np.zeros((rows, p.size))
+    for w_j, (lo, hi, y) in zip(w.reshape(blocks, _S)[:, :rows, None],
+                                _block_powers(kern, p, False)):
+        z[:, lo:hi] += w_j * y
     acc = z[-1]
     for r in range(rows - 2, -1, -1):
         acc = _kernel_apply(acc, kern)
         acc += z[r]
-    return acc, y, k_max, float(weights[-1]), mu
-
-
-def _point(params: ModelParams, m0: int) -> np.ndarray:
-    """The law of a chain started at state m0."""
-    if not 1 <= m0 <= params.n_states:
-        raise ValueError(f"m0={m0} outside the state space 1..{params.n_states}")
-    point = np.zeros(params.n_states)
-    point[m0 - 1] = 1.0
-    return point
+    return acc
 
 
 def endpoint_distribution(params: ModelParams, m0: int, t: float, tol: float = 1e-12) -> ProbabilityVector:
     """Law of X(t) given X(0) = m0, to certified truncation error below tol."""
-    return evolve_distribution(params, _point(params, m0), t, tol)
+    if not 1 <= m0 <= params.n_states:
+        raise ValueError(f"m0={m0} outside the state space 1..{params.n_states}")
+    point = np.zeros(params.n_states)
+    point[m0 - 1] = 1.0
+    return evolve_distribution(params, point, t, tol)
 
 
 def _normalize_window(params: ModelParams, window) -> np.ndarray:
@@ -238,35 +228,21 @@ def _log_window_bound(mu: float, m0: int, states: np.ndarray) -> float:
 def _certified_window(params: ModelParams, m0: int, t: float, window,
                       tol: float) -> tuple[float, bool]:
     """The window mass with its truncation certified to tol/2 of itself:
-    (P, False) from the linear-space mixture when P is at least
-    _LOG_SPACE_THRESHOLD, else (ln P, True) from the log-space chain.
-
-    The bulk cutoff of _poisson_terms leaves out at most tol/2 of the total
-    mass, which says nothing about a small window fed by the orders near the
-    cutoff.  A window of mass at least _LOG_SPACE_THRESHOLD therefore keeps
-    adding orders until the bound of _log_space_window on the omitted weight,
-    pmf(k+1) / (1 - mu/(k+2)), is at most tol/2 of its own mass.  A window
-    already certified at the cutoff gets the endpoint_distribution answer
-    bit for bit.  A window that _log_window_bound puts below
-    _LOG_SPACE_GATE skips the linear mixture: its linear mass would read
-    below _LOG_SPACE_THRESHOLD, so the answer is the same.
-    """
+    (P, False) from the linear window chain when P is at least
+    _LOG_SPACE_THRESHOLD at the bulk cutoff, else (ln P, True) from the log
+    one.  A window that _log_window_bound puts below _LOG_SPACE_GATE skips
+    the linear chain: its linear mass would read below _LOG_SPACE_THRESHOLD,
+    so the answer is the same."""
     states = _normalize_window(params, window)
-    point = _point(params, m0)
+    if not 1 <= m0 <= params.n_states:
+        raise ValueError(f"m0={m0} outside the state space 1..{params.n_states}")
     _check_time_tol(t, tol)
     kern = _uniformized_kernel(params)
-    idx = states - 1
     if _log_window_bound(kern.rate * t, m0, states) >= _LOG_SPACE_GATE:
-        acc, p, k, w, mu = _poisson_mixture(point, kern, t, tol)
-        if float((acc / acc.sum())[idx].sum()) >= _LOG_SPACE_THRESHOLD:
-            while not (k + 2 > mu and w * mu / (k + 1) / (1.0 - mu / (k + 2))
-                       <= 0.5 * tol * float(acc[idx].sum())):
-                k += 1
-                w *= mu / k
-                p = _kernel_apply(p, kern)
-                acc += w * p
-            return float((acc / acc.sum())[idx].sum()), False
-    return _log_space_window(params, m0, t, states, tol), True
+        prob = _window_chain(kern, m0, t, states, tol, log_space=False)
+        if prob is not None:
+            return prob, False
+    return _window_chain(kern, m0, t, states, tol, log_space=True), True
 
 
 def window_probability(params: ModelParams, m0: int, t: float, window, tol: float = 1e-12) -> float:
@@ -293,88 +269,105 @@ def window_log_probability(params: ModelParams, m0: int, t: float, window, tol: 
     return value if in_log_space else math.log(value)
 
 
-def _log_space_window(params: ModelParams, m0: int, t: float, states: np.ndarray, tol: float) -> float:
-    """ln of the window mass via a log-space uniformization chain.
+def _window_masses(kern: _UniformizedKernel, m0: int, states: np.ndarray, log_space: bool,
+                   k_cap: int):
+    """Yield, block by block, the window masses of the orders j*_S + r, r < _S,
+    from m0: y_j * (K^r 1_W) for the powers y_j of _block_powers, summed over
+    the states within _S - 1 of the window, where K^r 1_W can be nonzero.  In
+    log space a block is a list of logarithms; in linear space an (_S, 2)
+    array with the total mass of y_j beside each window mass, which rounding
+    moves off 1 (by up to 1e-13 over a few thousand orders).  Raises
+    ArithmeticError past the order k_cap."""
+    n = kern.stay.size
+    near_lo, near_hi = max(0, int(states.min()) - _S), min(n, int(states.max()) + _S - 1)
+    columns, start = np.zeros((_S, n)), np.zeros(n)  # K^r 1_W and the point at m0
+    columns[0, states - 1] = start[m0 - 1] = 1.0
+    for r in range(1, _S):  # (K v)[m] = stay[m] v[m] + down[m] v[m-1] + up[m] v[m+1]
+        columns[r] = columns[r - 1] * kern.stay
+        columns[r, 1:] += columns[r - 1, :-1] * kern.down[1:]
+        columns[r, :-1] += columns[r - 1, 1:] * kern.up[:-1]
+    columns = columns[:, near_lo:near_hi]
+    if log_space:
+        with np.errstate(divide="ignore"):
+            columns, start = np.log(columns), np.log(start)
+    for j, (lo, hi, y) in enumerate(_block_powers(kern, start, log_space)):
+        if j * _S > k_cap:
+            raise ArithmeticError(
+                f"the window chain did not converge within {k_cap} Poisson orders")
+        a = max(lo, near_lo)
+        b = max(a, min(hi, near_hi))
+        y_near, c_near = y[a - lo:b - lo], columns[:, a - near_lo:b - near_lo]
+        if not log_space:
+            block = np.empty((_S, 2))
+            np.add.reduce(y_near * c_near, axis=1, out=block[:, 0])
+            block[:, 1] = np.add.reduce(y)
+            yield block
+            continue
+        terms = y_near + c_near
+        peak = float(terms.max(initial=-np.inf))
+        peak = peak if peak > -math.inf else 0.0  # no mass: the sums below are 0
+        np.exp(terms - peak, out=terms)
+        with np.errstate(divide="ignore"):
+            yield (np.log(terms.sum(axis=1)) + peak).tolist()
 
-    The truncation is adaptive: unlike the bulk computation, a deep-tail
-    window draws its entire mass from Poisson orders far beyond the usual
-    cutoff (the chain must make at least distance-many jumps), so the sum
-    keeps extending until the omitted terms provably cannot change the
-    accumulated window mass by more than tol/2 of itself.  Once k + 2 > mu
-    the Poisson pmf falls at least by the ratio mu/(k+2) per order, so the
-    weight of every order past k is at most pmf(k+1) / (1 - mu/(k+2)); each
-    order's window mass is at most its weight.  The bound is carried in log
-    space and nothing in it underflows; it is checked at every order.
 
-    The chain steps _S orders at a time, as the bulk mixture does:
-    ln y_(j+1) comes from ln y_j and the log of the band of K^_S by one
-    max-shifted log-sum-exp over the 2*_S+1 band rows, on the states
-    m0 - (j+1)*_S..m0 + (j+1)*_S alone, since no other state can hold mass.
-    The window masses of the orders j*_S + r, r < _S, are sums of
-    y_j * (K^r 1_W), and K^r 1_W is nonzero only within _S - 1 states of
-    the window.  The buffers carry _S entries of -inf padding at either end,
-    standing for the states below 1 and above N.  The caller has checked m0,
-    t and tol.
-    """
-    kern = _uniformized_kernel(params)
+def _window_chain(kern: _UniformizedKernel, m0: int, t: float, states: np.ndarray, tol: float,
+                  log_space: bool) -> float | None:
+    """The window mass after time t from m0, its Poisson truncation certified
+    to tol/2 of itself (mu = Lam*t).  Once k + 2 > mu the pmf falls at least
+    by mu/(k+2) per order, so all orders past k weigh at most
+    pmf(k+1) / (1 - mu/(k+2)); the sum stops at the first order where that is
+    at most tol/2 of the window mass so far (after Fox & Glynn, "Computing
+    Poisson probabilities", CACM 1988).  In linear arithmetic the weights are
+    those of _poisson_terms, then pmf(k-1) * mu/k: the sum runs at least to
+    their cutoff K, is divided by the same sum over the total masses (as a
+    law is normalised), and is None where the mass at K is below
+    _LOG_SPACE_THRESHOLD.  In log arithmetic it is ln P, and nothing in it
+    underflows.  The caller has checked m0, t and tol."""
     mu = kern.rate * t
+    k_cap = int(mu + 10.0 * math.sqrt(mu + 1.0)) + 6 * kern.stay.size + 1000
+    if not log_space:
+        weights = _poisson_terms(mu, tol)
+        k = weights.size - 1
+        blocks = _window_masses(kern, m0, states, False, k_cap)
+        head = np.concatenate(list(itertools.islice(blocks, k // _S + 1)))
+        acc, used = (weights[:, None] * head[:k + 1]).sum(axis=0).tolist()
+        if acc / used < _LOG_SPACE_THRESHOLD:
+            return None
+        w = float(weights[-1])
+        later = itertools.chain(head[k + 1:], itertools.chain.from_iterable(blocks))
+        while not (k + 2 > mu and w * mu / (k + 1) / (1.0 - mu / (k + 2)) <= 0.5 * tol * acc):
+            k += 1
+            w *= mu / k
+            mass, total = next(later)
+            acc += w * mass
+            used += w * total
+        return acc / used
     if mu == 0.0:
         return 0.0 if m0 in states else -math.inf
-    n = params.n_states
-    # the states within _S - 1 of the window, as indices of the chain's states
-    near_lo, near_hi = max(0, int(states.min()) - _S), min(n, int(states.max()) + _S - 1)
-    column = np.zeros(n)
-    column[states - 1] = 1.0
-    columns = [column]  # K^r 1_W
-    transposed = _transposed(kern)
-    for _ in range(_S - 1):
-        columns.append(_kernel_apply(columns[-1], transposed))
-    with np.errstate(divide="ignore"):
-        log_g = np.log(_block_gather(kern))
-        log_columns = np.log(np.array(columns)[:, near_lo:near_hi])
-    ring = np.full((2, n + 2 * _S), -np.inf)  # ln y_j, alternating rows
-    ring[0, _S + m0 - 1] = 0.0
-    views = np.lib.stride_tricks.sliding_window_view(ring, n, axis=1)
-    lo, hi = m0 - 1, m0  # the states y_j can reach, as indices
     log_pmf = -mu  # ln pmf(0)
     log_mu = math.log(mu)
     log_rel = math.log(0.5 * tol)
     acc = -math.inf
-    k_cap = int(mu + 10.0 * math.sqrt(mu + 1.0)) + 6 * n + 1000
-    j = 0
-    while True:
-        a, b = max(lo, near_lo), min(hi, near_hi)
-        masses = [-math.inf] * _S
-        if a < b:
-            terms = ring[j % 2, _S + a:_S + b] + log_columns[:, a - near_lo:b - near_lo]
-            peak = float(terms.max())
-            if peak > -math.inf:
-                np.exp(terms - peak, out=terms)
-                with np.errstate(divide="ignore"):
-                    masses = (np.log(terms.sum(axis=1)) + peak).tolist()
-        for r, mass in enumerate(masses):
-            k = j * _S + r
-            if k:
-                log_pmf += log_mu - math.log(k)
-            if mass > -math.inf:
-                acc = float(np.logaddexp(acc, log_pmf + mass))
-            if k + 2 > mu and acc > -math.inf:
-                log_tail = log_pmf + math.log(mu / (k + 1)) - math.log1p(-mu / (k + 2))
-                if log_tail <= acc + log_rel:
-                    return acc
-            if k >= k_cap:
-                raise ArithmeticError(
-                    f"log-space uniformization did not converge within {k_cap} terms "
-                    f"(window mass so far exp({acc}))")
-        j += 1
-        lo, hi = max(0, lo - _S), min(n, hi + _S)
-        terms = views[1 - j % 2, :, lo:hi] + log_g[:, lo:hi]
-        peak = terms.max(axis=0)
-        terms -= peak
-        np.exp(terms, out=terms)
-        band = ring[j % 2, _S + lo:_S + hi]
-        np.log(np.add.reduce(terms, axis=0), out=band)
-        band += peak
+    orders = itertools.chain.from_iterable(_window_masses(kern, m0, states, True, k_cap))
+    for k, mass in enumerate(orders):
+        if k:
+            log_pmf += log_mu - math.log(k)
+        if mass > -math.inf:
+            acc = float(np.logaddexp(acc, log_pmf + mass))
+        if k + 2 > mu and acc > -math.inf:
+            log_tail = log_pmf + math.log(mu / (k + 1)) - math.log1p(-mu / (k + 2))
+            if log_tail <= acc + log_rel:
+                return acc
+
+
+def lattice_window(n: int, center: float, half_width: float) -> tuple[int, int]:
+    """The states round((center - h)N)..round((center + h)N) within 1..N, empty
+    when lo > hi; each end is clamped to [0, N + 1] before it is rounded, so a
+    window wider than the chain is the whole chain, however wide."""
+    ends = (center - half_width, center + half_width)
+    lo, hi = (round(min(max(x * n, 0.0), n + 1.0)) for x in ends)
+    return max(1, lo), min(n, hi)
 
 
 class RatePoint(NamedTuple):
@@ -387,8 +380,7 @@ def empirical_rate_curve(params_list: Sequence[ModelParams], gamma0: float, gamm
                          T: float, half_width: float, tol: float = 1e-12) -> list[RatePoint]:
     """Finite-N decay rates a_N = -(1/N) ln P(X(T)/N near gammaT | X(0)/N = gamma0).
 
-    The window is the lattice interval round((gammaT - h)N)..round((gammaT + h)N).
-    The returned curve is what gets compared against the optimal action.
+    The window is lattice_window(N, gammaT, h).  The returned curve is what gets compared against the optimal action.
     """
     if not (0.0 < gamma0 < 1.0 and 0.0 < gammaT < 1.0):
         raise ValueError("gamma0 and gammaT must lie in (0, 1)")
@@ -398,8 +390,7 @@ def empirical_rate_curve(params_list: Sequence[ModelParams], gamma0: float, gamm
     for params in params_list:
         n = params.n_states
         m0 = round(gamma0 * n)
-        lo = max(1, round((gammaT - half_width) * n))
-        hi = min(n, round((gammaT + half_width) * n))
+        lo, hi = lattice_window(n, gammaT, half_width)
         if lo > hi:
             raise ValueError(f"empty window at N={n}")
         logp = window_log_probability(params, m0, T, range(lo, hi + 1), tol)

@@ -395,13 +395,14 @@ def lln_point_experiment(params: ModelParams, gamma0: float, epsilon: float,
     if not math.isfinite(gamma0):
         raise ValueError(f"gamma0 must be finite, got {gamma0!r}")
     n, lam, horizon = params.n_states, params.lam, config.horizon
-    m0 = round(gamma0 * n)
+    # clamped to [-1, N + 1] before rounding, which keeps huge values finite
+    m0 = round(min(max(gamma0 * n, -1.0), n + 1.0))
     if not 1 <= m0 <= n:
-        raise ValueError(f"round(gamma0*N)={m0} outside the state space")
+        raise ValueError(f"gamma0={gamma0!r} puts round(gamma0*N) outside 1..{n}")
     # Hit iff m <= lo or m >= hi (1e-9 grid snap: states are integers, so only
     # degenerate float ties are affected).
-    lo = math.floor(n * (gamma0 - epsilon) + 1e-9)
-    hi = math.ceil(n * (gamma0 + epsilon) - 1e-9)
+    lo = math.floor(max(n * (gamma0 - epsilon), -1.0) + 1e-9)
+    hi = math.ceil(min(n * (gamma0 + epsilon), n + 1.0) - 1e-9)
     reps = config.replications
     bound = horizon / (epsilon * epsilon * n)
     if lo < 1 and hi > n and not (m0 <= lo or m0 >= hi):

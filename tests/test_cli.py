@@ -146,6 +146,7 @@ class TestExitCodes:
         ["action", "--parabola-json", "misfit.json"],
         *(["action", "--gamma0", "0.5", "--gamma-t", "0.8", "--horizon", "1", "--tol", tol]
           for tol in ("0", "-1", "nan", "inf", "1e300", "1e-3")),
+        ["lln-point", "--n", "100", "--gamma0", "1e308", "--eps", "0.2", "--reps", "5"],
     ])
     def test_bad_input_exits_2_without_traceback(self, tmp_path, capsys, monkeypatch, argv):
         monkeypatch.chdir(tmp_path)
@@ -177,6 +178,8 @@ class TestExitCodes:
          "tol must be positive and finite, got nan"),
         (["action", "--gamma0", "0", "--gamma-t", "0.5", "--horizon", "2", "--tol", "1e300"],
          "tol must be at most 1e-6, got 1e+300"),
+        (["lln-point", "--n", "100", "--gamma0", "1e308", "--eps", "0.2", "--reps", "5"],
+         "gamma0=1e+308 puts round(gamma0*N) outside 1..100"),
     ])
     def test_bad_input_message_names_the_culprit(self, tmp_path, capsys, monkeypatch,
                                                  argv, message):
@@ -184,6 +187,25 @@ class TestExitCodes:
         _write_bad_inputs(tmp_path)
         assert main(argv + ["--out", str(tmp_path / "o")]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["rate-curve", "--gamma0", "0.5", "--gamma-t", "0.8", "--n-ladder", "10,20"],
+         "--half-width"),
+        (["tilted-mc", "--n", "20", "--gamma0", "0.5", "--gamma-t", "0.8", "--reps", "10"],
+         "--half-width"),
+        (["lln-point", "--n", "100", "--gamma0", "0.5", "--reps", "5"], "--eps"),
+    ])
+    def test_window_wider_than_the_chain_is_the_whole_chain(self, tmp_path, argv, flag):
+        # 1e308 * N overflows to inf, which round() and math.floor() reject;
+        # the answer is the one for 1e300, whose window or band already
+        # holds every state
+        codes, results = [], []
+        for width in ("1e300", "1e308"):
+            out = tmp_path / width
+            codes.append(main(argv + [flag, width, "--out", str(out)]))
+            results.append(json.loads(_read(out / "report.json"))["results"])
+        assert codes[0] == codes[1] != 3
+        assert results[0] == results[1]
 
 
 class TestStationaryCommand:

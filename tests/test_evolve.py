@@ -10,13 +10,15 @@ from bdld import evolve
 from bdld.chain import ModelParams, jump_rates, stationary_distribution
 from bdld.evolve import (
     _kernel_apply,
-    _log_space_window,
     _log_window_bound,
     _poisson_mixture,
+    _poisson_terms,
     _uniformized_kernel,
+    _window_chain,
     empirical_rate_curve,
     endpoint_distribution,
     evolve_distribution,
+    lattice_window,
     stationary_dwell_probability,
     window_log_probability,
     window_probability,
@@ -26,6 +28,12 @@ from bdld.simulate import SimConfig, sample_path
 # Regression fixture: N=100, lam=1, t=1, start 50, window 78..82,
 # computed once by uniformization at tol=1e-12.
 WINDOW_FIXTURE = 0.004377798794991296
+
+
+def _log_chain(params, m0, t, states, tol):
+    """ln of the window mass from the window chain in log arithmetic."""
+    return _window_chain(_uniformized_kernel(params), m0, t, np.asarray(states), tol,
+                         log_space=True)
 
 
 class TestGeneratorMatrix:
@@ -156,11 +164,10 @@ class TestWindowProbability:
     def test_log_space_chain_matches_linear_chain(self):
         # exercise the underflow fallback directly on a value the linear
         # route can also reach
-        from bdld.evolve import _log_space_window
         params = ModelParams(60, 1.0)
         states = np.arange(40, 46)
         linear = window_probability(params, 30, 0.8, states, tol=1e-12)
-        logp = _log_space_window(params, 30, 0.8, states, 1e-12)
+        logp = _log_chain(params, 30, 0.8, states, 1e-12)
         assert abs(logp - math.log(linear)) <= 1e-9
 
     def test_deep_tail_beyond_float_range(self):
@@ -224,11 +231,10 @@ class TestLinearWindowCertificate:
         # mu = 60 puts the bulk cutoff at K = 117, while these windows draw
         # their mass from orders near or past it: at lo = 260 the cutoff
         # alone gives ln P = -126.75 against -116.57
-        from bdld.evolve import _log_space_window
         params = ModelParams(300, 1.0)
         states = np.arange(lo, lo + 6)
         logp = window_log_probability(params, 150, 0.1, states, tol=1e-10)
-        exact = _log_space_window(params, 150, 0.1, states, 1e-10)
+        exact = _log_chain(params, 150, 0.1, states, 1e-10)
         assert abs(logp - exact) <= 2e-10 + 1e-12 * abs(exact)
         assert math.exp(logp) > 1e-280  # answered in linear space
         assert math.log(window_probability(params, 150, 0.1, states, tol=1e-10)) == logp
@@ -237,13 +243,20 @@ class TestLinearWindowCertificate:
 
     def test_certified_window_is_unchanged(self):
         # the bulk window is certified at the cutoff, so its answer is the
-        # endpoint distribution's, bit for bit
+        # endpoint distribution's up to the order of summation
         params = ModelParams(100, 1.0)
         dist = endpoint_distribution(params, 50, 1.0, tol=1e-12)
-        assert window_probability(params, 50, 1.0, range(1, 101), tol=1e-12) == float(
-            dist.mass.sum())
-        assert window_probability(params, 50, 1.0, range(40, 61), tol=1e-12) == float(
-            dist.mass[39:60].sum())
+        for lo, hi in ((1, 100), (40, 60)):
+            prob = window_probability(params, 50, 1.0, range(lo, hi + 1), tol=1e-12)
+            assert abs(prob / float(dist.mass[lo - 1:hi].sum()) - 1.0) <= 1e-13
+
+    def test_rounding_drift_of_the_powers_cancels(self):
+        # from state 2 at mu = 4000, rounding moves the powers' total mass off
+        # 1 by 1.1e-13 on the Poisson average; the chain divides by the same
+        # sum over the total masses, as a law is normalised, so the whole
+        # chain reads 1
+        prob = window_probability(ModelParams(2000, 1.0), 2, 1.0, range(1, 2001))
+        assert abs(prob - 1.0) <= 1e-14
 
 
 class TestLogSpaceWindow:
@@ -260,20 +273,18 @@ class TestLogSpaceWindow:
     @pytest.mark.parametrize("states", [range(25, 36), range(1, 61), [2, 30, 59]])
     def test_window_holding_the_start(self, states):
         # the k = 0 term counts toward the window mass
-        from bdld.evolve import _log_space_window
         params = ModelParams(60, 1.0)
         linear = window_probability(params, 30, 0.8, states, tol=1e-12)
-        logp = _log_space_window(params, 30, 0.8, np.array(states), 1e-12)
+        logp = _log_chain(params, 30, 0.8, np.array(states), 1e-12)
         assert abs(logp - math.log(linear)) <= 1e-9
 
     def test_time_zero(self):
-        from bdld.evolve import _log_space_window
         params = ModelParams(20_000, 1.0)
         states = np.arange(19_990, 20_001)
         assert window_log_probability(params, 10, 0.0, states) == -math.inf
-        assert _log_space_window(params, 10, 0.0, states, 1e-12) == -math.inf
+        assert _log_chain(params, 10, 0.0, states, 1e-12) == -math.inf
         assert window_log_probability(params, 19_995, 0.0, states) == 0.0
-        assert _log_space_window(params, 19_995, 0.0, states, 1e-12) == 0.0
+        assert _log_chain(params, 19_995, 0.0, states, 1e-12) == 0.0
 
     def test_non_contiguous_window(self):
         # one half below m0 and one above, of masses within e^10 of each
@@ -301,6 +312,18 @@ class TestEmpiricalRateCurve:
         wide = empirical_rate_curve([ModelParams(100, 1.0)], 0.5, 0.8, 1.0, 0.04)[0]
         assert wide.rate <= narrow.rate
         assert wide.window_prob >= narrow.window_prob
+
+    @pytest.mark.parametrize("half_width", [0.9, 1e300, 1e308])
+    def test_window_wider_than_the_chain(self, half_width):
+        # (gammaT -+ h) * N overflows to -+inf at 1e308; the window is 1..N
+        assert lattice_window(50, 0.8, half_width) == (1, 50)
+        point, = empirical_rate_curve([ModelParams(50, 1.0)], 0.5, 0.8, 1.0, half_width)
+        assert abs(point.window_prob - 1.0) <= 1e-12
+
+    def test_lattice_window_rounds_each_end(self):
+        assert lattice_window(100, 0.8, 0.02) == (78, 82)
+        assert lattice_window(100, 0.005, 0.02) == (1, 2)
+        assert lattice_window(100, 0.0, 0.0) == (1, 0)  # empty
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
@@ -336,17 +359,46 @@ class TestStationaryDwellProbability:
 
 def _reference_mixture(p, kern, weights):
     """The Poisson mixture one order at a time: the sum over k of
-    weights[k] * p K^k, and the last power."""
+    weights[k] * p K^k."""
     acc = weights[0] * p
     for w in weights[1:]:
         p = _kernel_apply(p, kern)
         acc += w * p
-    return acc, p
+    return acc
+
+
+def _linear_window_reference(params, m0, t, states, tol):
+    """The window mass one Poisson order at a time over every state, in
+    linear arithmetic: the weights of _poisson_terms, then pmf(k) =
+    pmf(k-1) * mu/k past the cutoff K until the window chain's certificate
+    holds, divided by the sum of the weights times each power's total mass.
+    None where the mass at K is below the log-space threshold."""
+    kern = _uniformized_kernel(params)
+    mu = kern.rate * t
+    weights = _poisson_terms(mu, tol)
+    idx = np.asarray(states) - 1
+    p = np.eye(params.n_states)[m0 - 1]
+    acc = used = 0.0
+    for k, w in enumerate(weights):
+        if k:
+            p = _kernel_apply(p, kern)
+        acc += w * float(p[idx].sum())
+        used += w * float(p.sum())
+    if acc / used < evolve._LOG_SPACE_THRESHOLD:
+        return None
+    k, w = weights.size - 1, float(weights[-1])
+    while not (k + 2 > mu and w * mu / (k + 1) / (1.0 - mu / (k + 2)) <= 0.5 * tol * acc):
+        k += 1
+        w *= mu / k
+        p = _kernel_apply(p, kern)
+        acc += w * float(p[idx].sum())
+        used += w * float(p.sum())
+    return acc / used
 
 
 def _log_space_reference(params, m0, t, states, tol):
     """ln of the window mass by the log-space uniformization sum, one Poisson
-    order at a time over every state, with _log_space_window's stopping rule."""
+    order at a time over every state, with the window chain's stopping rule."""
     kern = _uniformized_kernel(params)
     mu = kern.rate * t
     with np.errstate(divide="ignore"):
@@ -383,20 +435,54 @@ class TestBlockedKernel:
         kern = _uniformized_kernel(params)
         starts = [np.eye(n)[m - 1] for m in (1, n, (n + 1) // 2)]
         for p in starts + [stationary_distribution(params).mass]:
-            acc, last, k, w, mu = _poisson_mixture(p, kern, 0.3, 1e-12)
-            ref_acc, ref_last = _reference_mixture(p, kern, weights)
-            assert (k, w, mu) == (k_max, weights[-1], kern.rate * 0.3)
-            for got, ref in ((acc, ref_acc), (last, ref_last)):
-                assert np.array_equal(got == 0.0, ref == 0.0)
-                nonzero = ref != 0.0
-                assert np.all(np.abs(got[nonzero] / ref[nonzero] - 1.0) <= 1e-13)
+            acc = _poisson_mixture(p, kern, 0.3, 1e-12)
+            ref = _reference_mixture(p, kern, weights)
+            assert np.array_equal(acc == 0.0, ref == 0.0)
+            nonzero = ref != 0.0
+            assert np.all(np.abs(acc[nonzero] / ref[nonzero] - 1.0) <= 1e-13)
 
     def test_time_zero_is_exact(self):
         params = ModelParams(50, 1.0)
         p = stationary_distribution(params).mass
-        acc, last, k, w, mu = _poisson_mixture(p, _uniformized_kernel(params), 0.0, 1e-12)
-        assert acc.tobytes() == p.tobytes() and last.tobytes() == p.tobytes()
-        assert (k, w, mu) == (0, 1.0, 0.0)
+        acc = _poisson_mixture(p, _uniformized_kernel(params), 0.0, 1e-12)
+        assert acc.tobytes() == p.tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3, 50, 1000])
+    def test_block_gather_matches_full_band_steps(self, n):
+        # the reference: every step over all 2*_S+1 band rows
+        kern = _uniformized_kernel(ModelParams(n, 1.3))
+        s = evolve._S
+        g = np.zeros((2 * s + 1, n))
+        g[s] = 1.0
+        for _ in range(s):
+            h = g * kern.stay
+            h[:-1, 1:] += g[1:, :-1] * kern.up[:-1]
+            h[1:, :-1] += g[:-1, 1:] * kern.down[1:]
+            g = h
+        assert evolve._block_gather(kern).tobytes() == g.tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3, 50, 1000])
+    def test_linear_window_chain_matches_order_by_order_loop(self, n):
+        # windows at both ends and in the middle, from starts at both ends and
+        # in the middle; t = 0, cutoffs K < _S, and K far past it
+        params = ModelParams(n, 1.0)
+        kern = _uniformized_kernel(params)
+        mid = (n + 1) // 2
+        windows = [[1], [n], list(range(1, min(n, 3) + 1)), list(range(max(1, n - 2), n + 1)),
+                   list(range(max(1, mid - 5), min(n, mid + 5) + 1))]
+        cutoffs = set()
+        for mu in (0.0, 1e-3, 0.5, 30.0, 0.6 * n):
+            t = mu / kern.rate
+            cutoffs.add(_poisson_terms(mu, 1e-12).size - 1)
+            for m0 in {1, n, mid}:
+                for states in windows:
+                    got = _window_chain(kern, m0, t, np.array(states), 1e-12, log_space=False)
+                    ref = _linear_window_reference(params, m0, t, states, 1e-12)
+                    assert (got is None) == (ref is None)
+                    if ref is not None:
+                        assert abs(got / ref - 1.0) <= 1e-13
+        assert min(cutoffs) == 0 and any(0 < k < evolve._S for k in cutoffs)
+        assert max(cutoffs) > evolve._S
 
     @pytest.mark.parametrize("n, m0, t, states, tol", [
         (400, 200, 0.002, range(395, 401), 1e-13),
@@ -409,7 +495,7 @@ class TestBlockedKernel:
     ])
     def test_log_space_chain_matches_order_by_order_loop(self, n, m0, t, states, tol):
         params = ModelParams(n, 1.0)
-        logp = _log_space_window(params, m0, t, np.array(states), tol)
+        logp = _log_chain(params, m0, t, np.array(states), tol)
         ref = _log_space_reference(params, m0, t, states, tol)
         # relative to ln P, or to P itself when |ln P| < 1
         assert abs(logp - ref) <= 1e-13 * max(1.0, abs(ref))
@@ -419,7 +505,7 @@ class TestBlockedKernel:
         (200, 100, 0.005, 195, 200),
     ])
     def test_log_space_chain_matches_mpmath(self, n, m0, t, lo, hi):
-        logp = _log_space_window(ModelParams(n, 1.0), m0, t, np.arange(lo, hi + 1), 1e-13)
+        logp = _log_chain(ModelParams(n, 1.0), m0, t, np.arange(lo, hi + 1), 1e-13)
         assert abs(logp - _mpmath_log_window(n, 1.0, m0, t, lo, hi)) <= 1e-13 * abs(logp)
 
 
@@ -428,13 +514,14 @@ class TestLogSpaceGate:
     (1e-290) goes to the log-space chain without a linear pass."""
 
     def _counted(self, monkeypatch):
+        """The log_space flag of every window-chain pass, in call order."""
         calls = []
 
-        def counting(*args):
-            calls.append(args)
-            return _poisson_mixture(*args)
+        def counting(*args, log_space):
+            calls.append(log_space)
+            return _window_chain(*args, log_space=log_space)
 
-        monkeypatch.setattr(evolve, "_poisson_mixture", counting)
+        monkeypatch.setattr(evolve, "_window_chain", counting)
         return calls
 
     def test_gated_query_skips_the_linear_mixture(self, monkeypatch):
@@ -443,23 +530,34 @@ class TestLogSpaceGate:
         assert _log_window_bound(2 * 2000 * 0.1, 1000, states) < math.log(1e-290)
         calls = self._counted(monkeypatch)
         logp = window_log_probability(params, 1000, 0.1, states, tol=1e-10)
-        assert not calls
-        assert logp == _log_space_window(params, 1000, 0.1, states, 1e-10)
+        assert calls == [True]
+        assert logp == _log_chain(params, 1000, 0.1, states, 1e-10)
 
     def test_ungated_deep_query_runs_the_linear_mixture(self, monkeypatch):
-        # the bound stays above the gate here, though the mass is e^-344.6
+        # the bound stays above the gate here, though the mass is e^-344.6:
+        # the linear chain hands the query on at the bulk cutoff, and the
+        # answer is the log chain's, called directly
+        params = ModelParams(600, 1.0)
         states = np.arange(590, 601)
         assert _log_window_bound(2 * 600 * 0.1, 300, states) >= math.log(1e-290)
+        assert _window_chain(_uniformized_kernel(params), 300, 0.1, states, 1e-10,
+                             log_space=False) is None
         calls = self._counted(monkeypatch)
-        window_log_probability(ModelParams(600, 1.0), 300, 0.1, states, tol=1e-10)
-        assert len(calls) == 1
+        logp = window_log_probability(params, 300, 0.1, states, tol=1e-10)
+        assert calls == [False, True]
+        assert logp == _log_chain(params, 300, 0.1, states, 1e-10)
+
+    def test_bulk_query_takes_one_linear_pass(self, monkeypatch):
+        calls = self._counted(monkeypatch)
+        window_log_probability(ModelParams(100, 1.0), 50, 1.0, range(78, 83), tol=1e-12)
+        assert calls == [False]
 
     def test_no_window_of_linear_mass_above_the_threshold_is_gated(self):
         gated = ungated = 0
         for n, m0, t in ((300, 150, 0.05), (600, 300, 0.1), (600, 1, 0.1), (1500, 200, 0.05)):
             params = ModelParams(n, 1.0)
             kern = _uniformized_kernel(params)
-            acc, *_ = _poisson_mixture(np.eye(n)[m0 - 1], kern, t, 1e-10)
+            acc = _poisson_mixture(np.eye(n)[m0 - 1], kern, t, 1e-10)
             acc /= acc.sum()
             for lo in range(1, n + 1, max(1, n // 40)):
                 states = np.arange(lo, min(n, lo + 5) + 1)

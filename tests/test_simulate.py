@@ -230,6 +230,22 @@ class TestLlnPointExperiment:
             lln_point_experiment(ModelParams(100, 1.0), 0.5, 0.0,
                                  SimConfig(horizon=1.0, seed=1, replications=5))
 
+    @pytest.mark.parametrize("gamma0", [1e308, -1e308, 1.01, 0.004])
+    def test_start_outside_the_state_space(self, gamma0):
+        # gamma0*N overflows to inf at 1e308; a start outside 1..N is a ValueError
+        with pytest.raises(ValueError, match="outside 1..100"):
+            lln_point_experiment(ModelParams(100, 1.0), gamma0, 0.2,
+                                 SimConfig(horizon=1.0, seed=1, replications=5))
+
+    @pytest.mark.parametrize("epsilon", [0.6, 1e300, 1e308, 1.7e308])
+    def test_band_wider_than_the_chain(self, epsilon):
+        # N*(gamma0 +- epsilon) overflows to +-inf at 1e308: still a band that
+        # holds the whole space, so nothing is simulated
+        res = lln_point_experiment(ModelParams(100, 1.0), 0.5, epsilon,
+                                   SimConfig(horizon=1.0, seed=1, replications=5))
+        assert (res.estimate, res.stderr) == (0.0, 0.0)
+        assert (res.extra["hits"], res.extra["jumps"]) == (0, 0)
+
     @pytest.mark.parametrize("gamma0, epsilon, message", [
         (0.5, math.inf, "epsilon"), (0.5, math.nan, "epsilon"),
         (math.nan, 0.2, "gamma0"), (math.inf, 0.2, "gamma0")])
