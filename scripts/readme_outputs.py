@@ -9,10 +9,10 @@ commands run one after another in a fresh temporary directory; the
 [0, 1], which is written there first.
 
 Standard output gets, per command, its exit code, then the SHA-256 of every
-CSV written and of each report's ``results`` and ``verdicts`` (the report's
-wall time is the one field that differs from run to run).  Each command's
-wall time goes to standard error.  So two checkouts write the same outputs
-exactly when
+CSV written and of each report's ``results`` and ``verdicts`` (its
+``timings`` differ from run to run, and its ``provenance`` between
+machines).  Each command's wall time goes to standard error.  So two
+checkouts write the same outputs exactly when
 
     diff <(python3 scripts/readme_outputs.py OLD) <(python3 scripts/readme_outputs.py)
 

@@ -72,7 +72,8 @@ class Report:
     spec: dict
     results: dict
     verdicts: dict
-    provenance: dict
+    provenance: dict  # versions and seed: the same on every run of the spec
+    timings: dict     # what differs from run to run
     tables: dict = field(default_factory=dict)  # name -> (header, rows)
 
     @property
@@ -86,6 +87,7 @@ class Report:
             "results": self.results,
             "verdicts": self.verdicts,
             "provenance": self.provenance,
+            "timings": self.timings,
         }
 
 
@@ -101,9 +103,11 @@ def run(spec: ExperimentSpec) -> Report:
         verdicts=verdicts,
         provenance={
             "version": __version__,
+            "numpy": np.__version__,
+            "python": sys.version.split()[0],
             "seed": settings.get("seed"),
-            "wall_time_s": time.perf_counter() - t0,
         },
+        timings={"wall_time_s": time.perf_counter() - t0},
         tables=tables,
     )
     return report
@@ -245,7 +249,8 @@ def _run_rate_curve(settings):
         "curve": [{"n": pt.n, "a_n": pt.rate, "window_prob": pt.window_prob} for pt in curve],
         "gaps": gaps,
     }
-    verdicts = {"gap_decreasing": all(a > b for a, b in zip(gaps, gaps[1:]))}
+    # gaps of exactly 0 (a window holding the whole chain) have nowhere to shrink
+    verdicts = {"gap_decreasing": all(a > b or a == b == 0.0 for a, b in zip(gaps, gaps[1:]))}
     rows = [(pt.n, pt.rate, pt.window_prob, action) for pt in curve]
     tables = {"rate_curve.csv": (["N", "a_N", "window_prob", "I_ref"], rows)}
     return results, verdicts, tables

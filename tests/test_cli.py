@@ -11,6 +11,7 @@ import pytest
 from bdld import cli
 from bdld.cli import ExperimentSpec, UsageError, main, run
 from bdld.optimal_paths import optimal_action, solve_boundary
+from bdld.serialize import _CSV_BATCH
 
 
 def _read(path):
@@ -223,7 +224,16 @@ class TestStationaryCommand:
         assert report["kind"] == "stationary"
         assert report["verdicts"] == {"detailed_balance": True}
         assert report["spec"]["settings"]["n"] == 6
+        import platform
+
+        import numpy as np
         assert report["provenance"]["version"]
+        assert report["provenance"]["numpy"] == np.__version__
+        assert report["provenance"]["python"] == platform.python_version()
+        # the one field that differs from run to run sits apart from provenance
+        assert "wall_time_s" not in report["provenance"]
+        assert list(report["timings"]) == ["wall_time_s"]
+        assert report["timings"]["wall_time_s"] >= 0.0
 
 
 class TestEmbeddedCommand:
@@ -314,6 +324,36 @@ class TestRateCurveCommand:
         report = json.loads(_read(tmp_path / "report.json"))
         assert report["results"]["I_ref"] == 0.0
         assert _read(tmp_path / "rate_curve.csv").splitlines()[1].endswith(",0")
+
+    def test_window_holding_the_whole_chain_passes(self, tmp_path):
+        code = main(["rate-curve", "--n-ladder", "10,20", "--gamma0", "0.5", "--gamma-t", "0.8",
+                     "--half-width", "1e300", "--out", str(tmp_path)])
+        assert code == 0
+        report = json.loads(_read(tmp_path / "report.json"))
+        assert report["results"]["gaps"] == [0.0, 0.0]
+        assert report["verdicts"]["gap_decreasing"] is True
+
+    @pytest.mark.parametrize("rates, decreasing", [
+        ((0.2, 0.1, 0.0), True),
+        ((0.0, 0.0, 0.0), True),
+        ((0.1, 0.2), False),
+        ((0.1, 0.1), False),
+        ((0.0, 0.1), False),
+        ((0.1, 0.0, 0.0, 0.1), False),
+    ])
+    def test_gap_verdict(self, tmp_path, monkeypatch, rates, decreasing):
+        # the window [0.49, 0.53] holds gamma0, so I_ref = 0 and each gap is a_N
+        from bdld.evolve import RatePoint
+        monkeypatch.setattr(cli, "empirical_rate_curve", lambda params_list, *args, **kwargs: [
+            RatePoint(p.n_states, rate, math.exp(-p.n_states * rate))
+            for p, rate in zip(params_list, rates)])
+        ladder = ",".join(str(10 * (i + 1)) for i in range(len(rates)))
+        code = main(["rate-curve", "--n-ladder", ladder, "--gamma0", "0.5", "--gamma-t", "0.51",
+                     "--out", str(tmp_path)])
+        report = json.loads(_read(tmp_path / "report.json"))
+        assert report["results"]["gaps"] == list(rates)
+        assert report["verdicts"]["gap_decreasing"] is decreasing
+        assert code == (0 if decreasing else 1)
 
 
 class TestOptPathCommand:
@@ -456,6 +496,86 @@ class TestWriteCsv:
         from bdld.serialize import write_csv
         with pytest.raises(ValueError):
             write_csv(tmp_path / "t.csv", ["a", "b"], [(1, 2), (3,)])
+
+    @staticmethod
+    def _reference(header, rows) -> bytes:
+        # csv.writer over format_value text, one row at a time
+        import csv
+        import io
+
+        from bdld.serialize import format_value
+        out = io.StringIO(newline="")
+        writer = csv.writer(out)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([format_value(x) for x in row])
+        return out.getvalue().encode()
+
+    def _check(self, tmp_path, header, rows):
+        from bdld.serialize import write_csv
+        write_csv(tmp_path / "t.csv", header, rows)
+        assert (tmp_path / "t.csv").read_bytes() == self._reference(header, rows)
+
+    @pytest.mark.parametrize("header", [["a", "b"], ["a"]])
+    def test_strings_that_need_quotes(self, tmp_path, header):
+        texts = ["", "a,b", 'say "hi"', '"', "cr\rhere", "lf\nhere", "crlf\r\n", " x ", "tab\t", "é"]
+        rows = [(text,) * len(header) for text in texts]
+        self._check(tmp_path, header, rows)
+        self._check(tmp_path, ["", 'q"', "c,d"][:len(header)], rows)
+
+    def test_bool_none_and_float32_cells(self, tmp_path):
+        import numpy as np
+        rows = [(True, None, np.float32(0.1), np.bool_(False), np.float32("nan")),
+                (False, None, np.float32(-2.5), np.bool_(True), np.float16(0.1))]
+        self._check(tmp_path, list("abcde"), rows)
+
+    def test_ints_beyond_float_precision(self, tmp_path):
+        import numpy as np
+        rows = [(2**53 + 1, -(2**63) - 1, np.uint64(2**64 - 1), np.int64(-(2**63)), 10**30)]
+        self._check(tmp_path, list("abcde"), rows)
+        assert (tmp_path / "t.csv").read_text().splitlines()[1].startswith("9007199254740993,")
+
+    def test_special_floats(self, tmp_path):
+        import numpy as np
+        values = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.2250738585072009e-308,
+                  1e300, -1e300, 1.7976931348623157e308, 0.1, 1 / 3]
+        rows = [(x, np.float64(-x)) for x in values]
+        self._check(tmp_path, ["x", "minus_x"], rows)
+
+    def test_column_types_mixed_within_and_across_batches(self, tmp_path):
+        mixed = [1, 1.5, "s", None, True, -0.0]
+        rows = [(i, 0.25 * i, mixed[i % len(mixed)]) for i in range(_CSV_BATCH)]
+        # in the second batch the first column turns float, the second int,
+        # and the third holds ints alone
+        rows += [(i + 0.5, i, i) for i in range(_CSV_BATCH)]
+        rows += [("x", float(i), i if i % 2 else 0.5) for i in range(3)]
+        self._check(tmp_path, ["a", "b", "c"], rows)
+
+    @pytest.mark.parametrize("size", [0, 1, _CSV_BATCH - 1, _CSV_BATCH, _CSV_BATCH + 1,
+                                      3 * _CSV_BATCH + 1])
+    def test_batch_edges(self, tmp_path, size):
+        import numpy as np
+        rng = np.random.default_rng(size)
+        rows = list(zip(rng.standard_normal(size).tolist(), rng.integers(-9, 9, size).tolist()))
+        self._check(tmp_path, ["time", "state"], rows)
+
+    def test_rows_must_match_the_header(self, tmp_path):
+        from bdld.serialize import write_csv
+        rows = [(1.0, 2)] * (_CSV_BATCH + 5) + [(3.0,)]
+        with pytest.raises(ValueError, match="header's 2 fields"):
+            write_csv(tmp_path / "t.csv", ["a", "b"], rows)
+        with pytest.raises(ValueError):
+            write_csv(tmp_path / "t.csv", ["a"], [(1.0, 2)])
+
+    @pytest.mark.parametrize("n, horizon", [(3, 1000.0), (50, 40.0), (1000, 5.0)])
+    def test_trajectory_csv(self, tmp_path, n, horizon):
+        from bdld.chain import ModelParams
+        from bdld.simulate import SimConfig, sample_path
+        traj = sample_path(ModelParams(n, 1.0),
+                           SimConfig(horizon=horizon, seed=12, initial=n // 2 + 1, replications=1))
+        assert traj.n_jumps > 2 * _CSV_BATCH
+        traj.to_csv(tmp_path / "t.csv")
+        assert (tmp_path / "t.csv").read_bytes() == self._reference(*traj.csv_table())
 
 
 class TestConfigHandling:

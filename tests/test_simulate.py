@@ -540,6 +540,19 @@ class TestReplicationRng:
         assert not np.array_equal(a, b)
         np.testing.assert_array_equal(a, c)
 
+    @pytest.mark.parametrize("seed", [5, 2**64 + 3, -1])
+    def test_rekeyed_stream_equals_a_fresh_one(self, seed):
+        # each replication leaves its stream part way into a block, with a
+        # 32-bit half word buffered, before the next is re-keyed
+        streams = simulate._replication_rngs(seed, 3)
+        for rep, rng in enumerate(streams):
+            fresh = replication_rng(seed, rep)
+            np.testing.assert_array_equal(rng.standard_exponential(100),
+                                          fresh.standard_exponential(100))
+            np.testing.assert_array_equal(rng.random(7), fresh.random(7))
+            assert rng.random(dtype=np.float32) == fresh.random(dtype=np.float32)
+            assert rng.integers(1 << 40) == fresh.integers(1 << 40)
+
 
 class TestSimConfig:
     def test_validation(self):
