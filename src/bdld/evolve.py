@@ -7,18 +7,18 @@ costs O(N) and the Poisson truncation is certified: this is the brute-force
 oracle every Monte Carlo estimate and large-deviation rate is checked against.
 
 Powers are taken _S = 8 orders per numpy pass through the band of K^8
-(_block_powers), which pays numpy's cost per call once per eight orders;
-results differ from an order-by-order sum below 1e-13 relative.  A law
-(evolve_distribution) is the bulk mixture of _poisson_mixture, cut where
-the Poisson tail falls below tol/2.  A window query never builds a law: one
-window chain (_window_chain) sums each order's window mass, y_j * (K^r 1_W),
-until a certified relative stop rule holds.  It runs in linear arithmetic
-first; a window whose mass at the bulk cutoff is below 1e-280, or that a
-Chernoff bound puts below 1e-290, is answered in log arithmetic, which
-reaches far below 1e-308.  Measured costs of one window query on a 2-core
-machine (gamma0 = 0.5, window 0.8 +- 0.02, T = 1): 0.3-0.4 s at N = 6400,
-1.3-2.2 s at N = 12800, 17 s at N = 25600 (log space), 69 s at N = 51200;
-beyond that is Monte Carlo territory.
+(_block_powers); results differ from an order-by-order sum below 1e-13
+relative.  The Poisson weights are built from the mode outward by the pmf
+ratios and cut at a certified tail bound (_poisson_terms).  A law is the
+bulk mixture of _poisson_mixture.  A window query never builds a law: one
+window chain (_window_chain) sums the window masses y_j * (K^r 1_W) until a
+certified relative stop rule holds, in linear arithmetic reading the orders
+up to the cutoff K in groups of powers.  Below 1e-280 at K it answers in log
+arithmetic, far below 1e-308; a window more than K states from m0, or that a
+Chernoff bound puts below 1e-290, goes there without a linear pass.
+One query on a 2-core machine: 0.95 ms for a bulk window at N ~ 520,
+mu ~ 460; 0.14 / 0.57 / 8.3 s (log space) at N = 6400 / 12800 / 25600 for
+gamma0 = 0.5, window 0.8 +- 0.02, T = 1.  Beyond that is Monte Carlo.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ import math
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.stats import poisson
 
 from .chain import ModelParams, ProbabilityVector, stationary_distribution
 
@@ -97,14 +96,21 @@ def _block_gather(kern: _UniformizedKernel) -> np.ndarray:
 
 
 def _poisson_terms(mu: float, tol: float) -> np.ndarray:
-    """The Poisson(mu) pmf at the orders 0..K, for a smallest-ish K with the
-    omitted tail mass below tol/2."""
+    """The Poisson(mu) pmf at the orders 0..K, built from the mode outward by
+    the pmf ratios and normalised by their sum (after Fox & Glynn, CACM 1988).
+    K is the first order past mu - 2 whose tail bound pmf(K+1) / (1 - mu/(K+2))
+    (that of _window_chain) is at most tol/2; for any tol check_tol admits,
+    the orders built reach far past it."""
     if mu == 0.0:
         return np.ones(1)
-    k_max = int(poisson.ppf(1.0 - 0.5 * tol, mu)) + 1
-    while poisson.sf(k_max, mu) > 0.5 * tol:
-        k_max += max(4, int(0.05 * k_max))
-    return poisson.pmf(np.arange(k_max + 1), mu)
+    mode, top = int(mu), int(mu + 12.0 * math.sqrt(mu)) + 40
+    w = np.empty(top + 2)
+    w[mode::-1] = np.cumprod(np.r_[1.0, np.arange(mode, 0, -1) / mu])
+    w[mode + 1:] = np.cumprod(mu / np.arange(mode + 1, top + 2))
+    w /= w.sum()
+    k = np.arange(top + 1)
+    past = (k + 2 > mu) & (w[1:] <= 0.5 * tol * (1.0 - mu / (k + 2)))
+    return w[:int(past.argmax()) + 1]
 
 
 def check_tol(tol: float) -> None:
@@ -114,7 +120,7 @@ def check_tol(tol: float) -> None:
     if tol > 1e-6:
         raise ValueError(f"tol must be at most 1e-6, got {tol!r}")
     if 1.0 - 0.5 * tol == 1.0:
-        # the Poisson cutoff is the (1 - tol/2)-quantile, which must stay below 1
+        # a tail below half an ulp of 1 is lost in the rounding of weights that sum to 1
         raise ValueError(f"tol={tol!r} is below double precision: 1 - tol/2 rounds to 1")
 
 
@@ -135,27 +141,27 @@ def evolve_distribution(params: ModelParams, dist, t: float, tol: float = 1e-12)
 
 
 def _block_powers(kern: _UniformizedKernel, p: np.ndarray, log_space: bool):
-    """Yield (lo, hi, y_j[lo:hi]) for y_j = p K^(j*_S), j = 0, 1, ..., where
-    lo..hi-1 index the states y_j can reach; in log space p and y_j are
-    logarithms.  A step is one axis-0 sum (in log space a max-shifted
-    log-sum-exp) over a sliding view of y_j, padded by _S empty entries for
-    the states outside 1..N, times the band of K^_S.  The band is built once a
-    second power is asked for; a yielded view is overwritten two steps on."""
+    """Yield (lo, hi, y_j), y_j = p K^(j*_S), j = 0, 1, ..., empty (0, or -inf)
+    outside the states lo..hi-1 it can reach; in log space p and y_j are logs.
+    A step sums, per state, a sliding view of y_j (padded by _S empty entries)
+    times the band of K^_S: one np.einsum over the band stored state by state,
+    or in log space a max-shifted log-sum-exp down axis 0.  The band is built
+    once a second power is asked for; a yielded row is overwritten two steps on."""
     empty = -np.inf if log_space else 0.0
     n = p.size
     support = np.flatnonzero(p != empty)
     lo, hi = (int(support[0]), int(support[-1]) + 1) if support.size else (0, 0)
     ring = np.full((2, n + 2 * _S), empty)  # y_j at row j mod 2
     ring[0, _S:_S + n] = p
-    yield lo, hi, ring[0, _S + lo:_S + hi]
+    yield lo, hi, ring[0, _S:_S + n]
     g = _block_gather(kern)
-    if log_space:
-        with np.errstate(divide="ignore"):
-            g = np.log(g)
+    with np.errstate(divide="ignore"):  # linear: G[m, i], each state's products contiguous
+        g = np.log(g) if log_space else np.ascontiguousarray(g.T)
     views = np.lib.stride_tricks.sliding_window_view(ring, n, axis=1)
     for j in itertools.count(1):
         lo, hi = max(0, lo - _S), min(n, hi + _S)
-        band = ring[j % 2, _S + lo:_S + hi]
+        row = ring[j % 2, _S:_S + n]
+        band = row[lo:hi]
         if log_space:
             terms = views[1 - j % 2, :, lo:hi] + g[:, lo:hi]
             peak = terms.max(axis=0)
@@ -164,8 +170,8 @@ def _block_powers(kern: _UniformizedKernel, p: np.ndarray, log_space: bool):
             np.log(np.add.reduce(terms, axis=0), out=band)
             band += peak
         else:
-            np.add.reduce(views[1 - j % 2, :, lo:hi] * g[:, lo:hi], axis=0, out=band)
-        yield lo, hi, band
+            np.einsum("ij,ji->j", views[1 - j % 2, :, lo:hi], g[lo:hi], out=band)
+        yield lo, hi, row
 
 
 def _poisson_mixture(p: np.ndarray, kern: _UniformizedKernel, t: float, tol: float) -> np.ndarray:
@@ -181,7 +187,7 @@ def _poisson_mixture(p: np.ndarray, kern: _UniformizedKernel, t: float, tol: flo
     z = np.zeros((rows, p.size))
     for w_j, (lo, hi, y) in zip(w.reshape(blocks, _S)[:, :rows, None],
                                 _block_powers(kern, p, False)):
-        z[:, lo:hi] += w_j * y
+        z[:, lo:hi] += w_j * y[lo:hi]
     acc = z[-1]
     for r in range(rows - 2, -1, -1):
         acc = _kernel_apply(acc, kern)
@@ -246,15 +252,15 @@ def _certified_window(params: ModelParams, m0: int, t: float, window,
 
 
 def window_probability(params: ModelParams, m0: int, t: float, window, tol: float = 1e-12) -> float:
-    """P(X(t) in window | X(0) = m0), with the Poisson truncation certified
-    to tol/2 of the window mass.  A mass below _LOG_SPACE_THRESHOLD is
-    exp(window_log_probability): below the smallest normal double (ln P <
-    -708.4) it carries fewer digits, and ValueError if it underflows to zero."""
+    """P(X(t) in window | X(0) = m0), its Poisson truncation certified to
+    tol/2 of the window mass.  A mass below _LOG_SPACE_THRESHOLD is
+    exp(window_log_probability): with fewer digits below e^-708.4, 0.0 if
+    exact (t = 0, m0 outside the window), and ValueError if it underflows."""
     value, in_log_space = _certified_window(params, m0, t, window, tol)
     if not in_log_space:
         return value
     prob = math.exp(value)
-    if prob == 0.0:
+    if prob == 0.0 and value > -math.inf:
         raise ValueError(
             f"window probability exp({value}) underflows to zero in double precision; "
             "use window_log_probability")
@@ -269,41 +275,36 @@ def window_log_probability(params: ModelParams, m0: int, t: float, window, tol: 
     return value if in_log_space else math.log(value)
 
 
-def _window_masses(kern: _UniformizedKernel, m0: int, states: np.ndarray, log_space: bool,
-                   k_cap: int):
-    """Yield, block by block, the window masses of the orders j*_S + r, r < _S,
-    from m0: y_j * (K^r 1_W) for the powers y_j of _block_powers, summed over
-    the states within _S - 1 of the window, where K^r 1_W can be nonzero.  In
-    log space a block is a list of logarithms; in linear space an (_S, 2)
-    array with the total mass of y_j beside each window mass, which rounding
-    moves off 1 (by up to 1e-13 over a few thousand orders).  Raises
-    ArithmeticError past the order k_cap."""
-    n = kern.stay.size
-    near_lo, near_hi = max(0, int(states.min()) - _S), min(n, int(states.max()) + _S - 1)
-    columns, start = np.zeros((_S, n)), np.zeros(n)  # K^r 1_W and the point at m0
-    columns[0, states - 1] = start[m0 - 1] = 1.0
+def _window_setup(kern: _UniformizedKernel, m0: int, states: np.ndarray, log_space: bool):
+    """(lo, hi, c, powers): c[r] = K^r 1_W, r < _S, on the states lo..hi-1
+    within _S - 1 of the window, outside which it is 0, and the powers of
+    _block_powers from m0; in log space both are logarithms."""
+    lo, hi = max(0, int(states[0]) - _S), min(kern.stay.size, int(states[-1]) + _S - 1)
+    stay, up, down = kern.stay[lo:hi], kern.up[lo:hi], kern.down[lo:hi]
+    c, start = np.zeros((_S, hi - lo)), np.zeros(kern.stay.size)
+    c[0, states - 1 - lo] = start[m0 - 1] = 1.0
     for r in range(1, _S):  # (K v)[m] = stay[m] v[m] + down[m] v[m-1] + up[m] v[m+1]
-        columns[r] = columns[r - 1] * kern.stay
-        columns[r, 1:] += columns[r - 1, :-1] * kern.down[1:]
-        columns[r, :-1] += columns[r - 1, 1:] * kern.up[:-1]
-    columns = columns[:, near_lo:near_hi]
+        c[r] = c[r - 1] * stay
+        c[r, 1:] += c[r - 1, :-1] * down[1:]
+        c[r, :-1] += c[r - 1, 1:] * up[:-1]
     if log_space:
         with np.errstate(divide="ignore"):
-            columns, start = np.log(columns), np.log(start)
-    for j, (lo, hi, y) in enumerate(_block_powers(kern, start, log_space)):
+            c, start = np.log(c), np.log(start)
+    return lo, hi, c, _block_powers(kern, start, log_space)
+
+
+def _window_masses(kern: _UniformizedKernel, m0: int, states: np.ndarray, k_cap: int):
+    """Yield per block the logs of the window masses of the orders j*_S + r,
+    r < _S, from m0: y_j * (K^r 1_W) over the states where both can be
+    nonzero.  Raises ArithmeticError past the order k_cap."""
+    near_lo, near_hi, columns, powers = _window_setup(kern, m0, states, True)
+    for j, (lo, hi, y) in enumerate(powers):
         if j * _S > k_cap:
             raise ArithmeticError(
                 f"the window chain did not converge within {k_cap} Poisson orders")
         a = max(lo, near_lo)
         b = max(a, min(hi, near_hi))
-        y_near, c_near = y[a - lo:b - lo], columns[:, a - near_lo:b - near_lo]
-        if not log_space:
-            block = np.empty((_S, 2))
-            np.add.reduce(y_near * c_near, axis=1, out=block[:, 0])
-            block[:, 1] = np.add.reduce(y)
-            yield block
-            continue
-        terms = y_near + c_near
+        terms = y[a:b] + columns[:, a - near_lo:b - near_lo]
         peak = float(terms.max(initial=-np.inf))
         peak = peak if peak > -math.inf else 0.0  # no mass: the sums below are 0
         np.exp(terms - peak, out=terms)
@@ -319,23 +320,38 @@ def _window_chain(kern: _UniformizedKernel, m0: int, t: float, states: np.ndarra
     pmf(k+1) / (1 - mu/(k+2)); the sum stops at the first order where that is
     at most tol/2 of the window mass so far (after Fox & Glynn, "Computing
     Poisson probabilities", CACM 1988).  In linear arithmetic the weights are
-    those of _poisson_terms, then pmf(k-1) * mu/k: the sum runs at least to
-    their cutoff K, is divided by the same sum over the total masses (as a
-    law is normalised), and is None where the mass at K is below
-    _LOG_SPACE_THRESHOLD.  In log arithmetic it is ln P, and nothing in it
+    those of _poisson_terms, whose orders 0..K are read in groups of powers,
+    then pmf(k-1) * mu/k order by order; the sum is divided by the same sum
+    over the total masses (as a law is normalised), and is None where the
+    mass at K is below _LOG_SPACE_THRESHOLD, as for any window more than K
+    states from m0.  In log arithmetic it is ln P, and nothing in it
     underflows.  The caller has checked m0, t and tol."""
     mu = kern.rate * t
-    k_cap = int(mu + 10.0 * math.sqrt(mu + 1.0)) + 6 * kern.stay.size + 1000
     if not log_space:
         weights = _poisson_terms(mu, tol)
         k = weights.size - 1
-        blocks = _window_masses(kern, m0, states, False, k_cap)
-        head = np.concatenate(list(itertools.islice(blocks, k // _S + 1)))
+        if int(np.abs(states - m0).min()) > k:
+            return None
+        near_lo, near_hi, columns, powers = _window_setup(kern, m0, states, False)
+        n, width = kern.stay.size, near_hi - near_lo
+        group = max(1, min(64, 4096 // width, 32768 // n))  # temporaries of at most 256 KiB
+
+        def masses(count: int) -> np.ndarray:
+            # (window mass, total mass of its power) per order of the next count <= group
+            # powers, rows reduced alike: a window holding the chain (K^r 1 = 1) has mass = total
+            y, out = np.empty((count, n)), np.empty((count, _S, 2))
+            for j, (_, _, row) in zip(range(count), powers):
+                y[j] = row
+            np.add.reduce(y[:, None, near_lo:near_hi] * columns, axis=2, out=out[:, :, 0])
+            out[:, :, 1] = np.add.reduce(y, axis=1)[:, None]
+            return out.reshape(-1, 2)
+        blocks = k // _S + 1
+        head = np.concatenate([masses(min(group, blocks - j)) for j in range(0, blocks, group)])
         acc, used = (weights[:, None] * head[:k + 1]).sum(axis=0).tolist()
         if acc / used < _LOG_SPACE_THRESHOLD:
             return None
         w = float(weights[-1])
-        later = itertools.chain(head[k + 1:], itertools.chain.from_iterable(blocks))
+        later = itertools.chain(head[k + 1:], (row for _ in itertools.count() for row in masses(1)))
         while not (k + 2 > mu and w * mu / (k + 1) / (1.0 - mu / (k + 2)) <= 0.5 * tol * acc):
             k += 1
             w *= mu / k
@@ -349,7 +365,8 @@ def _window_chain(kern: _UniformizedKernel, m0: int, t: float, states: np.ndarra
     log_mu = math.log(mu)
     log_rel = math.log(0.5 * tol)
     acc = -math.inf
-    orders = itertools.chain.from_iterable(_window_masses(kern, m0, states, True, k_cap))
+    k_cap = int(mu + 10.0 * math.sqrt(mu + 1.0)) + 6 * kern.stay.size + 1000
+    orders = itertools.chain.from_iterable(_window_masses(kern, m0, states, k_cap))
     for k, mass in enumerate(orders):
         if k:
             log_pmf += log_mu - math.log(k)

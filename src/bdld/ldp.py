@@ -23,12 +23,12 @@ expression.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
 
 from .chain import ModelParams
 from .quadrature import NonIntegrableError, integrate
@@ -299,6 +299,23 @@ def rate_functional_report(path: GridPath, lam: float, tol: float = 1e-9) -> dic
     }
 
 
+def _cubic_hermite(path: GridPath) -> tuple[Callable[[float], float], Callable[[float], float]]:
+    """The cubic Hermite interpolant of a grid path and its derivative, with
+    scipy's CubicHermiteSpline coefficients, by Horner's rule in s = t - t_i
+    on [t_i, t_i+1); the last interval also takes its right end."""
+    x, y, d = path.times, path.values, path.derivatives
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    c = (d[:-1] + d[1:] - 2 * slope) / dx
+    coef, knots = np.stack([c / dx, (slope - d[:-1]) / dx - c, d[:-1], y[:-1]], 1).tolist(), x.tolist()
+
+    def at(t: float, derivative: bool) -> float:
+        i = min(max(bisect.bisect_right(knots, t) - 1, 0), len(coef) - 1)
+        (c0, c1, c2, c3), s = coef[i], t - knots[i]
+        return (3.0 * c0 * s + 2.0 * c1) * s + c2 if derivative else ((c0 * s + c1) * s + c2) * s + c3
+    return (lambda t: at(t, False)), (lambda t: at(t, True))
+
+
 def _integrate_action(path: GridPath, lam: float, tol: float) -> tuple[float, float, int]:
     if not (lam > 0.0 and math.isfinite(lam)):
         raise ValueError("lam must be positive and finite")
@@ -310,14 +327,9 @@ def _integrate_action(path: GridPath, lam: float, tol: float) -> tuple[float, fl
     if bool(zero_moving.any()):
         return math.inf, math.inf, 0
 
-    if path.descriptor is not None:
-        gamma_of = path.descriptor.value
-        dgamma_of = path.descriptor.derivative
-    else:
-        spline = CubicHermiteSpline(path.times, path.values, path.derivatives)
-        dspline = spline.derivative()
-        gamma_of = lambda t: float(spline(t))
-        dgamma_of = lambda t: float(dspline(t))
+    exact = path.descriptor
+    gamma_of, dgamma_of = ((exact.value, exact.derivative) if exact is not None
+                           else _cubic_hermite(path))
 
     def integrand(t: float) -> float:
         g = gamma_of(t)

@@ -3,7 +3,10 @@ determinism and figure bundles."""
 
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -669,3 +672,14 @@ class TestReadmeCommands:
         args = cli._build_parser().parse_args(shlex.split(line)[1:])
         spec = cli._spec_from_args(args)
         cli._normalise(spec.kind, spec.settings)
+
+
+def test_cli_import_loads_no_scipy():
+    # the runtime depends on numpy alone; scipy is a test dependency
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, bdld.cli; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"

@@ -129,6 +129,18 @@ class TestWindowProbability:
     def test_full_window(self):
         assert abs(window_probability(ModelParams(9, 1.0), 4, 0.8, range(1, 10)) - 1.0) <= 1e-11
 
+    @pytest.mark.parametrize("n", [9, 10, 64, 256, 1024])
+    def test_whole_chain_is_exactly_one(self, n):
+        # where every K^r 1 is exactly 1, each order's window mass equals the
+        # total mass of its power bit for bit, so ln P is exactly 0
+        params = ModelParams(n, 1.0)
+        states = np.arange(1, n + 1)
+        _, _, columns, _ = evolve._window_setup(_uniformized_kernel(params), 1, states, False)
+        assert (columns == 1.0).all()
+        for m0 in (1, (n + 1) // 2, n):
+            for t in (0.01, 0.3, 1.0, 5.0):
+                assert window_log_probability(params, m0, t, states) == 0.0
+
     def test_point_window_at_time_zero(self):
         assert window_probability(ModelParams(9, 1.0), 4, 0.0, [4]) == 1.0
 
@@ -156,6 +168,17 @@ class TestWindowProbability:
         # ln P is about -943 (TestLogSpaceWindow)
         with pytest.raises(ValueError, match="underflows to zero"):
             window_probability(ModelParams(400, 1.0), 200, 0.002, range(395, 401), tol=1e-10)
+
+    def test_exact_zero_is_not_an_underflow(self):
+        # at t = 0 the chain sits at m0, outside the window: P is exactly 0
+        params = ModelParams(10, 1.0)
+        assert window_log_probability(params, 5, 0.0, [7]) == -math.inf
+        assert window_probability(params, 5, 0.0, [7]) == 0.0
+        # two steps in time 1e-300: ln P = -1378.8, a true underflow
+        logp = window_log_probability(params, 5, 1e-300, [7])
+        assert abs(logp + 1378.8) <= 0.05
+        with pytest.raises(ValueError, match="underflows to zero"):
+            window_probability(params, 5, 1e-300, [7])
 
     def test_log_agrees_with_linear(self):
         logp = window_log_probability(ModelParams(100, 1.0), 50, 1.0, range(78, 83), tol=1e-12)
@@ -420,6 +443,33 @@ def _log_space_reference(params, m0, t, states, tol):
     return float(acc)
 
 
+class TestPoissonTerms:
+    """The Poisson weights against a 40-digit mpmath Poisson law."""
+
+    @pytest.mark.parametrize("mu", [0.3, 60.0, 467.0, 6400.0])
+    @pytest.mark.parametrize("tol", [1e-10, 1e-12])
+    def test_weights_and_cutoff_match_mpmath(self, mu, tol):
+        weights = _poisson_terms(mu, tol)
+        k_max = weights.size - 1
+        with mp.workdps(40):
+            pmf = [mp.exp(-mp.mpf(mu))]
+            for k in range(1, k_max + 1):
+                pmf.append(pmf[-1] * mu / k)
+
+            def tail(k):  # P(X > k)
+                return mp.gammainc(k + 1, 0, mu, regularized=True) if k >= 0 else mp.mpf(1)
+            for w, exact in zip(weights.tolist(), pmf):
+                if exact >= mp.mpf("1e-200"):
+                    assert abs(w / exact - 1) <= 1e-13
+            # omitted mass at most tol/2, and K at most one order above the
+            # smallest cutoff whose tail is that small
+            assert tail(k_max) <= 0.5 * tol
+            assert tail(k_max - 2) > 0.5 * tol
+
+    def test_time_zero_is_one_order(self):
+        assert _poisson_terms(0.0, 1e-12).tolist() == [1.0]
+
+
 class TestBlockedKernel:
     """The oracle steps _S Poisson orders per numpy pass through the band of
     K^_S; these compare it with plain loops over one order at a time."""
@@ -546,6 +596,27 @@ class TestLogSpaceGate:
         logp = window_log_probability(params, 300, 0.1, states, tol=1e-10)
         assert calls == [False, True]
         assert logp == _log_chain(params, 300, 0.1, states, 1e-10)
+
+    def test_window_out_of_reach_of_the_cutoff_skips_the_linear_pass(self, monkeypatch):
+        # mu = 60, so the cutoff K of _poisson_terms is 123 orders, and the
+        # window starts 130 states from m0: the mass is 0 at every order up
+        # to K.  The Chernoff bound (e^-90.6) does not gate it.
+        params = ModelParams(600, 1.0)
+        states = np.arange(430, 441)
+        kern = _uniformized_kernel(params)
+        assert _poisson_terms(kern.rate * 0.05, 1e-12).size - 1 < 130
+        assert _log_window_bound(kern.rate * 0.05, 300, states) >= math.log(1e-290)
+        calls = []
+
+        def counting(kern, p, log_space):
+            calls.append(log_space)
+            return block_powers(kern, p, log_space)
+
+        block_powers = evolve._block_powers
+        monkeypatch.setattr(evolve, "_block_powers", counting)
+        logp = window_log_probability(params, 300, 0.05, states, tol=1e-12)
+        assert calls == [True]
+        assert logp == _log_chain(params, 300, 0.05, states, 1e-12)
 
     def test_bulk_query_takes_one_linear_pass(self, monkeypatch):
         calls = self._counted(monkeypatch)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.interpolate import CubicHermiteSpline
 
 from bdld.chain import ModelParams
 from bdld.ldp import (
@@ -18,6 +19,7 @@ from bdld.ldp import (
     hamiltonian,
     kappa_star,
     lagrangian,
+    _cubic_hermite,
     lagrangian_numeric,
     prelimit_hamiltonian,
     rate_functional,
@@ -265,6 +267,22 @@ class TestGridPath:
         csv_file2 = tmp_path / "nod.csv"
         csv_file2.write_text("t,gamma\n0,0.5\n0.5,0.55\n1,0.6\n")
         assert GridPath.from_csv(csv_file2).values[1] == 0.55
+
+    def test_cubic_hermite_matches_scipy(self):
+        # same coefficients, Horner's rule against scipy's power sums: equal
+        # at every grid point but the last, where an interval takes its left
+        # end, and within rounding elsewhere
+        rng = np.random.default_rng(5)
+        times = np.sort(rng.uniform(0.0, 2.0, 40))
+        path = GridPath(times, rng.uniform(0.1, 0.9, 40), rng.normal(size=40))
+        spline = CubicHermiteSpline(path.times, path.values, path.derivatives)
+        dspline = spline.derivative()
+        value, derivative = _cubic_hermite(path)
+        assert [value(t) for t in times[:-1].tolist()] == path.values[:-1].tolist()
+        assert [derivative(t) for t in times[:-1].tolist()] == path.derivatives[:-1].tolist()
+        for t in np.concatenate([times, rng.uniform(times[0], times[-1], 400)]).tolist():
+            assert abs(value(t) - float(spline(t))) <= 1e-14
+            assert abs(derivative(t) - float(dspline(t))) <= 1e-12
 
     @pytest.mark.parametrize("text, message", [
         ("t,gamma\n0,0.5\n0.5\n1,0.6\n", "data row 2"),
