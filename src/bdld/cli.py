@@ -395,6 +395,14 @@ def _int(value) -> int:
     return operator.index(value)
 
 
+def _finite(value) -> float:
+    """A float that is neither NaN nor infinite."""
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(f"{value!r} is not finite")
+    return x
+
+
 def _list_of(item):
     """Parser of a non-empty list, given as a list or as comma-separated text."""
     def parse(value) -> list:
@@ -430,7 +438,7 @@ _SETTINGS = {
     "gamma_t": ("--gamma-t", float, "scaled end state"),
     "eps": ("--eps", float, "deviation from gamma0"),
     "u": ("--u", float, "scaled threshold"),
-    "times": ("--times", _list_of(float), "comma-separated sample times"),
+    "times": ("--times", _list_of(_finite), "comma-separated sample times"),
     "half_width": ("--half-width", float, "half-width of the end window"),
     "n_ladder": ("--n-ladder", _list_of(_int), "comma-separated chain sizes"),
     "grid": ("--grid", _int, "points per path table"),

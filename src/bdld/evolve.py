@@ -7,7 +7,8 @@ costs O(N) and the Poisson truncation is certified: this is the brute-force
 oracle every Monte Carlo estimate and large-deviation rate is checked against.
 
 Powers are taken _S = 8 orders per numpy pass through the band of K^8
-(_block_powers); results differ from an order-by-order sum below 1e-13
+(_block_powers), in log arithmetic by tiles in block floating point
+(_log_band_stepper); results differ from an order-by-order sum below 1e-13
 relative.  The Poisson weights are built from the mode outward by the pmf
 ratios and cut at a certified tail bound (_poisson_terms).  A law is the
 bulk mixture of _poisson_mixture.  A window query never builds a law: one
@@ -16,18 +17,22 @@ certified relative stop rule holds, in linear arithmetic reading the orders
 up to the cutoff K in groups of powers.  Below 1e-280 at K it answers in log
 arithmetic, far below 1e-308; a window more than K states from m0, or that a
 Chernoff bound puts below 1e-290, goes there without a linear pass.
-One query on a 2-core machine: 0.95 ms for a bulk window at N ~ 520,
-mu ~ 460; 0.14 / 0.57 / 8.3 s (log space) at N = 6400 / 12800 / 25600 for
-gamma0 = 0.5, window 0.8 +- 0.02, T = 1.  Beyond that is Monte Carlo.
+One query on a shared 2-core machine, whose speed varies up to 2x from day
+to day (timed on one day): 2.0 ms for a bulk window at N ~ 520, mu ~ 460;
+0.27 / 1.1 / 8.5 s (log space) at N = 6400 / 12800 / 25600 for gamma0 = 0.5,
+window 0.8 +- 0.02, T = 1.  Beyond that is Monte Carlo.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .chain import ModelParams, ProbabilityVector, stationary_distribution
 
@@ -49,13 +54,33 @@ _LOG_SPACE_THRESHOLD = 1e-280
 _LOG_SPACE_GATE = math.log(1e-290)
 # Poisson orders per numpy pass: both sums step by the band of K^_S.
 _S = 8
+# States per tile of the log-space band step: each tile and its two halos of
+# _S states are exponentiated against one shared reference (_log_band_stepper).
+_TILE = 64
+# The smallest product a tile of _log_band_stepper may form is e^-_TILE_FLOOR,
+# a normal double (those reach down to e^-708.4).
+_TILE_FLOOR = 700.0
+# The log chain reads its powers in groups of 1, 2, 4, ... blocks, up to this.
+_MAX_GROUP = 16
 
 
-class _UniformizedKernel(NamedTuple):
+@dataclass(frozen=True, eq=False)
+class _UniformizedKernel:
     up: np.ndarray    # K(m, m+1), entry m-1
     down: np.ndarray  # K(m, m-1), entry m-1
     stay: np.ndarray  # K(m, m)
     rate: float       # the uniformization rate Lam
+
+    @functools.cached_property
+    def band(self) -> np.ndarray:
+        """The band of K^_S state by state, band[m, i] = G[i, m] of
+        _block_gather, then _TILE rows of zeros for the last tile of
+        _log_band_stepper.  Built once, when a chain first steps past its start,
+        and shared by every chain that steps with this kernel."""
+        n = self.stay.size
+        band = np.zeros((n + _TILE, 2 * _S + 1))
+        band[:n] = _block_gather(self).T
+        return band
 
 
 def _uniformized_kernel(params: ModelParams) -> _UniformizedKernel:
@@ -144,34 +169,84 @@ def _block_powers(kern: _UniformizedKernel, p: np.ndarray, log_space: bool):
     """Yield (lo, hi, y_j), y_j = p K^(j*_S), j = 0, 1, ..., empty (0, or -inf)
     outside the states lo..hi-1 it can reach; in log space p and y_j are logs.
     A step sums, per state, a sliding view of y_j (padded by _S empty entries)
-    times the band of K^_S: one np.einsum over the band stored state by state,
-    or in log space a max-shifted log-sum-exp down axis 0.  The band is built
-    once a second power is asked for; a yielded row is overwritten two steps on."""
+    times kern.band, the band of K^_S stored state by state: one np.einsum
+    in linear arithmetic, _log_band_stepper's step in log arithmetic.  The
+    band is asked for once a second power is; a yielded row is overwritten
+    two steps on."""
     empty = -np.inf if log_space else 0.0
     n = p.size
     support = np.flatnonzero(p != empty)
     lo, hi = (int(support[0]), int(support[-1]) + 1) if support.size else (0, 0)
-    ring = np.full((2, n + 2 * _S), empty)  # y_j at row j mod 2
+    ring = np.full((2, n + 2 * _S + _TILE), empty)  # y_j at row j mod 2, a last tile's pad after it
     ring[0, _S:_S + n] = p
     yield lo, hi, ring[0, _S:_S + n]
-    g = _block_gather(kern)
-    with np.errstate(divide="ignore"):  # linear: G[m, i], each state's products contiguous
-        g = np.log(g) if log_space else np.ascontiguousarray(g.T)
-    views = np.lib.stride_tricks.sliding_window_view(ring, n, axis=1)
+    g = kern.band
+    step = _log_band_stepper(ring, g) if log_space else None
+    views = sliding_window_view(ring[:, :n + 2 * _S], n, axis=1)
     for j in itertools.count(1):
         lo, hi = max(0, lo - _S), min(n, hi + _S)
         row = ring[j % 2, _S:_S + n]
-        band = row[lo:hi]
         if log_space:
-            terms = views[1 - j % 2, :, lo:hi] + g[:, lo:hi]
-            peak = terms.max(axis=0)
-            terms -= peak
-            np.exp(terms, out=terms)
-            np.log(np.add.reduce(terms, axis=0), out=band)
-            band += peak
+            step(j % 2, lo, hi)
         else:
-            np.einsum("ij,ji->j", views[1 - j % 2, :, lo:hi], g[lo:hi], out=band)
+            np.einsum("ij,ji->j", views[1 - j % 2, :, lo:hi], g[lo:hi], out=row[lo:hi])
         yield lo, hi, row
+
+
+def _log_band_stepper(ring: np.ndarray, band: np.ndarray):
+    """step(r, lo, hi): ring row r gets the logs of (e^y K^_S) on the states
+    lo..hi-1, y the logs in the other row, in block floating point.  A row
+    holds state m at m + _S between _S empty entries, and _TILE more at its
+    end.  The states are cut into tiles of _TILE from lo; a tile's inputs, its
+    states and a halo of _S on each side, are exponentiated once against
+    their largest log, stepped through the band (stored state by state) by
+    one np.einsum, and taken back by one log: 1.25 exp and 1 log per state.
+    The last tile's states past hi get empty entries: no input within _S of
+    them has mass, or their band rows are 0.
+
+    Every nonzero product stays at least e^-_TILE_FLOOR, a normal double,
+    while a tile's finite logs lie within span = _TILE_FLOOR + ln(smallest
+    band entry) of its reference; a tile that reaches further takes a
+    per-state log-sum-exp over the band's logs instead."""
+    n = band.shape[0] - _TILE
+    with np.errstate(divide="ignore"):
+        log_g = np.log(band[:n].T)
+    span = _TILE_FLOOR + math.log(band[band > 0.0].min())
+    # inputs[r, a]: row r's states a-_S..a+_TILE+_S-1, a tile from a with its halos
+    inputs = sliding_window_view(ring, _TILE + 2 * _S, axis=1)
+    scaled = np.empty((n // _TILE + 1, _TILE + 2 * _S))
+    shifted = sliding_window_view(scaled, 2 * _S + 1, axis=1)
+    sums = np.empty((n // _TILE + 1, _TILE))
+
+    def step(r: int, lo: int, hi: int) -> None:
+        tiles = -(-(hi - lo) // _TILE)
+        x, e, out = inputs[1 - r, lo:lo + tiles * _TILE:_TILE], scaled[:tiles], sums[:tiles]
+        # a tile with no mass takes the reference -1e300: its exponentials are all 0
+        ref = np.maximum.reduce(x, axis=1, keepdims=True, initial=-1e300)
+        np.subtract(x, ref, out=e)
+        wide = np.minimum.reduce(e, axis=1, where=e > -np.inf, initial=0.0) < -span
+        np.exp(e, out=e)
+        np.einsum("tki,tki->tk", shifted[:tiles],
+                  band[lo:lo + tiles * _TILE].reshape(tiles, _TILE, 2 * _S + 1), out=out)
+        with np.errstate(divide="ignore"):
+            np.log(out, out=out)
+        np.add(out, ref, out=ring[r, _S + lo:_S + lo + tiles * _TILE].reshape(tiles, _TILE))
+        for t in wide.nonzero()[0].tolist():
+            a, b = lo + t * _TILE, min(hi, lo + (t + 1) * _TILE)
+            _log_sum_exp_step(ring[1 - r], a, b, log_g, ring[r, _S + a:_S + b])
+    return step
+
+
+def _log_sum_exp_step(src: np.ndarray, a: int, b: int, log_g: np.ndarray, out: np.ndarray) -> None:
+    """out = the logs of (e^y K^_S) on the states a..b-1, src[m + _S] = y[m],
+    by one max-shifted log-sum-exp per state over log_g, the logs of the band
+    of K^_S in gather form: 2*_S+1 exp per state, but nothing underflows."""
+    terms = sliding_window_view(src[a:b + 2 * _S], b - a) + log_g[:, a:b]
+    peak = terms.max(axis=0)
+    terms -= peak
+    np.exp(terms, out=terms)
+    np.log(np.add.reduce(terms, axis=0), out=out)
+    out += peak
 
 
 def _poisson_mixture(p: np.ndarray, kern: _UniformizedKernel, t: float, tol: float) -> np.ndarray:
@@ -236,9 +311,10 @@ def _certified_window(params: ModelParams, m0: int, t: float, window,
     """The window mass with its truncation certified to tol/2 of itself:
     (P, False) from the linear window chain when P is at least
     _LOG_SPACE_THRESHOLD at the bulk cutoff, else (ln P, True) from the log
-    one.  A window that _log_window_bound puts below _LOG_SPACE_GATE skips
-    the linear chain: its linear mass would read below _LOG_SPACE_THRESHOLD,
-    so the answer is the same."""
+    one; both step with one kernel, so they build its band once.  A window
+    that _log_window_bound puts below _LOG_SPACE_GATE skips the linear
+    chain: its linear mass would read below _LOG_SPACE_THRESHOLD, so the
+    answer is the same."""
     states = _normalize_window(params, window)
     if not 1 <= m0 <= params.n_states:
         raise ValueError(f"m0={m0} outside the state space 1..{params.n_states}")
@@ -293,25 +369,6 @@ def _window_setup(kern: _UniformizedKernel, m0: int, states: np.ndarray, log_spa
     return lo, hi, c, _block_powers(kern, start, log_space)
 
 
-def _window_masses(kern: _UniformizedKernel, m0: int, states: np.ndarray, k_cap: int):
-    """Yield per block the logs of the window masses of the orders j*_S + r,
-    r < _S, from m0: y_j * (K^r 1_W) over the states where both can be
-    nonzero.  Raises ArithmeticError past the order k_cap."""
-    near_lo, near_hi, columns, powers = _window_setup(kern, m0, states, True)
-    for j, (lo, hi, y) in enumerate(powers):
-        if j * _S > k_cap:
-            raise ArithmeticError(
-                f"the window chain did not converge within {k_cap} Poisson orders")
-        a = max(lo, near_lo)
-        b = max(a, min(hi, near_hi))
-        terms = y[a:b] + columns[:, a - near_lo:b - near_lo]
-        peak = float(terms.max(initial=-np.inf))
-        peak = peak if peak > -math.inf else 0.0  # no mass: the sums below are 0
-        np.exp(terms - peak, out=terms)
-        with np.errstate(divide="ignore"):
-            yield (np.log(terms.sum(axis=1)) + peak).tolist()
-
-
 def _window_chain(kern: _UniformizedKernel, m0: int, t: float, states: np.ndarray, tol: float,
                   log_space: bool) -> float | None:
     """The window mass after time t from m0, its Poisson truncation certified
@@ -325,7 +382,11 @@ def _window_chain(kern: _UniformizedKernel, m0: int, t: float, states: np.ndarra
     over the total masses (as a law is normalised), and is None where the
     mass at K is below _LOG_SPACE_THRESHOLD, as for any window more than K
     states from m0.  In log arithmetic it is ln P, and nothing in it
-    underflows.  The caller has checked m0, t and tol."""
+    underflows: the powers' near-window slices are read in groups of 1, 2,
+    4, ... up to _MAX_GROUP blocks, a group's window masses by one
+    log-sum-exp, and the stop rule is applied over the group at once to
+    ln pmf (np.add.accumulate) and the running ln P (np.logaddexp.accumulate).
+    The caller has checked m0, t and tol."""
     mu = kern.rate * t
     if not log_space:
         weights = _poisson_terms(mu, tol)
@@ -361,21 +422,33 @@ def _window_chain(kern: _UniformizedKernel, m0: int, t: float, states: np.ndarra
         return acc / used
     if mu == 0.0:
         return 0.0 if m0 in states else -math.inf
-    log_pmf = -mu  # ln pmf(0)
-    log_mu = math.log(mu)
-    log_rel = math.log(0.5 * tol)
-    acc = -math.inf
+    near_lo, near_hi, columns, powers = _window_setup(kern, m0, states, True)
+    log_mu, log_rel = math.log(mu), math.log(0.5 * tol)
     k_cap = int(mu + 10.0 * math.sqrt(mu + 1.0)) + 6 * kern.stay.size + 1000
-    orders = itertools.chain.from_iterable(_window_masses(kern, m0, states, k_cap))
-    for k, mass in enumerate(orders):
-        if k:
-            log_pmf += log_mu - math.log(k)
-        if mass > -math.inf:
-            acc = float(np.logaddexp(acc, log_pmf + mass))
-        if k + 2 > mu and acc > -math.inf:
-            log_tail = log_pmf + math.log(mu / (k + 1)) - math.log1p(-mu / (k + 2))
-            if log_tail <= acc + log_rel:
-                return acc
+    acc, start, k0, count = -math.inf, -mu, 0, 1  # start: ln pmf(0), then ln pmf(k0 - 1)
+    while k0 <= k_cap:
+        # the orders k0..k1-1 of the next count blocks: their window masses, ln pmf and sums
+        y = np.empty((count, 1, near_hi - near_lo))
+        for j, (_, _, row) in zip(range(count), powers):
+            y[j, 0] = row[near_lo:near_hi]
+        terms = y + columns
+        peak = terms.max(axis=2, keepdims=True)
+        peak[peak == -np.inf] = 0.0  # no mass: the sum below is 0
+        np.exp(terms - peak, out=terms)
+        with np.errstate(divide="ignore"):
+            mass = (np.log(terms.sum(axis=2, keepdims=True)) + peak).reshape(-1)
+        k1 = k0 + count * _S
+        k = np.arange(k0, k1)
+        steps = log_mu - np.log(k[k > 0])  # ln pmf(k) - ln pmf(k-1)
+        log_pmf = np.add.accumulate(np.concatenate(([start], steps)))[-k.size:]
+        sums = np.logaddexp.accumulate(np.concatenate(([acc], log_pmf + mass)))[1:]
+        with np.errstate(divide="ignore", invalid="ignore"):  # read only where k + 2 > mu
+            log_tail = log_pmf + np.log(mu / (k + 1)) - np.log1p(-mu / (k + 2))
+        stop = (k + 2 > mu) & (log_tail <= sums + log_rel)
+        if stop.any():
+            return float(sums[stop.argmax()])
+        acc, start, k0, count = float(sums[-1]), float(log_pmf[-1]), k1, min(2 * count, _MAX_GROUP)
+    raise ArithmeticError(f"the window chain did not converge within {k_cap} Poisson orders")
 
 
 def lattice_window(n: int, center: float, half_width: float) -> tuple[int, int]:
@@ -425,20 +498,25 @@ def stationary_dwell_probability(params: ModelParams, u: float, times: Sequence[
     times = sorted(float(t) for t in times)
     if not times:
         raise ValueError("times must be non-empty")
+    if not all(map(math.isfinite, times)):
+        raise ValueError(f"times must be finite, got {times}")
     if times[0] < 0.0:
         raise ValueError("times must be >= 0")
     if not 0.0 < u <= 1.0:
         raise ValueError(f"threshold u must lie in (0, 1], got {u}")
+    check_tol(tol)
     n = params.n_states
     allowed = np.array([(m / n) < u for m in range(1, n + 1)])
     p = stationary_distribution(params).mass.copy()
+    kern = _uniformized_kernel(params)  # with its band, for every interval
     prev = 0.0
     for t in times:
         total = float(p.sum())
         if total == 0.0:
             return 0.0
         if t > prev:
-            p = evolve_distribution(params, p / total, t - prev, tol).mass * total
+            acc = _poisson_mixture(p / total, kern, t - prev, tol)
+            p = acc / acc.sum() * total
         p = np.where(allowed, p, 0.0)
         prev = t
     return float(p.sum())

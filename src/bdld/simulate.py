@@ -461,6 +461,8 @@ def lln_stationary_experiment(params: ModelParams, u: float, sample_times,
     times = sorted(float(t) for t in sample_times)
     if not times:
         raise ValueError("sample_times must be non-empty")
+    if not all(map(math.isfinite, times)):
+        raise ValueError(f"sample times must be finite, got {times}")
     if times[0] < 0.0 or times[-1] > config.horizon:
         raise ValueError("sample times must lie within [0, horizon]")
     n, lam = params.n_states, params.lam

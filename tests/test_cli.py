@@ -16,6 +16,10 @@ from bdld.cli import ExperimentSpec, UsageError, main, run
 from bdld.optimal_paths import optimal_action, solve_boundary
 from bdld.serialize import _CSV_BATCH
 
+# the environment of a subprocess that imports bdld from this checkout
+_SRC_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")])}
+
 
 def _read(path):
     return path.read_text()
@@ -151,14 +155,26 @@ class TestExitCodes:
         *(["action", "--gamma0", "0.5", "--gamma-t", "0.8", "--horizon", "1", "--tol", tol]
           for tol in ("0", "-1", "nan", "inf", "1e300", "1e-3")),
         ["lln-point", "--n", "100", "--gamma0", "1e308", "--eps", "0.2", "--reps", "5"],
+        # a NaN sample time once hung the Monte Carlo loop: these run in a
+        # subprocess that a timeout can stop
+        ["lln-stationary", "--n", "50", "--u", "0.5", "--times", "0.5,nan", "--reps", "10"],
+        ["lln-stationary", "--n", "50", "--u", "0.5", "--times", "0.5,nan", "--reps", "10",
+         "--horizon", "1"],
     ])
     def test_bad_input_exits_2_without_traceback(self, tmp_path, capsys, monkeypatch, argv):
         monkeypatch.chdir(tmp_path)
         _write_bad_inputs(tmp_path)
         if "--out" not in argv:
             argv = argv + ["--out", str(tmp_path / "o")]
-        assert main(argv) == 2
-        err = capsys.readouterr().err
+        if "--times" in argv:
+            done = subprocess.run([sys.executable, "-m", "bdld.cli", *argv], env=_SRC_ENV,
+                                  capture_output=True, text=True, timeout=60)
+            assert done.returncode == 2
+            assert "--times" in done.stderr and "nan" in done.stderr
+            err = done.stderr
+        else:
+            assert main(argv) == 2
+            err = capsys.readouterr().err
         assert "Traceback" not in err
         assert "error" in err
 
@@ -676,10 +692,8 @@ class TestReadmeCommands:
 
 def test_cli_import_loads_no_scipy():
     # the runtime depends on numpy alone; scipy is a test dependency
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run(
         [sys.executable, "-c", "import sys, bdld.cli; "
          "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
-        env=env, capture_output=True, text=True, check=True)
+        env=_SRC_ENV, capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "[]"

@@ -379,6 +379,12 @@ class TestStationaryDwellProbability:
         with pytest.raises(ValueError):
             stationary_dwell_probability(ModelParams(4, 1.0), 0.5, [])
 
+    @pytest.mark.parametrize("times", [[math.nan], [0.1, math.nan, 0.3]])
+    def test_non_finite_times_rejected(self, times):
+        # a NaN time once read as no evolution at all: the t = 0 answer
+        with pytest.raises(ValueError, match="finite"):
+            stationary_dwell_probability(ModelParams(50, 1.0), 0.5, times)
+
 
 def _reference_mixture(p, kern, weights):
     """The Poisson mixture one order at a time: the sum over k of
@@ -557,6 +563,125 @@ class TestBlockedKernel:
     def test_log_space_chain_matches_mpmath(self, n, m0, t, lo, hi):
         logp = _log_chain(ModelParams(n, 1.0), m0, t, np.arange(lo, hi + 1), 1e-13)
         assert abs(logp - _mpmath_log_window(n, 1.0, m0, t, lo, hi)) <= 1e-13 * abs(logp)
+
+
+def _log_step_reference(kern, y, lo, hi):
+    """ln of (e^y K^_S) on the states lo..hi-1, one log-sum-exp per state
+    over the band's entries, carried out in mpmath at 40 digits."""
+    s, band = evolve._S, kern.band
+    out = []
+    with mp.workdps(40):
+        for m in range(lo, hi):
+            terms = [mp.log(band[m, i]) + y[m + i - s] for i in range(2 * s + 1)
+                     if 0 <= m + i - s < y.size and y[m + i - s] > -math.inf and band[m, i] > 0]
+            out.append(float(mp.log(mp.fsum(mp.exp(x) for x in terms))) if terms else -math.inf)
+    return np.array(out)
+
+
+def _tiled_step(kern, y, lo, hi):
+    """One log-space band step of y over the states lo..hi-1, and the ring it
+    wrote to."""
+    s, n = evolve._S, y.size
+    ring = np.full((2, n + 2 * s + evolve._TILE), -np.inf)
+    ring[0, s:s + n] = y
+    evolve._log_band_stepper(ring, kern.band)(1, lo, hi)
+    return ring[1, s + lo:s + hi], ring[1]
+
+
+class TestTiledLogStep:
+    """The log-space chain steps each tile of _TILE states in block floating
+    point; a tile whose logs span too far takes a per-state log-sum-exp."""
+
+    @staticmethod
+    def _logs(n, s0, s1, slope, seed):
+        # a random walk of log-probabilities (all <= 0) on s0..s1-1, -inf elsewhere
+        y = np.full(n, -np.inf)
+        walk = np.cumsum(np.random.default_rng(seed).uniform(-slope, slope, s1 - s0))
+        y[s0:s1] = walk - walk.max()
+        return y
+
+    @pytest.mark.parametrize("n, s0, s1, slope", [
+        (300, 0, 300, 20.0),   # the support touches state 1 and state N
+        (300, 0, 150, 5.0),
+        (500, 200, 500, 20.0),
+        (200, 50, 120, 1.0),   # one tile and a part
+        (1000, 3, 990, 12.0),
+        (40, 10, 30, 3.0),     # fewer states than a tile
+    ])
+    def test_matches_per_state_log_sum_exp(self, n, s0, s1, slope, monkeypatch):
+        kern = _uniformized_kernel(ModelParams(n, 1.3))
+        y = self._logs(n, s0, s1, slope, seed=n + s0)
+        lo, hi = max(0, s0 - evolve._S), min(n, s1 + evolve._S)
+        fallback = []
+        lse = evolve._log_sum_exp_step
+        monkeypatch.setattr(evolve, "_log_sum_exp_step",
+                            lambda *args: (fallback.append(args[1:3]), lse(*args)))
+        got, row = _tiled_step(kern, y, lo, hi)
+        ref = _log_step_reference(kern, y, lo, hi)
+        assert fallback == []  # every tile in block floating point
+        assert np.array_equal(np.isfinite(got), np.isfinite(ref))
+        finite = np.isfinite(ref)
+        ulps = np.abs(got[finite] - ref[finite]) / np.spacing(np.maximum(np.abs(ref[finite]), 1.0))
+        assert ulps.max() <= 2.0
+        # outside lo..hi, the padding included, the row stays empty
+        s = evolve._S
+        assert np.all(row[:s + lo] == -np.inf) and np.all(row[s + hi:] == -np.inf)
+
+    def test_wide_tile_takes_the_log_sum_exp(self, monkeypatch):
+        # 20 nats per state on the left half: those tiles span far more than
+        # _TILE_FLOOR + ln(smallest band entry); the flatter right half does not
+        n = 600
+        kern = _uniformized_kernel(ModelParams(n, 1.0))
+        y = self._logs(n, 0, n, 2.0, seed=7)
+        y[:300] += -20.0 * np.arange(300, 0, -1)
+        y -= y.max()
+        fallback = []
+        lse = evolve._log_sum_exp_step
+        monkeypatch.setattr(evolve, "_log_sum_exp_step",
+                            lambda *args: (fallback.append(args[1:3]), lse(*args)))
+        got, _ = _tiled_step(kern, y, 0, n)
+        assert fallback and all(b - a <= evolve._TILE and b <= 300 + evolve._TILE
+                                for a, b in fallback)
+        assert len(fallback) < -(-n // evolve._TILE)
+        ref = _log_step_reference(kern, y, 0, n)
+        ulps = np.abs(got - ref) / np.spacing(np.maximum(np.abs(ref), 1.0))
+        assert ulps.max() <= 2.0
+
+    # oracle pool deep-tail windows (n, m0, t, lo, hi, tol) and ln P from the
+    # per-state log-sum-exp chain this step replaced
+    DEEP_ROWS = [
+        ((1843, 1263, 0.06410522225215845, 118, 154, 1e-10), -2669.7324279316877),
+        ((1880, 1109, 0.08611846057865181, 149, 185, 1e-10), -1875.7813100466933),
+        ((1209, 680, 0.04671149785202936, 97, 121, 1e-10), -1433.9504594261255),
+        ((1955, 688, 0.11803589486301491, 32, 70, 1e-10), -1181.679433525422),
+        ((1082, 385, 0.09080356303435694, 1017, 1037, 1e-10), -965.9970703735783),
+        ((1693, 675, 0.1012200982383383, 134, 166, 1e-10), -873.1557474663103),
+        ((1209, 608, 0.08140628679032291, 1160, 1184, 1e-10), -720.1070217305837),
+        ((1284, 732, 0.06435460663424458, 1229, 1253, 1e-10), -656.1950953617057),
+    ]
+
+    @pytest.mark.parametrize("row, log_p", DEEP_ROWS)
+    def test_deep_pool_windows_match_the_log_sum_exp_chain(self, row, log_p):
+        n, m0, t, lo, hi, tol = row
+        got = window_log_probability(ModelParams(n, 1.0), m0, t, range(lo, hi + 1), tol)
+        assert abs(got - log_p) <= 1e-14 * abs(log_p)
+
+    def test_one_band_per_query(self, monkeypatch):
+        # a query whose linear chain hands over to log space, and a dwell
+        # probability over four sample times, each build the band once
+        calls = []
+        gather = evolve._block_gather
+        monkeypatch.setattr(evolve, "_block_gather",
+                            lambda kern: (calls.append(1), gather(kern))[1])
+        params = ModelParams(600, 1.0)
+        assert _window_chain(_uniformized_kernel(params), 300, 0.1, np.arange(590, 601), 1e-10,
+                             log_space=False) is None
+        calls.clear()
+        window_log_probability(params, 300, 0.1, range(590, 601), tol=1e-10)
+        assert len(calls) == 1
+        calls.clear()
+        stationary_dwell_probability(ModelParams(200, 1.0), 0.6, [0.1, 0.2, 0.3, 0.4])
+        assert len(calls) == 1
 
 
 class TestLogSpaceGate:

@@ -267,6 +267,15 @@ class TestLlnStationaryExperiment:
             lln_stationary_experiment(ModelParams(50, 1.0), 0.5, [0.5],
                                       SimConfig(horizon=1.0, seed=1, initial=10))
 
+    @pytest.mark.parametrize("times", [[math.nan], [0.1, math.nan, 0.3], [0.5, math.nan]])
+    def test_non_finite_times_rejected(self, times, monkeypatch):
+        # a replication would never reach a NaN stop, and draw events forever:
+        # no walk may start
+        monkeypatch.setattr(simulate, "_walk", lambda *args: pytest.fail("a walk started"))
+        with pytest.raises(ValueError, match="finite"):
+            lln_stationary_experiment(ModelParams(50, 1.0), 0.5, times,
+                                      SimConfig(horizon=1.0, seed=1))
+
     def test_monotone_in_threshold(self):
         params = ModelParams(300, 1.0)
         estimates = []
