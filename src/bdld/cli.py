@@ -220,8 +220,9 @@ def _run_lln_stationary(settings):
     params = _params(settings)
     tol = _oracle_tol(settings)
     times = settings["times"]
-    config = SimConfig(horizon=settings["horizon"] or max(times), seed=settings["seed"],
-                       initial="stationary", replications=settings["reps"])
+    horizon = max(times) if settings["horizon"] is None else settings["horizon"]
+    config = SimConfig(horizon=horizon, seed=settings["seed"], initial="stationary",
+                       replications=settings["reps"])
     res = lln_stationary_experiment(params, settings["u"], times, config)
     return _against_oracle(res, "lln_stationary.csv", 1e-12,
                            lambda: stationary_dwell_probability(params, settings["u"], times,
@@ -357,8 +358,8 @@ def _run_tilted_mc(settings):
 
 def _run_hconv(settings):
     ladder = settings["n_ladder"]
-    if len(ladder) < 2:
-        raise UsageError("n_ladder needs at least two sizes to measure halving")
+    if len(ladder) < 2 or min(ladder) < 2:
+        raise UsageError(f"--n-ladder needs at least two sizes, each at least 2, got {ladder}")
     lam = settings["lam"]
     probe = ProbeFunction(fn=lambda x: 0.5 * (1.0 - x) ** 2,
                           deriv=lambda x: x - 1.0,

@@ -15,8 +15,8 @@ bulk mixture of _poisson_mixture.  A window query never builds a law: one
 window chain (_window_chain) sums the window masses y_j * (K^r 1_W) until a
 certified relative stop rule holds, in linear arithmetic reading the orders
 up to the cutoff K in groups of powers.  Below 1e-280 at K it answers in log
-arithmetic, far below 1e-308; a window more than K states from m0, or that a
-Chernoff bound puts below 1e-290, goes there without a linear pass.
+arithmetic, far below 1e-308; a window more than K states from m0 goes there
+without a linear pass.
 One query on a shared 2-core machine, whose speed varies up to 2x from day
 to day (timed on one day): 2.0 ms for a bulk window at N ~ 520, mu ~ 460;
 0.27 / 1.1 / 8.5 s (log space) at N = 6400 / 12800 / 25600 for gamma0 = 0.5,
@@ -34,7 +34,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .chain import ModelParams, ProbabilityVector, stationary_distribution
+from .chain import ModelParams, ProbabilityVector, _check_state, stationary_distribution
 
 __all__ = [
     "endpoint_distribution",
@@ -48,10 +48,6 @@ __all__ = [
 
 # Below this linear window mass the log-space chain takes over.
 _LOG_SPACE_THRESHOLD = 1e-280
-# A window whose mass is certified below e^_LOG_SPACE_GATE goes to the
-# log-space chain without a linear pass; the margin below the threshold
-# covers the linear mass's rounding and its 1/(1 - tol/2) normalisation.
-_LOG_SPACE_GATE = math.log(1e-290)
 # Poisson orders per numpy pass: both sums step by the band of K^_S.
 _S = 8
 # States per tile of the log-space band step: each tile and its two halos of
@@ -272,8 +268,7 @@ def _poisson_mixture(p: np.ndarray, kern: _UniformizedKernel, t: float, tol: flo
 
 def endpoint_distribution(params: ModelParams, m0: int, t: float, tol: float = 1e-12) -> ProbabilityVector:
     """Law of X(t) given X(0) = m0, to certified truncation error below tol."""
-    if not 1 <= m0 <= params.n_states:
-        raise ValueError(f"m0={m0} outside the state space 1..{params.n_states}")
+    _check_state(params, m0, "m0")
     point = np.zeros(params.n_states)
     point[m0 - 1] = 1.0
     return evolve_distribution(params, point, t, tol)
@@ -288,42 +283,20 @@ def _normalize_window(params: ModelParams, window) -> np.ndarray:
     return states
 
 
-def _log_window_bound(mu: float, m0: int, states: np.ndarray) -> float:
-    """ln of an upper bound on the window mass at Lam*t = mu, or 0.0.
-
-    Every uniformized step moves up, or down, with probability at most
-    m/(2N) <= 1/2, so the count of steps toward one side of m0 is dominated
-    by a Poisson(mu/2) count, and reaching a window side at distance d > mu/2
-    has probability at most P(Poisson(nu) >= d) <= exp(-nu + d + d ln(nu/d)),
-    nu = mu/2 (the Chernoff bound).  A window on both sides of m0 takes twice
-    the bound of its nearer side."""
-    offsets = states - m0
-    d = int(np.abs(offsets).min())
-    nu = 0.5 * mu
-    if not d > nu > 0.0:
-        return 0.0
-    sides = int(offsets.min() < 0) + int(offsets.max() > 0)
-    return math.log(sides) + d - nu + d * math.log(nu / d)
-
-
 def _certified_window(params: ModelParams, m0: int, t: float, window,
                       tol: float) -> tuple[float, bool]:
     """The window mass with its truncation certified to tol/2 of itself:
     (P, False) from the linear window chain when P is at least
     _LOG_SPACE_THRESHOLD at the bulk cutoff, else (ln P, True) from the log
     one; both step with one kernel, so they build its band once.  A window
-    that _log_window_bound puts below _LOG_SPACE_GATE skips the linear
-    chain: its linear mass would read below _LOG_SPACE_THRESHOLD, so the
-    answer is the same."""
+    more than K states from m0 leaves the linear chain before it steps."""
     states = _normalize_window(params, window)
-    if not 1 <= m0 <= params.n_states:
-        raise ValueError(f"m0={m0} outside the state space 1..{params.n_states}")
+    _check_state(params, m0, "m0")
     _check_time_tol(t, tol)
     kern = _uniformized_kernel(params)
-    if _log_window_bound(kern.rate * t, m0, states) >= _LOG_SPACE_GATE:
-        prob = _window_chain(kern, m0, t, states, tol, log_space=False)
-        if prob is not None:
-            return prob, False
+    prob = _window_chain(kern, m0, t, states, tol, log_space=False)
+    if prob is not None:
+        return prob, False
     return _window_chain(kern, m0, t, states, tol, log_space=True), True
 
 

@@ -21,8 +21,8 @@ The tilted chain thins candidate events against a majorant in a second
 kernel, ``_tilted_walk``.  A candidate's acceptance depends on its time,
 which depends on the states before it, so a window of candidates is
 computed in numpy from guessed states and recomputed from the states it
-gives until the guesses hold (speculate and verify); near the ends of
-{1..N} and just before the horizon the scalar loop body takes over.  The
+gives until the guesses hold (speculate and verify); at the ends of
+{1..N}, where the rates are one-sided, the scalar loop body takes over.  The
 likelihood-ratio weight is a function of the finished path
 (``_log_weight``), so an experiment computes it only for the paths that
 count.  Both kernels give trajectories and weights bit-identical to the
@@ -55,10 +55,8 @@ __all__ = [
 
 _BLOCK = 8192
 _CHUNK = 256
-_MAX_CHUNK = 4096  # longer plain-chain chunks compute too many events past a stop
+_MAX_CHUNK = 4096  # longer chunks compute too many events past a stop
 _REPLAY_N = 40    # chains with fewer states replay their events one at a time
-_PASSES = 8       # speculation passes over a window before the scalar loop takes over
-_MIN_EVENTS = 24  # fewer expected candidates before the horizon go to the scalar loop
 
 
 def _stream_key(seed: int, replication: int) -> np.ndarray:
@@ -250,6 +248,12 @@ def _blocks(rng: np.random.Generator):
             size = yield head, rng.random(head.size)
 
 
+def _chunk_size(rate: float, span: float) -> int:
+    """Events to reach a stop span ahead at the given event rate with half as
+    many again to spare, within [_CHUNK, _MAX_CHUNK]."""
+    return max(_CHUNK, math.ceil(min(_MAX_CHUNK, 1.5 * rate * span)))
+
+
 def _replay(n: int, m: int, unis: np.ndarray) -> np.ndarray:
     """The states after each event, from state m, one event at a time."""
     states = []
@@ -316,15 +320,14 @@ def _walk(n: int, lam: float, m: int, stops, rng: np.random.Generator, jumps: li
     recorded.
 
     The events are taken a chunk at a time from ``_blocks``.  A chunk is
-    sized to reach the next stop at the current rate 2*lam*m with half as
-    many again to spare, within [_CHUNK, _MAX_CHUNK] events, so a short
-    replication draws few more uniforms than it reads and a long one
-    computes few events past its last stop.  A chunk's states come from
-    ``_chunk_states``: numpy passes, or an event-by-event replay of the
-    scalar loop when the path reaches both ends of {1..n} within the chunk
-    or n is below _REPLAY_N.  Each event's rate is read from the
-    state before it, and its jump time is the running sum of the holding
-    times seeded with the current time.  np.add.accumulate adds strictly in
+    sized by ``_chunk_size`` to reach the next stop at the current rate
+    2*lam*m, so a short replication draws few more uniforms than it reads
+    and a long one computes few events past its last stop.  A chunk's
+    states come from ``_chunk_states``: numpy passes, or an event-by-event
+    replay of the scalar loop when the path reaches both ends of {1..n}
+    within the chunk or n is below _REPLAY_N.  Each event's rate is read
+    from the state before it, and its jump time is the running sum of the
+    holding times seeded with the current time.  np.add.accumulate adds strictly in
     sequence, and every division and product is the one the scalar
     Gillespie loop makes, so each trajectory is bit-identical to that
     loop's.
@@ -340,8 +343,7 @@ def _walk(n: int, lam: float, m: int, stops, rng: np.random.Generator, jumps: li
     blocks = _blocks(rng)
     next(blocks)
     while True:
-        size = max(_CHUNK, math.ceil(min(_MAX_CHUNK, 3.0 * lam * m * (stop - t))))
-        exps, unis = blocks.send(size)
+        exps, unis = blocks.send(_chunk_size(two_lam * m, stop - t))
         c = exps.size
         states = _chunk_states(n, m, unis)
         before = np.concatenate(([m], states[:-1]))
@@ -482,8 +484,8 @@ def lln_stationary_experiment(params: ModelParams, u: float, sample_times,
 
 
 def _speculate(n, lam, m, t, horizon, tilt, zbar, exps, unis):
-    """Verify as many of a window's candidate events as speculation passes
-    can; see ``_tilted_walk``.
+    """Verify a window's candidate events up to the horizon, an end of
+    {1..n} or the window's last event; see ``_tilted_walk``.
 
     Returns (k, crossed, prior, clock, accept): the first k events are
     verified, and crossed says whether event k is the one at or past the
@@ -500,10 +502,8 @@ def _speculate(n, lam, m, t, horizon, tilt, zbar, exps, unis):
     k = 0
     if not 1 < m < n:
         return k, False, prior, clock, accept
-    for _ in range(_PASSES):
+    while True:
         mk = int(prior[k])
-        if (horizon - clock[k]) * (2.0 * lam * mk * zbar) < _MIN_EVENTS:
-            break
         rate = lam * prior[k:c]
         major = rate + rate
         major *= zbar
@@ -534,14 +534,13 @@ def _speculate(n, lam, m, t, horizon, tilt, zbar, exps, unis):
         if mk - (c - k) <= 1 or mk + (c - k) >= n:
             known = path[k + 1:k + 2 + first] if bad else path[k + 1:top + 1]
             if known.size and (known.min() <= 1 or known.max() >= n):
-                break  # the path reaches an end, where the rates are one-sided
+                return k, False, prior, clock, accept  # an end: the rates are one-sided
             if bad:  # keep the guesses past the first wrong one inside, so rates stay positive
                 np.clip(path[k + 2 + first:], 2, n - 1, out=path[k + 2 + first:])
         prior[k + 1:] = path[k + 1:]
         if not bad:
             return k + live, k + live < c, prior, clock, accept
         k += 1 + first
-    return k, False, prior, clock, accept
 
 
 def _tilted_walk(n: int, lam: float, m: int, horizon: float, tilt, zbar: float,
@@ -558,8 +557,8 @@ def _tilted_walk(n: int, lam: float, m: int, horizon: float, tilt, zbar: float,
     u < up*z/rate + down/z/rate, and a ghost that leaves the state unchanged
     if not.
 
-    The events are taken in windows of at least _CHUNK, sized to reach the
-    horizon at the current majorant rate with half as many again to spare.
+    The events are taken in windows sized by ``_chunk_size`` to reach the
+    horizon at the current majorant rate.
     ``_speculate`` guesses each event's prior state (first the current
     state, then the states its last pass computed) and computes from the
     guesses, in numpy and in the scalar loop's order of operations, the
@@ -569,12 +568,12 @@ def _tilted_walk(n: int, lam: float, m: int, horizon: float, tilt, zbar: float,
     bounds the verified prefix, which grows by at least one event per pass;
     passes repeat until every guess up to and including the event that
     crosses the horizon (its time depends on its own prior state) is
-    confirmed.  A pass whose verified states reach 1 or n (where the rates
-    are one-sided), fewer than _MIN_EVENTS expected candidates before the
-    horizon, or _PASSES passes without a verdict hand the rest of the window
-    to the scalar loop body, event by event, from the first unverified
-    event.  z is only ever evaluated inside [0, horizon).  So the path is the
-    scalar loop's bit for bit.
+    confirmed, or until every event of the window is.  A window that starts
+    at 1 or n, or a pass whose verified states reach either (where the
+    rates are one-sided), hands the rest of the window to the scalar loop
+    body, event by event, from the first unverified event.  z is only ever
+    evaluated inside [0, horizon).  So the path is the scalar loop's bit
+    for bit.
     """
     t = 0.0
     ghosts = 0
@@ -582,7 +581,7 @@ def _tilted_walk(n: int, lam: float, m: int, horizon: float, tilt, zbar: float,
     next(blocks)
     crossed = n == 1  # a single state has no events
     while not crossed:
-        e, u = blocks.send(max(_CHUNK, int(3.0 * lam * m * zbar * (horizon - t))))
+        e, u = blocks.send(_chunk_size(2.0 * lam * m * zbar, horizon - t))
         k, crossed, prior, clock, accept = _speculate(n, lam, m, t, horizon, tilt, zbar, e, u)
         if k:
             hit = np.flatnonzero(accept[:k])

@@ -160,6 +160,11 @@ class TestExitCodes:
         ["lln-stationary", "--n", "50", "--u", "0.5", "--times", "0.5,nan", "--reps", "10"],
         ["lln-stationary", "--n", "50", "--u", "0.5", "--times", "0.5,nan", "--reps", "10",
          "--horizon", "1"],
+        # N=1's sup error is exactly 0: a ratio divided by it, or read 0
+        ["hconv", "--n-ladder", "2,1"],
+        ["hconv", "--n-ladder", "1,2"],
+        # a horizon of 0 once fell back to the last sample time
+        ["lln-stationary", "--n", "10", "--u", "0.5", "--horizon", "0"],
     ])
     def test_bad_input_exits_2_without_traceback(self, tmp_path, capsys, monkeypatch, argv):
         monkeypatch.chdir(tmp_path)
@@ -200,6 +205,9 @@ class TestExitCodes:
          "tol must be at most 1e-6, got 1e+300"),
         (["lln-point", "--n", "100", "--gamma0", "1e308", "--eps", "0.2", "--reps", "5"],
          "gamma0=1e+308 puts round(gamma0*N) outside 1..100"),
+        (["hconv", "--n-ladder", "2,1"], "--n-ladder needs at least two sizes, each at least 2"),
+        (["lln-stationary", "--n", "10", "--u", "0.5", "--horizon", "0"],
+         "horizon must be positive and finite, got 0.0"),
     ])
     def test_bad_input_message_names_the_culprit(self, tmp_path, capsys, monkeypatch,
                                                  argv, message):

@@ -10,7 +10,6 @@ from bdld import evolve
 from bdld.chain import ModelParams, jump_rates, stationary_distribution
 from bdld.evolve import (
     _kernel_apply,
-    _log_window_bound,
     _poisson_mixture,
     _poisson_terms,
     _uniformized_kernel,
@@ -147,6 +146,24 @@ class TestWindowProbability:
     def test_empty_window(self):
         with pytest.raises(ValueError):
             window_probability(ModelParams(9, 1.0), 4, 1.0, [])
+
+    def test_start_must_be_an_integer_state(self):
+        # a float or bool start is rejected by name, not by a numpy IndexError
+        # or as the state True == 1; an out-of-range one keeps its message
+        params = ModelParams(100, 1.0)
+        for query, m0 in ((window_probability, 50.0), (window_log_probability, 50.5),
+                          (window_probability, True)):
+            with pytest.raises(ValueError, match="m0 must be an integer"):
+                query(params, m0, 1.0, [1, 2])
+        with pytest.raises(ValueError, match="m0 must be an integer"):
+            endpoint_distribution(params, 50.0, 1.0)
+        for m0 in (0, 101):
+            with pytest.raises(ValueError, match=f"m0={m0} outside the state space 1..100"):
+                window_probability(params, m0, 1.0, [1, 2])
+            with pytest.raises(ValueError, match=f"m0={m0} outside the state space 1..100"):
+                endpoint_distribution(params, m0, 1.0)
+        assert window_probability(params, np.int64(50), 1.0, [50]) == \
+            window_probability(params, 50, 1.0, [50])
 
     def test_regression_fixture(self):
         prob = window_probability(ModelParams(100, 1.0), 50, 1.0, range(78, 83), tol=1e-12)
@@ -685,8 +702,9 @@ class TestTiledLogStep:
 
 
 class TestLogSpaceGate:
-    """A window whose mass _log_window_bound certifies below e^-667.7
-    (1e-290) goes to the log-space chain without a linear pass."""
+    """A window query runs the linear window chain first, which hands it to
+    the log-space chain when the window is more than the cutoff K states
+    from m0 (without stepping) or its mass at K is below 1e-280."""
 
     def _counted(self, monkeypatch):
         """The log_space flag of every window-chain pass, in call order."""
@@ -699,22 +717,11 @@ class TestLogSpaceGate:
         monkeypatch.setattr(evolve, "_window_chain", counting)
         return calls
 
-    def test_gated_query_skips_the_linear_mixture(self, monkeypatch):
-        params = ModelParams(2000, 1.0)
-        states = np.arange(1940, 1981)
-        assert _log_window_bound(2 * 2000 * 0.1, 1000, states) < math.log(1e-290)
-        calls = self._counted(monkeypatch)
-        logp = window_log_probability(params, 1000, 0.1, states, tol=1e-10)
-        assert calls == [True]
-        assert logp == _log_chain(params, 1000, 0.1, states, 1e-10)
-
     def test_ungated_deep_query_runs_the_linear_mixture(self, monkeypatch):
-        # the bound stays above the gate here, though the mass is e^-344.6:
-        # the linear chain hands the query on at the bulk cutoff, and the
-        # answer is the log chain's, called directly
+        # the mass is e^-344.6: the linear chain hands the query on at the
+        # bulk cutoff, and the answer is the log chain's, called directly
         params = ModelParams(600, 1.0)
         states = np.arange(590, 601)
-        assert _log_window_bound(2 * 600 * 0.1, 300, states) >= math.log(1e-290)
         assert _window_chain(_uniformized_kernel(params), 300, 0.1, states, 1e-10,
                              log_space=False) is None
         calls = self._counted(monkeypatch)
@@ -723,14 +730,10 @@ class TestLogSpaceGate:
         assert logp == _log_chain(params, 300, 0.1, states, 1e-10)
 
     def test_window_out_of_reach_of_the_cutoff_skips_the_linear_pass(self, monkeypatch):
-        # mu = 60, so the cutoff K of _poisson_terms is 123 orders, and the
-        # window starts 130 states from m0: the mass is 0 at every order up
-        # to K.  The Chernoff bound (e^-90.6) does not gate it.
-        params = ModelParams(600, 1.0)
-        states = np.arange(430, 441)
-        kern = _uniformized_kernel(params)
-        assert _poisson_terms(kern.rate * 0.05, 1e-12).size - 1 < 130
-        assert _log_window_bound(kern.rate * 0.05, 300, states) >= math.log(1e-290)
+        # N = 600, mu = 60: the cutoff K of _poisson_terms is 123 orders, and
+        # the window starts 130 states from m0, so its mass is 0 at every
+        # order up to K.  N = 2000, mu = 400: the window starts 940 states
+        # from m0, past a cutoff of about 540.
         calls = []
 
         def counting(kern, p, log_space):
@@ -739,31 +742,17 @@ class TestLogSpaceGate:
 
         block_powers = evolve._block_powers
         monkeypatch.setattr(evolve, "_block_powers", counting)
-        logp = window_log_probability(params, 300, 0.05, states, tol=1e-12)
-        assert calls == [True]
-        assert logp == _log_chain(params, 300, 0.05, states, 1e-12)
+        for n, m0, t, states, tol in ((600, 300, 0.05, np.arange(430, 441), 1e-12),
+                                      (2000, 1000, 0.1, np.arange(1940, 1981), 1e-10)):
+            params = ModelParams(n, 1.0)
+            k = _poisson_terms(_uniformized_kernel(params).rate * t, tol).size - 1
+            assert k < states[0] - m0
+            calls.clear()
+            logp = window_log_probability(params, m0, t, states, tol=tol)
+            assert calls == [True]
+            assert logp == _log_chain(params, m0, t, states, tol)
 
     def test_bulk_query_takes_one_linear_pass(self, monkeypatch):
         calls = self._counted(monkeypatch)
         window_log_probability(ModelParams(100, 1.0), 50, 1.0, range(78, 83), tol=1e-12)
         assert calls == [False]
-
-    def test_no_window_of_linear_mass_above_the_threshold_is_gated(self):
-        gated = ungated = 0
-        for n, m0, t in ((300, 150, 0.05), (600, 300, 0.1), (600, 1, 0.1), (1500, 200, 0.05)):
-            params = ModelParams(n, 1.0)
-            kern = _uniformized_kernel(params)
-            acc = _poisson_mixture(np.eye(n)[m0 - 1], kern, t, 1e-10)
-            acc /= acc.sum()
-            for lo in range(1, n + 1, max(1, n // 40)):
-                states = np.arange(lo, min(n, lo + 5) + 1)
-                bound = _log_window_bound(kern.rate * t, m0, states)
-                mass = float(acc[states - 1].sum())
-                if mass > 0.0:  # the bound holds wherever the mass is a normal double
-                    assert math.log(mass) <= bound + 1e-9
-                if bound < math.log(1e-290):
-                    gated += 1
-                    assert mass < 1e-280
-                else:
-                    ungated += 1
-        assert gated > 20 and ungated > 20

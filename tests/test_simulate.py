@@ -505,18 +505,49 @@ def _random_tilted_cases(count):
                int(rnd.integers(4)))
 
 
+# a tilt that swings 13 times over the horizon: speculation takes 10 passes
+# over the one window of (seed 1, replication 3) and 9 over that of (0, 5)
+_FAST_TILT = CallableTilt(lambda t: 1.0 + 0.9 * math.sin(40.0 * t) ** 2, bound=1.9)
+_FAST_TILT_CASES = [(ModelParams(200, 1.0), _FAST_TILT,
+                     SimConfig(horizon=1.0, seed=seed, initial=100), rep)
+                    for seed, rep in ((1, 3), (0, 5))]
+
+
+def _assert_matches_scalar_loop(params, tilt, config, rep):
+    times, states, log_w = _scalar_tilted_path(params, tilt, config, rep)
+    weighted = tilted_sample_path(params, tilt, config, rep)
+    assert weighted.trajectory.jump_times.tobytes() == times.tobytes()
+    assert weighted.trajectory.states_after_jump.tobytes() == states.tobytes()
+    assert weighted.log_weight.hex() == log_w.hex()
+
+
 class TestTiltedKernelMatchesScalarLoop:
     @pytest.mark.parametrize("chunk", [32, 256])
     def test_random_cases(self, chunk, monkeypatch):
         # constant, dual and callable tilts; point and stationary starts;
-        # paths that reflect at either end; small and large windows
+        # paths that reflect at either end; small and large windows; a
+        # fast-swinging tilt that needs many speculation passes
         monkeypatch.setattr(simulate, "_CHUNK", chunk)
-        for params, tilt, config, rep in _random_tilted_cases(60):
-            times, states, log_w = _scalar_tilted_path(params, tilt, config, rep)
-            weighted = tilted_sample_path(params, tilt, config, rep)
-            assert weighted.trajectory.jump_times.tobytes() == times.tobytes()
-            assert weighted.trajectory.states_after_jump.tobytes() == states.tobytes()
-            assert weighted.log_weight.hex() == log_w.hex()
+        for params, tilt, config, rep in [*_random_tilted_cases(60), *_FAST_TILT_CASES]:
+            _assert_matches_scalar_loop(params, tilt, config, rep)
+
+    @pytest.mark.parametrize("n", [3, 30, 400])
+    def test_tilt_is_never_evaluated_at_or_past_the_horizon(self, n):
+        # from about 0.01 expected candidate events before the horizon to
+        # about 600; z raises at or past the horizon
+        params = ModelParams(n, 1.0)
+        for horizon in (0.002, 0.02, 0.2, 1.0):
+            def z(t, horizon=horizon):
+                if t >= horizon:
+                    raise AssertionError(f"z evaluated at t={t} >= horizon {horizon}")
+                return 1.0 + 0.5 * math.sin(7.0 * t) ** 2
+
+            tilt = CallableTilt(z, bound=1.5)
+            config = SimConfig(horizon=horizon, seed=5, initial=(n + 1) // 2, replications=20)
+            for rep in range(3):
+                _assert_matches_scalar_loop(params, tilt, config, rep)
+            res = tilted_window_experiment(params, tilt, (1, n), config)
+            assert res.estimate > 0.0
 
 
 def _scalar_states(n, m, unis):
