@@ -729,28 +729,43 @@ class TestLogSpaceGate:
         assert calls == [False, True]
         assert logp == _log_chain(params, 300, 0.1, states, 1e-10)
 
-    def test_window_out_of_reach_of_the_cutoff_skips_the_linear_pass(self, monkeypatch):
-        # N = 600, mu = 60: the cutoff K of _poisson_terms is 123 orders, and
-        # the window starts 130 states from m0, so its mass is 0 at every
-        # order up to K.  N = 2000, mu = 400: the window starts 940 states
-        # from m0, past a cutoff of about 540.
+    def _counted_powers(self, monkeypatch):
+        """The log_space flag of every _block_powers pass, in call order: a
+        window chain that steps in linear space makes one with False."""
         calls = []
+        block_powers = evolve._block_powers
 
         def counting(kern, p, log_space):
             calls.append(log_space)
             return block_powers(kern, p, log_space)
 
-        block_powers = evolve._block_powers
         monkeypatch.setattr(evolve, "_block_powers", counting)
-        for n, m0, t, states, tol in ((600, 300, 0.05, np.arange(430, 441), 1e-12),
-                                      (2000, 1000, 0.1, np.arange(1940, 1981), 1e-10)):
-            params = ModelParams(n, 1.0)
-            k = _poisson_terms(_uniformized_kernel(params).rate * t, tol).size - 1
-            assert k < states[0] - m0
-            calls.clear()
-            logp = window_log_probability(params, m0, t, states, tol=tol)
-            assert calls == [True]
-            assert logp == _log_chain(params, m0, t, states, tol)
+        return calls
+
+    def test_gated_query_skips_the_linear_mixture(self, monkeypatch):
+        # N = 2000, mu = 400: the window starts 940 states from m0, past a
+        # cutoff K of about 540, so the linear chain hands it on unstepped
+        params = ModelParams(2000, 1.0)
+        states = np.arange(1940, 1981)
+        k = _poisson_terms(_uniformized_kernel(params).rate * 0.1, 1e-10).size - 1
+        assert k < states[0] - 1000
+        calls = self._counted_powers(monkeypatch)
+        logp = window_log_probability(params, 1000, 0.1, states, tol=1e-10)
+        assert calls == [True]
+        assert logp == _log_chain(params, 1000, 0.1, states, 1e-10)
+
+    def test_window_out_of_reach_of_the_cutoff_skips_the_linear_pass(self, monkeypatch):
+        # mu = 60, so the cutoff K of _poisson_terms is 123 orders, and the
+        # window starts 130 states from m0: the mass is 0 at every order up
+        # to K
+        params = ModelParams(600, 1.0)
+        states = np.arange(430, 441)
+        kern = _uniformized_kernel(params)
+        assert _poisson_terms(kern.rate * 0.05, 1e-12).size - 1 < 130
+        calls = self._counted_powers(monkeypatch)
+        logp = window_log_probability(params, 300, 0.05, states, tol=1e-12)
+        assert calls == [True]
+        assert logp == _log_chain(params, 300, 0.05, states, 1e-12)
 
     def test_bulk_query_takes_one_linear_pass(self, monkeypatch):
         calls = self._counted(monkeypatch)
