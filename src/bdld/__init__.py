@@ -25,14 +25,11 @@ from .evolve import (
 )
 from .ldp import (
     KAPPA_LIMIT,
-    BracketError,
     GridPath,
     ProbeFunction,
-    fenchel_hamiltonian,
     hamiltonian,
     kappa_star,
     lagrangian,
-    lagrangian_numeric,
     prelimit_hamiltonian,
     rate_functional,
     rate_functional_report,

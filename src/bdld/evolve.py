@@ -275,12 +275,12 @@ def endpoint_distribution(params: ModelParams, m0: int, t: float, tol: float = 1
 
 
 def _normalize_window(params: ModelParams, window) -> np.ndarray:
-    states = np.asarray(sorted(set(int(m) for m in window)), dtype=int)
-    if states.size == 0:
+    states = list(window)
+    if not states:
         raise ValueError("window must be a non-empty set of states")
-    if states[0] < 1 or states[-1] > params.n_states:
-        raise ValueError(f"window {states[0]}..{states[-1]} outside 1..{params.n_states}")
-    return states
+    for m in states:
+        _check_state(params, m, "window state")
+    return np.unique(np.array(states, dtype=int))
 
 
 def _certified_window(params: ModelParams, m0: int, t: float, window,

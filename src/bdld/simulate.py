@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import ModelParams, ProbabilityVector, stationary_distribution
+from .chain import ModelParams, ProbabilityVector, _check_state, stationary_distribution
 from .serialize import write_csv
 
 __all__ = [
@@ -452,9 +452,9 @@ def lln_stationary_experiment(params: ModelParams, u: float, sample_times,
     """Monte Carlo estimate of P(X(t_i)/N < u for every sample time) with the
     chain started from its stationary law.
 
-    A replication stops at the first sample time with X/N >= u; ``jumps`` in
-    the extra fields counts the jumps at or before the last sample time each
-    replication read.
+    A replication stops at the first sample time with X/N >= u.  The extra
+    fields carry the ``successes`` and, in ``jumps``, the jumps at or before
+    the last sample time each replication read.
     """
     if config.initial != "stationary":
         raise ValueError("lln_stationary_experiment requires a stationary initial condition")
@@ -480,7 +480,8 @@ def lln_stationary_experiment(params: ModelParams, u: float, sample_times,
     p = successes / reps
     stderr = math.sqrt(p * (1.0 - p) / reps)
     return ExperimentResult(p, stderr, reps, config.seed, params,
-                            extra={"threshold": u, "sample_times": times, "jumps": n_jumps})
+                            extra={"threshold": u, "sample_times": times,
+                                   "successes": successes, "jumps": n_jumps})
 
 
 def _speculate(n, lam, m, t, horizon, tilt, zbar, exps, unis):
@@ -686,9 +687,12 @@ def tilted_window_experiment(params: ModelParams, tilt, window: tuple[int, int],
     hits the window), and ``rel_err_per_sample`` = stderr * sqrt(reps) /
     estimate (null when the estimate is 0).
     """
-    lo, hi = int(window[0]), int(window[1])
+    lo, hi = window
+    _check_state(params, lo, "window start")
+    _check_state(params, hi, "window end")
+    lo, hi = int(lo), int(hi)
     n, lam = params.n_states, params.lam
-    if not (1 <= lo <= hi <= n):
+    if lo > hi:
         raise ValueError(f"bad window [{lo}, {hi}] for N={n}")
     horizon = config.horizon
     zbar = _tilt_bound(tilt, horizon)

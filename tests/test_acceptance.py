@@ -15,6 +15,7 @@ import pytest
 import bdld
 from bdld.chain import ModelParams
 from bdld.optimal_paths import dual_tilt, solve_boundary
+from ldp_reference import fenchel_hamiltonian, lagrangian_numeric
 
 SEED = 20260808
 
@@ -115,11 +116,11 @@ def test_criterion_06_legendre_duality():
     for gamma in np.linspace(0.05, 1.0, 50):
         for u in np.linspace(-2.0, 2.0, 50):
             worst_l = max(worst_l, abs(bdld.lagrangian(gamma, u, 1.0)
-                                       - bdld.lagrangian_numeric(gamma, u, 1.0)))
+                                       - lagrangian_numeric(gamma, u, 1.0)))
     worst_h = 0.0
     for gamma in np.linspace(0.05, 1.0, 25):
         for kappa in np.linspace(-3.0, 3.0, 25):
-            worst_h = max(worst_h, abs(bdld.fenchel_hamiltonian(gamma, kappa, 1.0)
+            worst_h = max(worst_h, abs(fenchel_hamiltonian(gamma, kappa, 1.0)
                                        - bdld.hamiltonian(gamma, kappa, 1.0)))
     _verdict(6, "Legendre transform closed form vs numeric sup (1e-8) and "
                 "Fenchel inverse (1e-6)",

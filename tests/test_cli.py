@@ -10,6 +10,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from scipy import stats
 
 from bdld import cli
 from bdld.cli import ExperimentSpec, UsageError, main, run
@@ -321,6 +322,30 @@ class TestLlnCommands:
         assert 0.0 < report["results"]["exact"] < 1.0
         assert report["results"]["jumps"] > 0
 
+    def test_lln_stationary_every_replication_succeeding_passes(self, tmp_path):
+        # p-hat = 1 against the exact 0.998301: the Wald error is 0, and the
+        # verdict floored it at 1e-12 and failed; the binomial test passes
+        code = main(["lln-stationary", "--n", "10000", "--u", "0.99", "--reps", "1000",
+                     "--seed", "7", "--out", str(tmp_path)])
+        assert code == 0
+        results = json.loads(_read(tmp_path / "report.json"))["results"]
+        assert results["successes"] == 1000 and results["stderr"] == 0.0
+        assert abs(results["exact"] - 0.998301) <= 1e-6
+
+    @pytest.mark.parametrize("k,n,p", [
+        (0, 10, 0.3), (3, 10, 0.3), (10, 10, 0.3), (1000, 1000, 0.998301),
+        (990, 1000, 0.998301), (48, 400, 0.15), (75, 400, 0.15), (2, 5, 0.5),
+    ])
+    def test_binomial_two_sided_matches_scipy(self, k, n, p):
+        assert cli._binomial_two_sided(k, n, p) == pytest.approx(
+            stats.binomtest(k, n, p).pvalue, rel=1e-9)
+
+    def test_binomial_two_sided_at_certain_outcomes(self):
+        assert cli._binomial_two_sided(0, 10, 0.0) == 1.0
+        assert cli._binomial_two_sided(1, 10, 0.0) == 0.0
+        assert cli._binomial_two_sided(10, 10, 1.0 + 2.0 ** -52) == 1.0  # clamped to 1
+        assert cli._binomial_two_sided(9, 10, 1.0) == 0.0
+
 
 class TestRateCurveCommand:
     def test_small_ladder(self, tmp_path):
@@ -428,6 +453,8 @@ class TestActionCommand:
         assert code == 0
         report = json.loads(_read(tmp_path / "o" / "report.json"))
         assert report["results"]["I"] > 0.0
+        assert "I_closed_form" not in report["results"]
+        assert report["verdicts"] == {"quadrature_converged": True}
 
     def test_parabola_json_mode(self, tmp_path):
         from bdld.optimal_paths import solve_boundary
@@ -453,9 +480,28 @@ class TestActionCommand:
         assert main(argv) == 2
         assert "--lambda 1.0 differs from the parabola JSON's lambda 2.0" in capsys.readouterr().err
         assert main(argv + ["--lambda", "2"]) == 0
-        action = json.loads(_read(tmp_path / "o" / "report.json"))["results"]["I"]
+        report = json.loads(_read(tmp_path / "o" / "report.json"))
+        action = report["results"]["I"]
+        assert report["results"]["I_closed_form"] == optimal_action(0.5, 0.8, 1.0, 2.0)
+        assert report["verdicts"]["matches_closed_form"] is True
         assert abs(action - optimal_action(0.5, 0.8, 1.0, 2.0)) <= 1e-9
         assert abs(action - 0.0175242737) <= 1e-9
+
+    @pytest.mark.parametrize("source", ["boundary", "parabola-json"])
+    def test_path_from_zero_matches_closed_form(self, tmp_path, source):
+        # the integrand's log singularity at t = 0 against S = gammaT ln(1 + 1/(lam T))
+        if source == "boundary":
+            argv = ["--gamma0", "0", "--gamma-t", "0.5", "--horizon", "2"]
+        else:
+            blob = tmp_path / "pp.json"
+            blob.write_text(json.dumps(solve_boundary(0.0, 0.5, 2.0, 1.0).to_json_obj()))
+            argv = ["--parabola-json", str(blob)]
+        assert main(["action", *argv, "--out", str(tmp_path / "o")]) == 0
+        report = json.loads(_read(tmp_path / "o" / "report.json"))
+        assert report["verdicts"] == {"quadrature_converged": True, "matches_closed_form": True}
+        assert report["results"]["I_closed_form"] == pytest.approx(0.5 * math.log(1.5),
+                                                                   rel=1e-15)
+        assert abs(report["results"]["I"] - report["results"]["I_closed_form"]) <= 1e-9
 
     def test_infinite_action_serializes_cleanly(self, tmp_path):
         # a path resting at zero with nonzero velocity has infinite action;

@@ -10,22 +10,22 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.interpolate import CubicHermiteSpline
 
+import bdld
+from bdld import ldp
 from bdld.chain import ModelParams
 from bdld.ldp import (
-    BracketError,
     GridPath,
     ProbeFunction,
-    fenchel_hamiltonian,
     hamiltonian,
     kappa_star,
     lagrangian,
     _cubic_hermite,
-    lagrangian_numeric,
     prelimit_hamiltonian,
     rate_functional,
     rate_functional_report,
 )
 from bdld.optimal_paths import solve_boundary
+from ldp_reference import BracketError, fenchel_hamiltonian, lagrangian_numeric
 
 # Regression fixture: action of the solved path 0.5 -> 0.8 over T=1 at lam=1,
 # cross-checked against scipy.integrate.quad and the analytic antiderivative
@@ -370,5 +370,8 @@ class TestBracketGuard:
             for u in (-5.0, -0.3, 0.0, 0.7, 5.0):
                 lagrangian_numeric(gamma, u, 1.0)
 
-    def test_bracket_error_is_exported(self):
+    def test_bracket_error_left_the_package(self):
+        # the numerical transforms are test references, not package API
         assert issubclass(BracketError, RuntimeError)
+        for name in ("BracketError", "lagrangian_numeric", "fenchel_hamiltonian", "_golden_max"):
+            assert not hasattr(bdld, name) and not hasattr(ldp, name), name

@@ -4,12 +4,13 @@ import itertools
 import math
 import re
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bdld import optimal_paths
+from bdld import ldp, optimal_paths, quadrature
 from bdld.ldp import GridPath, rate_functional
 from bdld.optimal_paths import (
     AdmissibilityError,
@@ -289,8 +290,9 @@ class TestOptimalAction:
     ])
     def test_quadrature_matches_analytic_antiderivative(self, gamma0, gamma_t, horizon):
         pp = solve_boundary(gamma0, gamma_t, horizon, 1.0)
-        numeric = optimal_action(gamma0, gamma_t, horizon, 1.0, tol=1e-10)
+        numeric = rate_functional(GridPath.from_descriptor(pp, 0.0, horizon), 1.0, tol=1e-10)
         assert abs(numeric - analytic_action(pp)) <= 1e-9
+        assert abs(optimal_action(gamma0, gamma_t, horizon, 1.0) - analytic_action(pp)) <= 1e-15
 
     def test_action_is_gamma_kappa_at_the_ends(self):
         # Along the solved path H = lam*c2 is constant and kappa' gamma = -H, so
@@ -306,6 +308,56 @@ class TestOptimalAction:
             exact = gamma_kappa(pp, horizon, gamma_t) - gamma_kappa(pp, 0.0, gamma0)
             assert abs(optimal_action(gamma0, gamma_t, horizon, lam) - exact) <= 2e-9, \
                 (gamma0, gamma_t, horizon, lam)
+
+    def test_matches_60_digit_reference(self):
+        # gamma*kappa at both ends of each solved path, from its own c1 and c2,
+        # at 60 digits; zero at an end where the case puts the path at zero
+        def reference(pp):
+            c1, c2 = mp.mpf(pp.c1), mp.mpf(pp.c2)
+
+            def gamma_kappa(x):
+                return c2 * x * (x + 1) * mp.log1p(1 / x)
+            start = 0 if pp.case is PathCase.FROM_ZERO else gamma_kappa(-c1)
+            end = (0 if pp.case is PathCase.TO_ZERO
+                   else gamma_kappa(mp.mpf(pp.lam) * mp.mpf(pp.horizon) - c1))
+            return end - start
+
+        gammas = (0.0, 1e-9, 1e-4, 0.05, 0.2, 0.5, 0.5 + 1e-12, 0.5 + 1e-9, 0.5 + 1e-7,
+                  0.8, 0.95, 1.0 - 1e-9, 1.0)
+        grid = itertools.product(gammas, gammas, (0.1, 1.0, 2.0, 5.0), (0.5, 1.0, 3.0))
+        worst, cases = 0.0, 0
+        for gamma0, gamma_t, horizon, lam in grid:
+            if gamma0 == gamma_t:
+                continue
+            with mp.workdps(60):
+                exact = reference(solve_boundary(gamma0, gamma_t, horizon, lam))
+            value = optimal_action(gamma0, gamma_t, horizon, lam)
+            worst = max(worst, float(abs(value - exact) / exact))
+            cases += 1
+        assert cases == 1872
+        assert worst <= 2e-14
+
+    @pytest.mark.parametrize("gamma0,horizon,lam", [(0.5, 1.0, 1.0), (0.2, 2.0, 3.0)])
+    def test_small_deviation(self, gamma0, horizon, lam):
+        # S = delta^2 / (4 lam gamma0 T) to leading order in delta; the
+        # quadrature missed this by 2.3% at 0.5 -> 0.5 + 1e-7
+        delta = 1e-7
+        action = optimal_action(gamma0, gamma0 + delta, horizon, lam)
+        assert abs(action / (delta ** 2 / (4.0 * lam * gamma0 * horizon)) - 1.0) <= 1e-6
+
+    def test_needs_no_quadrature(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("optimal_action ran a quadrature")
+        monkeypatch.setattr(quadrature, "integrate", refuse)
+        monkeypatch.setattr(ldp, "integrate", refuse)
+        assert optimal_action(0.5, 0.8, 1.0, 1.0) == pytest.approx(0.034929359588850, abs=1e-15)
+        assert optimal_action(0.0, 0.5, 2.0, 1.0) == pytest.approx(0.5 * math.log(1.5),
+                                                                   abs=1e-16)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_tol_must_be_positive_and_finite(self, tol):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            optimal_action(0.5, 0.8, 1.0, 1.0, tol=tol)
 
     def test_local_optimality_small_batch(self):
         pp = solve_boundary(0.5, 0.8, 1.0, 1.0)

@@ -425,6 +425,18 @@ class TestTiltedSampling:
         assert res.extra["max_weight_share"] is None
         assert res.extra["rel_err_per_sample"] is None
 
+    @pytest.mark.parametrize("query", [
+        pytest.param(lambda params: window_probability(params, 50, 1.0, [50.7]), id="50.7"),
+        pytest.param(lambda params: window_probability(params, 50, 1.0, [True]), id="True"),
+        pytest.param(lambda params: tilted_window_experiment(
+            params, ConstantTilt(1.0), (78.9, 82.2),
+            SimConfig(horizon=1.0, seed=1, initial=50, replications=2)), id="78.9-82.2"),
+    ])
+    def test_window_states_must_be_integers(self, query):
+        # truncating them answered for states 50 and 1 and the window [78, 82]
+        with pytest.raises(ValueError, match="must be an integer"):
+            query(ModelParams(100, 1.0))
+
     def test_weighted_trajectory_requires_finite_weight(self):
         traj = Trajectory(1, np.array([]), np.array([]), 1.0)
         with pytest.raises(ValueError):
