@@ -149,6 +149,10 @@ class ParabolaParams:
             if key in ("gamma0", "gammaT") and not 0.0 <= number <= 1.0:
                 raise ValueError(f"parabola JSON field {key!r} must lie in [0, 1], got {value!r}")
             numbers[name] = number
+        if case is not PathCase.CONSTANT and not numbers["c2"] > 0.0:
+            # a parabola that solves a boundary problem has c2 > 0: its dual z is positive
+            raise ValueError(f"parabola JSON field 'c2' must be positive for case "
+                             f"{case.value!r}, got {obj['c2']!r}")
         level = numbers["gamma0"] if case is PathCase.CONSTANT else None
         params = cls(case=case, level=level, **numbers)
         _verify_admissible(params)

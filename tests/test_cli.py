@@ -36,6 +36,10 @@ def _write_bad_inputs(directory):
     (directory / "a_file").write_text("")
     (directory / "empty.csv").write_text("")
     (directory / "number.json").write_text("3")
+    # stays in [0, 1] and meets its ends, but no boundary problem has c2 < 0
+    (directory / "negative_c2.json").write_text(json.dumps(
+        {"c1": 0.9, "c2": -1.0, "case": "general_increasing", "lambda": 1.0, "T": 0.5,
+         "gamma0": 0.09, "gammaT": 0.24}))
     solved = solve_boundary(0.5, 0.8, 1.0, 1.0).to_json_obj()
     for name, field, value in (("nan_c1", "c1", math.nan), ("nan_gamma0", "gamma0", math.nan),
                                ("negative_lambda", "lambda", -1.0),
@@ -166,6 +170,7 @@ class TestExitCodes:
         ["hconv", "--n-ladder", "1,2"],
         # a horizon of 0 once fell back to the last sample time
         ["lln-stationary", "--n", "10", "--u", "0.5", "--horizon", "0"],
+        ["action", "--parabola-json", "negative_c2.json"],
     ])
     def test_bad_input_exits_2_without_traceback(self, tmp_path, capsys, monkeypatch, argv):
         monkeypatch.chdir(tmp_path)
@@ -209,6 +214,8 @@ class TestExitCodes:
         (["hconv", "--n-ladder", "2,1"], "--n-ladder needs at least two sizes, each at least 2"),
         (["lln-stationary", "--n", "10", "--u", "0.5", "--horizon", "0"],
          "horizon must be positive and finite, got 0.0"),
+        (["action", "--parabola-json", "negative_c2.json"],
+         "field 'c2' must be positive for case 'general_increasing', got -1.0"),
     ])
     def test_bad_input_message_names_the_culprit(self, tmp_path, capsys, monkeypatch,
                                                  argv, message):

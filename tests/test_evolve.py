@@ -5,6 +5,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from bdld import evolve
 from bdld.chain import ModelParams, jump_rates, stationary_distribution
@@ -40,14 +41,16 @@ class TestGeneratorMatrix:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 50, 1000])
     def test_from_params_matches_jump_rates(self, n):
+        # the default range 1..N, given or not, is the whole chain bit for bit
         params = ModelParams(n, 1.7)
-        kern = _uniformized_kernel(params)
-        assert kern.rate == 2.0 * 1.7 * n
-        rates = [jump_rates(params, m) for m in range(1, n + 1)]
-        assert kern.up.tobytes() == (np.array([up for up, _ in rates]) / kern.rate).tobytes()
-        assert kern.down.tobytes() == (np.array([down for _, down in rates]) / kern.rate).tobytes()
-        # each row of K = I + Q/Lam sums to one: the generator's rows sum to zero
-        assert float(np.abs(kern.up + kern.down + kern.stay - 1.0).max()) <= 1e-15
+        rates = np.array([jump_rates(params, m) for m in range(1, n + 1)])
+        for kern in (_uniformized_kernel(params), _uniformized_kernel(params, 1, n)):
+            assert kern.rate == 2.0 * 1.7 * n and kern.first == 1 and kern.sinks == ()
+            assert kern.up.tobytes() == (rates[:, 0] / kern.rate).tobytes()
+            assert kern.down.tobytes() == (rates[:, 1] / kern.rate).tobytes()
+            assert kern.stay.tobytes() == (1.0 + -(rates[:, 0] + rates[:, 1]) / kern.rate).tobytes()
+            # each row of K = I + Q/Lam sums to one: the generator's rows sum to zero
+            assert float(np.abs(kern.up + kern.down + kern.stay - 1.0).max()) <= 1e-15
 
 
 class TestEndpointDistribution:
@@ -388,6 +391,25 @@ class TestStationaryDwellProbability:
         exact = (2 / 3) * (2 / 3 + math.exp(-3 * t) / 3)
         assert abs(prob - exact) <= 1e-10
 
+    def test_first_sample_time_needs_no_evolution(self, monkeypatch):
+        # X(t_1) is stationary: one sample time at t = 0.7 is pi's mass below u
+        params = ModelParams(300, 1.0)
+        pi = stationary_distribution(params).mass
+        below = float(np.where(np.arange(1, 301) / 300 < 0.4, pi, 0.0).sum())
+
+        def never(*args):
+            raise AssertionError("evolved before the first sample time")
+
+        monkeypatch.setattr(evolve, "_poisson_mixture", never)
+        assert stationary_dwell_probability(params, 0.4, [0.7]) == below
+
+    def test_sample_times_shift_freely(self):
+        # the stationary chain is time-homogeneous
+        params = ModelParams(300, 1.0)
+        late = stationary_dwell_probability(params, 0.55, [0.3, 0.7, 1.0])
+        early = stationary_dwell_probability(params, 0.55, [0.0, 0.4, 0.7])
+        assert abs(late / early - 1.0) <= 1e-13
+
     def test_unreachable_threshold(self):
         # u below 1/N forbids every state
         assert stationary_dwell_probability(ModelParams(4, 1.0), 0.2, [0.0, 0.5]) == 0.0
@@ -553,7 +575,8 @@ class TestBlockedKernel:
                     ref = _linear_window_reference(params, m0, t, states, 1e-12)
                     assert (got is None) == (ref is None)
                     if ref is not None:
-                        assert abs(got / ref - 1.0) <= 1e-13
+                        assert got[1] == 0.0  # no state absorbs
+                        assert abs(got[0] / ref - 1.0) <= 1e-13
         assert min(cutoffs) == 0 and any(0 < k < evolve._S for k in cutoffs)
         assert max(cutoffs) > evolve._S
 
@@ -701,18 +724,149 @@ class TestTiledLogStep:
         assert len(calls) == 1
 
 
+def _absorbing_expm(params, lo, hi, m0, t):
+    """The law at time t from m0 of the chain on lo..hi whose ends strictly
+    inside 1..N absorb, by dense scipy.linalg.expm of its generator."""
+    n = params.n_states
+    q = np.zeros((hi - lo + 1, hi - lo + 1))
+    for m in range(lo, hi + 1):
+        if m in (lo, hi) and 1 < m < n:
+            continue  # a sink: a zero row
+        up, down = jump_rates(params, m)
+        if up:
+            q[m - lo, m - lo + 1] = up
+        if down:
+            q[m - lo, m - lo - 1] = down
+        q[m - lo, m - lo] = -(up + down)
+    return expm(q * t)[m0 - lo]
+
+
+class TestRangeKernel:
+    """A window query runs first on a kept range of states whose edges
+    absorb; the mass they absorb bounds what the range leaves out."""
+
+    def test_inner_ends_absorb(self):
+        params = ModelParams(100, 1.3)
+        kern = _uniformized_kernel(params, 40, 70)
+        assert kern.rate == 2.0 * 1.3 * 70 and kern.first == 40 and kern.sinks == (0, 30)
+        for i in (0, 30):
+            assert kern.up[i] == kern.down[i] == 0.0 and kern.stay[i] == 1.0
+        full = _uniformized_kernel(params)
+        # inside, the kernel carries the chain's rates at its own rate
+        assert np.allclose(kern.up[1:-1] * kern.rate, full.up[40:69] * full.rate, rtol=1e-15)
+        assert _uniformized_kernel(params, 1, 70).sinks == (69,)
+        assert _uniformized_kernel(params, 40, 100).sinks == (0,)
+
+    # (N, lam, lo, hi, m0, t, window): ranges narrow enough that the sinks
+    # hold between 1e-6 and most of the mass at t
+    EXPM_CASES = [
+        (60, 1.0, 20, 40, 30, 0.5, (28, 33)),
+        (60, 1.0, 20, 40, 22, 0.3, (21, 25)),
+        (120, 0.7, 50, 100, 80, 0.4, (90, 99)),
+        (200, 1.3, 1, 120, 100, 0.25, (95, 105)),
+        (200, 1.0, 90, 200, 120, 0.2, (170, 200)),
+        (200, 1.0, 150, 190, 170, 0.1, (168, 172)),
+        (180, 1.0, 10, 60, 40, 0.3, (10, 20)),
+    ]
+
+    @pytest.mark.parametrize("n, lam, lo, hi, m0, t, window", EXPM_CASES)
+    def test_window_and_absorbed_masses_match_dense_expm(self, n, lam, lo, hi, m0, t, window):
+        params = ModelParams(n, lam)
+        kern = _uniformized_kernel(params, lo, hi)
+        law = _absorbing_expm(params, lo, hi, m0, t)
+        states = np.arange(window[0], window[1] + 1)
+        sinks = np.array([kern.first + i for i in kern.sinks])
+        prob, bound = _window_chain(kern, m0, t, states, 1e-12, log_space=False)
+        assert abs(prob / law[states - lo].sum() - 1.0) <= 1e-10
+        # the sinks as the window: the mass absorbed by t
+        absorbed = float(law[sinks - lo].sum())
+        assert 1e-6 < absorbed < 1.0
+        got, _ = _window_chain(kern, m0, t, sinks, 1e-12, log_space=False)
+        assert abs(got / absorbed - 1.0) <= 1e-10
+        assert bound >= absorbed
+
+    def test_full_mass_is_bracketed_by_the_sink_bound(self):
+        # P_range <= P_full <= P_range + sink bound, up to each chain's
+        # certified truncation, on seeded ranges from tight to loose
+        rng = np.random.default_rng(17)
+        losses = 0
+        for _ in range(100):
+            n = int(rng.integers(40, 400))
+            m0 = int(rng.integers(1, n + 1))
+            t = float(rng.uniform(0.01, 0.5))
+            lo_w = int(np.clip(m0 + rng.integers(-8, 9), 1, n))
+            states = np.arange(lo_w, min(n, lo_w + int(rng.integers(0, 6))) + 1)
+            a, b = min(m0, int(states[0])), max(m0, int(states[-1]))
+            pad = int(rng.integers(evolve._S, 40))
+            lo, hi = max(1, a - pad), min(n, b + pad)
+            params = ModelParams(n, 1.0)
+            kern = _uniformized_kernel(params, lo, hi)
+            ranged = _window_chain(kern, m0, t, states, 1e-12, log_space=False)
+            full = _window_chain(_uniformized_kernel(params), m0, t, states, 1e-12, log_space=False)
+            if ranged is None or full is None:
+                continue
+            (p_range, bound), (p_full, _) = ranged, full
+            assert p_range <= p_full * (1.0 + 1e-12)
+            assert p_full <= p_range * (1.0 + 1e-12) + bound
+            losses += p_full - p_range > 1e-6 * p_full
+        assert losses >= 20  # the bracket is tested where the range loses mass
+
+    def test_bulk_windows_match_the_full_chain(self):
+        # bulk windows as the benchmark draws them: N log-uniform in
+        # 100..3200, t <= 1, the window within 3 sd of m0
+        rng = np.random.default_rng(2026)
+        kept = 0
+        for _ in range(40):
+            n = int(round(math.exp(rng.uniform(math.log(100), math.log(3200)))))
+            m0 = int(rng.integers(1, n + 1))
+            t = float(rng.uniform(0.02, 1.0))
+            sd = math.sqrt(2.0 * m0 * t)
+            center = int(np.clip(round(m0 + rng.uniform(-3.0, 3.0) * sd), 1, n))
+            half = int(rng.integers(0, 20))
+            states = np.arange(max(1, center - half), min(n, center + half) + 1)
+            params = ModelParams(n, 1.0)
+            full, bound = _window_chain(_uniformized_kernel(params), m0, t, states, 1e-12,
+                                        log_space=False)
+            got = window_probability(params, m0, t, states, tol=1e-12)
+            assert abs(got / full - 1.0) <= 1e-13
+            kept += evolve._kept_range(params, m0, t, states, 1e-12) is not None
+        assert kept >= 10
+
+    def test_failed_certificate_returns_the_full_chain_bit_for_bit(self, monkeypatch):
+        # a kept range 10 states wider than the window on each side, about
+        # one sd at t = 0.05: its sinks take far more than the certificate allows
+        params, states = ModelParams(3200, 1.0), np.arange(1590, 1611)
+        full, _ = _window_chain(_uniformized_kernel(params), 1600, 0.05, states, 1e-12,
+                                log_space=False)
+        tight = _window_chain(_uniformized_kernel(params, 1580, 1620), 1600, 0.05, states, 1e-12,
+                              log_space=False)
+        assert tight[1] > 1e-3 * tight[0]
+        passes = []
+
+        def counting(kern, *args, log_space):
+            passes.append((kern.first, kern.first + kern.stay.size - 1, log_space))
+            return _window_chain(kern, *args, log_space=log_space)
+
+        monkeypatch.setattr(evolve, "_kept_range", lambda *args: (1580, 1620))
+        monkeypatch.setattr(evolve, "_window_chain", counting)
+        assert window_probability(params, 1600, 0.05, states, tol=1e-12) == full
+        assert passes == [(1580, 1620, False), (1, 3200, False)]
+
+
 class TestLogSpaceGate:
-    """A window query runs the linear window chain first, which hands it to
+    """A window query runs the linear window chain first, on a kept range
+    where one saves enough and then on the whole chain, which hands it to
     the log-space chain when the window is more than the cutoff K states
     from m0 (without stepping) or its mass at K is below 1e-280."""
 
     def _counted(self, monkeypatch):
-        """The log_space flag of every window-chain pass, in call order."""
+        """(first state, last state, log_space) of every window-chain pass,
+        in call order."""
         calls = []
 
-        def counting(*args, log_space):
-            calls.append(log_space)
-            return _window_chain(*args, log_space=log_space)
+        def counting(kern, *args, log_space):
+            calls.append((kern.first, kern.first + kern.stay.size - 1, log_space))
+            return _window_chain(kern, *args, log_space=log_space)
 
         monkeypatch.setattr(evolve, "_window_chain", counting)
         return calls
@@ -726,7 +880,7 @@ class TestLogSpaceGate:
                              log_space=False) is None
         calls = self._counted(monkeypatch)
         logp = window_log_probability(params, 300, 0.1, states, tol=1e-10)
-        assert calls == [False, True]
+        assert calls == [(1, 600, False), (1, 600, True)]
         assert logp == _log_chain(params, 300, 0.1, states, 1e-10)
 
     def _counted_powers(self, monkeypatch):
@@ -768,6 +922,27 @@ class TestLogSpaceGate:
         assert logp == _log_chain(params, 300, 0.05, states, 1e-12)
 
     def test_bulk_query_takes_one_linear_pass(self, monkeypatch):
+        # at N = 100 a kept range would step more than half the chain's
+        # state orders, so the query runs on the whole chain alone
         calls = self._counted(monkeypatch)
         window_log_probability(ModelParams(100, 1.0), 50, 1.0, range(78, 83), tol=1e-12)
-        assert calls == [False]
+        assert calls == [(1, 100, False)]
+
+    def test_bulk_query_at_large_n_takes_one_pass_on_a_kept_range(self, monkeypatch):
+        params, states = ModelParams(3200, 1.0), range(1590, 1611)
+        lo, hi = evolve._kept_range(params, 1600, 0.05, np.array(states), 1e-12)
+        assert 1 < lo < 1590 and 1610 < hi < 3200
+        calls = self._counted(monkeypatch)
+        window_log_probability(params, 1600, 0.05, states, tol=1e-12)
+        assert calls == [(lo, hi, False)]
+
+    def test_deep_query_out_of_the_kept_range_reach_ends_in_the_log_chain(self, monkeypatch):
+        # oracle pool deep row: the kept range's cutoff does not reach the
+        # window, nor does the whole chain's mass at K clear 1e-280; the
+        # answer is the log chain's, bit for bit
+        params, states = ModelParams(1955, 1.0), np.arange(32, 71)
+        lo, hi = evolve._kept_range(params, 688, 0.11803589486301491, states, 1e-10)
+        calls = self._counted(monkeypatch)
+        logp = window_log_probability(params, 688, 0.11803589486301491, states, tol=1e-10)
+        assert calls == [(lo, hi, False), (1, 1955, False), (1, 1955, True)]
+        assert logp == _log_chain(params, 688, 0.11803589486301491, states, 1e-10)
