@@ -15,19 +15,27 @@ bulk mixture of _poisson_mixture.  A window query never builds a law: one
 window chain (_window_chain) sums the window masses y_j * (K^r 1_W) until a
 certified relative stop rule holds, in linear arithmetic reading the orders
 up to the cutoff K in groups of powers.  Below 1e-280 at K it answers in log
-arithmetic, far below 1e-308; a window more than K states from m0 goes there
-without a linear pass.
+arithmetic, far below 1e-308; a window more than K states from m0, or one
+the reach bound from m0 puts below 1e-280, goes there without a linear pass.
 The linear chain first runs on a kept range of states around m0 and the
 window (_kept_range), whose ends absorb, uniformized at the range's own top
 rate (_uniformized_kernel(params, lo, hi)).  Its window mass is a lower
 bound, and the mass its ends absorb, bounded by the last power's mass near
 them, closes the gap; where that bound is at most 1% of tol/2 of the answer
 the answer stands, else the query runs on 1..N as if no range were kept
-(_certified_window).  The log chain always runs on 1..N.
+(_certified_window).  The log chain runs on 1..N and truncates itself
+(_log_chain): a reach bound, a supermartingale that falls fastest where
+steps toward the window are rarest (_reach_weights), bounds what the mass
+at each state can still add to the window.  It stops the sum, and the edge
+states whose bounds fit a budget of 1% of tol/2 of a guessed lower bound on
+P are dropped and charged to an error account; an answer whose account
+exceeds that share of it is computed again with no drops.
 One query on a shared 2-core machine, whose speed varies up to 2x from day
 to day (timed on one day): 2.0 ms for a bulk window at N ~ 520, mu ~ 460;
-0.27 / 1.1 / 8.5 s (log space) at N = 6400 / 12800 / 25600 for gamma0 = 0.5,
-window 0.8 +- 0.02, T = 1.  Beyond that is Monte Carlo.
+for gamma0 = 0.5, window 0.8 +- 0.02, T = 1: 0.28 / 1.5 s at N = 6400 / 12800
+(linear arithmetic) and 1.4 s at N = 25600 (log arithmetic; 7.8-10.3 s in
+the same session with every state stepped to the Poisson tail rule).
+Beyond that is Monte Carlo.
 """
 
 from __future__ import annotations
@@ -42,6 +50,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .chain import ModelParams, ProbabilityVector, _check_state, stationary_distribution
+from .optimal_paths import optimal_action
 
 __all__ = [
     "endpoint_distribution",
@@ -63,10 +72,14 @@ _TILE = 64
 # The smallest product a tile of _log_band_stepper may form is e^-_TILE_FLOOR,
 # a normal double (those reach down to e^-708.4).
 _TILE_FLOOR = 700.0
-# The log chain reads its powers in groups of 1, 2, 4, ... blocks, up to this.
-_MAX_GROUP = 16
-# A kept range's answer stands where its sink bound is at most this share of tol/2 of it.
+# The log chain reads its powers in groups of at most this many blocks.
+_MAX_GROUP = 32
+# A truncation, a kept range's sinks or the log chain's dropped states, may
+# take at most this share of tol/2 of the answer.
 _SINK_SHARE = 0.01
+# The growth factors R over which the reach bound is least (_reach_weights):
+# 1, and 1 + 0.005 ... 1 + 3.5 in geometric steps.
+_REACH_R = np.r_[1.0, 1.0 + np.geomspace(5e-3, 3.5, 8)]
 # A window query keeps a range only where it steps at most this share of N*N state orders.
 _KEEP_SHARE = 0.5
 
@@ -143,7 +156,7 @@ def _poisson_terms(mu: float, tol: float) -> np.ndarray:
     the orders built reach far past it."""
     if mu == 0.0:
         return np.ones(1)
-    mode, top = int(mu), int(mu + 12.0 * math.sqrt(mu)) + 40
+    mode, top = int(mu), _poisson_top(mu)
     w = np.empty(top + 2)
     w[mode::-1] = np.cumprod(np.r_[1.0, np.arange(mode, 0, -1) / mu])
     w[mode + 1:] = np.cumprod(mu / np.arange(mode + 1, top + 2))
@@ -151,6 +164,11 @@ def _poisson_terms(mu: float, tol: float) -> np.ndarray:
     k = np.arange(top + 1)
     past = (k + 2 > mu) & (w[1:] <= 0.5 * tol * (1.0 - mu / (k + 2)))
     return w[:int(past.argmax()) + 1]
+
+
+def _poisson_top(mu: float) -> int:
+    """The last order _poisson_terms builds, so at least its cutoff K."""
+    return int(mu + 12.0 * math.sqrt(mu)) + 40
 
 
 def check_tol(tol: float) -> None:
@@ -187,25 +205,34 @@ def _block_powers(kern: _UniformizedKernel, p: np.ndarray, log_space: bool):
     times kern.band, the band of K^_S stored state by state: one np.einsum
     in linear arithmetic, _log_band_stepper's step in log arithmetic.  The
     band is asked for once a second power is; a yielded row is overwritten
-    two steps on."""
+    two steps on.
+
+    A consumer may send (a, b), lo <= a < b <= hi, as simulate._blocks takes
+    its counts: the last power's states outside a..b-1 are emptied, and the
+    next step runs from a..b-1 (next() sends nothing)."""
     empty = -np.inf if log_space else 0.0
     n = p.size
     support = np.flatnonzero(p != empty)
     lo, hi = (int(support[0]), int(support[-1]) + 1) if support.size else (0, 0)
     ring = np.full((2, n + 2 * _S + _TILE), empty)  # y_j at row j mod 2, a last tile's pad after it
     ring[0, _S:_S + n] = p
-    yield lo, hi, ring[0, _S:_S + n]
+    keep = yield lo, hi, ring[0, _S:_S + n]
     g = kern.band
     step = _log_band_stepper(ring, g) if log_space else None
     views = sliding_window_view(ring[:, :n + 2 * _S], n, axis=1)
     for j in itertools.count(1):
-        lo, hi = max(0, lo - _S), min(n, hi + _S)
         row = ring[j % 2, _S:_S + n]
+        if keep is not None:
+            # empty the last power outside a..b-1, and the older power this
+            # step overwrites outside what it writes
+            (lo, hi), last = keep, ring[1 - j % 2, _S:_S + n]
+            last[:lo] = last[hi:] = row[:max(0, lo - _S)] = row[hi + _S:] = empty
+        lo, hi = max(0, lo - _S), min(n, hi + _S)
         if log_space:
             step(j % 2, lo, hi)
         else:
             np.einsum("ij,ji->j", views[1 - j % 2, :, lo:hi], g[lo:hi], out=row[lo:hi])
-        yield lo, hi, row
+        keep = yield lo, hi, row
 
 
 def _log_band_stepper(ring: np.ndarray, band: np.ndarray):
@@ -222,7 +249,8 @@ def _log_band_stepper(ring: np.ndarray, band: np.ndarray):
     Every nonzero product stays at least e^-_TILE_FLOOR, a normal double,
     while a tile's finite logs lie within span = _TILE_FLOOR + ln(smallest
     band entry) of its reference; a tile that reaches further takes a
-    per-state log-sum-exp over the band's logs instead."""
+    per-state log-sum-exp over the band's logs instead.  The caller ignores
+    division by zero (np.errstate): a state without mass takes log 0 = -inf."""
     n = band.shape[0] - _TILE
     with np.errstate(divide="ignore"):
         log_g = np.log(band[:n].T)
@@ -243,8 +271,7 @@ def _log_band_stepper(ring: np.ndarray, band: np.ndarray):
         np.exp(e, out=e)
         np.einsum("tki,tki->tk", shifted[:tiles],
                   band[lo:lo + tiles * _TILE].reshape(tiles, _TILE, 2 * _S + 1), out=out)
-        with np.errstate(divide="ignore"):
-            np.log(out, out=out)
+        np.log(out, out=out)  # the caller ignores log(0)
         np.add(out, ref, out=ring[r, _S + lo:_S + lo + tiles * _TILE].reshape(tiles, _TILE))
         for t in wide.nonzero()[0].tolist():
             a, b = lo + t * _TILE, min(hi, lo + (t + 1) * _TILE)
@@ -320,18 +347,39 @@ def _certified_window(params: ModelParams, m0: int, t: float, window,
     hands the query on, the linear chain runs on the whole chain 1..N, whose
     answer needs no sink bound, and then the log chain, with P below
     _LOG_SPACE_THRESHOLD at the bulk cutoff or the window more than K
-    states from m0.  The last two step with one kernel and build its band
-    once."""
+    states from m0.  No linear pass runs that would hand the query on:
+    not where the window lies past its _poisson_top(mu) >= K, nor, for a
+    window more than 7 sd (sqrt(50 mu) states) from m0, where the reach
+    bound from m0 (_log_reach_bound) is below _LOG_SPACE_THRESHOLD.  A
+    pass not run builds no kernel and no weights; the last two step with
+    one kernel 1..N and build its band once."""
     states = _normalize_window(params, window)
     _check_state(params, m0, "m0")
     _check_time_tol(t, tol)
-    kern = _uniformized_kernel(params)
+    n, reach = params.n_states, int(np.abs(states - m0).min())
     kept = _kept_range(params, m0, t, states, tol)
-    for chain_kern in ([_uniformized_kernel(params, *kept)] if kept else []) + [kern]:
-        found = _window_chain(chain_kern, m0, t, states, tol, log_space=False)
+    ranges = [(lo, hi) for lo, hi in ([kept] if kept else []) + [(1, n)]
+              if reach <= _poisson_top(2.0 * params.lam * hi * t)]
+    whole = functools.cache(lambda: _uniformized_kernel(params))
+    if ranges and reach * reach > 100.0 * params.lam * n * t:
+        # more than 7 sd out: the reach bound may put the window mass below the threshold
+        if _log_reach_bound(whole(), m0, t, states) < math.log(_LOG_SPACE_THRESHOLD) - 1.0:
+            ranges = []
+    for lo, hi in ranges:
+        kern = whole() if hi - lo + 1 == n else _uniformized_kernel(params, lo, hi)
+        found = _window_chain(kern, m0, t, states, tol, log_space=False)
         if found is not None and found[1] <= _SINK_SHARE * 0.5 * tol * found[0]:
             return found[0], False
-    return _window_chain(kern, m0, t, states, tol, log_space=True), True
+    return _window_chain(whole(), m0, t, states, tol, log_space=True), True
+
+
+def _log_reach_bound(kern: _UniformizedKernel, m0: int, t: float, states: np.ndarray) -> float:
+    """ln of an upper bound on the window mass from m0 on the chain 1..N:
+    the least over R of h(m0) e^(mu (rho - 1)), the reach bound of
+    _reach_weights summed over every Poisson order."""
+    depth, rho_m1 = _reach_weights(kern, int(states[0]) - 1, int(states[-1]))
+    zone = 0 if m0 < states[0] else 2 if m0 > states[-1] else 1  # below, in or above the hull
+    return float(np.min(kern.rate * t * rho_m1[:, zone] - depth[:, m0 - 1]))
 
 
 def _kept_range(params: ModelParams, m0: int, t: float, states: np.ndarray,
@@ -404,15 +452,15 @@ def _window_chain(kern: _UniformizedKernel, m0: int, t: float, states: np.ndarra
                   log_space: bool) -> tuple[float, float] | float | None:
     """The window mass after time t from m0 (states numbered as in the
     chain, kern's from kern.first), its Poisson truncation certified to tol/2
-    of itself (mu = Lam*t).  Once k + 2 > mu the pmf falls at least by
-    mu/(k+2) per order, so all orders past k weigh at most
-    pmf(k+1) / (1 - mu/(k+2)); the sum stops at the first order where that is
-    at most tol/2 of the window mass so far (after Fox & Glynn, "Computing
-    Poisson probabilities", CACM 1988).
+    of itself (mu = Lam*t).
 
-    In linear arithmetic it is (P, sink bound), or None where the mass at K
-    is below _LOG_SPACE_THRESHOLD, as for any window more than K states from
-    m0.  The weights are those of _poisson_terms, whose orders 0..K are read
+    In linear arithmetic the sum stops at the first order k where the
+    weight of all later orders is at most tol/2 of the window mass so far:
+    once k + 2 > mu the pmf falls at least by mu/(k+2) per order, so that
+    weight is at most pmf(k+1) / (1 - mu/(k+2)) (after Fox & Glynn,
+    "Computing Poisson probabilities", CACM 1988).  It is (P, sink bound),
+    or None where the mass at K is below _LOG_SPACE_THRESHOLD, as for any
+    window more than K states from m0.  The weights are those of _poisson_terms, whose orders 0..K are read
     in groups of powers, then pmf(k-1) * mu/k order by order; the sum is
     divided by the same sum over the total masses (as a law is normalised).
     The sink bound is the mass of the last power y_j it read, the one holding
@@ -420,12 +468,12 @@ def _window_chain(kern: _UniformizedKernel, m0: int, t: float, states: np.ndarra
     (0 with no sink): an order moves mass at most one state and sinks only
     gain it, so it bounds what the sinks hold at every order summed.
 
-    In log arithmetic it is ln P, and nothing in it underflows: the powers'
-    near-window slices are read in groups of 1, 2, 4, ... up to _MAX_GROUP
-    blocks, a group's window masses by one log-sum-exp, and the stop rule is
-    applied over the group at once to ln pmf (np.add.accumulate) and the
-    running ln P (np.logaddexp.accumulate).  The caller has checked m0, t
-    and tol."""
+    In log arithmetic it is ln P, and nothing in it underflows (_log_chain):
+    the stop rule bounds the later window masses by how far the mass lies
+    from the window, and states that cannot matter are dropped into an
+    error account of at most _SINK_SHARE of tol/2 of P, the guess of
+    _log_mass_guess setting the budget; where the account comes out larger
+    the pass reruns with no drops.  The caller has checked m0, t and tol."""
     m0, states = m0 - kern.first + 1, states - (kern.first - 1)
     mu = kern.rate * t
     if not log_space:
@@ -465,32 +513,153 @@ def _window_chain(kern: _UniformizedKernel, m0: int, t: float, states: np.ndarra
         return acc / used, sum(float(last[max(0, s - _S + 1):s + _S].sum()) for s in kern.sinks)
     if mu == 0.0:
         return 0.0 if m0 in states else -math.inf
+    log_share = math.log(_SINK_SHARE * 0.5 * tol)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # logs of 0 are -inf
+        log_p, account = _log_chain(kern, m0, mu, states, tol,
+                                    log_share + _log_mass_guess(kern, m0, t, states))
+        if account > log_share + log_p:  # the guess was too high: no drops
+            log_p, _ = _log_chain(kern, m0, mu, states, tol, -math.inf)
+    return log_p
+
+
+def _log_mass_guess(kern: _UniformizedKernel, m0: int, t: float, states: np.ndarray) -> float:
+    """A guess at a lower bound on the window's ln P from m0 on the chain
+    1..N: -N S(m0/N, w/N) - ln(N)/2 - 10, w the window state nearest m0 and
+    S the action of optimal_paths.optimal_action.  On the 130 deep windows
+    of the benchmark pool ln P lies 2.5 to 4.9 below -N S."""
+    n, w = kern.stay.size, int(states[np.abs(states - m0).argmin()])
+    return -n * optimal_action(m0 / n, w / n, t, kern.rate / (2.0 * n)) - 0.5 * math.log(n) - 10.0
+
+
+def _reach_weights(kern: _UniformizedKernel, w0: int, w1: int) -> tuple[np.ndarray, np.ndarray]:
+    """(depth, rho - 1): for each R in _REACH_R, -ln h(x) per state and the
+    growth factor rho per zone (below, in, above the hull w0..w1-1 of
+    entries), where h = 1 on the hull and E[h(X')] <= rho h(x) for every
+    state x outside it: then h(X_i) / rho^i stops as a supermartingale at
+    the hull, and the chain from x reaches it within i steps with
+    probability at most rho^i h(x).  Away from the hull, with p and q the
+    probabilities of a step toward it and away, h(toward) / h(x) = e^beta
+    solves p e^beta + q e^-beta = p + q + R - 1, so beta grows where steps
+    are rare; rho is the largest E[h(X')] / h(x) on the side, about R.
+    R = 1 gives h = 1, the bound of a window mass by the total mass.  Every
+    state outside the hull moves toward it (the chain on 1..N)."""
+    r = _REACH_R[:, None]
+    depth = np.zeros((r.size, kern.stay.size))
+    rho_m1 = np.zeros((r.size, 3))
+    for zone, toward, away, out in ((0, kern.up[:w0][::-1], kern.down[:w0][::-1], np.s_[:w0]),
+                                    (2, kern.down[w1:], kern.up[w1:], np.s_[w1:])):
+        if toward.size:  # the states ordered outward from the hull
+            c = toward + away + (r - 1.0)
+            # c^2 - 4 p q, as a sum of terms >= 0
+            root = np.sqrt((r - 1.0) * (r - 1.0 + 2.0 * (toward + away)) + (toward - away) ** 2)
+            ratio = (c + root) / (2.0 * toward)  # h(toward) / h(x)
+            back = np.concatenate([1.0 / ratio[:, 1:], np.ones((r.size, 1))], axis=1)
+            rho_m1[:, zone] = (toward * (ratio - 1.0) + away * (back - 1.0)).max(axis=1)
+            depth[:, out] = np.cumsum(np.log(ratio), axis=1)[:, ::1 if zone else -1]
+    return depth, rho_m1
+
+
+def _log_chain(kern: _UniformizedKernel, m0: int, mu: float, states: np.ndarray, tol: float,
+               log_budget: float) -> tuple[float, float]:
+    """One pass of the log window chain: (ln P, ln of the drop account).
+
+    The reach bound: by _reach_weights, mass y at a state x adds at most
+    y h(x) rho^i to the window mass i orders on, and so over the orders
+    k, k+1, ... from the power at order k_j <= k at most y h(x) times
+    rho^(k - k_j) sum_i pmf(k+i) rho^i, which is at most
+    rho^(-k_j) e^(mu (rho - 1)), and pmf(k) / (1 - mu rho/(k+1)) once
+    k+1 > mu rho; the least over R in _REACH_R is taken per zone (below,
+    in, above the window's hull) for a sum and per state for a drop.
+
+    The powers are read in groups of up to _MAX_GROUP blocks, run to just
+    past the window's distance from m0 while it lies ahead, a group's
+    window masses by one log-sum-exp and the running ln P by
+    np.logaddexp.accumulate.  At a group's end the edge states of the last
+    power whose bounds fit half an edge's share of the budget left
+    (log_budget less the account) are dropped, sent to _block_powers, and
+    the share charged to the account (Munsky & Khammash 2006): the chain
+    then counts fewer paths, and P lies between its sum and the sum plus
+    the account plus the stop bound.  The sum stops at the first group end
+    where the reach bound of the kept states on the orders still to come,
+    plus the account, is at most tol/2 of the running sum (after Fox &
+    Glynn 1988; at R = 1 it is the Poisson tail times the kept mass).  The
+    same bound at the ends of the next _MAX_GROUP blocks sizes the next
+    group, and the sum stops at the end of it where it holds.  The account
+    takes at most _SINK_SHARE of that tol/2, and where it already exceeds
+    that share of all the sum can reach the pass charges every state and
+    ends; the caller reruns with no budget where the account is past that
+    share of the sum."""
+    n = kern.stay.size
     near_lo, near_hi, columns, powers = _window_setup(kern, m0, states, True)
+    w0, w1 = int(states[0]) - 1, int(states[-1])  # the hull's entries w0..w1-1
+    ahead = _S * np.arange(_MAX_GROUP + 1)  # the block ends a reach bound looks at
+    depth, rho_m1 = _reach_weights(kern, w0, w1)
+    log_rho = np.log1p(rho_m1)[:, :, None]
+    mu_rho, grow = mu * (1.0 + rho_m1)[:, :, None], (_S + ahead) * log_rho
     log_mu, log_rel = math.log(mu), math.log(0.5 * tol)
-    k_cap = int(mu + 10.0 * math.sqrt(mu + 1.0)) + 6 * kern.stay.size + 1000
-    acc, start, k0, count = -math.inf, -mu, 0, 1  # start: ln pmf(0), then ln pmf(k0 - 1)
+    k_cap = int(mu + 10.0 * math.sqrt(mu + 1.0)) + 6 * n + 1000
+    # start: ln pmf(0), then ln pmf(k0 - 1); the orders below the window's
+    # distance from m0 have no window mass, and the groups run to just past it
+    acc, start, k0, reach = -math.inf, -mu, 0, int(np.abs(states - m0).min())
+    count = min(_MAX_GROUP, reach // _S + 1)
+    account, cut, certified = -math.inf, None, math.inf
     while k0 <= k_cap:
-        # the orders k0..k1-1 of the next count blocks: their window masses, ln pmf and sums
+        # the orders k0..k1-1 of the next count blocks, summed by one log-sum-exp
         y = np.empty((count, 1, near_hi - near_lo))
-        for j, (_, _, row) in zip(range(count), powers):
+        for j in range(count):
+            lo, hi, row = powers.send(cut)
+            cut = None
             y[j, 0] = row[near_lo:near_hi]
-        terms = y + columns
-        peak = terms.max(axis=2, keepdims=True)
-        peak[peak == -np.inf] = 0.0  # no mass: the sum below is 0
-        np.exp(terms - peak, out=terms)
-        with np.errstate(divide="ignore"):
-            mass = (np.log(terms.sum(axis=2, keepdims=True)) + peak).reshape(-1)
         k1 = k0 + count * _S
         k = np.arange(k0, k1)
         steps = log_mu - np.log(k[k > 0])  # ln pmf(k) - ln pmf(k-1)
         log_pmf = np.add.accumulate(np.concatenate(([start], steps)))[-k.size:]
-        sums = np.logaddexp.accumulate(np.concatenate(([acc], log_pmf + mass)))[1:]
-        with np.errstate(divide="ignore", invalid="ignore"):  # read only where k + 2 > mu
-            log_tail = log_pmf + np.log(mu / (k + 1)) - np.log1p(-mu / (k + 2))
-        stop = (k + 2 > mu) & (log_tail <= sums + log_rel)
-        if stop.any():
-            return float(sums[stop.argmax()])
-        acc, start, k0, count = float(sums[-1]), float(log_pmf[-1]), k1, min(2 * count, _MAX_GROUP)
+        terms = y + columns + log_pmf.reshape(count, _S, 1)
+        peak = terms.max()
+        if peak > -np.inf:  # else no order of the group has window mass
+            acc = float(np.logaddexp(acc, math.log(np.exp(terms - peak).sum()) + peak))
+        start, k0 = float(log_pmf[-1]), k1
+        if k1 >= certified:
+            return acc, account
+        # the reach bound of the last power, at order k1 - _S, over the orders from k1 + s:
+        # log_t per R, zone and s, and z = ln y - depth per R and state
+        orders = k1 + ahead
+        ratio = mu_rho / (orders + 1)
+        lpmf = start + np.add.accumulate(log_mu - np.log(np.arange(k1, orders[-1] + 1)))[ahead]
+        log_t = np.fmin(np.where(ratio < 1.0, grow + lpmf - np.log1p(-ratio), np.inf),
+                        mu_rho - mu - (k1 - _S) * log_rho)
+        z = row[lo:hi] - depth[:, lo:hi]
+        cuts = np.array([0, min(max(w0 - lo, 0), hi - lo), min(max(w1 - lo, 0), hi - lo), hi - lo])
+        if account < log_budget:
+            # drop the edge states whose bounds sum to at most half an edge's share, a
+            # quarter of the budget left, and charge the share (exp rounds far below it)
+            share = log_budget + math.log1p(-math.exp(account - log_budget)) - math.log(4.0)
+            each = np.exp((z + np.repeat(log_t[:, :, 0], np.diff(cuts), axis=1)).min(axis=0) - share)
+            c_top = min(int(np.searchsorted(np.cumsum(each[::-1]), 0.5, side="right")), hi - lo - 1)
+            c_bot = min(int(np.searchsorted(np.cumsum(each), 0.5, side="right")), hi - lo - 1 - c_top)
+            account = float(np.logaddexp.reduce([account] + [share] * ((c_top > 0) + (c_bot > 0))))
+            if c_top or c_bot:  # one state stays
+                z, lo, hi = z[:, c_bot:hi - lo - c_top], lo + c_bot, hi - c_top
+                cut = lo, hi
+                cuts = np.clip(cuts - c_bot, 0, hi - lo)
+        live = np.flatnonzero(cuts[:-1] < cuts[1:])
+        peak = np.maximum.reduceat(z, cuts[live], axis=1)
+        peak[peak == -np.inf] = 0.0  # a zone with no mass: its sum is 0
+        shifted = np.exp(z - np.repeat(peak, np.diff(cuts)[live], axis=1))
+        zone_sums = np.log(np.add.reduceat(shifted, cuts[live], axis=1)) + peak
+        bound = np.logaddexp.reduce((zone_sums[:, :, None] + log_t[:, live]).min(axis=0), axis=0)
+        # tol/2 of the running sum, less the account or _SINK_SHARE of it if that is less
+        allowed = log_rel + acc + np.log1p(-min(np.exp(account - log_rel - acc), _SINK_SHARE))
+        within = np.flatnonzero(bound <= allowed)
+        if within.size and within[0] == 0:
+            return acc, account
+        if account > log_rel + math.log(_SINK_SHARE) + np.logaddexp(acc, bound[0]):
+            # past _SINK_SHARE of tol/2 of all the sum can reach: drop every state and end
+            return acc, float(np.logaddexp(account, bound[0]))
+        count = min(2 * count, _MAX_GROUP) if k1 > reach else min((reach - k1) // _S + 1, _MAX_GROUP)
+        if within.size:
+            count = min(count, int(within[0]))
+            certified = k1 + count * _S if count == within[0] else math.inf
     raise ArithmeticError(f"the window chain did not converge within {k_cap} Poisson orders")
 
 

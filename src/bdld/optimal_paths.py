@@ -186,10 +186,7 @@ def solve_boundary(gamma0: float, gammaT: float, T: float, lam: float) -> Parabo
         delta = gammaT - gamma0
         b = 2.0 * lt * gamma0 / delta - 1.0
         c = -lt * (lt + 1.0) * gamma0 / delta
-        disc = b * b - 4.0 * c
-        if disc < 0.0:
-            raise AdmissibilityError(
-                f"no real parabola for gamma0={gamma0}, gammaT={gammaT}, T={T}, lam={lam}")
+        disc = 1.0 + (2.0 * lt / delta) ** 2 * gamma0 * gammaT  # = b*b - 4c, exactly >= 1
         # Stable quadratic: q and c/q are the two roots of x^2 + b x + c.
         s = math.sqrt(disc)
         q = -0.5 * (b + math.copysign(s, b)) if b != 0.0 else -0.5 * s

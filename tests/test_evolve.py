@@ -624,7 +624,8 @@ def _tiled_step(kern, y, lo, hi):
     s, n = evolve._S, y.size
     ring = np.full((2, n + 2 * s + evolve._TILE), -np.inf)
     ring[0, s:s + n] = y
-    evolve._log_band_stepper(ring, kern.band)(1, lo, hi)
+    with np.errstate(divide="ignore"):  # as the log window chain steps it
+        evolve._log_band_stepper(ring, kern.band)(1, lo, hi)
     return ring[1, s + lo:s + hi], ring[1]
 
 
@@ -936,13 +937,178 @@ class TestLogSpaceGate:
         window_log_probability(params, 1600, 0.05, states, tol=1e-12)
         assert calls == [(lo, hi, False)]
 
+    def _built_kernels(self, monkeypatch):
+        """(lo, hi) of every kernel built, in call order."""
+        built = []
+        make = evolve._uniformized_kernel
+
+        def counting(params, lo=1, hi=None):
+            built.append((lo, params.n_states if hi is None else hi))
+            return make(params, lo, hi)
+
+        monkeypatch.setattr(evolve, "_uniformized_kernel", counting)
+        return built
+
     def test_deep_query_out_of_the_kept_range_reach_ends_in_the_log_chain(self, monkeypatch):
         # oracle pool deep row: the kept range's cutoff does not reach the
-        # window, nor does the whole chain's mass at K clear 1e-280; the
-        # answer is the log chain's, bit for bit
-        params, states = ModelParams(1955, 1.0), np.arange(32, 71)
-        lo, hi = evolve._kept_range(params, 688, 0.11803589486301491, states, 1e-10)
-        calls = self._counted(monkeypatch)
-        logp = window_log_probability(params, 688, 0.11803589486301491, states, tol=1e-10)
-        assert calls == [(lo, hi, False), (1, 1955, False), (1, 1955, True)]
-        assert logp == _log_chain(params, 688, 0.11803589486301491, states, 1e-10)
+        # window, so that pass neither runs nor builds its kernel; the whole
+        # chain's cutoff does, but the reach bound from m0 puts the window
+        # mass below 1e-280, so the answer is the log chain's, bit for bit,
+        # on the one kernel 1..N
+        params, states, t = ModelParams(1955, 1.0), np.arange(32, 71), 0.11803589486301491
+        lo, hi = evolve._kept_range(params, 688, t, states, 1e-10)
+        assert evolve._poisson_top(2.0 * hi * t) < 618 <= evolve._poisson_top(2.0 * 1955 * t)
+        kern = _uniformized_kernel(params)
+        assert evolve._log_reach_bound(kern, 688, t, states) < math.log(1e-280)
+        calls, built = self._counted(monkeypatch), self._built_kernels(monkeypatch)
+        logp = window_log_probability(params, 688, t, states, tol=1e-10)
+        assert calls == [(1, 1955, True)]
+        assert built == [(1, 1955)]
+        assert logp == _log_chain(params, 688, t, states, 1e-10)
+
+    def test_reach_bound_gates_no_window_the_linear_chain_answers(self):
+        # windows from 7 to 40 sd out: wherever the reach bound from m0 is
+        # below 1e-280 the linear chain hands the query on, and the bound is
+        # never below the log chain's ln P
+        gated = 0
+        for n, m0, t in ((300, 150, 0.05), (600, 450, 0.03), (1000, 100, 0.2), (2000, 1000, 0.1)):
+            params = ModelParams(n, 1.0)
+            kern = _uniformized_kernel(params)
+            sd = math.sqrt(2.0 * n * t)
+            for lo in np.unique(np.clip(np.round(m0 + sd * np.r_[-40:-7:3, 7:40:3]), 1, n - 4)):
+                states = np.arange(int(lo), int(lo) + 5)
+                bound = evolve._log_reach_bound(kern, m0, t, states)
+                assert bound >= _log_chain(params, m0, t, states, 1e-10) - 1e-9
+                if bound < math.log(1e-280) - 1.0:
+                    gated += 1
+                    assert _window_chain(kern, m0, t, states, 1e-10, log_space=False) is None
+        assert gated >= 10
+
+    def test_query_answered_on_a_kept_range_builds_no_whole_chain_kernel(self, monkeypatch):
+        params, states = ModelParams(3200, 1.0), range(1590, 1611)
+        kept = evolve._kept_range(params, 1600, 0.05, np.array(states), 1e-12)
+        built = self._built_kernels(monkeypatch)
+        window_log_probability(params, 1600, 0.05, states, tol=1e-12)
+        assert built == [kept]
+
+
+def _record_log_passes(monkeypatch):
+    """Per log-space _block_powers pass, the powers read and the ranges sent
+    back to narrow it (the dropped states' complement), in call order."""
+    passes = []
+    block_powers = evolve._block_powers
+
+    def recording(kern, p, log_space):
+        powers, sent = block_powers(kern, p, log_space), None
+        record = {"blocks": 0, "cuts": []}
+        if log_space:
+            passes.append(record)
+        while True:
+            item = powers.send(sent)
+            record["blocks"] += 1
+            sent = yield item
+            if sent is not None:
+                record["cuts"].append(sent)
+
+    monkeypatch.setattr(evolve, "_block_powers", recording)
+    return passes
+
+
+class TestReachBound:
+    """The log chain's reach bound stops its sum and drops edge states, each
+    certified: the answer lies within tol/2 below ln P."""
+
+    # (n, m0, t, window): deep windows above and below m0, at state 1 from a
+    # high m0 and at N from a low one, one in two parts, and one holding m0
+    CASES = [
+        (400, 200, 0.002, range(395, 401)),
+        (400, 300, 0.01, range(5, 11)),
+        (600, 450, 0.03, range(1, 4)),
+        (600, 60, 0.03, range(598, 601)),
+        (600, 300, 0.01, [*range(70, 76), *range(575, 581)]),
+        (300, 150, 0.05, range(100, 201)),
+    ]
+
+    @pytest.mark.parametrize("n, m0, t, window", CASES)
+    @pytest.mark.parametrize("tol", [1e-10, 1e-6])
+    def test_answer_is_certified_against_a_tight_reference(self, n, m0, t, window, tol,
+                                                           monkeypatch):
+        params = ModelParams(n, 1.0)
+        exact = _log_space_reference(params, m0, t, window, 1e-15)
+        passes = _record_log_passes(monkeypatch)
+        logp = _log_chain(params, m0, t, np.array(window), tol)
+        assert logp <= exact + 1e-13 * abs(exact)
+        assert exact - logp <= 0.5 * tol + 1e-13 * abs(exact)
+        assert len(passes) == 1  # no rerun
+        # states were dropped, except where the window's hull holds m0
+        assert passes[0]["cuts"] or min(window) <= m0 <= max(window)
+
+    @pytest.mark.parametrize("m0, window", [(450, range(1, 4)), (60, range(598, 601))])
+    def test_a_guess_too_high_is_caught_and_rerun(self, m0, window, monkeypatch):
+        # a lower-bound guess 100 nats above ln P lets the drops take far
+        # more than the certificate allows: the pass reruns without drops
+        params, states = ModelParams(600, 1.0), np.array(window)
+        guess = evolve._log_mass_guess
+        monkeypatch.setattr(evolve, "_log_mass_guess", lambda *args: -math.inf)
+        no_drops = _log_chain(params, m0, 0.03, states, 1e-10)
+        monkeypatch.setattr(evolve, "_log_mass_guess", lambda *args: guess(*args) + 100.0)
+        passes = _record_log_passes(monkeypatch)
+        logp = _log_chain(params, m0, 0.03, states, 1e-10)
+        assert len(passes) == 2 and passes[0]["cuts"] and not passes[1]["cuts"]
+        assert logp == no_drops
+        monkeypatch.setattr(evolve, "_log_mass_guess", guess)
+        assert abs(logp - _log_chain(params, m0, 0.03, states, 1e-10)) <= 1e-10
+
+    @pytest.mark.parametrize("n, m0, t, window, excess", [
+        (600, 450, 0.03, range(1, 4), 100.0),
+        (600, 60, 0.03, range(598, 601), 100.0),
+        # a window of all but the end states: what both edges drop would
+        # mostly have stayed in it
+        (200, 100, 0.5, range(2, 200), -7.0),
+    ])
+    def test_the_account_bounds_what_the_drops_lose(self, n, m0, t, window, excess):
+        # one pass with a budget of e^excess P: its sum misses far more
+        # than tol, and the account with the stop bound covers the gap
+        params, states, tol = ModelParams(n, 1.0), np.array(window), 1e-10
+        exact = _log_space_reference(params, m0, t, window, 1e-15)
+        kern = _uniformized_kernel(params)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            logp, account = evolve._log_chain(kern, m0, kern.rate * t, states, tol, exact + excess)
+        assert exact - logp > 1e3 * tol
+        assert exact <= np.logaddexp(account, logp + math.log1p(0.5 * tol)) + 1e-12 * abs(exact)
+
+    @pytest.mark.parametrize("n, m0, t, window", CASES[1:4])
+    def test_reach_stop_reads_fewer_orders_than_the_poisson_rule(self, n, m0, t, window,
+                                                                 monkeypatch):
+        # the Poisson rule stops at the first k past mu - 2 with
+        # pmf(k+1) / (1 - mu/(k+2)) <= tol/2 * P, P the final sum or less
+        params, tol = ModelParams(n, 1.0), 1e-10
+        passes = _record_log_passes(monkeypatch)
+        logp = _log_chain(params, m0, t, np.array(window), tol)
+        mu = 2.0 * n * t
+        k, log_pmf = 0, -mu
+        while not (k + 2 > mu and log_pmf + math.log(mu / (k + 1)) - math.log1p(-mu / (k + 2))
+                   <= math.log(0.5 * tol) + logp):
+            k += 1
+            log_pmf += math.log(mu) - math.log(k)
+        assert passes[0]["blocks"] * evolve._S < 0.9 * k
+
+    @pytest.mark.parametrize("n, lam, states", [
+        (50, 1.0, [20, 21, 22]), (50, 1.3, [1]), (50, 1.0, [1, 2]), (50, 1.0, [50]),
+        (50, 0.7, [49, 50]), (2, 1.0, [2]), (60, 1.0, [5, 30, 59]), (40, 1.0, range(1, 41)),
+    ])
+    def test_depth_and_growth_factor_bound_the_one_step_moment(self, n, lam, states):
+        # h = exp(-depth) is 1 on the window's hull and E[h(X')] <= rho h(x)
+        # at every state outside it, the supermartingale the bound rests on
+        kern = _uniformized_kernel(ModelParams(n, lam))
+        w0, w1 = min(states) - 1, max(states)
+        depth, rho_m1 = evolve._reach_weights(kern, w0, w1)
+        assert (depth[:, w0:w1] == 0.0).all() and (depth >= 0.0).all()
+        assert (depth[0] == 0.0).all() and (rho_m1[0] <= 1e-15).all()  # R = 1: h = 1
+        zone = np.searchsorted([w0, w1], np.arange(n), side="right")
+        outside = (zone != 1)
+        for h, rho in zip(np.exp(-depth), 1.0 + rho_m1):
+            moment = h * kern.stay
+            moment[:-1] += h[1:] * kern.up[:-1]
+            moment[1:] += h[:-1] * kern.down[1:]
+            assert np.all(moment[outside] <= rho[zone][outside] * h[outside] * (1.0 + 1e-13))
