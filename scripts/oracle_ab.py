@@ -1,15 +1,14 @@
-"""Time the oracle pool's window and dwell queries in two checkouts, in process.
+"""Time the oracle pool's window and dwell queries in an old checkout and this one, in process.
 
-    python3 scripts/oracle_ab.py OLD [NEW] [--classes bulk,deep,dwell]
-                                 [--best-of K] [--every M] [--json OUT]
+    python3 scripts/oracle_ab.py OLD [--classes bulk,deep,dwell] [--best-of K] [--json OUT]
 
-OLD and NEW are checkouts (NEW defaults to the one holding this script);
-each runs in a worker process that imports ``bdld`` from its ``src/`` and
-times one query at a time with ``time.perf_counter``, so process start-up
-and imports are not timed.  The rows are those of ``benchmarks/pool.json``
-(``oracle`` ``bulk``, ``deep`` and ``dwell``; the only file read under
-``benchmarks/``), every M-th row of each class.  Each row runs K times on
-each side, the sides taking turns at going first, and keeps its best time.
+OLD is a checkout to compare against NEW, the checkout holding this
+script; each runs in a worker process that imports ``bdld`` from its
+``src/`` and times one query at a time with ``time.perf_counter``, so
+process start-up and imports are not timed.  The rows are those of
+``benchmarks/pool.json`` (``oracle`` ``bulk``, ``deep`` and ``dwell``; the
+only file read under ``benchmarks/``).  Each row runs K times on each
+side, the sides taking turns at going first, and keeps its best time.
 
 Each answer is checked against its golden: a log-probability below
 ln 1e-280 within 2 tol + 1e-12 |ln P| of it, a larger one within tol +
@@ -121,20 +120,18 @@ def main(argv: list[str]) -> int:
         return 0
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("old", type=Path)
-    parser.add_argument("new", type=Path, nargs="?", default=REPO)
     parser.add_argument("--classes", default=",".join(CLASSES))
     parser.add_argument("--best-of", type=int, default=3)
-    parser.add_argument("--every", type=int, default=1)
     parser.add_argument("--json", type=Path)
     args = parser.parse_args(argv)
     classes = args.classes.split(",")
-    if not set(classes) <= set(CLASSES) or args.best_of < 1 or args.every < 1:
-        parser.error(f"classes must be among {CLASSES}; --best-of and --every at least 1")
+    if not set(classes) <= set(CLASSES) or args.best_of < 1:
+        parser.error(f"classes must be among {CLASSES}; --best-of at least 1")
     pool = json.loads((REPO / "benchmarks" / "pool.json").read_text())
-    sides = (Side(args.old.resolve()), Side(args.new.resolve()))
+    sides = (Side(args.old.resolve()), Side(REPO))
     try:
-        report = {kind: compare(sides, kind, pool["lam"], pool["oracle"][kind][::args.every],
-                                args.best_of) for kind in classes}
+        report = {kind: compare(sides, kind, pool["lam"], pool["oracle"][kind], args.best_of)
+                  for kind in classes}
     finally:
         for side in sides:
             side.close()

@@ -574,10 +574,10 @@ def _log_chain(kern: _UniformizedKernel, m0: int, mu: float, states: np.ndarray,
     The powers are read in groups of up to _MAX_GROUP blocks, run to just
     past the window's distance from m0 while it lies ahead, a group's
     window masses by one log-sum-exp and the running ln P by
-    np.logaddexp.accumulate.  At a group's end the edge states of the last
-    power whose bounds fit half an edge's share of the budget left
+    np.logaddexp.accumulate.  At a group's end the states at each edge of
+    the last power whose bounds fit half a share of the budget left
     (log_budget less the account) are dropped, sent to _block_powers, and
-    the share charged to the account (Munsky & Khammash 2006): the chain
+    the share charged once to the account (Munsky & Khammash 2006): the chain
     then counts fewer paths, and P lies between its sum and the sum plus
     the account plus the stop bound.  The sum stops at the first group end
     where the reach bound of the kept states on the orders still to come,
@@ -631,14 +631,14 @@ def _log_chain(kern: _UniformizedKernel, m0: int, mu: float, states: np.ndarray,
         z = row[lo:hi] - depth[:, lo:hi]
         cuts = np.array([0, min(max(w0 - lo, 0), hi - lo), min(max(w1 - lo, 0), hi - lo), hi - lo])
         if account < log_budget:
-            # drop the edge states whose bounds sum to at most half an edge's share, a
-            # quarter of the budget left, and charge the share (exp rounds far below it)
+            # drop at each edge the states whose bounds sum to at most half the share, a
+            # quarter of the budget left, and charge the share once (exp rounds far below it)
             share = log_budget + math.log1p(-math.exp(account - log_budget)) - math.log(4.0)
             each = np.exp((z + np.repeat(log_t[:, :, 0], np.diff(cuts), axis=1)).min(axis=0) - share)
             c_top = min(int(np.searchsorted(np.cumsum(each[::-1]), 0.5, side="right")), hi - lo - 1)
             c_bot = min(int(np.searchsorted(np.cumsum(each), 0.5, side="right")), hi - lo - 1 - c_top)
-            account = float(np.logaddexp.reduce([account] + [share] * ((c_top > 0) + (c_bot > 0))))
             if c_top or c_bot:  # one state stays
+                account = float(np.logaddexp(account, share))
                 z, lo, hi = z[:, c_bot:hi - lo - c_top], lo + c_bot, hi - c_top
                 cut = lo, hi
                 cuts = np.clip(cuts - c_bot, 0, hi - lo)
