@@ -382,7 +382,7 @@ def _run_tilted_mc(settings):
     return _against_oracle(
         res, "tilted_mc.csv",
         lambda: window_probability(params, m0, horizon, range(window[0], window[1] + 1), tol=tol),
-        lambda exact: abs(res.estimate - exact) <= 3.0 * max(res.stderr, 1e-15))
+        lambda exact: abs(res.estimate - exact) <= 3.0 * res.stderr)
 
 
 def _run_hconv(settings):

@@ -6,27 +6,24 @@ rates.  Nothing is time-discretized and trajectories are stored sparsely
 (jump times plus visited states only).  Every sampler reads its randomness
 from ``_blocks``, which states the stream layout.
 
-The plain chain runs in one kernel, ``_walk``, which takes its events a
-chunk at a time in a few numpy passes: steps from the uniforms, states from
-their prefix sum with a closed form for the forced moves at an end, rates
-from the states before each jump, and jump times from np.add.accumulate,
-which adds in sequence exactly as the scalar loop does.  A chunk is sized
-to reach the next stop, and only where the path reaches both ends within
-a chunk, or on a chain of a few dozen states, are its states replayed
-event by event.  ``_blocks`` draws the uniforms only as the chunks read
-them, so a short replication draws few more than it uses, and the stream
-layout stays the same.
+Every chain runs in one kernel, ``_walk``, which takes its events a chunk
+at a time in a few numpy passes: steps from the uniforms, states from their
+prefix sum with a closed form for the forced moves at an end, rates from the
+states before each jump, and jump times from np.add.accumulate, which adds
+in sequence exactly as the scalar loop does.  A chunk is sized to reach the
+next stop, and only where the path reaches both ends within a chunk, or on
+a chain of a few dozen states, are its states replayed event by event.
+``_blocks`` draws the uniforms only as the chunks read them, so a short
+replication draws few more than it uses, and the stream layout stays the
+same.
 
-The tilted chain thins candidate events against a majorant in a second
-kernel, ``_tilted_walk``.  A candidate's acceptance depends on its time,
-which depends on the states before it, so a window of candidates is
-computed in numpy from guessed states and recomputed from the states it
-gives until the guesses hold (speculate and verify); at the ends of
-{1..N}, where the rates are one-sided, the scalar loop body takes over.  The
-likelihood-ratio weight is a function of the finished path
-(``_log_weight``), so an experiment computes it only for the paths that
-count.  Both kernels give trajectories and weights bit-identical to the
-scalar loops.
+The tilted chain is the same walk with its tilt z held: z is read at time 0
+and after every _HOLD jumps, and between reads the chain is homogeneous,
+with the up rate times z and the down rate divided by z.  A z fixed from
+the past is predictable, so the likelihood-ratio weight is exact and a
+closed form of the finished path (``_log_weight``); an experiment computes
+it only for the paths that count.  Trajectories and weights are
+bit-identical to the scalar loops'.
 """
 
 from __future__ import annotations
@@ -57,6 +54,7 @@ _BLOCK = 8192
 _CHUNK = 256
 _MAX_CHUNK = 4096  # longer chunks compute too many events past a stop
 _REPLAY_N = 40    # chains with fewer states replay their events one at a time
+_HOLD = 128       # jumps of the tilted chain between reads of its tilt
 
 
 def _stream_key(seed: int, replication: int) -> np.ndarray:
@@ -224,8 +222,7 @@ def _blocks(rng: np.random.Generator):
     a counter-based Philox stream keyed by (seed, replication), so it
     reproduces independently of execution order.  The stream is read in
     blocks of _BLOCK standard exponentials followed by _BLOCK uniforms, and
-    event i takes the i-th variate of each: a jump of the plain chain, a
-    candidate event (accepted or a thinning ghost) of the tilted chain.  A
+    event i takes the i-th variate of each, the i-th jump of the chain.  A
     stationary start takes one uniform before the first block.
 
     A kernel starts the generator with next() and then sends it the number
@@ -254,10 +251,10 @@ def _chunk_size(rate: float, span: float) -> int:
     return max(_CHUNK, math.ceil(min(_MAX_CHUNK, 1.5 * rate * span)))
 
 
-def _replay(n: int, m: int, unis: np.ndarray) -> np.ndarray:
+def _replay(n: int, m: int, unis: np.ndarray, p_up: float) -> np.ndarray:
     """The states after each event, from state m, one event at a time."""
     states = []
-    for up in (unis < 0.5).tolist():
+    for up in (unis < p_up).tolist():
         if m == 1:
             m = 2
         elif m == n:
@@ -278,10 +275,10 @@ def _lift(free: np.ndarray) -> np.ndarray:
     return lift
 
 
-def _chunk_states(n: int, m: int, unis: np.ndarray) -> np.ndarray:
+def _chunk_states(n: int, m: int, unis: np.ndarray, p_up: float) -> np.ndarray:
     """States after each of the events driven by ``unis``, from state m.
 
-    Away from the ends a uniform below 1/2 steps up, otherwise down, so the
+    Away from the ends a uniform below p_up steps up, otherwise down, so the
     states are m plus a prefix sum of the steps (the free walk F).  When
     the path reaches only the lower end, each forced move 1 -> 2 lifts the
     rest of the walk by 2, and the lift so far is the smallest even
@@ -296,8 +293,8 @@ def _chunk_states(n: int, m: int, unis: np.ndarray) -> np.ndarray:
     chunks, so the numpy passes would only add to the replay.
     """
     if n < _REPLAY_N:
-        return _replay(n, m, unis)
-    free = np.where(unis < 0.5, 1, -1)
+        return _replay(n, m, unis, p_up)
+    free = np.where(unis < p_up, 1, -1)
     np.cumsum(free, out=free)
     free += m
     if free.min() < 1:
@@ -307,11 +304,12 @@ def _chunk_states(n: int, m: int, unis: np.ndarray) -> np.ndarray:
     else:
         return free
     if states.min() < 1 or states.max() > n:
-        return _replay(n, m, unis)
+        return _replay(n, m, unis, p_up)
     return states
 
 
-def _walk(n: int, lam: float, m: int, stops, rng: np.random.Generator, jumps: list):
+def _walk(n: int, lam: float, m: int, stops, rng: np.random.Generator, jumps: list,
+          tilt=None, zs: list | None = None):
     """Run the chain on {1..n} from state m, append the (times, states)
     arrays of its jumps to ``jumps``, and yield the state at each of the
     increasing ``stops``.  A jump at exactly a stop counts, as in
@@ -319,18 +317,25 @@ def _walk(n: int, lam: float, m: int, stops, rng: np.random.Generator, jumps: li
     exactly those at or before it, and nothing past the last stop read is
     recorded.
 
+    With a tilt the chain is the tilted one, with z held: ``tilt.value`` is
+    read at time 0 and then after every _HOLD jumps, at the time of the
+    last, and each value read is appended to ``zs``.  Between reads the
+    chain moves up at rate lam*m*z and down at rate lam*m/z, one-sided at 1
+    and n, so it leaves m at rate lam*m*(z + 1/z) inside and steps up with
+    probability z/(z + 1/z).  The plain chain is z = 1 throughout.
+
     The events are taken a chunk at a time from ``_blocks``.  A chunk is
-    sized by ``_chunk_size`` to reach the next stop at the current rate
-    2*lam*m, so a short replication draws few more uniforms than it reads
-    and a long one computes few events past its last stop.  A chunk's
-    states come from ``_chunk_states``: numpy passes, or an event-by-event
-    replay of the scalar loop when the path reaches both ends of {1..n}
-    within the chunk or n is below _REPLAY_N.  Each event's rate is read
-    from the state before it, and its jump time is the running sum of the
-    holding times seeded with the current time.  np.add.accumulate adds strictly in
-    sequence, and every division and product is the one the scalar
-    Gillespie loop makes, so each trajectory is bit-identical to that
-    loop's.
+    sized by ``_chunk_size`` to reach the next stop at the current rate,
+    so a short replication draws few more uniforms than it reads and a long
+    one computes few events past its last stop; a chunk never crosses the
+    end of a hold.  A chunk's states come from ``_chunk_states``: numpy
+    passes, or an event-by-event replay of the scalar loop when the path
+    reaches both ends of {1..n} within the chunk or n is below _REPLAY_N.
+    Each event's rate is read from the state before it, and its jump time
+    is the running sum of the holding times seeded with the current time.
+    np.add.accumulate adds strictly in sequence, and every division and
+    product is the one the scalar Gillespie loop makes, so each trajectory
+    is bit-identical to that loop's whatever the chunks.
     """
     if n == 1:
         for _ in stops:
@@ -338,20 +343,32 @@ def _walk(n: int, lam: float, m: int, stops, rng: np.random.Generator, jumps: li
         return
     stops = iter(stops)
     stop = next(stops)
-    two_lam = 2.0 * lam
     t = 0.0
+    left = math.inf if tilt is None else 0  # jumps left in the current hold
+    # the step-up probability inside, the exit rate per unit of m inside,
+    # and the exit rates at 1 and at n
+    p_up, per_m, bottom, top = 0.5, 2.0 * lam, lam, lam * n
     blocks = _blocks(rng)
     next(blocks)
     while True:
-        exps, unis = blocks.send(_chunk_size(two_lam * m, stop - t))
+        if not left:
+            z = float(tilt.value(t))
+            if not (z > 0.0 and math.isfinite(z)):
+                raise ValueError(f"tilt must be positive and finite, got z({t}) = {z!r}")
+            zs.append(z)
+            left = _HOLD
+            both = z + 1.0 / z
+            p_up, per_m, bottom, top = z / both, lam * both, lam * z, lam * n / z
+        exps, unis = blocks.send(min(_chunk_size(per_m * m, stop - t), left))
         c = exps.size
-        states = _chunk_states(n, m, unis)
+        left -= c
+        states = _chunk_states(n, m, unis, p_up)
         before = np.concatenate(([m], states[:-1]))
-        rates = two_lam * before
+        rates = per_m * before
         if m <= c:
-            rates[before == 1] = lam
+            rates[before == 1] = bottom
         if m + c > n:
-            rates[before == n] = lam * n
+            rates[before == n] = top
         clock = np.empty(c + 1)
         clock[0] = t
         np.divide(exps, rates, out=clock[1:])
@@ -484,193 +501,58 @@ def lln_stationary_experiment(params: ModelParams, u: float, sample_times,
                                    "successes": successes, "jumps": n_jumps})
 
 
-def _speculate(n, lam, m, t, horizon, tilt, zbar, exps, unis):
-    """Verify a window's candidate events up to the horizon, an end of
-    {1..n} or the window's last event; see ``_tilted_walk``.
-
-    Returns (k, crossed, prior, clock, accept): the first k events are
-    verified, and crossed says whether event k is the one at or past the
-    horizon.  For i <= k, prior[i] is the state before event i and clock[i]
-    the time of event i-1 (clock[0] = t); for i < k, accept[i] says whether
-    event i is a jump.
-    """
-    c = exps.size
-    prior = np.full(c + 1, m, dtype=np.int64)
-    clock = np.empty(c + 1)
-    clock[0] = t
-    z, accept, up = np.empty(c), np.empty(c, dtype=bool), np.empty(c, dtype=bool)
-    path = np.empty(c + 1, dtype=np.int64)
-    k = 0
-    if not 1 < m < n:
-        return k, False, prior, clock, accept
-    while True:
-        mk = int(prior[k])
-        rate = lam * prior[k:c]
-        major = rate + rate
-        major *= zbar
-        np.divide(exps[k:], major, out=clock[k + 1:])
-        np.add.accumulate(clock[k:], out=clock[k:])
-        live = int(clock[k + 1:].searchsorted(horizon))  # events k..k+live-1 precede it
-        if not live:
-            return k, True, prior, clock, accept
-        # z is never evaluated at or past the horizon: those events only need guesses
-        zk = z[k:]
-        zk[:live] = tilt.value(clock[k + 1:k + 1 + live])
-        zk[live:] = zk[live - 1]
-        p_up = rate * zk
-        p_up /= major
-        p_any = rate / zk
-        p_any /= major
-        p_any += p_up
-        np.less(unis[k:], p_any, out=accept[k:])
-        np.less(unis[k:], p_up, out=up[k:])
-        np.add(up[k:], up[k:], out=path[k + 1:], dtype=np.int64)
-        path[k + 1:] -= accept[k:]
-        path[k] = mk
-        np.cumsum(path[k:], out=path[k:])
-        top = min(k + live, c - 1)  # the last event whose prior must be verified
-        wrong = prior[k + 1:top + 1] != path[k + 1:top + 1]
-        first = int(wrong.argmax()) if wrong.size else 0
-        bad = wrong.size and wrong[first]
-        if mk - (c - k) <= 1 or mk + (c - k) >= n:
-            known = path[k + 1:k + 2 + first] if bad else path[k + 1:top + 1]
-            if known.size and (known.min() <= 1 or known.max() >= n):
-                return k, False, prior, clock, accept  # an end: the rates are one-sided
-            if bad:  # keep the guesses past the first wrong one inside, so rates stay positive
-                np.clip(path[k + 2 + first:], 2, n - 1, out=path[k + 2 + first:])
-        prior[k + 1:] = path[k + 1:]
-        if not bad:
-            return k + live, k + live < c, prior, clock, accept
-        k += 1 + first
-
-
-def _tilted_walk(n: int, lam: float, m: int, horizon: float, tilt, zbar: float,
-                 rng: np.random.Generator, jumps: list) -> tuple[int, int]:
-    """Run the tilted chain on {1..n} from state m up to the horizon by
-    thinning, append the (times, states) arrays of its jumps to ``jumps``,
-    and return the final state and the number of thinning rejections.
-
-    Candidate event i takes the i-th (exponential, uniform) pair of
-    ``_blocks``.  From state m the majorant rate is (up + down)*zbar with up =
-    lam*m below n and down = lam*m above 1, the candidate time is t + e/rate,
-    and the candidate at or past the horizon ends the walk.  Otherwise, with
-    z = z(t), the event is an up jump if u < up*z/rate, a down jump if
-    u < up*z/rate + down/z/rate, and a ghost that leaves the state unchanged
-    if not.
-
-    The events are taken in windows sized by ``_chunk_size`` to reach the
-    horizon at the current majorant rate.
-    ``_speculate`` guesses each event's prior state (first the current
-    state, then the states its last pass computed) and computes from the
-    guesses, in numpy and in the scalar loop's order of operations, the
-    rates, the times by np.add.accumulate seeded with t, z on the times
-    before the horizon, the accept and up tests and the states by a prefix
-    sum.  The first event whose computed prior state differs from its guess
-    bounds the verified prefix, which grows by at least one event per pass;
-    passes repeat until every guess up to and including the event that
-    crosses the horizon (its time depends on its own prior state) is
-    confirmed, or until every event of the window is.  A window that starts
-    at 1 or n, or a pass whose verified states reach either (where the
-    rates are one-sided), hands the rest of the window to the scalar loop
-    body, event by event, from the first unverified event.  z is only ever
-    evaluated inside [0, horizon).  So the path is the scalar loop's bit
-    for bit.
-    """
-    t = 0.0
-    ghosts = 0
-    blocks = _blocks(rng)
-    next(blocks)
-    crossed = n == 1  # a single state has no events
-    while not crossed:
-        e, u = blocks.send(_chunk_size(2.0 * lam * m * zbar, horizon - t))
-        k, crossed, prior, clock, accept = _speculate(n, lam, m, t, horizon, tilt, zbar, e, u)
-        if k:
-            hit = np.flatnonzero(accept[:k])
-            jumps.append((clock[1:][hit], prior[1:][hit]))
-            ghosts += k - hit.size
-            m, t = int(prior[k]), float(clock[k])
-        if crossed:
-            break
-        times, states = [], []
-        for ei, ui in zip(e[k:].tolist(), u[k:].tolist()):
-            up_nom = lam * m if m < n else 0.0
-            down_nom = lam * m if m > 1 else 0.0
-            r_major = (up_nom + down_nom) * zbar
-            t += ei / r_major
-            if t >= horizon:
-                crossed = True
-                break
-            z = tilt.value(t)
-            p_up = up_nom * z / r_major
-            p_down = down_nom / z / r_major
-            if ui < p_up + p_down:
-                m += 1 if ui < p_up else -1
-                times.append(t)
-                states.append(m)
-            else:
-                ghosts += 1
-        if times:
-            jumps.append((np.array(times), np.array(states, dtype=np.int64)))
-    return m, ghosts
-
-
-def _log_weight(tilt, lam: float, n: int, m0: int, times, states, horizon: float) -> float:
+def _log_weight(lam: float, n: int, m0: int, times, states, zs: list, horizon: float) -> float:
     """The log-likelihood ratio of nominal against tilted dynamics for the
-    path from m0 with jumps (times, states) up to the horizon.
+    path from m0 with jumps (times, states) up to the horizon, sampled by
+    ``_walk`` with the held tilt values zs.
 
-    In the order of the scalar thinning loop: each jump adds the
-    compensator up*U + down*D over the time since the previous jump (U, D
-    the tilt's up and down excess integrals, up = lam*m below n and down =
-    lam*m above 1 at the state m before it), then -ln z for an up jump or
-    +ln z for a down jump; the compensator up to the horizon closes the
-    weight.  Every log is math.log (np.log differs from it in the last bit
-    on some inputs), and np.add.accumulate adds in sequence.
+    In the path's order: each holding interval adds its length times the
+    excess of the tilted total rate over the nominal one, up*(z - 1) +
+    down*(1/z - 1) with up = lam*m below n and down = lam*m above 1 at its
+    state m and z the value held over it, and each jump then adds -ln z if
+    it is up and +ln z if it is down.  Every log is math.log (np.log
+    differs from it in the last bit on some inputs), and np.add.accumulate
+    adds in sequence.
     """
-    before = np.concatenate(([m0], states))  # the state on each segment
+    if n == 1:
+        return 0.0  # a single state has no rates
+    before = np.concatenate(([m0], states))  # the state on each interval
+    z = np.repeat(zs, _HOLD)[:before.size]  # interval i lies in hold i // _HOLD
     rate = lam * before
-    up_rate = np.where(before < n, rate, 0.0)
-    down_rate = np.where(before > 1, rate, 0.0)
-    starts = np.concatenate(([0.0], times))
-    ends = np.concatenate((times, [horizon]))
+    up = np.where(before < n, rate, 0.0)
+    down = np.where(before > 1, rate, 0.0)
     terms = np.zeros(2 * times.size + 2)
-    np.add(up_rate * tilt.up_excess_integral(starts, ends),
-           down_rate * tilt.down_excess_integral(starts, ends), out=terms[1::2])
-    log_z = np.fromiter(map(math.log, tilt.value(times).tolist()), float, times.size)
+    np.multiply(up * (z - 1.0) + down * (1.0 / z - 1.0),
+                np.diff(np.concatenate(([0.0], times, [horizon]))), out=terms[1::2])
+    log_z = np.repeat([math.log(v) for v in zs], _HOLD)[:times.size]
     np.negative(log_z, out=log_z, where=states > before[:-1])
     terms[2::2] = log_z
     return float(np.add.accumulate(terms, out=terms)[-1])
 
 
-def _tilt_bound(tilt, horizon: float) -> float:
-    zbar = tilt.sup_bound(horizon)
-    if not (math.isfinite(zbar) and zbar >= 1.0):
-        raise ValueError(f"tilt bound must be finite and >= 1, got {zbar!r}")
-    return zbar
-
-
 def tilted_sample_path(params: ModelParams, tilt, config: SimConfig,
                        replication: int = 0) -> WeightedTrajectory:
-    """Sample under the tilted dynamics up' = lam*m*z(t), down' = lam*m/z(t)
-    (one-sided at the ends) and accumulate the exact log-likelihood ratio of
-    nominal against tilted dynamics.
+    """Sample under the tilted dynamics up' = lam*m*z, down' = lam*m/z
+    (one-sided at the ends), with z = tilt.value(t) read at time 0 and after
+    every _HOLD jumps and held in between, together with the exact
+    log-likelihood ratio of nominal against tilted dynamics.
 
-    Sampling uses thinning against the majorant rate (up+down)*sup(z, 1/z),
-    which stays exact for any positive piecewise-continuous schedule.  The
-    weight is jump terms plus the compensator integrals supplied by the
-    schedule, so E_tilted[exp(log_weight); A] = P_nominal(A).  The tilt's
-    ``value`` and integrals must also take numpy arrays element by element
-    (see ``bdld.tilting``).
+    A z read from the path so far is predictable, so the chain needs no
+    majorant and the weight is a closed form of the path and the values
+    read (``_log_weight``): E_tilted[exp(log_weight); A] = P_nominal(A) for
+    any tilt whose values are positive and finite.  A value that is not
+    raises ValueError.
     """
-    horizon = config.horizon
-    zbar = _tilt_bound(tilt, horizon)
     rng = replication_rng(config.seed, replication)
     m0 = _resolve_initial(params, config, rng)
     n, lam = params.n_states, params.lam
     jumps: list = []
-    _tilted_walk(n, lam, m0, horizon, tilt, zbar, rng, jumps)
+    zs: list = []
+    for _ in _walk(n, lam, m0, (config.horizon,), rng, jumps, tilt, zs):
+        pass
     times, states = _joined(jumps)
-    log_w = _log_weight(tilt, lam, n, m0, times, states, horizon)
-    return WeightedTrajectory(Trajectory._built(m0, times, states, horizon), log_w)
+    log_w = _log_weight(lam, n, m0, times, states, zs, config.horizon)
+    return WeightedTrajectory(Trajectory._built(m0, times, states, config.horizon), log_w)
 
 
 def tilted_window_experiment(params: ModelParams, tilt, window: tuple[int, int],
@@ -679,13 +561,12 @@ def tilted_window_experiment(params: ModelParams, tilt, window: tuple[int, int],
     nominal law, using the tilted sampler.  A replication's weight is
     computed only when it ends in the window.
 
-    The extra fields carry the accepted ``jumps`` and the
-    ``thinning_rejections`` (ghost candidates) over all replications, and
-    the health of the weights: over the replication values v (the weight,
-    or 0 off the window), ``ess`` = (sum v)^2 / sum v^2 and
-    ``max_weight_share`` = max v / sum v (0 and null when no replication
-    hits the window), and ``rel_err_per_sample`` = stderr * sqrt(reps) /
-    estimate (null when the estimate is 0).
+    The extra fields carry the ``jumps`` over all replications and the
+    health of the weights: over the replication values v (the weight, or 0
+    off the window), ``ess`` = (sum v)^2 / sum v^2 and ``max_weight_share``
+    = max v / sum v (0 and null when no replication hits the window), and
+    ``rel_err_per_sample`` = stderr * sqrt(reps) / estimate (null when the
+    estimate is 0).
     """
     lo, hi = window
     _check_state(params, lo, "window start")
@@ -695,18 +576,17 @@ def tilted_window_experiment(params: ModelParams, tilt, window: tuple[int, int],
     if lo > hi:
         raise ValueError(f"bad window [{lo}, {hi}] for N={n}")
     horizon = config.horizon
-    zbar = _tilt_bound(tilt, horizon)
     reps = config.replications
     values = np.zeros(reps)
-    n_jumps = n_ghosts = 0
+    n_jumps = 0
     for rep, rng in enumerate(_replication_rngs(config.seed, reps)):
         m0 = _resolve_initial(params, config, rng)
         jumps: list = []
-        final, ghosts = _tilted_walk(n, lam, m0, horizon, tilt, zbar, rng, jumps)
+        zs: list = []
+        [final] = _walk(n, lam, m0, (horizon,), rng, jumps, tilt, zs)
         n_jumps += sum(times.size for times, _ in jumps)
-        n_ghosts += ghosts
         if lo <= final <= hi:
-            values[rep] = math.exp(_log_weight(tilt, lam, n, m0, *_joined(jumps), horizon))
+            values[rep] = math.exp(_log_weight(lam, n, m0, *_joined(jumps), zs, horizon))
     estimate = float(values.mean())
     stderr = float(values.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
     top = float(values.max())
@@ -714,7 +594,6 @@ def tilted_window_experiment(params: ModelParams, tilt, window: tuple[int, int],
     return ExperimentResult(estimate, stderr, reps, config.seed, params, extra={
         "window": [lo, hi],
         "jumps": n_jumps,
-        "thinning_rejections": n_ghosts,
         "ess": float(scaled.sum() ** 2 / (scaled @ scaled)) if top > 0.0 else 0.0,
         "max_weight_share": top / float(values.sum()) if top > 0.0 else None,
         "rel_err_per_sample": stderr * math.sqrt(reps) / estimate if estimate else None,

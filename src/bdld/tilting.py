@@ -1,20 +1,21 @@
 """Time-dependent exponential tilts z(t) for rare-event sampling.
 
-A tilt multiplies the up rate by z(t) and divides the down rate by z(t).
-Besides the pointwise value, each schedule knows the two compensator
-integrals that enter the likelihood ratio,
+A tilt multiplies the up rate by z and divides the down rate by z.  The
+tilted sampler reads ``value`` alone, at time 0 and after every
+``simulate._HOLD`` jumps, and holds the value in between (see
+``bdld.simulate``), so any schedule with positive finite values gives an
+exact weight.
+
+Each schedule also knows the two compensator integrals of a tilt that
+moves between jumps,
 
     int_a^b (z(s) - 1) ds      (up excess)
     int_a^b (1/z(s) - 1) ds    (down excess)
 
-and a finite upper bound on max(z, 1/z) over the horizon, which the thinning
-sampler uses as its proposal-rate majorant.  Closed-form schedules integrate
-exactly; the generic callable schedule falls back to adaptive quadrature, so
-its weight bias stays far below Monte Carlo noise.
-
-``value`` and the two integrals also take numpy arrays (of times, and of
-interval ends) and then apply, element by element, the IEEE operations they
-apply to floats, so the vectorised sampler gets bit-identical numbers.
+and a finite upper bound on max(z, 1/z) over the horizon.  No sampler uses
+them; ``benchmarks/tracing.py`` wraps them by name on every class.
+Closed-form schedules integrate exactly; the generic callable schedule uses
+adaptive quadrature.
 """
 
 from __future__ import annotations
@@ -22,22 +23,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .quadrature import integrate
 
 __all__ = ["ConstantTilt", "ClosedFormDualTilt", "CallableTilt"]
 
 # Absolute tolerance of CallableTilt's compensator integrals.
 _QUAD_TOL = 1e-10
-
-
-def _log(x):
-    """math.log, element by element on an array: np.log differs from it in
-    the last bit on some inputs."""
-    if isinstance(x, np.ndarray):
-        return np.array(list(map(math.log, x.tolist())))
-    return math.log(x)
 
 
 @dataclass(frozen=True)
@@ -50,8 +41,8 @@ class ConstantTilt:
         if not (self.z > 0.0 and math.isfinite(self.z)):
             raise ValueError(f"tilt value must be positive and finite, got {self.z!r}")
 
-    def value(self, t):
-        return np.full(t.shape, self.z) if isinstance(t, np.ndarray) else self.z
+    def value(self, t: float) -> float:
+        return self.z
 
     def up_excess_integral(self, a: float, b: float) -> float:
         return (self.z - 1.0) * (b - a)
@@ -92,16 +83,16 @@ class ClosedFormDualTilt:
                 f"dual schedule singular or non-positive on [0, {horizon}]: "
                 f"lam*t - c1 spans [{x0}, {xT}] which meets [-1, 0]")
 
-    def value(self, t):
+    def value(self, t: float) -> float:
         return 1.0 / self._x(t) + 1.0
 
-    def up_excess_integral(self, a, b):
+    def up_excess_integral(self, a: float, b: float) -> float:
         # z - 1 = 1/(lam*t - c1)
-        return _log(self._x(b) / self._x(a)) / self.lam
+        return math.log(self._x(b) / self._x(a)) / self.lam
 
-    def down_excess_integral(self, a, b):
+    def down_excess_integral(self, a: float, b: float) -> float:
         # 1/z - 1 = -1/(lam*t - c1 + 1)
-        return -_log((self._x(b) + 1.0) / (self._x(a) + 1.0)) / self.lam
+        return -math.log((self._x(b) + 1.0) / (self._x(a) + 1.0)) / self.lam
 
     def sup_bound(self, horizon: float) -> float:
         self.validate_horizon(horizon)
@@ -110,11 +101,11 @@ class ClosedFormDualTilt:
 
 
 class CallableTilt:
-    """Wrap an arbitrary positive piecewise-continuous z(t).
+    """Wrap an arbitrary positive z(t).
 
-    An explicit bound on max(z, 1/z) over the horizon must be supplied; every
-    evaluation is checked against it so a wrong bound fails loudly instead of
-    silently biasing the sampler.
+    An explicit bound on max(z, 1/z) over the horizon must be supplied, and
+    every evaluation is checked against it, so a schedule that strays past
+    what its caller declared fails loudly.
     """
 
     def __init__(self, fn, bound: float):
@@ -123,12 +114,7 @@ class CallableTilt:
         self._fn = fn
         self._bound = float(bound)
 
-    def value(self, t):
-        if isinstance(t, np.ndarray):
-            return np.array([self._checked(s) for s in t.tolist()])
-        return self._checked(t)
-
-    def _checked(self, t: float) -> float:
+    def value(self, t: float) -> float:
         z = float(self._fn(t))
         if not (z > 0.0 and math.isfinite(z)):
             raise ValueError(f"tilt must be positive and finite, got z({t}) = {z!r}")
@@ -136,20 +122,16 @@ class CallableTilt:
             raise ValueError(f"tilt exceeds its declared bound at t={t}: z={z}")
         return z
 
-    def _excess(self, integrand, a, b):
-        if isinstance(b, np.ndarray):
-            a, b = np.broadcast_arrays(a, b)
-            return np.array([self._excess(integrand, x, y)
-                             for x, y in zip(a.tolist(), b.tolist())])
+    def _excess(self, integrand, a: float, b: float) -> float:
         if a == b:
             return 0.0
         return integrate(integrand, a, b, abs_tol=_QUAD_TOL).value
 
-    def up_excess_integral(self, a, b):
-        return self._excess(lambda s: self._checked(s) - 1.0, a, b)
+    def up_excess_integral(self, a: float, b: float) -> float:
+        return self._excess(lambda s: self.value(s) - 1.0, a, b)
 
-    def down_excess_integral(self, a, b):
-        return self._excess(lambda s: 1.0 / self._checked(s) - 1.0, a, b)
+    def down_excess_integral(self, a: float, b: float) -> float:
+        return self._excess(lambda s: 1.0 / self.value(s) - 1.0, a, b)
 
     def sup_bound(self, horizon: float) -> float:
         return self._bound

@@ -531,13 +531,32 @@ class TestTiltedMcCommand:
         report = json.loads(_read(tmp_path / "report.json"))
         assert report["verdicts"]["matches_oracle"] is True
         results = report["results"]
-        assert results["jumps"] > 0 and results["thinning_rejections"] > 0
+        assert results["jumps"] > 0
         assert 1.0 <= results["ess"] <= 1500
         assert 0.0 < results["max_weight_share"] <= 1.0
         assert results["rel_err_per_sample"] == pytest.approx(
             results["stderr"] * math.sqrt(1500) / results["estimate"])
         header = _read(tmp_path / "tilted_mc.csv").splitlines()[0]
         assert header == "estimate,stderr,exact,replications"
+
+    def test_readme_run_passes(self, tmp_path):
+        code = main(["tilted-mc", "--n", "100", "--gamma0", "0.5", "--gamma-t", "0.8",
+                     "--reps", "10000", "--seed", "1", "--out", str(tmp_path)])
+        assert code == 0
+        report = json.loads(_read(tmp_path / "report.json"))
+        assert report["verdicts"]["matches_oracle"] is True
+
+    @pytest.mark.parametrize("n, reps, seed", [(1600, 20, 4), (800, 20, 5), (100, 1, 1)])
+    def test_run_far_from_the_oracle_fails(self, tmp_path, n, reps, seed):
+        # about 11 sigma low at N = 1600, where a floor of 1e-15 on the
+        # standard error would pass any estimate, and about 40 sigma low at
+        # N = 800; one replication has a standard error of 0 and passes
+        # only with the exact value
+        code = main(["tilted-mc", "--n", str(n), "--gamma0", "0.5", "--gamma-t", "0.8",
+                     "--reps", str(reps), "--seed", str(seed), "--out", str(tmp_path)])
+        assert code == 1
+        results = json.loads(_read(tmp_path / "report.json"))["results"]
+        assert abs(results["estimate"] - results["exact"]) > 3 * results["stderr"]
 
     def test_oracle_below_the_linear_threshold(self, tmp_path):
         # the window 588..600's linear mass at the bulk Poisson cutoff

@@ -367,12 +367,33 @@ class TestTiltedSampling:
                                SimConfig(horizon=1.0, seed=1, initial=5))
 
     def test_nonpositive_callable_rejected(self):
-        tilt = CallableTilt(lambda t: 1.0 - 2.0 * t, bound=2.0)
-        with pytest.raises(ValueError):
-            tilted_sample_path(ModelParams(10, 1.0), tilt,
-                               SimConfig(horizon=1.0, seed=4, initial=5))
+        # z(t) = 1 - 2t is non-positive from t = 1/2 on: a path of ~800 jumps
+        # per unit time reads it there, one of ~10 reads it only at time 0
+        tilt = CallableTilt(lambda t: 1.0 - 2.0 * t, bound=1e9)
+        with pytest.raises(ValueError, match="positive and finite"):
+            tilted_sample_path(ModelParams(400, 1.0), tilt,
+                               SimConfig(horizon=1.0, seed=4, initial=200))
+        weighted = tilted_sample_path(ModelParams(10, 1.0), tilt,
+                                      SimConfig(horizon=1.0, seed=4, initial=5))
+        assert weighted.trajectory.n_jumps < simulate._HOLD
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("at", [0, 1], ids=["first read", "second read"])
+    def test_read_must_be_positive_and_finite(self, bad, at):
+        class Tilt:
+            reads = 0
+
+            def value(self, t):
+                self.reads += 1
+                return bad if self.reads > at else 1.5
+
+        with pytest.raises(ValueError, match="positive and finite"):
+            tilted_window_experiment(ModelParams(400, 1.0), Tilt(), (1, 400),
+                                     SimConfig(horizon=1.0, seed=2, initial=200))
 
     def test_callable_matches_closed_form_weights(self):
+        # the sampler reads value alone, so a wrapped schedule gives the
+        # same path and weight bit for bit
         closed = ClosedFormDualTilt(c1=-10 / 3, lam=1.0)
         wrapped = CallableTilt(closed.value, bound=closed.sup_bound(1.0))
         params = ModelParams(50, 1.0)
@@ -380,17 +401,30 @@ class TestTiltedSampling:
         a = tilted_sample_path(params, closed, config, replication=5)
         b = tilted_sample_path(params, wrapped, config, replication=5)
         np.testing.assert_array_equal(a.trajectory.jump_times, b.trajectory.jump_times)
-        assert abs(a.log_weight - b.log_weight) <= 1e-9
+        assert a.log_weight.hex() == b.log_weight.hex()
+
+    def test_tilt_swinging_inside_holds_is_unbiased(self, monkeypatch):
+        # z swings about once within each hold of 8 jumps, and a path takes
+        # about 3 holds; only the values read enter the sampler and the
+        # weight.  With holds of 128, several holds a path would take
+        # hundreds of jumps, over which a tilt this far from the nominal
+        # law spreads the weights too far for a 3-sigma check.
+        monkeypatch.setattr(simulate, "_HOLD", 8)
+        params = ModelParams(30, 1.0)
+        config = SimConfig(horizon=0.5, seed=1, initial=25, replications=4000)
+        res = tilted_window_experiment(params, _SWINGING_TILT, (27, 30), config)
+        exact = window_probability(params, 25, 0.5, range(27, 31), tol=1e-12)
+        assert 2 * 8 < res.extra["jumps"] / 4000 < 4 * 8
+        assert abs(res.estimate - exact) <= 3 * res.stderr
 
     def test_unit_tilt_counters(self):
-        # with z = 1 the majorant is the nominal rate: no ghosts, the paths of
-        # sample_path, and every weight 1, so the ESS is the hit count
+        # with z = 1 the paths are sample_path's and every weight is 1, so
+        # the ESS is the hit count
         params = ModelParams(40, 1.0)
         config = SimConfig(horizon=1.0, seed=13, initial=20, replications=200)
         res = tilted_window_experiment(params, ConstantTilt(1.0), (22, 26), config)
         finals = [sample_path(params, config, rep) for rep in range(200)]
         hits = sum(22 <= traj.state_at(1.0) <= 26 for traj in finals)
-        assert res.extra["thinning_rejections"] == 0
         assert res.extra["jumps"] == sum(traj.n_jumps for traj in finals)
         assert 0 < hits < 200
         assert res.estimate == hits / 200
@@ -410,7 +444,7 @@ class TestTiltedSampling:
             values.append(math.exp(weighted.log_weight) if 78 <= final <= 82 else 0.0)
         values = np.array(values)
         assert res.estimate == float(values.mean())
-        assert res.extra["jumps"] > 0 and res.extra["thinning_rejections"] > 0
+        assert res.extra["jumps"] > 0
         assert res.extra["ess"] == pytest.approx(values.sum() ** 2 / (values ** 2).sum())
         assert res.extra["max_weight_share"] == pytest.approx(values.max() / values.sum())
         assert res.extra["rel_err_per_sample"] == pytest.approx(
@@ -452,61 +486,81 @@ def _v1_variates(rng):
         yield from zip(exps, rng.random(8192).tolist())
 
 
-def _scalar_tilted_path(params, tilt, config, replication):
-    """The event-by-event thinning loop the tilted kernel must match bit for
-    bit: (jump times, states, log-weight)."""
+def _scalar_held_path(params, tilt, config, replication, hold=128):
+    """The event-by-event loop of the tilted chain with z held, which the
+    kernel must match bit for bit: (initial state, jump times, states,
+    log-weight).
+
+    z is read at time 0 and after every ``hold`` jumps, at the time of the
+    last.  With z held the chain leaves m at rate lam*(z + 1/z)*m, lam*z at
+    1 and lam*N/z at N; inside, a uniform below z/(z + 1/z) steps up.  A
+    jump at exactly the horizon counts.  Each holding interval adds
+    (up*(z - 1) + down*(1/z - 1)) times its length to the log-weight, with
+    up = lam*m below N and down = lam*m above 1, and each jump then adds
+    -ln z if it is up and +ln z if it is down."""
     horizon, n, lam = config.horizon, params.n_states, params.lam
-    zbar = tilt.sup_bound(horizon)
     rng = replication_rng(config.seed, replication)
-    m = simulate._resolve_initial(params, config, rng)
+    m0 = m = simulate._resolve_initial(params, config, rng)
     variates = _v1_variates(rng)
     times, states = [], []
-    log_w = t = seg = 0.0
+    log_w = t = 0.0
+    reads = 0
+
+    def excess(m, z):
+        up = lam * m if m < n else 0.0
+        down = lam * m if m > 1 else 0.0
+        return up * (z - 1.0) + down * (1.0 / z - 1.0)
+
     while True:
-        up_nom = lam * m if m < n else 0.0
-        down_nom = lam * m if m > 1 else 0.0
-        r_major = (up_nom + down_nom) * zbar
-        if r_major == 0.0:
+        if len(times) == hold * reads:
+            z = tilt.value(t)
+            reads += 1
+        if n == 1:
             break
+        rate = lam * z if m == 1 else lam * n / z if m == n else lam * (z + 1.0 / z) * m
         e, u = next(variates)
-        t += e / r_major
-        if t >= horizon:
+        jump = t + e / rate
+        if jump > horizon:
             break
-        z = tilt.value(t)
-        p_up = up_nom * z / r_major
-        p_down = down_nom / z / r_major
-        if u < p_up + p_down:
-            log_w += (up_nom * tilt.up_excess_integral(seg, t)
-                      + down_nom * tilt.down_excess_integral(seg, t))
-            seg = t
-            if u < p_up:
-                log_w -= math.log(z)
-                m += 1
-            else:
-                log_w += math.log(z)
-                m -= 1
-            times.append(t)
-            states.append(m)
-    up_nom = lam * m if m < n else 0.0
-    down_nom = lam * m if m > 1 else 0.0
-    log_w += (up_nom * tilt.up_excess_integral(seg, horizon)
-              + down_nom * tilt.down_excess_integral(seg, horizon))
-    return np.array(times), np.array(states, dtype=np.int64), log_w
+        log_w += excess(m, z) * (jump - t)
+        t = jump
+        if m == 1 or (m < n and u < z / (z + 1.0 / z)):
+            log_w -= math.log(z)
+            m += 1
+        else:
+            log_w += math.log(z)
+            m -= 1
+        times.append(t)
+        states.append(m)
+    log_w += excess(m, z) * (horizon - t)
+    return m0, np.array(times), np.array(states, dtype=np.int64), log_w
+
+
+def _swing(t):
+    return 1.0 + 0.9 * math.sin(40.0 * t) ** 2
+
+
+# swings 13 times over a unit horizon, several times within most holds
+_SWINGING_TILT = CallableTilt(_swing, bound=1.9)
 
 
 def _random_tilted_cases(count):
-    rnd = np.random.default_rng(20261018)
+    """Constant (z above and below 1), dual and callable tilts; point and
+    stationary starts; chains of 3 and 30 states whose paths reflect at
+    both ends, and larger ones whose paths reach one end or none."""
+    rnd = np.random.default_rng(20261019)
     for _ in range(count):
-        n = int(rnd.choice([1, 2, 3, 10, 40, 300, 700, 3000]))
-        kind = rnd.integers(3)
+        n = int(rnd.choice([1, 2, 3, 30, 40, 300, 700, 3000]))
+        kind = rnd.integers(4)
         if kind == 0:
             tilt = ConstantTilt(float(rnd.choice([0.5, 0.8, 1.3, 2.0])))
         elif kind == 1:
             tilt = ClosedFormDualTilt(c1=-float(rnd.uniform(1.5, 6.0)), lam=1.0)
-        else:
+        elif kind == 2:
             a = float(rnd.uniform(0.2, 1.0))
             tilt = CallableTilt(lambda t, a=a: 1.0 + a * math.sin(3.0 * t) ** 2, bound=1.0 + a)
-            n = min(n, 300)
+        else:
+            tilt = _SWINGING_TILT
         initial = rnd.choice(["stationary", "1", "n", "mid", "near"])
         m0 = {"stationary": "stationary", "1": 1, "n": n, "mid": max(1, n // 2),
               "near": max(1, n - 5)}[initial]
@@ -517,36 +571,47 @@ def _random_tilted_cases(count):
                int(rnd.integers(4)))
 
 
-# a tilt that swings 13 times over the horizon: speculation takes 10 passes
-# over the one window of (seed 1, replication 3) and 9 over that of (0, 5)
-_FAST_TILT = CallableTilt(lambda t: 1.0 + 0.9 * math.sin(40.0 * t) ** 2, bound=1.9)
-_FAST_TILT_CASES = [(ModelParams(200, 1.0), _FAST_TILT,
-                     SimConfig(horizon=1.0, seed=seed, initial=100), rep)
-                    for seed, rep in ((1, 3), (0, 5))]
+# paths of 12-14 thousand jumps near N, which cross a variate block
+_LONG_TILTED_CASES = [(ModelParams(3000, 1.0), tilt, SimConfig(horizon=3.0, seed=8, initial=3000),
+                       rep) for rep, tilt in enumerate((ConstantTilt(1.3), _SWINGING_TILT))]
 
 
 def _assert_matches_scalar_loop(params, tilt, config, rep):
-    times, states, log_w = _scalar_tilted_path(params, tilt, config, rep)
+    m0, times, states, log_w = _scalar_held_path(params, tilt, config, rep,
+                                                  hold=simulate._HOLD)
     weighted = tilted_sample_path(params, tilt, config, rep)
+    assert weighted.trajectory.initial_state == m0
     assert weighted.trajectory.jump_times.tobytes() == times.tobytes()
     assert weighted.trajectory.states_after_jump.tobytes() == states.tobytes()
     assert weighted.log_weight.hex() == log_w.hex()
+    return weighted
 
 
 class TestTiltedKernelMatchesScalarLoop:
-    @pytest.mark.parametrize("chunk", [32, 256])
+    @pytest.mark.parametrize("chunk", [32, 256, 1024])
     def test_random_cases(self, chunk, monkeypatch):
-        # constant, dual and callable tilts; point and stationary starts;
-        # paths that reflect at either end; small and large windows; a
-        # fast-swinging tilt that needs many speculation passes
         monkeypatch.setattr(simulate, "_CHUNK", chunk)
-        for params, tilt, config, rep in [*_random_tilted_cases(60), *_FAST_TILT_CASES]:
+        for params, tilt, config, rep in _random_tilted_cases(60):
+            _assert_matches_scalar_loop(params, tilt, config, rep)
+
+    @pytest.mark.parametrize("chunk", [32, 1024])
+    def test_paths_longer_than_a_block(self, chunk, monkeypatch):
+        monkeypatch.setattr(simulate, "_CHUNK", chunk)
+        for case in _LONG_TILTED_CASES:
+            assert _assert_matches_scalar_loop(*case).trajectory.n_jumps > 8192
+
+    @pytest.mark.parametrize("hold", [1, 8, 1000])
+    def test_hold_length(self, hold, monkeypatch):
+        # the kernel cuts its chunks at every hold's end, wherever it falls
+        monkeypatch.setattr(simulate, "_HOLD", hold)
+        monkeypatch.setattr(simulate, "_CHUNK", 32)
+        for params, tilt, config, rep in _random_tilted_cases(20):
             _assert_matches_scalar_loop(params, tilt, config, rep)
 
     @pytest.mark.parametrize("n", [3, 30, 400])
     def test_tilt_is_never_evaluated_at_or_past_the_horizon(self, n):
-        # from about 0.01 expected candidate events before the horizon to
-        # about 600; z raises at or past the horizon
+        # from about 0.01 expected events before the horizon to about 600;
+        # z raises at or past the horizon
         params = ModelParams(n, 1.0)
         for horizon in (0.002, 0.02, 0.2, 1.0):
             def z(t, horizon=horizon):
@@ -562,10 +627,10 @@ class TestTiltedKernelMatchesScalarLoop:
             assert res.estimate > 0.0
 
 
-def _scalar_states(n, m, unis):
+def _scalar_states(n, m, unis, p_up):
     states = []
     for u in unis:
-        m = 2 if m == 1 else n - 1 if m == n else m + 1 if u < 0.5 else m - 1
+        m = 2 if m == 1 else n - 1 if m == n else m + 1 if u < p_up else m - 1
         states.append(m)
     return states
 
@@ -575,13 +640,16 @@ class TestChunkStates:
     def test_numpy_passes_match_scalar_loop(self, n, monkeypatch):
         # short chunks from every start, through the numpy passes even for
         # the smallest chains: free walks, one end reached, the second end
-        # overshot by one or more after a lift or a drop
+        # overshot by one or more after a lift or a drop; steps up with the
+        # plain chain's probability 1/2 and with a tilted chain's
         monkeypatch.setattr(simulate, "_REPLAY_N", 2)
         rnd = np.random.default_rng(n)
         for _ in range(600):
             m = int(rnd.integers(1, n + 1))
             unis = rnd.random(int(rnd.integers(1, 3 * n)))
-            assert simulate._chunk_states(n, m, unis).tolist() == _scalar_states(n, m, unis)
+            p_up = float(rnd.choice([0.5, 0.1, 0.3, 0.8, 0.97]))
+            assert (simulate._chunk_states(n, m, unis, p_up).tolist()
+                    == _scalar_states(n, m, unis, p_up))
 
 
 class TestReplicationRng:
@@ -713,20 +781,21 @@ def _golden_tilt(name):
     return ConstantTilt(float(name))
 
 
-# (N, tilt, initial, horizon): tilted paths with their log-weights.  The dual
-# tilt runs at the rare-event benchmark's rungs N=400 and N=800 and from
+# (N, tilt, initial, horizon): tilted paths with their log-weights, computed
+# from the scalar held-z loop (_scalar_held_path), not from the kernel.  The
+# dual tilt runs at the rare-event benchmark's rungs N=400 and N=800 and from
 # stationarity at N=1000, where the paths start near 1 and some reach N; the
 # ConstantTilt(1.5) paths at N=30 and the callable paths at N=50 reflect at N.
 _GOLDEN_TILTED = {
-    (30, "2.0", 15, 0.5): "eec32dcaca4ea61a631a63e7e962fdc525696154e621c25c88b7051fbdd707f5",
-    (30, "0.5", 15, 0.5): "7596e72fa7d79a65fa5f95a6c7322ba0d3ec0952c195b99fbac4d653d461e63b",
-    (3, "1.5", "stationary", 2.0): "ef75c4188363741584f848a59126542261e2204c452403e28f034f24cda39523",
-    (100, "dual", 50, 1.0): "eed7e4071c672174326529e1eddfeb6eae5d5ff51e2be82b4941d71b30540c57",
-    (400, "dual", 200, 1.0): "ea9835bf63df6c5c4b455f372bcac1f1190f946a694ef8829ab2ff290579aaa8",
-    (800, "dual", 400, 1.0): "443a5b840c4ae3944d5f597b892ef80be6a3b3a36b615bf1d4a2d130366748a1",
-    (30, "1.5", 25, 2.0): "46201d4478dd920077b8c571207cc8643c3457d3c3e42032ad23477bba4c2625",
-    (50, "callable", 25, 1.0): "31a0d588e48f5eedb36af4ae985f65eee57caf39fe464bcc712d2b1ba81d89ad",
-    (1000, "dual", "stationary", 1.0): "2c118c822fca99b929b26fe4202b6302b7c5c2daefe961191d239edb678f5706",
+    (30, "2.0", 15, 0.5): "e5d61d12cc9f2377018f61b678be19ef02b73ba9ac322fce8ac7efe979c852be",
+    (30, "0.5", 15, 0.5): "806754e839ff72f9e1a3891d7334bc046ed37bc495041712e2a6e9284dc9fc6e",
+    (3, "1.5", "stationary", 2.0): "ca5d0d23d53615abe01e6618f167241c3e8b76c70165d202f4f6d1ec5968c829",
+    (100, "dual", 50, 1.0): "8728cc9d27d30429561e1510120c5699efee173a9829cd2e4ffb6a275fbe0186",
+    (400, "dual", 200, 1.0): "643a245720a9cbd68822b6ea1528462093c6f546bf77418bec43ec110e67b620",
+    (800, "dual", 400, 1.0): "eb69a158b3d34a6890fe828b38ebd0753f0e30f85077df9d296a66999632618b",
+    (30, "1.5", 25, 2.0): "e4aadf130c64d9f5e30470ce7328094668dd9978b3ba630ec016282b8475fba7",
+    (50, "callable", 25, 1.0): "5e7bd0bc217e3ab1a7a6f4197b668b73936b9a067b239b85801c9e044b6e7469",
+    (1000, "dual", "stationary", 1.0): "8d370a06c3545eafdc6a2daba17c52cca91b6f9485a2e5242c45423d98dda6ad",
 }
 
 
@@ -751,15 +820,19 @@ def _lln_stationary_digest(case):
     return _digest(res.estimate, res.stderr), res
 
 
-def _tilted_digest(case):
+def _tilted_digest(case, reference=False):
     n, tilt_name, initial, horizon = case
     tilt = _golden_tilt(tilt_name)
+    params = ModelParams(n, 1.0)
     config = SimConfig(horizon=horizon, seed=59 + n, initial=initial)
     parts = []
     for rep in range(10):
-        weighted = tilted_sample_path(ModelParams(n, 1.0), tilt, config, replication=rep)
-        parts.append(weighted.log_weight)
-        parts.extend(_path_parts(weighted.trajectory))
+        if reference:
+            m0, times, states, log_w = _scalar_held_path(params, tilt, config, rep)
+            parts += [log_w, m0, horizon, times, states]
+        else:
+            weighted = tilted_sample_path(params, tilt, config, replication=rep)
+            parts += [weighted.log_weight, *_path_parts(weighted.trajectory)]
     return _digest(*parts)
 
 
@@ -776,9 +849,10 @@ _GOLDEN_CSV = "999e3574ef56a2c8eda1ef6967e81c2bc524cee139ca4e52b819ce2436840815"
 class TestGoldenStream:
     """Bit-for-bit pins of every sampler's output.  The digests were computed
     from the original hand-written loops, or from kernels that matched them,
-    before any later change to a kernel; any change to the variate stream
-    (block size, exponentials before uniforms, the extra uniform of a
-    stationary start) or to the jump rule changes them."""
+    before any later change to a kernel, and the tilted ones from the scalar
+    held-z loop; any change to the variate stream (block size, exponentials
+    before uniforms, the extra uniform of a stationary start) or to the jump
+    rule changes them."""
 
     @pytest.mark.parametrize("case", sorted(_GOLDEN_PATHS, key=repr))
     def test_sample_path(self, case):
@@ -803,6 +877,10 @@ class TestGoldenStream:
     @pytest.mark.parametrize("case", sorted(_GOLDEN_TILTED, key=repr))
     def test_tilted(self, case):
         assert _tilted_digest(case) == _GOLDEN_TILTED[case]
+
+    @pytest.mark.parametrize("case", sorted(_GOLDEN_TILTED, key=repr))
+    def test_tilted_reference(self, case):
+        assert _tilted_digest(case, reference=True) == _GOLDEN_TILTED[case]
 
     def test_csv_bytes(self, tmp_path):
         assert _csv_digest(tmp_path) == _GOLDEN_CSV
