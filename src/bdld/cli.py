@@ -33,13 +33,15 @@ from . import __version__
 from .chain import (ModelParams, embedded_stationary, embedded_transition_row,
                     jump_rates, stationary_distribution)
 from .evolve import (check_tol, empirical_rate_curve, lattice_window,
-                     stationary_dwell_probability, window_probability)
+                     stationary_dwell_probability, window_log_probability,
+                     window_probability)
 from .ldp import GridPath, ProbeFunction, hamiltonian, prelimit_hamiltonian, rate_functional_report
 from .optimal_paths import (ParabolaParams, dual_tilt, hamiltonian_residual,
                             optimal_action, sample_rows, solve_boundary)
 from .serialize import write_csv, write_json
-from .simulate import (SimConfig, lln_point_experiment, lln_stationary_experiment,
-                       occupation_fractions, sample_path, tilted_window_experiment)
+from .simulate import (STREAM_VERSION, SimConfig, lln_point_experiment,
+                       lln_stationary_experiment, occupation_fractions, sample_path,
+                       tilted_window_experiment)
 
 __all__ = ["ExperimentSpec", "Report", "UsageError", "run", "main"]
 
@@ -106,6 +108,7 @@ def run(spec: ExperimentSpec) -> Report:
             "numpy": np.__version__,
             "python": sys.version.split()[0],
             "seed": settings.get("seed"),
+            "stream_version": STREAM_VERSION,
         },
         timings={"wall_time_s": time.perf_counter() - t0},
         tables=tables,
@@ -119,9 +122,11 @@ def write_report(report: Report, out_dir: Path) -> None:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise UsageError(f"cannot create output directory {out_dir}: {exc}") from None
-    write_json(out_dir / "report.json", report.to_json_obj())
+    t0 = time.perf_counter()
     for name, (header, rows) in report.tables.items():
         write_csv(out_dir / name, header, rows)
+    report.timings["tables_s"] = time.perf_counter() - t0
+    write_json(out_dir / "report.json", report.to_json_obj())
 
 
 # ---------------------------------------------------------------------------
@@ -202,14 +207,19 @@ def _oracle_tol(settings) -> float:
     return tol
 
 
-def _against_oracle(res, table: str, exact_value, agrees):
-    """Results, verdicts and tables of a Monte Carlo estimate: the exact value
-    from exact_value() when N <= _ORACLE_N_CAP, and the verdict agrees(exact)
-    that the estimate is consistent with it."""
+def _oracle_value(params: ModelParams, exact_value):
+    """exact_value() when N <= _ORACLE_N_CAP, else None.  It is called
+    before the Monte Carlo run, whose time is wasted if it fails."""
+    return exact_value() if params.n_states <= _ORACLE_N_CAP else None
+
+
+def _against_oracle(res, table: str, exact, agrees):
+    """Results, verdicts and tables of a Monte Carlo estimate: the exact
+    value from _oracle_value (None above the cap), and the verdict
+    agrees(exact) that the estimate is consistent with it."""
     results = res.to_json_obj()
     verdicts = {}
-    if res.params.n_states <= _ORACLE_N_CAP:
-        exact = exact_value()
+    if exact is not None:
         results["exact"] = exact
         verdicts["matches_oracle"] = agrees(exact)
     rows = [(res.estimate, res.stderr, results.get("exact", math.nan), res.replications)]
@@ -238,14 +248,15 @@ def _run_lln_stationary(settings):
     tol = _oracle_tol(settings)
     times = settings["times"]
     horizon = max(times) if settings["horizon"] is None else settings["horizon"]
+    exact = _oracle_value(
+        params, lambda: stationary_dwell_probability(params, settings["u"], times, tol=tol))
     config = SimConfig(horizon=horizon, seed=settings["seed"], initial="stationary",
                        replications=settings["reps"])
     res = lln_stationary_experiment(params, settings["u"], times, config)
     # the success count is binomial: pass unless it lies in a tail of
     # probability below 2.7e-3, the two-sided 3-sigma level
     return _against_oracle(
-        res, "lln_stationary.csv",
-        lambda: stationary_dwell_probability(params, settings["u"], times, tol=tol),
+        res, "lln_stationary.csv", exact,
         lambda exact: _binomial_two_sided(res.extra["successes"], res.replications,
                                           exact) >= 2.7e-3)
 
@@ -375,14 +386,27 @@ def _run_tilted_mc(settings):
         raise UsageError(f"half_width must be finite and >= 0, got {half_width!r}")
     n = params.n_states
     m0 = round(gamma0 * n)
-    window = lattice_window(n, gammaT, half_width)
+    lo, hi = lattice_window(n, gammaT, half_width)
+
+    def exact_window():
+        try:
+            return window_probability(params, m0, horizon, range(lo, hi + 1), tol=tol)
+        except ValueError:
+            # only an underflow: any other fault raises again here.  The chain
+            # runs twice, but only on this path, which ends the run
+            log_p = window_log_probability(params, m0, horizon, range(lo, hi + 1), tol=tol)
+            raise UsageError(
+                f"tilted-mc: with N={n}, the window {lo}..{hi} is reached by --horizon "
+                f"{horizon!r} with probability exp({log_p:.6g}), below the smallest double, "
+                "so no estimate can be checked; give a longer --horizon or a --gamma-t "
+                "nearer --gamma0") from None
+
+    exact = _oracle_value(params, exact_window)
     config = SimConfig(horizon=horizon, seed=settings["seed"], initial=m0,
                        replications=settings["reps"])
-    res = tilted_window_experiment(params, tilt, window, config)
-    return _against_oracle(
-        res, "tilted_mc.csv",
-        lambda: window_probability(params, m0, horizon, range(window[0], window[1] + 1), tol=tol),
-        lambda exact: abs(res.estimate - exact) <= 3.0 * res.stderr)
+    res = tilted_window_experiment(params, tilt, (lo, hi), config)
+    return _against_oracle(res, "tilted_mc.csv", exact,
+                           lambda exact: abs(res.estimate - exact) <= 3.0 * res.stderr)
 
 
 def _run_hconv(settings):

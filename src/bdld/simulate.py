@@ -55,6 +55,7 @@ _CHUNK = 256
 _MAX_CHUNK = 4096  # longer chunks compute too many events past a stop
 _REPLAY_N = 40    # chains with fewer states replay their events one at a time
 _HOLD = 128       # jumps of the tilted chain between reads of its tilt
+STREAM_VERSION = 1  # the layout of _blocks; reports record it
 
 
 def _stream_key(seed: int, replication: int) -> np.ndarray:
@@ -134,11 +135,13 @@ class Trajectory:
         idx = int(np.searchsorted(self.jump_times, t, side="right"))
         return self.initial_state if idx == 0 else int(self.states_after_jump[idx - 1])
 
-    def csv_table(self) -> tuple[list[str], list[tuple]]:
-        """Header and (time, state) rows: time 0 with the initial state, then
-        one row per jump."""
-        rows = [(0.0, self.initial_state)]
-        rows.extend(zip(self.jump_times.tolist(), self.states_after_jump.tolist()))
+    def csv_table(self) -> tuple[list[str], np.ndarray]:
+        """Header and (time, state) rows, as a structured array: time 0 with
+        the initial state, then one row per jump."""
+        rows = np.empty(self.n_jumps + 1, dtype=[("time", np.float64), ("state", np.int64)])
+        rows[0] = (0.0, self.initial_state)
+        rows["time"][1:] = self.jump_times
+        rows["state"][1:] = self.states_after_jump
         return ["time", "state"], rows
 
     def to_csv(self, path) -> None:
@@ -218,12 +221,14 @@ def _resolve_initial(params: ModelParams, config: SimConfig, rng: np.random.Gene
 def _blocks(rng: np.random.Generator):
     """Hand out a replication's variates, a group of events at a time.
 
-    This is the stream contract every sampler shares.  Each replication owns
-    a counter-based Philox stream keyed by (seed, replication), so it
-    reproduces independently of execution order.  The stream is read in
-    blocks of _BLOCK standard exponentials followed by _BLOCK uniforms, and
-    event i takes the i-th variate of each, the i-th jump of the chain.  A
-    stationary start takes one uniform before the first block.
+    This is the stream contract every sampler shares, version
+    STREAM_VERSION: a change to it that moves any sample bumps that number.
+    Each replication owns a counter-based Philox stream keyed by (seed,
+    replication), so it reproduces independently of execution order.  The
+    stream is read in blocks of _BLOCK standard exponentials followed by
+    _BLOCK uniforms, and event i takes the i-th variate of each, the i-th
+    jump of the chain.  A stationary start takes one uniform before the
+    first block.
 
     A kernel starts the generator with next() and then sends it the number
     of events it wants; it gets back the (exponentials, uniforms) of that

@@ -9,13 +9,19 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from bdld import cli
 from bdld.cli import ExperimentSpec, UsageError, main, run
 from bdld.optimal_paths import optimal_action, solve_boundary
-from bdld.serialize import _CSV_BATCH
+
+# the batch size the writer tests run with (see TestWriteCsv.small_batch),
+# so a few hundred rows cross a batch edge
+_CSV_BATCH = 512
 
 # the environment of a subprocess that imports bdld from this checkout
 _SRC_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -114,6 +120,17 @@ class TestExitCodes:
         assert main([kind, *argv, "--tol", tol, "--out", str(tmp_path)]) == 2
         assert "tol" in capsys.readouterr().err
 
+    def test_underflowing_reference_rejected_before_monte_carlo(self, tmp_path, capsys,
+                                                                monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("the Monte Carlo run started before its reference was checked")
+
+        monkeypatch.setattr(cli, "tilted_window_experiment", never)
+        assert main(["tilted-mc", "--n", "100", "--gamma0", "0.5", "--gamma-t", "0.8",
+                     "--horizon", "1e-300", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "--horizon" in err and "window_log_probability" not in err
+
     def test_library_contract_breach_is_usage_error(self, tmp_path, capsys):
         # u outside (0, 1] violates the experiment's contract: still "you
         # called it wrong", so exit 2
@@ -171,6 +188,9 @@ class TestExitCodes:
         # a horizon of 0 once fell back to the last sample time
         ["lln-stationary", "--n", "10", "--u", "0.5", "--horizon", "0"],
         ["action", "--parabola-json", "negative_c2.json"],
+        # an exact window probability below the smallest double
+        ["tilted-mc", "--n", "100", "--gamma0", "0.5", "--gamma-t", "0.8", "--reps", "10",
+         "--seed", "1", "--horizon", "1e-300"],
     ])
     def test_bad_input_exits_2_without_traceback(self, tmp_path, capsys, monkeypatch, argv):
         monkeypatch.chdir(tmp_path)
@@ -216,6 +236,10 @@ class TestExitCodes:
          "horizon must be positive and finite, got 0.0"),
         (["action", "--parabola-json", "negative_c2.json"],
          "field 'c2' must be positive for case 'general_increasing', got -1.0"),
+        (["tilted-mc", "--n", "100", "--gamma0", "0.5", "--gamma-t", "0.8", "--reps", "10",
+          "--seed", "1", "--horizon", "1e-300"],
+         "with N=100, the window 78..82 is reached by --horizon 1e-300 with probability "
+         "exp(-19293.6), below the smallest double"),
     ])
     def test_bad_input_message_names_the_culprit(self, tmp_path, capsys, monkeypatch,
                                                  argv, message):
@@ -265,10 +289,13 @@ class TestStationaryCommand:
         assert report["provenance"]["version"]
         assert report["provenance"]["numpy"] == np.__version__
         assert report["provenance"]["python"] == platform.python_version()
-        # the one field that differs from run to run sits apart from provenance
+        assert report["provenance"]["stream_version"] == 1
+        # the fields that differ from run to run sit apart from provenance:
+        # the handler's wall time and the time spent writing the tables
         assert "wall_time_s" not in report["provenance"]
-        assert list(report["timings"]) == ["wall_time_s"]
+        assert sorted(report["timings"]) == ["tables_s", "wall_time_s"]
         assert report["timings"]["wall_time_s"] >= 0.0
+        assert report["timings"]["tables_s"] >= 0.0
 
 
 class TestEmbeddedCommand:
@@ -571,6 +598,12 @@ class TestTiltedMcCommand:
 
 
 class TestWriteCsv:
+    @pytest.fixture
+    def small_batch(self, monkeypatch):
+        import bdld.serialize
+        monkeypatch.setattr(bdld.serialize, "_CSV_BATCH", _CSV_BATCH)
+
+    @pytest.mark.usefixtures("small_batch")
     def test_matches_row_by_row_formatting(self, tmp_path):
         # several batches of rows mixing Python and numpy floats and ints
         import csv
@@ -641,6 +674,7 @@ class TestWriteCsv:
         rows = [(x, np.float64(-x)) for x in values]
         self._check(tmp_path, ["x", "minus_x"], rows)
 
+    @pytest.mark.usefixtures("small_batch")
     def test_column_types_mixed_within_and_across_batches(self, tmp_path):
         mixed = [1, 1.5, "s", None, True, -0.0]
         rows = [(i, 0.25 * i, mixed[i % len(mixed)]) for i in range(_CSV_BATCH)]
@@ -650,6 +684,7 @@ class TestWriteCsv:
         rows += [("x", float(i), i if i % 2 else 0.5) for i in range(3)]
         self._check(tmp_path, ["a", "b", "c"], rows)
 
+    @pytest.mark.usefixtures("small_batch")
     @pytest.mark.parametrize("size", [0, 1, _CSV_BATCH - 1, _CSV_BATCH, _CSV_BATCH + 1,
                                       3 * _CSV_BATCH + 1])
     def test_batch_edges(self, tmp_path, size):
@@ -658,6 +693,7 @@ class TestWriteCsv:
         rows = list(zip(rng.standard_normal(size).tolist(), rng.integers(-9, 9, size).tolist()))
         self._check(tmp_path, ["time", "state"], rows)
 
+    @pytest.mark.usefixtures("small_batch")
     def test_rows_must_match_the_header(self, tmp_path):
         from bdld.serialize import write_csv
         rows = [(1.0, 2)] * (_CSV_BATCH + 5) + [(3.0,)]
@@ -666,6 +702,7 @@ class TestWriteCsv:
         with pytest.raises(ValueError):
             write_csv(tmp_path / "t.csv", ["a"], [(1.0, 2)])
 
+    @pytest.mark.usefixtures("small_batch")
     @pytest.mark.parametrize("n, horizon", [(3, 1000.0), (50, 40.0), (1000, 5.0)])
     def test_trajectory_csv(self, tmp_path, n, horizon):
         from bdld.chain import ModelParams
@@ -675,6 +712,77 @@ class TestWriteCsv:
         assert traj.n_jumps > 2 * _CSV_BATCH
         traj.to_csv(tmp_path / "t.csv")
         assert (tmp_path / "t.csv").read_bytes() == self._reference(*traj.csv_table())
+
+    def test_batches_of_the_writers_own_size(self, tmp_path):
+        from bdld.serialize import _CSV_BATCH as batch
+        rng = np.random.default_rng(7)
+        size = 2 * batch + 1
+        rows = list(zip((rng.standard_normal(size) * 10.0 ** rng.integers(-8, 19, size)).tolist(),
+                        rng.integers(-(2**63), 2**63 - 1, size).tolist()))
+        self._check(tmp_path, ["x", "k"], rows)
+
+    @pytest.mark.parametrize("values", [
+        # exact ties: |x| * 10**k = p + e with e = -1/2, -1/2, +1/2, -1/2, +3/2,
+        # -3/2, +5/2 and +13/2, rounded to even
+        [393830644827882.875, 302674492607845.875, 541408024924933.125, 142450403503306.375,
+         306340411905615.4, 254714224224467.62, 444092797693113.6, 85316617327761.06],
+        [y for p in (float(f"1e{k}") for k in range(-6, 17))
+         for y in (p, math.nextafter(p, 0.0), math.nextafter(p, math.inf))],
+        # the per-cell bounds and their neighbours on the numpy side
+        [1e-6, 1e17, math.nextafter(1e-6, 1.0), math.nextafter(1e17, 0.0), 5e-7, 2e17],
+        # where '%.17g' switches between fixed and exponent form
+        [9.9999999999999991e-05, 1e-4, math.nextafter(1e-4, 0.0), 1.5e-5, 9.99e-5],
+        [-0.0, 0.0, 5e-324, 2.2250738585072009e-308, math.inf, math.nan, -1.25, -1e-5, 1 / 3],
+    ], ids=["ties", "powers_of_ten", "per_cell_bounds", "layout_switch", "specials"])
+    def test_hard_floats(self, tmp_path, values):
+        import numpy as np
+        rows = [(x, -x) for x in values]
+        self._check(tmp_path, ["x", "minus_x"], rows)
+        self._check(tmp_path, ["x", "minus_x"],
+                    np.array(rows, dtype=[("x", np.float64), ("minus_x", np.float64)]))
+
+    @pytest.mark.parametrize("column, dtype", [
+        ([2**63 - 1, -(2**63), 0, -1, 9999, 10_000, -10_000, 10**18], np.int64),
+        ([np.int64(2**63 - 1), np.int64(-(2**63)), np.int8(-128), np.uint32(2**32 - 1), 3], None),
+        ([-128, 0, 127], np.int8),
+        ([0, 2**32 - 1], np.uint32),
+        ([np.uint64(2**64 - 1), np.uint64(2**63), np.uint64(1)], np.uint64),
+        ([2**63, 1, -5], None),
+        ([2**64, -(2**63) - 1, 5], None),
+        ([True, False, True], np.bool_),
+        ([np.bool_(True), np.bool_(False)], np.bool_),
+    ], ids=["int64", "numpy_ints", "int8", "uint32", "uint64", "above_int64", "beyond_int64",
+            "bool", "numpy_bool"])
+    def test_int_columns(self, tmp_path, column, dtype):
+        # each column as list rows and, where one numpy dtype holds it, as a
+        # structured array beside a float field
+        rows = [(x, 0.5) for x in column]
+        for table in [rows] + ([] if dtype is None else
+                               [np.array(rows, dtype=[("k", dtype), ("x", np.float64)])]):
+            self._check(tmp_path, ["k", "x"], table)
+            if dtype is np.bool_:
+                assert [line.split(",")[0] for line in
+                        (tmp_path / "t.csv").read_text().split()[1:]] == [str(x) for x in column]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.floats(), st.floats(width=32)), max_size=30))
+    def test_any_floats(self, rows):
+        import tempfile
+        with tempfile.TemporaryDirectory() as tmp:
+            self._check(Path(tmp), ["x", "y"], rows)
+
+    def test_trajectory_times_across_the_layouts(self, tmp_path):
+        from bdld.simulate import Trajectory
+        times = np.array([5e-7, 1e-6, math.nextafter(1e-6, 1.0), 3e-5, 9.9999999999999991e-05,
+                          1e-4, 0.25, 12.5, 1e16, math.nextafter(1e17, 0.0), 1e17, 3e17, 1e18])
+        states = np.where(np.arange(times.size) % 2 == 0, 6, 5)
+        traj = Trajectory(5, times, states, 1e18)
+        traj.to_csv(tmp_path / "t.csv")
+        assert (tmp_path / "t.csv").read_bytes() == self._reference(*traj.csv_table())
+        assert (tmp_path / "t.csv").read_text().split()[:8] == [
+            "time,state", "0,5", "4.9999999999999998e-07,6", "9.9999999999999995e-07,5",
+            "1.0000000000000002e-06,6", "3.0000000000000001e-05,5", "9.9999999999999991e-05,6",
+            "0.0001,5"]
 
 
 class TestConfigHandling:
