@@ -1,18 +1,22 @@
 """Time the oracle pool's window and dwell queries in an old checkout and this one, in process.
 
-    python3 scripts/oracle_ab.py OLD [--classes bulk,deep,dwell] [--best-of K] [--json OUT]
+    python3 scripts/oracle_ab.py OLD [--classes bulk,deep,dwell,ladder] [--best-of K] [--json OUT]
 
 OLD is a checkout to compare against NEW, the checkout holding this
 script; each runs in a worker process that imports ``bdld`` from its
 ``src/`` and times one query at a time with ``time.perf_counter``, so
 process start-up and imports are not timed.  The rows are those of
 ``benchmarks/pool.json`` (``oracle`` ``bulk``, ``deep`` and ``dwell``; the
-only file read under ``benchmarks/``).  Each row runs K times on each
-side, the sides taking turns at going first, and keeps its best time.
+only file read under ``benchmarks/``), and the ``ladder``: the window
+0.5 -> 0.8 +- 0.02 at T = 1 for N = 1600, 6400 and 12800.  Each row runs K
+times on each side, the sides taking turns at going first, and keeps its
+best time.
 
 Each answer is checked against its golden: a log-probability below
-ln 1e-280 within 2 tol + 1e-12 |ln P| of it, a larger one within tol +
-1e-9 P, a dwell probability within (sample times) * tol + 1e-9 P.  Per
+ln 1e-280, or of the ladder, within 2 tol + 1e-12 |ln P| of it, a larger
+one within tol + 1e-9 P, a dwell probability within (sample times) * tol +
+1e-9 P.  The ladder's goldens are mpmath's at N = 1600 and the linear
+window chain's on 1..N at N = 6400 and 12800 (scripts/mp_window.py).  Per
 class the script prints the summed best times, the quantiles of the
 per-row ratios NEW / OLD, the answers that miss their golden, the answers
 equal bit for bit, and the largest difference between the two sides (of
@@ -31,7 +35,13 @@ import time
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
-CLASSES = ("bulk", "deep", "dwell")
+CLASSES = ("bulk", "deep", "dwell", "ladder")
+# (N, m0, T, lo, hi, tol, ln P): lattice_window(N, 0.8, 0.02) from N/2
+LADDER = [
+    (1600, 800, 1.0, 1248, 1312, 1e-12, -52.644492142339774455),
+    (6400, 3200, 1.0, 4992, 5248, 1e-12, -201.52551545570373),
+    (12800, 6400, 1.0, 9984, 10496, 1e-12, -399.46467060415006),
+]
 QUANTILES = (0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0)
 
 
@@ -77,7 +87,7 @@ def matches_golden(kind: str, row: list, value: float) -> bool:
     tol, golden = row[5], row[6]
     if not math.isfinite(value):
         return False
-    if golden < math.log(1e-280):
+    if golden < math.log(1e-280) or kind == "ladder":
         return abs(value - golden) <= 2.0 * tol + 1e-12 * abs(golden)
     return abs(math.exp(value) - math.exp(golden)) <= tol + 1e-9 * math.exp(golden)
 
@@ -130,7 +140,8 @@ def main(argv: list[str]) -> int:
     pool = json.loads((REPO / "benchmarks" / "pool.json").read_text())
     sides = (Side(args.old.resolve()), Side(REPO))
     try:
-        report = {kind: compare(sides, kind, pool["lam"], pool["oracle"][kind], args.best_of)
+        report = {kind: compare(sides, kind, pool["lam"],
+                                LADDER if kind == "ladder" else pool["oracle"][kind], args.best_of)
                   for kind in classes}
     finally:
         for side in sides:

@@ -32,9 +32,8 @@ import numpy as np
 from . import __version__
 from .chain import (ModelParams, embedded_stationary, embedded_transition_row,
                     jump_rates, stationary_distribution)
-from .evolve import (check_tol, empirical_rate_curve, lattice_window,
-                     stationary_dwell_probability, window_log_probability,
-                     window_probability)
+from .evolve import (_window_mass, check_tol, empirical_rate_curve, lattice_window,
+                     stationary_dwell_probability)
 from .ldp import GridPath, ProbeFunction, hamiltonian, prelimit_hamiltonian, rate_functional_report
 from .optimal_paths import (ParabolaParams, dual_tilt, hamiltonian_residual,
                             optimal_action, sample_rows, solve_boundary)
@@ -389,17 +388,15 @@ def _run_tilted_mc(settings):
     lo, hi = lattice_window(n, gammaT, half_width)
 
     def exact_window():
-        try:
-            return window_probability(params, m0, horizon, range(lo, hi + 1), tol=tol)
-        except ValueError:
-            # only an underflow: any other fault raises again here.  The chain
-            # runs twice, but only on this path, which ends the run
-            log_p = window_log_probability(params, m0, horizon, range(lo, hi + 1), tol=tol)
+        # window_probability's value, or its underflow worded for this command
+        prob, log_p = _window_mass(params, m0, horizon, range(lo, hi + 1), tol)
+        if prob == 0.0 and log_p > -math.inf:
             raise UsageError(
                 f"tilted-mc: with N={n}, the window {lo}..{hi} is reached by --horizon "
                 f"{horizon!r} with probability exp({log_p:.6g}), below the smallest double, "
                 "so no estimate can be checked; give a longer --horizon or a --gamma-t "
-                "nearer --gamma0") from None
+                "nearer --gamma0")
+        return prob
 
     exact = _oracle_value(params, exact_window)
     config = SimConfig(horizon=horizon, seed=settings["seed"], initial=m0,

@@ -7,35 +7,34 @@ costs O(N) and the Poisson truncation is certified: this is the brute-force
 oracle every Monte Carlo estimate and large-deviation rate is checked against.
 
 Powers are taken _S = 8 orders per numpy pass through the band of K^8
-(_block_powers), in log arithmetic by tiles in block floating point
-(_log_band_stepper); results differ from an order-by-order sum below 1e-13
+(_block_powers); results differ from an order-by-order sum below 1e-13
 relative.  The Poisson weights are built from the mode outward by the pmf
-ratios and cut at a certified tail bound (_poisson_terms).  A law is the
-bulk mixture of _poisson_mixture.  A window query never builds a law: one
-window chain (_window_chain) sums the window masses y_j * (K^r 1_W) until a
-certified relative stop rule holds, in linear arithmetic reading the orders
-up to the cutoff K in groups of powers.  Below 1e-280 at K it answers in log
-arithmetic, far below 1e-308; a window more than K states from m0, or one
-the reach bound from m0 puts below 1e-280, goes there without a linear pass.
-The linear chain first runs on a kept range of states around m0 and the
-window (_kept_range), whose ends absorb, uniformized at the range's own top
-rate (_uniformized_kernel(params, lo, hi)).  Its window mass is a lower
-bound, and the mass its ends absorb, bounded by the last power's mass near
-them, closes the gap; where that bound is at most 1% of tol/2 of the answer
-the answer stands, else the query runs on 1..N as if no range were kept
-(_certified_window).  The log chain runs on 1..N and truncates itself
-(_log_chain): a reach bound, a supermartingale that falls fastest where
-steps toward the window are rarest (_reach_weights), bounds what the mass
-at each state can still add to the window.  It stops the sum, and the edge
-states whose bounds fit a budget of 1% of tol/2 of a guessed lower bound on
-P are dropped and charged to an error account; an answer whose account
-exceeds that share of it is computed again with no drops.
-One query on a shared 2-core machine, whose speed varies up to 2x from day
-to day (timed on one day): 2.0 ms for a bulk window at N ~ 520, mu ~ 460;
-for gamma0 = 0.5, window 0.8 +- 0.02, T = 1: 0.28 / 1.5 s at N = 6400 / 12800
-(linear arithmetic) and 1.4 s at N = 25600 (log arithmetic; 7.8-10.3 s in
-the same session with every state stepped to the Poisson tail rule).
-Beyond that is Monte Carlo.
+ratios, as products of mantissas and sums of binary exponents, so that none
+underflows (_poisson_scaled), and a law's are cut at a certified tail bound
+(_poisson_terms).  A law is the bulk mixture of _poisson_mixture.
+
+A window query never builds a law.  One window chain (_window_chain) sums the
+window masses y_j * (K^r 1_W) in one arithmetic: each power holds float64
+mantissas under one binary exponent per tile of _TILE states.  Where no
+value that matters can flush below 2^-1022 of one shared exponent, every
+tile keeps it and a step is one np.einsum (untiled); otherwise each tile
+steps at its own exponent and brings its halos there by products with
+powers of two, so nothing is a logarithm and every rescaling is exact
+(Higham, "Accuracy and Stability of Numerical Algorithms", 2002).  The chain
+has one truncation rule (_chain_pass): a reach bound, a supermartingale that
+falls fastest where steps toward the window are rarest (_reach_weights),
+bounds what the mass at each state can still add to the window.  It stops
+the sum, and it drops edge states into a charged error account (Munsky &
+Khammash 2006), which also takes what a tile may flush; at R = 1 it is the
+Poisson tail rule of Fox & Glynn (1988).  A window within 7 sd of m0 is
+asked first on a kept range of states whose ends absorb, uniformized at the
+range's own top rate, and the answer stands where the mass near the ends is
+small enough (_window_mass).  Against mpmath the chain is within 4e-14 of
+ln P at N = 400, 1600 (window 0.5 -> 0.8 +- 0.02, T = 1) and at a query of
+ln P = -1724.  One query on a shared 2-core machine, whose speed varies up
+to 2x from day to day (timed on one day): 2 ms for a bulk window at N = 520,
+mu ~ 460; for gamma0 = 0.5, window 0.8 +- 0.02, T = 1: 0.09 / 0.27 / 0.94 s
+at N = 6400 / 12800 / 25600.  Beyond that is Monte Carlo.
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .chain import ModelParams, ProbabilityVector, _check_state, stationary_distribution
-from .optimal_paths import optimal_action
+from .optimal_paths import AdmissibilityError, optimal_action
 
 __all__ = [
     "endpoint_distribution",
@@ -62,26 +61,32 @@ __all__ = [
     "stationary_dwell_probability",
 ]
 
-# Below this linear window mass the log-space chain takes over.
-_LOG_SPACE_THRESHOLD = 1e-280
 # Poisson orders per numpy pass: both sums step by the band of K^_S.
 _S = 8
-# States per tile of the log-space band step: each tile and its two halos of
-# _S states are exponentiated against one shared reference (_log_band_stepper).
+# States per tile: a window chain's powers hold one binary exponent per tile.
 _TILE = 64
-# The smallest product a tile of _log_band_stepper may form is e^-_TILE_FLOOR,
-# a normal double (those reach down to e^-708.4).
-_TILE_FLOOR = 700.0
-# The log chain reads its powers in groups of at most this many blocks.
+# A window chain starts from mass 2^_HEAD, and a tile stepped at its own
+# exponent puts the largest value of it and its neighbours at 2^_HEAD: a
+# value keeps full precision down to 2^-(_HEAD + 1022) of that.
+_HEAD = 1000
+# One step may flush at most 2^_FLUSH_LOG2 of 2^(exponent) in one tile: 64
+# states, each below 60 * 2^-1075 off (its 17 products and 17 inputs).
+_FLUSH_LOG2 = -1060
+# The exponent of a tile without mass: below every other.
+_NO_MASS = -(1 << 30)
+# A state of a window chain's power below this mantissa may have flushed.
+_TINY = 2.0 ** -1021
+# The window chain reads its powers in groups of at most this many blocks.
 _MAX_GROUP = 32
-# A truncation, a kept range's sinks or the log chain's dropped states, may
-# take at most this share of tol/2 of the answer.
-_SINK_SHARE = 0.01
+# The states the window chain drops and what its tiles flush may take at
+# most this share of tol/2 of the answer.
+_DROP_SHARE = 0.01
+# A window query keeps a range only where it steps at most this share of N*N state orders.
+_KEEP_SHARE = 0.5
 # The growth factors R over which the reach bound is least (_reach_weights):
 # 1, and 1 + 0.005 ... 1 + 3.5 in geometric steps.
 _REACH_R = np.r_[1.0, 1.0 + np.geomspace(5e-3, 3.5, 8)]
-# A window query keeps a range only where it steps at most this share of N*N state orders.
-_KEEP_SHARE = 0.5
+_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,11 +101,11 @@ class _UniformizedKernel:
     @functools.cached_property
     def band(self) -> np.ndarray:
         """The band of K^_S state by state, band[m, i] = G[i, m] of
-        _block_gather, then _TILE rows of zeros for the last tile of
-        _log_band_stepper.  Built once, when a chain first steps past its start,
-        and shared by every chain that steps with this kernel."""
+        _block_gather, then rows of zeros to a whole number of tiles.  Built
+        once, when a chain first steps past its start, and shared by every
+        chain that steps with this kernel."""
         n = self.stay.size
-        band = np.zeros((n + _TILE, 2 * _S + 1))
+        band = np.zeros((-(-n // _TILE) * _TILE, 2 * _S + 1))
         band[:n] = _block_gather(self).T
         return band
 
@@ -148,22 +153,55 @@ def _block_gather(kern: _UniformizedKernel) -> np.ndarray:
     return g[_S % 2]
 
 
+def _poisson_scaled(mu: float, last: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Poisson(mu) pmf at the orders 0..last, as plain doubles w and as
+    (f, a), pmf(k) = f[k] 2^a[k].  Both are built from the mode outward by
+    the pmf ratios (after Fox & Glynn, "Computing Poisson probabilities",
+    CACM 1988) and normalised by the sum of w over the orders up to
+    _poisson_top(mu) + 1.  Where w falls below 2^-1000 the products go on in
+    mantissas, renormalised every 1000 orders, and sums of binary exponents
+    (np.frexp), so that no weight of (f, a) underflows."""
+    mode = min(int(mu), last)
+    ratios = np.empty(last + 1)
+    ratios[:mode] = np.arange(1, mode + 1) / mu  # pmf(k) / pmf(k+1)
+    ratios[mode] = 1.0
+    ratios[mode + 1:] = mu / np.arange(mode + 1, last + 1)  # pmf(k) / pmf(k-1)
+    w = np.empty(last + 1)
+    w[mode::-1] = np.cumprod(ratios[mode::-1])
+    w[mode + 1:] = np.cumprod(ratios[mode + 1:])
+    w /= w[:min(last, _poisson_top(mu) + 1) + 1].sum()
+    f, a = np.frexp(w)
+    for side in (np.s_[mode::-1], np.s_[mode + 1:]):
+        done = int(np.argmax(w[side] < 2.0 ** -1000)) if w[side][-1:] < 2.0 ** -1000 else 0
+        if not done:  # no weight of the side falls that low, or the first one does
+            continue
+        # 1000 mantissas of at least 1/2 each keep their product normal
+        fs, es = np.frexp(ratios[side][done:])
+        out_f, out_a = f[side][done:], a[side][done:]
+        carry_f, carry_a = float(f[side][done - 1]), int(a[side][done - 1])
+        for s in range(0, fs.size, 1000):
+            out_f[s:s + 1000], e = np.frexp(np.cumprod(np.concatenate(([carry_f], fs[s:s + 1000])))[1:])
+            out_a[s:s + 1000] = e + np.cumsum(es[s:s + 1000]) + carry_a
+            carry_f, carry_a = float(out_f[s:s + 1000][-1]), int(out_a[s:s + 1000][-1])
+    return w, f, a
+
+
 def _poisson_terms(mu: float, tol: float) -> np.ndarray:
-    """The Poisson(mu) pmf at the orders 0..K, built from the mode outward by
-    the pmf ratios and normalised by their sum (after Fox & Glynn, CACM 1988).
-    K is the first order past mu - 2 whose tail bound pmf(K+1) / (1 - mu/(K+2))
-    (that of _window_chain) is at most tol/2; for any tol check_tol admits,
-    the orders built reach far past it."""
+    """The Poisson(mu) pmf at the orders 0..K of _poisson_scaled, as plain
+    doubles; K is _poisson_cutoff's.  For any tol check_tol admits, the
+    orders built reach far past it."""
     if mu == 0.0:
         return np.ones(1)
-    mode, top = int(mu), _poisson_top(mu)
-    w = np.empty(top + 2)
-    w[mode::-1] = np.cumprod(np.r_[1.0, np.arange(mode, 0, -1) / mu])
-    w[mode + 1:] = np.cumprod(mu / np.arange(mode + 1, top + 2))
-    w /= w.sum()
-    k = np.arange(top + 1)
+    w = _poisson_scaled(mu, _poisson_top(mu) + 1)[0]
+    return w[:_poisson_cutoff(w, mu, tol) + 1]
+
+
+def _poisson_cutoff(w: np.ndarray, mu: float, tol: float) -> int:
+    """K: the first order past mu - 2 whose tail bound w[K+1] / (1 - mu/(K+2))
+    is at most tol/2, w the Poisson(mu) pmf from order 0."""
+    k = np.arange(w.size - 1)
     past = (k + 2 > mu) & (w[1:] <= 0.5 * tol * (1.0 - mu / (k + 2)))
-    return w[:int(past.argmax()) + 1]
+    return int(past.argmax())
 
 
 def _poisson_top(mu: float) -> int:
@@ -198,97 +236,99 @@ def evolve_distribution(params: ModelParams, dist, t: float, tol: float = 1e-12)
     return ProbabilityVector(acc / acc.sum())
 
 
-def _block_powers(kern: _UniformizedKernel, p: np.ndarray, log_space: bool):
-    """Yield (lo, hi, y_j), y_j = p K^(j*_S), j = 0, 1, ..., empty (0, or -inf)
-    outside the states lo..hi-1 it can reach; in log space p and y_j are logs.
-    A step sums, per state, a sliding view of y_j (padded by _S empty entries)
-    times kern.band, the band of K^_S stored state by state: one np.einsum
-    in linear arithmetic, _log_band_stepper's step in log arithmetic.  The
-    band is asked for once a second power is; a yielded row is overwritten
-    two steps on.
+def _block_powers(kern: _UniformizedKernel, p: np.ndarray, flushed: np.ndarray | None = None):
+    """Yield (lo, hi, y_j, e_j): p K^(j*_S) is y_j 2^e_j, j = 0, 1, ..., with
+    y_j float64 mantissas, 0 outside the states lo..hi-1 it can reach, and
+    e_j[t] the binary exponent of the tile of states t*_TILE..(t+1)*_TILE-1.
+    A step sums, per state, a sliding view of the last power (between empty
+    tiles) times kern.band, the band of K^_S stored state by state, by one
+    np.einsum, and every exponent stays 0: plain linear arithmetic.  Given
+    flushed, one entry per tile, the steps are _tiled_stepper's, which
+    raise flushed[t] to the largest exponent at which tile t may have
+    flushed.  The band is asked for once a second power is; a yielded row
+    is overwritten two steps on.
 
     A consumer may send (a, b), lo <= a < b <= hi, as simulate._blocks takes
     its counts: the last power's states outside a..b-1 are emptied, and the
     next step runs from a..b-1 (next() sends nothing)."""
-    empty = -np.inf if log_space else 0.0
-    n = p.size
-    support = np.flatnonzero(p != empty)
+    n, tiles = p.size, -(-p.size // _TILE)
+    support = np.flatnonzero(p)
     lo, hi = (int(support[0]), int(support[-1]) + 1) if support.size else (0, 0)
-    ring = np.full((2, n + 2 * _S + _TILE), empty)  # y_j at row j mod 2, a last tile's pad after it
-    ring[0, _S:_S + n] = p
-    keep = yield lo, hi, ring[0, _S:_S + n]
+    ring = np.zeros((2, (tiles + 2) * _TILE))  # y_j at row j mod 2, state m at _TILE + m
+    ring[0, _TILE:_TILE + n] = p
+    # tile t at t + 1; tiled, an empty tile's exponent is _NO_MASS
+    exps = np.zeros((2, tiles + 2), dtype=np.int64)
+    tiled = flushed is not None
+    if tiled:
+        exps[:] = _NO_MASS
+        exps[0, ring[0].reshape(-1, _TILE).max(axis=1) > 0.0] = 0
+    rows, tile_exps = ring[:, _TILE:_TILE + n], exps[:, 1:-1]
+    rows, tile_exps = (rows[0], rows[1]), (tile_exps[0], tile_exps[1])
+    keep = yield lo, hi, rows[0], tile_exps[0]
     g = kern.band
-    step = _log_band_stepper(ring, g) if log_space else None
-    views = sliding_window_view(ring[:, :n + 2 * _S], n, axis=1)
+    if tiled:
+        step = _tiled_stepper(ring, exps, g, flushed)
+    else:
+        views = sliding_window_view(ring[:, _TILE - _S:_TILE + n + _S], n, axis=1)
+        views = (views[0], views[1])
     for j in itertools.count(1):
-        row = ring[j % 2, _S:_S + n]
+        r = j % 2
+        row = rows[r]
         if keep is not None:
             # empty the last power outside a..b-1, and the older power this
             # step overwrites outside what it writes
-            (lo, hi), last = keep, ring[1 - j % 2, _S:_S + n]
-            last[:lo] = last[hi:] = row[:max(0, lo - _S)] = row[hi + _S:] = empty
+            (lo, hi), last = keep, rows[1 - r]
+            last[:lo] = last[hi:] = row[:max(0, lo - _S)] = row[hi + _S:] = 0.0
+            if tiled:  # the tiles now empty
+                exps[:, 1:1 + lo // _TILE] = exps[:, 2 + (hi - 1) // _TILE:] = _NO_MASS
         lo, hi = max(0, lo - _S), min(n, hi + _S)
-        if log_space:
-            step(j % 2, lo, hi)
+        if tiled:
+            step(r, lo, hi)
         else:
-            np.einsum("ij,ji->j", views[1 - j % 2, :, lo:hi], g[lo:hi], out=row[lo:hi])
-        keep = yield lo, hi, row
+            np.einsum("ij,ji->j", views[1 - r][:, lo:hi], g[lo:hi], out=row[lo:hi])
+        keep = yield lo, hi, row, tile_exps[r]
 
 
-def _log_band_stepper(ring: np.ndarray, band: np.ndarray):
-    """step(r, lo, hi): ring row r gets the logs of (e^y K^_S) on the states
-    lo..hi-1, y the logs in the other row, in block floating point.  A row
-    holds state m at m + _S between _S empty entries, and _TILE more at its
-    end.  The states are cut into tiles of _TILE from lo; a tile's inputs, its
-    states and a halo of _S on each side, are exponentiated once against
-    their largest log, stepped through the band (stored state by state) by
-    one np.einsum, and taken back by one log: 1.25 exp and 1 log per state.
-    The last tile's states past hi get empty entries: no input within _S of
-    them has mass, or their band rows are 0.
-
-    Every nonzero product stays at least e^-_TILE_FLOOR, a normal double,
-    while a tile's finite logs lie within span = _TILE_FLOOR + ln(smallest
-    band entry) of its reference; a tile that reaches further takes a
-    per-state log-sum-exp over the band's logs instead.  The caller ignores
-    division by zero (np.errstate): a state without mass takes log 0 = -inf."""
-    n = band.shape[0] - _TILE
-    with np.errstate(divide="ignore"):
-        log_g = np.log(band[:n].T)
-    span = _TILE_FLOOR + math.log(band[band > 0.0].min())
-    # inputs[r, a]: row r's states a-_S..a+_TILE+_S-1, a tile from a with its halos
-    inputs = sliding_window_view(ring, _TILE + 2 * _S, axis=1)
-    scaled = np.empty((n // _TILE + 1, _TILE + 2 * _S))
+def _tiled_stepper(ring: np.ndarray, exps: np.ndarray, band: np.ndarray, flushed: np.ndarray):
+    """step(r, lo, hi): ring row r gets (y K^_S) on the tiles that hold the
+    states lo..hi-1, y the other row, each tile at its own binary exponent
+    (exps, a tile t at t + 1, an empty one's _NO_MASS).  A row holds state m
+    at _TILE + m, between empty tiles.  A tile's exponent puts the largest
+    value of it and its two neighbours at 2^_HEAD, but moves no input up by
+    more than 2^1023; its inputs, its states and a halo of _S on each side,
+    are brought there by products with powers of two, exact but for what
+    falls below 2^-1074, and stepped through the band (stored state by
+    state) by one np.einsum.  A tile that then holds a value of the states
+    lo..hi-1 below _TINY may have flushed: flushed[t] is raised to its
+    exponent."""
+    tiles = exps.shape[1] - 2
+    # inputs[r, t]: row r's states of tile t with its halos; around[t]: tiles t-1, t, t+1
+    inputs = sliding_window_view(ring, _TILE + 2 * _S, axis=1)[:, _TILE - _S::_TILE]
+    around = np.arange(tiles)[:, None] + np.arange(3)
+    bands = band.reshape(tiles, _TILE, 2 * _S + 1)
+    scaled = np.empty((tiles, _TILE + 2 * _S))
     shifted = sliding_window_view(scaled, 2 * _S + 1, axis=1)
-    sums = np.empty((n // _TILE + 1, _TILE))
 
     def step(r: int, lo: int, hi: int) -> None:
-        tiles = -(-(hi - lo) // _TILE)
-        x, e, out = inputs[1 - r, lo:lo + tiles * _TILE:_TILE], scaled[:tiles], sums[:tiles]
-        # a tile with no mass takes the reference -1e300: its exponentials are all 0
-        ref = np.maximum.reduce(x, axis=1, keepdims=True, initial=-1e300)
-        np.subtract(x, ref, out=e)
-        wide = np.minimum.reduce(e, axis=1, where=e > -np.inf, initial=0.0) < -span
-        np.exp(e, out=e)
-        np.einsum("tki,tki->tk", shifted[:tiles],
-                  band[lo:lo + tiles * _TILE].reshape(tiles, _TILE, 2 * _S + 1), out=out)
-        np.log(out, out=out)  # the caller ignores log(0)
-        np.add(out, ref, out=ring[r, _S + lo:_S + lo + tiles * _TILE].reshape(tiles, _TILE))
-        for t in wide.nonzero()[0].tolist():
-            a, b = lo + t * _TILE, min(hi, lo + (t + 1) * _TILE)
-            _log_sum_exp_step(ring[1 - r], a, b, log_g, ring[r, _S + a:_S + b])
+        a, b = lo // _TILE, -(-hi // _TILE)  # the tiles a..b-1, with a neighbour each side
+        e = exps[1 - r, a:b + 2]
+        top = e + np.frexp(ring[1 - r, a * _TILE:(b + 2) * _TILE].reshape(-1, _TILE).max(axis=1))[1]
+        new = np.maximum(np.maximum(top[:-2], top[1:-1]), top[2:]) - _HEAD
+        shift = e[around[:b - a]] - new[:, None]
+        if shift.max() > 1023:  # each shift a double (what that flushes is charged)
+            new = np.maximum(new, shift.max(axis=1) + new - 1023)
+            shift = e[around[:b - a]] - new[:, None]
+        np.multiply(inputs[1 - r, a:b], np.repeat(np.exp2(shift), (_S, _TILE, _S), axis=1),
+                    out=scaled[:b - a])
+        out = ring[r, (a + 1) * _TILE:(b + 1) * _TILE].reshape(b - a, _TILE)
+        np.einsum("tki,tki->tk", shifted[:b - a], bands[a:b], out=out)
+        exps[r, a + 1:b + 1] = new
+        least = out.min(axis=1)  # of the states lo..hi-1: the others are empty
+        row = ring[r, _TILE:]
+        least[0] = row[lo:min(hi, (a + 1) * _TILE)].min()
+        least[-1] = row[max(lo, (b - 1) * _TILE):hi].min()
+        np.maximum(flushed[a:b], np.where(least < _TINY, new, _NO_MASS), out=flushed[a:b])
     return step
-
-
-def _log_sum_exp_step(src: np.ndarray, a: int, b: int, log_g: np.ndarray, out: np.ndarray) -> None:
-    """out = the logs of (e^y K^_S) on the states a..b-1, src[m + _S] = y[m],
-    by one max-shifted log-sum-exp per state over log_g, the logs of the band
-    of K^_S in gather form: 2*_S+1 exp per state, but nothing underflows."""
-    terms = sliding_window_view(src[a:b + 2 * _S], b - a) + log_g[:, a:b]
-    peak = terms.max(axis=0)
-    terms -= peak
-    np.exp(terms, out=terms)
-    np.log(np.add.reduce(terms, axis=0), out=out)
-    out += peak
 
 
 def _poisson_mixture(p: np.ndarray, kern: _UniformizedKernel, t: float, tol: float) -> np.ndarray:
@@ -302,8 +342,7 @@ def _poisson_mixture(p: np.ndarray, kern: _UniformizedKernel, t: float, tol: flo
     w = np.zeros(blocks * _S)
     w[:k_max + 1] = weights
     z = np.zeros((rows, p.size))
-    for w_j, (lo, hi, y) in zip(w.reshape(blocks, _S)[:, :rows, None],
-                                _block_powers(kern, p, False)):
+    for w_j, (lo, hi, y, _) in zip(w.reshape(blocks, _S)[:, :rows, None], _block_powers(kern, p)):
         z[:, lo:hi] += w_j * y[lo:hi]
     acc = z[-1]
     for r in range(rows - 2, -1, -1):
@@ -329,65 +368,41 @@ def _normalize_window(params: ModelParams, window) -> np.ndarray:
     return np.unique(np.array(states, dtype=int))
 
 
-def _certified_window(params: ModelParams, m0: int, t: float, window,
-                      tol: float) -> tuple[float, bool]:
-    """The window mass P with its truncation certified to tol/2 of itself
-    and the states it drops to 1% more: (P, False) from the linear window
-    chain, else (ln P, True) from the log one.
+def _window_mass(params: ModelParams, m0: int, t: float, window, tol: float) -> tuple[float, float]:
+    """(P, ln P), P the window mass of _window_chain, certified to tol/2 of
+    itself and _DROP_SHARE of that more: P is 0.0 where it underflows a
+    double, and ln P is then that of the scaled value.
 
-    The linear chain runs first on the kept range of _kept_range, whose
-    edges absorb.  Its window mass P_r counts the paths that never reach a
-    sink, so P_r <= P <= P_r + A + tail, with A the mass the sinks hold at
-    the last order summed and tail <= tol/2 * P_r the Poisson weight past it
-    (Munsky & Khammash, "The finite state projection algorithm for the
-    solution of the chemical master equation", J. Chem. Phys. 2006).  Sinks
-    only gain mass, so A is at most the chain's sink bound, and the answer
-    stands where that bound is at most _SINK_SHARE * tol/2 * P_r: then
-    P_r <= P <= P_r * (1 + 1.01 * tol/2).  Otherwise, or where that chain
-    hands the query on, the linear chain runs on the whole chain 1..N, whose
-    answer needs no sink bound, and then the log chain, with P below
-    _LOG_SPACE_THRESHOLD at the bulk cutoff or the window more than K
-    states from m0.  No linear pass runs that would hand the query on:
-    not where the window lies past its _poisson_top(mu) >= K, nor, for a
-    window more than 7 sd (sqrt(50 mu) states) from m0, where the reach
-    bound from m0 (_log_reach_bound) is below _LOG_SPACE_THRESHOLD.  A
-    pass not run builds no kernel and no weights; the last two step with
-    one kernel 1..N and build its band once."""
+    The chain runs first on the kept range of _kept_range, whose edges
+    absorb.  Its window mass P_r counts the paths that never reach a sink,
+    so P_r <= P <= P_r + A + tail, with A the mass the sinks hold at the
+    last order summed and tail <= tol/2 * P_r (Munsky & Khammash, "The finite
+    state projection algorithm for the solution of the chemical master
+    equation", J. Chem. Phys. 2006).  Sinks only gain mass, so A is at most
+    the chain's sink bound, and the answer stands where that bound is at
+    most _DROP_SHARE * tol/2 * P_r; otherwise, or with no range kept, the
+    chain runs on the whole chain 1..N."""
     states = _normalize_window(params, window)
     _check_state(params, m0, "m0")
     _check_time_tol(t, tol)
-    n, reach = params.n_states, int(np.abs(states - m0).min())
     kept = _kept_range(params, m0, t, states, tol)
-    ranges = [(lo, hi) for lo, hi in ([kept] if kept else []) + [(1, n)]
-              if reach <= _poisson_top(2.0 * params.lam * hi * t)]
-    whole = functools.cache(lambda: _uniformized_kernel(params))
-    if ranges and reach * reach > 100.0 * params.lam * n * t:
-        # more than 7 sd out: the reach bound may put the window mass below the threshold
-        if _log_reach_bound(whole(), m0, t, states) < math.log(_LOG_SPACE_THRESHOLD) - 1.0:
-            ranges = []
-    for lo, hi in ranges:
-        kern = whole() if hi - lo + 1 == n else _uniformized_kernel(params, lo, hi)
-        found = _window_chain(kern, m0, t, states, tol, log_space=False)
-        if found is not None and found[1] <= _SINK_SHARE * 0.5 * tol * found[0]:
-            return found[0], False
-    return _window_chain(whole(), m0, t, states, tol, log_space=True), True
-
-
-def _log_reach_bound(kern: _UniformizedKernel, m0: int, t: float, states: np.ndarray) -> float:
-    """ln of an upper bound on the window mass from m0 on the chain 1..N:
-    the least over R of h(m0) e^(mu (rho - 1)), the reach bound of
-    _reach_weights summed over every Poisson order."""
-    depth, rho_m1 = _reach_weights(kern, int(states[0]) - 1, int(states[-1]))
-    zone = 0 if m0 < states[0] else 2 if m0 > states[-1] else 1  # below, in or above the hull
-    return float(np.min(kern.rate * t * rho_m1[:, zone] - depth[:, m0 - 1]))
+    m, e, sinks = _window_chain(_uniformized_kernel(params, *kept), m0, t, states, tol) if kept \
+        else (0.0, 0, math.inf)
+    if not sinks <= _DROP_SHARE * 0.5 * tol * math.ldexp(m, e):
+        m, e, _ = _window_chain(_uniformized_kernel(params), m0, t, states, tol)
+    prob = math.ldexp(m, e)
+    if prob >= 2.2250738585072014e-308:  # a normal double: its own log
+        return prob, math.log(prob)
+    return prob, (math.log(m) + e * _LN2) if m else -math.inf
 
 
 def _kept_range(params: ModelParams, m0: int, t: float, states: np.ndarray,
                 tol: float) -> tuple[int, int] | None:
     """The states lo..hi of a truncated window query, sinks at a - 1 and
-    b + 1 included, or None where the range saves little.  [a, b] is
+    b + 1 included, or None where the range saves little or the window lies
+    more than 7 sd (sqrt(50 mu) states) from m0.  [a, b] is
     [min(m0, window), max(m0, window)] padded on each side by
-    pad = _S + L + sqrt(2 L mu), L = ln(1 / (_SINK_SHARE * tol/2)), with
+    pad = _S + L + sqrt(2 L mu), L = ln(1 / (_DROP_SHARE * tol/2)), with
     mu = 2 lam (b + pad) t the Poisson mean at the range's top rate (van
     Moorsel & Sanders, "Adaptive uniformization", Stochastic Models 1994),
     solved for pad in closed form.  The chain reads about mu + sqrt(2 mu L)
@@ -397,9 +412,11 @@ def _kept_range(params: ModelParams, m0: int, t: float, states: np.ndarray,
     sqrt(2 L (mu + sqrt(2 mu L))) <= sqrt(2 L mu) + L.  The rule is a guess,
     which the sink bound checks.  The range saves little where its state
     orders, (hi - lo + 1) * hi, exceed _KEEP_SHARE of the chain's N*N."""
-    n = params.n_states
+    n, reach = params.n_states, int(np.abs(states - m0).min())
+    if reach * reach > 100.0 * params.lam * n * t:
+        return None
     a, b = min(m0, int(states[0])), max(m0, int(states[-1]))
-    log_rel = -math.log(_SINK_SHARE * 0.5 * tol)
+    log_rel = -math.log(_DROP_SHARE * 0.5 * tol)
     v = 4.0 * log_rel * params.lam * t  # sqrt(2 L mu) = sqrt(v (b + pad))
     pad = math.ceil(0.5 * (v + math.sqrt(v * v + 4.0 * v * (b + log_rel + _S))) + log_rel) + _S
     lo, hi = max(1, a - pad - 1), min(n, b + pad + 1)
@@ -408,118 +425,65 @@ def _kept_range(params: ModelParams, m0: int, t: float, states: np.ndarray,
 
 def window_probability(params: ModelParams, m0: int, t: float, window, tol: float = 1e-12) -> float:
     """P(X(t) in window | X(0) = m0), its Poisson truncation certified to
-    tol/2 of the window mass.  A mass below _LOG_SPACE_THRESHOLD is
-    exp(window_log_probability): with fewer digits below e^-708.4, 0.0 if
-    exact (t = 0, m0 outside the window), and ValueError if it underflows."""
-    value, in_log_space = _certified_window(params, m0, t, window, tol)
-    if not in_log_space:
-        return value
-    prob = math.exp(value)
-    if prob == 0.0 and value > -math.inf:
+    tol/2 of the window mass.  Below e^-708.4 it has fewer digits, it is 0.0
+    if exact (t = 0, m0 outside the window), and ValueError if it underflows."""
+    prob, log_p = _window_mass(params, m0, t, window, tol)
+    if prob == 0.0 and log_p > -math.inf:
         raise ValueError(
-            f"window probability exp({value}) underflows to zero in double precision; "
+            f"window probability exp({log_p}) underflows to zero in double precision; "
             "use window_log_probability")
     return prob
 
 
 def window_log_probability(params: ModelParams, m0: int, t: float, window, tol: float = 1e-12) -> float:
-    """ln P(X(t) in window | X(0) = m0); switches to a log-space product chain
-    when the linear-space mass underflows.  Either way the Poisson truncation
-    is certified to tol/2 of the window mass."""
-    value, in_log_space = _certified_window(params, m0, t, window, tol)
-    return value if in_log_space else math.log(value)
+    """ln P(X(t) in window | X(0) = m0), the log of window_probability where
+    that is a normal double, and computed from the scaled window mass below
+    it.  The Poisson truncation is certified to tol/2 of the window mass."""
+    return _window_mass(params, m0, t, window, tol)[1]
 
 
-def _window_setup(kern: _UniformizedKernel, m0: int, states: np.ndarray, log_space: bool):
-    """(lo, hi, c, powers): c[r] = K^r 1_W, r < _S, on the states lo..hi-1
-    within _S - 1 of the window, outside which it is 0, and the powers of
-    _block_powers from m0; in log space both are logarithms."""
+def _window_setup(kern: _UniformizedKernel, states: np.ndarray):
+    """(lo, hi, c): c[r] = K^r 1_W, r < _S, on the states lo..hi-1 within
+    _S - 1 of the window, outside which it is 0."""
     lo, hi = max(0, int(states[0]) - _S), min(kern.stay.size, int(states[-1]) + _S - 1)
     stay, up, down = kern.stay[lo:hi], kern.up[lo:hi], kern.down[lo:hi]
-    c, start = np.zeros((_S, hi - lo)), np.zeros(kern.stay.size)
-    c[0, states - 1 - lo] = start[m0 - 1] = 1.0
+    c = np.zeros((_S, hi - lo))
+    c[0, states - 1 - lo] = 1.0
     for r in range(1, _S):  # (K v)[m] = stay[m] v[m] + down[m] v[m-1] + up[m] v[m+1]
         c[r] = c[r - 1] * stay
         c[r, 1:] += c[r - 1, :-1] * down[1:]
         c[r, :-1] += c[r - 1, 1:] * up[:-1]
-    if log_space:
-        with np.errstate(divide="ignore"):
-            c, start = np.log(c), np.log(start)
-    return lo, hi, c, _block_powers(kern, start, log_space)
+    return lo, hi, c
 
 
-def _window_chain(kern: _UniformizedKernel, m0: int, t: float, states: np.ndarray, tol: float,
-                  log_space: bool) -> tuple[float, float] | float | None:
-    """The window mass after time t from m0 (states numbered as in the
-    chain, kern's from kern.first), its Poisson truncation certified to tol/2
-    of itself (mu = Lam*t).
-
-    In linear arithmetic the sum stops at the first order k where the
-    weight of all later orders is at most tol/2 of the window mass so far:
-    once k + 2 > mu the pmf falls at least by mu/(k+2) per order, so that
-    weight is at most pmf(k+1) / (1 - mu/(k+2)) (after Fox & Glynn,
-    "Computing Poisson probabilities", CACM 1988).  It is (P, sink bound),
-    or None where the mass at K is below _LOG_SPACE_THRESHOLD, as for any
-    window more than K states from m0.  The weights are those of _poisson_terms, whose orders 0..K are read
-    in groups of powers, then pmf(k-1) * mu/k order by order; the sum is
-    divided by the same sum over the total masses (as a law is normalised).
-    The sink bound is the mass of the last power y_j it read, the one holding
-    the last order summed, within _S - 1 states of each sink, sink included
-    (0 with no sink): an order moves mass at most one state and sinks only
-    gain it, so it bounds what the sinks hold at every order summed.
-
-    In log arithmetic it is ln P, and nothing in it underflows (_log_chain):
-    the stop rule bounds the later window masses by how far the mass lies
-    from the window, and states that cannot matter are dropped into an
-    error account of at most _SINK_SHARE of tol/2 of P, the guess of
-    _log_mass_guess setting the budget; where the account comes out larger
-    the pass reruns with no drops.  The caller has checked m0, t and tol."""
+def _window_chain(kern: _UniformizedKernel, m0: int, t: float, states: np.ndarray,
+                  tol: float) -> tuple[float, int, float]:
+    """(m, e, sink bound): the window mass P = m 2^e after time t from m0
+    (states numbered as in the chain, kern's from kern.first), its
+    truncation certified to tol/2 of itself and what it drops and flushes to
+    _DROP_SHARE of that more (mu = Lam*t).  One pass of _chain_pass, with a
+    drop budget of that share of the guess of _log_mass_guess, answers;
+    where its account comes out larger than that share of P, a pass with no
+    budget, which drops nothing and steps every tile at its own exponent,
+    answers instead.  The sink bound is the mass of the last power read,
+    the one holding the last order summed, within _S - 1 states of each
+    sink, sink included (0 with no sink): an order moves mass at most one
+    state and sinks only gain it, so it bounds what the sinks hold at every
+    order summed.  The caller has checked m0, t and tol."""
     m0, states = m0 - kern.first + 1, states - (kern.first - 1)
     mu = kern.rate * t
-    if not log_space:
-        weights = _poisson_terms(mu, tol)
-        k = weights.size - 1
-        if int(np.abs(states - m0).min()) > k:
-            return None
-        near_lo, near_hi, columns, powers = _window_setup(kern, m0, states, False)
-        n, width = kern.stay.size, near_hi - near_lo
-        group = max(1, min(64, 4096 // width, 32768 // n))  # temporaries of at most 256 KiB
-        last = None  # the last power read: the one holding the last order summed
-
-        def masses(count: int) -> np.ndarray:
-            # (window mass, total mass of its power) per order of the next count <= group
-            # powers, rows reduced alike: a window holding the chain (K^r 1 = 1) has mass = total
-            nonlocal last
-            y, out = np.empty((count, n)), np.empty((count, _S, 2))
-            for j, (_, _, row) in zip(range(count), powers):
-                y[j] = row
-            np.add.reduce(y[:, None, near_lo:near_hi] * columns, axis=2, out=out[:, :, 0])
-            out[:, :, 1] = np.add.reduce(y, axis=1)[:, None]
-            last = y[-1]
-            return out.reshape(-1, 2)
-        blocks = k // _S + 1
-        head = np.concatenate([masses(min(group, blocks - j)) for j in range(0, blocks, group)])
-        acc, used = (weights[:, None] * head[:k + 1]).sum(axis=0).tolist()
-        if acc / used < _LOG_SPACE_THRESHOLD:
-            return None
-        w = float(weights[-1])
-        later = itertools.chain(head[k + 1:], (row for _ in itertools.count() for row in masses(1)))
-        while not (k + 2 > mu and w * mu / (k + 1) / (1.0 - mu / (k + 2)) <= 0.5 * tol * acc):
-            k += 1
-            w *= mu / k
-            mass, total = next(later)
-            acc += w * mass
-            used += w * total
-        return acc / used, sum(float(last[max(0, s - _S + 1):s + _S].sum()) for s in kern.sinks)
     if mu == 0.0:
-        return 0.0 if m0 in states else -math.inf
-    log_share = math.log(_SINK_SHARE * 0.5 * tol)
+        return float(m0 in states), 0, 0.0
+    if states.size == kern.stay.size:  # the window holds every state: no mass leaves it
+        return 1.0, 0, 0.0
+    log_share = math.log(_DROP_SHARE * 0.5 * tol)
+    guess = _log_mass_guess(kern, m0, t, states) if not kern.sinks else 0.0  # a range drops nothing
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # logs of 0 are -inf
-        log_p, account = _log_chain(kern, m0, mu, states, tol,
-                                    log_share + _log_mass_guess(kern, m0, t, states))
-        if account > log_share + log_p:  # the guess was too high: no drops
-            log_p, _ = _log_chain(kern, m0, mu, states, tol, -math.inf)
-    return log_p
+        for budget in (log_share + guess, -math.inf):
+            m, e, account, sinks = _chain_pass(kern, m0, mu, states, tol, budget)
+            if account <= log_share + np.log(m) + e * _LN2 or budget == -math.inf and m == 0.0:
+                return m, e, sinks
+    raise ArithmeticError(f"the window chain's error account e^{account} exceeds its share of P")
 
 
 def _log_mass_guess(kern: _UniformizedKernel, m0: int, t: float, states: np.ndarray) -> float:
@@ -528,7 +492,10 @@ def _log_mass_guess(kern: _UniformizedKernel, m0: int, t: float, states: np.ndar
     S the action of optimal_paths.optimal_action.  On the 130 deep windows
     of the benchmark pool ln P lies 2.5 to 4.9 below -N S."""
     n, w = kern.stay.size, int(states[np.abs(states - m0).argmin()])
-    return -n * optimal_action(m0 / n, w / n, t, kern.rate / (2.0 * n)) - 0.5 * math.log(n) - 10.0
+    try:
+        return -n * optimal_action(m0 / n, w / n, t, kern.rate / (2.0 * n)) - 0.5 * math.log(n) - 10.0
+    except AdmissibilityError:  # no path solved: no guess below P <= 1
+        return 0.0
 
 
 def _reach_weights(kern: _UniformizedKernel, w0: int, w1: int) -> tuple[np.ndarray, np.ndarray]:
@@ -541,8 +508,9 @@ def _reach_weights(kern: _UniformizedKernel, w0: int, w1: int) -> tuple[np.ndarr
     probabilities of a step toward it and away, h(toward) / h(x) = e^beta
     solves p e^beta + q e^-beta = p + q + R - 1, so beta grows where steps
     are rare; rho is the largest E[h(X')] / h(x) on the side, about R.
-    R = 1 gives h = 1, the bound of a window mass by the total mass.  Every
-    state outside the hull moves toward it (the chain on 1..N)."""
+    R = 1 gives h = 1, the bound of a window mass by the total mass.  A sink
+    never steps toward the hull: h = 0 there, and it adds nothing to rho.
+    The caller ignores division by zero (np.errstate)."""
     r = _REACH_R[:, None]
     depth = np.zeros((r.size, kern.stay.size))
     rho_m1 = np.zeros((r.size, 3))
@@ -552,16 +520,27 @@ def _reach_weights(kern: _UniformizedKernel, w0: int, w1: int) -> tuple[np.ndarr
             c = toward + away + (r - 1.0)
             # c^2 - 4 p q, as a sum of terms >= 0
             root = np.sqrt((r - 1.0) * (r - 1.0 + 2.0 * (toward + away)) + (toward - away) ** 2)
-            ratio = (c + root) / (2.0 * toward)  # h(toward) / h(x)
+            ratio = np.where(toward > 0.0, (c + root) / (2.0 * toward), np.inf)  # h(toward) / h(x)
             back = np.concatenate([1.0 / ratio[:, 1:], np.ones((r.size, 1))], axis=1)
-            rho_m1[:, zone] = (toward * (ratio - 1.0) + away * (back - 1.0)).max(axis=1)
+            moves = np.where(toward > 0.0, toward * (ratio - 1.0), 0.0) + away * (back - 1.0)
+            rho_m1[:, zone] = moves.max(axis=1)
             depth[:, out] = np.cumsum(np.log(ratio), axis=1)[:, ::1 if zone else -1]
     return depth, rho_m1
 
 
-def _log_chain(kern: _UniformizedKernel, m0: int, mu: float, states: np.ndarray, tol: float,
-               log_budget: float) -> tuple[float, float]:
-    """One pass of the log window chain: (ln P, ln of the drop account).
+def _chain_pass(kern: _UniformizedKernel, m0: int, mu: float, states: np.ndarray, tol: float,
+                log_budget: float) -> tuple[float, int, float, float]:
+    """One pass of the window chain: (m, e, ln of the error account, sink
+    bound), the answer P = m 2^e, the last two in units of P.
+
+    The powers come from _block_powers, from mass 2^_HEAD at m0.  Their
+    window masses, times the weights of _poisson_scaled, are summed in
+    groups of up to _MAX_GROUP blocks, the first to past the window's
+    distance from m0 and the cutoff K of _poisson_cutoff.  The sum is
+    divided by the same sum over the total masses, the dropped mass
+    included, as a law is normalised: that cancels the rounding drift of the
+    powers' mass, and as the orders past K weigh at most tol/2, it moves the
+    answer by at most tol/2 of itself.
 
     The reach bound: by _reach_weights, mass y at a state x adds at most
     y h(x) rho^i to the window mass i orders on, and so over the orders
@@ -569,98 +548,189 @@ def _log_chain(kern: _UniformizedKernel, m0: int, mu: float, states: np.ndarray,
     rho^(k - k_j) sum_i pmf(k+i) rho^i, which is at most
     rho^(-k_j) e^(mu (rho - 1)), and pmf(k) / (1 - mu rho/(k+1)) once
     k+1 > mu rho; the least over R in _REACH_R is taken per zone (below,
-    in, above the window's hull) for a sum and per state for a drop.
+    in, above the window's hull) for a sum and per state for a drop.  R = 1
+    alone, h = 1, is taken for a window within 7 sd (sqrt(50 mu) states) of
+    m0, where larger R buy little: its bound is the Poisson tail times the
+    mass, in plain doubles.
 
-    The powers are read in groups of up to _MAX_GROUP blocks, run to just
-    past the window's distance from m0 while it lies ahead, a group's
-    window masses by one log-sum-exp and the running ln P by
-    np.logaddexp.accumulate.  At a group's end the states at each edge of
-    the last power whose bounds fit half a share of the budget left
-    (log_budget less the account) are dropped, sent to _block_powers, and
-    the share charged once to the account (Munsky & Khammash 2006): the chain
-    then counts fewer paths, and P lies between its sum and the sum plus
-    the account plus the stop bound.  The sum stops at the first group end
+    At a group's end the states at each edge of the last power whose bounds
+    fit half a share of the budget left (log_budget less the account) are
+    dropped, sent to _block_powers, and the share charged once to the
+    account (Munsky & Khammash 2006): the chain then counts fewer paths, and
+    P lies within the account and the stop bound of its sum.  A kernel with
+    sinks drops nothing.  A pass steps untiled where every tile flushing
+    2^_FLUSH_LOG2 of the start's 2^_HEAD at every step up to the order cap
+    fits a quarter of the budget, charged once; else tiled, each group end
+    charging for each tile that may have flushed 2^_FLUSH_LOG2 of its
+    largest such exponent per block, times the reach bound of its states
+    from the group's start.  The sum stops at the first group end past K
     where the reach bound of the kept states on the orders still to come,
     plus the account, is at most tol/2 of the running sum (after Fox &
-    Glynn 1988; at R = 1 it is the Poisson tail times the kept mass).  The
-    same bound at the ends of the next _MAX_GROUP blocks sizes the next
-    group, and the sum stops at the end of it where it holds.  The account
-    takes at most _SINK_SHARE of that tol/2, and where it already exceeds
-    that share of all the sum can reach the pass charges every state and
-    ends; the caller reruns with no budget where the account is past that
-    share of the sum."""
+    Glynn 1988).  The same bound at the ends of the next _MAX_GROUP blocks
+    sizes the next group, and the sum stops at the end of it where it
+    holds.  The account takes at most _DROP_SHARE of that tol/2, and where
+    it already exceeds that share of all the sum can reach the pass charges
+    every state and ends.  The sink bound is that of _window_chain.  The
+    caller ignores division by zero (np.errstate)."""
     n = kern.stay.size
-    near_lo, near_hi, columns, powers = _window_setup(kern, m0, states, True)
+    tiles = -(-n // _TILE)
+    near_lo, near_hi, columns = _window_setup(kern, states)
     w0, w1 = int(states[0]) - 1, int(states[-1])  # the hull's entries w0..w1-1
+
+    def zones(lo: int, hi: int) -> np.ndarray:
+        """How many of the states lo..hi-1 lie below, in and above the hull."""
+        below, above = min(max(w0 - lo, 0), hi - lo), max(hi - max(w1, lo), 0)
+        return np.array([below, hi - lo - below - above, above])
     ahead = _S * np.arange(_MAX_GROUP + 1)  # the block ends a reach bound looks at
-    depth, rho_m1 = _reach_weights(kern, w0, w1)
+    k_cap = int(mu + 10.0 * math.sqrt(mu + 1.0)) + 6 * n + 1000
+    top = _poisson_top(mu) + 2
+    w, f, a = _poisson_scaled(mu, top + 2 * ahead[-1])  # built on as the sum reads further
+    k_min = _poisson_cutoff(w[:top], mu, tol)
+    reach = int(np.abs(states - m0).min())
+    if reach * reach > 50.0 * mu:  # more than 7 sd out: R > 1 can bound far tighter
+        depth, rho_m1 = _reach_weights(kern, w0, w1)
+    else:
+        depth, rho_m1 = np.zeros((1, n)), np.zeros((1, 3))  # R = 1 alone: h = 1
     log_rho = np.log1p(rho_m1)[:, :, None]
     mu_rho, grow = mu * (1.0 + rho_m1)[:, :, None], (_S + ahead) * log_rho
-    log_mu, log_rel = math.log(mu), math.log(0.5 * tol)
-    k_cap = int(mu + 10.0 * math.sqrt(mu + 1.0)) + 6 * n + 1000
-    # start: ln pmf(0), then ln pmf(k0 - 1); the orders below the window's
-    # distance from m0 have no window mass, and the groups run to just past it
-    acc, start, k0, reach = -math.inf, -mu, 0, int(np.abs(states - m0).min())
-    count = min(_MAX_GROUP, reach // _S + 1)
-    account, cut, certified = -math.inf, None, math.inf
+    log_rel, head = math.log(0.5 * tol), _HEAD * _LN2
+    budget = log_budget + head  # the sums run in units of the start's 2^_HEAD
+    flush = math.log(tiles * (k_cap // _S + 1)) + _FLUSH_LOG2 * _LN2
+    tiled = flush > budget - math.log(4.0)
+    account = -math.inf if tiled else flush
+    if tiled:  # per R and tile, ln of the largest h in it
+        tile_starts, near_tiles = np.arange(0, n, _TILE), np.s_[near_lo // _TILE:(near_hi - 1) // _TILE + 1]
+        near_tile = np.arange(near_lo, near_hi) // _TILE - near_lo // _TILE  # per state near the window
+        nearest = -np.minimum.reduceat(depth, tile_starts, axis=1)
+    start = np.zeros(n)
+    start[m0 - 1] = 2.0 ** _HEAD
+    # per tile, the largest exponent at which it may have flushed
+    flushed = np.full(tiles, _NO_MASS) if tiled else None
+    powers = _block_powers(kern, start, flushed)
+    # the sums over pmf(k) times the window mass and times the total mass, as m 2^e
+    acc, sums, sums_e, dropped = -math.inf, np.zeros(2), np.zeros(2, dtype=np.int64), 0.0
+    k0 = 0
+    count = min(_MAX_GROUP, max(reach, k_min) // _S + 1)
+    cut, certified = None, math.inf
     while k0 <= k_cap:
-        # the orders k0..k1-1 of the next count blocks, summed by one log-sum-exp
-        y = np.empty((count, 1, near_hi - near_lo))
+        if k0 + count * _S + ahead[-1] >= f.size:
+            _, f, a = _poisson_scaled(mu, 2 * f.size)
+        # the next count blocks: untiled, their powers whole; tiled, the states near the
+        # window at one exponent per block, and the total masses
+        y = np.empty((count, n if not tiled else near_hi - near_lo))
+        near_e = np.empty((count, near_tile[-1] + 1), np.int64) if tiled else None
         for j in range(count):
-            lo, hi, row = powers.send(cut)
+            lo, hi, row, row_e = powers.send(cut)
             cut = None
-            y[j, 0] = row[near_lo:near_hi]
+            if not tiled:
+                y[j] = row
+            else:
+                y[j], near_e[j] = row[near_lo:near_hi], row_e[near_tiles]
         k1 = k0 + count * _S
-        k = np.arange(k0, k1)
-        steps = log_mu - np.log(k[k > 0])  # ln pmf(k) - ln pmf(k-1)
-        log_pmf = np.add.accumulate(np.concatenate(([start], steps)))[-k.size:]
-        terms = y + columns + log_pmf.reshape(count, _S, 1)
-        peak = terms.max()
-        if peak > -np.inf:  # else no order of the group has window mass
-            acc = float(np.logaddexp(acc, math.log(np.exp(terms - peak).sum()) + peak))
-        start, k0 = float(log_pmf[-1]), k1
+        if not tiled:
+            totals, y = np.add.reduce(y, axis=1), y[:, near_lo:near_hi]
+        else:  # each block at its largest exponent near the window; the total mass of
+            # the group's last power stands for its every order
+            block_e = near_e.max(axis=1)
+            y *= np.exp2(np.maximum(near_e - block_e[:, None], -1075))[:, near_tile]
+            totals = np.full(count, np.ldexp(np.add.reduceat(row, tile_starts), row_e).sum())
+        kept = totals[-1]
+        # pmf(k) times each order's window mass, and times its total mass with the dropped
+        # mass: in plain doubles at exponent 0, as fr 2^ex summed at their largest ex if tiled
+        terms = np.empty((2, count, _S))
+        np.multiply(f[k0:k1].reshape(count, _S), y @ columns.T, out=terms[0])
+        np.multiply(f[k0:k1].reshape(count, _S), (totals + dropped)[:, None], out=terms[1])
+        if not tiled:
+            sums += np.ldexp(terms, a[k0:k1].reshape(count, _S)).sum(axis=(1, 2))
+        else:
+            fr, ex = np.frexp(terms)
+            ex += a[k0:k1].reshape(count, _S)
+            ex[0] += block_e[:, None]
+            peak = np.maximum(ex.max(axis=(1, 2), where=fr > 0.0, initial=_NO_MASS),
+                              np.where(sums > 0.0, sums_e, _NO_MASS))
+            sums, shift = np.frexp(np.ldexp(sums, sums_e - peak)
+                                   + np.ldexp(fr, ex - peak[:, None, None]).sum(axis=(1, 2)))
+            sums_e = peak + shift
+        acc = float(np.log(sums[0]) + sums_e[0] * _LN2)
+        group_start, k0 = k0, k1
         if k1 >= certified:
-            return acc, account
+            break
+        if tiled:  # what the group's steps may have flushed, by the reach bound from its start
+            tails = (mu_rho[:, :, 0] - mu - group_start * log_rho[:, :, 0]).max(axis=1)
+            charges = (flushed + _FLUSH_LOG2) * _LN2 + (nearest + tails[:, None]).min(axis=0)
+            account = float(np.logaddexp(account, math.log(count) + np.logaddexp.reduce(charges)))
+            flushed[:] = _NO_MASS
+        count = min(2 * count, _MAX_GROUP) if k1 > reach else min((reach - k1) // _S + 1, _MAX_GROUP)
+        orders = k1 + ahead
+        may_stop, may_drop = orders[-1] > k_min, account < budget and not kern.sinks
+        if not (may_stop or may_drop):
+            continue
         # the reach bound of the last power, at order k1 - _S, over the orders from k1 + s:
         # log_t per R, zone and s, and z = ln y - depth per R and state
-        orders = k1 + ahead
         ratio = mu_rho / (orders + 1)
-        lpmf = start + np.add.accumulate(log_mu - np.log(np.arange(k1, orders[-1] + 1)))[ahead]
+        lpmf = np.log(f[orders]) + a[orders] * _LN2
         log_t = np.fmin(np.where(ratio < 1.0, grow + lpmf - np.log1p(-ratio), np.inf),
                         mu_rho - mu - (k1 - _S) * log_rho)
-        z = row[lo:hi] - depth[:, lo:hi]
-        cuts = np.array([0, min(max(w0 - lo, 0), hi - lo), min(max(w1 - lo, 0), hi - lo), hi - lo])
-        if account < log_budget:
+        linear = depth.shape[0] == 1 and not tiled  # R = 1 alone (h = 1), in plain doubles
+        if not linear:
+            z = np.log(row[lo:hi]) - depth[:, lo:hi]
+            if tiled:
+                z += np.repeat(row_e, _TILE)[lo:hi] * _LN2
+        if may_drop:
             # drop at each edge the states whose bounds sum to at most half the share, a
             # quarter of the budget left, and charge the share once (exp rounds far below it)
-            share = log_budget + math.log1p(-math.exp(account - log_budget)) - math.log(4.0)
-            each = np.exp((z + np.repeat(log_t[:, :, 0], np.diff(cuts), axis=1)).min(axis=0) - share)
+            share = budget + math.log1p(-math.exp(account - budget)) - math.log(4.0)
+            if linear:
+                each = row[lo:hi] * math.exp(log_t[0, 0, 0] - share)
+            else:
+                each = np.exp((z + np.repeat(log_t[:, :, 0], zones(lo, hi), axis=1)).min(axis=0)
+                              - share)
             c_top = min(int(np.searchsorted(np.cumsum(each[::-1]), 0.5, side="right")), hi - lo - 1)
             c_bot = min(int(np.searchsorted(np.cumsum(each), 0.5, side="right")), hi - lo - 1 - c_top)
             if c_top or c_bot:  # one state stays
                 account = float(np.logaddexp(account, share))
-                z, lo, hi = z[:, c_bot:hi - lo - c_top], lo + c_bot, hi - c_top
+                # with no sink, depth is 0 at R = 1: z[0] is ln y
+                y_edge = row[lo:hi] if linear else np.exp(z[0])
+                lost = float(y_edge[:c_bot].sum() + y_edge[hi - lo - c_top:].sum())
+                dropped, kept = dropped + lost, kept - lost
+                if not linear:
+                    z = z[:, c_bot:hi - lo - c_top]
+                lo, hi = lo + c_bot, hi - c_top
                 cut = lo, hi
-                cuts = np.clip(cuts - c_bot, 0, hi - lo)
-        live = np.flatnonzero(cuts[:-1] < cuts[1:])
-        peak = np.maximum.reduceat(z, cuts[live], axis=1)
-        peak[peak == -np.inf] = 0.0  # a zone with no mass: its sum is 0
-        shifted = np.exp(z - np.repeat(peak, np.diff(cuts)[live], axis=1))
-        zone_sums = np.log(np.add.reduceat(shifted, cuts[live], axis=1)) + peak
-        bound = np.logaddexp.reduce((zone_sums[:, :, None] + log_t[:, live]).min(axis=0), axis=0)
-        # tol/2 of the running sum, less the account or _SINK_SHARE of it if that is less
-        allowed = log_rel + acc + np.log1p(-min(np.exp(account - log_rel - acc), _SINK_SHARE))
-        within = np.flatnonzero(bound <= allowed)
+        if not may_stop:
+            continue
+        if depth.shape[0] == 1:  # R = 1 alone: the kept mass times the Poisson tail
+            bound = np.log(kept) + log_t[0, 0]
+        else:
+            sizes = zones(lo, hi)
+            live = np.flatnonzero(sizes)
+            starts = np.cumsum(sizes) - sizes
+            peak_z = np.maximum.reduceat(z, starts[live], axis=1)
+            peak_z[peak_z == -np.inf] = 0.0  # a zone with no mass: its sum is 0
+            shifted = np.exp(z - np.repeat(peak_z, sizes[live], axis=1))
+            zone_sums = np.log(np.add.reduceat(shifted, starts[live], axis=1)) + peak_z
+            bound = np.logaddexp.reduce((zone_sums[:, :, None] + log_t[:, live]).min(axis=0), axis=0)
+        # tol/2 of the running sum, less the account or _DROP_SHARE of it if that is less
+        allowed = log_rel + acc + np.log1p(-min(np.exp(account - log_rel - acc), _DROP_SHARE))
+        within = np.flatnonzero((bound <= allowed) & (orders > k_min))
         if within.size and within[0] == 0:
-            return acc, account
-        if account > log_rel + math.log(_SINK_SHARE) + np.logaddexp(acc, bound[0]):
-            # past _SINK_SHARE of tol/2 of all the sum can reach: drop every state and end
-            return acc, float(np.logaddexp(account, bound[0]))
-        count = min(2 * count, _MAX_GROUP) if k1 > reach else min((reach - k1) // _S + 1, _MAX_GROUP)
+            break
+        if account > log_rel + math.log(_DROP_SHARE) + np.logaddexp(acc, bound[0]):
+            # past _DROP_SHARE of tol/2 of all the sum can reach: drop every state and end
+            account = float(np.logaddexp(account, bound[0]))
+            break
         if within.size:
             count = min(count, int(within[0]))
             certified = k1 + count * _S if count == within[0] else math.inf
-    raise ArithmeticError(f"the window chain did not converge within {k_cap} Poisson orders")
+    else:
+        raise ArithmeticError(f"the window chain did not converge within {k_cap} Poisson orders")
+    (num, den), (num_e, den_e) = np.frexp(sums)
+    m, e = math.frexp(num / den)
+    sinks = 0.0
+    for s in kern.sinks:  # the last power read, near each sink
+        near = np.s_[max(0, s - _S + 1):s + _S]
+        sinks += float(np.ldexp(row[near], np.repeat(row_e, _TILE)[:n][near] - _HEAD).sum())
+    return m, e + int(num_e + sums_e[0] - den_e - sums_e[1]), account - head, sinks
 
 
 def lattice_window(n: int, center: float, half_width: float) -> tuple[int, int]:

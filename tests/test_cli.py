@@ -131,6 +131,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "--horizon" in err and "window_log_probability" not in err
 
+    def test_tilted_mc_exact_is_the_window_probability(self, tmp_path, monkeypatch):
+        # the oracle is asked once, and its value is window_probability's bit for bit
+        from bdld import ModelParams, evolve, window_probability
+        calls = []
+        chain = evolve._window_chain
+        monkeypatch.setattr(evolve, "_window_chain", lambda *args: (calls.append(1), chain(*args))[1])
+        assert main(["tilted-mc", "--n", "100", "--gamma0", "0.5", "--gamma-t", "0.8",
+                     "--reps", "10", "--out", str(tmp_path)]) in (0, 1)
+        assert len(calls) == 1
+        exact = json.loads(_read(tmp_path / "report.json"))["results"]["exact"]
+        assert exact == window_probability(ModelParams(100, 1.0), 50, 1.0, range(78, 83))
+
     def test_library_contract_breach_is_usage_error(self, tmp_path, capsys):
         # u outside (0, 1] violates the experiment's contract: still "you
         # called it wrong", so exit 2

@@ -31,9 +31,19 @@ WINDOW_FIXTURE = 0.004377798794991296
 
 
 def _log_chain(params, m0, t, states, tol):
-    """ln of the window mass from the window chain in log arithmetic."""
-    return _window_chain(_uniformized_kernel(params), m0, t, np.asarray(states), tol,
-                         log_space=True)
+    """ln of the window mass from the window chain on the whole chain 1..N,
+    as window_log_probability takes it."""
+    m, e, _ = _window_chain(_uniformized_kernel(params), m0, t, np.asarray(states), tol)
+    prob = math.ldexp(m, e)
+    if prob >= 2.2250738585072014e-308:
+        return math.log(prob)
+    return math.log(m) + e * math.log(2.0) if m else -math.inf
+
+
+def _chain_mass(kern, m0, t, states, tol):
+    """(P, sink bound) of the window chain on kern, P as a double."""
+    m, e, sinks = _window_chain(kern, m0, t, np.asarray(states), tol)
+    return math.ldexp(m, e), sinks
 
 
 class TestGeneratorMatrix:
@@ -137,7 +147,7 @@ class TestWindowProbability:
         # total mass of its power bit for bit, so ln P is exactly 0
         params = ModelParams(n, 1.0)
         states = np.arange(1, n + 1)
-        _, _, columns, _ = evolve._window_setup(_uniformized_kernel(params), 1, states, False)
+        _, _, columns = evolve._window_setup(_uniformized_kernel(params), states)
         assert (columns == 1.0).all()
         for m0 in (1, (n + 1) // 2, n):
             for t in (0.01, 0.3, 1.0, 5.0):
@@ -173,15 +183,14 @@ class TestWindowProbability:
         assert abs(prob - WINDOW_FIXTURE) <= 1e-10 * WINDOW_FIXTURE + 1e-15
 
     @pytest.mark.parametrize("n, lo, t, log_p", [
-        # ln P from _mpmath_log_window; the linear mass at the bulk cutoff
-        # underflows to zero here, and reads e^-733.6 in the second case
+        # ln P from _mpmath_log_window: below 1e-280, and still a normal double
         (600, 590, 0.1, -344.5587498670288),
         (2150, 2007, 0.2, -633.7553380338289),
     ])
     def test_mass_below_the_linear_threshold(self, n, lo, t, log_p):
         params = ModelParams(n, 1.0)
         prob = window_probability(params, n // 2, t, range(lo, n + 1))
-        assert prob == math.exp(window_log_probability(params, n // 2, t, range(lo, n + 1)))
+        assert math.log(prob) == window_log_probability(params, n // 2, t, range(lo, n + 1))
         assert abs(math.log(prob) - log_p) <= 1e-9 * abs(log_p)
 
     def test_mass_below_the_smallest_double(self):
@@ -205,8 +214,8 @@ class TestWindowProbability:
         assert abs(math.exp(logp) - WINDOW_FIXTURE) <= 1e-9 * WINDOW_FIXTURE
 
     def test_log_space_chain_matches_linear_chain(self):
-        # exercise the underflow fallback directly on a value the linear
-        # route can also reach
+        # the chain on the whole chain against the query, which runs on a
+        # kept range first
         params = ModelParams(60, 1.0)
         states = np.arange(40, 46)
         linear = window_probability(params, 30, 0.8, states, tol=1e-12)
@@ -277,9 +286,9 @@ class TestLinearWindowCertificate:
         params = ModelParams(300, 1.0)
         states = np.arange(lo, lo + 6)
         logp = window_log_probability(params, 150, 0.1, states, tol=1e-10)
-        exact = _log_chain(params, 150, 0.1, states, 1e-10)
+        exact = _log_space_reference(params, 150, 0.1, states, 1e-13)
         assert abs(logp - exact) <= 2e-10 + 1e-12 * abs(exact)
-        assert math.exp(logp) > 1e-280  # answered in linear space
+        assert math.exp(logp) > 1e-280  # and an untiled pass answers
         assert math.log(window_probability(params, 150, 0.1, states, tol=1e-10)) == logp
         if lo == 260:
             assert abs(exact - -116.5727) <= 1e-4
@@ -297,9 +306,11 @@ class TestLinearWindowCertificate:
         # from state 2 at mu = 4000, rounding moves the powers' total mass off
         # 1 by 1.1e-13 on the Poisson average; the chain divides by the same
         # sum over the total masses, as a law is normalised, so the whole
-        # chain reads 1
-        prob = window_probability(ModelParams(2000, 1.0), 2, 1.0, range(1, 2001))
-        assert abs(prob - 1.0) <= 1e-14
+        # chain reads 1, and so does the chain but its top state, which holds
+        # far less than 1e-14 at t = 1
+        for top in (2000, 1999):
+            prob = window_probability(ModelParams(2000, 1.0), 2, 1.0, range(1, top + 1))
+            assert abs(prob - 1.0) <= 1e-14
 
 
 class TestLogSpaceWindow:
@@ -440,7 +451,8 @@ def _linear_window_reference(params, m0, t, states, tol):
     linear arithmetic: the weights of _poisson_terms, then pmf(k) =
     pmf(k-1) * mu/k past the cutoff K until the window chain's certificate
     holds, divided by the sum of the weights times each power's total mass.
-    None where the mass at K is below the log-space threshold."""
+    None where the mass at K is below 1e-280, where its own linear sum
+    loses digits."""
     kern = _uniformized_kernel(params)
     mu = kern.rate * t
     weights = _poisson_terms(mu, tol)
@@ -452,7 +464,7 @@ def _linear_window_reference(params, m0, t, states, tol):
             p = _kernel_apply(p, kern)
         acc += w * float(p[idx].sum())
         used += w * float(p.sum())
-    if acc / used < evolve._LOG_SPACE_THRESHOLD:
+    if acc / used < 1e-280:
         return None
     k, w = weights.size - 1, float(weights[-1])
     while not (k + 2 > mu and w * mu / (k + 1) / (1.0 - mu / (k + 2)) <= 0.5 * tol * acc):
@@ -559,7 +571,10 @@ class TestBlockedKernel:
     @pytest.mark.parametrize("n", [2, 3, 50, 1000])
     def test_linear_window_chain_matches_order_by_order_loop(self, n):
         # windows at both ends and in the middle, from starts at both ends and
-        # in the middle; t = 0, cutoffs K < _S, and K far past it
+        # in the middle; t = 0, cutoffs K < _S, and K far past it; where the
+        # linear reference loses digits, the log-space one.  The references
+        # run to tol 1e-15, and the chain is certified to tol/2 = 5e-13 and
+        # 1% more for what it drops
         params = ModelParams(n, 1.0)
         kern = _uniformized_kernel(params)
         mid = (n + 1) // 2
@@ -571,12 +586,17 @@ class TestBlockedKernel:
             cutoffs.add(_poisson_terms(mu, 1e-12).size - 1)
             for m0 in {1, n, mid}:
                 for states in windows:
-                    got = _window_chain(kern, m0, t, np.array(states), 1e-12, log_space=False)
-                    ref = _linear_window_reference(params, m0, t, states, 1e-12)
-                    assert (got is None) == (ref is None)
+                    got, sinks = _chain_mass(kern, m0, t, states, 1e-12)
+                    assert sinks == 0.0  # no state absorbs
+                    ref = _linear_window_reference(params, m0, t, states, 1e-15)
                     if ref is not None:
-                        assert got[1] == 0.0  # no state absorbs
-                        assert abs(got[0] / ref - 1.0) <= 1e-13
+                        assert abs(got / ref - 1.0) <= 5.05e-13 + 1e-14
+                    elif mu == 0.0:
+                        assert got == 0.0  # m0 outside the window
+                    else:
+                        ref = _log_space_reference(params, m0, t, states, 1e-15)
+                        logp = _log_chain(params, m0, t, states, 1e-12)
+                        assert abs(logp - ref) <= 5.05e-13 + 1e-13 * abs(ref)
         assert min(cutoffs) == 0 and any(0 < k < evolve._S for k in cutoffs)
         assert max(cutoffs) > evolve._S
 
@@ -613,25 +633,44 @@ def _log_step_reference(kern, y, lo, hi):
     with mp.workdps(40):
         for m in range(lo, hi):
             terms = [mp.log(band[m, i]) + y[m + i - s] for i in range(2 * s + 1)
-                     if 0 <= m + i - s < y.size and y[m + i - s] > -math.inf and band[m, i] > 0]
+                     if 0 <= m + i - s < len(y) and y[m + i - s] > -math.inf and band[m, i] > 0]
             out.append(float(mp.log(mp.fsum(mp.exp(x) for x in terms))) if terms else -math.inf)
     return np.array(out)
 
 
 def _tiled_step(kern, y, lo, hi):
-    """One log-space band step of y over the states lo..hi-1, and the ring it
-    wrote to."""
-    s, n = evolve._S, y.size
-    ring = np.full((2, n + 2 * s + evolve._TILE), -np.inf)
-    ring[0, s:s + n] = y
-    with np.errstate(divide="ignore"):  # as the log window chain steps it
-        evolve._log_band_stepper(ring, kern.band)(1, lo, hi)
-    return ring[1, s + lo:s + hi], ring[1]
+    """One tiled step of the power whose logs are y, over the states
+    lo..hi-1: its input as 40-digit logs, the logs it writes there, and the
+    flushed marks per tile.  Each tile holds its largest value at
+    2^_HEAD."""
+    tile, n = evolve._TILE, y.size
+    tiles = -(-n // tile)
+    ring = np.zeros((2, (tiles + 2) * tile))
+    exps = np.full((2, tiles + 2), evolve._NO_MASS, dtype=np.int64)
+    exact = [-math.inf] * n
+    with mp.workdps(40):
+        for t in range(tiles):
+            part = y[t * tile:(t + 1) * tile]
+            if np.isfinite(part).any():
+                exps[0, t + 1] = math.floor(part.max() / math.log(2.0)) - evolve._HEAD
+                mant = np.exp(part - exps[0, t + 1] * math.log(2.0))
+                ring[0, (t + 1) * tile:(t + 1) * tile + part.size] = mant
+                for i, v in enumerate(mant.tolist()):
+                    if v > 0.0:
+                        exact[t * tile + i] = mp.log(v) + int(exps[0, t + 1]) * mp.log(2)
+    flushed = np.full(tiles, evolve._NO_MASS)
+    evolve._tiled_stepper(ring, exps, kern.band, flushed)(1, lo, hi)
+    assert np.all(ring[1, :tile + lo] == 0.0) and np.all(ring[1, tile + hi:] == 0.0)
+    with mp.workdps(40):
+        got = [float(mp.log(v) + int(exps[1, 1 + m // tile]) * mp.log(2)) if v > 0.0 else -math.inf
+               for m, v in zip(range(lo, hi), ring[1, tile + lo:tile + hi].tolist())]
+    return exact, np.array(got), flushed
 
 
 class TestTiledLogStep:
-    """The log-space chain steps each tile of _TILE states in block floating
-    point; a tile whose logs span too far takes a per-state log-sum-exp."""
+    """The window chain steps each tile of _TILE states at its own binary
+    exponent, bringing its halos there; a tile spanning more than the double
+    range flushes, and marks what it may have flushed."""
 
     @staticmethod
     def _logs(n, s0, s1, slope, seed):
@@ -641,6 +680,16 @@ class TestTiledLogStep:
         y[s0:s1] = walk - walk.max()
         return y
 
+    @staticmethod
+    def _agree(got, ref):
+        # ln of a sum of at most 2 _S + 1 products: within 2 ulps of ln P, or
+        # 2 _S + 1 rounding errors of P itself
+        finite = np.isfinite(ref)
+        assert np.array_equal(np.isfinite(got), finite)
+        slack = np.maximum(2.0 * np.spacing(np.maximum(np.abs(ref[finite]), 1.0)),
+                           (2 * evolve._S + 1) * 2.0 ** -52)
+        assert np.all(np.abs(got[finite] - ref[finite]) <= slack)
+
     @pytest.mark.parametrize("n, s0, s1, slope", [
         (300, 0, 300, 20.0),   # the support touches state 1 and state N
         (300, 0, 150, 5.0),
@@ -649,44 +698,45 @@ class TestTiledLogStep:
         (1000, 3, 990, 12.0),
         (40, 10, 30, 3.0),     # fewer states than a tile
     ])
-    def test_matches_per_state_log_sum_exp(self, n, s0, s1, slope, monkeypatch):
+    def test_matches_per_state_log_sum_exp(self, n, s0, s1, slope):
         kern = _uniformized_kernel(ModelParams(n, 1.3))
-        y = self._logs(n, s0, s1, slope, seed=n + s0)
         lo, hi = max(0, s0 - evolve._S), min(n, s1 + evolve._S)
-        fallback = []
-        lse = evolve._log_sum_exp_step
-        monkeypatch.setattr(evolve, "_log_sum_exp_step",
-                            lambda *args: (fallback.append(args[1:3]), lse(*args)))
-        got, row = _tiled_step(kern, y, lo, hi)
-        ref = _log_step_reference(kern, y, lo, hi)
-        assert fallback == []  # every tile in block floating point
-        assert np.array_equal(np.isfinite(got), np.isfinite(ref))
-        finite = np.isfinite(ref)
-        ulps = np.abs(got[finite] - ref[finite]) / np.spacing(np.maximum(np.abs(ref[finite]), 1.0))
-        assert ulps.max() <= 2.0
-        # outside lo..hi, the padding included, the row stays empty
-        s = evolve._S
-        assert np.all(row[:s + lo] == -np.inf) and np.all(row[s + hi:] == -np.inf)
+        exact, got, flushed = _tiled_step(kern, self._logs(n, s0, s1, slope, seed=n + s0), lo, hi)
+        assert (flushed == evolve._NO_MASS).all()  # nothing flushed
+        self._agree(got, _log_step_reference(kern, exact, lo, hi))
 
-    def test_wide_tile_takes_the_log_sum_exp(self, monkeypatch):
-        # 20 nats per state on the left half: those tiles span far more than
-        # _TILE_FLOOR + ln(smallest band entry); the flatter right half does not
-        n = 600
+    def test_halos_at_other_exponents(self):
+        # three tiles 600 nats apart, so each tile's halos come from tiles
+        # whose exponents differ from its own by about 866
+        n, tile = 192, evolve._TILE
+        kern = _uniformized_kernel(ModelParams(n, 1.0))
+        y = self._logs(n, 0, n, 0.5, seed=5) - 600.0 * (np.arange(n) // tile)
+        exact, got, flushed = _tiled_step(kern, y, 0, n)
+        assert (flushed == evolve._NO_MASS).all()
+        self._agree(got, _log_step_reference(kern, exact, 0, n))
+
+    def test_wide_tile_charges_what_it_flushes(self):
+        # 30 nats per state on the left half: those tiles span far more than
+        # the double range and flush; the flatter right half does not.  What a
+        # marked tile flushed is within 2^_FLUSH_LOG2 of 2^(its mark)
+        n, tile = 600, evolve._TILE
         kern = _uniformized_kernel(ModelParams(n, 1.0))
         y = self._logs(n, 0, n, 2.0, seed=7)
-        y[:300] += -20.0 * np.arange(300, 0, -1)
+        y[:300] += -30.0 * np.arange(300, 0, -1)
         y -= y.max()
-        fallback = []
-        lse = evolve._log_sum_exp_step
-        monkeypatch.setattr(evolve, "_log_sum_exp_step",
-                            lambda *args: (fallback.append(args[1:3]), lse(*args)))
-        got, _ = _tiled_step(kern, y, 0, n)
-        assert fallback and all(b - a <= evolve._TILE and b <= 300 + evolve._TILE
-                                for a, b in fallback)
-        assert len(fallback) < -(-n // evolve._TILE)
-        ref = _log_step_reference(kern, y, 0, n)
-        ulps = np.abs(got - ref) / np.spacing(np.maximum(np.abs(ref), 1.0))
-        assert ulps.max() <= 2.0
+        exact, got, flushed = _tiled_step(kern, y, 0, n)
+        ref = _log_step_reference(kern, exact, 0, n)
+        marked = np.flatnonzero(flushed > evolve._NO_MASS)
+        assert marked.size and marked.max() < 300 // tile + 1  # the left half only
+        for t in range(-(-n // tile)):
+            part = np.s_[t * tile:min(n, (t + 1) * tile)]
+            if t in marked:
+                with np.errstate(over="ignore"):
+                    lost = np.abs(np.exp(got[part]) - np.exp(ref[part]))
+                lost = np.where(np.isfinite(ref[part]), lost, 0.0)
+                assert lost.sum() <= 2.0 ** (int(flushed[t]) + evolve._FLUSH_LOG2)
+            else:
+                self._agree(got[part], ref[part])
 
     # oracle pool deep-tail windows (n, m0, t, lo, hi, tol) and ln P from the
     # per-state log-sum-exp chain this step replaced
@@ -708,17 +758,13 @@ class TestTiledLogStep:
         assert abs(got - log_p) <= 1e-14 * abs(log_p)
 
     def test_one_band_per_query(self, monkeypatch):
-        # a query whose linear chain hands over to log space, and a dwell
-        # probability over four sample times, each build the band once
+        # a deep query, and a dwell probability over four sample times, each
+        # build the band once
         calls = []
         gather = evolve._block_gather
         monkeypatch.setattr(evolve, "_block_gather",
                             lambda kern: (calls.append(1), gather(kern))[1])
-        params = ModelParams(600, 1.0)
-        assert _window_chain(_uniformized_kernel(params), 300, 0.1, np.arange(590, 601), 1e-10,
-                             log_space=False) is None
-        calls.clear()
-        window_log_probability(params, 300, 0.1, range(590, 601), tol=1e-10)
+        window_log_probability(ModelParams(600, 1.0), 300, 0.1, range(590, 601), tol=1e-10)
         assert len(calls) == 1
         calls.clear()
         stationary_dwell_probability(ModelParams(200, 1.0), 0.6, [0.1, 0.2, 0.3, 0.4])
@@ -777,12 +823,12 @@ class TestRangeKernel:
         law = _absorbing_expm(params, lo, hi, m0, t)
         states = np.arange(window[0], window[1] + 1)
         sinks = np.array([kern.first + i for i in kern.sinks])
-        prob, bound = _window_chain(kern, m0, t, states, 1e-12, log_space=False)
+        prob, bound = _chain_mass(kern, m0, t, states, 1e-12)
         assert abs(prob / law[states - lo].sum() - 1.0) <= 1e-10
         # the sinks as the window: the mass absorbed by t
         absorbed = float(law[sinks - lo].sum())
         assert 1e-6 < absorbed < 1.0
-        got, _ = _window_chain(kern, m0, t, sinks, 1e-12, log_space=False)
+        got, _ = _chain_mass(kern, m0, t, sinks, 1e-12)
         assert abs(got / absorbed - 1.0) <= 1e-10
         assert bound >= absorbed
 
@@ -802,11 +848,8 @@ class TestRangeKernel:
             lo, hi = max(1, a - pad), min(n, b + pad)
             params = ModelParams(n, 1.0)
             kern = _uniformized_kernel(params, lo, hi)
-            ranged = _window_chain(kern, m0, t, states, 1e-12, log_space=False)
-            full = _window_chain(_uniformized_kernel(params), m0, t, states, 1e-12, log_space=False)
-            if ranged is None or full is None:
-                continue
-            (p_range, bound), (p_full, _) = ranged, full
+            (p_range, bound), (p_full, _) = (_chain_mass(k, m0, t, states, 1e-12) for k in
+                                             (kern, _uniformized_kernel(params)))
             assert p_range <= p_full * (1.0 + 1e-12)
             assert p_full <= p_range * (1.0 + 1e-12) + bound
             losses += p_full - p_range > 1e-6 * p_full
@@ -826,8 +869,7 @@ class TestRangeKernel:
             half = int(rng.integers(0, 20))
             states = np.arange(max(1, center - half), min(n, center + half) + 1)
             params = ModelParams(n, 1.0)
-            full, bound = _window_chain(_uniformized_kernel(params), m0, t, states, 1e-12,
-                                        log_space=False)
+            full, _ = _chain_mass(_uniformized_kernel(params), m0, t, states, 1e-12)
             got = window_probability(params, m0, t, states, tol=1e-12)
             assert abs(got / full - 1.0) <= 1e-13
             kept += evolve._kept_range(params, m0, t, states, 1e-12) is not None
@@ -837,97 +879,96 @@ class TestRangeKernel:
         # a kept range 10 states wider than the window on each side, about
         # one sd at t = 0.05: its sinks take far more than the certificate allows
         params, states = ModelParams(3200, 1.0), np.arange(1590, 1611)
-        full, _ = _window_chain(_uniformized_kernel(params), 1600, 0.05, states, 1e-12,
-                                log_space=False)
-        tight = _window_chain(_uniformized_kernel(params, 1580, 1620), 1600, 0.05, states, 1e-12,
-                              log_space=False)
+        full, _ = _chain_mass(_uniformized_kernel(params), 1600, 0.05, states, 1e-12)
+        tight = _chain_mass(_uniformized_kernel(params, 1580, 1620), 1600, 0.05, states, 1e-12)
         assert tight[1] > 1e-3 * tight[0]
         passes = []
 
-        def counting(kern, *args, log_space):
-            passes.append((kern.first, kern.first + kern.stay.size - 1, log_space))
-            return _window_chain(kern, *args, log_space=log_space)
+        def counting(kern, *args):
+            passes.append((kern.first, kern.first + kern.stay.size - 1))
+            return _window_chain(kern, *args)
 
         monkeypatch.setattr(evolve, "_kept_range", lambda *args: (1580, 1620))
         monkeypatch.setattr(evolve, "_window_chain", counting)
         assert window_probability(params, 1600, 0.05, states, tol=1e-12) == full
-        assert passes == [(1580, 1620, False), (1, 3200, False)]
+        assert passes == [(1580, 1620), (1, 3200)]
 
 
 class TestLogSpaceGate:
-    """A window query runs the linear window chain first, on a kept range
-    where one saves enough and then on the whole chain, which hands it to
-    the log-space chain when the window is more than the cutoff K states
-    from m0 (without stepping) or its mass at K is below 1e-280."""
+    """No query is handed between arithmetics any more: every query takes one
+    window chain in linear arithmetic, untiled or tiled, on a kept range
+    first where a window within 7 sd of m0 keeps one, and never builds the
+    bulk mixture of a law."""
 
     def _counted(self, monkeypatch):
-        """(first state, last state, log_space) of every window-chain pass,
-        in call order."""
+        """(first state, last state) of every window-chain pass, in call order."""
         calls = []
 
-        def counting(kern, *args, log_space):
-            calls.append((kern.first, kern.first + kern.stay.size - 1, log_space))
-            return _window_chain(kern, *args, log_space=log_space)
+        def counting(kern, *args):
+            calls.append((kern.first, kern.first + kern.stay.size - 1))
+            return _window_chain(kern, *args)
 
         monkeypatch.setattr(evolve, "_window_chain", counting)
         return calls
 
-    def test_ungated_deep_query_runs_the_linear_mixture(self, monkeypatch):
-        # the mass is e^-344.6: the linear chain hands the query on at the
-        # bulk cutoff, and the answer is the log chain's, called directly
-        params = ModelParams(600, 1.0)
-        states = np.arange(590, 601)
-        assert _window_chain(_uniformized_kernel(params), 300, 0.1, states, 1e-10,
-                             log_space=False) is None
-        calls = self._counted(monkeypatch)
-        logp = window_log_probability(params, 300, 0.1, states, tol=1e-10)
-        assert calls == [(1, 600, False), (1, 600, True)]
-        assert logp == _log_chain(params, 300, 0.1, states, 1e-10)
-
     def _counted_powers(self, monkeypatch):
-        """The log_space flag of every _block_powers pass, in call order: a
-        window chain that steps in linear space makes one with False."""
+        """Whether each _block_powers pass steps tiled, in call order; a law's
+        mixture would step untiled too, so it is barred."""
         calls = []
         block_powers = evolve._block_powers
 
-        def counting(kern, p, log_space):
-            calls.append(log_space)
-            return block_powers(kern, p, log_space)
+        def counting(kern, p, flushed=None):
+            calls.append(flushed is not None)
+            return block_powers(kern, p, flushed)
+
+        def never(*args):
+            raise AssertionError("a window query built a law")
 
         monkeypatch.setattr(evolve, "_block_powers", counting)
+        monkeypatch.setattr(evolve, "_poisson_mixture", never)
         return calls
+
+    def test_ungated_deep_query_runs_the_linear_mixture(self, monkeypatch):
+        # the mass is e^-344.6, below the 1e-280 where a linear chain once
+        # handed the query on: one untiled pass on the whole chain answers
+        params = ModelParams(600, 1.0)
+        states = np.arange(590, 601)
+        calls, powers = self._counted(monkeypatch), self._counted_powers(monkeypatch)
+        logp = window_log_probability(params, 300, 0.1, states, tol=1e-10)
+        assert calls == [(1, 600)] and powers == [False]
+        assert logp == _log_chain(params, 300, 0.1, states, 1e-10)
 
     def test_gated_query_skips_the_linear_mixture(self, monkeypatch):
         # N = 2000, mu = 400: the window starts 940 states from m0, past a
-        # cutoff K of about 540, so the linear chain hands it on unstepped
+        # cutoff K of about 540; ln P is about -1095, far below a double, yet
+        # one untiled pass answers
         params = ModelParams(2000, 1.0)
         states = np.arange(1940, 1981)
         k = _poisson_terms(_uniformized_kernel(params).rate * 0.1, 1e-10).size - 1
         assert k < states[0] - 1000
         calls = self._counted_powers(monkeypatch)
         logp = window_log_probability(params, 1000, 0.1, states, tol=1e-10)
-        assert calls == [True]
-        assert logp == _log_chain(params, 1000, 0.1, states, 1e-10)
+        assert calls == [False]
+        assert logp == _log_chain(params, 1000, 0.1, states, 1e-10) < -1000.0
 
     def test_window_out_of_reach_of_the_cutoff_skips_the_linear_pass(self, monkeypatch):
         # mu = 60, so the cutoff K of _poisson_terms is 123 orders, and the
-        # window starts 130 states from m0: the mass is 0 at every order up
-        # to K
+        # window starts 130 states from m0: one pass reads on past K
         params = ModelParams(600, 1.0)
         states = np.arange(430, 441)
         kern = _uniformized_kernel(params)
         assert _poisson_terms(kern.rate * 0.05, 1e-12).size - 1 < 130
         calls = self._counted_powers(monkeypatch)
         logp = window_log_probability(params, 300, 0.05, states, tol=1e-12)
-        assert calls == [True]
+        assert len(calls) == 1
         assert logp == _log_chain(params, 300, 0.05, states, 1e-12)
 
     def test_bulk_query_takes_one_linear_pass(self, monkeypatch):
         # at N = 100 a kept range would step more than half the chain's
         # state orders, so the query runs on the whole chain alone
-        calls = self._counted(monkeypatch)
+        calls, powers = self._counted(monkeypatch), self._counted_powers(monkeypatch)
         window_log_probability(ModelParams(100, 1.0), 50, 1.0, range(78, 83), tol=1e-12)
-        assert calls == [(1, 100, False)]
+        assert calls == [(1, 100)] and powers == [False]
 
     def test_bulk_query_at_large_n_takes_one_pass_on_a_kept_range(self, monkeypatch):
         params, states = ModelParams(3200, 1.0), range(1590, 1611)
@@ -935,7 +976,7 @@ class TestLogSpaceGate:
         assert 1 < lo < 1590 and 1610 < hi < 3200
         calls = self._counted(monkeypatch)
         window_log_probability(params, 1600, 0.05, states, tol=1e-12)
-        assert calls == [(lo, hi, False)]
+        assert calls == [(lo, hi)]
 
     def _built_kernels(self, monkeypatch):
         """(lo, hi) of every kernel built, in call order."""
@@ -949,40 +990,21 @@ class TestLogSpaceGate:
         monkeypatch.setattr(evolve, "_uniformized_kernel", counting)
         return built
 
-    def test_deep_query_out_of_the_kept_range_reach_ends_in_the_log_chain(self, monkeypatch):
-        # oracle pool deep row: the kept range's cutoff does not reach the
-        # window, so that pass neither runs nor builds its kernel; the whole
-        # chain's cutoff does, but the reach bound from m0 puts the window
-        # mass below 1e-280, so the answer is the log chain's, bit for bit,
-        # on the one kernel 1..N
-        params, states, t = ModelParams(1955, 1.0), np.arange(32, 71), 0.11803589486301491
-        lo, hi = evolve._kept_range(params, 688, t, states, 1e-10)
-        assert evolve._poisson_top(2.0 * hi * t) < 618 <= evolve._poisson_top(2.0 * 1955 * t)
-        kern = _uniformized_kernel(params)
-        assert evolve._log_reach_bound(kern, 688, t, states) < math.log(1e-280)
-        calls, built = self._counted(monkeypatch), self._built_kernels(monkeypatch)
-        logp = window_log_probability(params, 688, t, states, tol=1e-10)
-        assert calls == [(1, 1955, True)]
-        assert built == [(1, 1955)]
-        assert logp == _log_chain(params, 688, t, states, 1e-10)
-
-    def test_reach_bound_gates_no_window_the_linear_chain_answers(self):
-        # windows from 7 to 40 sd out: wherever the reach bound from m0 is
-        # below 1e-280 the linear chain hands the query on, and the bound is
-        # never below the log chain's ln P
-        gated = 0
-        for n, m0, t in ((300, 150, 0.05), (600, 450, 0.03), (1000, 100, 0.2), (2000, 1000, 0.1)):
-            params = ModelParams(n, 1.0)
-            kern = _uniformized_kernel(params)
-            sd = math.sqrt(2.0 * n * t)
-            for lo in np.unique(np.clip(np.round(m0 + sd * np.r_[-40:-7:3, 7:40:3]), 1, n - 4)):
-                states = np.arange(int(lo), int(lo) + 5)
-                bound = evolve._log_reach_bound(kern, m0, t, states)
-                assert bound >= _log_chain(params, m0, t, states, 1e-10) - 1e-9
-                if bound < math.log(1e-280) - 1.0:
-                    gated += 1
-                    assert _window_chain(kern, m0, t, states, 1e-10, log_space=False) is None
-        assert gated >= 10
+    def test_deep_query_out_of_the_kept_range_reach_takes_one_tiled_pass(self, monkeypatch):
+        # oracle pool deep rows: the window is more than 7 sd from m0, so no
+        # range is kept, and one pass on the one kernel 1..N answers, untiled
+        # at ln P = -1182 and tiled at -2670, whose window values lie beyond
+        # 2^-2074 of the start
+        for (n, m0, t, lo, hi), tiled in (((1955, 688, 0.11803589486301491, 32, 70), False),
+                                          ((1843, 1263, 0.06410522225215845, 118, 154), True)):
+            params, states = ModelParams(n, 1.0), np.arange(lo, hi + 1)
+            assert evolve._kept_range(params, m0, t, states, 1e-10) is None
+            with monkeypatch.context() as patch:
+                calls, built = self._counted(patch), self._built_kernels(patch)
+                powers = self._counted_powers(patch)
+                logp = window_log_probability(params, m0, t, states, tol=1e-10)
+            assert calls == [(1, n)] and built == [(1, n)] and powers == [tiled]
+            assert logp == _log_chain(params, m0, t, states, 1e-10)
 
     def test_query_answered_on_a_kept_range_builds_no_whole_chain_kernel(self, monkeypatch):
         params, states = ModelParams(3200, 1.0), range(1590, 1611)
@@ -993,16 +1015,16 @@ class TestLogSpaceGate:
 
 
 def _record_log_passes(monkeypatch):
-    """Per log-space _block_powers pass, the powers read and the ranges sent
-    back to narrow it (the dropped states' complement), in call order."""
+    """Per _block_powers pass of a window chain, the powers read and the
+    ranges sent back to narrow it (the dropped states' complement), in call
+    order."""
     passes = []
     block_powers = evolve._block_powers
 
-    def recording(kern, p, log_space):
-        powers, sent = block_powers(kern, p, log_space), None
+    def recording(kern, p, flushed=None):
+        powers, sent = block_powers(kern, p, flushed), None
         record = {"blocks": 0, "cuts": []}
-        if log_space:
-            passes.append(record)
+        passes.append(record)
         while True:
             item = powers.send(sent)
             record["blocks"] += 1
@@ -1015,8 +1037,8 @@ def _record_log_passes(monkeypatch):
 
 
 class TestReachBound:
-    """The log chain's reach bound stops its sum and drops edge states, each
-    certified: the answer lies within tol/2 below ln P."""
+    """The window chain's reach bound stops its sum and drops edge states,
+    each certified: the answer lies within tol/2 of P, and 1% more."""
 
     # (n, m0, t, window): deep windows above and below m0, at state 1 from a
     # high m0 and at N from a low one, one in two parts, and one holding m0
@@ -1037,7 +1059,9 @@ class TestReachBound:
         exact = _log_space_reference(params, m0, t, window, 1e-15)
         passes = _record_log_passes(monkeypatch)
         logp = _log_chain(params, m0, t, np.array(window), tol)
-        assert logp <= exact + 1e-13 * abs(exact)
+        # the sum, divided by the Poisson weight it read (at least 1 - tol/2),
+        # may lie above ln P by as much as below it
+        assert logp - exact <= 0.5 * tol + 1e-13 * abs(exact)
         assert exact - logp <= 0.5 * tol + 1e-13 * abs(exact)
         assert len(passes) == 1  # no rerun
         # states were dropped, except where the window's hull holds m0
@@ -1067,14 +1091,17 @@ class TestReachBound:
         (200, 100, 0.5, range(2, 200), -7.0),
     ])
     def test_the_account_bounds_what_the_drops_lose(self, n, m0, t, window, excess):
-        # one pass with a budget of e^excess P: its sum misses far more
-        # than tol, and the account with the stop bound covers the gap
+        # one pass with a budget of e^excess P: its drops are charged far
+        # more than tol of P, and the account with the stop bound covers
+        # what its answer misses
         params, states, tol = ModelParams(n, 1.0), np.array(window), 1e-10
         exact = _log_space_reference(params, m0, t, window, 1e-15)
         kern = _uniformized_kernel(params)
         with np.errstate(divide="ignore", invalid="ignore"):
-            logp, account = evolve._log_chain(kern, m0, kern.rate * t, states, tol, exact + excess)
-        assert exact - logp > 1e3 * tol
+            m, e, account, _ = evolve._chain_pass(kern, m0, kern.rate * t, states, tol,
+                                                  exact + excess)
+        logp = math.log(m) + e * math.log(2.0) if m else -math.inf
+        assert account - exact > math.log(1e3 * tol)
         assert exact <= np.logaddexp(account, logp + math.log1p(0.5 * tol)) + 1e-12 * abs(exact)
 
     @pytest.mark.parametrize("n, m0, t, window", CASES[1:4])
@@ -1112,3 +1139,85 @@ class TestReachBound:
             moment[:-1] += h[1:] * kern.up[:-1]
             moment[1:] += h[:-1] * kern.down[1:]
             assert np.all(moment[outside] <= rho[zone][outside] * h[outside] * (1.0 + 1e-13))
+
+    @pytest.mark.parametrize("lo, hi, states", [(40, 70, [50, 51]), (1, 70, [30]), (40, 100, [80, 90])])
+    def test_sinks_never_reach_the_window(self, lo, hi, states):
+        # a range kernel's inner ends absorb: they never step toward the
+        # window, so h = 0 there (depth inf, never nan), and the supermartingale
+        # holds at every other state outside the hull
+        kern = _uniformized_kernel(ModelParams(100, 1.0), lo, hi)
+        w0, w1 = min(states) - lo, max(states) - lo + 1
+        with np.errstate(divide="ignore", invalid="ignore"):
+            depth, rho_m1 = evolve._reach_weights(kern, w0, w1)
+        assert not np.isnan(depth).any() and np.isfinite(rho_m1).all()
+        for i in kern.sinks:
+            assert (depth[:, i] == np.inf).all()
+        zone = np.searchsorted([w0, w1], np.arange(kern.stay.size), side="right")
+        outside = (zone != 1) & ~np.isin(np.arange(kern.stay.size), kern.sinks)
+        for h, rho in zip(np.exp(-depth), 1.0 + rho_m1):
+            moment = h * kern.stay
+            moment[:-1] += h[1:] * kern.up[:-1]
+            moment[1:] += h[:-1] * kern.down[1:]
+            assert np.all(moment[outside] <= rho[zone][outside] * h[outside] * (1.0 + 1e-13))
+
+    def test_reach_bound_from_m0_is_never_below_ln_p(self):
+        # windows from 7 to 40 sd out: the reach bound over every Poisson
+        # order from m0 at order 0, the least over R of h(m0) e^(mu (rho - 1)),
+        # is never below the chain's ln P
+        checked = 0
+        for n, m0, t in ((300, 150, 0.05), (600, 450, 0.03), (1000, 100, 0.2), (2000, 1000, 0.1)):
+            params = ModelParams(n, 1.0)
+            kern = _uniformized_kernel(params)
+            sd = math.sqrt(2.0 * n * t)
+            for lo in np.unique(np.clip(np.round(m0 + sd * np.r_[-40:-7:3, 7:40:3]), 1, n - 4)):
+                states = np.arange(int(lo), int(lo) + 5)
+                depth, rho_m1 = evolve._reach_weights(kern, states[0] - 1, states[-1])
+                zone = 0 if m0 < states[0] else 2
+                bound = float(np.min(kern.rate * t * rho_m1[:, zone] - depth[:, m0 - 1]))
+                assert bound >= _log_chain(params, m0, t, states, 1e-10) - 1e-9
+                checked += 1
+        assert checked >= 40
+
+    def test_flushed_values_are_charged(self, monkeypatch):
+        # a pass with no budget steps tiled and drops nothing: what its tiles
+        # may have flushed is all its account holds, and it is charged
+        # (a pass that skips the charge returns an account of 0)
+        params, states, t = ModelParams(1843, 1.0), np.arange(118, 155), 0.06410522225215845
+        kern = _uniformized_kernel(params)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            m, e, account, _ = evolve._chain_pass(kern, 1263, kern.rate * t, states, 1e-10,
+                                                  -math.inf)
+        logp = math.log(m) + e * math.log(2.0)
+        assert -math.inf < account < math.log(0.01 * 0.5 * 1e-10) + logp
+        assert abs(logp - -2669.7324279316877) <= 1e-14 * 2669.8
+
+
+# The window 0.5 -> 0.8 +- 0.02 at T = 1 (lattice_window(N, 0.8, 0.02) from
+# N/2), and a deep query whose tiles step apart: (N, m0, T, lo, hi) and ln P
+# from scripts/mp_window.py (mpmath at 30 digits for N = 400 and the deep
+# query, 25 for N = 1600), at tol = 1e-12
+ROUND_OFF_REFERENCES = [
+    ((400, 200, 1.0, 312, 328), -14.956245664132722996),
+    ((1600, 800, 1.0, 1248, 1312), -52.644492142339774455),
+    ((400, 380, 0.01, 1, 3), -1723.9392129030739099),
+]
+
+
+class TestRoundOff:
+    """The window chain's answer against mpmath, to tol relative in P: its
+    round-off stays within what its certificate allows for truncation."""
+
+    @pytest.mark.parametrize("query, log_p", ROUND_OFF_REFERENCES)
+    def test_window_log_probability_matches_mpmath(self, query, log_p):
+        n, m0, t, lo, hi = query
+        if hi > 1000:
+            assert lattice_window(n, 0.8, 0.02) == (lo, hi)
+        got = window_log_probability(ModelParams(n, 1.0), m0, t, range(lo, hi + 1), 1e-12)
+        assert abs(got - log_p) <= 1e-12
+
+    @pytest.mark.parametrize("query, log_p", ROUND_OFF_REFERENCES)
+    def test_chain_matches_mpmath(self, query, log_p):
+        n, m0, t, lo, hi = query
+        m, e, _ = _window_chain(_uniformized_kernel(ModelParams(n, 1.0)), m0, t,
+                                np.arange(lo, hi + 1), 1e-12)
+        assert abs(math.log(m) + e * math.log(2.0) - log_p) <= 1e-12
