@@ -153,14 +153,11 @@ def _block_gather(kern: _UniformizedKernel) -> np.ndarray:
     return g[_S % 2]
 
 
-def _poisson_scaled(mu: float, last: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The Poisson(mu) pmf at the orders 0..last, as plain doubles w and as
-    (f, a), pmf(k) = f[k] 2^a[k].  Both are built from the mode outward by
-    the pmf ratios (after Fox & Glynn, "Computing Poisson probabilities",
-    CACM 1988) and normalised by the sum of w over the orders up to
-    _poisson_top(mu) + 1.  Where w falls below 2^-1000 the products go on in
-    mantissas, renormalised every 1000 orders, and sums of binary exponents
-    (np.frexp), so that no weight of (f, a) underflows."""
+def _poisson_weights(mu: float, last: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """(w, ratios, mode): the Poisson(mu) pmf at the orders 0..last, built
+    from the mode outward by the pmf ratios (after Fox & Glynn, "Computing
+    Poisson probabilities", CACM 1988) and normalised by its sum over the
+    orders up to _poisson_top(mu) + 1, and those ratios."""
     mode = min(int(mu), last)
     ratios = np.empty(last + 1)
     ratios[:mode] = np.arange(1, mode + 1) / mu  # pmf(k) / pmf(k+1)
@@ -170,6 +167,15 @@ def _poisson_scaled(mu: float, last: int) -> tuple[np.ndarray, np.ndarray, np.nd
     w[mode::-1] = np.cumprod(ratios[mode::-1])
     w[mode + 1:] = np.cumprod(ratios[mode + 1:])
     w /= w[:min(last, _poisson_top(mu) + 1) + 1].sum()
+    return w, ratios, mode
+
+
+def _poisson_scaled(mu: float, last: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(w, f, a): the weights of _poisson_weights, and the same as
+    pmf(k) = f[k] 2^a[k].  Where w falls below 2^-1000 the products go on
+    in mantissas, renormalised every 1000 orders, and sums of binary
+    exponents (np.frexp), so that no weight of (f, a) underflows."""
+    w, ratios, mode = _poisson_weights(mu, last)
     f, a = np.frexp(w)
     for side in (np.s_[mode::-1], np.s_[mode + 1:]):
         done = int(np.argmax(w[side] < 2.0 ** -1000)) if w[side][-1:] < 2.0 ** -1000 else 0
@@ -187,12 +193,12 @@ def _poisson_scaled(mu: float, last: int) -> tuple[np.ndarray, np.ndarray, np.nd
 
 
 def _poisson_terms(mu: float, tol: float) -> np.ndarray:
-    """The Poisson(mu) pmf at the orders 0..K of _poisson_scaled, as plain
-    doubles; K is _poisson_cutoff's.  For any tol check_tol admits, the
-    orders built reach far past it."""
+    """The Poisson(mu) pmf at the orders 0..K of _poisson_weights; K is
+    _poisson_cutoff's.  For any tol check_tol admits, the orders built reach
+    far past it."""
     if mu == 0.0:
         return np.ones(1)
-    w = _poisson_scaled(mu, _poisson_top(mu) + 1)[0]
+    w = _poisson_weights(mu, _poisson_top(mu) + 1)[0]
     return w[:_poisson_cutoff(w, mu, tol) + 1]
 
 
