@@ -224,8 +224,8 @@ class TestWindowProbability:
 
     def test_deep_tail_beyond_float_range(self):
         # A window needing far more jumps than the bulk Poisson cutoff: the
-        # adaptive log-space chain must resolve masses way below 1e-308 and
-        # land near the action of the window's cheap edge.
+        # window chain must resolve masses way below 1e-308 and land near the
+        # action of the window's cheap edge.
         from bdld.optimal_paths import optimal_action
         edge_action = optimal_action(0.5, 0.97, 0.1, 1.0)
         gaps = []
@@ -275,8 +275,8 @@ def _mpmath_log_window(n, lam, m0, t, lo, hi, dps=30):
 
 
 class TestLinearWindowCertificate:
-    """A window answered in linear space is certified relative to its own
-    mass, not to the total mass the bulk Poisson cutoff covers."""
+    """A window mass is certified relative to itself, not to the total mass
+    the bulk Poisson cutoff covers."""
 
     @pytest.mark.parametrize("lo", [230, 240, 250, 258, 260])
     def test_small_window_matches_log_space_chain(self, lo):
@@ -348,7 +348,7 @@ class TestLogSpaceWindow:
         halves = (range(70, 76), range(575, 581))
         both = window_log_probability(params, 300, 0.01, [*halves[0], *halves[1]], tol)
         parts = [window_log_probability(params, 300, 0.01, half, tol) for half in halves]
-        assert max(parts) < math.log(1e-280)  # answered by the log-space chain
+        assert max(parts) < math.log(1e-280)  # far below a normal double
         assert abs(parts[0] - parts[1]) < 10.0
         assert abs(both - np.logaddexp(*parts)) <= 2.0 * tol + 1e-12 * abs(both)
 
