@@ -1194,8 +1194,7 @@ class TestReachBound:
 
 # The window 0.5 -> 0.8 +- 0.02 at T = 1 (lattice_window(N, 0.8, 0.02) from
 # N/2), and a deep query whose tiles step apart: (N, m0, T, lo, hi) and ln P
-# from scripts/mp_window.py (mpmath at 30 digits for N = 400 and the deep
-# query, 25 for N = 1600), at tol = 1e-12
+# from scripts/mp_window.py (mpmath at 30 digits), at tol = 1e-12
 ROUND_OFF_REFERENCES = [
     ((400, 200, 1.0, 312, 328), -14.956245664132722996),
     ((1600, 800, 1.0, 1248, 1312), -52.644492142339774455),
