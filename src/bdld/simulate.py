@@ -6,16 +6,19 @@ rates.  Nothing is time-discretized and trajectories are stored sparsely
 (jump times plus visited states only).  Every sampler reads its randomness
 from ``_blocks``, which states the stream layout.
 
-Every chain runs in one kernel, ``_walk``, which takes its events a chunk
-at a time in a few numpy passes: steps from the uniforms, states from their
-prefix sum with a closed form for the forced moves at an end, rates from the
-states before each jump, and jump times from np.add.accumulate, which adds
-in sequence exactly as the scalar loop does.  A chunk is sized to reach the
-next stop, and only where the path reaches both ends within a chunk, or on
-a chain of a few dozen states, are its states replayed event by event.
-``_blocks`` draws the uniforms only as the chunks read them, so a short
-replication draws few more than it uses, and the stream layout stays the
-same.
+Every chain runs in one kernel, ``_walk``, which advances a group of
+replications in lock-step as the rows of one matrix, taking the same
+number of events for every row in a few numpy passes: steps from the
+uniforms, states from their prefix sum with a closed form for the forced
+moves at an end, rates from the states before each jump, and jump times
+from np.add.accumulate along each row, which adds in sequence exactly as
+the scalar loop does.  A chunk is sized to reach the nearest of the rows'
+next stops, and only where a row's path reaches both ends within a chunk,
+or on a chain of a few dozen states, are its states replayed event by
+event.  Each row still reads its own stream: ``_blocks`` draws a row's
+uniforms only as the chunks read them, so a short replication draws few
+more than it uses, and the stream layout, and so every sample, is the same
+whatever the grouping.  A sampler of one path runs as a group of one.
 
 The tilted chain is the same walk with its tilt z held: z is read at time 0
 and after every _HOLD jumps, and between reads the chain is homogeneous,
@@ -28,8 +31,10 @@ bit-identical to the scalar loops'.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
+from operator import mul, sub
 
 import numpy as np
 
@@ -55,6 +60,7 @@ _CHUNK = 256
 _MAX_CHUNK = 4096  # longer chunks compute too many events past a stop
 _REPLAY_N = 40    # chains with fewer states replay their events one at a time
 _HOLD = 128       # jumps of the tilted chain between reads of its tilt
+_GROUP = 32       # replications an experiment runs in lock-step
 STREAM_VERSION = 1  # the layout of _blocks; reports record it
 
 
@@ -68,22 +74,25 @@ def replication_rng(seed: int, replication: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=_stream_key(seed, replication)))
 
 
-def _replication_rngs(seed: int, replications: int):
-    """Yield the streams of replications 0, 1, ... in turn, each equal to a
-    fresh replication_rng(seed, rep).
+def _replication_groups(seed: int, replications: int):
+    """Yield the streams of replications 0, 1, ... in groups of up to
+    _GROUP, a list per group, each stream equal to a fresh
+    replication_rng(seed, rep).
 
-    One generator serves them all: before each replication its Philox is
-    reset to the fresh state with the replication's key (about 2 us), which
-    is cheaper than building a Philox (about 15 us, most of it an OS-entropy
-    SeedSequence the key leaves unused).  A stream is valid only until the
-    next one is yielded."""
-    rng = replication_rng(seed)
-    bit_generator = rng.bit_generator
-    fresh = bit_generator.state
-    for rep in range(replications):
-        fresh["state"]["key"] = _stream_key(seed, rep)
-        bit_generator.state = fresh
-        yield rng
+    The generators of the first group serve every later one: before each
+    group their Philoxes are reset to the fresh state with the group's keys
+    (about 2 us each), which is cheaper than building a Philox (about 15 us,
+    most of it an OS-entropy SeedSequence the key leaves unused).  A group's
+    streams are valid only until the next group is yielded."""
+    rngs = [replication_rng(seed, rep) for rep in range(min(_GROUP, replications))]
+    fresh = rngs[0].bit_generator.state
+    for first in range(0, replications, _GROUP):
+        group = rngs[:replications - first]
+        if first:
+            for rep, rng in enumerate(group, first):
+                fresh["state"]["key"] = _stream_key(seed, rep)
+                rng.bit_generator.state = fresh
+        yield group
 
 
 @dataclass(frozen=True)
@@ -209,17 +218,22 @@ class ExperimentResult:
         return obj
 
 
-def _resolve_initial(params: ModelParams, config: SimConfig, rng: np.random.Generator) -> int:
+def _start(params: ModelParams, config: SimConfig):
+    """A replication's start as a function of its stream: the point start,
+    checked here, or an inverse-CDF draw from the stationary law, built
+    here once, which takes the stream's first uniform."""
     if config.initial == "stationary":
-        return stationary_distribution(params).sample_state(rng.random())
+        pi = stationary_distribution(params)
+        return lambda rng: pi.sample_state(rng.random())
     m0 = int(config.initial)
     if not 1 <= m0 <= params.n_states:
         raise ValueError(f"initial state {m0} outside 1..{params.n_states}")
-    return m0
+    return lambda rng: m0
 
 
-def _blocks(rng: np.random.Generator):
-    """Hand out a replication's variates, a group of events at a time.
+def _blocks(rngs: list):
+    """Hand out the variates of a group of replications, a group of events
+    at a time.
 
     This is the stream contract every sampler shares, version
     STREAM_VERSION: a change to it that moves any sample bumps that number.
@@ -230,30 +244,41 @@ def _blocks(rng: np.random.Generator):
     jump of the chain.  A stationary start takes one uniform before the
     first block.
 
-    A kernel starts the generator with next() and then sends it the number
-    of events it wants; it gets back the (exponentials, uniforms) of that
-    many events, or of the rest of the current block if fewer.  A block's
-    exponentials are drawn whole when its first event is asked for: the
-    ziggurat's rejections make their word count vary, and that count fixes
-    where the uniforms begin.  The uniforms are drawn only as they are
+    Replication i of the group reads rngs[i].  A kernel starts the
+    generator with next() and then sends it (rows, size): the indices of
+    the replications still running, in order, and the number of events it
+    wants.  It gets back matrices of the (exponentials, uniforms) of that
+    many events, or of the rest of the current block if fewer, with a row
+    per index in rows; every row is at the same event of its stream.  A
+    block's exponentials are drawn whole when its first event is asked for:
+    the ziggurat's rejections make their word count vary, and that count
+    fixes where the uniforms begin.  The uniforms are drawn only as they are
     handed out, which reads the same words as drawing them whole, since
     Philox random() takes exactly one 64-bit word per double; a replication
     that ends early never draws the rest.  The next block is drawn only
     after every event of the current one has been handed out, and how a
-    kernel groups the events does not change which variates an event reads.
+    kernel groups the events, or the replications, does not change which
+    variates an event reads.
     """
-    size = yield
+    exps = np.empty((len(rngs), _BLOCK))
+    rows, size = yield
     while True:
-        exps = rng.standard_exponential(_BLOCK)
-        while exps.size:
-            head, exps = exps[:size], exps[size:]
-            size = yield head, rng.random(head.size)
+        for row in rows:
+            rngs[row].standard_exponential(out=exps[row])
+        at = 0
+        while at < _BLOCK:
+            head = exps[:, at:at + size] if len(rows) == len(rngs) else exps[rows, at:at + size]
+            unis = np.empty(head.shape)
+            for row, out in zip(rows, unis):
+                rngs[row].random(out=out)
+            at += head.shape[1]
+            rows, size = yield head, unis
 
 
-def _chunk_size(rate: float, span: float) -> int:
-    """Events to reach a stop span ahead at the given event rate with half as
-    many again to spare, within [_CHUNK, _MAX_CHUNK]."""
-    return max(_CHUNK, math.ceil(min(_MAX_CHUNK, 1.5 * rate * span)))
+def _chunk_size(reach: float) -> int:
+    """Events to reach a stop the given number of events ahead, on average,
+    with half as many again to spare, within [_CHUNK, _MAX_CHUNK]."""
+    return max(_CHUNK, math.ceil(min(_MAX_CHUNK, 1.5 * reach)))
 
 
 def _replay(n: int, m: int, unis: np.ndarray, p_up: float) -> np.ndarray:
@@ -280,120 +305,168 @@ def _lift(free: np.ndarray) -> np.ndarray:
     return lift
 
 
-def _chunk_states(n: int, m: int, unis: np.ndarray, p_up: float) -> np.ndarray:
-    """States after each of the events driven by ``unis``, from state m.
+def _chunk_states(n: int, ms: list, unis: np.ndarray, p_up: np.ndarray) -> np.ndarray:
+    """The paths driven by ``unis``, one row per path: row i holds the
+    state ms[i] before the first event and the state after each event,
+    stepping up with probability p_up[i, 0] (p_up is a column).
 
-    Away from the ends a uniform below p_up steps up, otherwise down, so the
-    states are m plus a prefix sum of the steps (the free walk F).  When
-    the path reaches only the lower end, each forced move 1 -> 2 lifts the
-    rest of the walk by 2, and the lift so far is the smallest even
+    Away from the ends a uniform below p_up steps up, otherwise down, so a
+    path is its start plus a prefix sum of the steps (the free walk F).
+    When the path reaches only the lower end, each forced move 1 -> 2 lifts
+    the rest of the walk by 2, and the lift so far is the smallest even
     number keeping every state >= 1: X = F + 2*max.accumulate(max(0, (2-F)//2)).
     The upper end is the mirror image, m -> n+1-m, of the lower one.
 
-    F is the path while it stays within [1, n].  Otherwise the chunk takes
-    the lower-end form if F drops below 1, else the upper-end form; that
-    form leaves [1, n] only when the path reaches both ends, and then the
-    chunk is replayed event by event.  A chain of fewer than _REPLAY_N
+    A row's F is its path while it stays within [1, n].  Otherwise the row
+    takes the lower-end form if F drops below 1, else the upper-end form;
+    that form leaves [1, n] only when the path reaches both ends, and then
+    the row is replayed event by event.  A chain of fewer than _REPLAY_N
     states is always replayed: its walk reaches both ends within most
     chunks, so the numpy passes would only add to the replay.
     """
+    path = np.empty((len(ms), unis.shape[1] + 1), dtype=np.int64)
+    path[:, 0] = ms
+    free = path[:, 1:]
     if n < _REPLAY_N:
-        return _replay(n, m, unis, p_up)
-    free = np.where(unis < p_up, 1, -1)
-    np.cumsum(free, out=free)
-    free += m
-    if free.min() < 1:
-        states = _lift(free)
-    elif free.max() > n:
-        states = n + 1 - _lift(n + 1 - free)
-    else:
-        return free
-    if states.min() < 1 or states.max() > n:
-        return _replay(n, m, unis, p_up)
-    return states
+        for row, start, u, p in zip(free, ms, unis, p_up[:, 0].tolist()):
+            row[:] = _replay(n, start, u, p)
+        return path
+    free[:] = np.where(unis < p_up, 1, -1)
+    np.cumsum(path, axis=1, out=path)
+    if free.min() >= 1 and free.max() <= n:
+        return path
+    for i, (low, high) in enumerate(zip(free.min(axis=1).tolist(), free.max(axis=1).tolist())):
+        if low < 1:
+            states = _lift(free[i])
+        elif high > n:
+            states = n + 1 - _lift(n + 1 - free[i])
+        else:
+            continue
+        if states.min() < 1 or states.max() > n:
+            states = _replay(n, ms[i], unis[i], float(p_up[i, 0]))
+        free[i] = states
+    return path
 
 
-def _walk(n: int, lam: float, m: int, stops, rng: np.random.Generator, jumps: list,
-          tilt=None, zs: list | None = None):
-    """Run the chain on {1..n} from state m, append the (times, states)
-    arrays of its jumps to ``jumps``, and yield the state at each of the
-    increasing ``stops``.  A jump at exactly a stop counts, as in
-    Trajectory.state_at; the jumps appended when a stop is yielded are
-    exactly those at or before it, and nothing past the last stop read is
-    recorded.
+def _held(lam: float, n: int, z: float) -> tuple[float, float, float, float]:
+    """The chain with z held: its step-up probability inside, its exit rate
+    per unit of m inside, and its exit rates at 1 and at n."""
+    both = z + 1.0 / z
+    return z / both, lam * both, lam * z, lam * n / z
 
-    With a tilt the chain is the tilted one, with z held: ``tilt.value`` is
-    read at time 0 and then after every _HOLD jumps, at the time of the
-    last, and each value read is appended to ``zs``.  Between reads the
-    chain moves up at rate lam*m*z and down at rate lam*m/z, one-sided at 1
-    and n, so it leaves m at rate lam*m*(z + 1/z) inside and steps up with
-    probability z/(z + 1/z).  The plain chain is z = 1 throughout.
 
-    The events are taken a chunk at a time from ``_blocks``.  A chunk is
-    sized by ``_chunk_size`` to reach the next stop at the current rate,
-    so a short replication draws few more uniforms than it reads and a long
-    one computes few events past its last stop; a chunk never crosses the
-    end of a hold.  A chunk's states come from ``_chunk_states``: numpy
-    passes, or an event-by-event replay of the scalar loop when the path
-    reaches both ends of {1..n} within the chunk or n is below _REPLAY_N.
+def _walk(n: int, lam: float, starts: list, stops, rngs: list, jumps: list,
+          tilt=None, zs: list | None = None, ceiling: float = math.inf):
+    """Run the chain on {1..n} once per row, row i from state starts[i] with
+    the stream rngs[i], append the (times, states) arrays of row i's jumps
+    to jumps[i], and yield (i, state) at each of the increasing ``stops``.
+    A jump at exactly a stop counts, as in Trajectory.state_at; the jumps
+    appended when a stop is yielded are exactly those at or before it, and
+    nothing past the last stop read is recorded.  A row ends after its last
+    stop, or at its first stop with a state at or above ``ceiling``.
+
+    With a tilt the chain is the tilted one, with z held: each row reads
+    ``tilt.value`` at time 0 and then after every _HOLD jumps, at the time
+    of the last, and each value row i reads is appended to zs[i].  Between
+    reads the chain moves up at rate lam*m*z and down at rate lam*m/z,
+    one-sided at 1 and n, so it leaves m at rate lam*m*(z + 1/z) inside and
+    steps up with probability z/(z + 1/z).  The plain chain is z = 1
+    throughout.
+
+    The rows advance in lock-step: each pass takes the same number of
+    events from ``_blocks`` for every running row, so one set of numpy
+    passes serves them all.  A pass is sized by ``_chunk_size`` to reach
+    the nearest of the rows' next stops at their current rates, so a short
+    replication draws few more uniforms than it reads and no row computes
+    many events past its last stop; a pass never crosses the end of a
+    hold.  A pass's states come from ``_chunk_states``: numpy passes, or
+    an event-by-event replay of the scalar loop for a row whose path
+    reaches both ends of {1..n} within the pass, or when n is below
+    _REPLAY_N.
     Each event's rate is read from the state before it, and its jump time
-    is the running sum of the holding times seeded with the current time.
-    np.add.accumulate adds strictly in sequence, and every division and
-    product is the one the scalar Gillespie loop makes, so each trajectory
-    is bit-identical to that loop's whatever the chunks.
+    is the running sum of the holding times along its row seeded with the
+    row's time.  np.add.accumulate adds strictly in sequence, and every
+    division and product is the one the scalar Gillespie loop makes, so
+    each trajectory is bit-identical to that loop's whatever the passes
+    and whichever replications share them.
     """
+    stops = list(stops)
     if n == 1:
-        for _ in stops:
-            yield m
+        for row, m in enumerate(starts):
+            for _ in stops:
+                yield row, m
+                if m >= ceiling:
+                    break
         return
-    stops = iter(stops)
-    stop = next(stops)
-    t = 0.0
+    # per running row: its index into starts, state, time, next stop and
+    # that stop's index
+    rows = list(range(len(starts)))
+    ms, ts = list(starts), [0.0] * len(rows)
+    stop, at = [stops[0]] * len(rows), [0] * len(rows)
+    held = np.array([_held(lam, n, 1.0)] * len(rows))  # a row of _held values per row
     left = math.inf if tilt is None else 0  # jumps left in the current hold
-    # the step-up probability inside, the exit rate per unit of m inside,
-    # and the exit rates at 1 and at n
-    p_up, per_m, bottom, top = 0.5, 2.0 * lam, lam, lam * n
-    blocks = _blocks(rng)
+    blocks = _blocks(rngs)
     next(blocks)
     while True:
         if not left:
-            z = float(tilt.value(t))
-            if not (z > 0.0 and math.isfinite(z)):
-                raise ValueError(f"tilt must be positive and finite, got z({t}) = {z!r}")
-            zs.append(z)
+            values = []
+            for row, now in zip(rows, ts):
+                z = float(tilt.value(now))
+                if not (z > 0.0 and math.isfinite(z)):
+                    raise ValueError(f"tilt must be positive and finite, got z({now}) = {z!r}")
+                zs[row].append(z)
+                values.append(_held(lam, n, z))
+            held = np.array(values)
             left = _HOLD
-            both = z + 1.0 / z
-            p_up, per_m, bottom, top = z / both, lam * both, lam * z, lam * n / z
-        exps, unis = blocks.send(min(_chunk_size(per_m * m, stop - t), left))
-        c = exps.size
+        size = left
+        if size > _CHUNK:  # the fewest events a row expects before its next stop
+            reach = min(map(mul, held[:, 1].tolist(), map(mul, ms, map(sub, stop, ts))))
+            size = min(size, _chunk_size(reach))
+        exps, unis = blocks.send((rows, size))
+        c = exps.shape[1]
         left -= c
-        states = _chunk_states(n, m, unis, p_up)
-        before = np.concatenate(([m], states[:-1]))
-        rates = per_m * before
-        if m <= c:
-            rates[before == 1] = bottom
-        if m + c > n:
-            rates[before == n] = top
-        clock = np.empty(c + 1)
-        clock[0] = t
-        np.divide(exps, rates, out=clock[1:])
-        np.add.accumulate(clock, out=clock)
-        times = clock[1:]
-        done = 0
-        while True:
-            k = int(times.searchsorted(stop, side="right"))  # first jump past stop
-            if k == c:
-                break
-            if k > done:
-                jumps.append((times[done:k], states[done:k]))
-                done = k
-            yield int(states[k - 1]) if k else m
-            stop = next(stops, None)
-            if stop is None:
+        path = _chunk_states(n, ms, unis, held[:, :1])
+        before, states = path[:, :-1], path[:, 1:]
+        rates = held[:, 1:2] * before
+        if min(ms) <= c:
+            np.copyto(rates, held[:, 2:3], where=before == 1)
+        if max(ms) + c > n:
+            np.copyto(rates, held[:, 3:], where=before == n)
+        clock = np.empty((len(rows), c + 1))
+        clock[:, 0] = ts
+        np.divide(exps, rates, out=clock[:, 1:])
+        np.add.accumulate(clock, axis=1, out=clock)
+        ends = clock[:, -1].tolist()
+        ended = []
+        for i, (row, row_times, row_states, end) in enumerate(zip(rows, clock[:, 1:], states,
+                                                                  ends)):
+            if end <= stop[i]:  # no stop in this pass
+                jumps[row].append((row_times, row_states))
+                continue
+            done = 0
+            k = int(row_times.searchsorted(stop[i], side="right"))  # first jump past stop
+            while k < c:
+                if k > done:
+                    jumps[row].append((row_times[done:k], row_states[done:k]))
+                    done = k
+                state = int(row_states[k - 1]) if k else ms[i]
+                yield row, state
+                at[i] += 1
+                if at[i] == len(stops) or state >= ceiling:
+                    ended.append(i)
+                    break
+                stop[i] = stops[at[i]]
+                k = int(row_times.searchsorted(stop[i], side="right"))
+            else:  # the row runs on
+                if done < c:
+                    jumps[row].append((row_times[done:], row_states[done:]))
+        ms, ts = path[:, -1].tolist(), ends
+        if ended:
+            if len(ended) == len(rows):
                 return
-        if done < c:
-            jumps.append((times[done:], states[done:]))
-        m, t = int(states[-1]), float(times[-1])
+            keep = [i for i in range(len(rows)) if i not in ended]
+            rows, ms, ts, stop, at = ([v[i] for i in keep] for v in (rows, ms, ts, stop, at))
+            held = held[keep]
 
 
 def _joined(jumps: list) -> tuple[np.ndarray, np.ndarray]:
@@ -405,11 +478,11 @@ def _joined(jumps: list) -> tuple[np.ndarray, np.ndarray]:
 def sample_path(params: ModelParams, config: SimConfig, replication: int = 0) -> Trajectory:
     """Draw one exact trajectory on [0, horizon]."""
     rng = replication_rng(config.seed, replication)
-    m0 = _resolve_initial(params, config, rng)
-    jumps: list = []
-    for _ in _walk(params.n_states, params.lam, m0, (config.horizon,), rng, jumps):
+    m0 = _start(params, config)(rng)
+    jumps: list = [[]]
+    for _ in _walk(params.n_states, params.lam, [m0], (config.horizon,), [rng], jumps):
         pass
-    return Trajectory._built(m0, *_joined(jumps), config.horizon)
+    return Trajectory._built(m0, *_joined(jumps[0]), config.horizon)
 
 
 def occupation_fractions(trajectory: Trajectory, n_states: int | None = None) -> ProbabilityVector:
@@ -455,14 +528,15 @@ def lln_point_experiment(params: ModelParams, gamma0: float, epsilon: float,
         return ExperimentResult(0.0, 0.0, reps, config.seed, params,
                                 extra={"bound": bound, "hits": 0, "jumps": 0})
     hits = n_jumps = 0
-    for rng in _replication_rngs(config.seed, reps):
-        jumps: list = []
-        for _ in _walk(n, lam, m0, (horizon,), rng, jumps):
+    for rngs in _replication_groups(config.seed, reps):
+        jumps: list = [[] for _ in rngs]
+        for _ in _walk(n, lam, [m0] * len(rngs), (horizon,), rngs, jumps):
             pass
-        n_jumps += sum(states.size for _, states in jumps)
-        if m0 <= lo or m0 >= hi or any(states.min() <= lo or states.max() >= hi
-                                       for _, states in jumps):
-            hits += 1
+        for path in jumps:
+            n_jumps += sum(states.size for _, states in path)
+            if m0 <= lo or m0 >= hi or any(states.min() <= lo or states.max() >= hi
+                                           for _, states in path):
+                hits += 1
     p = hits / reps
     stderr = math.sqrt(p * (1.0 - p) / reps)
     return ExperimentResult(p, stderr, reps, config.seed, params,
@@ -490,15 +564,17 @@ def lln_stationary_experiment(params: ModelParams, u: float, sample_times,
     if times[0] < 0.0 or times[-1] > config.horizon:
         raise ValueError("sample times must lie within [0, horizon]")
     n, lam = params.n_states, params.lam
-    pi = stationary_distribution(params)
+    start = _start(params, config)
+    ceiling = bisect.bisect_left(range(n + 1), u, key=lambda m: m / n)  # least m with m/n >= u
     reps = config.replications
-    successes = n_jumps = 0
-    for rng in _replication_rngs(config.seed, reps):
-        m0 = pi.sample_state(rng.random())
-        jumps: list = []
-        if all(m / n < u for m in _walk(n, lam, m0, times, rng, jumps)):
-            successes += 1
-        n_jumps += sum(states.size for _, states in jumps)
+    failures = n_jumps = 0
+    for rngs in _replication_groups(config.seed, reps):
+        starts = [start(rng) for rng in rngs]
+        jumps: list = [[] for _ in rngs]
+        for _, m in _walk(n, lam, starts, times, rngs, jumps, ceiling=ceiling):
+            failures += m >= ceiling
+        n_jumps += sum(states.size for path in jumps for _, states in path)
+    successes = reps - failures
     p = successes / reps
     stderr = math.sqrt(p * (1.0 - p) / reps)
     return ExperimentResult(p, stderr, reps, config.seed, params,
@@ -549,14 +625,14 @@ def tilted_sample_path(params: ModelParams, tilt, config: SimConfig,
     raises ValueError.
     """
     rng = replication_rng(config.seed, replication)
-    m0 = _resolve_initial(params, config, rng)
+    m0 = _start(params, config)(rng)
     n, lam = params.n_states, params.lam
-    jumps: list = []
-    zs: list = []
-    for _ in _walk(n, lam, m0, (config.horizon,), rng, jumps, tilt, zs):
+    jumps: list = [[]]
+    zs: list = [[]]
+    for _ in _walk(n, lam, [m0], (config.horizon,), [rng], jumps, tilt, zs):
         pass
-    times, states = _joined(jumps)
-    log_w = _log_weight(lam, n, m0, times, states, zs, config.horizon)
+    times, states = _joined(jumps[0])
+    log_w = _log_weight(lam, n, m0, times, states, zs[0], config.horizon)
     return WeightedTrajectory(Trajectory._built(m0, times, states, config.horizon), log_w)
 
 
@@ -566,12 +642,15 @@ def tilted_window_experiment(params: ModelParams, tilt, window: tuple[int, int],
     nominal law, using the tilted sampler.  A replication's weight is
     computed only when it ends in the window.
 
-    The extra fields carry the ``jumps`` over all replications and the
-    health of the weights: over the replication values v (the weight, or 0
-    off the window), ``ess`` = (sum v)^2 / sum v^2 and ``max_weight_share``
-    = max v / sum v (0 and null when no replication hits the window), and
-    ``rel_err_per_sample`` = stderr * sqrt(reps) / estimate (null when the
-    estimate is 0).
+    The extra fields carry the ``jumps`` and the ``tilt_reads`` (z values
+    read) over all replications and the health of the weights: over the
+    replication values v (the weight, or 0 off the window), ``ess`` =
+    (sum v)^2 / sum v^2 and ``max_weight_share`` = max v / sum v (0 and
+    null when no replication hits the window), ``rel_err_per_sample`` =
+    stderr * sqrt(reps) / estimate (null when the estimate is 0), and the
+    mean and the sample variance of the log-weights of the replications
+    that hit the window, ``log_weight_mean`` and ``log_weight_var`` (null
+    below two hits).
     """
     lo, hi = window
     _check_state(params, lo, "window start")
@@ -582,16 +661,23 @@ def tilted_window_experiment(params: ModelParams, tilt, window: tuple[int, int],
         raise ValueError(f"bad window [{lo}, {hi}] for N={n}")
     horizon = config.horizon
     reps = config.replications
+    start = _start(params, config)
     values = np.zeros(reps)
-    n_jumps = 0
-    for rep, rng in enumerate(_replication_rngs(config.seed, reps)):
-        m0 = _resolve_initial(params, config, rng)
-        jumps: list = []
-        zs: list = []
-        [final] = _walk(n, lam, m0, (horizon,), rng, jumps, tilt, zs)
-        n_jumps += sum(times.size for times, _ in jumps)
-        if lo <= final <= hi:
-            values[rep] = math.exp(_log_weight(lam, n, m0, *_joined(jumps), zs, horizon))
+    log_weights = np.full(reps, -math.inf)  # -inf off the window
+    n_jumps = n_reads = first = 0
+    for rngs in _replication_groups(config.seed, reps):
+        starts = [start(rng) for rng in rngs]
+        jumps: list = [[] for _ in rngs]
+        zs: list = [[] for _ in rngs]
+        for row, final in _walk(n, lam, starts, (horizon,), rngs, jumps, tilt, zs):
+            if lo <= final <= hi:
+                log_w = _log_weight(lam, n, starts[row], *_joined(jumps[row]), zs[row], horizon)
+                log_weights[first + row] = log_w
+                values[first + row] = math.exp(log_w)
+        n_jumps += sum(times.size for path in jumps for times, _ in path)
+        n_reads += sum(map(len, zs))
+        first += len(rngs)
+    hits = log_weights[log_weights > -math.inf]
     estimate = float(values.mean())
     stderr = float(values.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
     top = float(values.max())
@@ -602,4 +688,7 @@ def tilted_window_experiment(params: ModelParams, tilt, window: tuple[int, int],
         "ess": float(scaled.sum() ** 2 / (scaled @ scaled)) if top > 0.0 else 0.0,
         "max_weight_share": top / float(values.sum()) if top > 0.0 else None,
         "rel_err_per_sample": stderr * math.sqrt(reps) / estimate if estimate else None,
+        "log_weight_mean": float(hits.mean()) if hits.size > 1 else None,
+        "log_weight_var": float(hits.var(ddof=1)) if hits.size > 1 else None,
+        "tilt_reads": n_reads,
     })

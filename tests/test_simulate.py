@@ -437,14 +437,23 @@ class TestTiltedSampling:
         tilt = dual_tilt(solve_boundary(0.5, 0.8, 1.0, 1.0))
         config = SimConfig(horizon=1.0, seed=3, initial=50, replications=300)
         res = tilted_window_experiment(params, tilt, (78, 82), config)
-        values = []
+        values, log_weights, reads = [], [], 0
         for rep in range(300):
             weighted = tilted_sample_path(params, tilt, config, rep)
             final = weighted.trajectory.state_at(1.0)
             values.append(math.exp(weighted.log_weight) if 78 <= final <= 82 else 0.0)
+            if 78 <= final <= 82:
+                log_weights.append(weighted.log_weight)
+            # z is read at time 0 and after every _HOLD jumps before the horizon
+            reads += 1 + weighted.trajectory.n_jumps // simulate._HOLD
         values = np.array(values)
         assert res.estimate == float(values.mean())
         assert res.extra["jumps"] > 0
+        assert res.extra["tilt_reads"] == reads
+        assert len(log_weights) > 1
+        assert res.extra["log_weight_mean"] == pytest.approx(np.mean(log_weights), rel=1e-12)
+        assert res.extra["log_weight_var"] == pytest.approx(np.var(log_weights, ddof=1),
+                                                            rel=1e-12)
         assert res.extra["ess"] == pytest.approx(values.sum() ** 2 / (values ** 2).sum())
         assert res.extra["max_weight_share"] == pytest.approx(values.max() / values.sum())
         assert res.extra["rel_err_per_sample"] == pytest.approx(
@@ -458,6 +467,38 @@ class TestTiltedSampling:
         assert res.extra["ess"] == 0.0
         assert res.extra["max_weight_share"] is None
         assert res.extra["rel_err_per_sample"] is None
+        assert res.extra["log_weight_mean"] is None
+        assert res.extra["log_weight_var"] is None
+        assert res.extra["tilt_reads"] == 5  # one read per replication, at time 0
+
+    def test_log_weight_moments_need_two_hits(self):
+        # the window is the start state, and over so short a horizon most
+        # replications end where they start: five give two hits or more,
+        # one gives a single hit
+        params, tilt = ModelParams(50, 1.0), ConstantTilt(1.2)
+        config = SimConfig(horizon=0.001, seed=1, initial=10, replications=5)
+        hit = tilted_window_experiment(params, tilt, (10, 10), config)
+        assert hit.estimate > 0.0 and hit.extra["log_weight_var"] is not None
+        one = tilted_window_experiment(params, tilt, (10, 10),
+                                       SimConfig(horizon=0.001, seed=1, initial=10,
+                                                 replications=1))
+        assert one.estimate > 0.0
+        assert one.extra["log_weight_mean"] is None and one.extra["log_weight_var"] is None
+
+    def test_stationary_law_is_built_once(self, monkeypatch):
+        # the experiment draws each replication's start from one law; the
+        # paths are those of tilted_sample_path, which builds it per call
+        params, tilt = ModelParams(30, 1.0), ConstantTilt(1.3)
+        config = SimConfig(horizon=0.5, seed=4, initial="stationary", replications=12)
+        builds = []
+        law = simulate.stationary_distribution
+        monkeypatch.setattr(simulate, "stationary_distribution",
+                            lambda p: builds.append(p) or law(p))
+        res = tilted_window_experiment(params, tilt, (1, 30), config)
+        assert len(builds) == 1
+        jumps = sum(tilted_sample_path(params, tilt, config, rep).trajectory.n_jumps
+                    for rep in range(12))
+        assert res.extra["jumps"] == jumps
 
     @pytest.mark.parametrize("query", [
         pytest.param(lambda params: window_probability(params, 50, 1.0, [50.7]), id="50.7"),
@@ -500,7 +541,7 @@ def _scalar_held_path(params, tilt, config, replication, hold=128):
     -ln z if it is up and +ln z if it is down."""
     horizon, n, lam = config.horizon, params.n_states, params.lam
     rng = replication_rng(config.seed, replication)
-    m0 = m = simulate._resolve_initial(params, config, rng)
+    m0 = m = simulate._start(params, config)(rng)
     variates = _v1_variates(rng)
     times, states = [], []
     log_w = t = 0.0
@@ -641,15 +682,19 @@ class TestChunkStates:
         # short chunks from every start, through the numpy passes even for
         # the smallest chains: free walks, one end reached, the second end
         # overshot by one or more after a lift or a drop; steps up with the
-        # plain chain's probability 1/2 and with a tilted chain's
+        # plain chain's probability 1/2 and with a tilted chain's.  Each
+        # chunk is a matrix of 1 to 6 rows, whose rows take different forms
         monkeypatch.setattr(simulate, "_REPLAY_N", 2)
         rnd = np.random.default_rng(n)
-        for _ in range(600):
-            m = int(rnd.integers(1, n + 1))
-            unis = rnd.random(int(rnd.integers(1, 3 * n)))
-            p_up = float(rnd.choice([0.5, 0.1, 0.3, 0.8, 0.97]))
-            assert (simulate._chunk_states(n, m, unis, p_up).tolist()
-                    == _scalar_states(n, m, unis, p_up))
+        for _ in range(200):
+            rows = int(rnd.integers(1, 7))
+            m = rnd.integers(1, n + 1, size=rows).tolist()
+            unis = rnd.random((rows, int(rnd.integers(1, 3 * n))))
+            p_up = rnd.choice([0.5, 0.1, 0.3, 0.8, 0.97], size=(rows, 1))
+            paths = simulate._chunk_states(n, m, unis, p_up)
+            assert paths.dtype == np.int64
+            assert paths.tolist() == [[m[i]] + _scalar_states(n, m[i], unis[i], p_up[i, 0])
+                                      for i in range(rows)]
 
 
 class TestReplicationRng:
@@ -661,17 +706,22 @@ class TestReplicationRng:
         np.testing.assert_array_equal(a, c)
 
     @pytest.mark.parametrize("seed", [5, 2**64 + 3, -1])
-    def test_rekeyed_stream_equals_a_fresh_one(self, seed):
+    def test_rekeyed_stream_equals_a_fresh_one(self, seed, monkeypatch):
         # each replication leaves its stream part way into a block, with a
-        # 32-bit half word buffered, before the next is re-keyed
-        streams = simulate._replication_rngs(seed, 3)
-        for rep, rng in enumerate(streams):
-            fresh = replication_rng(seed, rep)
-            np.testing.assert_array_equal(rng.standard_exponential(100),
-                                          fresh.standard_exponential(100))
-            np.testing.assert_array_equal(rng.random(7), fresh.random(7))
-            assert rng.random(dtype=np.float32) == fresh.random(dtype=np.float32)
-            assert rng.integers(1 << 40) == fresh.integers(1 << 40)
+        # 32-bit half word buffered, before the next group is re-keyed; the
+        # last group is short
+        monkeypatch.setattr(simulate, "_GROUP", 2)
+        reps = []
+        for group in simulate._replication_groups(seed, 5):
+            for rng in group:
+                fresh = replication_rng(seed, len(reps))
+                np.testing.assert_array_equal(rng.standard_exponential(100),
+                                              fresh.standard_exponential(100))
+                np.testing.assert_array_equal(rng.random(7), fresh.random(7))
+                assert rng.random(dtype=np.float32) == fresh.random(dtype=np.float32)
+                assert rng.integers(1 << 40) == fresh.integers(1 << 40)
+                reps.append(rng)
+        assert [len(reps), len(set(map(id, reps)))] == [5, 2]
 
 
 class TestSimConfig:
@@ -798,6 +848,34 @@ _GOLDEN_TILTED = {
     (1000, "dual", "stationary", 1.0): "8d370a06c3545eafdc6a2daba17c52cca91b6f9485a2e5242c45423d98dda6ad",
 }
 
+# (N, tilt, initial, window, horizon, replications): tilted_window_experiment
+# at the rare-event benchmark's settings on N=100..800 (its lattice windows
+# 0.8 +- 0.02), from stationarity at N=3, where the paths reflect in most
+# chunks, and with a callable tilt at N=50.  Each pins estimate, stderr,
+# ess, max_weight_share and rel_err_per_sample as float.hex (None for
+# null), then the jump count; computed with the one-replication-at-a-time
+# kernel.
+_GOLDEN_TILTED_EXPERIMENT = {
+    (100, "dual", 50, (78, 82), 1.0, 25): (
+        "0x1.66d20ed291b37p-7", "0x1.11d6f5f184ba1p-8", "0x1.63fce37ac280cp+2",
+        "0x1.16c54e9639fe5p-2", "0x1.e86d2480cfd4cp+0", 3354),
+    (200, "dual", 100, (156, 164), 1.0, 25): (
+        "0x1.dacae282b07cep-14", "0x1.c4436cd4731dap-15", "0x1.f093f82c0a67ap+1",
+        "0x1.48240c60b8fe5p-2", "0x1.30d0db05ce2e4p+1", 6724),
+    (400, "dual", 200, (312, 328), 1.0, 25): (
+        "0x1.2ed2da3a0bf06p-22", "0x1.12f6b1334eaa0p-23", "0x1.0d0da8ad71bddp+2",
+        "0x1.5d1d928a42a0bp-2", "0x1.228f4c83c740ep+1", 13388),
+    (800, "dual", 400, (624, 656), 1.0, 25): (
+        "0x1.0a19c414ec37ap-41", "0x1.0f317c3e786e2p-42", "0x1.ba7c9d971549fp+1",
+        "0x1.bd288d19d45abp-2", "0x1.461fca7f58366p+1", 26197),
+    (3, "1.5", "stationary", (3, 3), 2.0, 60): (
+        "0x1.9774eb18a49cdp-3", "0x1.122c9a9e7525ep-5", "0x1.67996ba79211dp+4",
+        "0x1.2f8007cc8c400p-4", "0x1.4d94a102c91d8p+0", 274),
+    (50, "callable", 25, (38, 46), 1.0, 40): (
+        "0x1.9340d4b8661f2p-5", "0x1.ae69e505aa2cbp-6", "0x1.a6dfcee5c7869p+1",
+        "0x1.efcc333861e76p-2", "0x1.b008c1d329814p+1", 2949),
+}
+
 
 def _sample_path_digest(case):
     n, initial, horizon = case
@@ -834,6 +912,15 @@ def _tilted_digest(case, reference=False):
             weighted = tilted_sample_path(params, tilt, config, replication=rep)
             parts += [weighted.log_weight, *_path_parts(weighted.trajectory)]
     return _digest(*parts)
+
+
+def _tilted_experiment_pins(case):
+    n, tilt_name, initial, window, horizon, reps = case
+    config = SimConfig(horizon=horizon, seed=67 + n, initial=initial, replications=reps)
+    res = tilted_window_experiment(ModelParams(n, 1.0), _golden_tilt(tilt_name), window, config)
+    fields = (res.estimate, res.stderr, *(res.extra[key] for key in (
+        "ess", "max_weight_share", "rel_err_per_sample")))
+    return (*(None if v is None else float(v).hex() for v in fields), res.extra["jumps"])
 
 
 def _csv_digest(tmp_path):
@@ -882,6 +969,10 @@ class TestGoldenStream:
     def test_tilted_reference(self, case):
         assert _tilted_digest(case, reference=True) == _GOLDEN_TILTED[case]
 
+    @pytest.mark.parametrize("case", sorted(_GOLDEN_TILTED_EXPERIMENT, key=repr))
+    def test_tilted_experiment(self, case):
+        assert _tilted_experiment_pins(case) == _GOLDEN_TILTED_EXPERIMENT[case]
+
     def test_csv_bytes(self, tmp_path):
         assert _csv_digest(tmp_path) == _GOLDEN_CSV
 
@@ -919,3 +1010,18 @@ class TestGoldenStream:
         monkeypatch.setattr(simulate, "_CHUNK", chunk)
         for case, digest in _GOLDEN_TILTED.items():
             assert _tilted_digest(case) == digest
+
+    @pytest.mark.parametrize("group", [1, 7, simulate._GROUP])
+    def test_group_size_does_not_matter(self, group, monkeypatch):
+        # replications run as the rows of groups of this many, in lock-step;
+        # a group of 7 splits the 25 replications of a rung unevenly, and
+        # rows leave their group at different passes
+        monkeypatch.setattr(simulate, "_GROUP", group)
+        for case, digest in _GOLDEN_LLN_POINT.items():
+            assert _lln_point_digest(case)[0] == digest
+        for case, digest in _GOLDEN_LLN_STATIONARY.items():
+            assert _lln_stationary_digest(case)[0] == digest
+        for case, digest in _GOLDEN_TILTED.items():
+            assert _tilted_digest(case) == digest
+        for case, pins in _GOLDEN_TILTED_EXPERIMENT.items():
+            assert _tilted_experiment_pins(case) == pins
