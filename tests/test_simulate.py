@@ -763,7 +763,10 @@ def _path_parts(traj):
 # N over ~40 blocks.  At N=64, 80, 100 and 300 paths reflect at both ends:
 # from stationarity at N=64 and from 40 at N=80 some chunks' free walks
 # leave {1..N} on both sides, and others reach the second end only after
-# a one-end closed form has lifted or dropped the walk.
+# a one-end closed form has lifted or dropped the walk.  At N=8, 15, 16,
+# 17, 39, 40 and 41, on either side of the end table's N < 16 switch and of
+# the old event-by-event replay's N < 40, paths of 1-6.5k jumps; all but
+# five of the 42 (at N=39..41) reach both ends.
 _GOLDEN_PATHS = {
     (1, 1, 10.0): "aa3c6dbb1e215c13b5dadc9fa7df8f46273a1c437553fa29d4013f78481709bc",
     (1, "stationary", 10.0): "aa3c6dbb1e215c13b5dadc9fa7df8f46273a1c437553fa29d4013f78481709bc",
@@ -791,6 +794,20 @@ _GOLDEN_PATHS = {
     (64, 2, 200.0): "fec54c4fafb1f04888384426baea99809eaf05f6f6b8c8eeebc6803c2289a89f",
     (64, "stationary", 300.0): "fb34d1c2a466b081b3a4f230d078606a965c61587bd261e958bc5991dccadcd9",
     (80, 40, 100.0): "e6159caf2a4a79b1e34f3881af1ccd441f0ec1d0b1aad17f5f36cf33631b655c",
+    (8, 8, 300.0): "2006b25015c981fa6c9041512bc374b3b64d8acde257b73915d21995fc72bb47",
+    (8, "stationary", 300.0): "0a828da960dff0b2282b26a8cde48a08426f4883ea24d49b65f20b3e8fa0b883",
+    (15, 1, 200.0): "7becc593d481c29dd99e812c3e2989e44d42e9f137284209de59fdc7b8bef4c8",
+    (15, "stationary", 200.0): "2b274b9a27c71a702eddc660ade2cf71f963d842260ee7091505b8e700cab782",
+    (16, 16, 200.0): "03b09689b1a6e00a1d23cdc840781ba6b24c9062b741959482a8c08f7a813e1c",
+    (16, "stationary", 200.0): "0bf2444c75040a773390ea22eaf2235e92a0d17eb1ef5787fe61520790c8031f",
+    (17, 9, 200.0): "38fc637609f53f4095ceb673ba0666d7680242c6a460a6cf224bd58a570de8be",
+    (17, "stationary", 200.0): "97707f8fc2df90678d1a03ac0a8ea6b8a4b635c1a439437092d539c8fc3ed298",
+    (39, 39, 200.0): "07d08f222fb0f6460d6e88cc0e57aef5b2aea1c58dd83ea46c75171384375715",
+    (39, "stationary", 200.0): "c8400f531e05b3916bce4b45f1b1c0d742d3f98c6a27ff45578f861e887b65cb",
+    (40, 1, 200.0): "5f85c64761bbe4afe09f2627ca2120e0021e22f56142ef2a33fd2185e3a472bf",
+    (40, "stationary", 200.0): "ccd035b045315bdff71947feab76e276ad7ef9452f7aa2f586f6ee408af1da0c",
+    (41, 20, 200.0): "56502512c7395f4775848e6067921d13c98d3c0e117845b8ce2477d3cea805f6",
+    (41, "stationary", 200.0): "3a1e4a2c6cd4deefd3884bdaa775cf45967ca54bc476519bce29dd5f3fbe830c",
 }
 
 # (N, gamma0, epsilon, horizon, replications): N=1, a band wider than the
@@ -851,10 +868,12 @@ _GOLDEN_TILTED = {
 # (N, tilt, initial, window, horizon, replications): tilted_window_experiment
 # at the rare-event benchmark's settings on N=100..800 (its lattice windows
 # 0.8 +- 0.02), from stationarity at N=3, where the paths reflect in most
-# chunks, and with a callable tilt at N=50.  Each pins estimate, stderr,
-# ess, max_weight_share and rel_err_per_sample as float.hex (None for
-# null), then the jump count; computed with the one-replication-at-a-time
-# kernel.
+# chunks, with a callable tilt at N=50, and with a constant tilt at N=17,
+# whose step-up probability 0.69 drives the end-table walk.  Each pins
+# estimate, stderr, ess, max_weight_share and rel_err_per_sample as
+# float.hex (None for null), then the jump count; computed with the
+# one-replication-at-a-time kernel, and the N=17 case with the lock-step
+# kernel that replayed its events one at a time.
 _GOLDEN_TILTED_EXPERIMENT = {
     (100, "dual", 50, (78, 82), 1.0, 25): (
         "0x1.66d20ed291b37p-7", "0x1.11d6f5f184ba1p-8", "0x1.63fce37ac280cp+2",
@@ -874,6 +893,9 @@ _GOLDEN_TILTED_EXPERIMENT = {
     (50, "callable", 25, (38, 46), 1.0, 40): (
         "0x1.9340d4b8661f2p-5", "0x1.ae69e505aa2cbp-6", "0x1.a6dfcee5c7869p+1",
         "0x1.efcc333861e76p-2", "0x1.b008c1d329814p+1", 2949),
+    (17, "1.5", 9, (14, 17), 2.0, 40): (
+        "0x1.932e1af26ea7ep-4", "0x1.0c2aba951cdc4p-5", "0x1.e1cda8dfdebe2p+2",
+        "0x1.be8e7df30aa9ap-3", "0x1.0d39b565cc48dp+1", 1829),
 }
 
 
