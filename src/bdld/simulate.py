@@ -13,12 +13,13 @@ uniforms, states from their prefix sum with a closed form for the forced
 moves at an end, rates from the states before each jump, and jump times
 from np.add.accumulate along each row, which adds in sequence exactly as
 the scalar loop does.  A chunk is sized to reach the nearest of the rows'
-next stops, and only where a row's path reaches both ends within a chunk,
-or on a chain of a few dozen states, are its states replayed event by
-event.  Each row still reads its own stream: ``_blocks`` draws a row's
-uniforms only as the chunks read them, so a short replication draws few
-more than it uses, and the stream layout, and so every sample, is the same
-whatever the grouping.  A sampler of one path runs as a group of one.
+next stops.  Where a row's path reaches both ends within a chunk, and on a
+chain of at most 17 states, its states are walked eight events at a time
+from a table of the moves near the ends.  Each row still reads its own
+stream: ``_blocks`` draws a row's uniforms only as the chunks read them, so
+a short replication draws few more than it uses, and the stream layout,
+and so every sample, is the same whatever the grouping.  A sampler of one
+path runs as a group of one.
 
 The tilted chain is the same walk with its tilt z held: z is read at time 0
 and after every _HOLD jumps, and between reads the chain is homogeneous,
@@ -32,7 +33,9 @@ bit-identical to the scalar loops'.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
+from array import array
 from dataclasses import dataclass, field
 from operator import mul, sub
 
@@ -58,7 +61,6 @@ __all__ = [
 _BLOCK = 8192
 _CHUNK = 256
 _MAX_CHUNK = 4096  # longer chunks compute too many events past a stop
-_REPLAY_N = 40    # chains with fewer states replay their events one at a time
 _HOLD = 128       # jumps of the tilted chain between reads of its tilt
 _GROUP = 32       # replications an experiment runs in lock-step
 STREAM_VERSION = 1  # the layout of _blocks; reports record it
@@ -281,18 +283,43 @@ def _chunk_size(reach: float) -> int:
     return max(_CHUNK, math.ceil(min(_MAX_CHUNK, 1.5 * reach)))
 
 
-def _replay(n: int, m: int, unis: np.ndarray, p_up: float) -> np.ndarray:
-    """The states after each event, from state m, one event at a time."""
-    states = []
-    for up in (unis < p_up).tolist():
-        if m == 1:
-            m = 2
-        elif m == n:
-            m = n - 1
-        else:
-            m = m + 1 if up else m - 1
-        states.append(m)
-    return np.array(states, dtype=np.int64)
+@functools.cache
+def _end_table(n: int) -> tuple[np.ndarray, list]:
+    """The chain on {1..n}, n <= 17, eight events at a time: for each start
+    m and byte b of step bits (bit j steps up at event j unless an end
+    forces the move), the offsets from m of the states after each event, an
+    int8 array indexed [m - 1, b], and of the state after all eight, a list
+    of lists indexed the same.  Longer chains read the table of 17 states:
+    within eight events a start 9 or more states from both ends moves as
+    state 9 does, and a start within 8 of an end as the state as far from
+    that end, so no table holds more than 17 * 256 * 8 entries."""
+    start = np.arange(1, n + 1)[:, None]
+    bits = np.arange(256)
+    state = start + 0 * bits
+    offsets = np.empty((n, 256, 8), dtype=np.int8)
+    for j in range(8):
+        state = np.where(state == 1, 2, np.where(state == n, n - 1, state + (bits >> j & 1) * 2 - 1))
+        offsets[:, :, j] = state - start
+    return offsets, offsets[:, :, 7].tolist()
+
+
+def _table_walk(n: int, m: int, up: np.ndarray) -> np.ndarray:
+    """The states after each event from state m, stepping up where ``up``
+    holds, eight events at a time: the loop visits only the state at the
+    start of each block of eight, and one gather of the end table's offsets
+    expands the blocks into every state.  A start s reads row s - 1 of the
+    table within 8 of the lower end, row 8 (state 9) away from both ends,
+    and row s - shift - 1 within 8 of the upper end."""
+    offsets, ends = _end_table(min(n, 17))
+    shift, high = n - min(n, 17), n - 8
+    bits = np.packbits(up, bitorder="little")
+    starts = array("q")
+    for b in bits.tobytes():
+        starts.append(m)
+        m += ends[m - 1 if m <= 8 else m - shift - 1 if m > high else 8][b]
+    starts = np.frombuffer(starts, dtype=np.int64)
+    rows = np.maximum(np.minimum(starts, 9), starts - shift) - 1
+    return (starts[:, None] + offsets[rows, bits]).ravel()[:up.size]
 
 
 def _lift(free: np.ndarray) -> np.ndarray:
@@ -319,19 +346,19 @@ def _chunk_states(n: int, ms: list, unis: np.ndarray, p_up: np.ndarray) -> np.nd
 
     A row's F is its path while it stays within [1, n].  Otherwise the row
     takes the lower-end form if F drops below 1, else the upper-end form;
-    that form leaves [1, n] only when the path reaches both ends, and then
-    the row is replayed event by event.  A chain of fewer than _REPLAY_N
-    states is always replayed: its walk reaches both ends within most
-    chunks, so the numpy passes would only add to the replay.
+    that form leaves [1, n] only when the path reaches both ends, and then,
+    as on a chain of at most 17 states, whose walks reach both ends in
+    most chunks, the row's states come from ``_table_walk``.
     """
     path = np.empty((len(ms), unis.shape[1] + 1), dtype=np.int64)
     path[:, 0] = ms
     free = path[:, 1:]
-    if n < _REPLAY_N:
-        for row, start, u, p in zip(free, ms, unis, p_up[:, 0].tolist()):
-            row[:] = _replay(n, start, u, p)
+    up = unis < p_up
+    if n <= 17:
+        for row, start, steps in zip(free, ms, up):
+            row[:] = _table_walk(n, start, steps)
         return path
-    free[:] = np.where(unis < p_up, 1, -1)
+    free[:] = np.where(up, 1, -1)
     np.cumsum(path, axis=1, out=path)
     if free.min() >= 1 and free.max() <= n:
         return path
@@ -343,7 +370,7 @@ def _chunk_states(n: int, ms: list, unis: np.ndarray, p_up: np.ndarray) -> np.nd
         else:
             continue
         if states.min() < 1 or states.max() > n:
-            states = _replay(n, ms[i], unis[i], float(p_up[i, 0]))
+            states = _table_walk(n, ms[i], up[i])
         free[i] = states
     return path
 
@@ -379,10 +406,9 @@ def _walk(n: int, lam: float, starts: list, stops, rngs: list, jumps: list,
     the nearest of the rows' next stops at their current rates, so a short
     replication draws few more uniforms than it reads and no row computes
     many events past its last stop; a pass never crosses the end of a
-    hold.  A pass's states come from ``_chunk_states``: numpy passes, or
-    an event-by-event replay of the scalar loop for a row whose path
-    reaches both ends of {1..n} within the pass, or when n is below
-    _REPLAY_N.
+    hold.  A pass's states come from ``_chunk_states``: numpy passes, or,
+    for a row whose path reaches both ends of {1..n} within the pass and on
+    a chain of at most 17 states, a walk eight events at a time.
     Each event's rate is read from the state before it, and its jump time
     is the running sum of the holding times along its row seeded with the
     row's time.  np.add.accumulate adds strictly in sequence, and every

@@ -676,25 +676,117 @@ def _scalar_states(n, m, unis, p_up):
     return states
 
 
+def _one_end_forms(n, m, unis, p_up):
+    """The chunk's free walk from m and its lower-end and upper-end closed
+    forms, as _chunk_states builds them."""
+    free = m + np.cumsum(np.where(unis < p_up, 1, -1))
+    return free, simulate._lift(free), n + 1 - simulate._lift(n + 1 - free)
+
+
+def _scalar_chunk_states(n, ms, unis, p_up):
+    return [[ms[i]] + _scalar_states(n, ms[i], unis[i], p_up[i, 0]) for i in range(len(ms))]
+
+
 class TestChunkStates:
     @pytest.mark.parametrize("n", [2, 3, 10, 64])
-    def test_numpy_passes_match_scalar_loop(self, n, monkeypatch):
-        # short chunks from every start, through the numpy passes even for
-        # the smallest chains: free walks, one end reached, the second end
-        # overshot by one or more after a lift or a drop; steps up with the
-        # plain chain's probability 1/2 and with a tilted chain's.  Each
-        # chunk is a matrix of 1 to 6 rows, whose rows take different forms
-        monkeypatch.setattr(simulate, "_REPLAY_N", 2)
+    def test_numpy_passes_match_scalar_loop(self, n):
+        # short chunks from every start, as matrices of 1 to 6 rows whose
+        # rows take different forms; steps up with the plain chain's
+        # probability 1/2 and with a tilted chain's.  The numpy passes are
+        # checked on the smallest chains too: a free walk that stays in
+        # {1..n}, and a lift or a drop whose path stays in it, is the
+        # path, and each kind occurs, as does a row reaching both ends
         rnd = np.random.default_rng(n)
+        kinds = set()
         for _ in range(200):
             rows = int(rnd.integers(1, 7))
             m = rnd.integers(1, n + 1, size=rows).tolist()
             unis = rnd.random((rows, int(rnd.integers(1, 3 * n))))
             p_up = rnd.choice([0.5, 0.1, 0.3, 0.8, 0.97], size=(rows, 1))
             paths = simulate._chunk_states(n, m, unis, p_up)
+            want = _scalar_chunk_states(n, m, unis, p_up)
             assert paths.dtype == np.int64
-            assert paths.tolist() == [[m[i]] + _scalar_states(n, m[i], unis[i], p_up[i, 0])
-                                      for i in range(rows)]
+            assert paths.tolist() == want
+            for i in range(rows):
+                for kind, form in zip(("free", "lift", "drop"),
+                                      _one_end_forms(n, m[i], unis[i], p_up[i, 0])):
+                    if form.min() >= 1 and form.max() <= n:
+                        assert form.tolist() == want[i][1:]
+                        kinds.add(kind)
+                        break
+                else:
+                    kinds.add("both ends")
+        # a chunk of fewer than 3n events rarely reaches both ends at n = 64
+        assert kinds - {"both ends"} == {"free", "lift", "drop"}
+        assert "both ends" in kinds or n == 64
+
+    @pytest.mark.parametrize("n", range(2, 18))
+    def test_table_walk_matches_scalar_loop(self, n):
+        # every start with every byte of step bits, the steps of its eight
+        # events; then chunks of 1 to 3n events, no multiple of 8, so most
+        # end part way into a byte, stepping up with the plain and tilted
+        # chains' probabilities
+        for m in range(1, n + 1):
+            for byte in range(256):
+                unis = np.array([0.0 if byte >> j & 1 else 1.0 for j in range(8)])
+                got = simulate._table_walk(n, m, unis < 0.5)
+                assert got.tolist() == _scalar_states(n, m, unis, 0.5)
+        rnd = np.random.default_rng(100 + n)
+        for _ in range(100):
+            size = int(rnd.choice([c for c in range(1, 3 * n + 1) if c % 8]))
+            m = int(rnd.integers(1, n + 1))
+            p_up = float(rnd.choice([0.1, 0.3, 0.5, 0.8, 0.97]))
+            unis = rnd.random(size)
+            got = simulate._table_walk(n, m, unis < p_up)
+            assert got.dtype == np.int64
+            assert got.tolist() == _scalar_states(n, m, unis, p_up)
+
+    @pytest.mark.parametrize("n", [64, 100, 300])
+    def test_rows_reaching_both_ends(self, n, monkeypatch):
+        # matrices of rows from near an end that cross the chain and come
+        # back within one chunk: the steps of the first 1.2n to 1.5n events
+        # go away from the start end nine times in ten, the rest go back
+        # nine times in ten, stepping up with the plain and tilted chains'
+        # probabilities.  The rows that no one-end closed form serves, and
+        # only those, take the table walk
+        walked = []
+        table_walk = simulate._table_walk
+        monkeypatch.setattr(simulate, "_table_walk",
+                            lambda n, m, up: walked.append(m) or table_walk(n, m, up))
+        rnd = np.random.default_rng(n)
+        both = unserved = 0
+        for rows in [1, 2, 3, 4] * 3:
+            m = rnd.choice([1, 2, 5, n - 4, n - 1, n], size=rows).tolist()
+            size = int(rnd.integers(3 * n, 4 * n))
+            p_up = rnd.choice([0.1, 0.3, 0.5, 0.8, 0.97], size=(rows, 1))
+            away = np.arange(size) < rnd.integers(1.2 * n, 1.5 * n, size=(rows, 1))
+            toward_n = away == (np.array(m)[:, None] < n / 2)
+            up = rnd.random((rows, size)) < np.where(toward_n, 0.9, 0.1)
+            unis = np.where(up, p_up * rnd.random((rows, size)),
+                            p_up + (1.0 - p_up) * rnd.random((rows, size)))
+            want = _scalar_chunk_states(n, m, unis, p_up)
+            assert simulate._chunk_states(n, m, unis, p_up).tolist() == want
+            for i, path in enumerate(want):
+                both += min(path) == 1 and max(path) == n
+                unserved += all(form.min() < 1 or form.max() > n
+                                for form in _one_end_forms(n, m[i], unis[i], p_up[i, 0]))
+        assert both >= unserved == len(walked) >= 20
+
+    def test_sweep_of_a_long_chain_reads_a_bounded_table(self):
+        # about 6000 events that sweep 1 -> n -> 1 at n = 3000, with a forced
+        # move at each end; the only table built is the 17-state chain's
+        n = 3000
+        steps = [False] + [True] * (n - 1) + [False] * (n - 1)
+        unis = np.where(steps, 0.0, 1.0)[None, :]
+        simulate._end_table.cache_clear()
+        path = simulate._chunk_states(n, [1], unis, np.array([[0.5]]))
+        assert path.tolist() == _scalar_chunk_states(n, [1], unis, np.array([[0.5]]))
+        assert [path.min(), path.max(), path[0, -1]] == [1, n, 2]
+        built = simulate._end_table.cache_info()
+        assert built.currsize == 1
+        offsets, _ = simulate._end_table(17)
+        assert simulate._end_table.cache_info().hits == built.hits + 1
+        assert offsets.size == 17 * 256 * 8
 
 
 class TestReplicationRng:
@@ -1015,11 +1107,25 @@ class TestGoldenStream:
                 assert got == digest
                 assert res.extra["jumps"] == jumps[case]
 
-    @pytest.mark.parametrize("replay_n", [2, 1 << 30])
-    def test_replay_threshold_does_not_matter(self, replay_n, monkeypatch):
-        # 2 sends the smallest chains through the numpy passes, 1 << 30
-        # replays every chunk of every chain event by event
-        monkeypatch.setattr(simulate, "_REPLAY_N", replay_n)
+    @pytest.mark.parametrize("walk", ["table", "scalar"])
+    def test_state_walk_does_not_matter(self, walk, monkeypatch):
+        # "table" walks every row of every chain, N = 10000 included, eight
+        # events at a time from the end table; "scalar" puts the scalar loop
+        # in the table walk's place, for every chain of at most 17 states and
+        # every row that reaches both ends
+        if walk == "table":
+            def chunk_states(n, ms, unis, p_up):
+                path = np.empty((len(ms), unis.shape[1] + 1), dtype=np.int64)
+                path[:, 0] = ms
+                for row, m, steps in zip(path[:, 1:], ms, unis < p_up):
+                    row[:] = table_walk(n, m, steps)
+                return path
+
+            table_walk = simulate._table_walk
+            monkeypatch.setattr(simulate, "_chunk_states", chunk_states)
+        else:
+            monkeypatch.setattr(simulate, "_table_walk", lambda n, m, up: np.array(
+                _scalar_states(n, m, np.where(up, 0.0, 1.0), 0.5), dtype=np.int64))
         for case, digest in _GOLDEN_PATHS.items():
             assert _sample_path_digest(case)[0] == digest
         for case, digest in _GOLDEN_LLN_POINT.items():
