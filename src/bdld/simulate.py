@@ -293,9 +293,8 @@ def _end_table(n: int) -> tuple[np.ndarray, list]:
     within eight events a start 9 or more states from both ends moves as
     state 9 does, and a start within 8 of an end as the state as far from
     that end, so no table holds more than 17 * 256 * 8 entries."""
-    start = np.arange(1, n + 1)[:, None]
-    bits = np.arange(256)
-    state = start + 0 * bits
+    start, bits = np.arange(1, n + 1)[:, None], np.arange(256)
+    state = np.repeat(start, 256, axis=1)
     offsets = np.empty((n, 256, 8), dtype=np.int8)
     for j in range(8):
         state = np.where(state == 1, 2, np.where(state == n, n - 1, state + (bits >> j & 1) * 2 - 1))
