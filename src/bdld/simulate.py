@@ -343,11 +343,10 @@ def _chunk_states(n: int, ms: list, unis: np.ndarray, p_up: np.ndarray) -> np.nd
     number keeping every state >= 1: X = F + 2*max.accumulate(max(0, (2-F)//2)).
     The upper end is the mirror image, m -> n+1-m, of the lower one.
 
-    A row's F is its path while it stays within [1, n].  Otherwise the row
-    takes the lower-end form if F drops below 1, else the upper-end form;
-    that form leaves [1, n] only when the path reaches both ends, and then,
-    as on a chain of at most 17 states, whose walks reach both ends in
-    most chunks, the row's states come from ``_table_walk``.
+    A row's F is its path while it stays within [1, n].  If F leaves it on
+    one side only, the row takes that end's form, which leaves [1, n] only
+    when the path reaches both ends.  Then, or where F leaves on both sides,
+    and on a chain of at most 17 states, the row is walked by ``_table_walk``.
     """
     path = np.empty((len(ms), unis.shape[1] + 1), dtype=np.int64)
     path[:, 0] = ms
@@ -359,15 +358,17 @@ def _chunk_states(n: int, ms: list, unis: np.ndarray, p_up: np.ndarray) -> np.nd
         return path
     free[:] = np.where(up, 1, -1)
     np.cumsum(path, axis=1, out=path)
-    if free.min() >= 1 and free.max() <= n:
+    lows, highs = free.min(axis=1), free.max(axis=1)
+    if lows.min() >= 1 and highs.max() <= n:
         return path
-    for i, (low, high) in enumerate(zip(free.min(axis=1).tolist(), free.max(axis=1).tolist())):
-        if low < 1:
-            states = _lift(free[i])
-        elif high > n:
-            states = n + 1 - _lift(n + 1 - free[i])
-        else:
+    for i, (low, high) in enumerate(zip(lows.tolist(), highs.tolist())):
+        if low >= 1 and high <= n:
             continue
+        states = free[i]
+        if high <= n:
+            states = _lift(states)
+        elif low >= 1:
+            states = n + 1 - _lift(n + 1 - states)
         if states.min() < 1 or states.max() > n:
             states = _table_walk(n, ms[i], up[i])
         free[i] = states
