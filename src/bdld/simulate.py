@@ -13,13 +13,12 @@ uniforms, states from their prefix sum with a closed form for the forced
 moves at an end, rates from the states before each jump, and jump times
 from np.add.accumulate along each row, which adds in sequence exactly as
 the scalar loop does.  A chunk is sized to reach the nearest of the rows'
-next stops.  Where a row's path reaches both ends within a chunk, and on a
-chain of at most 17 states, its states are walked eight events at a time
-from a table of the moves near the ends.  Each row still reads its own
-stream: ``_blocks`` draws a row's uniforms only as the chunks read them, so
-a short replication draws few more than it uses, and the stream layout,
-and so every sample, is the same whatever the grouping.  A sampler of one
-path runs as a group of one.
+next stops.  A row whose path reaches both ends within a chunk, and a row
+of a chain of at most 17 states, walks eight events a step from an end
+table.  Each row still reads its own stream: ``_blocks`` draws a row's
+uniforms only as the chunks read them, so a short replication draws few
+more than it uses, and the stream layout, and so every sample, is the same
+whatever the grouping.  A sampler of one path runs as a group of one.
 
 The tilted chain is the same walk with its tilt z held: z is read at time 0
 and after every _HOLD jumps, and between reads the chain is homogeneous,
@@ -290,9 +289,9 @@ def _end_table(n: int) -> tuple[np.ndarray, list]:
     forces the move), the offsets from m of the states after each event, an
     int8 array indexed [m - 1, b], and of the state after all eight, a list
     of lists indexed the same.  Longer chains read the table of 17 states:
-    within eight events a start 9 or more states from both ends moves as
-    state 9 does, and a start within 8 of an end as the state as far from
-    that end, so no table holds more than 17 * 256 * 8 entries."""
+    eight events from a start 8 or more states from both ends reach neither
+    end, as from state 9, and a start nearer an end moves as the state as
+    near that end, so no table holds more than 17 * 256 * 8 entries."""
     start, bits = np.arange(1, n + 1)[:, None], np.arange(256)
     state = np.repeat(start, 256, axis=1)
     offsets = np.empty((n, 256, 8), dtype=np.int8)
@@ -306,9 +305,9 @@ def _table_walk(n: int, m: int, up: np.ndarray) -> np.ndarray:
     """The states after each event from state m, stepping up where ``up``
     holds, eight events at a time: the loop visits only the state at the
     start of each block of eight, and one gather of the end table's offsets
-    expands the blocks into every state.  A start s reads row s - 1 of the
-    table within 8 of the lower end, row 8 (state 9) away from both ends,
-    and row s - shift - 1 within 8 of the upper end."""
+    expands the blocks into every state.  A start s <= 8 reads row s - 1 of
+    the table, a start s > n - 8 row s - shift - 1, and any other start row
+    8 (state 9)."""
     offsets, ends = _end_table(min(n, 17))
     shift, high = n - min(n, 17), n - 8
     bits = np.packbits(up, bitorder="little")
