@@ -19,6 +19,8 @@ table.  Each row still reads its own stream: ``_blocks`` draws a row's
 uniforms only as the chunks read them, so a short replication draws few
 more than it uses, and the stream layout, and so every sample, is the same
 whatever the grouping.  A sampler of one path runs as a group of one.
+A group's exponential blocks are drawn by the caller and, given two CPUs,
+one drawer thread (``_draw``); all else runs on the calling thread.
 
 The tilted chain is the same walk with its tilt z held: z is read at time 0
 and after every _HOLD jumps, and between reads the chain is homogeneous,
@@ -34,6 +36,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+import os
 from array import array
 from dataclasses import dataclass, field
 from operator import mul, sub
@@ -63,6 +66,8 @@ _MAX_CHUNK = 4096  # longer chunks compute too many events past a stop
 _HOLD = 128       # jumps of the tilted chain between reads of its tilt
 _GROUP = 32       # replications an experiment runs in lock-step
 STREAM_VERSION = 1  # the layout of _blocks; reports record it
+_SPARE: list = []   # lists of generators no running experiment holds
+_DRAWER: list = []  # [the drawer thread's pool, built on first use, or None on one CPU]
 
 
 def _stream_key(seed: int, replication: int) -> np.ndarray:
@@ -80,20 +85,23 @@ def _replication_groups(seed: int, replications: int):
     _GROUP, a list per group, each stream equal to a fresh
     replication_rng(seed, rep).
 
-    The generators of the first group serve every later one: before each
-    group their Philoxes are reset to the fresh state with the group's keys
-    (about 2 us each), which is cheaper than building a Philox (about 15 us,
-    most of it an OS-entropy SeedSequence the key leaves unused).  A group's
-    streams are valid only until the next group is yielded."""
-    rngs = [replication_rng(seed, rep) for rep in range(min(_GROUP, replications))]
-    fresh = rngs[0].bit_generator.state
+    The generators come from a list in _SPARE, topped up if short, that goes
+    back after the last group; list.pop and list.append are atomic, so no two
+    experiments share one.  They are reset to each group's fresh states (2 us
+    each, against 15 us to build a Philox) and serve until the next group."""
+    try:
+        rngs = _SPARE.pop()
+    except IndexError:
+        rngs = []
+    rngs += [replication_rng(0) for _ in range(min(_GROUP, replications) - len(rngs))]
     for first in range(0, replications, _GROUP):
-        group = rngs[:replications - first]
-        if first:
-            for rep, rng in enumerate(group, first):
-                fresh["state"]["key"] = _stream_key(seed, rep)
-                rng.bit_generator.state = fresh
+        group = rngs[:min(_GROUP, replications - first)]
+        for rep, rng in enumerate(group, first):
+            rng.bit_generator.state = {"bit_generator": "Philox", "state": {
+                "counter": np.zeros(4, np.uint64), "key": _stream_key(seed, rep)},
+                "buffer": np.zeros(4, np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
         yield group
+    _SPARE.append(rngs)
 
 
 @dataclass(frozen=True)
@@ -259,13 +267,12 @@ def _blocks(rngs: list):
     that ends early never draws the rest.  The next block is drawn only
     after every event of the current one has been handed out, and how a
     kernel groups the events, or the replications, does not change which
-    variates an event reads.
+    variates an event reads, nor does the thread drawing a block (``_draw``).
     """
     exps = np.empty((len(rngs), _BLOCK))
     rows, size = yield
     while True:
-        for row in rows:
-            rngs[row].standard_exponential(out=exps[row])
+        _draw(rngs, rows, exps)
         at = 0
         while at < _BLOCK:
             head = exps[:, at:at + size] if len(rows) == len(rngs) else exps[rows, at:at + size]
@@ -274,6 +281,29 @@ def _blocks(rngs: list):
                 rngs[row].random(out=out)
             at += head.shape[1]
             rows, size = yield head, unis
+
+
+def _draw(rngs: list, rows: list, exps: np.ndarray) -> None:
+    """Draw the exponential block of each of rows into exps[row] from
+    rngs[row]: given two rows and two CPUs, the caller and one drawer thread
+    take rows from one iterator a row at a time (Philox's draw releases the
+    GIL), so neither waits more than a block; the drawer calls nothing else."""
+    todo = iter(rows)
+
+    def draw():
+        for row in todo:
+            rngs[row].standard_exponential(out=exps[row])
+
+    if len(rows) > 1 and not _DRAWER:
+        from concurrent.futures import ThreadPoolExecutor  # starts its thread on first submit
+        cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
+        _DRAWER.append(ThreadPoolExecutor(1) if len(cpus) > 1 else None)
+    if len(rows) < 2 or _DRAWER[0] is None:
+        return draw()
+    helper = _DRAWER[0].submit(draw)
+    draw()
+    if not helper.cancel():  # the drawer has begun: wait for the row it may be drawing
+        helper.result()
 
 
 def _chunk_size(reach: float) -> int:

@@ -3,6 +3,11 @@ importance sampler."""
 
 import hashlib
 import math
+import os
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -814,6 +819,19 @@ class TestReplicationRng:
                 assert rng.integers(1 << 40) == fresh.integers(1 << 40)
                 reps.append(rng)
         assert [len(reps), len(set(map(id, reps)))] == [5, 2]
+        # the generators go back to the spare list and serve the next
+        # experiment, of another seed, as fresh streams
+        spares = {id(rng) for group in simulate._SPARE for rng in group}
+        for group in simulate._replication_groups(seed + 1, 3):
+            for rng in group:
+                assert id(rng) in spares
+                rep = len(reps) - 5
+                fresh = replication_rng(seed + 1, rep)
+                np.testing.assert_array_equal(rng.standard_exponential(9000),
+                                              fresh.standard_exponential(9000))
+                np.testing.assert_array_equal(rng.random(3), fresh.random(3))
+                reps.append(rng)
+        assert len(reps) == 8
 
 
 class TestSimConfig:
@@ -1133,6 +1151,32 @@ class TestGoldenStream:
         for case, digest in _GOLDEN_LLN_STATIONARY.items():
             assert _lln_stationary_digest(case)[0] == digest
 
+    @pytest.mark.parametrize("draw", ["split", "serial"])
+    def test_block_draw_does_not_matter(self, draw, monkeypatch):
+        # "split" draws every row's exponential block, a single path's too,
+        # on two threads other than the caller's, last row first; "serial"
+        # draws them all on the calling thread, in order
+        def one(rngs, exps, row):
+            rngs[row].standard_exponential(out=exps[row])
+
+        with ThreadPoolExecutor(2) as pool:
+            if draw == "split":
+                monkeypatch.setattr(simulate, "_draw", lambda rngs, rows, exps: list(
+                    pool.map(lambda row: one(rngs, exps, row), rows[::-1])))
+            else:
+                monkeypatch.setattr(simulate, "_draw", lambda rngs, rows, exps: [
+                    one(rngs, exps, row) for row in rows])
+            for case, digest in _GOLDEN_PATHS.items():
+                assert _sample_path_digest(case)[0] == digest
+            for case, digest in _GOLDEN_LLN_POINT.items():
+                assert _lln_point_digest(case)[0] == digest
+            for case, digest in _GOLDEN_LLN_STATIONARY.items():
+                assert _lln_stationary_digest(case)[0] == digest
+            for case, digest in _GOLDEN_TILTED.items():
+                assert _tilted_digest(case) == digest
+            for case, pins in _GOLDEN_TILTED_EXPERIMENT.items():
+                assert _tilted_experiment_pins(case) == pins
+
     @pytest.mark.parametrize("chunk", [32, 1024])
     def test_tilted_chunk_size_does_not_matter(self, chunk, monkeypatch):
         monkeypatch.setattr(simulate, "_CHUNK", chunk)
@@ -1153,3 +1197,83 @@ class TestGoldenStream:
             assert _tilted_digest(case) == digest
         for case, pins in _GOLDEN_TILTED_EXPERIMENT.items():
             assert _tilted_experiment_pins(case) == pins
+
+
+class _SlowRng:
+    """A generator that records the thread drawing each block and sleeps
+    while drawing, so both threads of a split draw take rows."""
+
+    def __init__(self, rng, drawn):
+        self.rng, self.drawn = rng, drawn
+
+    def standard_exponential(self, out):
+        self.drawn.append(threading.get_ident())
+        time.sleep(0.005)
+        self.rng.standard_exponential(out=out)
+
+
+class TestBlockDraw:
+    def _experiments(self):
+        tilt = _golden_tilt("dual")
+        return [
+            lambda: lln_point_experiment(ModelParams(1000, 1.0), 0.5, 0.2,
+                                         SimConfig(horizon=1.0, seed=3, replications=50)),
+            lambda: lln_stationary_experiment(ModelParams(2000, 1.0), 0.1, [0.5, 1.0],
+                                              SimConfig(horizon=1.0, seed=4, replications=40)),
+            lambda: tilted_window_experiment(ModelParams(200, 1.0), tilt, (156, 164),
+                                             SimConfig(horizon=1.0, seed=5, initial=100,
+                                                       replications=70)),
+        ]
+
+    def test_rows_split_between_the_caller_and_one_drawer(self):
+        rows = list(range(0, 16, 2)) + [15]
+        drawn = []
+        rngs = [_SlowRng(replication_rng(7, rep), drawn) for rep in range(16)]
+        exps = np.zeros((16, simulate._BLOCK))
+        simulate._draw(rngs, rows, exps)
+        for row in range(16):
+            expected = replication_rng(7, row).standard_exponential(simulate._BLOCK)
+            np.testing.assert_array_equal(exps[row], expected if row in rows else 0.0)
+        helpers = set(drawn) - {threading.get_ident()}
+        assert len(drawn) == len(rows)
+        two_cpus = hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1
+        assert len(helpers) == (1 if two_cpus else 0)
+
+    def test_concurrent_experiments_equal_serial_runs(self):
+        # four threads, more than the cores, each run the experiments in its
+        # own order with a short switch interval; a generator two of them
+        # shared, or a block drawn twice or not at all, moves a result
+        runs = self._experiments()
+        serial = [run().to_json_obj() for run in runs]
+        results = {}
+
+        def job(k):
+            for i in np.roll(np.arange(len(runs)), k):
+                results[k, int(i)] = runs[i]().to_json_obj()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=job, args=(k,)) for k in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == {(k, i): serial[i] for k in range(4) for i in range(len(runs))}
+
+    def test_threads(self):
+        before = set(threading.enumerate())
+        params = ModelParams(1000, 1.0)
+        sample_path(params, SimConfig(horizon=5.0, seed=1, initial=500))
+        tilted_sample_path(params, ConstantTilt(1.2), SimConfig(horizon=1.0, seed=1, initial=500))
+        assert set(threading.enumerate()) == before
+        for run in self._experiments():
+            run()
+        added = set(threading.enumerate()) - before
+        assert len(added) <= 1
+        for run in self._experiments():
+            run()
+        assert set(threading.enumerate()) - before == added
