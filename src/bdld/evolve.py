@@ -369,7 +369,12 @@ def _normalize_window(params: ModelParams, window) -> np.ndarray:
     states = list(window)
     if not states:
         raise ValueError("window must be a non-empty set of states")
-    for m in states:
+    kinds = set(map(type, states))
+    if all(issubclass(k, (int, np.integer)) and not issubclass(k, bool) for k in kinds):
+        array = np.array(states)  # int64; object for huge ints, float64 for uint64 with int64
+        if array.dtype.kind in "iu" and 1 <= array.min() and array.max() <= params.n_states:
+            return np.unique(array.astype(int, copy=False))
+    for m in states:  # the first bad state words the error
         _check_state(params, m, "window state")
     return np.unique(np.array(states, dtype=int))
 
@@ -795,7 +800,7 @@ def stationary_dwell_probability(params: ModelParams, u: float, times: Sequence[
         raise ValueError(f"threshold u must lie in (0, 1], got {u}")
     check_tol(tol)
     n = params.n_states
-    allowed = np.array([(m / n) < u for m in range(1, n + 1)])
+    allowed = np.arange(1, n + 1) / n < u
     p = stationary_distribution(params).mass.copy()
     kern = _uniformized_kernel(params)  # with its band, for every interval
     prev = times[0]

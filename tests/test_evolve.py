@@ -1,6 +1,7 @@
 """Tests for the uniformization oracle."""
 
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -157,8 +158,28 @@ class TestWindowProbability:
         assert window_probability(ModelParams(9, 1.0), 4, 0.0, [4]) == 1.0
 
     def test_empty_window(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="window must be a non-empty set of states"):
             window_probability(ModelParams(9, 1.0), 4, 1.0, [])
+
+    @pytest.mark.parametrize("window, message", [
+        ([3, 2.0], "window state must be an integer, got 2.0"),
+        ([3, "4"], "window state must be an integer, got '4'"),
+        ([3, True], "window state must be an integer, got True"),  # not the state 1
+        ([3, np.True_], "window state must be an integer, got np.True_"),
+        ([3, [4]], "window state must be an integer, got [4]"),
+        ([0, 3], "window state=0 outside the state space 1..9"),
+        ([3, np.int64(10)], "window state=10 outside the state space 1..9"),
+        ([3, 2**70], f"window state={2**70} outside the state space 1..9"),
+    ])
+    def test_bad_window_state(self, window, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            window_probability(ModelParams(9, 1.0), 4, 1.0, window)
+
+    def test_window_of_mixed_integer_types(self):
+        # numpy holds int64 and uint64 states together only as float64
+        params = ModelParams(9, 1.0)
+        mixed = [np.uint64(3), 5]
+        assert window_probability(params, 4, 1.0, mixed) == window_probability(params, 4, 1.0, [3, 5])
 
     def test_start_must_be_an_integer_state(self):
         # a float or bool start is rejected by name, not by a numpy IndexError
