@@ -204,3 +204,18 @@ def _check_state(params: ModelParams, m: int, name: str = "m") -> None:
         raise ValueError(f"{name} must be an integer, got {m!r}")
     if not 1 <= m <= params.n_states:
         raise ValueError(f"{name}={m} outside the state space 1..{params.n_states}")
+
+
+def _dwell_times(u: float, times) -> list[float]:
+    """The sorted sample times of the dwell event {X(t_i)/N < u at every t_i};
+    ValueError unless u lies in (0, 1] and they are non-empty, finite and >= 0."""
+    if not 0.0 < u <= 1.0:
+        raise ValueError(f"threshold u must lie in (0, 1], got {u}")
+    times = sorted(float(t) for t in times)
+    if not times:
+        raise ValueError("sample times must be non-empty")
+    if not all(map(math.isfinite, times)):
+        raise ValueError(f"sample times must be finite, got {times}")
+    if times[0] < 0.0:
+        raise ValueError(f"sample times must be >= 0, got {times}")
+    return times

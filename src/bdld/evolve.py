@@ -20,21 +20,25 @@ value that matters can flush below 2^-1022 of one shared exponent, every
 tile keeps it and a step is one np.einsum (untiled); otherwise each tile
 steps at its own exponent and brings its halos there by products with
 powers of two, so nothing is a logarithm and every rescaling is exact
-(Higham, "Accuracy and Stability of Numerical Algorithms", 2002).  The chain
-has one truncation rule (_chain_pass): a reach bound, a supermartingale that
-falls fastest where steps toward the window are rarest (_reach_weights),
-bounds what the mass at each state can still add to the window.  It stops
-the sum, and it drops edge states into a charged error account (Munsky &
-Khammash 2006), which also takes what a tile may flush; at R = 1 it is the
-Poisson tail rule of Fox & Glynn (1988).  A window within 7 sd of m0 is
-asked first on a kept range of states whose ends absorb, uniformized at the
-range's own top rate, and the answer stands where the mass near the ends is
-small enough (_window_mass).  Against mpmath the chain is within 4e-14 of
-ln P at N = 400, 1600 (window 0.5 -> 0.8 +- 0.02, T = 1) and at a query of
-ln P = -1724.  One query on a shared 2-core machine, whose speed varies up
-to 2x from day to day (timed on one day): 2 ms for a bulk window at N = 520,
-mu ~ 460; for gamma0 = 0.5, window 0.8 +- 0.02, T = 1: 0.09 / 0.27 / 0.94 s
-at N = 6400 / 12800 / 25600.  Beyond that is Monte Carlo.
+(Higham, "Accuracy and Stability of Numerical Algorithms", 2002).
+
+A query takes one of two routes, set once by its window's distance from m0
+(_window_mass).  A near window, within 7 sd, runs on its kept range of
+states, whose inner ends absorb, at the range's own top rate (1..N where
+the range reaches both ends); its chain stops by the Poisson tail rule of
+Fox & Glynn (1988), drops nothing, and stands where the mass near the sinks
+is small enough, else it runs again on 1..N.  A deep window runs on 1..N: a
+reach bound, a supermartingale that falls fastest where steps toward the
+window are rarest (_reach_weights), bounds what the mass at each state can
+still add to the window.  It stops the sum, and it drops edge states into a
+charged error account (Munsky & Khammash 2006) sized by a guess at ln P,
+which also takes what a tile may flush.  Against mpmath the chain is within
+4e-14 of ln P at N = 400, 1600 (window 0.5 -> 0.8 +- 0.02, T = 1) and at a
+query of ln P = -1724.  One query on a shared 2-core machine, whose speed
+varies up to 2x from day to day (timed on one day): 2 ms for a bulk window
+at N = 520, mu ~ 460; for gamma0 = 0.5, window 0.8 +- 0.02, T = 1:
+0.09 / 0.27 / 0.94 s at N = 6400 / 12800 / 25600.  Beyond that is Monte
+Carlo.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .chain import ModelParams, ProbabilityVector, _check_state, stationary_distribution
+from .chain import ModelParams, ProbabilityVector, _check_state, _dwell_times, stationary_distribution
 from .optimal_paths import AdmissibilityError, optimal_action
 
 __all__ = [
@@ -81,8 +85,6 @@ _MAX_GROUP = 32
 # The states the window chain drops and what its tiles flush may take at
 # most this share of tol/2 of the answer.
 _DROP_SHARE = 0.01
-# A window query keeps a range only where it steps at most this share of N*N state orders.
-_KEEP_SHARE = 0.5
 # The growth factors R over which the reach bound is least (_reach_weights):
 # 1, and 1 + 0.005 ... 1 + 3.5 in geometric steps.
 _REACH_R = np.r_[1.0, 1.0 + np.geomspace(5e-3, 3.5, 8)]
@@ -373,10 +375,16 @@ def _normalize_window(params: ModelParams, window) -> np.ndarray:
     if all(issubclass(k, (int, np.integer)) and not issubclass(k, bool) for k in kinds):
         array = np.array(states)  # int64; object for huge ints, float64 for uint64 with int64
         if array.dtype.kind in "iu" and 1 <= array.min() and array.max() <= params.n_states:
-            return np.unique(array.astype(int, copy=False))
+            return _distinct(array.astype(int, copy=False))
     for m in states:  # the first bad state words the error
         _check_state(params, m, "window state")
-    return np.unique(np.array(states, dtype=int))
+    return _distinct(np.array(states, dtype=int))
+
+
+def _distinct(states: np.ndarray) -> np.ndarray:
+    """np.unique(states) by a sort, each state kept where it exceeds its predecessor."""
+    states = np.sort(states)
+    return states[np.concatenate(([True], states[1:] != states[:-1]))]
 
 
 def _window_mass(params: ModelParams, m0: int, t: float, window, tol: float) -> tuple[float, float]:
@@ -384,23 +392,26 @@ def _window_mass(params: ModelParams, m0: int, t: float, window, tol: float) -> 
     itself and _DROP_SHARE of that more: P is 0.0 where it underflows a
     double, and ln P is then that of the scaled value.
 
-    The chain runs first on the kept range of _kept_range, whose edges
-    absorb.  Its window mass P_r counts the paths that never reach a sink,
-    so P_r <= P <= P_r + A + tail, with A the mass the sinks hold at the
-    last order summed and tail <= tol/2 * P_r (Munsky & Khammash, "The finite
+    The route is set here, once.  A window more than 7 sd (sqrt(50 mu)
+    states, mu = 2 lam N t) from m0 is deep and runs on 1..N.  A near one
+    runs on the kept range of _kept_range, whose inner ends absorb.  Its
+    window mass P_r counts the paths that never reach a sink, so
+    P_r <= P <= P_r + A + tail, with A the mass the sinks hold at the last
+    order summed and tail <= tol/2 * P_r (Munsky & Khammash, "The finite
     state projection algorithm for the solution of the chemical master
     equation", J. Chem. Phys. 2006).  Sinks only gain mass, so A is at most
     the chain's sink bound, and the answer stands where that bound is at
-    most _DROP_SHARE * tol/2 * P_r; otherwise, or with no range kept, the
-    chain runs on the whole chain 1..N."""
+    most _DROP_SHARE * tol/2 * P_r; otherwise the near window runs again on
+    1..N."""
     states = _normalize_window(params, window)
     _check_state(params, m0, "m0")
     _check_time_tol(t, tol)
-    kept = _kept_range(params, m0, t, states, tol)
-    m, e, sinks = _window_chain(_uniformized_kernel(params, *kept), m0, t, states, tol) if kept \
-        else (0.0, 0, math.inf)
+    reach = int(np.abs(states - m0).min())
+    deep = reach * reach > 100.0 * params.lam * params.n_states * t
+    kept = () if deep else _kept_range(params, m0, t, states, tol)
+    m, e, sinks = _window_chain(_uniformized_kernel(params, *kept), m0, t, states, tol, deep)
     if not sinks <= _DROP_SHARE * 0.5 * tol * math.ldexp(m, e):
-        m, e, _ = _window_chain(_uniformized_kernel(params), m0, t, states, tol)
+        m, e, _ = _window_chain(_uniformized_kernel(params), m0, t, states, tol, deep)
     prob = math.ldexp(m, e)
     if prob >= 2.2250738585072014e-308:  # a normal double: its own log
         return prob, math.log(prob)
@@ -408,11 +419,10 @@ def _window_mass(params: ModelParams, m0: int, t: float, window, tol: float) -> 
 
 
 def _kept_range(params: ModelParams, m0: int, t: float, states: np.ndarray,
-                tol: float) -> tuple[int, int] | None:
-    """The states lo..hi of a truncated window query, sinks at a - 1 and
-    b + 1 included, or None where the range saves little or the window lies
-    more than 7 sd (sqrt(50 mu) states) from m0.  [a, b] is
-    [min(m0, window), max(m0, window)] padded on each side by
+                tol: float) -> tuple[int, int]:
+    """The states lo..hi a near window query runs on, sinks at a - 1 and
+    b + 1 included, within 1..N.  [a, b] is [min(m0, window),
+    max(m0, window)] padded on each side by
     pad = _S + L + sqrt(2 L mu), L = ln(1 / (_DROP_SHARE * tol/2)), with
     mu = 2 lam (b + pad) t the Poisson mean at the range's top rate (van
     Moorsel & Sanders, "Adaptive uniformization", Stochastic Models 1994),
@@ -421,17 +431,12 @@ def _kept_range(params: ModelParams, m0: int, t: float, states: np.ndarray,
     down equally likely inside 2..N-1, the mass that moved more than
     sqrt(2 k L) one way is at most e^-L (Azuma-Hoeffding), and
     sqrt(2 L (mu + sqrt(2 mu L))) <= sqrt(2 L mu) + L.  The rule is a guess,
-    which the sink bound checks.  The range saves little where its state
-    orders, (hi - lo + 1) * hi, exceed _KEEP_SHARE of the chain's N*N."""
-    n, reach = params.n_states, int(np.abs(states - m0).min())
-    if reach * reach > 100.0 * params.lam * n * t:
-        return None
+    which the sink bound checks."""
     a, b = min(m0, int(states[0])), max(m0, int(states[-1]))
     log_rel = -math.log(_DROP_SHARE * 0.5 * tol)
     v = 4.0 * log_rel * params.lam * t  # sqrt(2 L mu) = sqrt(v (b + pad))
     pad = math.ceil(0.5 * (v + math.sqrt(v * v + 4.0 * v * (b + log_rel + _S))) + log_rel) + _S
-    lo, hi = max(1, a - pad - 1), min(n, b + pad + 1)
-    return (lo, hi) if (hi - lo + 1) * hi <= _KEEP_SHARE * n * n else None
+    return max(1, a - pad - 1), min(params.n_states, b + pad + 1)
 
 
 def window_probability(params: ModelParams, m0: int, t: float, window, tol: float = 1e-12) -> float:
@@ -468,19 +473,20 @@ def _window_setup(kern: _UniformizedKernel, states: np.ndarray):
 
 
 def _window_chain(kern: _UniformizedKernel, m0: int, t: float, states: np.ndarray,
-                  tol: float) -> tuple[float, int, float]:
+                  tol: float, deep: bool) -> tuple[float, int, float]:
     """(m, e, sink bound): the window mass P = m 2^e after time t from m0
-    (states numbered as in the chain, kern's from kern.first), its
-    truncation certified to tol/2 of itself and what it drops and flushes to
-    _DROP_SHARE of that more (mu = Lam*t).  One pass of _chain_pass, with a
-    drop budget of that share of the guess of _log_mass_guess, answers;
+    (states numbered as in the chain, kern's from kern.first) on the route
+    deep sets (_chain_pass), its truncation certified to tol/2 of itself and
+    what it drops and flushes to _DROP_SHARE of that more (mu = Lam*t).  One
+    pass of _chain_pass, with a budget of that share of e^guess (deep, the
+    guess at ln P of _log_mass_guess; near, 0: it drops nothing), answers;
     where its account comes out larger than that share of P, a pass with no
     budget, which drops nothing and steps every tile at its own exponent,
-    answers instead.  The sink bound is the mass of the last power read,
-    the one holding the last order summed, within _S - 1 states of each
-    sink, sink included (0 with no sink): an order moves mass at most one
-    state and sinks only gain it, so it bounds what the sinks hold at every
-    order summed.  The caller has checked m0, t and tol."""
+    answers instead.  The sink bound is the mass of the last power read, the
+    one holding the last order summed, within _S - 1 states of each sink,
+    sink included (0 with no sink): an order moves mass at most one state
+    and sinks only gain it, so it bounds what the sinks hold at every order
+    summed.  The caller has checked m0, t and tol."""
     m0, states = m0 - kern.first + 1, states - (kern.first - 1)
     mu = kern.rate * t
     if mu == 0.0:
@@ -488,10 +494,10 @@ def _window_chain(kern: _UniformizedKernel, m0: int, t: float, states: np.ndarra
     if states.size == kern.stay.size:  # the window holds every state: no mass leaves it
         return 1.0, 0, 0.0
     log_share = math.log(_DROP_SHARE * 0.5 * tol)
-    guess = _log_mass_guess(kern, m0, t, states) if not kern.sinks else 0.0  # a range drops nothing
+    guess = _log_mass_guess(kern, m0, t, states) if deep else 0.0
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # logs of 0 are -inf
         for budget in (log_share + guess, -math.inf):
-            m, e, account, sinks = _chain_pass(kern, m0, mu, states, tol, budget)
+            m, e, account, sinks = _chain_pass(kern, m0, mu, states, tol, budget, deep)
             if account <= log_share + np.log(m) + e * _LN2 or budget == -math.inf and m == 0.0:
                 return m, e, sinks
     raise ArithmeticError(f"the window chain's error account e^{account} exceeds its share of P")
@@ -540,7 +546,7 @@ def _reach_weights(kern: _UniformizedKernel, w0: int, w1: int) -> tuple[np.ndarr
 
 
 def _chain_pass(kern: _UniformizedKernel, m0: int, mu: float, states: np.ndarray, tol: float,
-                log_budget: float) -> tuple[float, int, float, float]:
+                log_budget: float, deep: bool) -> tuple[float, int, float, float]:
     """One pass of the window chain: (m, e, ln of the error account, sink
     bound), the answer P = m 2^e, the last two in units of P.
 
@@ -558,31 +564,30 @@ def _chain_pass(kern: _UniformizedKernel, m0: int, mu: float, states: np.ndarray
     k, k+1, ... from the power at order k_j <= k at most y h(x) times
     rho^(k - k_j) sum_i pmf(k+i) rho^i, which is at most
     rho^(-k_j) e^(mu (rho - 1)), and pmf(k) / (1 - mu rho/(k+1)) once
-    k+1 > mu rho; the least over R in _REACH_R is taken per zone (below,
-    in, above the window's hull) for a sum and per state for a drop.  R = 1
-    alone, h = 1, is taken for a window within 7 sd (sqrt(50 mu) states) of
-    m0, where larger R buy little: its bound is the Poisson tail times the
-    mass, in plain doubles.
+    k+1 > mu rho.  Deep, on 1..N, the least over R in _REACH_R is taken per
+    zone (below, in, above the window's hull) for a sum and per state for a
+    drop.  Near, R = 1 alone, h = 1, is taken, where larger R buy little:
+    the bound is the Poisson tail times the mass, and nothing is dropped.
 
-    At a group's end the states at each edge of the last power whose bounds
-    fit half a share of the budget left (log_budget less the account) are
-    dropped, sent to _block_powers, and the share charged once to the
-    account (Munsky & Khammash 2006): the chain then counts fewer paths, and
-    P lies within the account and the stop bound of its sum.  A kernel with
-    sinks drops nothing.  A pass steps untiled where every tile flushing
-    2^_FLUSH_LOG2 of the start's 2^_HEAD at every step up to the order cap
-    fits a quarter of the budget, charged once; else tiled, each group end
-    charging for each tile that may have flushed 2^_FLUSH_LOG2 of its
-    largest such exponent per block, times the reach bound of its states
-    from the group's start.  The sum stops at the first group end past K
-    where the reach bound of the kept states on the orders still to come,
-    plus the account, is at most tol/2 of the running sum (after Fox &
-    Glynn 1988).  The same bound at the ends of the next _MAX_GROUP blocks
-    sizes the next group, and the sum stops at the end of it where it
-    holds.  The account takes at most _DROP_SHARE of that tol/2, and where
-    it already exceeds that share of all the sum can reach the pass charges
-    every state and ends.  The sink bound is that of _window_chain.  The
-    caller ignores division by zero (np.errstate)."""
+    Deep, at a group's end the states at each edge of the last power whose
+    bounds fit half a share of the budget left (log_budget less the
+    account) are dropped, sent to _block_powers, and the share charged once
+    to the account (Munsky & Khammash 2006): the chain then counts fewer
+    paths, and P lies within the account and the stop bound of its sum.  A
+    pass steps untiled where every tile flushing 2^_FLUSH_LOG2 of the
+    start's 2^_HEAD at every step up to the order cap fits a quarter of the
+    budget, charged once; else tiled, each group end charging for each tile
+    that may have flushed 2^_FLUSH_LOG2 of its largest such exponent per
+    block, times the reach bound of its states from the group's start.  The
+    sum stops at the first group end past K where the reach bound of the
+    kept states on the orders still to come, plus the account, is at most
+    tol/2 of the running sum (after Fox & Glynn 1988).  The same bound at
+    the ends of the next _MAX_GROUP blocks sizes the next group, and the sum
+    stops at the end of it where it holds.  The account takes at most
+    _DROP_SHARE of that tol/2, and where it already exceeds that share of
+    all the sum can reach the pass charges every state and ends.  The sink
+    bound is that of _window_chain.  The caller ignores division by zero
+    (np.errstate)."""
     n = kern.stay.size
     tiles = -(-n // _TILE)
     near_lo, near_hi, columns = _window_setup(kern, states)
@@ -598,7 +603,7 @@ def _chain_pass(kern: _UniformizedKernel, m0: int, mu: float, states: np.ndarray
     w, f, a = _poisson_scaled(mu, top + 2 * ahead[-1])  # built on as the sum reads further
     k_min = _poisson_cutoff(w[:top], mu, tol)
     reach = int(np.abs(states - m0).min())
-    if reach * reach > 50.0 * mu:  # more than 7 sd out: R > 1 can bound far tighter
+    if deep:  # R > 1 can bound far tighter
         depth, rho_m1 = _reach_weights(kern, w0, w1)
     else:
         depth, rho_m1 = np.zeros((1, n)), np.zeros((1, 3))  # R = 1 alone: h = 1
@@ -673,7 +678,7 @@ def _chain_pass(kern: _UniformizedKernel, m0: int, mu: float, states: np.ndarray
             flushed[:] = _NO_MASS
         count = min(2 * count, _MAX_GROUP) if k1 > reach else min((reach - k1) // _S + 1, _MAX_GROUP)
         orders = k1 + ahead
-        may_stop, may_drop = orders[-1] > k_min, account < budget and not kern.sinks
+        may_stop, may_drop = orders[-1] > k_min, deep and account < budget
         if not (may_stop or may_drop):
             continue
         # the reach bound of the last power, at order k1 - _S, over the orders from k1 + s:
@@ -682,8 +687,7 @@ def _chain_pass(kern: _UniformizedKernel, m0: int, mu: float, states: np.ndarray
         lpmf = np.log(f[orders]) + a[orders] * _LN2
         log_t = np.fmin(np.where(ratio < 1.0, grow + lpmf - np.log1p(-ratio), np.inf),
                         mu_rho - mu - (k1 - _S) * log_rho)
-        linear = depth.shape[0] == 1 and not tiled  # R = 1 alone (h = 1), in plain doubles
-        if not linear:
+        if deep:
             z = np.log(row[lo:hi]) - depth[:, lo:hi]
             if tiled:
                 z += np.repeat(row_e, _TILE)[lo:hi] * _LN2
@@ -691,26 +695,20 @@ def _chain_pass(kern: _UniformizedKernel, m0: int, mu: float, states: np.ndarray
             # drop at each edge the states whose bounds sum to at most half the share, a
             # quarter of the budget left, and charge the share once (exp rounds far below it)
             share = budget + math.log1p(-math.exp(account - budget)) - math.log(4.0)
-            if linear:
-                each = row[lo:hi] * math.exp(log_t[0, 0, 0] - share)
-            else:
-                each = np.exp((z + np.repeat(log_t[:, :, 0], zones(lo, hi), axis=1)).min(axis=0)
-                              - share)
+            each = np.exp((z + np.repeat(log_t[:, :, 0], zones(lo, hi), axis=1)).min(axis=0) - share)
             c_top = min(int(np.searchsorted(np.cumsum(each[::-1]), 0.5, side="right")), hi - lo - 1)
             c_bot = min(int(np.searchsorted(np.cumsum(each), 0.5, side="right")), hi - lo - 1 - c_top)
             if c_top or c_bot:  # one state stays
                 account = float(np.logaddexp(account, share))
-                # with no sink, depth is 0 at R = 1: z[0] is ln y
-                y_edge = row[lo:hi] if linear else np.exp(z[0])
+                y_edge = np.exp(z[0])  # on 1..N depth is 0 at R = 1: z[0] is ln y
                 lost = float(y_edge[:c_bot].sum() + y_edge[hi - lo - c_top:].sum())
                 dropped, kept = dropped + lost, kept - lost
-                if not linear:
-                    z = z[:, c_bot:hi - lo - c_top]
+                z = z[:, c_bot:hi - lo - c_top]
                 lo, hi = lo + c_bot, hi - c_top
                 cut = lo, hi
         if not may_stop:
             continue
-        if depth.shape[0] == 1:  # R = 1 alone: the kept mass times the Poisson tail
+        if not deep:  # R = 1 alone: the kept mass times the Poisson tail
             bound = np.log(kept) + log_t[0, 0]
         else:
             sizes = zones(lo, hi)
@@ -789,15 +787,7 @@ def stationary_dwell_probability(params: ModelParams, u: float, times: Sequence[
     t_1; then evolve to the next sample time, zero out the states at or above
     the threshold, repeat.  The surviving mass is the joint probability.
     """
-    times = sorted(float(t) for t in times)
-    if not times:
-        raise ValueError("times must be non-empty")
-    if not all(map(math.isfinite, times)):
-        raise ValueError(f"times must be finite, got {times}")
-    if times[0] < 0.0:
-        raise ValueError("times must be >= 0")
-    if not 0.0 < u <= 1.0:
-        raise ValueError(f"threshold u must lie in (0, 1], got {u}")
+    times = _dwell_times(u, times)
     check_tol(tol)
     n = params.n_states
     allowed = np.arange(1, n + 1) / n < u

@@ -43,7 +43,7 @@ from operator import mul, sub
 
 import numpy as np
 
-from .chain import ModelParams, ProbabilityVector, _check_state, stationary_distribution
+from .chain import ModelParams, ProbabilityVector, _check_state, _dwell_times, stationary_distribution
 from .serialize import write_csv
 
 __all__ = [
@@ -609,14 +609,8 @@ def lln_stationary_experiment(params: ModelParams, u: float, sample_times,
     """
     if config.initial != "stationary":
         raise ValueError("lln_stationary_experiment requires a stationary initial condition")
-    if not 0.0 < u <= 1.0:
-        raise ValueError(f"threshold u must lie in (0, 1], got {u}")
-    times = sorted(float(t) for t in sample_times)
-    if not times:
-        raise ValueError("sample_times must be non-empty")
-    if not all(map(math.isfinite, times)):
-        raise ValueError(f"sample times must be finite, got {times}")
-    if times[0] < 0.0 or times[-1] > config.horizon:
+    times = _dwell_times(u, sample_times)
+    if times[-1] > config.horizon:
         raise ValueError("sample times must lie within [0, horizon]")
     n, lam = params.n_states, params.lam
     start = _start(params, config)

@@ -33,8 +33,8 @@ WINDOW_FIXTURE = 0.004377798794991296
 
 def _log_chain(params, m0, t, states, tol):
     """ln of the window mass from the window chain on the whole chain 1..N,
-    as window_log_probability takes it."""
-    m, e, _ = _window_chain(_uniformized_kernel(params), m0, t, np.asarray(states), tol)
+    as window_log_probability takes a deep window."""
+    m, e, _ = _window_chain(_uniformized_kernel(params), m0, t, np.asarray(states), tol, True)
     prob = math.ldexp(m, e)
     if prob >= 2.2250738585072014e-308:
         return math.log(prob)
@@ -42,8 +42,9 @@ def _log_chain(params, m0, t, states, tol):
 
 
 def _chain_mass(kern, m0, t, states, tol):
-    """(P, sink bound) of the window chain on kern, P as a double."""
-    m, e, sinks = _window_chain(kern, m0, t, np.asarray(states), tol)
+    """(P, sink bound) of the window chain on kern, P as a double, as
+    window_probability takes a near window."""
+    m, e, sinks = _window_chain(kern, m0, t, np.asarray(states), tol, False)
     return math.ldexp(m, e), sinks
 
 
@@ -235,8 +236,8 @@ class TestWindowProbability:
         assert abs(math.exp(logp) - WINDOW_FIXTURE) <= 1e-9 * WINDOW_FIXTURE
 
     def test_log_space_chain_matches_linear_chain(self):
-        # the chain on the whole chain against the query, which runs on a
-        # kept range first
+        # the chain on the whole chain against the query, a near window,
+        # which runs on its kept range
         params = ModelParams(60, 1.0)
         states = np.arange(40, 46)
         linear = window_probability(params, 30, 0.8, states, tol=1e-12)
@@ -810,7 +811,7 @@ def _absorbing_expm(params, lo, hi, m0, t):
 
 
 class TestRangeKernel:
-    """A window query runs first on a kept range of states whose edges
+    """A near window query runs on a kept range of states whose inner ends
     absorb; the mass they absorb bounds what the range leaves out."""
 
     def test_inner_ends_absorb(self):
@@ -893,7 +894,7 @@ class TestRangeKernel:
             full, _ = _chain_mass(_uniformized_kernel(params), m0, t, states, 1e-12)
             got = window_probability(params, m0, t, states, tol=1e-12)
             assert abs(got / full - 1.0) <= 1e-13
-            kept += evolve._kept_range(params, m0, t, states, 1e-12) is not None
+            kept += evolve._kept_range(params, m0, t, states, 1e-12) != (1, n)
         assert kept >= 10
 
     def test_failed_certificate_returns_the_full_chain_bit_for_bit(self, monkeypatch):
@@ -916,10 +917,62 @@ class TestRangeKernel:
 
 
 class TestLogSpaceGate:
-    """No query is handed between arithmetics any more: every query takes one
-    window chain in linear arithmetic, untiled or tiled, on a kept range
-    first where a window within 7 sd of m0 keeps one, and never builds the
-    bulk mixture of a law."""
+    """The route of a window query, set once by the window's distance from
+    m0: a window within 7 sd takes one untiled pass on its kept range, R = 1
+    alone, with no guess at ln P and no drop; a deeper one takes one pass on
+    1..N, untiled or tiled, with R > 1, the guess and drops.  No query builds
+    the bulk mixture of a law."""
+
+    # (N, m0, t, lo, hi, tol) of oracle pool rows: near windows whose kept
+    # range stops short of both ends, and reaches them, and the cheapest deep row
+    POOL_ROWS = [
+        ((220, 26, 0.2656344628709511, 19, 21, 1e-12), False),
+        ((162, 50, 0.12130282516343184, 57, 60, 1e-12), False),
+        ((105, 21, 0.09365651823334056, 20, 23, 1e-12), False),
+        ((674, 449, 0.04637436745492749, 61, 73, 1e-10), True),
+    ]
+
+    def test_a_window_takes_the_route_its_distance_sets(self, monkeypatch):
+        # near windows as the benchmark's bulk rows draw them (N log-uniform
+        # in 100..3200, t <= 1, within 3 sd of m0), deep ones 8 to 20 sd from
+        # m0, and pool rows
+        rng = np.random.default_rng(28)
+        queries = list(self.POOL_ROWS)
+        for _ in range(30):
+            n = int(round(math.exp(rng.uniform(math.log(100), math.log(3200)))))
+            m0, t = int(rng.integers(1, n + 1)), float(rng.uniform(0.02, 1.0))
+            center = int(np.clip(round(m0 + rng.uniform(-3.0, 3.0) * math.sqrt(2.0 * m0 * t)), 1, n))
+            half = int(rng.integers(0, 20))
+            queries.append(((n, m0, t, max(1, center - half), min(n, center + half), 1e-12), False))
+        for _ in range(8):
+            n, t = int(rng.integers(400, 801)), float(rng.uniform(0.002, 0.01))
+            m0 = int(rng.integers(n // 4, 3 * n // 4))
+            lo = m0 + int(rng.choice([-1, 1]) * rng.uniform(8.0, 20.0) * math.sqrt(2.0 * n * t))
+            queries.append(((n, m0, t, lo, lo + int(rng.integers(0, 6)), 1e-10), True))
+        calls, passes = self._counted(monkeypatch), _record_log_passes(monkeypatch)
+        tiled = self._counted_powers(monkeypatch)
+        built = {"_log_mass_guess": 0, "_reach_weights": 0}
+        for name in built:
+            def counting(*args, _name=name, _call=getattr(evolve, name)):
+                built[_name] += 1
+                return _call(*args)
+            monkeypatch.setattr(evolve, name, counting)
+        ranges = set()
+        for (n, m0, t, lo, hi, tol), deep in queries:
+            params, states = ModelParams(n, 1.0), np.arange(lo, hi + 1)
+            for record in (calls, passes, tiled):
+                record.clear()
+            built.update(dict.fromkeys(built, 0))
+            window_log_probability(params, m0, t, states, tol)
+            assert len(passes) == 1 and bool(passes[0]["cuts"]) == deep
+            if deep:
+                assert calls == [(1, n)] and built == {"_log_mass_guess": 1, "_reach_weights": 1}
+                continue
+            kept = evolve._kept_range(params, m0, t, states, tol)
+            assert calls == [kept] and tiled == [False]
+            assert built == {"_log_mass_guess": 0, "_reach_weights": 0}
+            ranges.add("whole" if kept == (1, n) else "partial")
+        assert ranges == {"whole", "partial"}
 
     def _counted(self, monkeypatch):
         """(first state, last state) of every window-chain pass, in call order."""
@@ -985,8 +1038,8 @@ class TestLogSpaceGate:
         assert logp == _log_chain(params, 300, 0.05, states, 1e-12)
 
     def test_bulk_query_takes_one_linear_pass(self, monkeypatch):
-        # at N = 100 a kept range would step more than half the chain's
-        # state orders, so the query runs on the whole chain alone
+        # at N = 100 the kept range reaches both ends: the query runs on the
+        # whole chain
         calls, powers = self._counted(monkeypatch), self._counted_powers(monkeypatch)
         window_log_probability(ModelParams(100, 1.0), 50, 1.0, range(78, 83), tol=1e-12)
         assert calls == [(1, 100)] and powers == [False]
@@ -1019,7 +1072,6 @@ class TestLogSpaceGate:
         for (n, m0, t, lo, hi), tiled in (((1955, 688, 0.11803589486301491, 32, 70), False),
                                           ((1843, 1263, 0.06410522225215845, 118, 154), True)):
             params, states = ModelParams(n, 1.0), np.arange(lo, hi + 1)
-            assert evolve._kept_range(params, m0, t, states, 1e-10) is None
             with monkeypatch.context() as patch:
                 calls, built = self._counted(patch), self._built_kernels(patch)
                 powers = self._counted_powers(patch)
@@ -1120,7 +1172,7 @@ class TestReachBound:
         kern = _uniformized_kernel(params)
         with np.errstate(divide="ignore", invalid="ignore"):
             m, e, account, _ = evolve._chain_pass(kern, m0, kern.rate * t, states, tol,
-                                                  exact + excess)
+                                                  exact + excess, True)
         logp = math.log(m) + e * math.log(2.0) if m else -math.inf
         assert account - exact > math.log(1e3 * tol)
         assert exact <= np.logaddexp(account, logp + math.log1p(0.5 * tol)) + 1e-12 * abs(exact)
@@ -1207,7 +1259,7 @@ class TestReachBound:
         kern = _uniformized_kernel(params)
         with np.errstate(divide="ignore", invalid="ignore"):
             m, e, account, _ = evolve._chain_pass(kern, 1263, kern.rate * t, states, 1e-10,
-                                                  -math.inf)
+                                                  -math.inf, True)
         logp = math.log(m) + e * math.log(2.0)
         assert -math.inf < account < math.log(0.01 * 0.5 * 1e-10) + logp
         assert abs(logp - -2669.7324279316877) <= 1e-14 * 2669.8
@@ -1237,7 +1289,9 @@ class TestRoundOff:
 
     @pytest.mark.parametrize("query, log_p", ROUND_OFF_REFERENCES)
     def test_chain_matches_mpmath(self, query, log_p):
+        # on 1..N by either route, whichever the query itself takes
         n, m0, t, lo, hi = query
-        m, e, _ = _window_chain(_uniformized_kernel(ModelParams(n, 1.0)), m0, t,
-                                np.arange(lo, hi + 1), 1e-12)
-        assert abs(math.log(m) + e * math.log(2.0) - log_p) <= 1e-12
+        for deep in (False, True):
+            m, e, _ = _window_chain(_uniformized_kernel(ModelParams(n, 1.0)), m0, t,
+                                    np.arange(lo, hi + 1), 1e-12, deep)
+            assert abs(math.log(m) + e * math.log(2.0) - log_p) <= 1e-12
