@@ -8,11 +8,13 @@ commands run one after another in a fresh temporary directory; the
 ``action --path-csv path.csv`` line reads the path gamma = 0.5 + 0.3 t^2 on
 [0, 1], which is written there first.
 
-Standard output gets, per command, its exit code, then the SHA-256 of every
-CSV written and of each report's ``results`` and ``verdicts`` (its
-``timings`` differ from run to run, and its ``provenance`` between
-machines).  Each command's wall time goes to standard error.  So two
-checkouts write the same outputs exactly when
+Standard output gets, per command, its exit code and the SHA-256 of what
+it printed to standard output, then the SHA-256 of every CSV written and of
+each report's ``spec``, ``results``, ``verdicts`` and ``provenance`` (all
+but its ``timings``, which differ from run to run; ``provenance`` names the
+Python and numpy versions, so run both checkouts on one machine).  Each
+command's wall time goes to standard error.  So two checkouts give the same
+exit codes, standard output and files exactly when
 
     diff <(python3 scripts/readme_outputs.py OLD) <(python3 scripts/readme_outputs.py)
 
@@ -58,16 +60,16 @@ def main(argv: list[str]) -> int:
             done = subprocess.run([sys.executable, "-m", "bdld.cli", *shlex.split(line)[1:]],
                                   cwd=work, env=env, capture_output=True)
             print(f"{time.perf_counter() - t0:8.2f} s  {line}", file=sys.stderr)
-            print(f"exit {done.returncode}  {line}")
+            print(f"exit {done.returncode}  stdout {hashlib.sha256(done.stdout).hexdigest()}  {line}")
         for path in sorted(work.rglob("*")):
             name = path.relative_to(work).as_posix()
             if path.suffix == ".csv" and name != "path.csv":
                 print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {name}")
             elif path.name == "report.json":
                 report = json.loads(path.read_text())
-                stable = json.dumps({key: report[key] for key in ("results", "verdicts")},
-                                    sort_keys=True).encode()
-                print(f"{hashlib.sha256(stable).hexdigest()}  {name}: results, verdicts")
+                del report["timings"]
+                stable = json.dumps(report, sort_keys=True).encode()
+                print(f"{hashlib.sha256(stable).hexdigest()}  {name}: all but timings")
     return 0
 
 

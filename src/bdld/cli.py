@@ -1,16 +1,18 @@
 """Command-line front end: runs the library's experiments, persists JSON
 reports plus plot-ready CSV tables, and turns built-in checks into exit codes.
 
-Exit codes: 0 success, 1 a built-in verdict failed, 2 usage error, 3 internal
-error.  Identical specs (including the seed) reproduce byte-identical CSVs;
-the JSON report additionally carries wall time, which is the only
+``main(argv)``, the Python entry, is the one pipeline: it parses argv, takes
+the config file's fields and then the flags (``_given``), normalises them
+(``_normalise``), runs the subcommand's handler, writes its CSV tables and
+``report.json``, prints the verdicts and returns the exit code: 0 success,
+1 a built-in verdict failed, 2 usage error (a library ValueError included),
+3 internal error.  The same settings (seed included) reproduce
+byte-identical CSVs; the report's ``timings`` are its only
 non-reproducible field.
 
 Each subcommand declares the settings it reads, once, in ``_COMMANDS``; it
 takes only those flags, and a config field it does not declare is a usage
-error.  Settings may come from a JSON config file (--config), with explicit
-flags taking precedence over file fields.  The BDLD_OUT environment variable
-sets the default output directory.
+error.  The BDLD_OUT environment variable sets the default output directory.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ import os
 import sys
 import time
 import traceback
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -42,7 +43,7 @@ from .simulate import (STREAM_VERSION, SimConfig, lln_point_experiment,
                        lln_stationary_experiment, occupation_fractions, sample_path,
                        tilted_window_experiment)
 
-__all__ = ["ExperimentSpec", "Report", "UsageError", "run", "main"]
+__all__ = ["UsageError", "main"]
 
 _ORACLE_N_CAP = 20_000
 
@@ -55,77 +56,7 @@ _FIGURES = {
 
 
 class UsageError(ValueError):
-    """Bad spec: wrong/missing field, reported with exit code 2."""
-
-
-@dataclass(frozen=True)
-class ExperimentSpec:
-    """A subcommand and its settings as given; ``run`` normalises them."""
-
-    kind: str
-    settings: dict
-    out_dir: Path
-
-
-@dataclass
-class Report:
-    kind: str
-    spec: dict
-    results: dict
-    verdicts: dict
-    provenance: dict  # versions and seed: the same on every run of the spec
-    timings: dict     # what differs from run to run
-    tables: dict = field(default_factory=dict)  # name -> (header, rows)
-
-    @property
-    def passed(self) -> bool:
-        return all(self.verdicts.values())
-
-    def to_json_obj(self) -> dict:
-        return {
-            "kind": self.kind,
-            "spec": self.spec,
-            "results": self.results,
-            "verdicts": self.verdicts,
-            "provenance": self.provenance,
-            "timings": self.timings,
-        }
-
-
-def run(spec: ExperimentSpec) -> Report:
-    """Normalise the spec's settings, run its handler and assemble the report."""
-    settings = _normalise(spec.kind, spec.settings)
-    t0 = time.perf_counter()
-    results, verdicts, tables = _COMMANDS[spec.kind].handler(settings)
-    report = Report(
-        kind=spec.kind,
-        spec={"kind": spec.kind, "settings": settings, "out": str(spec.out_dir)},
-        results=results,
-        verdicts=verdicts,
-        provenance={
-            "version": __version__,
-            "numpy": np.__version__,
-            "python": sys.version.split()[0],
-            "seed": settings.get("seed"),
-            "stream_version": STREAM_VERSION,
-        },
-        timings={"wall_time_s": time.perf_counter() - t0},
-        tables=tables,
-    )
-    return report
-
-
-def write_report(report: Report, out_dir: Path) -> None:
-    out_dir = Path(out_dir)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise UsageError(f"cannot create output directory {out_dir}: {exc}") from None
-    t0 = time.perf_counter()
-    for name, (header, rows) in report.tables.items():
-        write_csv(out_dir / name, header, rows)
-    report.timings["tables_s"] = time.perf_counter() - t0
-    write_json(out_dir / "report.json", report.to_json_obj())
+    """Bad settings: a wrong or missing field, reported with exit code 2."""
 
 
 # ---------------------------------------------------------------------------
@@ -588,51 +519,66 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
-    settings = {}
+def _given(args: argparse.Namespace) -> dict:
+    """The settings given: the config file's fields, overridden by the flags set."""
+    given = {}
     if args.config:
         try:
             with open(args.config) as fh:
                 loaded = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: not JSON, or not UTF-8
             raise UsageError(f"cannot read config {args.config}: {exc}") from exc
         if not isinstance(loaded, dict):
             raise UsageError("config file must hold a JSON object")
-        settings.update(loaded)
-    skip = {"kind", "config", "out"}
-    for key, value in vars(args).items():
-        if key not in skip and value is not None:
-            settings[key] = value
-    out_dir = Path(args.out or os.environ.get("BDLD_OUT") or ".")
-    return ExperimentSpec(kind=args.kind, settings=settings, out_dir=out_dir)
+        given.update(loaded)
+    given.update((key, value) for key, value in vars(args).items()
+                 if key not in ("kind", "config", "out") and value is not None)
+    return given
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    """Run the subcommand argv names (default: sys.argv[1:]) and return its exit code."""
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse already printed the message
         return int(exc.code) if exc.code else 0
+    kind = args.kind
+    out_dir = Path(args.out or os.environ.get("BDLD_OUT") or ".")
     try:
-        spec = _spec_from_args(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        report = run(spec)
-        write_report(report, spec.out_dir)
+        settings = _normalise(kind, _given(args))
+        t0 = time.perf_counter()
+        results, verdicts, tables = _COMMANDS[kind].handler(settings)
+        timings = {"wall_time_s": time.perf_counter() - t0}
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise UsageError(f"cannot create output directory {out_dir}: {exc}") from None
+        t0 = time.perf_counter()
+        for name, (header, rows) in tables.items():
+            write_csv(out_dir / name, header, rows)
+        timings["tables_s"] = time.perf_counter() - t0
+        write_json(out_dir / "report.json", {
+            "kind": kind,
+            "spec": {"kind": kind, "settings": settings, "out": str(out_dir)},
+            "results": results, "verdicts": verdicts,
+            # versions and seed: the same on every run of the spec
+            "provenance": {"version": __version__, "numpy": np.__version__,
+                           "python": sys.version.split()[0], "seed": settings.get("seed"),
+                           "stream_version": STREAM_VERSION},
+            "timings": timings,  # what differs from run to run
+        })
     except ValueError as exc:
         # UsageError and the library's contract violations both mean the
-        # spec was bad, not that the tool broke.
+        # settings were bad, not that the tool broke.
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:
         traceback.print_exc()
         return 3
-    for name, ok in report.verdicts.items():
-        print(f"[{'PASS' if ok else 'FAIL'}] {spec.kind}: {name}")
-    print(f"report written to {spec.out_dir / 'report.json'}")
-    return 0 if report.passed else 1
+    for name, ok in verdicts.items():
+        print(f"[{'PASS' if ok else 'FAIL'}] {kind}: {name}")
+    print(f"report written to {out_dir / 'report.json'}")
+    return 0 if all(verdicts.values()) else 1
 
 
 def console_entry() -> None:

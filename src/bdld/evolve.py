@@ -88,6 +88,9 @@ _DROP_SHARE = 0.01
 # The growth factors R over which the reach bound is least (_reach_weights):
 # 1, and 1 + 0.005 ... 1 + 3.5 in geometric steps.
 _REACH_R = np.r_[1.0, 1.0 + np.geomspace(5e-3, 3.5, 8)]
+# The largest Poisson mean Lam*t a sum takes: at N = 10 and mu = 9.9e6 a
+# window query takes 11 s and peaks at 460 MB (2-core machine).
+_MU_MAX = 1e7
 _LN2 = math.log(2.0)
 
 
@@ -213,7 +216,12 @@ def _poisson_cutoff(w: np.ndarray, mu: float, tol: float) -> int:
 
 
 def _poisson_top(mu: float) -> int:
-    """The last order _poisson_terms builds, so at least its cutoff K."""
+    """The last order _poisson_terms builds, so at least its cutoff K.  Every
+    sum over Poisson orders asks it first, so a mean above _MU_MAX is
+    refused here, before any weight is built."""
+    if not mu <= _MU_MAX:
+        raise ValueError(f"the Poisson mean mu = Lam*t = {mu!r} exceeds {_MU_MAX:g}, the "
+                         "largest the exact oracle sums over; use Monte Carlo")
     return int(mu + 12.0 * math.sqrt(mu)) + 40
 
 
@@ -435,7 +443,8 @@ def _kept_range(params: ModelParams, m0: int, t: float, states: np.ndarray,
     a, b = min(m0, int(states[0])), max(m0, int(states[-1]))
     log_rel = -math.log(_DROP_SHARE * 0.5 * tol)
     v = 4.0 * log_rel * params.lam * t  # sqrt(2 L mu) = sqrt(v (b + pad))
-    pad = math.ceil(0.5 * (v + math.sqrt(v * v + 4.0 * v * (b + log_rel + _S))) + log_rel) + _S
+    pad = 0.5 * (v + math.sqrt(v * v + 4.0 * v * (b + log_rel + _S))) + log_rel
+    pad = math.ceil(min(pad, params.n_states)) + _S  # a pad past N keeps all of 1..N
     return max(1, a - pad - 1), min(params.n_states, b + pad + 1)
 
 
@@ -588,6 +597,7 @@ def _chain_pass(kern: _UniformizedKernel, m0: int, mu: float, states: np.ndarray
     all the sum can reach the pass charges every state and ends.  The sink
     bound is that of _window_chain.  The caller ignores division by zero
     (np.errstate)."""
+    top = _poisson_top(mu) + 2
     n = kern.stay.size
     tiles = -(-n // _TILE)
     near_lo, near_hi, columns = _window_setup(kern, states)
@@ -599,7 +609,6 @@ def _chain_pass(kern: _UniformizedKernel, m0: int, mu: float, states: np.ndarray
         return np.array([below, hi - lo - below - above, above])
     ahead = _S * np.arange(_MAX_GROUP + 1)  # the block ends a reach bound looks at
     k_cap = int(mu + 10.0 * math.sqrt(mu + 1.0)) + 6 * n + 1000
-    top = _poisson_top(mu) + 2
     w, f, a = _poisson_scaled(mu, top + 2 * ahead[-1])  # built on as the sum reads further
     k_min = _poisson_cutoff(w[:top], mu, tol)
     reach = int(np.abs(states - m0).min())

@@ -175,29 +175,41 @@ def solve_boundary(gamma0: float, gammaT: float, T: float, lam: float) -> Parabo
         return params
 
     lt = lam * T
+    span = lt * (lt + 1.0)
+    if not math.isfinite(span):
+        raise _overflow(lt)
     if gamma0 == 0.0:
-        params = ParabolaParams(0.0, gammaT / (lt * (lt + 1.0)), PathCase.FROM_ZERO,
-                                lam, T, gamma0, gammaT)
+        params = ParabolaParams(0.0, gammaT / span, PathCase.FROM_ZERO, lam, T, gamma0, gammaT)
     elif gammaT == 0.0:
-        params = ParabolaParams(lt + 1.0, gamma0 / (lt * (lt + 1.0)), PathCase.TO_ZERO,
-                                lam, T, gamma0, gammaT)
+        params = ParabolaParams(lt + 1.0, gamma0 / span, PathCase.TO_ZERO, lam, T, gamma0, gammaT)
     else:
         increasing = gammaT > gamma0
         delta = gammaT - gamma0
         b = 2.0 * lt * gamma0 / delta - 1.0
-        c = -lt * (lt + 1.0) * gamma0 / delta
-        disc = 1.0 + (2.0 * lt / delta) ** 2 * gamma0 * gammaT  # = b*b - 4c, exactly >= 1
+        c = -span * gamma0 / delta
+        try:
+            disc = 1.0 + (2.0 * lt / delta) ** 2 * gamma0 * gammaT  # = b*b - 4c, exactly >= 1
+        except OverflowError:
+            raise _overflow(lt) from None
         # Stable quadratic: q and c/q are the two roots of x^2 + b x + c.
         s = math.sqrt(disc)
         q = -0.5 * (b + math.copysign(s, b)) if b != 0.0 else -0.5 * s
         roots = (q, c / q) if q != 0.0 else (0.0, 0.0)
         c1 = min(roots) if increasing else max(roots)
-        c2 = gamma0 / (c1 * (c1 - 1.0))
+        den = c1 * (c1 - 1.0)
+        if not math.isfinite(den):
+            raise _overflow(lt)
+        c2 = gamma0 / den
         case = PathCase.GENERAL_INCREASING if increasing else PathCase.GENERAL_DECREASING
         params = ParabolaParams(c1, c2, case, lam, T, gamma0, gammaT)
 
     _verify_admissible(params)
     return params
+
+
+def _overflow(lt: float) -> ValueError:
+    return ValueError(f"lam*T = {lt!r} is too large for the closed-form path: "
+                      "its intermediates overflow a double")
 
 
 def _verify_admissible(params: ParabolaParams) -> None:
@@ -211,14 +223,14 @@ def _verify_admissible(params: ParabolaParams) -> None:
         ts.insert(1, vertex)
     for t in ts:
         g = params.value(t)
-        if g < -1e-12 or g > 1.0 + 1e-12:
+        if not -1e-12 <= g <= 1.0 + 1e-12:  # NaN fails too
             raise AdmissibilityError(
                 f"solved path leaves [0, 1]: gamma({t}) = {g} "
                 f"(gamma0={params.gamma0}, gammaT={params.gammaT})")
-    if abs(params.value(0.0) - params.gamma0) > 1e-12:
+    if not abs(params.value(0.0) - params.gamma0) <= 1e-12:
         raise AdmissibilityError(f"gamma(0) misses gamma0 by "
                                  f"{params.value(0.0) - params.gamma0}")
-    if abs(params.value(params.horizon) - params.gammaT) > 1e-10:
+    if not abs(params.value(params.horizon) - params.gammaT) <= 1e-10:
         raise AdmissibilityError(f"gamma(T) misses gammaT by "
                                  f"{params.value(params.horizon) - params.gammaT}")
 

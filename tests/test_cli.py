@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from bdld import cli
-from bdld.cli import ExperimentSpec, UsageError, main, run
+from bdld.cli import main
 from bdld.optimal_paths import optimal_action, solve_boundary
 
 # the batch size the writer tests run with (see TestWriteCsv.small_batch),
@@ -252,6 +252,18 @@ class TestExitCodes:
           "--seed", "1", "--horizon", "1e-300"],
          "with N=100, the window 78..82 is reached by --horizon 1e-300 with probability "
          "exp(-19293.6), below the smallest double"),
+        # a horizon whose closed-form path overflows a double, or whose exact
+        # oracle would sum more Poisson orders than it takes
+        (["rate-curve", "--n-ladder", "10,20", "--gamma0", "0.5", "--gamma-t", "0.8",
+          "--horizon", "1e300"], "lam*T = 1e+300 is too large"),
+        (["tilted-mc", "--n", "10", "--gamma0", "0.5", "--gamma-t", "0.8", "--horizon", "1e300",
+          "--reps", "3"], "lam*T = 1e+300 is too large"),
+        (["rate-curve", "--n-ladder", "10,20", "--gamma0", "0.5", "--gamma-t", "0.8",
+          "--horizon", "1e12"], "mu = Lam*t = 20000000000000.0 exceeds 1e+07"),
+        (["lln-stationary", "--n", "10", "--u", "0.5", "--times", "0,1e12", "--reps", "1"],
+         "mu = Lam*t = 20000000000000.0 exceeds 1e+07"),
+        (["tilted-mc", "--n", "10", "--gamma0", "0.5", "--gamma-t", "0.8", "--horizon", "1e12",
+          "--reps", "1"], "mu = Lam*t = 20000000000000.0 exceeds 1e+07"),
     ])
     def test_bad_input_message_names_the_culprit(self, tmp_path, capsys, monkeypatch,
                                                  argv, message):
@@ -828,6 +840,13 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert "Traceback" not in err and "error" in err
 
+    def test_config_not_utf8(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_bytes(b'\xff\xfe{"n": 4}')
+        assert main(["stationary", "--config", str(config), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and f"cannot read config {config}" in err
+
     def test_integral_float_config(self, tmp_path):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"n": 4.0, "lam": 2}))
@@ -842,15 +861,21 @@ class TestConfigHandling:
         assert settings["times"] == [0.2, 0.6]
         assert settings["reps"] == 5 and settings["horizon"] is None
 
-    def test_library_spec_is_normalised(self, tmp_path):
-        report = run(ExperimentSpec("stationary", {"n": "4"}, tmp_path))
-        assert report.spec["settings"] == {"n": 4, "lam": 1.0}
-        with pytest.raises(UsageError, match="seed"):
-            run(ExperimentSpec("stationary", {"n": 4, "seed": 1}, tmp_path))
-        with pytest.raises(UsageError, match="missing required"):
-            run(ExperimentSpec("stationary", {"lam": 2.0}, tmp_path))
-        with pytest.raises(UsageError, match="--n"):
-            run(ExperimentSpec("stationary", {"n": [3]}, tmp_path))
+    def test_library_spec_is_normalised(self, tmp_path, capsys):
+        # config fields go through the same normalisation as flags
+        def run_config(fields):
+            config = tmp_path / "cfg.json"
+            config.write_text(json.dumps(fields))
+            code = main(["stationary", "--config", str(config), "--out", str(tmp_path)])
+            return code, capsys.readouterr().err
+
+        assert run_config({"n": "4"}) == (0, "")
+        assert json.loads(_read(tmp_path / "report.json"))["spec"]["settings"] == {"n": 4, "lam": 1.0}
+        for fields, message in (({"n": 4, "seed": 1}, "seed"),
+                                ({"lam": 2.0}, "missing required"),
+                                ({"n": [3]}, "--n")):
+            code, err = run_config(fields)
+            assert code == 2 and message in err and "Traceback" not in err
 
     def test_env_var_output_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("BDLD_OUT", str(tmp_path / "envout"))
@@ -886,8 +911,7 @@ class TestReadmeCommands:
         # every README command names only flags its subcommand declares,
         # and its settings normalise; nothing is run
         args = cli._build_parser().parse_args(shlex.split(line)[1:])
-        spec = cli._spec_from_args(args)
-        cli._normalise(spec.kind, spec.settings)
+        cli._normalise(args.kind, cli._given(args))
 
 
 def test_cli_import_loads_no_scipy():

@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -548,6 +549,29 @@ class TestPoissonTerms:
     def test_time_zero_is_one_order(self):
         assert _poisson_terms(0.0, 1e-12).tolist() == [1.0]
 
+    def test_the_bound_on_the_mean(self):
+        assert evolve._poisson_top(evolve._MU_MAX) > evolve._MU_MAX
+        for mu in (math.nextafter(evolve._MU_MAX, math.inf), math.inf, math.nan):
+            with pytest.raises(ValueError, match=re.escape(f"mu = Lam*t = {mu!r} exceeds 1e+07")):
+                evolve._poisson_top(mu)
+
+    @pytest.mark.parametrize("query", [
+        lambda: window_log_probability(ModelParams(10, 1.0), 5, 1e12, [8]),
+        lambda: window_log_probability(ModelParams(10, 1.0), 5, 1e160, [8]),
+        lambda: window_log_probability(ModelParams(10, 1.0), 5, 1e300, [8]),
+        lambda: stationary_dwell_probability(ModelParams(10, 1.0), 0.5, [0, 1e12]),
+        lambda: endpoint_distribution(ModelParams(10, 1.0), 5, 1e12),
+    ])
+    def test_a_larger_mean_is_refused_before_any_weight_is_built(self, query):
+        # unchecked, these would ask numpy for 146 TiB or overflow int(inf)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"the Poisson mean mu = Lam\*t = .* exceeds"):
+                query()
+            assert tracemalloc.get_traced_memory()[1] < 1 << 20
+        finally:
+            tracemalloc.stop()
+
 
 class TestBlockedKernel:
     """The oracle steps _S Poisson orders per numpy pass through the band of
@@ -916,7 +940,7 @@ class TestRangeKernel:
         assert passes == [(1580, 1620), (1, 3200)]
 
 
-class TestLogSpaceGate:
+class TestRoute:
     """The route of a window query, set once by the window's distance from
     m0: a window within 7 sd takes one untiled pass on its kept range, R = 1
     alone, with no guess at ln P and no drop; a deeper one takes one pass on

@@ -133,6 +133,31 @@ class TestSolveBoundary:
             pp = solve_boundary(gamma0, gamma_t, 2.0, 1.0)
             assert (pp.c1 - 0.5) / pp.lam > 2.0
 
+    # the action at lam*T = 1e100, 1e153, 1e154, 1e155, 1e300 where the
+    # closed form stays within the doubles, else None: a ValueError naming
+    # lam*T, neither an OverflowError nor an AdmissibilityError
+    LARGE_LT = {
+        (0.0, 0.5): (5e-101, 5e-154, 5e-155, None, None),
+        (0.5, 0.0): (5e-101, 5e-154, 5e-155, None, None),
+        (0.5, 0.8): (3.508893593264828e-102, 3.508893593264829e-155, None, None, None),
+        (0.8, 0.5): (3.508893593264827e-102, 3.508893593264829e-155, None, None, None),
+        (0.5, 0.5 + 2e-14): (1.996804166340646e-128, None, None, None, None),
+    }
+
+    @pytest.mark.parametrize("ends, actions", LARGE_LT.items())
+    def test_large_lambda_t(self, ends, actions):
+        for lt, action in zip((1e100, 1e153, 1e154, 1e155, 1e300), actions):
+            for horizon, lam in ((lt, 1.0), (1.0, lt)):
+                if action is None:
+                    with pytest.raises(ValueError,
+                                       match=re.escape(f"lam*T = {lt!r} is too large")) as info:
+                        solve_boundary(*ends, horizon, lam)
+                    assert type(info.value) is ValueError
+                else:
+                    pp = solve_boundary(*ends, horizon, lam)
+                    assert math.isfinite(pp.c1) and math.isfinite(pp.c2)
+                    assert optimal_action(*ends, horizon, lam) == action
+
 
 def _sweep_admissible(params: ParabolaParams, grid_size: int = 1000) -> None:
     """The admissibility check as a sweep over grid_size + 1 equally spaced
@@ -200,6 +225,13 @@ class TestExactAdmissibility:
                             shape.value(0.0), shape.value(1.0))
         assert _admits(_sweep_admissible, pp)
         with pytest.raises(AdmissibilityError, match=r"leaves \[0, 1\]: gamma\(0.5004\)"):
+            optimal_paths._verify_admissible(pp)
+
+    @pytest.mark.parametrize("c1, c2", [(-math.inf, 0.0), (math.nan, 0.1), (0.5, math.nan)])
+    def test_nan_values_are_rejected(self, c1, c2):
+        # gamma(t) is NaN at every t: each comparison must fail on it
+        pp = ParabolaParams(c1, c2, PathCase.GENERAL_INCREASING, 1.0, 1.0, 0.5, 0.8)
+        with pytest.raises(AdmissibilityError):
             optimal_paths._verify_admissible(pp)
 
 
