@@ -91,12 +91,9 @@ class ProbabilityVector:
             raise ValueError("dimension mismatch")
         return 0.5 * float(np.abs(self.mass - other.mass).sum())
 
-    def cumulative(self) -> np.ndarray:
-        """Running sums of the mass (read-only, computed once per vector)."""
-        return self._cumulative
-
     @cached_property
     def _cumulative(self) -> np.ndarray:
+        """Running sums of the mass (read-only, computed once per vector)."""
         cumulative = np.cumsum(self.mass)
         cumulative.flags.writeable = False
         return cumulative
@@ -106,9 +103,12 @@ class ProbabilityVector:
         idx = int(np.searchsorted(self._cumulative, uniform, side="right"))
         return min(idx, self.n_states - 1) + 1
 
-    def csv_table(self) -> tuple[list[str], list[tuple]]:
-        """Header and (state, mass) rows, state 1 first."""
-        return ["state", "mass"], list(enumerate(self.mass.tolist(), start=1))
+    def csv_table(self) -> tuple[list[str], np.ndarray]:
+        """Header and (state, mass) rows, as a structured array, state 1 first."""
+        rows = np.empty(self.n_states, dtype=[("state", np.int64), ("mass", np.float64)])
+        rows["state"] = np.arange(1, self.n_states + 1)
+        rows["mass"] = self.mass
+        return ["state", "mass"], rows
 
 
 def jump_rates(params: ModelParams, m: int) -> tuple[float, float]:

@@ -376,6 +376,9 @@ def endpoint_distribution(params: ModelParams, m0: int, t: float, tol: float = 1
 
 
 def _normalize_window(params: ModelParams, window) -> np.ndarray:
+    if (isinstance(window, range) and window.step == 1
+            and 1 <= window.start < window.stop <= params.n_states + 1):
+        return np.arange(window.start, window.stop)
     states = list(window)
     if not states:
         raise ValueError("window must be a non-empty set of states")

@@ -4,16 +4,14 @@ All floats are written with 17 significant digits ('%.17g'), which round-trips
 float64 exactly, so rerunning an experiment with the same inputs produces
 byte-identical files.
 
-``write_csv`` writes the bytes that ``csv.writer`` writes for the cells'
-``format_value`` text, but builds a batch of rows in numpy: each column's
-text as a byte matrix, a column of it per row, with the first and end
-position of each row's text, and one masked compress of the batch's
-matrix.  A column of float64 cells (Python or numpy) and a column of ints
-get their digits in numpy.  Any other column (bools, strings, None,
-float32, a column mixing types) gets format_value text, quoted as
-csv.writer quotes it, and so do these cells of a numeric column: 0.0 and
--0.0, |x| <= 1e-6 or |x| >= 1e17, inf and nan; an int column holding a
-value outside int64 goes whole.
+``write_csv`` takes one of two routes, set by its rows.  A structured
+array whose fields are all float64 or int64 (a path, a law) is formatted
+in numpy: each field's text as a byte matrix, a column of it per row, with
+the first and end position of each row's text, and one masked compress of
+the batch's matrix.  Its float cells get their digits in numpy, except
+0.0 and -0.0, |x| <= 1e-6 or |x| >= 1e17, inf and nan, which get
+format_value text.  Any other rows, and the header, go through csv.writer
+over format_value text.  Both routes write csv.writer's bytes.
 
 The float digits are exact.  For 1e-6 < |x| < 1e17, X = floor(log10|x|)
 lies in [-6, 16], so 10**k with k = 16 - X is an exact double, and
@@ -38,17 +36,16 @@ against 0.82-0.89 us with one '%' format string per batch of rows (the
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
-import re
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 _CSV_BATCH = 4096
-_FLOATS = frozenset({float, np.float64})
-_NEEDS_QUOTES = re.compile('[,"\r\n]')
+_NUMERIC = (np.dtype(np.float64), np.dtype(np.int64))
 
 # four ASCII digits of each of 0..9999, one uint32 apiece
 _QUADS = (np.arange(10_000, dtype=np.uint16)[:, None] // np.array([1000, 100, 10, 1], np.uint16)
@@ -83,15 +80,6 @@ def jsonable(obj):
     return obj
 
 
-def _quoted(text: str, alone: bool) -> str:
-    """text as csv.writer writes it under QUOTE_MINIMAL: quoted, with its
-    quotes doubled, when it holds a comma, a quote or a line break, or when
-    it is empty and the row's only field."""
-    if _NEEDS_QUOTES.search(text) or (alone and not text):
-        return '"' + text.replace('"', '""') + '"'
-    return text
-
-
 def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """hi + lo = a, each half with at most 26 significant bits."""
     c = _SPLIT * a
@@ -113,7 +101,7 @@ def _scaled(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _text_field(texts: list[str]):
     """Byte matrix, a column per row, and first and end positions of each
-    text's UTF-8 bytes."""
+    ASCII text."""
     encoded = [text.encode() for text in texts]
     ends = np.fromiter(map(len, encoded), np.intp, len(encoded))
     width = max(1, int(ends.max(initial=0)))
@@ -202,39 +190,14 @@ def _float_field(x: np.ndarray):
     return chars, starts, ends
 
 
-def _field(cells, alone: bool):
-    """The field of a column: cells in an array or a sequence."""
-    if isinstance(cells, np.ndarray):
-        if cells.dtype == np.float64:
-            return _float_field(cells)
-        if cells.dtype == np.int64:
-            return _int_field(cells)
-        cells = list(cells)
-    types = set(map(type, cells))
-    if types <= _FLOATS:
-        return _float_field(np.array(cells, np.float64))
-    if all(t is int or issubclass(t, np.integer) for t in types):  # bool is not int
-        try:
-            return _int_field(np.array(cells, np.int64))
-        except OverflowError:  # a value outside int64
-            pass
-    return _text_field([_quoted(format_value(x), alone) for x in cells])
-
-
-def _csv_bytes(batch, width: int) -> bytes:
-    """The CSV lines of a batch of rows of ``width`` fields, or of a slice
-    of a structured array with ``width`` named fields."""
-    if isinstance(batch, np.ndarray) and batch.dtype.names:
-        columns = [batch[name] for name in batch.dtype.names]
-    else:
-        if set(map(len, batch)) != {width}:
-            raise ValueError(f"every row must have the header's {width} fields")
-        columns = list(zip(*batch))
-    if len(columns) != width:
+def _csv_bytes(batch: np.ndarray, width: int) -> bytes:
+    """The CSV lines of a structured array of ``width`` float64 and int64 fields."""
+    if len(batch.dtype.names) != width:
         raise ValueError(f"every row must have the header's {width} fields")
     fields = []
-    for cells in columns:  # each field's rows trimmed to those its text covers
-        chars, starts, ends = _field(cells, width == 1)
+    for name in batch.dtype.names:  # each field's rows trimmed to those its text covers
+        cells = batch[name]
+        chars, starts, ends = (_float_field if cells.dtype == np.float64 else _int_field)(cells)
         first = int(np.min(starts))
         fields.append((chars[first:int(np.max(ends))], starts - first, ends - first))
     # each field and the comma after it, then CR LF over the last comma
@@ -254,20 +217,32 @@ def _csv_bytes(batch, width: int) -> bytes:
     return lines.T[keep.T].tobytes()
 
 
-def write_csv(path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
-    """Write the header and the rows, which must each have the header's
-    number of fields; rows may also be a structured array, a field per
-    column.
+def _csv_lines(rows, width: int) -> bytes:
+    """csv.writer's lines of rows of ``width`` cells, each cell's
+    format_value text."""
+    text = io.StringIO(newline="")
+    writer = csv.writer(text)
+    for row in rows:
+        if len(row) != width:
+            raise ValueError(f"every row must have the header's {width} fields")
+        writer.writerow(map(format_value, row))
+    return text.getvalue().encode()
 
-    The rows are taken _CSV_BATCH at a time, so only one batch of formatted
-    text is held in memory."""
+
+def write_csv(path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
+    """Write the header and the rows, each with the header's number of
+    fields (a structured array has a field per column), _CSV_BATCH rows at a
+    time, so only one batch of formatted text is held in memory."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     width = len(header)
+    names = rows.dtype.names if isinstance(rows, np.ndarray) else None
+    numeric = bool(names) and all(rows.dtype[name] in _NUMERIC for name in names)
     with open(path, "wb") as fh:
-        fh.write((",".join(_quoted(format_value(x), width == 1) for x in header) + "\r\n").encode())
+        fh.write(_csv_lines([header], width))
         for start in range(0, len(rows), _CSV_BATCH):
-            fh.write(_csv_bytes(rows[start:start + _CSV_BATCH], width))
+            batch = rows[start:start + _CSV_BATCH]
+            fh.write(_csv_bytes(batch, width) if numeric else _csv_lines(batch, width))
 
 
 def read_csv(path) -> tuple[list[str], list[list[str]]]:

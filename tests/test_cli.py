@@ -1,6 +1,7 @@
 """Tests for the command-line harness: dispatch, reports, exit codes,
 determinism and figure bundles."""
 
+import importlib.util
 import json
 import math
 import os
@@ -647,6 +648,8 @@ class TestWriteCsv:
             writer.writerow([format_value(x) for x in row])
         assert (tmp_path / "t.csv").read_bytes() == want.getvalue().encode()
         assert want.getvalue().splitlines()[2] == "1,-1,0.10000000000000001,0.5,s1,-0"
+        self._check_as_array(tmp_path, ["a", "b", "c", "d", "f"],
+                             [(a, b, c, d, f) for a, b, c, d, _, f in rows], "iifff")
 
     def test_ragged_rows_rejected(self, tmp_path):
         from bdld.serialize import write_csv
@@ -672,6 +675,30 @@ class TestWriteCsv:
         write_csv(tmp_path / "t.csv", header, rows)
         assert (tmp_path / "t.csv").read_bytes() == self._reference(header, rows)
 
+    def _check_as_array(self, tmp_path, header, rows, kinds):
+        # the rows as list rows and as a structured array, each column of
+        # kind f (float64) or i (int64)
+        self._check(tmp_path, header, rows)
+        dtype = [(name, {"f": np.float64, "i": np.int64}[kind]) for name, kind in zip(header, kinds)]
+        self._check(tmp_path, header, np.array(rows, dtype=dtype))
+
+    @pytest.mark.parametrize("table, numpy_route", [
+        (np.array([(0.1, 3)], dtype=[("x", np.float64), ("k", np.int64)]), True),
+        ([(0.1, 3)], False),
+        (np.array([(0.1, 3)], dtype=[("x", np.float32), ("k", np.int64)]), False),
+        (np.array([(0.1, True)], dtype=[("x", np.float64), ("k", np.bool_)]), False),
+    ], ids=["float64_int64", "list", "float32", "bool"])
+    def test_route(self, tmp_path, monkeypatch, table, numpy_route):
+        # only a structured array of float64 and int64 fields is formatted
+        # in numpy; a float32 cell keeps its type and writes 0.1
+        import bdld.serialize
+        real, batches = bdld.serialize._csv_bytes, []
+        monkeypatch.setattr(bdld.serialize, "_csv_bytes",
+                            lambda *args: batches.append(args) or real(*args))
+        self._check(tmp_path, ["x", "k"], table)
+        assert bool(batches) == numpy_route
+        assert (tmp_path / "t.csv").read_text().split()[1].startswith("0.1")
+
     @pytest.mark.parametrize("header", [["a", "b"], ["a"]])
     def test_strings_that_need_quotes(self, tmp_path, header):
         texts = ["", "a,b", 'say "hi"', '"', "cr\rhere", "lf\nhere", "crlf\r\n", " x ", "tab\t", "é"]
@@ -696,7 +723,7 @@ class TestWriteCsv:
         values = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.2250738585072009e-308,
                   1e300, -1e300, 1.7976931348623157e308, 0.1, 1 / 3]
         rows = [(x, np.float64(-x)) for x in values]
-        self._check(tmp_path, ["x", "minus_x"], rows)
+        self._check_as_array(tmp_path, ["x", "minus_x"], rows, "ff")
 
     @pytest.mark.usefixtures("small_batch")
     def test_column_types_mixed_within_and_across_batches(self, tmp_path):
@@ -715,7 +742,7 @@ class TestWriteCsv:
         import numpy as np
         rng = np.random.default_rng(size)
         rows = list(zip(rng.standard_normal(size).tolist(), rng.integers(-9, 9, size).tolist()))
-        self._check(tmp_path, ["time", "state"], rows)
+        self._check_as_array(tmp_path, ["time", "state"], rows, "fi")
 
     @pytest.mark.usefixtures("small_batch")
     def test_rows_must_match_the_header(self, tmp_path):
@@ -743,7 +770,7 @@ class TestWriteCsv:
         size = 2 * batch + 1
         rows = list(zip((rng.standard_normal(size) * 10.0 ** rng.integers(-8, 19, size)).tolist(),
                         rng.integers(-(2**63), 2**63 - 1, size).tolist()))
-        self._check(tmp_path, ["x", "k"], rows)
+        self._check_as_array(tmp_path, ["x", "k"], rows, "fi")
 
     @pytest.mark.parametrize("values", [
         # exact ties: |x| * 10**k = p + e with e = -1/2, -1/2, +1/2, -1/2, +3/2,
@@ -793,7 +820,7 @@ class TestWriteCsv:
     def test_any_floats(self, rows):
         import tempfile
         with tempfile.TemporaryDirectory() as tmp:
-            self._check(Path(tmp), ["x", "y"], rows)
+            self._check_as_array(Path(tmp), ["x", "y"], rows, "ff")
 
     def test_trajectory_times_across_the_layouts(self, tmp_path):
         from bdld.simulate import Trajectory
@@ -897,9 +924,13 @@ class TestSerializeHelpers:
 
 
 def _readme_commands():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    block = readme.partition("## Command line")[2].partition("```sh\n")[2].partition("```")[0]
-    return [line.split("#")[0] for line in block.splitlines() if line.startswith("bdld ")]
+    # the block's commands as scripts/readme_outputs.py reads them
+    repo = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("readme_outputs",
+                                                  repo / "scripts" / "readme_outputs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.readme_commands(repo)
 
 
 class TestReadmeCommands:

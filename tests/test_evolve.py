@@ -183,6 +183,22 @@ class TestWindowProbability:
         mixed = [np.uint64(3), 5]
         assert window_probability(params, 4, 1.0, mixed) == window_probability(params, 4, 1.0, [3, 5])
 
+    @pytest.mark.parametrize("window", [
+        range(1, 10), range(3, 7), range(9, 10), range(5, 5), range(7, 3), range(4, 11),
+        range(0, 4), range(-2, 3), range(1, 10, 2), range(8, 2, -1), range(2, 9, 3)])
+    def test_range_window_as_its_list(self, window):
+        # a step-1 range in 1..N skips the list; every range normalises, or
+        # fails, as the list of its states does
+        params = ModelParams(9, 1.0)
+        try:
+            want = evolve._normalize_window(params, list(window))
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                evolve._normalize_window(params, window)
+        else:
+            got = evolve._normalize_window(params, window)
+            assert got.dtype == want.dtype and got.tolist() == want.tolist()
+
     def test_start_must_be_an_integer_state(self):
         # a float or bool start is rejected by name, not by a numpy IndexError
         # or as the state True == 1; an out-of-range one keeps its message
