@@ -7,7 +7,8 @@ one line per query, as ``(N, M0, T, LO, HI): ln P``.  With no arguments it
 recomputes the references pinned in ``tests/test_evolve.py``
 (``ROUND_OFF_REFERENCES``): window 0.5 -> 0.8 +- 0.02 at T = 1, N = 400 and
 1600, and one deep query below 1e-280.  The N = 1600 reference takes about a
-minute.
+minute.  ``tests/test_evolve.py`` also loads ``log_window`` as its mpmath
+reference.
 
 The law of X(k) of the uniformized chain, K = I + Q / (2 N), is carried in
 mpmath at DPS digits (default 30), where nothing underflows, and the window

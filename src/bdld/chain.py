@@ -149,19 +149,20 @@ def harmonic_partial(k: int) -> HarmonicPartial:
     The residual is eps_k = H_k - ln k - gamma_EM; k*eps_k -> 1/2 as k grows.
     Summation is compensated (chunked pairwise partial sums combined with
     math.fsum) so the 1e-12 identities downstream stay honest; above 1e8 the
-    asymptotic expansion with the 1/(2k) correction takes over.
+    asymptotic expansion with the 1/(2k) correction takes over, and the
+    residual is its terms after ln k + gamma_EM, which total - ln k -
+    gamma_EM would lose to cancellation.
     """
     if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 1:
         raise ValueError(f"k must be a positive integer, got {k!r}")
     k = int(k)
     if k <= _DIRECT_SUM_LIMIT:
         total = _harmonic_direct(k)
-    else:
-        x = float(k)
-        total = (math.log(x) + EULER_MASCHERONI
-                 + 1.0 / (2.0 * x) - 1.0 / (12.0 * x * x) + 1.0 / (120.0 * x ** 4))
-    residual = total - math.log(k) - EULER_MASCHERONI
-    return HarmonicPartial(total, residual)
+        return HarmonicPartial(total, total - math.log(k) - EULER_MASCHERONI)
+    x = float(k)
+    half, twelfth, rest = 1.0 / (2.0 * x), 1.0 / (12.0 * x * x), 1.0 / (120.0 * x ** 4)
+    return HarmonicPartial(math.log(x) + EULER_MASCHERONI + half - twelfth + rest,
+                           half - twelfth + rest)
 
 
 @lru_cache(maxsize=256)

@@ -3,8 +3,9 @@
 Sampling is Gillespie-style: at state m draw an Exponential holding time at
 the total exit rate, then pick the direction proportionally to the up/down
 rates.  Nothing is time-discretized and trajectories are stored sparsely
-(jump times plus visited states only).  Every sampler reads its randomness
-from ``_blocks``, which states the stream layout.
+(jump times plus visited states only).  Every sampler runs its replications
+through one loop, ``_replications``, and reads its randomness from
+``_blocks``, which states the stream layout.
 
 Every chain runs in one kernel, ``_walk``, which advances a group of
 replications in lock-step as the rows of one matrix, taking the same
@@ -38,7 +39,7 @@ import functools
 import math
 import os
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from operator import mul, sub
 
 import numpy as np
@@ -411,15 +412,15 @@ def _held(lam: float, n: int, z: float) -> tuple[float, float, float, float]:
     return z / both, lam * both, lam * z, lam * n / z
 
 
-def _walk(n: int, lam: float, starts: list, stops, rngs: list, jumps: list,
-          tilt=None, zs: list | None = None, ceiling: float = math.inf):
+def _walk(n: int, lam: float, starts: list, stops, rngs: list, jumps: list, tilt, zs: list,
+          ceiling: float) -> list:
     """Run the chain on {1..n} once per row, row i from state starts[i] with
     the stream rngs[i], append the (times, states) arrays of row i's jumps
-    to jumps[i], and yield (i, state) at each of the increasing ``stops``.
-    A jump at exactly a stop counts, as in Trajectory.state_at; the jumps
-    appended when a stop is yielded are exactly those at or before it, and
-    nothing past the last stop read is recorded.  A row ends after its last
-    stop, or at its first stop with a state at or above ``ceiling``.
+    to jumps[i], one piece per pass, and return each row's state at the last
+    of the increasing ``stops`` it reads.  A jump at exactly a stop counts,
+    as in Trajectory.state_at, and nothing past the last stop read is
+    recorded.  A row ends after its last stop, or at its first stop with a
+    state at or above ``ceiling``.
 
     With a tilt the chain is the tilted one, with z held: each row reads
     ``tilt.value`` at time 0 and then after every _HOLD jumps, at the time
@@ -435,24 +436,18 @@ def _walk(n: int, lam: float, starts: list, stops, rngs: list, jumps: list,
     the nearest of the rows' next stops at their current rates, so a short
     replication draws few more uniforms than it reads and no row computes
     many events past its last stop; a pass never crosses the end of a
-    hold.  A pass's states come from ``_chunk_states``: numpy passes, or,
-    for a row whose path reaches both ends of {1..n} within the pass and on
-    a chain of at most 17 states, a walk eight events at a time.
-    Each event's rate is read from the state before it, and its jump time
-    is the running sum of the holding times along its row seeded with the
-    row's time.  np.add.accumulate adds strictly in sequence, and every
-    division and product is the one the scalar Gillespie loop makes, so
-    each trajectory is bit-identical to that loop's whatever the passes
-    and whichever replications share them.
+    hold.  A pass's states come from ``_chunk_states``.  Each event's rate
+    is read from the state before it, and its jump time is the running sum
+    of the holding times along its row seeded with the row's time.
+    np.add.accumulate adds strictly in sequence, and every division and
+    product is the one the scalar Gillespie loop makes, so each trajectory
+    is bit-identical to that loop's whatever the passes and whichever
+    replications share them.
     """
     stops = list(stops)
+    finals = list(starts)
     if n == 1:
-        for row, m in enumerate(starts):
-            for _ in stops:
-                yield row, m
-                if m >= ceiling:
-                    break
-        return
+        return finals
     # per running row: its index into starts, state, time, next stop and
     # that stop's index
     rows = list(range(len(starts)))
@@ -495,33 +490,41 @@ def _walk(n: int, lam: float, starts: list, stops, rngs: list, jumps: list,
         ended = []
         for i, (row, row_times, row_states, end) in enumerate(zip(rows, clock[:, 1:], states,
                                                                   ends)):
-            if end <= stop[i]:  # no stop in this pass
-                jumps[row].append((row_times, row_states))
-                continue
-            done = 0
-            k = int(row_times.searchsorted(stop[i], side="right"))  # first jump past stop
-            while k < c:
-                if k > done:
-                    jumps[row].append((row_times[done:k], row_states[done:k]))
-                    done = k
-                state = int(row_states[k - 1]) if k else ms[i]
-                yield row, state
+            k = c if end <= stop[i] else int(row_times.searchsorted(stop[i], side="right"))
+            while k < c:  # k is the first jump past the stop
+                finals[row] = int(row_states[k - 1]) if k else ms[i]
                 at[i] += 1
-                if at[i] == len(stops) or state >= ceiling:
+                if at[i] == len(stops) or finals[row] >= ceiling:
                     ended.append(i)
+                    row_times, row_states = row_times[:k], row_states[:k]
                     break
                 stop[i] = stops[at[i]]
                 k = int(row_times.searchsorted(stop[i], side="right"))
-            else:  # the row runs on
-                if done < c:
-                    jumps[row].append((row_times[done:], row_states[done:]))
+            if row_times.size:
+                jumps[row].append((row_times, row_states))
         ms, ts = path[:, -1].tolist(), ends
         if ended:
             if len(ended) == len(rows):
-                return
+                return finals
             keep = [i for i in range(len(rows)) if i not in ended]
             rows, ms, ts, stop, at = ([v[i] for i in keep] for v in (rows, ms, ts, stop, at))
             held = held[keep]
+
+
+def _replications(params: ModelParams, config: SimConfig, groups, stops, tilt=None,
+                  ceiling: float = math.inf):
+    """Run each group of streams through one ``_walk``, each replication
+    from ``_start``'s rule for the config, and yield (start, final state,
+    jumps, tilt reads) for every replication in order: the state at the
+    last stop it read, the (times, states) pieces of its jumps up to that
+    stop, and the z values it read (none without a tilt)."""
+    start = _start(params, config)
+    for rngs in groups:
+        starts = [start(rng) for rng in rngs]
+        jumps: list = [[] for _ in rngs]
+        zs: list = [[] for _ in rngs]
+        finals = _walk(params.n_states, params.lam, starts, stops, rngs, jumps, tilt, zs, ceiling)
+        yield from zip(starts, finals, jumps, zs)
 
 
 def _joined(jumps: list) -> tuple[np.ndarray, np.ndarray]:
@@ -532,12 +535,9 @@ def _joined(jumps: list) -> tuple[np.ndarray, np.ndarray]:
 
 def sample_path(params: ModelParams, config: SimConfig, replication: int = 0) -> Trajectory:
     """Draw one exact trajectory on [0, horizon]."""
-    rng = replication_rng(config.seed, replication)
-    m0 = _start(params, config)(rng)
-    jumps: list = [[]]
-    for _ in _walk(params.n_states, params.lam, [m0], (config.horizon,), [rng], jumps):
-        pass
-    return Trajectory._built(m0, *_joined(jumps[0]), config.horizon)
+    rngs = [replication_rng(config.seed, replication)]
+    m0, _, jumps, _ = next(_replications(params, config, [rngs], (config.horizon,)))
+    return Trajectory._built(m0, *_joined(jumps), config.horizon)
 
 
 def occupation_fractions(trajectory: Trajectory, n_states: int | None = None) -> ProbabilityVector:
@@ -568,7 +568,7 @@ def lln_point_experiment(params: ModelParams, gamma0: float, epsilon: float,
         raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
     if not math.isfinite(gamma0):
         raise ValueError(f"gamma0 must be finite, got {gamma0!r}")
-    n, lam, horizon = params.n_states, params.lam, config.horizon
+    n, horizon = params.n_states, config.horizon
     # clamped to [-1, N + 1] before rounding, which keeps huge values finite
     m0 = round(min(max(gamma0 * n, -1.0), n + 1.0))
     if not 1 <= m0 <= n:
@@ -583,15 +583,12 @@ def lln_point_experiment(params: ModelParams, gamma0: float, epsilon: float,
         return ExperimentResult(0.0, 0.0, reps, config.seed, params,
                                 extra={"bound": bound, "hits": 0, "jumps": 0})
     hits = n_jumps = 0
-    for rngs in _replication_groups(config.seed, reps):
-        jumps: list = [[] for _ in rngs]
-        for _ in _walk(n, lam, [m0] * len(rngs), (horizon,), rngs, jumps):
-            pass
-        for path in jumps:
-            n_jumps += sum(states.size for _, states in path)
-            if m0 <= lo or m0 >= hi or any(states.min() <= lo or states.max() >= hi
-                                           for _, states in path):
-                hits += 1
+    for _, _, path, _ in _replications(params, replace(config, initial=m0),
+                                       _replication_groups(config.seed, reps), (horizon,)):
+        n_jumps += sum(states.size for _, states in path)
+        if m0 <= lo or m0 >= hi or any(states.min() <= lo or states.max() >= hi
+                                       for _, states in path):
+            hits += 1
     p = hits / reps
     stderr = math.sqrt(p * (1.0 - p) / reps)
     return ExperimentResult(p, stderr, reps, config.seed, params,
@@ -612,17 +609,14 @@ def lln_stationary_experiment(params: ModelParams, u: float, sample_times,
     times = _dwell_times(u, sample_times)
     if times[-1] > config.horizon:
         raise ValueError("sample times must lie within [0, horizon]")
-    n, lam = params.n_states, params.lam
-    start = _start(params, config)
+    n = params.n_states
     ceiling = bisect.bisect_left(range(n + 1), u, key=lambda m: m / n)  # least m with m/n >= u
     reps = config.replications
     failures = n_jumps = 0
-    for rngs in _replication_groups(config.seed, reps):
-        starts = [start(rng) for rng in rngs]
-        jumps: list = [[] for _ in rngs]
-        for _, m in _walk(n, lam, starts, times, rngs, jumps, ceiling=ceiling):
-            failures += m >= ceiling
-        n_jumps += sum(states.size for path in jumps for _, states in path)
+    for _, m, path, _ in _replications(params, config, _replication_groups(config.seed, reps),
+                                       times, ceiling=ceiling):
+        failures += m >= ceiling
+        n_jumps += sum(states.size for _, states in path)
     successes = reps - failures
     p = successes / reps
     stderr = math.sqrt(p * (1.0 - p) / reps)
@@ -673,15 +667,10 @@ def tilted_sample_path(params: ModelParams, tilt, config: SimConfig,
     any tilt whose values are positive and finite.  A value that is not
     raises ValueError.
     """
-    rng = replication_rng(config.seed, replication)
-    m0 = _start(params, config)(rng)
-    n, lam = params.n_states, params.lam
-    jumps: list = [[]]
-    zs: list = [[]]
-    for _ in _walk(n, lam, [m0], (config.horizon,), [rng], jumps, tilt, zs):
-        pass
-    times, states = _joined(jumps[0])
-    log_w = _log_weight(lam, n, m0, times, states, zs[0], config.horizon)
+    rngs = [replication_rng(config.seed, replication)]
+    m0, _, jumps, zs = next(_replications(params, config, [rngs], (config.horizon,), tilt))
+    times, states = _joined(jumps)
+    log_w = _log_weight(params.lam, params.n_states, m0, times, states, zs, config.horizon)
     return WeightedTrajectory(Trajectory._built(m0, times, states, config.horizon), log_w)
 
 
@@ -708,24 +697,17 @@ def tilted_window_experiment(params: ModelParams, tilt, window: tuple[int, int],
     n, lam = params.n_states, params.lam
     if lo > hi:
         raise ValueError(f"bad window [{lo}, {hi}] for N={n}")
-    horizon = config.horizon
-    reps = config.replications
-    start = _start(params, config)
+    horizon, reps = config.horizon, config.replications
     values = np.zeros(reps)
     log_weights = np.full(reps, -math.inf)  # -inf off the window
-    n_jumps = n_reads = first = 0
-    for rngs in _replication_groups(config.seed, reps):
-        starts = [start(rng) for rng in rngs]
-        jumps: list = [[] for _ in rngs]
-        zs: list = [[] for _ in rngs]
-        for row, final in _walk(n, lam, starts, (horizon,), rngs, jumps, tilt, zs):
-            if lo <= final <= hi:
-                log_w = _log_weight(lam, n, starts[row], *_joined(jumps[row]), zs[row], horizon)
-                log_weights[first + row] = log_w
-                values[first + row] = math.exp(log_w)
-        n_jumps += sum(times.size for path in jumps for times, _ in path)
-        n_reads += sum(map(len, zs))
-        first += len(rngs)
+    n_jumps = n_reads = 0
+    for i, (m0, final, jumps, zs) in enumerate(_replications(
+            params, config, _replication_groups(config.seed, reps), (horizon,), tilt)):
+        if lo <= final <= hi:
+            log_weights[i] = _log_weight(lam, n, m0, *_joined(jumps), zs, horizon)
+            values[i] = math.exp(log_weights[i])
+        n_jumps += sum(times.size for times, _ in jumps)
+        n_reads += len(zs)
     hits = log_weights[log_weights > -math.inf]
     estimate = float(values.mean())
     stderr = float(values.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0

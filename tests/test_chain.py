@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -135,6 +136,17 @@ class TestHarmonicPartial:
         expansion = (math.log(k) + EULER_MASCHERONI + 1 / (2 * k)
                      - 1 / (12 * k ** 2))
         assert abs(direct - expansion) < 1e-12
+
+    @pytest.mark.parametrize("k", [10 ** 8 + 1, 10 ** 12, 10 ** 15])
+    def test_asymptotic_branch_against_mpmath(self, k):
+        # the residual comes from the expansion's own terms: total - ln k -
+        # gamma cancels to -2.8e-15 at k = 1e15, where eps_k is 5.0e-16
+        hp = harmonic_partial(k)
+        with mp.workdps(40):
+            total = mp.harmonic(k)
+            residual = total - mp.log(k) - mp.euler
+            assert abs(hp.total - total) <= 2e-16 * total
+            assert abs(hp.euler_residual - residual) <= 1e-15 * residual
 
     def test_invalid(self):
         with pytest.raises(ValueError):

@@ -610,6 +610,26 @@ class TestTiltedMcCommand:
         results = json.loads(_read(tmp_path / "report.json"))["results"]
         assert abs(results["estimate"] - results["exact"]) > 3 * results["stderr"]
 
+    @pytest.mark.parametrize("seed", [0, 8])
+    def test_identity_tilt_judges_the_hit_count(self, tmp_path, seed):
+        # --gamma0 = --gamma-t: every weight is 1, and 0 hits of 10 have a
+        # stderr of 0, which no 3-sigma band passes; the binomial test of
+        # the count passes it against the exact 0.1674
+        code = main(["tilted-mc", "--n", "50", "--gamma0", "0.5", "--gamma-t", "0.5",
+                     "--reps", "10", "--seed", str(seed), "--out", str(tmp_path)])
+        results = json.loads(_read(tmp_path / "report.json"))["results"]
+        assert (results["estimate"], results["stderr"]) == (0.0, 0.0)
+        assert results["exact"] == pytest.approx(0.1674, abs=1e-4)
+        assert code == 0
+
+    def test_identity_tilt_fails_a_wrong_exact(self, tmp_path, monkeypatch):
+        # 0 hits of 10 lie in a tail of probability 1e-10 under p = 0.9
+        monkeypatch.setattr(cli, "_window_mass", lambda *args: (0.9, math.log(0.9)))
+        code = main(["tilted-mc", "--n", "50", "--gamma0", "0.5", "--gamma-t", "0.5",
+                     "--reps", "10", "--seed", "0", "--out", str(tmp_path)])
+        assert code == 1
+        assert json.loads(_read(tmp_path / "report.json"))["verdicts"]["matches_oracle"] is False
+
     def test_oracle_below_the_linear_threshold(self, tmp_path):
         # the window 588..600's linear mass at the bulk Poisson cutoff
         # underflows to zero; the oracle answers from the log-space chain
@@ -618,7 +638,7 @@ class TestTiltedMcCommand:
                      "--out", str(tmp_path)])
         assert code in (0, 1)
         exact = json.loads(_read(tmp_path / "report.json"))["results"]["exact"]
-        # ln P from tests/test_evolve.py's _mpmath_log_window
+        # ln P from scripts/mp_window.py
         assert math.log(exact) == pytest.approx(-341.16046390633267, rel=1e-9)
 
 

@@ -1,8 +1,10 @@
 """Tests for the uniformization oracle."""
 
+import importlib.util
 import math
 import re
 import tracemalloc
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -26,6 +28,12 @@ from bdld.evolve import (
     window_probability,
 )
 from bdld.simulate import SimConfig, sample_path
+
+# the mpmath uniformization reference, lam = 1 (ln P at any depth)
+_spec = importlib.util.spec_from_file_location(
+    "mp_window", Path(__file__).resolve().parent.parent / "scripts" / "mp_window.py")
+mp_window = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(mp_window)
 
 # Regression fixture: N=100, lam=1, t=1, start 50, window 78..82,
 # computed once by uniformization at tol=1e-12.
@@ -222,7 +230,7 @@ class TestWindowProbability:
         assert abs(prob - WINDOW_FIXTURE) <= 1e-10 * WINDOW_FIXTURE + 1e-15
 
     @pytest.mark.parametrize("n, lo, t, log_p", [
-        # ln P from _mpmath_log_window: below 1e-280, and still a normal double
+        # ln P from scripts/mp_window.py: below 1e-280, and still a normal double
         (600, 590, 0.1, -344.5587498670288),
         (2150, 2007, 0.2, -633.7553380338289),
     ])
@@ -282,37 +290,6 @@ class TestWindowProbability:
         assert gaps[1] <= 0.01
 
 
-def _mpmath_log_window(n, lam, m0, t, lo, hi, dps=30):
-    """ln P(X(t) in lo..hi | X(0) = m0) by a uniformization sum in mpmath,
-    carried in linear space at dps digits, where nothing underflows.  The sum
-    stops once the next Poisson weight, which bounds the window mass of every
-    later order up to the geometric factor 1/(1 - mu/(k+2)), is below 10^-dps
-    of the sum."""
-    with mp.workdps(dps):
-        rate = 2 * lam * n
-        mu = mp.mpf(rate) * t
-        up = {m: mp.mpf(lam * m) / rate if m < n else 0 for m in range(1, n + 1)}
-        down = {m: mp.mpf(lam * m) / rate if m > 1 else 0 for m in range(1, n + 1)}
-        p = {m0: mp.mpf(1)}
-        pmf = mp.exp(-mu)
-        total = mp.mpf(0)
-        k = 0
-        while True:
-            total += pmf * sum(v for m, v in p.items() if lo <= m <= hi)
-            if k + 2 > mu and total > 0 and pmf * mu / (k + 1) < total * mp.mpf(10) ** -dps:
-                return float(mp.log(total))
-            k += 1
-            pmf *= mu / k
-            nxt = {}
-            for m, v in p.items():
-                nxt[m] = nxt.get(m, 0) + v * (1 - up[m] - down[m])
-                if up[m]:
-                    nxt[m + 1] = nxt.get(m + 1, 0) + v * up[m]
-                if down[m]:
-                    nxt[m - 1] = nxt.get(m - 1, 0) + v * down[m]
-            p = nxt
-
-
 class TestLinearWindowCertificate:
     """A window mass is certified relative to itself, not to the total mass
     the bulk Poisson cutoff covers."""
@@ -359,7 +336,7 @@ class TestLogSpaceWindow:
         # k = 0 and returned -inf.
         params = ModelParams(400, 1.0)
         logp = window_log_probability(params, 200, 0.002, range(395, 401), tol=1e-10)
-        exact = _mpmath_log_window(400, 1.0, 200, 0.002, 395, 400)
+        exact = float(mp_window.log_window(400, 200, 0.002, 395, 400))
         assert exact < -745.0
         assert abs(logp - exact) <= 1e-9 * abs(exact)
 
@@ -684,7 +661,7 @@ class TestBlockedKernel:
     ])
     def test_log_space_chain_matches_mpmath(self, n, m0, t, lo, hi):
         logp = _log_chain(ModelParams(n, 1.0), m0, t, np.arange(lo, hi + 1), 1e-13)
-        assert abs(logp - _mpmath_log_window(n, 1.0, m0, t, lo, hi)) <= 1e-13 * abs(logp)
+        assert abs(logp - float(mp_window.log_window(n, m0, t, lo, hi))) <= 1e-13 * abs(logp)
 
 
 def _log_step_reference(kern, y, lo, hi):
@@ -702,24 +679,30 @@ def _log_step_reference(kern, y, lo, hi):
 
 def _tiled_step(kern, y, lo, hi):
     """One tiled step of the power whose logs are y, over the states
-    lo..hi-1: its input as 40-digit logs, the logs it writes there, and the
-    flushed marks per tile.  Each tile holds its largest value at
-    2^_HEAD."""
+    lo..hi-1, as _step_tiles gives it, with each tile holding its largest
+    value at 2^_HEAD."""
     tile, n = evolve._TILE, y.size
     tiles = -(-n // tile)
     ring = np.zeros((2, (tiles + 2) * tile))
     exps = np.full((2, tiles + 2), evolve._NO_MASS, dtype=np.int64)
-    exact = [-math.inf] * n
+    for t in range(tiles):
+        part = y[t * tile:(t + 1) * tile]
+        if np.isfinite(part).any():
+            exps[0, t + 1] = math.floor(part.max() / math.log(2.0)) - evolve._HEAD
+            ring[0, (t + 1) * tile:(t + 1) * tile + part.size] = \
+                np.exp(part - exps[0, t + 1] * math.log(2.0))
+    return _step_tiles(kern, ring, exps, n, lo, hi)
+
+
+def _step_tiles(kern, ring, exps, n, lo, hi):
+    """One tiled step over the states lo..hi-1 of the n states held in ring
+    row 0, tile t at the binary exponent exps[0, t + 1]: its input as
+    40-digit logs, the logs it writes there, and the flushed marks per
+    tile."""
+    tile, tiles = evolve._TILE, exps.shape[1] - 2
     with mp.workdps(40):
-        for t in range(tiles):
-            part = y[t * tile:(t + 1) * tile]
-            if np.isfinite(part).any():
-                exps[0, t + 1] = math.floor(part.max() / math.log(2.0)) - evolve._HEAD
-                mant = np.exp(part - exps[0, t + 1] * math.log(2.0))
-                ring[0, (t + 1) * tile:(t + 1) * tile + part.size] = mant
-                for i, v in enumerate(mant.tolist()):
-                    if v > 0.0:
-                        exact[t * tile + i] = mp.log(v) + int(exps[0, t + 1]) * mp.log(2)
+        exact = [mp.log(v) + int(exps[0, 1 + m // tile]) * mp.log(2) if v > 0.0 else -math.inf
+                 for m, v in enumerate(ring[0, tile:tile + n].tolist())]
     flushed = np.full(tiles, evolve._NO_MASS)
     evolve._tiled_stepper(ring, exps, kern.band, flushed)(1, lo, hi)
     assert np.all(ring[1, :tile + lo] == 0.0) and np.all(ring[1, tile + hi:] == 0.0)
@@ -799,6 +782,24 @@ class TestTiledLogStep:
                 assert lost.sum() <= 2.0 ** (int(flushed[t]) + evolve._FLUSH_LOG2)
             else:
                 self._agree(got[part], ref[part])
+
+    def test_shift_past_the_double_range_raises_the_exponent(self):
+        # tile 1 holds values 2^-200 below its exponent, 1200 binary orders
+        # above tile 0's, as when a drop has emptied the dominant tile 2: the
+        # exponent its top sets, 3802, would shift tile 1 up by 2^1198, so
+        # tiles 0..2 step at 5000 - 1023 instead
+        n, tile = 256, evolve._TILE
+        kern = _uniformized_kernel(ModelParams(n, 1.0))
+        ring = np.zeros((2, (n // tile + 2) * tile))
+        exps = np.full((2, n // tile + 2), evolve._NO_MASS, dtype=np.int64)
+        ring[0, tile:2 * tile] = np.linspace(0.5, 1.0, tile)
+        ring[0, 2 * tile:3 * tile] = 2.0 ** -200 * np.linspace(1.0, 2.0, tile)
+        exps[0, 1:3] = 3800, 5000
+        exact, got, flushed = _step_tiles(kern, ring, exps, n, 0, 3 * tile)
+        assert exps[1, 1:4].tolist() == [3977] * 3
+        # tile 2 is marked for its empty states past the halo, which are 0
+        assert flushed.tolist() == [evolve._NO_MASS, evolve._NO_MASS, 3977, evolve._NO_MASS]
+        self._agree(got, _log_step_reference(kern, exact, 0, 3 * tile))
 
     # oracle pool deep-tail windows (n, m0, t, lo, hi, tol) and ln P from the
     # per-state log-sum-exp chain this step replaced

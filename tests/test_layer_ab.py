@@ -17,8 +17,9 @@ def test_this_checkout_against_itself(monkeypatch):
     cheapest = {name: [min(table[name], key=lambda request: request[3][-1])]  # its recorded seconds
                 for name in ("bulk", "deep", "dwell")}
     path = table["paths N3"][0]
-    small = {**cheapest, "lln-point": table["lln-point"][:1], "paths N3": [path],
-             "csv N3": [["csv", *path[1:]]]}
+    small = {**cheapest, **{name: table[name][:1] for name in ("lln-point", "lln-stationary",
+                                                                 "rare N100")},
+             "paths N3": [path], "csv N3": [["csv", *path[1:]]]}
     report = layer_ab.measure(layer_ab.REPO, small, best_of=1)
     assert report.keys() == small.keys()
     for name, res in report.items():
