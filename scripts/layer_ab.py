@@ -6,7 +6,7 @@ OLD is a checkout to compare against NEW, the checkout holding this
 script; each runs in a worker process that imports ``bdld`` from its
 ``src/`` and times one call at a time with ``time.perf_counter``, so
 process start-up, imports and set-up are not timed.  The requests follow
-``benchmarks/pool.json``, the only file read under ``benchmarks/``:
+``benchmarks/pool.json``:
 
 - oracle: ``bulk``, ``deep`` and ``dwell``, the pool's ``oracle`` rows, and
   ``ladder``, the window 0.5 -> 0.8 +- 0.02 at T = 1 for N = 1600, 6400, 12800;
@@ -18,23 +18,29 @@ process start-up, imports and set-up are not timed.  The requests follow
 - CSV writer: ``csv N<n>``, ``Trajectory.to_csv`` alone of every ``paths``
   row's path (simulated untimed), each write a new file.
 
+Answers are checked as the benchmark checks them, by the digests and the
+tolerance rules of ``benchmarks/reference.py``.
+
 ``--classes`` takes class names or their first words (``rare``, ``paths``,
 ``csv``).  Each request runs K times on each side, the sides taking turns
 at going first, and keeps its best time.
 
-A window log-probability below ln 1e-280, or of the ladder, must lie within
-2 tol + 1e-12 |ln P| of its golden, a larger one within tol + 1e-9 P, a
-dwell probability within (sample times) * tol + 1e-9 P.  The ladder's
-goldens are mpmath's at N = 1600 and the linear window chain's on 1..N
-above (scripts/mp_window.py).  A path must have its row's jump count and
-digest, a CSV file its row's digest, and the sampler and the CSV writer
-the same results on both sides bit for bit (estimate, stderr and every
-extra field both report).  Per class the script prints the summed best
-times, the quantiles of the per-call ratios NEW / OLD, the results equal
-bit for bit, the misses on each side, the largest move between the sides
-(of ln P for windows, relative for dwell) and µs per CSV row.  It exits 1
-on any miss or sampler or CSV difference.  One run can show a false move
-of a quarter on a class: repeat a run before trusting a move.
+A window log-probability must pass ``reference.window_matches`` against its
+golden, a dwell probability lie within (sample times) * tol +
+``reference.GOLDEN_REL`` P.  A ladder log-probability must lie within 2 tol
++ 1e-12 |ln P| of its golden: its goldens (ln P from -52 to -399) lie above
+ln 1e-280, where ``window_matches`` compares P with tol = 1e-12 absolutely
+and so passes any answer.  They are mpmath's at N = 1600 and the linear
+window chain's on 1..N above (scripts/mp_window.py).  A path must have its
+row's jump count and digest, a CSV file its row's digest, and the sampler
+and the CSV writer the same results on both sides bit for bit (estimate,
+stderr and every extra field both report).  Per class the script prints the
+summed best times, the quantiles of the per-call ratios NEW / OLD, the
+results equal bit for bit, the misses on each side, the largest move
+between the sides (of ln P for windows, relative for dwell) and µs per CSV
+row.  It exits 1 on any miss or sampler or CSV difference.  One run can
+show a false move of a quarter on a class: repeat a run before trusting a
+move.
 """
 
 from __future__ import annotations
@@ -49,6 +55,9 @@ import time
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(REPO / "benchmarks"))
+import reference  # noqa: E402  benchmarks/reference.py, the benchmark's checks
+
 SEEDS = 20
 PATHS_EVERY = 10
 # (N, m0, T, lo, hi, tol, ln P): lattice_window(N, 0.8, 0.02) from N/2
@@ -63,7 +72,6 @@ QUANTILES = (0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0)
 def worker() -> None:
     """Answer one JSON request [call, lam, spec, arg] per input line with
     [seconds, result], the seconds those of the bdld call alone."""
-    import hashlib
     import tempfile
     from functools import partial
 
@@ -76,11 +84,7 @@ def worker() -> None:
                        SimConfig(horizon=horizon, seed=seed, initial=initial))
 
     def path_digest(path) -> list:
-        digest = hashlib.sha256()
-        digest.update(path.initial_state.to_bytes(8, "little", signed=True))
-        digest.update(path.jump_times.tobytes())
-        digest.update(path.states_after_jump.tobytes())
-        return [path.n_jumps, digest.hexdigest()]
+        return [path.n_jumps, reference.trajectory_digest(path)]
 
     def experiment(res) -> dict:
         fields = {"estimate": res.estimate, "stderr": res.stderr, **res.extra}
@@ -88,7 +92,7 @@ def worker() -> None:
                 for key, value in fields.items()}
 
     def csv_digest(path, _) -> list:
-        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        digest = reference.file_digest(out)
         out.unlink()  # each write makes a new file, as the benchmark's do
         return [path.n_jumps + 1, digest]
 
@@ -178,15 +182,13 @@ def passes(request: list, result) -> bool | None:
         return result[1] == row[6]
     if call == "dwell":
         times, tol, golden = row[2], row[3], row[4]
-        return abs(result - golden) <= len(times) * tol + 1e-9 * golden
-    if call not in ("window", "ladder"):
-        return None
-    tol, golden = row[5], row[6]
-    if not math.isfinite(result):
-        return False
-    if golden < math.log(1e-280) or call == "ladder":
-        return abs(result - golden) <= 2.0 * tol + 1e-12 * abs(golden)
-    return abs(math.exp(result) - math.exp(golden)) <= tol + 1e-9 * math.exp(golden)
+        return abs(result - golden) <= len(times) * tol + reference.GOLDEN_REL * golden
+    if call == "window":
+        return reference.window_matches(result, row[6], row[5])
+    if call == "ladder":
+        tol, golden = row[5], row[6]
+        return math.isfinite(result) and abs(result - golden) <= 2.0 * tol + 1e-12 * abs(golden)
+    return None
 
 
 def same(old, new) -> bool:

@@ -28,7 +28,6 @@ from .ldp import (
     GridPath,
     ProbeFunction,
     hamiltonian,
-    kappa_star,
     lagrangian,
     prelimit_hamiltonian,
     rate_functional,

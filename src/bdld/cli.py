@@ -185,11 +185,11 @@ def _run_lln_stationary(settings):
     params = _params(settings)
     tol = _oracle_tol(settings)
     times = settings["times"]
-    horizon = max(times) if settings["horizon"] is None else settings["horizon"]
     exact = _oracle_value(
         params, lambda: stationary_dwell_probability(params, settings["u"], times, tol=tol))
-    config = SimConfig(horizon=horizon, seed=settings["seed"], initial="stationary",
-                       replications=settings["reps"])
+    last = max(times)  # where every replication stops, whatever the horizon
+    config = SimConfig(horizon=last if last > 0.0 else 1.0, seed=settings["seed"],
+                       initial="stationary", replications=settings["reps"])
     res = lln_stationary_experiment(params, settings["u"], times, config)
     return _against_oracle(res, "lln_stationary.csv", exact,
                            _binomial_agrees(res.extra["successes"], res.replications))
@@ -229,13 +229,17 @@ def _solve_many(figure: str | None, settings):
         if missing:
             raise UsageError(f"opt-path: missing required setting(s): {', '.join(missing)} "
                              "(or give --figure)")
-        horizon = settings["horizon"]
         pairs = [(settings["gamma0"], settings["gamma_t"])]
     else:
         fig = _FIGURES[figure]
-        horizon = fig["horizon"]
+        own = {"gamma0": None, "gamma_t": None, "horizon": fig["horizon"]}
+        clash = [_SETTINGS[name][0] for name, value in own.items() if settings[name] != value]
+        if clash:
+            raise UsageError(f"opt-path: --figure {figure} sets its own {', '.join(clash)} "
+                             f"(horizon {fig['horizon']})")
         pairs = [(g0, gT) for g0 in fig["gamma0"] for gT in fig["gammaT"]]
-    return [(g0, gT, solve_boundary(g0, gT, horizon, settings["lam"])) for g0, gT in pairs]
+    return [(g0, gT, solve_boundary(g0, gT, settings["horizon"], settings["lam"]))
+            for g0, gT in pairs]
 
 
 def _run_opt_path(settings):
@@ -460,8 +464,7 @@ _COMMANDS = {
     "lln-stationary": _Command(_run_lln_stationary,
                                "below-threshold probability from stationarity",
                                {"n": _NO_DEFAULT, "u": _NO_DEFAULT, "lam": 1.0, "seed": 0,
-                                "reps": 1000, "times": (0.25, 0.5, 0.75, 1.0), "tol": 1e-10,
-                                "horizon": None}),
+                                "reps": 1000, "times": (0.25, 0.5, 0.75, 1.0), "tol": 1e-10}),
     "rate-curve": _Command(_run_rate_curve, "finite-N decay rates against the optimal action",
                            {"n_ladder": _NO_DEFAULT, "gamma0": _NO_DEFAULT,
                             "gamma_t": _NO_DEFAULT, "lam": 1.0, "horizon": 1.0,

@@ -376,26 +376,18 @@ def endpoint_distribution(params: ModelParams, m0: int, t: float, tol: float = 1
 
 
 def _normalize_window(params: ModelParams, window) -> np.ndarray:
+    """A window's distinct states in increasing order: a step-1 range within
+    1..N as it is, any other window checked state by state, so that the
+    first bad state words the error."""
     if (isinstance(window, range) and window.step == 1
             and 1 <= window.start < window.stop <= params.n_states + 1):
         return np.arange(window.start, window.stop)
     states = list(window)
     if not states:
         raise ValueError("window must be a non-empty set of states")
-    kinds = set(map(type, states))
-    if all(issubclass(k, (int, np.integer)) and not issubclass(k, bool) for k in kinds):
-        array = np.array(states)  # int64; object for huge ints, float64 for uint64 with int64
-        if array.dtype.kind in "iu" and 1 <= array.min() and array.max() <= params.n_states:
-            return _distinct(array.astype(int, copy=False))
-    for m in states:  # the first bad state words the error
+    for m in states:
         _check_state(params, m, "window state")
-    return _distinct(np.array(states, dtype=int))
-
-
-def _distinct(states: np.ndarray) -> np.ndarray:
-    """np.unique(states) by a sort, each state kept where it exceeds its predecessor."""
-    states = np.sort(states)
-    return states[np.concatenate(([True], states[1:] != states[:-1]))]
+    return np.unique(np.array(states, dtype=int))
 
 
 def _window_mass(params: ModelParams, m0: int, t: float, window, tol: float) -> tuple[float, float]:

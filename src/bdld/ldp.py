@@ -39,7 +39,6 @@ __all__ = [
     "ProbeFunction",
     "GridPath",
     "hamiltonian",
-    "kappa_star",
     "lagrangian",
     "prelimit_hamiltonian",
     "rate_functional",
@@ -60,17 +59,6 @@ def hamiltonian(gamma: float, kappa: float, lam: float) -> float:
     if abs(kappa) > KAPPA_LIMIT:
         raise ValueError(f"|kappa| > {KAPPA_LIMIT} would overflow, got {kappa}")
     return lam * gamma * (math.expm1(kappa) + math.expm1(-kappa))
-
-
-def kappa_star(gamma: float, u: float, lam: float) -> float:
-    """The maximizer of kappa*u - H(gamma, kappa): asinh(u / (2*lam*gamma))."""
-    if gamma < 0.0:
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
-    if gamma == 0.0:
-        if u == 0.0:
-            return 0.0
-        raise ValueError("kappa_star diverges at gamma=0 with u != 0 (the supremum is +inf)")
-    return math.asinh(u / (2.0 * lam * gamma))
 
 
 def lagrangian(gamma: float, u: float, lam: float) -> float:

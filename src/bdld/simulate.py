@@ -4,8 +4,9 @@ Sampling is Gillespie-style: at state m draw an Exponential holding time at
 the total exit rate, then pick the direction proportionally to the up/down
 rates.  Nothing is time-discretized and trajectories are stored sparsely
 (jump times plus visited states only).  Every sampler runs its replications
-through one loop, ``_replications``, and reads its randomness from
-``_blocks``, which states the stream layout.
+through one loop, ``_replications``, takes their streams from
+``_replication_groups`` and reads its randomness from ``_blocks``, which
+states the stream layout.
 
 Every chain runs in one kernel, ``_walk``, which advances a group of
 replications in lock-step as the rows of one matrix, taking the same
@@ -81,23 +82,23 @@ def replication_rng(seed: int, replication: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=_stream_key(seed, replication)))
 
 
-def _replication_groups(seed: int, replications: int):
-    """Yield the streams of replications 0, 1, ... in groups of up to
-    _GROUP, a list per group, each stream equal to a fresh
+def _replication_groups(seed: int, count: int, first: int = 0):
+    """Yield the streams of count replications from first on, in groups of
+    up to _GROUP, a list per group, each stream equal to a fresh
     replication_rng(seed, rep).
 
     The generators come from a list in _SPARE, topped up if short, that goes
     back after the last group; list.pop and list.append are atomic, so no two
-    experiments share one.  They are reset to each group's fresh states (2 us
-    each, against 15 us to build a Philox) and serve until the next group."""
+    samplers share one.  They are reset to each group's fresh states (2 us
+    each, against 15 us to build a Philox), for a single path too."""
     try:
         rngs = _SPARE.pop()
     except IndexError:
         rngs = []
-    rngs += [replication_rng(0) for _ in range(min(_GROUP, replications) - len(rngs))]
-    for first in range(0, replications, _GROUP):
-        group = rngs[:min(_GROUP, replications - first)]
-        for rep, rng in enumerate(group, first):
+    rngs += [replication_rng(0) for _ in range(min(_GROUP, count) - len(rngs))]
+    for at in range(first, first + count, _GROUP):
+        group = rngs[:min(_GROUP, first + count - at)]
+        for rep, rng in enumerate(group, at):
             rng.bit_generator.state = {"bit_generator": "Philox", "state": {
                 "counter": np.zeros(4, np.uint64), "key": _stream_key(seed, rep)},
                 "buffer": np.zeros(4, np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
@@ -511,15 +512,19 @@ def _walk(n: int, lam: float, starts: list, stops, rngs: list, jumps: list, tilt
             held = held[keep]
 
 
-def _replications(params: ModelParams, config: SimConfig, groups, stops, tilt=None,
-                  ceiling: float = math.inf):
-    """Run each group of streams through one ``_walk``, each replication
-    from ``_start``'s rule for the config, and yield (start, final state,
-    jumps, tilt reads) for every replication in order: the state at the
-    last stop it read, the (times, states) pieces of its jumps up to that
-    stop, and the z values it read (none without a tilt)."""
+def _replications(params: ModelParams, config: SimConfig, first: int = 0, count: int | None = None,
+                  stops=None, tilt=None, ceiling: float = math.inf):
+    """Run count replications from first on (by default config.replications
+    from 0) through ``_walk`` up to ``stops`` (by default the horizon), a
+    group of streams from ``_replication_groups`` at a time, each from
+    ``_start``'s rule, and yield (start, final state, jumps, tilt reads) for
+    each in order: the state at the last stop it read, the (times, states)
+    pieces of its jumps up to there, and the z values it read (none without
+    a tilt)."""
     start = _start(params, config)
-    for rngs in groups:
+    count = config.replications if count is None else count
+    stops = (config.horizon,) if stops is None else stops
+    for rngs in _replication_groups(config.seed, count, first):
         starts = [start(rng) for rng in rngs]
         jumps: list = [[] for _ in rngs]
         zs: list = [[] for _ in rngs]
@@ -535,8 +540,7 @@ def _joined(jumps: list) -> tuple[np.ndarray, np.ndarray]:
 
 def sample_path(params: ModelParams, config: SimConfig, replication: int = 0) -> Trajectory:
     """Draw one exact trajectory on [0, horizon]."""
-    rngs = [replication_rng(config.seed, replication)]
-    m0, _, jumps, _ = next(_replications(params, config, [rngs], (config.horizon,)))
+    [(m0, _, jumps, _)] = _replications(params, config, replication, 1)
     return Trajectory._built(m0, *_joined(jumps), config.horizon)
 
 
@@ -583,8 +587,7 @@ def lln_point_experiment(params: ModelParams, gamma0: float, epsilon: float,
         return ExperimentResult(0.0, 0.0, reps, config.seed, params,
                                 extra={"bound": bound, "hits": 0, "jumps": 0})
     hits = n_jumps = 0
-    for _, _, path, _ in _replications(params, replace(config, initial=m0),
-                                       _replication_groups(config.seed, reps), (horizon,)):
+    for _, _, path, _ in _replications(params, replace(config, initial=m0)):
         n_jumps += sum(states.size for _, states in path)
         if m0 <= lo or m0 >= hi or any(states.min() <= lo or states.max() >= hi
                                        for _, states in path):
@@ -613,8 +616,7 @@ def lln_stationary_experiment(params: ModelParams, u: float, sample_times,
     ceiling = bisect.bisect_left(range(n + 1), u, key=lambda m: m / n)  # least m with m/n >= u
     reps = config.replications
     failures = n_jumps = 0
-    for _, m, path, _ in _replications(params, config, _replication_groups(config.seed, reps),
-                                       times, ceiling=ceiling):
+    for _, m, path, _ in _replications(params, config, stops=times, ceiling=ceiling):
         failures += m >= ceiling
         n_jumps += sum(states.size for _, states in path)
     successes = reps - failures
@@ -667,8 +669,7 @@ def tilted_sample_path(params: ModelParams, tilt, config: SimConfig,
     any tilt whose values are positive and finite.  A value that is not
     raises ValueError.
     """
-    rngs = [replication_rng(config.seed, replication)]
-    m0, _, jumps, zs = next(_replications(params, config, [rngs], (config.horizon,), tilt))
+    [(m0, _, jumps, zs)] = _replications(params, config, replication, 1, tilt=tilt)
     times, states = _joined(jumps)
     log_w = _log_weight(params.lam, params.n_states, m0, times, states, zs, config.horizon)
     return WeightedTrajectory(Trajectory._built(m0, times, states, config.horizon), log_w)
@@ -701,8 +702,7 @@ def tilted_window_experiment(params: ModelParams, tilt, window: tuple[int, int],
     values = np.zeros(reps)
     log_weights = np.full(reps, -math.inf)  # -inf off the window
     n_jumps = n_reads = 0
-    for i, (m0, final, jumps, zs) in enumerate(_replications(
-            params, config, _replication_groups(config.seed, reps), (horizon,), tilt)):
+    for i, (m0, final, jumps, zs) in enumerate(_replications(params, config, tilt=tilt)):
         if lo <= final <= hi:
             log_weights[i] = _log_weight(lam, n, m0, *_joined(jumps), zs, horizon)
             values[i] = math.exp(log_weights[i])

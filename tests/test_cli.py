@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from bdld import cli
+from bdld.chain import ModelParams, prefix_mass
 from bdld.cli import main
 from bdld.optimal_paths import optimal_action, solve_boundary
 
@@ -193,12 +194,12 @@ class TestExitCodes:
         # a NaN sample time once hung the Monte Carlo loop: these run in a
         # subprocess that a timeout can stop
         ["lln-stationary", "--n", "50", "--u", "0.5", "--times", "0.5,nan", "--reps", "10"],
-        ["lln-stationary", "--n", "50", "--u", "0.5", "--times", "0.5,nan", "--reps", "10",
-         "--horizon", "1"],
+        # a setting that --figure overrides was once dropped silently
+        ["opt-path", "--figure", "fig3", "--gamma-t", "0.3"],
         # N=1's sup error is exactly 0: a ratio divided by it, or read 0
         ["hconv", "--n-ladder", "2,1"],
         ["hconv", "--n-ladder", "1,2"],
-        # a horizon of 0 once fell back to the last sample time
+        # lln-stationary has no horizon: it stops at its last sample time
         ["lln-stationary", "--n", "10", "--u", "0.5", "--horizon", "0"],
         ["action", "--parabola-json", "negative_c2.json"],
         # an exact window probability below the smallest double
@@ -245,7 +246,7 @@ class TestExitCodes:
         (["lln-point", "--n", "100", "--gamma0", "1e308", "--eps", "0.2", "--reps", "5"],
          "gamma0=1e+308 puts round(gamma0*N) outside 1..100"),
         (["hconv", "--n-ladder", "2,1"], "--n-ladder needs at least two sizes, each at least 2"),
-        (["lln-stationary", "--n", "10", "--u", "0.5", "--horizon", "0"],
+        (["simulate", "--n", "10", "--horizon", "0"],
          "horizon must be positive and finite, got 0.0"),
         (["action", "--parabola-json", "negative_c2.json"],
          "field 'c2' must be positive for case 'general_increasing', got -1.0"),
@@ -391,6 +392,16 @@ class TestLlnCommands:
         assert results["successes"] == 1000 and results["stderr"] == 0.0
         assert abs(results["exact"] - 0.998301) <= 1e-6
 
+    def test_lln_stationary_at_time_zero(self, tmp_path):
+        # the dwell event at t = 0 alone is X(0) <= 4 under the stationary
+        # law; a horizon taken from the last sample time once made this exit 2
+        code = main(["lln-stationary", "--n", "10", "--u", "0.5", "--times", "0",
+                     "--reps", "100", "--out", str(tmp_path)])
+        assert code == 0
+        results = json.loads(_read(tmp_path / "report.json"))["results"]
+        assert abs(results["exact"] - prefix_mass(ModelParams(10, 1.0), 4)) <= 1e-15
+        assert results["jumps"] == 0
+
     @pytest.mark.parametrize("k,n,p", [
         (0, 10, 0.3), (3, 10, 0.3), (10, 10, 0.3), (1000, 1000, 0.998301),
         (990, 1000, 0.998301), (48, 400, 0.15), (75, 400, 0.15), (2, 5, 0.5),
@@ -491,6 +502,22 @@ class TestOptPathCommand:
         assert len(fig3) == 5
         header = _read(tmp_path / "f3" / fig3[0]).splitlines()[0]
         assert header == "t,gamma,z,kappa"
+
+    def test_figure_refuses_the_settings_it_fixes(self, tmp_path, capsys):
+        # fig2 once ran at T = 2 while its report echoed these settings
+        code = main(["opt-path", "--figure", "fig2", "--gamma0", "0.3", "--horizon", "5",
+                     "--out", str(tmp_path / "bad")])
+        assert code == 2
+        assert "--figure fig2 sets its own --gamma0, --horizon" in capsys.readouterr().err
+        assert not (tmp_path / "bad").exists()
+        # the figure's own horizon is no conflict, and changes nothing
+        assert main(["opt-path", "--figure", "fig2", "--out", str(tmp_path / "a")]) == 0
+        assert main(["opt-path", "--figure", "fig2", "--horizon", "2",
+                     "--out", str(tmp_path / "b")]) == 0
+        tables = sorted(p.name for p in (tmp_path / "a").glob("*.csv"))
+        assert len(tables) == 4
+        for name in tables:
+            assert _read(tmp_path / "b" / name) == _read(tmp_path / "a" / name)
 
 
 class TestActionCommand:
@@ -906,7 +933,7 @@ class TestConfigHandling:
                      "--reps", "5", "--out", str(tmp_path)]) == 0
         settings = json.loads(_read(tmp_path / "report.json"))["spec"]["settings"]
         assert settings["times"] == [0.2, 0.6]
-        assert settings["reps"] == 5 and settings["horizon"] is None
+        assert settings["reps"] == 5 and "horizon" not in settings
 
     def test_library_spec_is_normalised(self, tmp_path, capsys):
         # config fields go through the same normalisation as flags

@@ -180,6 +180,8 @@ class TestWindowProbability:
         ([0, 3], "window state=0 outside the state space 1..9"),
         ([3, np.int64(10)], "window state=10 outside the state space 1..9"),
         ([3, 2**70], f"window state={2**70} outside the state space 1..9"),
+        ([np.uint64(3), -1], "window state=-1 outside the state space 1..9"),
+        ([4, 10, True], "window state=10 outside the state space 1..9"),  # the first bad state
     ])
     def test_bad_window_state(self, window, message):
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -206,6 +208,16 @@ class TestWindowProbability:
         else:
             got = evolve._normalize_window(params, window)
             assert got.dtype == want.dtype and got.tolist() == want.tolist()
+
+    @pytest.mark.parametrize("window, want", [
+        ([5, 3, 5, 3], [3, 5]),
+        ([np.uint64(3), 5, 5], [3, 5]),
+        ([np.uint64(9), np.int64(2), 2], [2, 9]),
+        ([np.int8(2), np.uint16(7), 7], [2, 7]),
+    ])
+    def test_listed_window_is_its_distinct_states(self, window, want):
+        got = evolve._normalize_window(ModelParams(9, 1.0), window)
+        assert got.dtype == np.int64 and got.tolist() == want
 
     def test_start_must_be_an_integer_state(self):
         # a float or bool start is rejected by name, not by a numpy IndexError

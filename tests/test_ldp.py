@@ -17,7 +17,6 @@ from bdld.ldp import (
     GridPath,
     ProbeFunction,
     hamiltonian,
-    kappa_star,
     lagrangian,
     _cubic_hermite,
     prelimit_hamiltonian,
@@ -67,37 +66,6 @@ class TestHamiltonian:
                   - 2 * hamiltonian(gamma, kappa, 1.0)
                   + hamiltonian(gamma, kappa - h, 1.0))
         assert second >= -1e-12
-
-
-class TestKappaStar:
-    def test_zero_velocity(self):
-        assert kappa_star(0.7, 0.0, 3.0) == 0.0
-        assert kappa_star(0.0, 0.0, 1.0) == 0.0
-
-    def test_inverts_stationarity(self):
-        # u = 2*lam*gamma*sinh(1) maximizes at kappa = 1
-        u = 2 * 0.5 * math.sinh(1.0)
-        assert abs(kappa_star(0.5, u, 1.0) - 1.0) <= 1e-12
-
-    def test_diverges_at_zero(self):
-        with pytest.raises(ValueError):
-            kappa_star(0.0, 0.5, 1.0)
-
-    @given(gamma=GAMMAS, u=VELOCITIES)
-    @settings(max_examples=80, deadline=None)
-    def test_odd_in_velocity(self, gamma, u):
-        assert kappa_star(gamma, -u, 1.0) == -kappa_star(gamma, u, 1.0)
-
-    @given(gamma=GAMMAS, u=VELOCITIES)
-    @settings(max_examples=80, deadline=None)
-    def test_matches_hamiltonian_slope(self, gamma, u):
-        ks = kappa_star(gamma, u, 1.0)
-        slope = 2.0 * gamma * math.sinh(ks)  # dH/dkappa at kappa*
-        assert abs(slope - u) <= 1e-10
-        # finite-difference cross-check of the slope itself
-        h = 1e-6
-        fd = (hamiltonian(gamma, ks + h, 1.0) - hamiltonian(gamma, ks - h, 1.0)) / (2 * h)
-        assert abs(fd - u) <= 1e-5 * max(1.0, abs(u))
 
 
 class TestLagrangian:

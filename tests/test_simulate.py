@@ -833,6 +833,19 @@ class TestReplicationRng:
                 reps.append(rng)
         assert len(reps) == 8
 
+    def test_single_paths_build_no_generator(self, monkeypatch):
+        # a single path re-keys a spare generator, as the experiments do
+        built = []
+        fresh = simulate.replication_rng
+        monkeypatch.setattr(simulate, "replication_rng", lambda *key: built.append(key) or fresh(*key))
+        params, config, tilt = ModelParams(50, 1.0), SimConfig(horizon=1.0, seed=4, initial=25), ConstantTilt(1.5)
+        sample_path(params, config)  # may top up a spare list
+        built.clear()
+        for rep in range(3):
+            sample_path(params, config, replication=rep)
+            tilted_sample_path(params, tilt, config, replication=rep)
+        assert built == []
+
 
 class TestSimConfig:
     def test_validation(self):
@@ -1084,6 +1097,21 @@ class TestGoldenStream:
         checked = [Trajectory(traj.initial_state, traj.jump_times, traj.states_after_jump,
                               traj.horizon) for traj in trajs]
         assert _digest(*[part for traj in checked for part in _path_parts(traj)]) == digest
+
+    @pytest.mark.parametrize("case", [(50, "stationary", 5.0), (1000, 1000, 10.0)])
+    def test_sample_path_of_a_later_replication(self, case):
+        # replication 3 of a golden case is the walk of a fresh stream keyed 3
+        n, initial, horizon = case
+        params = ModelParams(n, 1.0)
+        config = SimConfig(horizon=horizon, seed=2024 + n, initial=initial)
+        rng = replication_rng(config.seed, 3)
+        m0 = simulate._start(params, config)(rng)
+        jumps = [[]]
+        simulate._walk(n, 1.0, [m0], (horizon,), [rng], jumps, None, [[]], math.inf)
+        want = Trajectory(m0, *simulate._joined(jumps[0]), horizon)
+        got = sample_path(params, config, replication=3)
+        assert _digest(*_path_parts(got)) == _digest(*_path_parts(want))
+        assert got.n_jumps > 0
 
     @pytest.mark.parametrize("case", sorted(_GOLDEN_LLN_POINT, key=repr))
     def test_lln_point(self, case):
