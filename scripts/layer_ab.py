@@ -11,9 +11,10 @@ process start-up, imports and set-up are not timed.  The requests follow
 - oracle: ``bulk``, ``deep`` and ``dwell``, the pool's ``oracle`` rows, and
   ``ladder``, the window 0.5 -> 0.8 +- 0.02 at T = 1 for N = 1600, 6400, 12800;
 - sampler: ``rare N100`` .. ``rare N800``, ``tilted_window_experiment`` at
-  the ``rare_event`` settings (the dual tilt of the optimal path from
-  round(gamma0 N) on its window), and ``lln-point`` and ``lln-stationary``,
-  the ``lln`` experiments, each for seeds 1..SEEDS; ``paths N<n>``,
+  the ``rare_event`` settings (the dual tilt of the optimal path, from the
+  start to the window of ``benchmarks/workloads.window_of``), and
+  ``lln-point`` and ``lln-stationary``, the ``lln`` experiments, each for
+  seeds 1..SEEDS; ``paths N<n>``,
   ``sample_path`` for every PATHS_EVERY-th ``paths`` row;
 - CSV writer: ``csv N<n>``, ``Trajectory.to_csv`` alone of every ``paths``
   row's path (simulated untimed), each write a new file.
@@ -57,6 +58,7 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO / "benchmarks"))
 import reference  # noqa: E402  benchmarks/reference.py, the benchmark's checks
+from workloads import window_of  # noqa: E402  the rare-event workload's start and window
 
 SEEDS = 20
 PATHS_EVERY = 10
@@ -113,11 +115,11 @@ def worker() -> None:
             elif call == "rare":
                 n, seed = arg
                 tilt = dual_tilt(solve_boundary(spec["gamma0"], spec["gamma_t"], spec["horizon"], lam))
-                window = (max(1, round((spec["gamma_t"] - spec["half_width"]) * n)),
-                          min(n, round((spec["gamma_t"] + spec["half_width"]) * n)))
-                config = SimConfig(horizon=spec["horizon"], seed=seed,
-                                   initial=round(spec["gamma0"] * n), replications=spec["reps"])
-                run = partial(simulate.tilted_window_experiment, ModelParams(n, lam), tilt, window, config)
+                m0, lo, hi = window_of(n, spec)
+                config = SimConfig(horizon=spec["horizon"], seed=seed, initial=m0,
+                                   replications=spec["reps"])
+                run = partial(simulate.tilted_window_experiment, ModelParams(n, lam), tilt, (lo, hi),
+                              config)
             elif call == "lln-point":
                 config = SimConfig(horizon=spec["horizon"], seed=arg, replications=spec["reps"])
                 run = partial(simulate.lln_point_experiment, ModelParams(spec["n"], lam),

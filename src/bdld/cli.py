@@ -85,8 +85,6 @@ def _run_stationary(settings):
 
 def _run_embedded(settings):
     params = _params(settings)
-    if params.n_states < 2:
-        raise UsageError("embedded chain requires n >= 2")
     pi_hat = embedded_stationary(params)
     flow = np.zeros(params.n_states)
     for m in range(1, params.n_states + 1):
@@ -118,24 +116,13 @@ def _run_simulate(settings):
 def _run_lln_point(settings):
     params = _params(settings)
     config = SimConfig(horizon=settings["horizon"], seed=settings["seed"],
-                       initial="stationary", replications=settings["reps"])
+                       replications=settings["reps"])
     res = lln_point_experiment(params, settings["gamma0"], settings["eps"], config)
     results = res.to_json_obj()
     verdicts = {"within_bound": res.estimate <= res.extra["bound"]}
     tables = {"lln_point.csv": (["estimate", "stderr", "bound", "replications"],
                                 [(res.estimate, res.stderr, res.extra["bound"], res.replications)])}
     return results, verdicts, tables
-
-
-def _oracle_tol(settings) -> float:
-    """The --tol of an exact computation, validated before any Monte Carlo
-    run spends its time: one range, (0, 1e-6], for every subcommand."""
-    tol = settings["tol"]
-    try:
-        check_tol(tol)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    return tol
 
 
 def _oracle_value(params: ModelParams, exact_value):
@@ -183,13 +170,11 @@ def _binomial_agrees(k: int, n: int):
 
 def _run_lln_stationary(settings):
     params = _params(settings)
-    tol = _oracle_tol(settings)
     times = settings["times"]
-    exact = _oracle_value(
-        params, lambda: stationary_dwell_probability(params, settings["u"], times, tol=tol))
-    last = max(times)  # where every replication stops, whatever the horizon
-    config = SimConfig(horizon=last if last > 0.0 else 1.0, seed=settings["seed"],
-                       initial="stationary", replications=settings["reps"])
+    exact = _oracle_value(params, lambda: stationary_dwell_probability(
+        params, settings["u"], times, tol=settings["tol"]))
+    # the experiment reads no horizon: a replication stops at the last sample time
+    config = SimConfig(horizon=1.0, seed=settings["seed"], replications=settings["reps"])
     res = lln_stationary_experiment(params, settings["u"], times, config)
     return _against_oracle(res, "lln_stationary.csv", exact,
                            _binomial_agrees(res.extra["successes"], res.replications))
@@ -273,8 +258,7 @@ def _run_opt_path(settings):
 
 
 def _run_action(settings):
-    lam = settings["lam"]
-    tol = _oracle_tol(settings)
+    lam, tol = settings["lam"], settings["tol"]
     params = None  # the solved path, when the input is one
     if settings["path_csv"] or settings["parabola_json"]:
         try:
@@ -312,7 +296,7 @@ def _run_action(settings):
 
 def _run_tilted_mc(settings):
     params = _params(settings)
-    tol = _oracle_tol(settings)
+    tol = settings["tol"]
     lam = params.lam
     gamma0, gammaT = settings["gamma0"], settings["gamma_t"]
     horizon = settings["horizon"]
@@ -412,6 +396,14 @@ def _initial(value):
     return value if value == "stationary" else _int(value)
 
 
+def _tol(value) -> float:
+    """A tolerance that evolve.check_tol accepts, refused as it is parsed,
+    before any exact or Monte Carlo run spends its time."""
+    tol = float(value)
+    check_tol(tol)
+    return tol
+
+
 def _figure(value) -> str:
     if value not in _FIGURES:
         raise ValueError(f"choose from {', '.join(sorted(_FIGURES))}")
@@ -426,7 +418,7 @@ _SETTINGS = {
     "horizon": ("--horizon", float, "time horizon T"),
     "seed": ("--seed", _int),
     "reps": ("--reps", _int, "Monte Carlo replications"),
-    "tol": ("--tol", float, "tolerance of the exact oracle or the quadrature"),
+    "tol": ("--tol", _tol, "tolerance of the exact oracle or the quadrature"),
     "initial": ("--initial", _initial, 'state index or "stationary"'),
     "gamma0": ("--gamma0", float, "scaled start state"),
     "gamma_t": ("--gamma-t", float, "scaled end state"),
@@ -487,9 +479,7 @@ _COMMANDS = {
 def _normalise(kind: str, given: dict) -> dict:
     """The settings a subcommand reads, from those given: defaults filled in
     and every value parsed.  A setting given as None counts as not given."""
-    command = _COMMANDS.get(kind)
-    if command is None:
-        raise UsageError(f"unknown experiment kind {kind!r}")
+    command = _COMMANDS[kind]
     undeclared = [str(name) for name in given if name not in command.settings]
     if undeclared:
         raise UsageError(f"{kind} takes no setting(s): {', '.join(undeclared)}")

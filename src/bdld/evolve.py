@@ -529,9 +529,9 @@ def _reach_weights(kern: _UniformizedKernel, w0: int, w1: int) -> tuple[np.ndarr
     probabilities of a step toward it and away, h(toward) / h(x) = e^beta
     solves p e^beta + q e^-beta = p + q + R - 1, so beta grows where steps
     are rare; rho is the largest E[h(X')] / h(x) on the side, about R.
-    R = 1 gives h = 1, the bound of a window mass by the total mass.  A sink
-    never steps toward the hull: h = 0 there, and it adds nothing to rho.
-    The caller ignores division by zero (np.errstate)."""
+    R = 1 gives h = 1, the bound of a window mass by the total mass.  Every
+    state outside the hull steps toward it, p > 0: a deep window runs on
+    1..N, and an exit query's sinks are its own window."""
     r = _REACH_R[:, None]
     depth = np.zeros((r.size, kern.stay.size))
     rho_m1 = np.zeros((r.size, 3))
@@ -541,9 +541,9 @@ def _reach_weights(kern: _UniformizedKernel, w0: int, w1: int) -> tuple[np.ndarr
             c = toward + away + (r - 1.0)
             # c^2 - 4 p q, as a sum of terms >= 0
             root = np.sqrt((r - 1.0) * (r - 1.0 + 2.0 * (toward + away)) + (toward - away) ** 2)
-            ratio = np.where(toward > 0.0, (c + root) / (2.0 * toward), np.inf)  # h(toward) / h(x)
+            ratio = (c + root) / (2.0 * toward)  # h(toward) / h(x)
             back = np.concatenate([1.0 / ratio[:, 1:], np.ones((r.size, 1))], axis=1)
-            moves = np.where(toward > 0.0, toward * (ratio - 1.0), 0.0) + away * (back - 1.0)
+            moves = toward * (ratio - 1.0) + away * (back - 1.0)
             rho_m1[:, zone] = moves.max(axis=1)
             depth[:, out] = np.cumsum(np.log(ratio), axis=1)[:, ::1 if zone else -1]
     return depth, rho_m1

@@ -101,13 +101,6 @@ class ParabolaParams:
                 f"dual variable singular or non-positive at t={t}: lam*t - c1 = {x} in [-1, 0]")
         return 1.0 / x + 1.0
 
-    def kappa_rate(self, t: float) -> float:
-        """The analytic dkappa/dt = -lam / (x*(x+1)) with x = lam*t - c1."""
-        if self.case is PathCase.CONSTANT:
-            return 0.0
-        x = self.lam * t - self.c1
-        return -self.lam / (x * (x + 1.0))
-
     def to_json_obj(self) -> dict:
         return {
             "c1": self.c1,
@@ -176,8 +169,8 @@ def solve_boundary(gamma0: float, gammaT: float, T: float, lam: float) -> Parabo
 
     lt = lam * T
     span = lt * (lt + 1.0)
-    if not math.isfinite(span):
-        raise _overflow(lt)
+    if span == 0.0 or not math.isfinite(span):
+        raise _out_of_range(lt, span)
     if gamma0 == 0.0:
         params = ParabolaParams(0.0, gammaT / span, PathCase.FROM_ZERO, lam, T, gamma0, gammaT)
     elif gammaT == 0.0:
@@ -190,15 +183,15 @@ def solve_boundary(gamma0: float, gammaT: float, T: float, lam: float) -> Parabo
         try:
             disc = 1.0 + (2.0 * lt / delta) ** 2 * gamma0 * gammaT  # = b*b - 4c, exactly >= 1
         except OverflowError:
-            raise _overflow(lt) from None
+            raise _out_of_range(lt, math.inf) from None
         # Stable quadratic: q and c/q are the two roots of x^2 + b x + c.
         s = math.sqrt(disc)
         q = -0.5 * (b + math.copysign(s, b)) if b != 0.0 else -0.5 * s
         roots = (q, c / q) if q != 0.0 else (0.0, 0.0)
         c1 = min(roots) if increasing else max(roots)
         den = c1 * (c1 - 1.0)
-        if not math.isfinite(den):
-            raise _overflow(lt)
+        if den == 0.0 or not math.isfinite(den):
+            raise _out_of_range(lt, den)
         c2 = gamma0 / den
         case = PathCase.GENERAL_INCREASING if increasing else PathCase.GENERAL_DECREASING
         params = ParabolaParams(c1, c2, case, lam, T, gamma0, gammaT)
@@ -207,9 +200,12 @@ def solve_boundary(gamma0: float, gammaT: float, T: float, lam: float) -> Parabo
     return params
 
 
-def _overflow(lt: float) -> ValueError:
-    return ValueError(f"lam*T = {lt!r} is too large for the closed-form path: "
-                      "its intermediates overflow a double")
+def _out_of_range(lt: float, value: float) -> ValueError:
+    """The error of lam*T = lt whose closed-form intermediate, value,
+    underflowed to 0 or overflowed (inf or nan)."""
+    size, way = ("small", "underflow") if value == 0.0 else ("large", "overflow")
+    return ValueError(f"lam*T = {lt!r} is too {size} for the closed-form path: "
+                      f"its intermediates {way} a double")
 
 
 def _verify_admissible(params: ParabolaParams) -> None:
@@ -238,7 +234,8 @@ def _verify_admissible(params: ParabolaParams) -> None:
 def hamiltonian_residual(params: ParabolaParams, grid_size: int = 1000) -> tuple[float, float]:
     """Max absolute residuals of the two characteristic equations on an
     interior grid (endpoints excluded: that is where paths may touch zero and
-    the dual becomes singular)."""
+    the dual becomes singular), kappa's against the analytic
+    dkappa/dt = -lam / (x*(x+1)) with x = lam*t - c1."""
     if params.case is PathCase.CONSTANT:
         return 0.0, 0.0
     lam, T = params.lam, params.horizon
@@ -247,8 +244,9 @@ def hamiltonian_residual(params: ParabolaParams, grid_size: int = 1000) -> tuple
     for i in range(1, grid_size + 1):
         t = T * i / (grid_size + 1)
         z = params.dual(t)
+        x = lam * t - params.c1
         r_gamma = abs(params.derivative(t) - lam * params.value(t) * (z - 1.0 / z))
-        r_kappa = abs(params.kappa_rate(t) + lam * (z + 1.0 / z - 2.0))
+        r_kappa = abs(-lam / (x * (x + 1.0)) + lam * (z + 1.0 / z - 2.0))
         worst_gamma = max(worst_gamma, r_gamma)
         worst_kappa = max(worst_kappa, r_kappa)
     return worst_gamma, worst_kappa

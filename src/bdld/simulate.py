@@ -188,11 +188,9 @@ class SimConfig:
             raise ValueError("seed must be an integer")
         if not (isinstance(self.replications, (int, np.integer)) and self.replications >= 1):
             raise ValueError("replications must be >= 1")
-        if isinstance(self.initial, str):
-            if self.initial != "stationary":
-                raise ValueError(f'initial must be a state index or "stationary", got {self.initial!r}')
-        elif not isinstance(self.initial, (int, np.integer)) or isinstance(self.initial, bool):
-            raise ValueError(f"initial must be a state index or \"stationary\", got {self.initial!r}")
+        if self.initial != "stationary" and (not isinstance(self.initial, (int, np.integer))
+                                             or isinstance(self.initial, bool)):
+            raise ValueError(f'initial must be a state index or "stationary", got {self.initial!r}')
 
 
 @dataclass(frozen=True)
@@ -544,13 +542,11 @@ def sample_path(params: ModelParams, config: SimConfig, replication: int = 0) ->
     return Trajectory._built(m0, *_joined(jumps), config.horizon)
 
 
-def occupation_fractions(trajectory: Trajectory, n_states: int | None = None) -> ProbabilityVector:
-    """Fraction of the horizon spent in each state."""
+def occupation_fractions(trajectory: Trajectory, n_states: int) -> ProbabilityVector:
+    """Fraction of the horizon spent in each of the states 1..n_states."""
     visited = trajectory.visited_states()
     top = int(visited.max())
-    if n_states is None:
-        n_states = top
-    elif n_states < top:
+    if n_states < top:
         raise ValueError(f"n_states={n_states} below the highest visited state {top}")
     edges = np.concatenate(([0.0], trajectory.jump_times, [trajectory.horizon]))
     durations = np.diff(edges)
@@ -582,7 +578,8 @@ def lln_point_experiment(params: ModelParams, gamma0: float, epsilon: float,
     lo = math.floor(max(n * (gamma0 - epsilon), -1.0) + 1e-9)
     hi = math.ceil(min(n * (gamma0 + epsilon), n + 1.0) - 1e-9)
     reps = config.replications
-    bound = horizon / (epsilon * epsilon * n)
+    scale = epsilon * epsilon * n  # 0 where it underflows: the bound is then inf
+    bound = horizon / scale if scale else math.inf
     if lo < 1 and hi > n and not (m0 <= lo or m0 >= hi):
         return ExperimentResult(0.0, 0.0, reps, config.seed, params,
                                 extra={"bound": bound, "hits": 0, "jumps": 0})
@@ -603,15 +600,14 @@ def lln_stationary_experiment(params: ModelParams, u: float, sample_times,
     """Monte Carlo estimate of P(X(t_i)/N < u for every sample time) with the
     chain started from its stationary law.
 
-    A replication stops at the first sample time with X/N >= u.  The extra
-    fields carry the ``successes`` and, in ``jumps``, the jumps at or before
-    the last sample time each replication read.
+    A replication stops at the first sample time with X/N >= u, or at the
+    last: the config's horizon is not read.  The extra fields carry the
+    ``successes`` and, in ``jumps``, the jumps at or before the last sample
+    time each replication read.
     """
     if config.initial != "stationary":
         raise ValueError("lln_stationary_experiment requires a stationary initial condition")
     times = _dwell_times(u, sample_times)
-    if times[-1] > config.horizon:
-        raise ValueError("sample times must lie within [0, horizon]")
     n = params.n_states
     ceiling = bisect.bisect_left(range(n + 1), u, key=lambda m: m / n)  # least m with m/n >= u
     reps = config.replications

@@ -122,16 +122,11 @@ class CallableTilt:
             raise ValueError(f"tilt exceeds its declared bound at t={t}: z={z}")
         return z
 
-    def _excess(self, integrand, a: float, b: float) -> float:
-        if a == b:
-            return 0.0
-        return integrate(integrand, a, b, abs_tol=_QUAD_TOL).value
-
     def up_excess_integral(self, a: float, b: float) -> float:
-        return self._excess(lambda s: self.value(s) - 1.0, a, b)
+        return integrate(lambda s: self.value(s) - 1.0, a, b, abs_tol=_QUAD_TOL).value
 
     def down_excess_integral(self, a: float, b: float) -> float:
-        return self._excess(lambda s: 1.0 / self.value(s) - 1.0, a, b)
+        return integrate(lambda s: 1.0 / self.value(s) - 1.0, a, b, abs_tol=_QUAD_TOL).value
 
     def sup_bound(self, horizon: float) -> float:
         return self._bound

@@ -122,6 +122,24 @@ class TestExitCodes:
         assert main([kind, *argv, "--tol", tol, "--out", str(tmp_path)]) == 2
         assert "tol" in capsys.readouterr().err
 
+    def test_bad_tol_refused_when_parsed(self, tmp_path, capsys, monkeypatch):
+        # --tol is refused as it is parsed: rate-curve hands it to the
+        # oracle alone, and no window query starts
+        from bdld import evolve
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return window_mass(*args)
+
+        window_mass = evolve._window_mass
+        monkeypatch.setattr(evolve, "_window_mass", counting)
+        assert main(["rate-curve", "--n-ladder", "10,20", "--gamma0", "0.5", "--gamma-t", "0.8",
+                     "--tol", "nan", "--out", str(tmp_path)]) == 2
+        assert calls == []
+        assert ("rate-curve: bad --tol value 'nan': tol must be positive and finite, got nan"
+                in capsys.readouterr().err)
+
     def test_underflowing_reference_rejected_before_monte_carlo(self, tmp_path, capsys,
                                                                 monkeypatch):
         def never(*args, **kwargs):
@@ -205,6 +223,18 @@ class TestExitCodes:
         # an exact window probability below the smallest double
         ["tilted-mc", "--n", "100", "--gamma0", "0.5", "--gamma-t", "0.8", "--reps", "10",
          "--seed", "1", "--horizon", "1e-300"],
+        # a lam*T whose closed-form path divides by an intermediate that underflows to 0
+        ["action", "--gamma0", "0.5", "--gamma-t", "0.8", "--horizon", "5e-324"],
+        ["action", "--gamma0", "0", "--gamma-t", "0.5", "--horizon", "1e-300", "--lambda",
+         "1e-300"],
+        ["action", "--gamma0", "0.5", "--gamma-t", "0", "--horizon", "1e-300", "--lambda",
+         "1e-300"],
+        ["opt-path", "--gamma0", "0.5", "--gamma-t", "0.8", "--horizon", "5e-324"],
+        ["rate-curve", "--n-ladder", "10,20", "--gamma0", "0.5", "--gamma-t", "0.8",
+         "--horizon", "5e-324"],
+        ["tilted-mc", "--n", "10", "--gamma0", "0.5", "--gamma-t", "0.8", "--horizon", "5e-324",
+         "--reps", "3"],
+        ["embedded", "--n", "1"],
     ])
     def test_bad_input_exits_2_without_traceback(self, tmp_path, capsys, monkeypatch, argv):
         monkeypatch.chdir(tmp_path)
@@ -266,6 +296,20 @@ class TestExitCodes:
          "mu = Lam*t = 20000000000000.0 exceeds 1e+07"),
         (["tilted-mc", "--n", "10", "--gamma0", "0.5", "--gamma-t", "0.8", "--horizon", "1e12",
           "--reps", "1"], "mu = Lam*t = 20000000000000.0 exceeds 1e+07"),
+        # ... or underflows one of its intermediates to 0
+        (["action", "--gamma0", "0.5", "--gamma-t", "0.8", "--horizon", "5e-324"],
+         "lam*T = 5e-324 is too small"),
+        (["action", "--gamma0", "0", "--gamma-t", "0.5", "--horizon", "1e-300", "--lambda",
+          "1e-300"], "lam*T = 0.0 is too small"),
+        (["action", "--gamma0", "0.5", "--gamma-t", "0", "--horizon", "1e-300", "--lambda",
+          "1e-300"], "lam*T = 0.0 is too small"),
+        (["opt-path", "--gamma0", "0.5", "--gamma-t", "0.8", "--horizon", "5e-324"],
+         "lam*T = 5e-324 is too small"),
+        (["rate-curve", "--n-ladder", "10,20", "--gamma0", "0.5", "--gamma-t", "0.8",
+          "--horizon", "5e-324"], "lam*T = 5e-324 is too small"),
+        (["tilted-mc", "--n", "10", "--gamma0", "0.5", "--gamma-t", "0.8", "--horizon", "5e-324",
+          "--reps", "3"], "lam*T = 5e-324 is too small"),
+        (["embedded", "--n", "1"], "embedded chain requires n_states >= 2"),
     ])
     def test_bad_input_message_names_the_culprit(self, tmp_path, capsys, monkeypatch,
                                                  argv, message):
@@ -371,6 +415,14 @@ class TestLlnCommands:
         assert report["verdicts"]["within_bound"] is True
         assert report["results"]["estimate"] <= report["results"]["bound"]
         assert report["results"]["jumps"] > 300 * 300  # about 400 per replication
+
+    def test_lln_point_bound_is_inf_where_eps_squared_n_underflows(self, tmp_path):
+        # eps^2 N underflows to 0, so the bound T/(eps^2 N) is inf
+        code = main(["lln-point", "--n", "50", "--gamma0", "0.5", "--eps", "1e-300",
+                     "--reps", "20", "--out", str(tmp_path)])
+        assert code == 0
+        results = json.loads(_read(tmp_path / "report.json"))["results"]
+        assert results["bound"] == "inf" and results["estimate"] == 1.0
 
     def test_lln_stationary_oracle_verdict(self, tmp_path):
         code = main(["lln-stationary", "--n", "100", "--u", "0.3",

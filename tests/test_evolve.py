@@ -907,6 +907,20 @@ class TestRangeKernel:
         assert abs(got / absorbed - 1.0) <= 1e-10
         assert bound >= absorbed
 
+    @pytest.mark.parametrize("n, eps, expected", [(100, 0.2, 0.08935444106113201),
+                                                   (1000, 0.08, 0.022999029849485715)])
+    def test_exit_probability_on_the_deep_route(self, n, eps, expected):
+        # the band's hit states lo and hi of lln_point_experiment absorb and
+        # are the window: P(leave the band by T) from gamma0 = 0.5, T = 1
+        params, m0 = ModelParams(n, 1.0), n // 2
+        lo, hi = math.floor(n * (0.5 - eps) + 1e-9), math.ceil(n * (0.5 + eps) - 1e-9)
+        m, e, _ = _window_chain(_uniformized_kernel(params, lo, hi), m0, 1.0,
+                                np.array([lo, hi]), 1e-12, True)
+        law = _absorbing_expm(params, lo, hi, m0, 1.0)
+        prob = math.ldexp(m, e)
+        assert abs(prob / (law[0] + law[-1]) - 1.0) <= 1e-10
+        assert abs(prob / expected - 1.0) <= 1e-13
+
     def test_full_mass_is_bracketed_by_the_sink_bound(self):
         # P_range <= P_full <= P_range + sink bound, up to each chain's
         # certified truncation, on seeded ranges from tight to loose
@@ -1260,26 +1274,6 @@ class TestReachBound:
         assert (depth[0] == 0.0).all() and (rho_m1[0] <= 1e-15).all()  # R = 1: h = 1
         zone = np.searchsorted([w0, w1], np.arange(n), side="right")
         outside = (zone != 1)
-        for h, rho in zip(np.exp(-depth), 1.0 + rho_m1):
-            moment = h * kern.stay
-            moment[:-1] += h[1:] * kern.up[:-1]
-            moment[1:] += h[:-1] * kern.down[1:]
-            assert np.all(moment[outside] <= rho[zone][outside] * h[outside] * (1.0 + 1e-13))
-
-    @pytest.mark.parametrize("lo, hi, states", [(40, 70, [50, 51]), (1, 70, [30]), (40, 100, [80, 90])])
-    def test_sinks_never_reach_the_window(self, lo, hi, states):
-        # a range kernel's inner ends absorb: they never step toward the
-        # window, so h = 0 there (depth inf, never nan), and the supermartingale
-        # holds at every other state outside the hull
-        kern = _uniformized_kernel(ModelParams(100, 1.0), lo, hi)
-        w0, w1 = min(states) - lo, max(states) - lo + 1
-        with np.errstate(divide="ignore", invalid="ignore"):
-            depth, rho_m1 = evolve._reach_weights(kern, w0, w1)
-        assert not np.isnan(depth).any() and np.isfinite(rho_m1).all()
-        for i in kern.sinks:
-            assert (depth[:, i] == np.inf).all()
-        zone = np.searchsorted([w0, w1], np.arange(kern.stay.size), side="right")
-        outside = (zone != 1) & ~np.isin(np.arange(kern.stay.size), kern.sinks)
         for h, rho in zip(np.exp(-depth), 1.0 + rho_m1):
             moment = h * kern.stay
             moment[:-1] += h[1:] * kern.up[:-1]

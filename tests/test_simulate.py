@@ -306,6 +306,16 @@ class TestLlnStationaryExperiment:
         assert 0 < res.estimate < 1
         assert res.extra["jumps"] == want
 
+    def test_horizon_is_not_read(self):
+        # a replication stops at the last sample time, so a horizon before
+        # it changes nothing
+        params, times = ModelParams(100, 1.0), [0.2, 0.6]
+        short, at_last = (lln_stationary_experiment(
+            params, 0.3, times, SimConfig(horizon=horizon, seed=2, replications=200))
+            for horizon in (0.1, 0.6))
+        assert (short.estimate, short.stderr, short.extra) == (at_last.estimate, at_last.stderr,
+                                                                at_last.extra)
+
     def test_matches_exact_oracle(self):
         params = ModelParams(200, 1.0)
         times = [0.3, 0.9]
