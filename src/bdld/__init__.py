@@ -26,7 +26,6 @@ from .evolve import (
 from .ldp import (
     KAPPA_LIMIT,
     GridPath,
-    ProbeFunction,
     hamiltonian,
     lagrangian,
     prelimit_hamiltonian,

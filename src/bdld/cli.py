@@ -35,11 +35,10 @@ from .chain import (ModelParams, embedded_stationary, embedded_transition_row,
                     jump_rates, stationary_distribution)
 from .evolve import (_window_mass, check_tol, empirical_rate_curve, lattice_window,
                      stationary_dwell_probability)
-from .ldp import GridPath, ProbeFunction, hamiltonian, prelimit_hamiltonian, rate_functional_report
-from .optimal_paths import (ParabolaParams, dual_tilt, hamiltonian_residual,
+from .ldp import GridPath, hamiltonian, prelimit_hamiltonian, rate_functional_report
+from .optimal_paths import (ParabolaParams, PathCase, dual_tilt, hamiltonian_residual,
                             optimal_action, sample_rows, solve_boundary)
 from .serialize import write_csv, write_json
-from .tilting import ConstantTilt
 from .simulate import (STREAM_VERSION, SimConfig, lln_point_experiment,
                        lln_stationary_experiment, occupation_fractions, sample_path,
                        tilted_window_experiment)
@@ -191,7 +190,7 @@ def _run_rate_curve(settings):
     # convex with its zero at gamma0, and the infimum sits at the window point nearest
     # gamma0 (0 when the window holds gamma0).
     nearest = min(max(gamma0, gammaT - half_width), gammaT + half_width)
-    action = 0.0 if nearest == gamma0 else optimal_action(gamma0, nearest, horizon, lam)
+    action = optimal_action(gamma0, nearest, horizon, lam)
     curve = empirical_rate_curve([ModelParams(n, lam) for n in ladder],
                                  gamma0, gammaT, horizon, half_width,
                                  tol=settings["tol"])
@@ -303,7 +302,8 @@ def _run_tilted_mc(settings):
     half_width = settings["half_width"]
     # solve_boundary first checks that gamma0 and gammaT lie in [0, 1] (NaN
     # does not), so only checked values are rounded to states below
-    tilt = dual_tilt(solve_boundary(gamma0, gammaT, horizon, lam))
+    path = solve_boundary(gamma0, gammaT, horizon, lam)
+    tilt = dual_tilt(path)
     if not 0.0 <= half_width < math.inf:
         raise UsageError(f"half_width must be finite and >= 0, got {half_width!r}")
     n = params.n_states
@@ -328,7 +328,7 @@ def _run_tilted_mc(settings):
     # under the identity tilt every weight is 1, so the estimate is a hit
     # proportion, whose stderr is 0 at 0 or reps hits: judge the count
     agrees = (_binomial_agrees(round(res.estimate * res.replications), res.replications)
-              if isinstance(tilt, ConstantTilt)
+              if path.case is PathCase.CONSTANT
               else lambda exact: abs(res.estimate - exact) <= 3.0 * res.stderr)
     return _against_oracle(res, "tilted_mc.csv", exact, agrees)
 
@@ -338,9 +338,8 @@ def _run_hconv(settings):
     if len(ladder) < 2 or min(ladder) < 2:
         raise UsageError(f"--n-ladder needs at least two sizes, each at least 2, got {ladder}")
     lam = settings["lam"]
-    probe = ProbeFunction(fn=lambda x: 0.5 * (1.0 - x) ** 2,
-                          deriv=lambda x: x - 1.0,
-                          zero_derivative_at_one=True)
+    # the probe f and its derivative f'; f'(1) = 0, under which H_N f -> H(., f')
+    probe, probe_deriv = (lambda x: 0.5 * (1.0 - x) ** 2), (lambda x: x - 1.0)
     errors = []
     for n in ladder:
         params = ModelParams(n, lam)
@@ -348,7 +347,7 @@ def _run_hconv(settings):
         for j in range(1, n + 1):
             gamma = j / n
             gap = abs(prelimit_hamiltonian(probe, params, gamma)
-                      - hamiltonian(gamma, probe.deriv(gamma), lam))
+                      - hamiltonian(gamma, probe_deriv(gamma), lam))
             worst = max(worst, gap)
         errors.append(worst)
     ratios = [a / b for a, b in zip(errors, errors[1:])]
@@ -478,7 +477,8 @@ _COMMANDS = {
 
 def _normalise(kind: str, given: dict) -> dict:
     """The settings a subcommand reads, from those given: defaults filled in
-    and every value parsed.  A setting given as None counts as not given."""
+    and every value parsed.  A setting given as None counts as not given, and
+    one given as a boolean, or as a list holding one, is refused."""
     command = _COMMANDS[kind]
     undeclared = [str(name) for name in given if name not in command.settings]
     if undeclared:
@@ -494,7 +494,9 @@ def _normalise(kind: str, given: dict) -> dict:
             value = default
         if value is not None:
             flag, parse = _SETTINGS[name][:2]
-            try:
+            try:  # bool is an int, so int() and float() would take JSON's true and false
+                if any(isinstance(x, bool) for x in (value if isinstance(value, list) else [value])):
+                    raise TypeError("a JSON boolean is not a setting's value")
                 value = parse(value)
             except (TypeError, ValueError) as exc:
                 raise UsageError(f"{kind}: bad {flag} value {value!r}: {exc}") from None

@@ -36,7 +36,6 @@ from .serialize import read_csv
 
 __all__ = [
     "KAPPA_LIMIT",
-    "ProbeFunction",
     "GridPath",
     "hamiltonian",
     "lagrangian",
@@ -71,43 +70,29 @@ def lagrangian(gamma: float, u: float, lam: float) -> float:
     return u * math.asinh(u / a) + a - math.hypot(u, a)
 
 
-@dataclass(frozen=True)
-class ProbeFunction:
-    """A C^1 probe f on [0, 1] with its derivative; the flag asserts f'(1)=0
-    (the probe class under which the prelimit generator converges)."""
-
-    fn: Callable[[float], float]
-    deriv: Callable[[float], float]
-    zero_derivative_at_one: bool = False
-
-    def __post_init__(self):
-        if self.zero_derivative_at_one and abs(self.deriv(1.0)) > 1e-12:
-            raise ValueError("flag asserts f'(1) = 0 but the derivative there is "
-                             f"{self.deriv(1.0)!r}")
-
-
-def prelimit_hamiltonian(f: ProbeFunction, params: ModelParams, gamma: float) -> float:
-    """The finite-N nonlinear generator applied to f at a lattice point
-    gamma = j/N:
+def prelimit_hamiltonian(f: Callable[[float], float], params: ModelParams, gamma: float) -> float:
+    """The finite-N nonlinear generator applied to the probe function f at a
+    lattice point gamma = j/N:
 
         lam*gamma*(e^{N(f(gamma+1/N)-f(gamma))} - 1)   for j < N
       + lam*gamma*(e^{N(f(gamma-1/N)-f(gamma))} - 1)   for j > 1
 
     At j = 1 only the up term survives (prefactor lam/N) and at j = N only
-    the down term (prefactor lam), exactly as the generator dictates.
+    the down term (prefactor lam), exactly as the generator dictates.  For a
+    C^1 probe with f'(1) = 0 it converges to H(gamma, f'(gamma)) at rate 1/N.
     """
     n = params.n_states
     j = round(gamma * n)
     if not 1 <= j <= n or abs(gamma * n - j) > 1e-6:
         raise ValueError(f"gamma={gamma} is not a lattice point j/N for N={n}")
     x = j / n
-    f_here = f.fn(x)
+    f_here = f(x)
     prefactor = params.lam * x
     total = 0.0
     if j < n:
-        total += prefactor * _expm1_guarded(n * (f.fn((j + 1) / n) - f_here))
+        total += prefactor * _expm1_guarded(n * (f((j + 1) / n) - f_here))
     if j > 1:
-        total += prefactor * _expm1_guarded(n * (f.fn((j - 1) / n) - f_here))
+        total += prefactor * _expm1_guarded(n * (f((j - 1) / n) - f_here))
     return total
 
 
@@ -127,8 +112,8 @@ class GridPath:
     such as ``ParabolaParams``.  When it is present, integration uses it
     directly; otherwise the samples are interpolated with a cubic Hermite
     spline.  Derivatives omitted at construction are filled by central
-    differences (one-sided at the ends), per the usual trade-off: analytic
-    where possible, differencing only as a fallback.
+    differences (one-sided at the ends, the chord's slope on two points):
+    analytic where possible, differencing only as a fallback.
     """
 
     times: np.ndarray
@@ -167,7 +152,7 @@ class GridPath:
         if times.size < 2:
             raise ValueError("need at least two grid points")
         if derivatives is None:
-            derivatives = np.gradient(values, times, edge_order=2)
+            derivatives = np.gradient(values, times, edge_order=min(2, times.size - 1))
         return cls(times, values, np.asarray(derivatives, dtype=float))
 
     @classmethod
@@ -206,8 +191,7 @@ def rate_functional(path: GridPath, lam: float, tol: float = 1e-9) -> float:
     Returns +inf if the path sits at zero with nonzero velocity somewhere in
     the interior.
     """
-    value, _, _ = _integrate_action(path, lam, tol)
-    return value
+    return rate_functional_report(path, lam, tol)["I"]
 
 
 def rate_functional_report(path: GridPath, lam: float, tol: float = 1e-9) -> dict:

@@ -66,8 +66,8 @@ class AdmissibilityError(ValueError):
 @dataclass(frozen=True)
 class ParabolaParams:
     """The solved path: (c1, c2) and the case tag, plus the boundary data it
-    was solved for.  For the constant case c1 = c2 = 0 and ``level`` holds the
-    constant value."""
+    was solved for.  For the constant case c1 = c2 = 0 and the path's value
+    is gamma0."""
 
     c1: float
     c2: float
@@ -76,11 +76,10 @@ class ParabolaParams:
     horizon: float
     gamma0: float
     gammaT: float
-    level: float | None = None
 
     def value(self, t: float) -> float:
         if self.case is PathCase.CONSTANT:
-            return self.level
+            return self.gamma0
         x = self.lam * t - self.c1
         return self.c2 * x * (x + 1.0)
 
@@ -146,8 +145,7 @@ class ParabolaParams:
             # a parabola that solves a boundary problem has c2 > 0: its dual z is positive
             raise ValueError(f"parabola JSON field 'c2' must be positive for case "
                              f"{case.value!r}, got {obj['c2']!r}")
-        level = numbers["gamma0"] if case is PathCase.CONSTANT else None
-        params = cls(case=case, level=level, **numbers)
+        params = cls(case=case, **numbers)
         _verify_admissible(params)
         return params
 
@@ -163,9 +161,7 @@ def solve_boundary(gamma0: float, gammaT: float, T: float, lam: float) -> Parabo
             raise ValueError(f"{name} must lie in [0, 1], got {g}")
 
     if abs(gamma0 - gammaT) <= _EQUAL_ENDPOINT_TOL:
-        params = ParabolaParams(0.0, 0.0, PathCase.CONSTANT, lam, T,
-                                gamma0, gammaT, level=gamma0)
-        return params
+        return ParabolaParams(0.0, 0.0, PathCase.CONSTANT, lam, T, gamma0, gammaT)
 
     lt = lam * T
     span = lt * (lt + 1.0)

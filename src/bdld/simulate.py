@@ -234,9 +234,8 @@ def _start(params: ModelParams, config: SimConfig):
     if config.initial == "stationary":
         pi = stationary_distribution(params)
         return lambda rng: pi.sample_state(rng.random())
+    _check_state(params, config.initial, "initial")
     m0 = int(config.initial)
-    if not 1 <= m0 <= params.n_states:
-        raise ValueError(f"initial state {m0} outside 1..{params.n_states}")
     return lambda rng: m0
 
 
@@ -580,14 +579,14 @@ def lln_point_experiment(params: ModelParams, gamma0: float, epsilon: float,
     reps = config.replications
     scale = epsilon * epsilon * n  # 0 where it underflows: the bound is then inf
     bound = horizon / scale if scale else math.inf
-    if lo < 1 and hi > n and not (m0 <= lo or m0 >= hi):
+    if lo < 1 and hi > n:  # the band holds 1..N, m0 included: no path leaves it
         return ExperimentResult(0.0, 0.0, reps, config.seed, params,
                                 extra={"bound": bound, "hits": 0, "jumps": 0})
+    started_out = m0 <= lo or m0 >= hi
     hits = n_jumps = 0
     for _, _, path, _ in _replications(params, replace(config, initial=m0)):
         n_jumps += sum(states.size for _, states in path)
-        if m0 <= lo or m0 >= hi or any(states.min() <= lo or states.max() >= hi
-                                       for _, states in path):
+        if started_out or any(states.min() <= lo or states.max() >= hi for _, states in path):
             hits += 1
     p = hits / reps
     stderr = math.sqrt(p * (1.0 - p) / reps)

@@ -19,9 +19,14 @@ from ldp_reference import fenchel_hamiltonian, lagrangian_numeric
 
 SEED = 20260808
 
-_PROBE = bdld.ProbeFunction(fn=lambda x: 0.5 * (1.0 - x) ** 2,
-                            deriv=lambda x: x - 1.0,
-                            zero_derivative_at_one=True)
+
+def _probe(x):
+    """f(x) = (1 - x)^2 / 2; its derivative _probe_deriv(x) = x - 1 vanishes at 1."""
+    return 0.5 * (1.0 - x) ** 2
+
+
+def _probe_deriv(x):
+    return x - 1.0
 
 
 def _verdict(number: int, description: str, ok: bool, detail: str = "") -> None:
@@ -151,8 +156,8 @@ def test_criterion_08_prelimit_convergence():
     errors = []
     for n in (100, 200, 400, 800, 1600):
         params = ModelParams(n, 1.0)
-        worst = max(abs(bdld.prelimit_hamiltonian(_PROBE, params, j / n)
-                        - bdld.hamiltonian(j / n, _PROBE.deriv(j / n), 1.0))
+        worst = max(abs(bdld.prelimit_hamiltonian(_probe, params, j / n)
+                        - bdld.hamiltonian(j / n, _probe_deriv(j / n), 1.0))
                     for j in range(1, n + 1))
         errors.append(worst)
     ratios = [a / b for a, b in zip(errors, errors[1:])]

@@ -594,6 +594,18 @@ class TestActionCommand:
         assert "I_closed_form" not in report["results"]
         assert report["verdicts"] == {"quadrature_converged": True}
 
+    def test_two_row_path_csv_takes_the_chord_slope(self, tmp_path):
+        # two rows without dgamma: the derivative is the chord's slope, 0.3 at both ends
+        actions = []
+        for name, text in (("bare", "t,gamma\n0,0.5\n1,0.8\n"),
+                           ("slope", "t,gamma,dgamma\n0,0.5,0.3\n1,0.8,0.3\n")):
+            (tmp_path / f"{name}.csv").write_text(text)
+            assert main(["action", "--path-csv", str(tmp_path / f"{name}.csv"),
+                         "--out", str(tmp_path / name)]) == 0
+            actions.append(json.loads(_read(tmp_path / name / "report.json"))["results"]["I"])
+        assert actions[0] == actions[1] == pytest.approx(float.fromhex("0x1.1f644f28855d1p-5"),
+                                                         rel=1e-12)
+
     def test_parabola_json_mode(self, tmp_path):
         from bdld.optimal_paths import solve_boundary
         blob = tmp_path / "pp.json"
@@ -958,6 +970,8 @@ class TestConfigHandling:
         {"n": 4.7},                  # an integer setting given a fraction
         {"n": "four"},
         {"n": 4, "seed": 3},         # a field stationary does not declare
+        {"n": True},                 # a JSON boolean, which int() would read as 1
+        {"n": 4, "lam": True},       # ... and float() as 1.0
     ])
     def test_bad_config_field(self, tmp_path, capsys, fields):
         config = tmp_path / "cfg.json"
@@ -965,6 +979,19 @@ class TestConfigHandling:
         assert main(["stationary", "--config", str(config), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err and "error" in err
+
+    @pytest.mark.parametrize("argv, fields, flag", [
+        (["hconv"], {"n_ladder": [100, True]}, "--n-ladder"),
+        (["lln-stationary", "--n", "20", "--u", "0.5"], {"times": [0.5, True]}, "--times"),
+        (["simulate", "--n", "10", "--horizon", "1"], {"seed": False}, "--seed"),
+    ])
+    def test_boolean_config_field_refused(self, tmp_path, capsys, argv, fields, flag):
+        # every numeric setting, and every item of a listed one, refuses true and false
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(fields))
+        assert main([*argv, "--config", str(config), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {argv[0]}: bad {flag} value" in err and "Traceback" not in err
 
     def test_config_not_utf8(self, tmp_path, capsys):
         config = tmp_path / "cfg.json"

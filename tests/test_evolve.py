@@ -1342,3 +1342,15 @@ class TestRoundOff:
             m, e, _ = _window_chain(_uniformized_kernel(ModelParams(n, 1.0)), m0, t,
                                     np.arange(lo, hi + 1), 1e-12, deep)
             assert abs(math.log(m) + e * math.log(2.0) - log_p) <= 1e-12
+
+    @pytest.mark.parametrize("n, t, a, b", [
+        (400, 1.0, 200, 320), (1600, 1.0, 800, 1280),
+        (1000, 100.0, 500, 50), (400, 200.0, 200, 20)])
+    def test_detailed_balance_pairs(self, n, t, a, b):
+        # the chain is reversible with pi(m) proportional to 1/m, so
+        # ln P(a -> {b}) - ln P(b -> {a}) = ln(a/b) exactly, at any mu = 2 lam N t;
+        # each answer is certified to tol, so their difference misses by at most 2 tol
+        params, tol = ModelParams(n, 1.0), 1e-12
+        forward = window_log_probability(params, a, t, range(b, b + 1), tol)
+        backward = window_log_probability(params, b, t, range(a, a + 1), tol)
+        assert abs(forward - backward - math.log(a / b)) <= 2.0 * tol

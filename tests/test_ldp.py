@@ -15,7 +15,6 @@ from bdld import ldp
 from bdld.chain import ModelParams
 from bdld.ldp import (
     GridPath,
-    ProbeFunction,
     hamiltonian,
     lagrangian,
     _cubic_hermite,
@@ -148,9 +147,14 @@ class TestIntegrandEquivalence:
         assert worst <= 1e-10
 
 
+def _parabola_probe(x):
+    """f(x) = (1 - x)^2 / 2, whose derivative x - 1 vanishes at 1."""
+    return 0.5 * (1.0 - x) ** 2
+
+
 class TestPrelimitHamiltonian:
     def test_constant_probe_vanishes(self):
-        probe = ProbeFunction(fn=lambda x: 4.0, deriv=lambda x: 0.0)
+        probe = lambda x: 4.0
         params = ModelParams(64, 1.3)
         for j in (1, 17, 64):
             assert prelimit_hamiltonian(probe, params, j / 64) == 0.0
@@ -158,7 +162,7 @@ class TestPrelimitHamiltonian:
     def test_linear_probe_is_n_independent(self):
         # For f(x) = x the exponent N * (1/N) = 1 exactly, so interior values
         # are gamma*(e - 1) + gamma*(1/e - 1) at every N.
-        probe = ProbeFunction(fn=lambda x: x, deriv=lambda x: 1.0)
+        probe = lambda x: x
         for n in (10, 100, 1000):
             gamma = 0.3
             value = prelimit_hamiltonian(probe, ModelParams(n, 1.0), gamma)
@@ -166,40 +170,33 @@ class TestPrelimitHamiltonian:
             assert abs(value - exact) <= 1e-12
 
     def test_boundary_points_use_one_sided_terms(self):
-        probe = ProbeFunction(fn=lambda x: 0.5 * (1.0 - x) ** 2, deriv=lambda x: x - 1.0,
-                              zero_derivative_at_one=True)
+        f = _parabola_probe
         n, lam = 50, 1.0
         params = ModelParams(n, lam)
-        f = probe.fn
         low = (lam / n) * math.expm1(n * (f(2 / n) - f(1 / n)))
-        assert prelimit_hamiltonian(probe, params, 1 / n) == pytest.approx(low, abs=1e-15)
+        assert prelimit_hamiltonian(f, params, 1 / n) == pytest.approx(low, abs=1e-15)
         high = lam * math.expm1(n * (f((n - 1) / n) - f(1.0)))
-        assert prelimit_hamiltonian(probe, params, 1.0) == pytest.approx(high, abs=1e-15)
+        assert prelimit_hamiltonian(f, params, 1.0) == pytest.approx(high, abs=1e-15)
 
     def test_error_decays_like_one_over_n(self):
         # N * sup-error stays put across two decades, i.e. the error is C/N
-        probe = ProbeFunction(fn=lambda x: 0.5 * (1.0 - x) ** 2, deriv=lambda x: x - 1.0,
-                              zero_derivative_at_one=True)
+        probe = _parabola_probe
         scaled_errors = []
         for n in (100, 1000, 10_000):
             params = ModelParams(n, 1.0)
             worst = max(
                 abs(prelimit_hamiltonian(probe, params, j / n)
-                    - hamiltonian(j / n, probe.deriv(j / n), 1.0))
+                    - hamiltonian(j / n, j / n - 1.0, 1.0))
                 for j in range(1, n + 1))
             scaled_errors.append(n * worst)
         assert max(scaled_errors) == pytest.approx(min(scaled_errors), rel=0.05)
 
     def test_off_lattice_rejected(self):
-        probe = ProbeFunction(fn=lambda x: x, deriv=lambda x: 1.0)
+        probe = lambda x: x
         with pytest.raises(ValueError):
             prelimit_hamiltonian(probe, ModelParams(10, 1.0), 0.55)
         with pytest.raises(ValueError):
             prelimit_hamiltonian(probe, ModelParams(10, 1.0), 0.0)
-
-    def test_probe_flag_is_checked(self):
-        with pytest.raises(ValueError):
-            ProbeFunction(fn=lambda x: x, deriv=lambda x: 1.0, zero_derivative_at_one=True)
 
 
 class TestGridPath:

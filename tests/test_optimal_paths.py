@@ -57,7 +57,8 @@ class TestSolveBoundary:
     def test_equal_endpoints_give_constant(self):
         pp = solve_boundary(0.3, 0.3, 1.0, 1.0)
         assert pp.case is PathCase.CONSTANT
-        assert pp.level == 0.3
+        assert pp.value(0.0) == pp.value(0.7) == pp.value(1.0) == 0.3
+        assert pp.derivative(0.4) == 0.0
         pp = solve_boundary(0.3, 0.3 + 5e-15, 1.0, 1.0)
         assert pp.case is PathCase.CONSTANT
 
