@@ -69,6 +69,8 @@ class ProbabilityVector:
         object.__setattr__(self, "mass", mass)
         if mass.ndim != 1 or mass.size < 1:
             raise ValueError("mass must be a one-dimensional non-empty array")
+        if not np.isfinite(mass).all():
+            raise ValueError("mass entries must be finite")
         if np.any(mass < 0.0):
             raise ValueError("mass entries must be non-negative")
         total = float(mass.sum())

@@ -33,13 +33,13 @@ import numpy as np
 from . import __version__
 from .chain import (ModelParams, embedded_stationary, embedded_transition_row,
                     jump_rates, stationary_distribution)
-from .evolve import (_window_mass, check_tol, empirical_rate_curve, lattice_window,
-                     stationary_dwell_probability)
+from .evolve import (_exit_probability, _window_mass, check_tol, empirical_rate_curve,
+                     lattice_window, stationary_dwell_probability)
 from .ldp import GridPath, hamiltonian, prelimit_hamiltonian, rate_functional_report
 from .optimal_paths import (ParabolaParams, PathCase, dual_tilt, hamiltonian_residual,
                             optimal_action, sample_rows, solve_boundary)
 from .serialize import write_csv, write_json
-from .simulate import (STREAM_VERSION, SimConfig, lln_point_experiment,
+from .simulate import (STREAM_VERSION, SimConfig, _lln_band, lln_point_experiment,
                        lln_stationary_experiment, occupation_fractions, sample_path,
                        tilted_window_experiment)
 
@@ -114,13 +114,15 @@ def _run_simulate(settings):
 
 def _run_lln_point(settings):
     params = _params(settings)
+    m0, lo, hi = _lln_band(params, settings["gamma0"], settings["eps"])
+    exact = _oracle_value(params, lambda: _exit_probability(
+        params, m0, settings["horizon"], lo, hi, 1e-12))
     config = SimConfig(horizon=settings["horizon"], seed=settings["seed"],
                        replications=settings["reps"])
     res = lln_point_experiment(params, settings["gamma0"], settings["eps"], config)
-    results = res.to_json_obj()
-    verdicts = {"within_bound": res.estimate <= res.extra["bound"]}
-    tables = {"lln_point.csv": (["estimate", "stderr", "bound", "replications"],
-                                [(res.estimate, res.stderr, res.extra["bound"], res.replications)])}
+    results, verdicts, tables = _against_oracle(
+        res, "lln_point.csv", exact, _binomial_agrees(res.extra["hits"], res.replications), "bound")
+    verdicts["within_bound"] = res.estimate <= res.extra["bound"]
     return results, verdicts, tables
 
 
@@ -130,17 +132,19 @@ def _oracle_value(params: ModelParams, exact_value):
     return exact_value() if params.n_states <= _ORACLE_N_CAP else None
 
 
-def _against_oracle(res, table: str, exact, agrees):
+def _against_oracle(res, table: str, exact, agrees, *extra: str):
     """Results, verdicts and tables of a Monte Carlo estimate: the exact
     value from _oracle_value (None above the cap), and the verdict
-    agrees(exact) that the estimate is consistent with it."""
+    agrees(exact) that the estimate is consistent with it.  The table's
+    row holds the extra fields named in extra after the exact value."""
     results = res.to_json_obj()
     verdicts = {}
     if exact is not None:
         results["exact"] = exact
         verdicts["matches_oracle"] = agrees(exact)
-    rows = [(res.estimate, res.stderr, results.get("exact", math.nan), res.replications)]
-    return results, verdicts, {table: (["estimate", "stderr", "exact", "replications"], rows)}
+    rows = [(res.estimate, res.stderr, results.get("exact", math.nan),
+             *(res.extra[key] for key in extra), res.replications)]
+    return results, verdicts, {table: (["estimate", "stderr", "exact", *extra, "replications"], rows)}
 
 
 def _binomial_two_sided(k: int, n: int, p: float) -> float:

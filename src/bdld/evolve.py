@@ -7,7 +7,9 @@ costs O(N) and the Poisson truncation is certified: this is the brute-force
 oracle every Monte Carlo estimate and large-deviation rate is checked against.
 
 Powers are taken _S = 8 orders per numpy pass through the band of K^8
-(_block_powers); results differ from an order-by-order sum below 1e-13
+(_block_powers), built by squaring K -> K^2 -> K^4 -> K^8 (_block_gather):
+every entry is a sum of products >= 0, within a few ulps of the band built
+order by order.  Results differ from an order-by-order sum below 1e-13
 relative.  The Poisson weights are built from the mode outward by the pmf
 ratios, as products of mantissas and sums of binary exponents, so that none
 underflows (_poisson_scaled), and a law's are cut at a certified tail bound
@@ -35,9 +37,9 @@ charged error account (Munsky & Khammash 2006) sized by a guess at ln P,
 which also takes what a tile may flush.  Against mpmath the chain is within
 4e-14 of ln P at N = 400, 1600 (window 0.5 -> 0.8 +- 0.02, T = 1) and at a
 query of ln P = -1724.  One query on a shared 2-core machine, whose speed
-varies up to 2x from day to day (timed on one day): 2 ms for a bulk window
-at N = 520, mu ~ 460; for gamma0 = 0.5, window 0.8 +- 0.02, T = 1:
-0.09 / 0.27 / 0.94 s at N = 6400 / 12800 / 25600.  Beyond that is Monte
+varies up to 2x from day to day (timed on one day): 0.8 ms for a bulk
+window at N = 496, mu ~ 400; for gamma0 = 0.5, window 0.8 +- 0.02, T = 1:
+0.05 / 0.13 / 0.45 s at N = 6400 / 12800 / 25600.  Beyond that is Monte
 Carlo.
 """
 
@@ -50,7 +52,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .chain import ModelParams, ProbabilityVector, _check_state, _dwell_times, stationary_distribution
 from .optimal_paths import AdmissibilityError, optimal_action
@@ -66,7 +68,7 @@ __all__ = [
 ]
 
 # Poisson orders per numpy pass: both sums step by the band of K^_S.
-_S = 8
+_S = 8  # a power of two: _block_gather squares K up to K^_S
 # States per tile: a window chain's powers hold one binary exponent per tile.
 _TILE = 64
 # A window chain starts from mass 2^_HEAD, and a tile stepped at its own
@@ -106,30 +108,38 @@ class _UniformizedKernel:
     @functools.cached_property
     def band(self) -> np.ndarray:
         """The band of K^_S state by state, band[m, i] = G[i, m] of
-        _block_gather, then rows of zeros to a whole number of tiles.  Built
-        once, when a chain first steps past its start, and shared by every
-        chain that steps with this kernel."""
+        _block_gather (K squared three times), then rows of zeros to a whole
+        number of tiles.  Built once, when a chain first steps past its
+        start, and shared by every chain that steps with this kernel: 72 us
+        at 430 states, 218 us at 1800 (timeit, 2-core machine)."""
         n = self.stay.size
         band = np.zeros((-(-n // _TILE) * _TILE, 2 * _S + 1))
         band[:n] = _block_gather(self).T
         return band
 
 
-def _uniformized_kernel(params: ModelParams, lo: int = 1, hi: int | None = None) -> _UniformizedKernel:
+def _uniformized_kernel(params: ModelParams, lo: int = 1, hi: int | None = None,
+                        sinks: Sequence[int] | None = None) -> _UniformizedKernel:
     """The kernel on the states lo..hi (default 1..N) at the rate
-    Lam = 2*lam*hi, the rates of chain.jump_rates; an end strictly inside
-    1..N absorbs (up = down = 0, stay = 1)."""
+    Lam = 2*lam*hi, the rates of chain.jump_rates; the states sinks, by
+    default the ends strictly inside 1..N, absorb (up = down = 0,
+    stay = 1)."""
     n, lam = params.n_states, params.lam
     hi = n if hi is None else hi
-    m = np.arange(lo, hi + 1, dtype=float)
-    up = np.where(m < n, lam * m, 0.0)
-    down = np.where(m > 1, lam * m, 0.0)
-    sinks = tuple(i for i, end in ((0, lo), (hi - lo, hi)) if 1 < end < n)
+    if sinks is None:
+        sinks = [end for end in (lo, hi) if 1 < end < n]
+    down = lam * np.arange(lo, hi + 1, dtype=float)
+    up = down.copy()
+    if hi == n:  # no step up from N
+        up[-1] = 0.0
+    if lo == 1:  # nor down from 1
+        down[0] = 0.0
+    sinks = tuple(m - lo for m in sinks)
     for i in sinks:
         up[i] = down[i] = 0.0
     lam_unif = 2.0 * lam * hi
     return _UniformizedKernel(up / lam_unif, down / lam_unif,
-                              1.0 + -(up + down) / lam_unif, lam_unif, lo, sinks)
+                              1.0 - (up + down) / lam_unif, lam_unif, lo, sinks)
 
 
 def _kernel_apply(p: np.ndarray, kern: _UniformizedKernel) -> np.ndarray:
@@ -143,19 +153,26 @@ def _kernel_apply(p: np.ndarray, kern: _UniformizedKernel) -> np.ndarray:
 def _block_gather(kern: _UniformizedKernel) -> np.ndarray:
     """The band of B = K^_S in gather form: G[i, m] = B[m+i-_S, m], zero
     where row m+i-_S lies outside the chain, so that (y B)[m] is the sum over
-    i of y[m+i-_S] G[i, m].  Built by _S kernel steps from the identity's
-    band, a step C <- C K reading in this form
-    (C K)[m+i-_S, m] = C[i, m] stay[m] + C[i+1, m-1] up[m-1] + C[i-1, m+1] down[m+1].
-    Step r writes only the 2r+1 rows _S-r.._S+r that K^r can fill, into the
-    other of two buffers."""
-    g = np.zeros((2, 2 * _S + 1, kern.stay.size))
-    g[0, _S] = 1.0
-    for r in range(1, _S + 1):
-        c, h = g[(r - 1) % 2, _S - r:_S + r + 1], g[r % 2, _S - r:_S + r + 1]
-        np.multiply(c, kern.stay, out=h)
-        h[:-1, 1:] += c[1:, :-1] * kern.up[:-1]
-        h[1:, :-1] += c[:-1, 1:] * kern.down[1:]
-    return g[_S % 2]
+    i of y[m+i-_S] G[i, m].  Built by squaring, K -> K^2 -> ... -> K^_S: in
+    this form the band of A A, A of half-width b, reads
+    (A A)[m+i-2b, m] = sum_j G[i-j, m+j-b] G[j, m], one np.einsum over a
+    read-only strided view of G between 2b rows and b columns of zeros on
+    each side.  Every term is a product of entries >= 0, so each entry keeps
+    a relative error bound and no sum cancels (Higham 2002, ch. 3); a zero
+    of the band, at the chain's ends and around a sink, stays exactly 0, and
+    a sink's row stays e_s."""
+    n = kern.stay.size
+    g = np.zeros((3, n))
+    g[0, 1:], g[1], g[2, :-1] = kern.up[:-1], kern.stay, kern.down[1:]
+    b = 1
+    while b < _S:
+        pad = np.zeros((6 * b + 1, n + 2 * b))
+        pad[2 * b:4 * b + 1, b:b + n] = g
+        s0, s1 = pad.strides  # view[i, j, m] = pad[2b + i - j, m + j]
+        view = as_strided(pad[2 * b:], (4 * b + 1, 2 * b + 1, n), (s0, s1 - s0, s1), writeable=False)
+        g = np.einsum("ijm,jm->im", view, g)
+        b *= 2
+    return g
 
 
 def _poisson_weights(mu: float, last: int) -> tuple[np.ndarray, np.ndarray, int]:
@@ -210,9 +227,9 @@ def _poisson_terms(mu: float, tol: float) -> np.ndarray:
 def _poisson_cutoff(w: np.ndarray, mu: float, tol: float) -> int:
     """K: the first order past mu - 2 whose tail bound w[K+1] / (1 - mu/(K+2))
     is at most tol/2, w the Poisson(mu) pmf from order 0."""
-    k = np.arange(w.size - 1)
-    past = (k + 2 > mu) & (w[1:] <= 0.5 * tol * (1.0 - mu / (k + 2)))
-    return int(past.argmax())
+    first = max(int(mu) - 1, 0)  # the first k with k + 2 > mu
+    k = np.arange(first, w.size - 1)
+    return first + int((w[first + 1:] <= 0.5 * tol * (1.0 - mu / (k + 2))).argmax())
 
 
 def _poisson_top(mu: float) -> int:
@@ -243,9 +260,12 @@ def _check_time_tol(t: float, tol: float) -> None:
 
 
 def evolve_distribution(params: ModelParams, dist, t: float, tol: float = 1e-12) -> ProbabilityVector:
-    """Forward-evolve an initial distribution by time t."""
+    """Forward-evolve an initial distribution by time t: a ProbabilityVector,
+    or an array checked as one."""
     _check_time_tol(t, tol)
-    p = dist.mass if isinstance(dist, ProbabilityVector) else np.asarray(dist, dtype=float)
+    if not isinstance(dist, ProbabilityVector):  # a copy: the caller's array stays writable
+        dist = ProbabilityVector(np.array(dist, dtype=float))
+    p = dist.mass
     if p.size != params.n_states:
         raise ValueError("distribution dimension does not match n_states")
     acc = _poisson_mixture(p, _uniformized_kernel(params), t, tol)
@@ -286,7 +306,7 @@ def _block_powers(kern: _UniformizedKernel, p: np.ndarray, flushed: np.ndarray |
         step = _tiled_stepper(ring, exps, g, flushed)
     else:
         views = sliding_window_view(ring[:, _TILE - _S:_TILE + n + _S], n, axis=1)
-        views = (views[0], views[1])
+        views, whole = (views[0], views[1]), g[:n]
     for j in itertools.count(1):
         r = j % 2
         row = rows[r]
@@ -300,6 +320,8 @@ def _block_powers(kern: _UniformizedKernel, p: np.ndarray, flushed: np.ndarray |
         lo, hi = max(0, lo - _S), min(n, hi + _S)
         if tiled:
             step(r, lo, hi)
+        elif hi - lo == n:  # every state: the same product, with no slicing
+            np.einsum("ij,ji->j", views[1 - r], whole, out=row)
         else:
             np.einsum("ij,ji->j", views[1 - r][:, lo:hi], g[lo:hi], out=row[lo:hi])
         keep = yield lo, hi, row, tile_exps[r]
@@ -744,6 +766,29 @@ def _chain_pass(kern: _UniformizedKernel, m0: int, mu: float, states: np.ndarray
         near = np.s_[max(0, s - _S + 1):s + _S]
         sinks += float(np.ldexp(row[near], np.repeat(row_e, _TILE)[:n][near] - _HEAD).sum())
     return m, e + int(num_e + sums_e[0] - den_e - sums_e[1]), account - head, sinks
+
+
+def _exit_probability(params: ModelParams, m0: int, t: float, lo: int, hi: int,
+                      tol: float) -> float:
+    """P(X leaves the band lo+1..hi-1 by time t | X(0) = m0): the mass that
+    the hit states {lo, hi}, those of them within 1..N, absorb by t.  It is
+    the window mass of _window_chain on the deep route, over the states
+    max(lo, 1)..min(hi, N) with the hit states as window and as sinks, an
+    end of 1..N among them (_uniformized_kernel's default leaves those
+    reflecting); its truncation is certified to tol/2 of itself.  0 with
+    no hit state in 1..N, 1 where m0 is one.  Never 1 - survival, which
+    cancels where the exit is rare."""
+    _check_state(params, m0, "m0")
+    _check_time_tol(t, tol)
+    n = params.n_states
+    if m0 <= lo or m0 >= hi:
+        return 1.0
+    hits = [m for m in (lo, hi) if 1 <= m <= n]
+    if not hits:
+        return 0.0
+    kern = _uniformized_kernel(params, max(lo, 1), min(hi, n), hits)
+    m, e, _ = _window_chain(kern, m0, t, np.array(hits), tol, True)
+    return math.ldexp(m, e)
 
 
 def lattice_window(n: int, center: float, half_width: float) -> tuple[int, int]:

@@ -553,6 +553,25 @@ def occupation_fractions(trajectory: Trajectory, n_states: int) -> ProbabilityVe
     return ProbabilityVector(acc / acc.sum())
 
 
+def _lln_band(params: ModelParams, gamma0: float, epsilon: float) -> tuple[int, int, int]:
+    """(m0, lo, hi) of lln_point_experiment: the start round(gamma0*N), and
+    the band lo+1..hi-1 a path leaves when it hits a state m <= lo or
+    m >= hi (1e-9 grid snap: states are integers, so only degenerate float
+    ties are affected)."""
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
+    if not math.isfinite(gamma0):
+        raise ValueError(f"gamma0 must be finite, got {gamma0!r}")
+    n = params.n_states
+    # clamped to [-1, N + 1] before rounding, which keeps huge values finite
+    m0 = round(min(max(gamma0 * n, -1.0), n + 1.0))
+    if not 1 <= m0 <= n:
+        raise ValueError(f"gamma0={gamma0!r} puts round(gamma0*N) outside 1..{n}")
+    lo = math.floor(max(n * (gamma0 - epsilon), -1.0) + 1e-9)
+    hi = math.ceil(min(n * (gamma0 + epsilon), n + 1.0) - 1e-9)
+    return m0, lo, hi
+
+
 def lln_point_experiment(params: ModelParams, gamma0: float, epsilon: float,
                          config: SimConfig) -> ExperimentResult:
     """Monte Carlo estimate of P(sup_{t<=T} |X(t)/N - gamma0| >= epsilon) from
@@ -563,19 +582,8 @@ def lln_point_experiment(params: ModelParams, gamma0: float, epsilon: float,
     jumps simulated up to the horizon (0 when the band holds the whole state
     space and nothing is simulated) ride along in the result's extra fields.
     """
-    if not 0.0 < epsilon < math.inf:
-        raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
-    if not math.isfinite(gamma0):
-        raise ValueError(f"gamma0 must be finite, got {gamma0!r}")
+    m0, lo, hi = _lln_band(params, gamma0, epsilon)
     n, horizon = params.n_states, config.horizon
-    # clamped to [-1, N + 1] before rounding, which keeps huge values finite
-    m0 = round(min(max(gamma0 * n, -1.0), n + 1.0))
-    if not 1 <= m0 <= n:
-        raise ValueError(f"gamma0={gamma0!r} puts round(gamma0*N) outside 1..{n}")
-    # Hit iff m <= lo or m >= hi (1e-9 grid snap: states are integers, so only
-    # degenerate float ties are affected).
-    lo = math.floor(max(n * (gamma0 - epsilon), -1.0) + 1e-9)
-    hi = math.ceil(min(n * (gamma0 + epsilon), n + 1.0) - 1e-9)
     reps = config.replications
     scale = epsilon * epsilon * n  # 0 where it underflows: the bound is then inf
     bound = horizon / scale if scale else math.inf

@@ -198,6 +198,12 @@ class TestProbabilityVector:
         with pytest.raises(ValueError):
             ProbabilityVector(np.array([1.2, -0.2]))
 
+    @pytest.mark.parametrize("mass", [[0.5, math.nan], [math.nan], [1.0, math.inf], [1.0, -math.inf]])
+    def test_rejects_non_finite_mass(self, mass):
+        # NaN passes both the sign and the sum check
+        with pytest.raises(ValueError, match="finite"):
+            ProbabilityVector(np.array(mass))
+
     @pytest.mark.parametrize("pv", [
         stationary_distribution(ModelParams(6, 2.0)),
         embedded_stationary(ModelParams(5, 1.0)),

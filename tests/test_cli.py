@@ -416,6 +416,34 @@ class TestLlnCommands:
         assert report["results"]["estimate"] <= report["results"]["bound"]
         assert report["results"]["jumps"] > 300 * 300  # about 400 per replication
 
+    def test_lln_point_readme_run_matches_oracle(self, tmp_path):
+        code = main(["lln-point", "--n", "1000", "--gamma0", "0.5", "--eps", "0.2",
+                     "--horizon", "1", "--reps", "10000", "--seed", "1", "--out", str(tmp_path)])
+        assert code == 0
+        report = json.loads(_read(tmp_path / "report.json"))
+        assert report["verdicts"] == {"matches_oracle": True, "within_bound": True}
+        assert abs(report["results"]["exact"] / 6.574845605477701e-9 - 1.0) <= 1e-12
+        header, row = _read(tmp_path / "lln_point.csv").splitlines()
+        assert header == "estimate,stderr,exact,bound,replications"
+        assert float(row.split(",")[2]) == report["results"]["exact"]
+
+    def test_lln_point_verdict_fails_against_a_wrong_exact_value(self, tmp_path, monkeypatch):
+        # 0.023 exact at N = 1000, eps = 0.08: about 23 hits in 1000, far from 500
+        monkeypatch.setattr(cli, "_exit_probability", lambda *args: 0.5)
+        code = main(["lln-point", "--n", "1000", "--gamma0", "0.5", "--eps", "0.08",
+                     "--reps", "1000", "--seed", "1", "--out", str(tmp_path)])
+        assert code == 1
+        verdicts = json.loads(_read(tmp_path / "report.json"))["verdicts"]
+        assert verdicts == {"matches_oracle": False, "within_bound": True}
+
+    def test_lln_point_has_no_exact_value_above_the_cap(self, tmp_path):
+        code = main(["lln-point", "--n", "20001", "--gamma0", "0.5", "--eps", "0.2",
+                     "--reps", "2", "--out", str(tmp_path)])
+        assert code == 0
+        report = json.loads(_read(tmp_path / "report.json"))
+        assert "exact" not in report["results"] and "matches_oracle" not in report["verdicts"]
+        assert _read(tmp_path / "lln_point.csv").splitlines()[1].split(",")[2] == "nan"
+
     def test_lln_point_bound_is_inf_where_eps_squared_n_underflows(self, tmp_path):
         # eps^2 N underflows to 0, so the bound T/(eps^2 N) is inf
         code = main(["lln-point", "--n", "50", "--gamma0", "0.5", "--eps", "1e-300",

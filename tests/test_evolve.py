@@ -12,8 +12,9 @@ import pytest
 from scipy.linalg import expm
 
 from bdld import evolve
-from bdld.chain import ModelParams, jump_rates, stationary_distribution
+from bdld.chain import ModelParams, ProbabilityVector, jump_rates, stationary_distribution
 from bdld.evolve import (
+    _exit_probability,
     _kernel_apply,
     _poisson_mixture,
     _poisson_terms,
@@ -27,7 +28,7 @@ from bdld.evolve import (
     window_log_probability,
     window_probability,
 )
-from bdld.simulate import SimConfig, sample_path
+from bdld.simulate import SimConfig, _lln_band, sample_path
 
 # the mpmath uniformization reference, lam = 1 (ln P at any depth)
 _spec = importlib.util.spec_from_file_location(
@@ -92,6 +93,21 @@ class TestEndpointDistribution:
         params = ModelParams(20, 1.0)
         dist = endpoint_distribution(params, 10, 50.0, tol=1e-12)
         assert dist.tv_distance(stationary_distribution(params)) <= 5e-4
+
+    @pytest.mark.parametrize("dist", [[1.0, -1.0, 0.0, 0.0, 1.0], [math.nan, 0.0, 0.0, 0.0, 1.0],
+                                      [0.0] * 5, [2.0, 0.0, 0.0, 0.0, 0.0],
+                                      [math.inf, 0.0, 0.0, 0.0, 0.0]])
+    def test_raw_array_that_is_no_law_refused(self, dist):
+        # a signed, NaN, empty or unnormalised array is checked as a
+        # ProbabilityVector, not evolved into a "law"
+        with pytest.raises(ValueError, match="mass"):
+            evolve_distribution(ModelParams(5, 1.0), np.array(dist), 0.5)
+
+    def test_raw_array_law_evolves_and_stays_writable(self):
+        params, p = ModelParams(5, 1.0), np.full(5, 0.2)
+        got = evolve_distribution(params, p, 0.5).mass
+        assert got.tobytes() == evolve_distribution(params, ProbabilityVector(p.copy()), 0.5).mass.tobytes()
+        p[0] = 0.0  # the caller's array is not frozen
 
     def test_bad_inputs(self):
         params = ModelParams(5, 1.0)
@@ -605,11 +621,11 @@ class TestBlockedKernel:
         acc = _poisson_mixture(p, _uniformized_kernel(params), 0.0, 1e-12)
         assert acc.tobytes() == p.tobytes()
 
-    @pytest.mark.parametrize("n", [2, 3, 50, 1000])
-    def test_block_gather_matches_full_band_steps(self, n):
-        # the reference: every step over all 2*_S+1 band rows
-        kern = _uniformized_kernel(ModelParams(n, 1.3))
-        s = evolve._S
+    @staticmethod
+    def _stepped_band(kern):
+        """The band of K^_S in _block_gather's form by _S kernel steps from
+        the identity's, every step over all 2*_S+1 band rows."""
+        s, n = evolve._S, kern.stay.size
         g = np.zeros((2 * s + 1, n))
         g[s] = 1.0
         for _ in range(s):
@@ -617,7 +633,32 @@ class TestBlockedKernel:
             h[:-1, 1:] += g[1:, :-1] * kern.up[:-1]
             h[1:, :-1] += g[:-1, 1:] * kern.down[1:]
             g = h
-        assert evolve._block_gather(kern).tobytes() == g.tobytes()
+        return g
+
+    def _assert_band_matches_steps(self, kern):
+        # squaring sums the same nonnegative products in another order: the
+        # same zeros, and each entry within 32 ulps of the stepped one
+        got, ref = evolve._block_gather(kern), self._stepped_band(kern)
+        assert got.shape == ref.shape
+        assert np.array_equal(got == 0.0, ref == 0.0)
+        nonzero = ref != 0.0
+        assert np.all(np.abs(got[nonzero] / ref[nonzero] - 1.0) <= 32 * np.finfo(float).eps)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 50, 1000])
+    def test_block_gather_matches_full_band_steps(self, n):
+        self._assert_band_matches_steps(_uniformized_kernel(ModelParams(n, 1.3)))
+
+    @pytest.mark.parametrize("n, lo, hi", [(1000, 200, 700), (400, 1, 300), (400, 100, 400)])
+    def test_block_gather_keeps_sinks_absorbing(self, n, lo, hi):
+        kern = _uniformized_kernel(ModelParams(n, 1.3), lo, hi)
+        assert kern.sinks
+        self._assert_band_matches_steps(kern)
+        # a sink's row of K^_S is exactly e_s: G[i, m] = B[m+i-_S, m]
+        s, g = evolve._S, evolve._block_gather(kern)
+        for sink in kern.sinks:
+            row = [g[i, sink + s - i] for i in range(2 * s + 1) if 0 <= sink + s - i < kern.stay.size]
+            assert sorted(row) == [0.0] * (len(row) - 1) + [1.0]
+            assert g[s, sink] == 1.0
 
     @pytest.mark.parametrize("n", [2, 3, 50, 1000])
     def test_linear_window_chain_matches_order_by_order_loop(self, n):
@@ -846,14 +887,16 @@ class TestTiledLogStep:
         assert len(calls) == 1
 
 
-def _absorbing_expm(params, lo, hi, m0, t):
-    """The law at time t from m0 of the chain on lo..hi whose ends strictly
-    inside 1..N absorb, by dense scipy.linalg.expm of its generator."""
+def _absorbing_expm(params, lo, hi, m0, t, sinks=None):
+    """The law at time t from m0 of the chain on lo..hi whose states sinks,
+    by default its ends strictly inside 1..N, absorb, by dense
+    scipy.linalg.expm of its generator."""
     n = params.n_states
+    sinks = [m for m in (lo, hi) if 1 < m < n] if sinks is None else sinks
     q = np.zeros((hi - lo + 1, hi - lo + 1))
     for m in range(lo, hi + 1):
-        if m in (lo, hi) and 1 < m < n:
-            continue  # a sink: a zero row
+        if m in sinks:
+            continue  # a zero row
         up, down = jump_rates(params, m)
         if up:
             q[m - lo, m - lo + 1] = up
@@ -920,6 +963,56 @@ class TestRangeKernel:
         prob = math.ldexp(m, e)
         assert abs(prob / (law[0] + law[-1]) - 1.0) <= 1e-10
         assert abs(prob / expected - 1.0) <= 1e-13
+
+    # (N, gamma0, eps, T): bands with both hit states inside 1..N, with lo = 1
+    # or hi = N, whose end of the chain must absorb, and with one hit state
+    EXIT_CASES = [
+        (20, 0.5, 0.42, 1.0),   # lo = 1, hi = 19
+        (50, 0.3, 0.28, 1.0),   # lo = 1
+        (60, 0.8, 0.2, 1.0),    # hi = N
+        (150, 0.9, 0.1, 1.0),   # hi = N
+        (20, 0.5, 0.5, 1.0),    # lo = 0: hi = N alone
+        (30, 0.1, 0.2, 1.0),    # lo < 0: hi alone
+        (100, 0.5, 0.2, 1.0),
+        (200, 0.5, 0.1, 0.3),
+    ]
+
+    @pytest.mark.parametrize("n, gamma0, eps, t", EXIT_CASES)
+    def test_exit_probability_matches_dense_expm(self, n, gamma0, eps, t):
+        params = ModelParams(n, 1.0)
+        m0, lo, hi = _lln_band(params, gamma0, eps)
+        hits = [m for m in (lo, hi) if 1 <= m <= n]
+        a, b = max(lo, 1), min(hi, n)
+        law = _absorbing_expm(params, a, b, m0, t, hits)
+        exact = sum(law[m - a] for m in hits)
+        assert exact > 1e-6
+        assert abs(_exit_probability(params, m0, t, lo, hi, 1e-12) / exact - 1.0) <= 1e-10
+
+    def test_exit_probability_matches_mpmath(self):
+        # lo = 1 and hi = 19 at N = 20: both ends of the range absorb; the
+        # chain's own end 1 reflects unless it is made to
+        params = ModelParams(20, 1.0)
+        m0, lo, hi = _lln_band(params, 0.5, 0.42)
+        assert (m0, lo, hi) == (10, 1, 19)
+        with mp.workdps(40):
+            q = mp.zeros(hi - lo + 1, hi - lo + 1)
+            for m in range(lo + 1, hi):
+                up, down = (mp.mpf(r) for r in jump_rates(params, m))
+                q[m - lo, m - lo + 1], q[m - lo, m - lo - 1], q[m - lo, m - lo] = up, down, -(up + down)
+            law = mp.expm(q)
+            exact = float(law[m0 - lo, 0] + law[m0 - lo, hi - lo])
+        assert abs(exact - 0.0833895) < 1e-7
+        assert abs(_exit_probability(params, m0, 1.0, lo, hi, 1e-12) / exact - 1.0) <= 1e-12
+
+    def test_exit_probability_without_a_walk(self):
+        params = ModelParams(10, 1.0)
+        # the band holds 1..N: no state is a hit state
+        assert _exit_probability(params, 5, 1.0, -1, 11, 1e-12) == 0.0
+        # the start is a hit state
+        assert _exit_probability(params, 5, 1.0, 5, 9, 1e-12) == 1.0
+        assert _exit_probability(params, 9, 1.0, 2, 9, 1e-12) == 1.0
+        with pytest.raises(ValueError, match="m0"):
+            _exit_probability(params, 0, 1.0, -1, 11, 1e-12)
 
     def test_full_mass_is_bracketed_by_the_sink_bound(self):
         # P_range <= P_full <= P_range + sink bound, up to each chain's
