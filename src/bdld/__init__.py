@@ -4,7 +4,6 @@ simulation, uniformization oracles, and the large-deviation path calculus
 
 from .chain import (
     EULER_MASCHERONI,
-    HarmonicPartial,
     ModelParams,
     ProbabilityVector,
     embedded_stationary,
@@ -15,7 +14,6 @@ from .chain import (
     stationary_distribution,
 )
 from .evolve import (
-    RatePoint,
     empirical_rate_curve,
     endpoint_distribution,
     evolve_distribution,
@@ -24,7 +22,6 @@ from .evolve import (
     window_probability,
 )
 from .ldp import (
-    KAPPA_LIMIT,
     GridPath,
     hamiltonian,
     lagrangian,
@@ -42,7 +39,6 @@ from .optimal_paths import (
     solve_boundary,
 )
 from .simulate import (
-    ExperimentResult,
     SimConfig,
     Trajectory,
     WeightedTrajectory,
@@ -54,6 +50,6 @@ from .simulate import (
     tilted_sample_path,
     tilted_window_experiment,
 )
-from .tilting import CallableTilt, ClosedFormDualTilt, ConstantTilt
+from .tilting import CallableTilt
 
 __version__ = "0.1.0"

@@ -36,11 +36,7 @@ still add to the window.  It stops the sum, and it drops edge states into a
 charged error account (Munsky & Khammash 2006) sized by a guess at ln P,
 which also takes what a tile may flush.  Against mpmath the chain is within
 4e-14 of ln P at N = 400, 1600 (window 0.5 -> 0.8 +- 0.02, T = 1) and at a
-query of ln P = -1724.  One query on a shared 2-core machine, whose speed
-varies up to 2x from day to day (timed on one day): 0.8 ms for a bulk
-window at N = 496, mu ~ 400; for gamma0 = 0.5, window 0.8 +- 0.02, T = 1:
-0.05 / 0.13 / 0.45 s at N = 6400 / 12800 / 25600.  Beyond that is Monte
-Carlo.
+query of ln P = -1724.  The README gives the measured cost of a query.
 """
 
 from __future__ import annotations

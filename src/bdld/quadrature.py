@@ -58,11 +58,6 @@ _MAX_INTERVALS = 4000
 class NonIntegrableError(ArithmeticError):
     """The integrand evaluated to a non-finite value inside an interval."""
 
-    def __init__(self, t: float, value: float):
-        super().__init__(f"integrand is non-finite at t={t}: {value!r}")
-        self.t = t
-        self.value = value
-
 
 class QuadratureResult(NamedTuple):
     value: float
@@ -79,7 +74,7 @@ def _gk15(f, a: float, b: float) -> tuple[float, float]:
         t = mid + half * x
         y = f(t)
         if not math.isfinite(y):
-            raise NonIntegrableError(t, y)
+            raise NonIntegrableError(f"integrand is non-finite at t={t}: {y!r}")
         total_k += wk * y
         total_g += wg * y
     delta = abs(total_k - total_g) * half

@@ -411,14 +411,16 @@ def _held(lam: float, n: int, z: float) -> tuple[float, float, float, float]:
 
 
 def _walk(n: int, lam: float, starts: list, stops, rngs: list, jumps: list, tilt, zs: list,
-          ceiling: float) -> list:
+          ceiling: float, band: tuple | None = None) -> list:
     """Run the chain on {1..n} once per row, row i from state starts[i] with
     the stream rngs[i], append the (times, states) arrays of row i's jumps
     to jumps[i], one piece per pass, and return each row's state at the last
     of the increasing ``stops`` it reads.  A jump at exactly a stop counts,
     as in Trajectory.state_at, and nothing past the last stop read is
     recorded.  A row ends after its last stop, or at its first stop with a
-    state at or above ``ceiling``.
+    state at or above ``ceiling``, or, given a ``band`` (lo, hi), at its
+    first jump to a state <= lo or >= hi: that jump is its last recorded,
+    and its state the row's result.
 
     With a tilt the chain is the tilted one, with z held: each row reads
     ``tilt.value`` at time 0 and then after every _HOLD jumps, at the time
@@ -485,11 +487,19 @@ def _walk(n: int, lam: float, starts: list, stops, rngs: list, jumps: list, tilt
         np.divide(exps, rates, out=clock[:, 1:])
         np.add.accumulate(clock, axis=1, out=clock)
         ends = clock[:, -1].tolist()
+        cuts = {}  # row index -> the events up to its first leaving the band
+        if band is not None:
+            out = (states <= band[0]) | (states >= band[1])
+            leaving = np.flatnonzero(out.any(axis=1))
+            cuts = dict(zip(leaving.tolist(), (out[leaving].argmax(axis=1) + 1).tolist()))
         ended = []
         for i, (row, row_times, row_states, end) in enumerate(zip(rows, clock[:, 1:], states,
                                                                   ends)):
-            k = c if end <= stop[i] else int(row_times.searchsorted(stop[i], side="right"))
-            while k < c:  # k is the first jump past the stop
+            cut = cuts.get(i, c)
+            if cut < c:
+                row_times, row_states, end = row_times[:cut], row_states[:cut], row_times[cut - 1]
+            k = cut if end <= stop[i] else int(row_times.searchsorted(stop[i], side="right"))
+            while k < cut:  # k is the first jump past the stop
                 finals[row] = int(row_states[k - 1]) if k else ms[i]
                 at[i] += 1
                 if at[i] == len(stops) or finals[row] >= ceiling:
@@ -498,6 +508,10 @@ def _walk(n: int, lam: float, starts: list, stops, rngs: list, jumps: list, tilt
                     break
                 stop[i] = stops[at[i]]
                 k = int(row_times.searchsorted(stop[i], side="right"))
+            else:
+                if cut < c:  # no stop came first: the row ends where it left the band
+                    finals[row] = int(row_states[-1])
+                    ended.append(i)
             if row_times.size:
                 jumps[row].append((row_times, row_states))
         ms, ts = path[:, -1].tolist(), ends
@@ -510,14 +524,14 @@ def _walk(n: int, lam: float, starts: list, stops, rngs: list, jumps: list, tilt
 
 
 def _replications(params: ModelParams, config: SimConfig, first: int = 0, count: int | None = None,
-                  stops=None, tilt=None, ceiling: float = math.inf):
+                  stops=None, tilt=None, ceiling: float = math.inf, band: tuple | None = None):
     """Run count replications from first on (by default config.replications
     from 0) through ``_walk`` up to ``stops`` (by default the horizon), a
     group of streams from ``_replication_groups`` at a time, each from
     ``_start``'s rule, and yield (start, final state, jumps, tilt reads) for
-    each in order: the state at the last stop it read, the (times, states)
-    pieces of its jumps up to there, and the z values it read (none without
-    a tilt)."""
+    each in order: the state where it ended (at the last stop it read, or
+    where it left the band), the (times, states) pieces of its jumps up to
+    there, and the z values it read (none without a tilt)."""
     start = _start(params, config)
     count = config.replications if count is None else count
     stops = (config.horizon,) if stops is None else stops
@@ -525,7 +539,8 @@ def _replications(params: ModelParams, config: SimConfig, first: int = 0, count:
         starts = [start(rng) for rng in rngs]
         jumps: list = [[] for _ in rngs]
         zs: list = [[] for _ in rngs]
-        finals = _walk(params.n_states, params.lam, starts, stops, rngs, jumps, tilt, zs, ceiling)
+        finals = _walk(params.n_states, params.lam, starts, stops, rngs, jumps, tilt, zs, ceiling,
+                       band)
         yield from zip(starts, finals, jumps, zs)
 
 
@@ -578,24 +593,24 @@ def lln_point_experiment(params: ModelParams, gamma0: float, epsilon: float,
     the point start round(gamma0*N).
 
     The config's ``initial`` field is ignored: this experiment's start is
-    fixed by gamma0.  The theoretical bound T/(epsilon^2 N) and the number of
-    jumps simulated up to the horizon (0 when the band holds the whole state
-    space and nothing is simulated) ride along in the result's extra fields.
+    fixed by gamma0.  A replication ends at its first jump out of the band,
+    and one that starts outside it is a hit with nothing simulated.  The
+    theoretical bound T/(epsilon^2 N) and the number of jumps simulated, each
+    replication's up to its exit or the horizon, ride along in the result's
+    extra fields.
     """
     m0, lo, hi = _lln_band(params, gamma0, epsilon)
     n, horizon = params.n_states, config.horizon
     reps = config.replications
     scale = epsilon * epsilon * n  # 0 where it underflows: the bound is then inf
     bound = horizon / scale if scale else math.inf
-    if lo < 1 and hi > n:  # the band holds 1..N, m0 included: no path leaves it
-        return ExperimentResult(0.0, 0.0, reps, config.seed, params,
-                                extra={"bound": bound, "hits": 0, "jumps": 0})
-    started_out = m0 <= lo or m0 >= hi
     hits = n_jumps = 0
-    for _, _, path, _ in _replications(params, replace(config, initial=m0)):
-        n_jumps += sum(states.size for _, states in path)
-        if started_out or any(states.min() <= lo or states.max() >= hi for _, states in path):
-            hits += 1
+    if m0 <= lo or m0 >= hi:
+        hits = reps
+    elif lo >= 1 or hi <= n:  # else the band holds 1..N and no path leaves it
+        for _, m, path, _ in _replications(params, replace(config, initial=m0), band=(lo, hi)):
+            n_jumps += sum(states.size for _, states in path)
+            hits += m <= lo or m >= hi
     p = hits / reps
     stderr = math.sqrt(p * (1.0 - p) / reps)
     return ExperimentResult(p, stderr, reps, config.seed, params,

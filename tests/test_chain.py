@@ -10,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bdld.chain import (
-    EULER_MASCHERONI,
     ModelParams,
     ProbabilityVector,
+    _dwell_times,
     embedded_stationary,
     embedded_transition_row,
     harmonic_partial,
@@ -126,16 +126,20 @@ class TestHarmonicPartial:
             assert abs(gap) <= 1e-14
 
     def test_residual_definition(self):
-        hp = harmonic_partial(100)
-        assert hp.euler_residual == hp.total - math.log(100) - EULER_MASCHERONI
+        # eps_k = H_k - ln k - gamma from the series from k = 20 on, where the
+        # difference of the totals loses up to seven digits to cancellation
+        with mp.workdps(40):
+            for k in (20, 50, 100, 10 ** 3, 10 ** 4, 10 ** 6, 2 ** 20, 2 ** 20 + 1, 10 ** 7,
+                      10 ** 8, 10 ** 8 + 1, 10 ** 12):
+                residual = mp.harmonic(k) - mp.log(k) - mp.euler
+                assert abs(harmonic_partial(k).euler_residual - residual) <= 2.5e-16 * residual, k
 
     def test_asymptotic_branch_is_continuous(self):
-        # the direct sum at the crossover agrees with the expansion
-        k = 10 ** 8
-        direct = harmonic_partial(k).total
-        expansion = (math.log(k) + EULER_MASCHERONI + 1 / (2 * k)
-                     - 1 / (12 * k ** 2))
-        assert abs(direct - expansion) < 1e-12
+        # the direct sum at the crossover and the expansion one past it
+        # differ by 1/(k+1), up to a rounding of each total
+        k = 2 ** 20
+        gap = harmonic_partial(k + 1).total - harmonic_partial(k).total - 1 / (k + 1)
+        assert abs(gap) <= 2 * math.ulp(harmonic_partial(k).total)
 
     @pytest.mark.parametrize("k", [10 ** 8 + 1, 10 ** 12, 10 ** 15])
     def test_asymptotic_branch_against_mpmath(self, k):
@@ -204,6 +208,19 @@ class TestProbabilityVector:
         with pytest.raises(ValueError, match="finite"):
             ProbabilityVector(np.array(mass))
 
+    def test_rejects_a_matrix(self):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            ProbabilityVector(np.full((2, 2), 0.25))
+
+    @pytest.mark.parametrize("state", [0, 3])
+    def test_prob_outside_the_states(self, state):
+        with pytest.raises(ValueError, match="outside 1..2"):
+            ProbabilityVector(np.array([0.5, 0.5])).prob(state)
+
+    def test_tv_distance_of_unequal_sizes(self):
+        with pytest.raises(ValueError, match="dimension"):
+            ProbabilityVector(np.array([0.5, 0.5])).tv_distance(ProbabilityVector(np.ones(3) / 3))
+
     @pytest.mark.parametrize("pv", [
         stationary_distribution(ModelParams(6, 2.0)),
         embedded_stationary(ModelParams(5, 1.0)),
@@ -225,3 +242,8 @@ class TestProbabilityVector:
         assert pi.sample_state(0.0) == 1
         assert pi.sample_state(cum[0] + 1e-9) == 2
         assert pi.sample_state(0.999999999) == 3
+
+
+def test_dwell_times_refuse_a_negative_time():
+    with pytest.raises(ValueError, match=">= 0"):
+        _dwell_times(0.5, [1.0, -0.5])

@@ -795,6 +795,12 @@ class TestWriteCsv:
         with pytest.raises(ValueError):
             write_csv(tmp_path / "t.csv", ["a", "b"], [(1, 2), (3,)])
 
+    def test_structured_rows_of_another_width_rejected(self, tmp_path):
+        from bdld.serialize import write_csv
+        rows = np.array([(0.1, 3)], dtype=[("x", np.float64), ("k", np.int64)])
+        with pytest.raises(ValueError, match="header's 3 fields"):
+            write_csv(tmp_path / "t.csv", ["x", "k", "y"], rows)
+
     @staticmethod
     def _reference(header, rows) -> bytes:
         # csv.writer over format_value text, one row at a time

@@ -109,6 +109,10 @@ class TestEndpointDistribution:
         assert got.tobytes() == evolve_distribution(params, ProbabilityVector(p.copy()), 0.5).mass.tobytes()
         p[0] = 0.0  # the caller's array is not frozen
 
+    def test_law_of_another_size_refused(self):
+        with pytest.raises(ValueError, match="dimension"):
+            evolve_distribution(ModelParams(5, 1.0), np.full(4, 0.25), 0.5)
+
     def test_bad_inputs(self):
         params = ModelParams(5, 1.0)
         with pytest.raises(ValueError):
@@ -430,6 +434,9 @@ class TestEmpiricalRateCurve:
             empirical_rate_curve([ModelParams(50, 1.0)], 0.5, 1.0, 1.0, 0.02)
         with pytest.raises(ValueError):
             empirical_rate_curve([ModelParams(50, 1.0)], 0.5, 0.8, 1.0, -0.1)
+        # lattice_window(100, 0.001, 0.001) is (1, 0): no state to end in
+        with pytest.raises(ValueError, match="empty window at N=100"):
+            empirical_rate_curve([ModelParams(100, 1.0)], 0.5, 0.001, 1.0, 0.001)
 
 
 class TestStationaryDwellProbability:

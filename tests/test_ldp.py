@@ -11,7 +11,7 @@ from scipy.integrate import quad
 from scipy.interpolate import CubicHermiteSpline
 
 import bdld
-from bdld import ldp
+from bdld import ldp, quadrature
 from bdld.chain import ModelParams
 from bdld.ldp import (
     GridPath,
@@ -191,6 +191,11 @@ class TestPrelimitHamiltonian:
             scaled_errors.append(n * worst)
         assert max(scaled_errors) == pytest.approx(min(scaled_errors), rel=0.05)
 
+    def test_probe_increment_that_would_overflow(self):
+        # N * (f(x + 1/N) - f(x)) = 1000 for f(x) = 1000 x
+        with pytest.raises(ValueError, match="would overflow"):
+            prelimit_hamiltonian(lambda x: 1000.0 * x, ModelParams(100, 1.0), 0.5)
+
     def test_off_lattice_rejected(self):
         probe = lambda x: x
         with pytest.raises(ValueError):
@@ -208,6 +213,10 @@ class TestGridPath:
             GridPath(t[::-1], np.full(5, 0.5), np.zeros(5))
         with pytest.raises(ValueError):
             GridPath(t, np.full(5, 0.5), np.zeros(4))
+        with pytest.raises(ValueError, match="two grid points"):
+            GridPath([0.0], [0.5], [0.0])
+        with pytest.raises(ValueError, match="two grid points"):
+            GridPath.from_samples([0.0], [0.5])
 
     def test_descriptor_mismatch_detected(self):
         parabola = solve_boundary(0.0, 0.5, 2.0, 1.0)
@@ -258,6 +267,12 @@ class TestGridPath:
         csv_file = tmp_path / "path.csv"
         csv_file.write_text(text)
         with pytest.raises(ValueError, match=message):
+            GridPath.from_csv(csv_file)
+
+    def test_from_csv_bad_header(self, tmp_path):
+        csv_file = tmp_path / "path.csv"
+        csv_file.write_text("time,state\n0,0.5\n1,0.6\n")
+        with pytest.raises(ValueError, match="expected columns t,gamma"):
             GridPath.from_csv(csv_file)
 
 
@@ -312,6 +327,18 @@ class TestRateFunctional:
         path = GridPath(times, values, derivs)
         assert rate_functional(path, 1.0) == math.inf
 
+    def test_interpolant_dipping_below_zero_is_infinite(self):
+        # the cubic through (0, 0.01) and (1, 0.01) with slopes -1 and 1 is
+        # -0.24 at t = 0.5: the integrand is not finite there
+        path = GridPath([0.0, 1.0], [0.01, 0.01], [-1.0, 1.0])
+        assert rate_functional(path, 1.0) == math.inf
+
+    @pytest.mark.parametrize("lam", [0.0, -1.0])
+    def test_lam_must_be_positive(self, lam):
+        path = GridPath.from_descriptor(solve_boundary(0.5, 0.8, 1.0, 1.0), 0.0, 1.0)
+        with pytest.raises(ValueError, match="lam must be positive"):
+            rate_functional(path, lam)
+
     def test_report_fields(self):
         pp = solve_boundary(0.5, 0.8, 1.0, 1.0)
         path = GridPath.from_descriptor(pp, 0.0, 1.0, 501)
@@ -340,3 +367,29 @@ class TestBracketGuard:
         assert issubclass(BracketError, RuntimeError)
         for name in ("BracketError", "lagrangian_numeric", "fenchel_hamiltonian", "_golden_max"):
             assert not hasattr(bdld, name) and not hasattr(ldp, name), name
+
+
+class TestQuadrature:
+    def test_non_finite_integrand(self):
+        with pytest.raises(quadrature.NonIntegrableError, match="non-finite"):
+            quadrature.integrate(lambda t: math.inf, 0.0, 1.0)
+
+    def test_empty_interval(self):
+        assert quadrature.integrate(math.sin, 1.0, 1.0) == (0.0, 0.0, 0)
+
+    def test_reversed_interval(self):
+        with pytest.raises(ValueError, match="bad interval"):
+            quadrature.integrate(math.sin, 1.0, 0.0)
+
+    def test_step_splits_down_to_float_resolution(self, monkeypatch):
+        # no estimate meets abs_tol = 1e-300 at the step, so its interval is
+        # halved until no float lies inside, and then kept as it is: the one
+        # interval the rule is evaluated on twice
+        a, b = 0.3 - 1e-15, 0.3 + 1e-15
+        real, seen = quadrature._gk15, []
+        monkeypatch.setattr(quadrature, "_gk15",
+                            lambda f, lo, hi: seen.append((lo, hi)) or real(f, lo, hi))
+        result = quadrature.integrate(lambda t: 1.0 if t >= 0.3 else 0.0, a, b, abs_tol=1e-300)
+        assert len(set(seen)) < len(seen)
+        assert result.error_estimate == 0.0
+        assert abs(result.value - (b - 0.3)) <= math.ulp(0.3)

@@ -477,6 +477,10 @@ class TestSerialization:
         obj["gamma0"] = obj["gammaT"] = 1
         assert type(ParabolaParams.from_json_obj(obj).value(0.5)) is float
 
+    def test_sample_rows_needs_two_points(self):
+        with pytest.raises(ValueError, match="n_points must be >= 2"):
+            sample_rows(solve_boundary(0.2, 0.5, 2.0, 1.0), n_points=1)
+
     def test_sample_rows_marks_singular_dual(self):
         rows = sample_rows(solve_boundary(0.0, 0.5, 2.0, 1.0), n_points=5)
         assert math.isnan(rows[0][2])  # z undefined at the zero endpoint

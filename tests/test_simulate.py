@@ -130,12 +130,24 @@ class TestTrajectoryType:
             Trajectory(1, np.array([0.5, 0.4]), np.array([2, 3]), 1.0)  # times not increasing
         with pytest.raises(ValueError):
             Trajectory(1, np.array([1.5]), np.array([2]), 1.0)  # beyond horizon
+        with pytest.raises(ValueError, match="horizon must be positive"):
+            Trajectory(1, np.array([]), np.array([]), 0.0)
+        with pytest.raises(ValueError, match="equal length"):
+            Trajectory(1, np.array([0.5, 0.7]), np.array([2]), 1.0)
 
     def test_state_at(self):
         traj = Trajectory(2, np.array([0.25, 0.75]), np.array([3, 2]), 1.0)
         assert traj.state_at(0.0) == 2
         assert traj.state_at(0.5) == 3
         assert traj.state_at(1.0) == 2
+        for t in (-0.1, 1.1):
+            with pytest.raises(ValueError, match="outside"):
+                traj.state_at(t)
+
+    @pytest.mark.parametrize("seed", [1.5, "1", True])
+    def test_config_seed_must_be_an_integer(self, seed):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            SimConfig(horizon=1.0, seed=seed)
 
     def test_csv(self, tmp_path):
         traj = Trajectory(2, np.array([0.25]), np.array([3]), 1.0)
@@ -219,13 +231,37 @@ class TestLlnPointExperiment:
         assert res.extra["bound"] == pytest.approx(1.0 / (0.04 * 200))
 
     def test_jump_count_matches_sample_paths(self):
+        # a replication counts its jumps up to its first state <= lo = 470 or
+        # >= hi = 530, or up to the horizon where it has none
         params = ModelParams(1000, 1.0)
         res = lln_point_experiment(params, 0.5, 0.03,
                                    SimConfig(horizon=1.0, seed=9, replications=20))
         start = SimConfig(horizon=1.0, seed=9, initial=500)
-        assert res.extra["hits"] > 0
-        assert res.extra["jumps"] == sum(sample_path(params, start, rep).n_jumps
-                                         for rep in range(20))
+        counts, hits = 0, 0
+        for rep in range(20):
+            states = sample_path(params, start, rep).states_after_jump
+            out = np.flatnonzero((states <= 470) | (states >= 530))
+            counts += int(out[0]) + 1 if out.size else states.size
+            hits += out.size > 0
+        assert 0 < res.extra["hits"] == hits < 20
+        assert res.extra["jumps"] == counts
+
+    def test_long_horizon_stops_at_the_exit(self):
+        # both replications leave the band long before T = 1e4, where a walk
+        # to the horizon draws 4151490 jumps; the estimate and the hits are
+        # those of such a walk
+        res = lln_point_experiment(ModelParams(1000, 1.0), 0.5, 0.2,
+                                   SimConfig(horizon=1e4, seed=1, replications=2))
+        assert (res.estimate, res.stderr, res.extra["hits"]) == (1.0, 0.0, 2)
+        assert res.extra["jumps"] < 415149
+
+    def test_start_outside_the_band_walks_nothing(self, monkeypatch):
+        # m0 = 50 and lo = floor(50.1) = 50: every replication is a hit at once
+        monkeypatch.setattr(simulate, "_walk", lambda *args: pytest.fail("a walk started"))
+        res = lln_point_experiment(ModelParams(100, 1.0), 0.504, 0.003,
+                                   SimConfig(horizon=1.0, seed=1, replications=5))
+        assert (res.estimate, res.stderr) == (1.0, 0.0)
+        assert (res.extra["hits"], res.extra["jumps"]) == (5, 0)
 
     def test_bad_start(self):
         with pytest.raises(ValueError):
@@ -526,6 +562,11 @@ class TestTiltedSampling:
         # truncating them answered for states 50 and 1 and the window [78, 82]
         with pytest.raises(ValueError, match="must be an integer"):
             query(ModelParams(100, 1.0))
+
+    def test_window_bounds_in_order(self):
+        with pytest.raises(ValueError, match="bad window"):
+            tilted_window_experiment(ModelParams(100, 1.0), ConstantTilt(1.0), (82, 78),
+                                     SimConfig(horizon=1.0, seed=1, initial=50))
 
     def test_weighted_trajectory_requires_finite_weight(self):
         traj = Trajectory(1, np.array([]), np.array([]), 1.0)
