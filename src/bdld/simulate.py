@@ -496,7 +496,7 @@ def _walk(n: int, lam: float, starts: list, stops, rngs: list, jumps: list, tilt
         for i, (row, row_times, row_states, end) in enumerate(zip(rows, clock[:, 1:], states,
                                                                   ends)):
             cut = cuts.get(i, c)
-            if cut < c:
+            if i in cuts:
                 row_times, row_states, end = row_times[:cut], row_states[:cut], row_times[cut - 1]
             k = cut if end <= stop[i] else int(row_times.searchsorted(stop[i], side="right"))
             while k < cut:  # k is the first jump past the stop
@@ -509,7 +509,7 @@ def _walk(n: int, lam: float, starts: list, stops, rngs: list, jumps: list, tilt
                 stop[i] = stops[at[i]]
                 k = int(row_times.searchsorted(stop[i], side="right"))
             else:
-                if cut < c:  # no stop came first: the row ends where it left the band
+                if i in cuts:  # no stop came first: the row ends where it left the band
                     finals[row] = int(row_states[-1])
                     ended.append(i)
             if row_times.size:

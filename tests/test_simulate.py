@@ -246,6 +246,12 @@ class TestLlnPointExperiment:
         assert 0 < res.extra["hits"] == hits < 20
         assert res.extra["jumps"] == counts
 
+    def test_exits_at_the_end_of_a_pass(self, monkeypatch):
+        # passes of one to three events put many exits on a pass's last event
+        monkeypatch.setattr(simulate, "_CHUNK", 1)
+        monkeypatch.setattr(simulate, "_MAX_CHUNK", 3)
+        self.test_jump_count_matches_sample_paths()
+
     def test_long_horizon_stops_at_the_exit(self):
         # both replications leave the band long before T = 1e4, where a walk
         # to the horizon draws 4151490 jumps; the estimate and the hits are
