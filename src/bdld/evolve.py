@@ -214,8 +214,6 @@ def _poisson_terms(mu: float, tol: float) -> np.ndarray:
     """The Poisson(mu) pmf at the orders 0..K of _poisson_weights; K is
     _poisson_cutoff's.  For any tol check_tol admits, the orders built reach
     far past it."""
-    if mu == 0.0:
-        return np.ones(1)
     w = _poisson_weights(mu, _poisson_top(mu) + 1)[0]
     return w[:_poisson_cutoff(w, mu, tol) + 1]
 

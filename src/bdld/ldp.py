@@ -131,6 +131,8 @@ class GridPath:
             raise ValueError("need at least two grid points")
         if values.shape != times.shape or derivs.shape != times.shape:
             raise ValueError("times, values and derivatives must have equal shapes")
+        if not (np.isfinite(times).all() and np.isfinite(values).all() and np.isfinite(derivs).all()):
+            raise ValueError("times, values and derivatives must be finite")
         if np.any(np.diff(times) <= 0.0):
             raise ValueError("times must be strictly increasing")
         if float(values.min()) < -1e-12 or float(values.max()) > 1.0 + 1e-12:

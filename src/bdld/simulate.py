@@ -595,15 +595,18 @@ def lln_point_experiment(params: ModelParams, gamma0: float, epsilon: float,
     The config's ``initial`` field is ignored: this experiment's start is
     fixed by gamma0.  A replication ends at its first jump out of the band,
     and one that starts outside it is a hit with nothing simulated.  The
-    theoretical bound T/(epsilon^2 N) and the number of jumps simulated, each
-    replication's up to its exit or the horizon, ride along in the result's
-    extra fields.
+    bound 2 lam m0 T / a^2, a = min(m0 - lo, hi - m0), and the number of jumps
+    simulated, each replication's up to its exit or the horizon, ride along
+    in the result's extra fields.  The bound holds where lo >= 1 and hi <= N:
+    X stopped at its exit is then a martingale with d<X> = 2 lam X dt, so
+    E[(X - m0)^2] <= 2 lam m0 T up to the exit, and Kolmogorov's inequality
+    gives it.  It is inf where the band holds an end of the chain, or a <= 0.
     """
     m0, lo, hi = _lln_band(params, gamma0, epsilon)
     n, horizon = params.n_states, config.horizon
     reps = config.replications
-    scale = epsilon * epsilon * n  # 0 where it underflows: the bound is then inf
-    bound = horizon / scale if scale else math.inf
+    a = min(m0 - lo, hi - m0)
+    bound = 2.0 * params.lam * m0 * horizon / (a * a) if a > 0 and lo >= 1 and hi <= n else math.inf
     hits = n_jumps = 0
     if m0 <= lo or m0 >= hi:
         hits = reps

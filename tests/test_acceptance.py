@@ -110,7 +110,7 @@ def test_criterion_05_lln_bound():
     result = bdld.lln_point_experiment(ModelParams(1000, 1.0), 0.5, 0.2, config)
     bound = result.extra["bound"]
     elapsed = time.perf_counter() - start
-    _verdict(5, "sup-deviation estimate stays below T/(eps^2 N) = 0.025",
+    _verdict(5, "sup-deviation estimate stays below 2 lam m0 T / a^2 = 0.025",
              result.estimate <= bound and abs(bound - 0.025) < 1e-12
              and elapsed < 120.0,
              f"estimate={result.estimate}, bound={bound}, {elapsed:.1f}s")

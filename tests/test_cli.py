@@ -41,6 +41,10 @@ def _write_bad_inputs(directory):
          "gamma0": 0.5, "gammaT": 0.5}))
     (directory / "one.csv").write_text("t,gamma\n0,0.5\n")
     (directory / "short_row.csv").write_text("t,gamma\n0.5\n")
+    # non-finite samples once gave I = inf and a passing quadrature verdict
+    (directory / "nan_gamma.csv").write_text("t,gamma\n0,0.5\n0.5,nan\n1,0.8\n")
+    (directory / "nan_t.csv").write_text("t,gamma\n0,0.5\nnan,0.6\n1,0.8\n")
+    (directory / "inf_dgamma.csv").write_text("t,gamma,dgamma\n0,0.5,0\n0.5,0.6,inf\n1,0.8,0\n")
     (directory / "a_file").write_text("")
     (directory / "empty.csv").write_text("")
     (directory / "number.json").write_text("3")
@@ -235,6 +239,7 @@ class TestExitCodes:
         ["tilted-mc", "--n", "10", "--gamma0", "0.5", "--gamma-t", "0.8", "--horizon", "5e-324",
          "--reps", "3"],
         ["embedded", "--n", "1"],
+        *(["action", "--path-csv", name] for name in ("nan_gamma.csv", "nan_t.csv", "inf_dgamma.csv")),
     ])
     def test_bad_input_exits_2_without_traceback(self, tmp_path, capsys, monkeypatch, argv):
         monkeypatch.chdir(tmp_path)
@@ -367,6 +372,13 @@ class TestStationaryCommand:
         assert report["timings"]["wall_time_s"] >= 0.0
         assert report["timings"]["tables_s"] >= 0.0
 
+    @pytest.mark.parametrize("n", [3, 1000])
+    def test_detailed_balance_is_judged_per_unit_lambda(self, tmp_path, n):
+        # the flows scale with lambda: at 1e6 their round-off once failed 1e-12
+        assert main(["stationary", "--n", str(n), "--lambda", "1e6", "--out", str(tmp_path)]) == 0
+        results = json.loads(_read(tmp_path / "report.json"))["results"]
+        assert results["detailed_balance_residual"] <= 1e-15
+
 
 class TestEmbeddedCommand:
     def test_five_states(self, tmp_path):
@@ -444,8 +456,18 @@ class TestLlnCommands:
         assert "exact" not in report["results"] and "matches_oracle" not in report["verdicts"]
         assert _read(tmp_path / "lln_point.csv").splitlines()[1].split(",")[2] == "nan"
 
+    def test_lln_point_verdicts_pass_near_the_top_of_the_chain(self, tmp_path):
+        # the bound 2 lam m0 T / a^2 is 0.72 here; T/(eps^2 N), which leaves
+        # out lam and gamma0, read 0.4 against an exact 0.476
+        code = main(["lln-point", "--n", "1000", "--gamma0", "0.9", "--eps", "0.05",
+                     "--horizon", "1", "--reps", "2000", "--seed", "1", "--out", str(tmp_path)])
+        assert code == 0
+        report = json.loads(_read(tmp_path / "report.json"))
+        assert report["verdicts"] == {"matches_oracle": True, "within_bound": True}
+        assert report["results"]["bound"] == 2.0 * 900 / 50 ** 2
+
     def test_lln_point_bound_is_inf_where_eps_squared_n_underflows(self, tmp_path):
-        # eps^2 N underflows to 0, so the bound T/(eps^2 N) is inf
+        # the band holds no state, so the start is a hit, a = 0 and the bound is inf
         code = main(["lln-point", "--n", "50", "--gamma0", "0.5", "--eps", "1e-300",
                      "--reps", "20", "--out", str(tmp_path)])
         assert code == 0
@@ -565,9 +587,16 @@ class TestOptPathCommand:
         assert code == 0
         report = json.loads(_read(tmp_path / "report.json"))
         assert report["results"]["max_residual"] <= 1e-8
-        assert report["results"]["max_boundary_error"] <= 1e-10
+        assert report["verdicts"] == {"residuals": True}
         [path_entry] = report["results"]["paths"]
         assert abs(path_entry["c1"] - (-3 - math.sqrt(33)) / 2) <= 1e-12
+
+    def test_residuals_are_judged_per_unit_lambda(self, tmp_path):
+        # both equations scale with lambda: at 1e9 their round-off once failed 1e-8
+        code = main(["opt-path", "--gamma0", "0.3", "--gamma-t", "0.7", "--lambda", "1e9",
+                     "--horizon", "2", "--out", str(tmp_path)])
+        assert code == 0
+        assert json.loads(_read(tmp_path / "report.json"))["results"]["max_residual"] <= 1e-15
 
     def test_figure_bundles(self, tmp_path):
         code = main(["opt-path", "--figure", "fig2", "--out", str(tmp_path / "f2")])

@@ -375,21 +375,42 @@ class TestQuadrature:
             quadrature.integrate(lambda t: math.inf, 0.0, 1.0)
 
     def test_empty_interval(self):
-        assert quadrature.integrate(math.sin, 1.0, 1.0) == (0.0, 0.0, 0)
+        for abs_tol in (1e-9, 0.0, -1.0, math.nan):
+            assert quadrature.integrate(math.sin, 1.0, 1.0, abs_tol) == (0.0, 0.0, 0)
 
     def test_reversed_interval(self):
-        with pytest.raises(ValueError, match="bad interval"):
-            quadrature.integrate(math.sin, 1.0, 0.0)
+        for a, b in ((1.0, 0.0), (math.nan, 1.0), (0.0, math.nan)):
+            with pytest.raises(ValueError, match="bad interval"):
+                quadrature.integrate(math.sin, a, b)
+
+    def test_rules_are_exact_to_their_degree(self):
+        # the double nodes and weights against int_{-1}^{1} x^k dx in 40-digit
+        # arithmetic: K15 exact through degree 22 and G7 through 13 to 1e-16
+        # (odd degrees cancel by symmetry), and neither one degree further
+        with mp.workdps(40):
+            for weights, degree in ((quadrature._WEIGHTS_K, 22), (quadrature._WEIGHTS_G, 13)):
+                for k in range(0, degree + 3, 2):
+                    rule = mp.fsum(mp.mpf(w) * mp.mpf(x) ** k * (2 if x else 1)
+                                   for x, w in zip(quadrature._NODES, weights))
+                    gap = abs(rule - mp.mpf(2) / (k + 1))
+                    assert gap <= 1e-16 if k <= degree else gap > 1e-12
+
+    def test_constant_is_exact(self):
+        result = quadrature.integrate(lambda t: 1.0, 0.0, 1.0)
+        assert result == (1.0, 0.0, 1)
+        assert math.copysign(1.0, result.error_estimate) == 1.0  # not -0.0
 
     def test_step_splits_down_to_float_resolution(self, monkeypatch):
-        # no estimate meets abs_tol = 1e-300 at the step, so its interval is
-        # halved until no float lies inside, and then kept as it is: the one
-        # interval the rule is evaluated on twice
+        # K15 and G7 sum a constant 3 to 6 - 2^-51 and 6, so no estimate at
+        # height 3 meets abs_tol = 1e-300: each interval there is halved until
+        # no float lies inside, and then kept as it is, the rule evaluated on
+        # it twice.  (At height 1 both sums are exactly 2, and the halves on
+        # each side of the step integrate exactly before float resolution.)
         a, b = 0.3 - 1e-15, 0.3 + 1e-15
         real, seen = quadrature._gk15, []
         monkeypatch.setattr(quadrature, "_gk15",
                             lambda f, lo, hi: seen.append((lo, hi)) or real(f, lo, hi))
-        result = quadrature.integrate(lambda t: 1.0 if t >= 0.3 else 0.0, a, b, abs_tol=1e-300)
+        result = quadrature.integrate(lambda t: 3.0 if t >= 0.3 else 0.0, a, b, abs_tol=1e-300)
         assert len(set(seen)) < len(seen)
         assert result.error_estimate == 0.0
-        assert abs(result.value - (b - 0.3)) <= math.ulp(0.3)
+        assert abs(result.value - 3.0 * (b - 0.3)) <= 3.0 * math.ulp(0.3)

@@ -2,6 +2,7 @@
 importance sampler."""
 
 import hashlib
+import itertools
 import math
 import os
 import sys
@@ -15,7 +16,7 @@ from scipy import stats
 
 from bdld import simulate
 from bdld.chain import ModelParams, stationary_distribution
-from bdld.evolve import stationary_dwell_probability, window_probability
+from bdld.evolve import _exit_probability, stationary_dwell_probability, window_probability
 from bdld.simulate import (
     SimConfig,
     Trajectory,
@@ -229,6 +230,23 @@ class TestLlnPointExperiment:
         assert obj["replications"] == 40 and obj["seed"] == 9
         assert obj["params"] == {"n_states": 200, "lambda": 1.0}
         assert res.extra["bound"] == pytest.approx(1.0 / (0.04 * 200))
+
+    def test_bound_holds_on_in_band_settings(self):
+        # 2 lam m0 T / a^2 against the exact exit probability wherever the
+        # band stays off both ends of the chain; T/(eps^2 N) failed here
+        informative = 0
+        for n, gamma0, eps, lam, horizon in itertools.product(
+                (40, 400), (0.3, 0.5, 0.9), (0.05, 0.2), (0.5, 4.0), (0.25, 2.0)):
+            params = ModelParams(n, lam)
+            m0, lo, hi = simulate._lln_band(params, gamma0, eps)
+            if not (lo >= 1 and hi <= n and lo < m0 < hi):
+                continue
+            bound = lln_point_experiment(params, gamma0, eps, SimConfig(
+                horizon=horizon, seed=1, replications=1)).extra["bound"]
+            exact = _exit_probability(params, m0, horizon, lo, hi, 1e-12)
+            assert exact <= bound < math.inf
+            informative += bound < 1.0
+        assert informative >= 5
 
     def test_jump_count_matches_sample_paths(self):
         # a replication counts its jumps up to its first state <= lo = 470 or
