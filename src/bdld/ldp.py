@@ -4,13 +4,15 @@ Core objects, for gamma in [0,1] and dual variable kappa:
 
     H(gamma, kappa) = lam*gamma*(e^kappa - 1) + lam*gamma*(e^-kappa - 1)
     L(gamma, u)     = sup_kappa { kappa*u - H(gamma, kappa) }
-                    = u*asinh(u / (2*lam*gamma)) + 2*lam*gamma
-                      - sqrt(u^2 + (2*lam*gamma)^2)
+                    = u*asinh(u/a) + a - sqrt(u^2 + a^2),      a = 2*lam*gamma
+                    = u*(asinh(u/a) - u/(a + sqrt(u^2 + a^2)))
     I(path)         = integral of L(gamma(t), dgamma(t)) dt
 
-The asinh form of L is used everywhere: the equivalent rationalized form with
-denominator u + sqrt(u^2 + (2*lam*gamma)^2) cancels catastrophically for
-u < 0 as gamma -> 0.  Their equality is itself one of the tested invariants.
+``lagrangian`` evaluates the last form, since a - sqrt(u^2 + a^2) =
+-u^2/(a + sqrt(u^2 + a^2)): nothing in it cancels.  The second form loses
+about 2*log10(a/|u|) digits in a - sqrt(u^2 + a^2) where |u| << a, and the
+rationalized form with denominator u + sqrt(u^2 + a^2) cancels for u < 0 as
+gamma -> 0.  Their equality is itself one of the tested invariants.
 
 At the boundary gamma = 0 the Legendre limit gives L(0, 0) = 0 and
 L(0, u != 0) = +inf, so paths resting at zero are cost-free and paths leaving
@@ -67,7 +69,7 @@ def lagrangian(gamma: float, u: float, lam: float) -> float:
     if gamma == 0.0:
         return 0.0 if u == 0.0 else math.inf
     a = 2.0 * lam * gamma
-    return u * math.asinh(u / a) + a - math.hypot(u, a)
+    return u * (math.asinh(u / a) - u / (a + math.hypot(u, a)))
 
 
 def prelimit_hamiltonian(f: Callable[[float], float], params: ModelParams, gamma: float) -> float:

@@ -111,44 +111,6 @@ class ParabolaParams:
             "gammaT": self.gammaT,
         }
 
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "ParabolaParams":
-        if not isinstance(obj, dict):
-            raise ValueError("parabola JSON must hold an object")
-        missing = [key for key in ("c1", "c2", "case", "lambda", "T", "gamma0", "gammaT")
-                   if key not in obj]
-        if missing:
-            raise ValueError(f"parabola JSON lacks field(s): {', '.join(missing)}")
-        try:
-            case = PathCase(obj["case"])
-        except ValueError:
-            raise ValueError(f"parabola JSON field 'case' must be one of "
-                             f"{', '.join(c.value for c in PathCase)}, got {obj['case']!r}") from None
-        numbers = {}
-        for key, name in (("c1", "c1"), ("c2", "c2"), ("lambda", "lam"), ("T", "horizon"),
-                          ("gamma0", "gamma0"), ("gammaT", "gammaT")):
-            value = obj[key]
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"parabola JSON field {key!r} must be a number, got {value!r}")
-            try:
-                number = float(value)
-            except OverflowError:  # an integer beyond the largest double
-                number = math.inf
-            if not math.isfinite(number):
-                raise ValueError(f"parabola JSON field {key!r} must be finite, got {value!r}")
-            if key in ("lambda", "T") and not number > 0.0:
-                raise ValueError(f"parabola JSON field {key!r} must be positive, got {value!r}")
-            if key in ("gamma0", "gammaT") and not 0.0 <= number <= 1.0:
-                raise ValueError(f"parabola JSON field {key!r} must lie in [0, 1], got {value!r}")
-            numbers[name] = number
-        if case is not PathCase.CONSTANT and not numbers["c2"] > 0.0:
-            # a parabola that solves a boundary problem has c2 > 0: its dual z is positive
-            raise ValueError(f"parabola JSON field 'c2' must be positive for case "
-                             f"{case.value!r}, got {obj['c2']!r}")
-        params = cls(case=case, **numbers)
-        _verify_admissible(params)
-        return params
-
 
 def solve_boundary(gamma0: float, gammaT: float, T: float, lam: float) -> ParabolaParams:
     """Solve the boundary-value problem for the minimizing path."""
@@ -228,24 +190,27 @@ def _verify_admissible(params: ParabolaParams) -> None:
 
 
 def hamiltonian_residual(params: ParabolaParams, grid_size: int = 1000) -> tuple[float, float]:
-    """Max absolute residuals of the two characteristic equations on an
-    interior grid (endpoints excluded: that is where paths may touch zero and
-    the dual becomes singular), kappa's against the analytic
-    dkappa/dt = -lam / (x*(x+1)) with x = lam*t - c1."""
+    """Max residuals of the two characteristic equations on an interior grid
+    (endpoints excluded: that is where paths may touch zero and the dual
+    becomes singular), kappa's against the analytic dkappa/dt = -lam / (x*(x+1))
+    with x = lam*t - c1.  Each is relative to max(lam, the largest |left-hand
+    side| of its equation on the grid), |gamma'| and lam/|x*(x+1)|: its
+    round-off scales with those terms, which reach lam/|x*(x+1)| ~ 1e13 on a
+    path leaving zero at lam*T = 1e-8."""
     if params.case is PathCase.CONSTANT:
         return 0.0, 0.0
     lam, T = params.lam, params.horizon
-    worst_gamma = 0.0
-    worst_kappa = 0.0
+    worst_gamma = worst_kappa = 0.0
+    scale_gamma = scale_kappa = lam
     for i in range(1, grid_size + 1):
         t = T * i / (grid_size + 1)
         z = params.dual(t)
         x = lam * t - params.c1
-        r_gamma = abs(params.derivative(t) - lam * params.value(t) * (z - 1.0 / z))
-        r_kappa = abs(-lam / (x * (x + 1.0)) + lam * (z + 1.0 / z - 2.0))
-        worst_gamma = max(worst_gamma, r_gamma)
-        worst_kappa = max(worst_kappa, r_kappa)
-    return worst_gamma, worst_kappa
+        dgamma, dkappa = params.derivative(t), -lam / (x * (x + 1.0))
+        worst_gamma = max(worst_gamma, abs(dgamma - lam * params.value(t) * (z - 1.0 / z)))
+        worst_kappa = max(worst_kappa, abs(dkappa + lam * (z + 1.0 / z - 2.0)))
+        scale_gamma, scale_kappa = max(scale_gamma, abs(dgamma)), max(scale_kappa, abs(dkappa))
+    return worst_gamma / scale_gamma, worst_kappa / scale_kappa
 
 
 def optimal_action(gamma0: float, gammaT: float, T: float, lam: float,

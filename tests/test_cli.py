@@ -19,7 +19,6 @@ from scipy import stats
 from bdld import cli
 from bdld.chain import ModelParams, prefix_mass
 from bdld.cli import main
-from bdld.optimal_paths import optimal_action, solve_boundary
 
 # the batch size the writer tests run with (see TestWriteCsv.small_batch),
 # so a few hundred rows cross a batch edge
@@ -35,10 +34,6 @@ def _read(path):
 
 
 def _write_bad_inputs(directory):
-    (directory / "bad.json").write_text(json.dumps({"c1": 1}))
-    (directory / "list_field.json").write_text(json.dumps(
-        {"c1": [1], "c2": 1, "case": "constant", "lambda": 1, "T": 1,
-         "gamma0": 0.5, "gammaT": 0.5}))
     (directory / "one.csv").write_text("t,gamma\n0,0.5\n")
     (directory / "short_row.csv").write_text("t,gamma\n0.5\n")
     # non-finite samples once gave I = inf and a passing quadrature verdict
@@ -47,16 +42,6 @@ def _write_bad_inputs(directory):
     (directory / "inf_dgamma.csv").write_text("t,gamma,dgamma\n0,0.5,0\n0.5,0.6,inf\n1,0.8,0\n")
     (directory / "a_file").write_text("")
     (directory / "empty.csv").write_text("")
-    (directory / "number.json").write_text("3")
-    # stays in [0, 1] and meets its ends, but no boundary problem has c2 < 0
-    (directory / "negative_c2.json").write_text(json.dumps(
-        {"c1": 0.9, "c2": -1.0, "case": "general_increasing", "lambda": 1.0, "T": 0.5,
-         "gamma0": 0.09, "gammaT": 0.24}))
-    solved = solve_boundary(0.5, 0.8, 1.0, 1.0).to_json_obj()
-    for name, field, value in (("nan_c1", "c1", math.nan), ("nan_gamma0", "gamma0", math.nan),
-                               ("negative_lambda", "lambda", -1.0),
-                               ("misfit", "gamma0", 0.4)):  # c1, c2 give gamma(0) = 0.5
-        (directory / f"{name}.json").write_text(json.dumps({**solved, field: value}))
 
 
 class TestExitCodes:
@@ -64,14 +49,20 @@ class TestExitCodes:
         assert main(["stationary", "--n", "4", "--out", str(tmp_path)]) == 0
 
     def test_verdict_failure(self, tmp_path):
-        # a 1.5x ladder cannot halve the prelimit error: built-in check fails
-        code = main(["hconv", "--n-ladder", "100,150", "--out", str(tmp_path)])
+        # the 1/N rate has not set in at N = 2: the error falls only 1.078x
+        # from N = 2 to 4, so the built-in check fails
+        code = main(["hconv", "--n-ladder", "2,4", "--out", str(tmp_path)])
         assert code == 1
         report = json.loads(_read(tmp_path / "report.json"))
         assert report["verdicts"]["halving"] is False
 
     def test_hconv_doubling_ladder_passes(self, tmp_path):
         assert main(["hconv", "--n-ladder", "200,400", "--out", str(tmp_path)]) == 0
+
+    @pytest.mark.parametrize("ladder", ["100,300,900", "1000,1500"])
+    def test_hconv_ladder_of_any_step_passes(self, tmp_path, ladder):
+        # the error falls as 1/N on any ladder, not only on a doubling one
+        assert main(["hconv", "--n-ladder", ladder, "--out", str(tmp_path)]) == 0
 
     def test_usage_error_missing_setting(self, tmp_path, capsys):
         assert main(["rate-curve", "--out", str(tmp_path)]) == 2
@@ -187,18 +178,14 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv", [
         ["action", "--path-csv", "missing.csv"],
-        ["action", "--parabola-json", "missing.json"],
-        ["action", "--parabola-json", "bad.json"],       # lacks "case" and more
         ["action", "--path-csv", "one.csv"],             # a single grid point
         ["action", "--path-csv", "empty.csv"],
-        ["action", "--parabola-json", "number.json"],    # not a JSON object
         ["stationary", "--n", "4", "--out", "a_file"],   # --out names a file
         ["lln-point", "--n", "100", "--gamma0", "0.5", "--eps", "inf", "--reps", "5"],
         ["lln-point", "--n", "100", "--gamma0", "nan", "--eps", "0.2", "--reps", "5"],
         ["stationary", "--n", "4", "--seed", "3"],       # a flag stationary does not read
         ["simulate", "--n", "4", "--horizon", "1", "--reps", "1000"],
         ["opt-path", "--figure", "fig9"],
-        ["action", "--parabola-json", "list_field.json"],  # "c1": [1]
         ["action", "--path-csv", "short_row.csv"],         # a row shorter than its header
         ["tilted-mc", "--n", "100", "--gamma0", "nan", "--gamma-t", "0.8", "--reps", "10"],
         ["tilted-mc", "--n", "100", "--gamma0", "0.5", "--gamma-t", "nan", "--reps", "10"],
@@ -206,10 +193,6 @@ class TestExitCodes:
          "--reps", "10"],
         ["rate-curve", "--gamma0", "0.5", "--gamma-t", "0.8", "--n-ladder", "10,20",
          "--half-width", "inf"],
-        ["action", "--parabola-json", "nan_c1.json"],
-        ["action", "--parabola-json", "nan_gamma0.json"],
-        ["action", "--parabola-json", "negative_lambda.json"],
-        ["action", "--parabola-json", "misfit.json"],
         *(["action", "--gamma0", "0.5", "--gamma-t", "0.8", "--horizon", "1", "--tol", tol]
           for tol in ("0", "-1", "nan", "inf", "1e300", "1e-3")),
         ["lln-point", "--n", "100", "--gamma0", "1e308", "--eps", "0.2", "--reps", "5"],
@@ -223,7 +206,6 @@ class TestExitCodes:
         ["hconv", "--n-ladder", "1,2"],
         # lln-stationary has no horizon: it stops at its last sample time
         ["lln-stationary", "--n", "10", "--u", "0.5", "--horizon", "0"],
-        ["action", "--parabola-json", "negative_c2.json"],
         # an exact window probability below the smallest double
         ["tilted-mc", "--n", "100", "--gamma0", "0.5", "--gamma-t", "0.8", "--reps", "10",
          "--seed", "1", "--horizon", "1e-300"],
@@ -240,6 +222,9 @@ class TestExitCodes:
          "--reps", "3"],
         ["embedded", "--n", "1"],
         *(["action", "--path-csv", name] for name in ("nan_gamma.csv", "nan_t.csv", "inf_dgamma.csv")),
+        # a ladder that is not strictly increasing says nothing about the rate
+        *(["hconv", "--n-ladder", ladder] for ladder in ("2,2", "200,100", "100,50,200")),
+        ["action", "--gamma0", "0.5", "--gamma-t", "0.8"],  # boundary data without a horizon
     ])
     def test_bad_input_exits_2_without_traceback(self, tmp_path, capsys, monkeypatch, argv):
         monkeypatch.chdir(tmp_path)
@@ -259,8 +244,7 @@ class TestExitCodes:
         assert "error" in err
 
     @pytest.mark.parametrize("argv, message", [
-        (["action", "--parabola-json", "list_field.json"],
-         "parabola JSON field 'c1' must be a number, got [1]"),
+        (["action"], "action: give --gamma0/--gamma-t/--horizon, or --path-csv"),
         (["action", "--path-csv", "short_row.csv"], "data row 1 ['0.5']"),
         (["tilted-mc", "--n", "100", "--gamma0", "nan", "--gamma-t", "0.8", "--reps", "10"],
          "gamma0 must lie in [0, 1], got nan"),
@@ -268,12 +252,11 @@ class TestExitCodes:
          "gammaT must lie in [0, 1], got nan"),
         (["tilted-mc", "--n", "100", "--gamma0", "0.5", "--gamma-t", "0.8", "--half-width",
           "nan", "--reps", "10"], "half_width must be finite and >= 0, got nan"),
-        (["action", "--parabola-json", "nan_c1.json"], "field 'c1' must be finite, got nan"),
-        (["action", "--parabola-json", "nan_gamma0.json"],
-         "field 'gamma0' must be finite, got nan"),
-        (["action", "--parabola-json", "negative_lambda.json"],
-         "field 'lambda' must be positive, got -1.0"),
-        (["action", "--parabola-json", "misfit.json"], "gamma(0) misses gamma0"),
+        (["action", "--parabola-json", "pp.json"], "unrecognized arguments: --parabola-json"),
+        (["hconv", "--n-ladder", "2,2"], "each at least 2 and larger than the one before it, "
+                                         "got [2, 2]"),
+        (["hconv", "--n-ladder", "200,100"], "larger than the one before it, got [200, 100]"),
+        (["action", "--path-csv", "missing.csv"], "action: cannot read input:"),
         (["action", "--gamma0", "0.5", "--gamma-t", "0.8", "--horizon", "1", "--tol", "nan"],
          "tol must be positive and finite, got nan"),
         (["action", "--gamma0", "0", "--gamma-t", "0.5", "--horizon", "2", "--tol", "1e300"],
@@ -283,8 +266,7 @@ class TestExitCodes:
         (["hconv", "--n-ladder", "2,1"], "--n-ladder needs at least two sizes, each at least 2"),
         (["simulate", "--n", "10", "--horizon", "0"],
          "horizon must be positive and finite, got 0.0"),
-        (["action", "--parabola-json", "negative_c2.json"],
-         "field 'c2' must be positive for case 'general_increasing', got -1.0"),
+        (["action", "--path-csv", "one.csv"], "need at least two grid points"),
         (["tilted-mc", "--n", "100", "--gamma0", "0.5", "--gamma-t", "0.8", "--reps", "10",
           "--seed", "1", "--horizon", "1e-300"],
          "with N=100, the window 78..82 is reached by --horizon 1e-300 with probability "
@@ -598,6 +580,15 @@ class TestOptPathCommand:
         assert code == 0
         assert json.loads(_read(tmp_path / "report.json"))["results"]["max_residual"] <= 1e-15
 
+    @pytest.mark.parametrize("gamma_t, horizon", [("0.5", "1e-8"), ("1", "1e-10")])
+    def test_residuals_are_relative_to_the_equations_terms(self, tmp_path, gamma_t, horizon):
+        # leaving zero at a short horizon, the terms reach lam/|x(x+1)| ~ 1e13,
+        # and their round-off once read 9.5e-7 and 2.4e-4 against 1e-8
+        code = main(["opt-path", "--gamma0", "0", "--gamma-t", gamma_t, "--horizon", horizon,
+                     "--out", str(tmp_path)])
+        assert code == 0
+        assert json.loads(_read(tmp_path / "report.json"))["results"]["max_residual"] <= 1e-15
+
     def test_figure_bundles(self, tmp_path):
         code = main(["opt-path", "--figure", "fig2", "--out", str(tmp_path / "f2")])
         assert code == 0
@@ -652,10 +643,12 @@ class TestActionCommand:
         assert report["verdicts"] == {"quadrature_converged": True}
 
     def test_two_row_path_csv_takes_the_chord_slope(self, tmp_path):
-        # two rows without dgamma: the derivative is the chord's slope, 0.3 at both ends
+        # two rows without dgamma: the derivative is the chord's slope at both
+        # ends, fl(0.8 - 0.5) = 0.30000000000000004
         actions = []
         for name, text in (("bare", "t,gamma\n0,0.5\n1,0.8\n"),
-                           ("slope", "t,gamma,dgamma\n0,0.5,0.3\n1,0.8,0.3\n")):
+                           ("slope", "t,gamma,dgamma\n0,0.5,0.30000000000000004\n"
+                                     "1,0.8,0.30000000000000004\n")):
             (tmp_path / f"{name}.csv").write_text(text)
             assert main(["action", "--path-csv", str(tmp_path / f"{name}.csv"),
                          "--out", str(tmp_path / name)]) == 0
@@ -663,52 +656,31 @@ class TestActionCommand:
         assert actions[0] == actions[1] == pytest.approx(float.fromhex("0x1.1f644f28855d1p-5"),
                                                          rel=1e-12)
 
-    def test_parabola_json_mode(self, tmp_path):
-        from bdld.optimal_paths import solve_boundary
-        blob = tmp_path / "pp.json"
-        blob.write_text(json.dumps(solve_boundary(0.5, 0.8, 1.0, 1.0).to_json_obj()))
-        code = main(["action", "--parabola-json", str(blob), "--out", str(tmp_path / "o")])
-        assert code == 0
-        report = json.loads(_read(tmp_path / "o" / "report.json"))
-        assert abs(report["results"]["I"] - 0.034929359588850) <= 1e-8
-
     def test_missing_inputs(self, tmp_path, capsys):
         assert main(["action", "--out", str(tmp_path)]) == 2
 
-    def test_parabola_json_lambda_must_match(self, tmp_path, capsys):
-        # the file's path was solved for lambda = 2, so it is no optimal path
-        # under the default --lambda 1
-        assert main(["opt-path", "--gamma0", "0.5", "--gamma-t", "0.8", "--horizon", "1",
-                     "--lambda", "2", "--out", str(tmp_path / "p")]) == 0
-        report = json.loads(_read(tmp_path / "p" / "report.json"))
-        blob = tmp_path / "pp.json"
-        blob.write_text(json.dumps(report["results"]["paths"][0]))
-        argv = ["action", "--parabola-json", str(blob), "--out", str(tmp_path / "o")]
-        assert main(argv) == 2
-        assert "--lambda 1.0 differs from the parabola JSON's lambda 2.0" in capsys.readouterr().err
-        assert main(argv + ["--lambda", "2"]) == 0
-        report = json.loads(_read(tmp_path / "o" / "report.json"))
-        action = report["results"]["I"]
-        assert report["results"]["I_closed_form"] == optimal_action(0.5, 0.8, 1.0, 2.0)
-        assert report["verdicts"]["matches_closed_form"] is True
-        assert abs(action - optimal_action(0.5, 0.8, 1.0, 2.0)) <= 1e-9
-        assert abs(action - 0.0175242737) <= 1e-9
-
-    @pytest.mark.parametrize("source", ["boundary", "parabola-json"])
-    def test_path_from_zero_matches_closed_form(self, tmp_path, source):
+    def test_path_from_zero_matches_closed_form(self, tmp_path):
         # the integrand's log singularity at t = 0 against S = gammaT ln(1 + 1/(lam T))
-        if source == "boundary":
-            argv = ["--gamma0", "0", "--gamma-t", "0.5", "--horizon", "2"]
-        else:
-            blob = tmp_path / "pp.json"
-            blob.write_text(json.dumps(solve_boundary(0.0, 0.5, 2.0, 1.0).to_json_obj()))
-            argv = ["--parabola-json", str(blob)]
+        argv = ["--gamma0", "0", "--gamma-t", "0.5", "--horizon", "2"]
         assert main(["action", *argv, "--out", str(tmp_path / "o")]) == 0
         report = json.loads(_read(tmp_path / "o" / "report.json"))
         assert report["verdicts"] == {"quadrature_converged": True, "matches_closed_form": True}
         assert report["results"]["I_closed_form"] == pytest.approx(0.5 * math.log(1.5),
                                                                    rel=1e-15)
         assert abs(report["results"]["I"] - report["results"]["I_closed_form"]) <= 1e-9
+
+    @pytest.mark.parametrize("argv", [
+        ["--gamma0", "0.3", "--gamma-t", "0.001", "--horizon", "1e8", "--tol", "1e-12"],
+        ["--gamma0", "0.3", "--gamma-t", "0.5", "--horizon", "1e4"],
+        ["--gamma0", "0.5", "--gamma-t", "0.8", "--horizon", "100"],
+    ])
+    def test_slow_path_matches_closed_form(self, tmp_path, argv):
+        # along a slow path |u| << 2 lam gamma, where L's a - hypot(u, a)
+        # once cancelled: I read 3.3e-9 against 2.66e-9 at T = 1e8, and
+        # 2.7e-7 and 1.9e-11 relative off at T = 1e4 and 100
+        assert main(["action", *argv, "--out", str(tmp_path)]) == 0
+        results = json.loads(_read(tmp_path / "report.json"))["results"]
+        assert results["I"] == pytest.approx(results["I_closed_form"], rel=1e-14, abs=0.0)
 
     def test_infinite_action_serializes_cleanly(self, tmp_path):
         # a path resting at zero with nonzero velocity has infinite action;

