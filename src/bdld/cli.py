@@ -2,25 +2,22 @@
 reports plus plot-ready CSV tables, and turns built-in checks into exit codes.
 
 ``main(argv)``, the Python entry, is the one pipeline: it parses argv, takes
-the config file's fields and then the flags (``_given``), normalises them
-(``_normalise``), runs the subcommand's handler, writes its CSV tables and
-``report.json``, prints the verdicts and returns the exit code: 0 success,
-1 a built-in verdict failed, 2 usage error (a library ValueError included),
-3 internal error.  The same settings (seed included) reproduce
-byte-identical CSVs; the report's ``timings`` are its only
-non-reproducible field.
+the flags set (``_given``), normalises them (``_normalise``), runs the
+subcommand's handler, writes its CSV tables and ``report.json``, prints the
+verdicts and returns the exit code: 0 success, 1 a built-in verdict failed,
+2 usage error (a library ValueError included), 3 internal error.  The same
+settings (seed included) reproduce byte-identical CSVs; the report's
+``timings`` are its only non-reproducible field.
 
 Each subcommand declares the settings it reads, once, in ``_COMMANDS``; it
-takes only those flags, and a config field it does not declare is a usage
-error.  The BDLD_OUT environment variable sets the default output directory.
+takes only those flags, and argparse refuses (exit 2) any other.  The
+BDLD_OUT environment variable sets the default output directory.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
-import operator
 import os
 import sys
 import time
@@ -354,16 +351,6 @@ def _run_hconv(settings):
 # settings and subcommands
 
 
-def _int(value) -> int:
-    """An integer from a flag's text or a config number.  JSON has one number
-    type, so an integral float such as 4.0 counts; 4.7 does not."""
-    if isinstance(value, str):
-        return int(value)
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    return operator.index(value)
-
-
 def _finite(value) -> float:
     """A float that is neither NaN nor infinite."""
     x = float(value)
@@ -373,10 +360,11 @@ def _finite(value) -> float:
 
 
 def _list_of(item):
-    """Parser of a non-empty list, given as a list or as comma-separated text."""
+    """Parser of a non-empty list, given as comma-separated text or, for a
+    default, as a tuple."""
     def parse(value) -> list:
-        if not isinstance(value, (list, tuple)):
-            value = [x for x in str(value).split(",") if x.strip()]
+        if not isinstance(value, tuple):
+            value = [x for x in value.split(",") if x.strip()]
         if not value:
             raise ValueError("expected a non-empty list")
         return [item(x) for x in value]
@@ -384,7 +372,7 @@ def _list_of(item):
 
 
 def _initial(value):
-    return value if value == "stationary" else _int(value)
+    return value if value == "stationary" else int(value)
 
 
 def _tol(value) -> float:
@@ -401,14 +389,14 @@ def _figure(value) -> str:
     return value
 
 
-# setting -> (flag, parser[, help]).  Every value, from a flag, a config file
-# or a default, goes through its parser once, in _normalise.
+# setting -> (flag, parser[, help]).  Every value, from a flag or a default,
+# goes through its parser once, in _normalise.
 _SETTINGS = {
-    "n": ("--n", _int, "number of states N"),
+    "n": ("--n", int, "number of states N"),
     "lam": ("--lambda", float, "rate scale"),
     "horizon": ("--horizon", float, "time horizon T"),
-    "seed": ("--seed", _int),
-    "reps": ("--reps", _int, "Monte Carlo replications"),
+    "seed": ("--seed", int),
+    "reps": ("--reps", int, "Monte Carlo replications"),
     "tol": ("--tol", _tol, "tolerance of the exact oracle or the quadrature"),
     "initial": ("--initial", _initial, 'state index or "stationary"'),
     "gamma0": ("--gamma0", float, "scaled start state"),
@@ -417,8 +405,8 @@ _SETTINGS = {
     "u": ("--u", float, "scaled threshold"),
     "times": ("--times", _list_of(_finite), "comma-separated sample times"),
     "half_width": ("--half-width", float, "half-width of the end window"),
-    "n_ladder": ("--n-ladder", _list_of(_int), "comma-separated chain sizes"),
-    "grid": ("--grid", _int, "points per path table"),
+    "n_ladder": ("--n-ladder", _list_of(int), "comma-separated chain sizes"),
+    "grid": ("--grid", int, "points per path table"),
     "figure": ("--figure", _figure, f"one of {', '.join(sorted(_FIGURES))}"),
     "path_csv": ("--path-csv", str, "CSV with columns t,gamma[,dgamma]"),
 }
@@ -467,29 +455,22 @@ _COMMANDS = {
 
 
 def _normalise(kind: str, given: dict) -> dict:
-    """The settings a subcommand reads, from those given: defaults filled in
-    and every value parsed.  A setting given as None counts as not given, and
-    one given as a boolean, or as a list holding one, is refused."""
+    """The settings a subcommand reads, from the flags given: defaults filled
+    in and every value parsed.  Text that a setting's parser refuses, such as
+    ``--n 4.7`` or ``--n 4.0``, is a usage error."""
     command = _COMMANDS[kind]
-    undeclared = [str(name) for name in given if name not in command.settings]
-    if undeclared:
-        raise UsageError(f"{kind} takes no setting(s): {', '.join(undeclared)}")
     missing = [name for name, default in command.settings.items()
-               if default is _NO_DEFAULT and given.get(name) is None]
+               if default is _NO_DEFAULT and name not in given]
     if missing:
         raise UsageError(f"{kind}: missing required setting(s): {', '.join(missing)}")
     settings = {}
     for name, default in command.settings.items():
-        value = given.get(name)
-        if value is None:
-            value = default
+        value = given.get(name, default)
         if value is not None:
             flag, parse = _SETTINGS[name][:2]
-            try:  # bool is an int, so int() and float() would take JSON's true and false
-                if any(isinstance(x, bool) for x in (value if isinstance(value, list) else [value])):
-                    raise TypeError("a JSON boolean is not a setting's value")
+            try:
                 value = parse(value)
-            except (TypeError, ValueError) as exc:
+            except ValueError as exc:
                 raise UsageError(f"{kind}: bad {flag} value {value!r}: {exc}") from None
         settings[name] = value
     return settings
@@ -503,8 +484,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="kind", required=True)
     for kind, command in _COMMANDS.items():
         p = sub.add_parser(kind, help=command.help)
-        p.add_argument("--config", type=str, default=None,
-                       help="JSON file with settings; flags override its fields")
         p.add_argument("--out", type=str, default=None,
                        help="output directory (default: $BDLD_OUT or '.')")
         for name in command.settings:
@@ -514,20 +493,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _given(args: argparse.Namespace) -> dict:
-    """The settings given: the config file's fields, overridden by the flags set."""
-    given = {}
-    if args.config:
-        try:
-            with open(args.config) as fh:
-                loaded = json.load(fh)
-        except (OSError, ValueError) as exc:  # ValueError: not JSON, or not UTF-8
-            raise UsageError(f"cannot read config {args.config}: {exc}") from exc
-        if not isinstance(loaded, dict):
-            raise UsageError("config file must hold a JSON object")
-        given.update(loaded)
-    given.update((key, value) for key, value in vars(args).items()
-                 if key not in ("kind", "config", "out") and value is not None)
-    return given
+    """The settings given: the flags set."""
+    return {key: value for key, value in vars(args).items()
+            if key not in ("kind", "out") and value is not None}
 
 
 def main(argv=None) -> int:

@@ -297,6 +297,12 @@ class TestExitCodes:
         (["tilted-mc", "--n", "10", "--gamma0", "0.5", "--gamma-t", "0.8", "--horizon", "5e-324",
           "--reps", "3"], "lam*T = 5e-324 is too small"),
         (["embedded", "--n", "1"], "embedded chain requires n_states >= 2"),
+        # a flag is text: an integer setting takes neither a fraction nor a
+        # float's spelling, and a settings file is no input
+        (["stationary", "--n", "4.7"], "stationary: bad --n value '4.7'"),
+        (["stationary", "--n", "four"], "stationary: bad --n value 'four'"),
+        (["stationary", "--n", "4.0"], "stationary: bad --n value '4.0'"),
+        (["stationary", "--n", "4", "--config", "c.json"], "unrecognized arguments: --config"),
     ])
     def test_bad_input_message_names_the_culprit(self, tmp_path, capsys, monkeypatch,
                                                  argv, message):
@@ -492,7 +498,7 @@ class TestLlnCommands:
     ])
     def test_binomial_two_sided_matches_scipy(self, k, n, p):
         assert cli._binomial_two_sided(k, n, p) == pytest.approx(
-            stats.binomtest(k, n, p).pvalue, rel=1e-9)
+            stats.binomtest(k, n, p).pvalue, rel=1e-9, abs=0.0)
 
     def test_binomial_two_sided_at_certain_outcomes(self):
         assert cli._binomial_two_sided(0, 10, 0.0) == 1.0
@@ -654,7 +660,7 @@ class TestActionCommand:
                          "--out", str(tmp_path / name)]) == 0
             actions.append(json.loads(_read(tmp_path / name / "report.json"))["results"]["I"])
         assert actions[0] == actions[1] == pytest.approx(float.fromhex("0x1.1f644f28855d1p-5"),
-                                                         rel=1e-12)
+                                                         rel=1e-12, abs=0.0)
 
     def test_missing_inputs(self, tmp_path, capsys):
         assert main(["action", "--out", str(tmp_path)]) == 2
@@ -666,7 +672,7 @@ class TestActionCommand:
         report = json.loads(_read(tmp_path / "o" / "report.json"))
         assert report["verdicts"] == {"quadrature_converged": True, "matches_closed_form": True}
         assert report["results"]["I_closed_form"] == pytest.approx(0.5 * math.log(1.5),
-                                                                   rel=1e-15)
+                                                                   rel=1e-15, abs=0.0)
         assert abs(report["results"]["I"] - report["results"]["I_closed_form"]) <= 1e-9
 
     @pytest.mark.parametrize("argv", [
@@ -707,7 +713,7 @@ class TestTiltedMcCommand:
         assert 1.0 <= results["ess"] <= 1500
         assert 0.0 < results["max_weight_share"] <= 1.0
         assert results["rel_err_per_sample"] == pytest.approx(
-            results["stderr"] * math.sqrt(1500) / results["estimate"])
+            results["stderr"] * math.sqrt(1500) / results["estimate"], rel=1e-12, abs=0.0)
         header = _read(tmp_path / "tilted_mc.csv").splitlines()[0]
         assert header == "estimate,stderr,exact,replications"
 
@@ -759,7 +765,7 @@ class TestTiltedMcCommand:
         assert code in (0, 1)
         exact = json.loads(_read(tmp_path / "report.json"))["results"]["exact"]
         # ln P from scripts/mp_window.py
-        assert math.log(exact) == pytest.approx(-341.16046390633267, rel=1e-9)
+        assert math.log(exact) == pytest.approx(-341.16046390633267, rel=1e-9, abs=0.0)
 
 
 class TestWriteCsv:
@@ -983,87 +989,12 @@ class TestWriteCsv:
 
 
 class TestConfigHandling:
-    def test_config_file_with_flag_override(self, tmp_path):
-        config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({"n": 4, "lam": 2.0}))
-        out = tmp_path / "o"
-        code = main(["stationary", "--config", str(config), "--n", "5",
-                     "--out", str(out)])
-        assert code == 0
-        report = json.loads(_read(out / "report.json"))
-        assert report["spec"]["settings"]["n"] == 5       # flag wins
-        assert report["spec"]["settings"]["lam"] == 2.0   # file fills the rest
-
-    def test_bad_config(self, tmp_path, capsys):
-        config = tmp_path / "cfg.json"
-        config.write_text("[1, 2]")
-        assert main(["stationary", "--config", str(config), "--n", "4",
-                     "--out", str(tmp_path)]) == 2
-
-    @pytest.mark.parametrize("fields", [
-        {"n": [3]},                  # wrong JSON type
-        {"n": 4.7},                  # an integer setting given a fraction
-        {"n": "four"},
-        {"n": 4, "seed": 3},         # a field stationary does not declare
-        {"n": True},                 # a JSON boolean, which int() would read as 1
-        {"n": 4, "lam": True},       # ... and float() as 1.0
-    ])
-    def test_bad_config_field(self, tmp_path, capsys, fields):
-        config = tmp_path / "cfg.json"
-        config.write_text(json.dumps(fields))
-        assert main(["stationary", "--config", str(config), "--out", str(tmp_path)]) == 2
-        err = capsys.readouterr().err
-        assert "Traceback" not in err and "error" in err
-
-    @pytest.mark.parametrize("argv, fields, flag", [
-        (["hconv"], {"n_ladder": [100, True]}, "--n-ladder"),
-        (["lln-stationary", "--n", "20", "--u", "0.5"], {"times": [0.5, True]}, "--times"),
-        (["simulate", "--n", "10", "--horizon", "1"], {"seed": False}, "--seed"),
-    ])
-    def test_boolean_config_field_refused(self, tmp_path, capsys, argv, fields, flag):
-        # every numeric setting, and every item of a listed one, refuses true and false
-        config = tmp_path / "cfg.json"
-        config.write_text(json.dumps(fields))
-        assert main([*argv, "--config", str(config), "--out", str(tmp_path)]) == 2
-        err = capsys.readouterr().err
-        assert f"error: {argv[0]}: bad {flag} value" in err and "Traceback" not in err
-
-    def test_config_not_utf8(self, tmp_path, capsys):
-        config = tmp_path / "cfg.json"
-        config.write_bytes(b'\xff\xfe{"n": 4}')
-        assert main(["stationary", "--config", str(config), "--out", str(tmp_path)]) == 2
-        err = capsys.readouterr().err
-        assert "Traceback" not in err and f"cannot read config {config}" in err
-
-    def test_integral_float_config(self, tmp_path):
-        config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({"n": 4.0, "lam": 2}))
-        assert main(["stationary", "--config", str(config), "--out", str(tmp_path)]) == 0
-        settings = json.loads(_read(tmp_path / "report.json"))["spec"]["settings"]
-        assert settings == {"n": 4, "lam": 2.0}
-
     def test_settings_echo_is_typed(self, tmp_path):
         assert main(["lln-stationary", "--n", "20", "--u", "0.5", "--times", "0.2,0.6",
                      "--reps", "5", "--out", str(tmp_path)]) == 0
         settings = json.loads(_read(tmp_path / "report.json"))["spec"]["settings"]
         assert settings["times"] == [0.2, 0.6]
         assert settings["reps"] == 5 and "horizon" not in settings
-
-    def test_library_spec_is_normalised(self, tmp_path, capsys):
-        # config fields go through the same normalisation as flags
-        def run_config(fields):
-            config = tmp_path / "cfg.json"
-            config.write_text(json.dumps(fields))
-            code = main(["stationary", "--config", str(config), "--out", str(tmp_path)])
-            return code, capsys.readouterr().err
-
-        assert run_config({"n": "4"}) == (0, "")
-        assert json.loads(_read(tmp_path / "report.json"))["spec"]["settings"] == {"n": 4, "lam": 1.0}
-        for fields, message in (({"n": 4, "seed": 1}, "seed"),
-                                ({"lam": 2.0}, "missing required"),
-                                ({"n": [3]}, "--n")):
-            code, err = run_config(fields)
-            assert code == 2 and message in err and "Traceback" not in err
 
     def test_env_var_output_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("BDLD_OUT", str(tmp_path / "envout"))

@@ -207,7 +207,7 @@ class TestPrelimitHamiltonian:
                     - hamiltonian(j / n, j / n - 1.0, 1.0))
                 for j in range(1, n + 1))
             scaled_errors.append(n * worst)
-        assert max(scaled_errors) == pytest.approx(min(scaled_errors), rel=0.05)
+        assert max(scaled_errors) == pytest.approx(min(scaled_errors), rel=0.05, abs=0.0)
 
     def test_probe_increment_that_would_overflow(self):
         # N * (f(x + 1/N) - f(x)) = 1000 for f(x) = 1000 x

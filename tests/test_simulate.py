@@ -229,7 +229,7 @@ class TestLlnPointExperiment:
         obj = res.to_json_obj()
         assert obj["replications"] == 40 and obj["seed"] == 9
         assert obj["params"] == {"n_states": 200, "lambda": 1.0}
-        assert res.extra["bound"] == pytest.approx(1.0 / (0.04 * 200))
+        assert res.extra["bound"] == pytest.approx(1.0 / (0.04 * 200), rel=1e-12, abs=0.0)
 
     def test_bound_holds_on_in_band_settings(self):
         # 2 lam m0 T / a^2 against the exact exit probability wherever the
@@ -503,8 +503,8 @@ class TestTiltedSampling:
         assert res.extra["jumps"] == sum(traj.n_jumps for traj in finals)
         assert 0 < hits < 200
         assert res.estimate == hits / 200
-        assert res.extra["ess"] == pytest.approx(hits, rel=1e-12)
-        assert res.extra["max_weight_share"] == pytest.approx(1.0 / hits, rel=1e-12)
+        assert res.extra["ess"] == pytest.approx(hits, rel=1e-12, abs=0.0)
+        assert res.extra["max_weight_share"] == pytest.approx(1.0 / hits, rel=1e-12, abs=0.0)
 
     def test_weight_health_fields(self):
         from bdld.optimal_paths import dual_tilt, solve_boundary
@@ -526,13 +526,16 @@ class TestTiltedSampling:
         assert res.extra["jumps"] > 0
         assert res.extra["tilt_reads"] == reads
         assert len(log_weights) > 1
-        assert res.extra["log_weight_mean"] == pytest.approx(np.mean(log_weights), rel=1e-12)
+        assert res.extra["log_weight_mean"] == pytest.approx(np.mean(log_weights), rel=1e-12,
+                                                             abs=0.0)
         assert res.extra["log_weight_var"] == pytest.approx(np.var(log_weights, ddof=1),
-                                                            rel=1e-12)
-        assert res.extra["ess"] == pytest.approx(values.sum() ** 2 / (values ** 2).sum())
-        assert res.extra["max_weight_share"] == pytest.approx(values.max() / values.sum())
+                                                            rel=1e-12, abs=0.0)
+        assert res.extra["ess"] == pytest.approx(values.sum() ** 2 / (values ** 2).sum(),
+                                                 rel=1e-12, abs=0.0)
+        assert res.extra["max_weight_share"] == pytest.approx(values.max() / values.sum(),
+                                                              rel=1e-12, abs=0.0)
         assert res.extra["rel_err_per_sample"] == pytest.approx(
-            res.stderr * math.sqrt(300) / res.estimate)
+            res.stderr * math.sqrt(300) / res.estimate, rel=1e-12, abs=0.0)
 
     def test_no_hit_health_fields(self):
         res = tilted_window_experiment(ModelParams(50, 1.0), ConstantTilt(1.0), (50, 50),
