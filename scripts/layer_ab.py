@@ -37,11 +37,11 @@ row's jump count and digest, a CSV file its row's digest, and the sampler
 and the CSV writer the same results on both sides bit for bit (estimate,
 stderr and every extra field both report).  Per class the script prints the
 summed best times, the quantiles of the per-call ratios NEW / OLD, the
-results equal bit for bit, the misses on each side, the largest move
-between the sides (of ln P for windows, relative for dwell) and µs per CSV
-row.  It exits 1 on any miss or sampler or CSV difference.  One run can
-show a false move of a quarter on a class: repeat a run before trusting a
-move.
+calls slower on NEW, the results equal bit for bit, the misses on each
+side, the largest move between the sides (of ln P for windows, relative
+for dwell) and µs per CSV row.  It exits 1 on any miss or sampler or CSV
+difference.  One run can show a false move of a quarter on a class:
+repeat a run before trusting a move.
 """
 
 from __future__ import annotations
@@ -222,6 +222,7 @@ def compare(sides: tuple[Side, Side], requests: list, best_of: int) -> dict:
         "summed_s": {"old": round(sum(best[0]), 4), "new": round(sum(best[1]), 4)},
         "ratio_of_sums": round(sum(best[1]) / sum(best[0]), 4),
         "ratio_quantiles": quantiles([b / a for a, b in zip(*best)]),
+        "slower": sum(b > a for a, b in zip(*best)),
         "equal": sum(map(same, old, new)),
         "must_agree": call not in ("window", "ladder", "dwell"),  # the oracle may move within tol
     }
@@ -287,7 +288,8 @@ def main(argv: list[str]) -> int:
                           for key in ("summed_s", "us_per_row", "misses") if key in res)
         print(f"{name}: {res['calls']} calls; {pairs}; new/old {res['ratio_of_sums']:.3f}")
         move = f"; largest move {res['largest_move']:.3g}" if "largest_move" in res else ""
-        print(f"  per call new/old {res['ratio_quantiles']}; equal bit for bit {res['equal']}{move}")
+        print(f"  per call new/old {res['ratio_quantiles']}; slower {res['slower']}; "
+              f"equal bit for bit {res['equal']}{move}")
     if args.json:
         args.json.write_text(json.dumps(report, indent=1) + "\n")
     bad = failures(report)

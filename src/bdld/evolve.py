@@ -6,8 +6,8 @@ uniformized kernel K = I + Q/Lam, Lam = 2*lam*N.  Each kernel-vector product
 costs O(N) and the Poisson truncation is certified: this is the brute-force
 oracle every Monte Carlo estimate and large-deviation rate is checked against.
 
-Powers are taken _S = 8 orders per numpy pass through the band of K^8
-(_block_powers), built by squaring K -> K^2 -> K^4 -> K^8 (_block_gather):
+Powers are taken _S = 16 orders per numpy pass through the band of K^16
+(_block_powers), built by squaring K -> K^2 -> ... -> K^16 (_block_gather):
 every entry is a sum of products >= 0, within a few ulps of the band built
 order by order.  Results differ from an order-by-order sum below 1e-13
 relative.  The Poisson weights are built from the mode outward by the pmf
@@ -48,10 +48,9 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .chain import ModelParams, ProbabilityVector, _check_state, _dwell_times, stationary_distribution
-from .optimal_paths import AdmissibilityError, optimal_action
+from .optimal_paths import optimal_action
 
 __all__ = [
     "endpoint_distribution",
@@ -64,7 +63,7 @@ __all__ = [
 ]
 
 # Poisson orders per numpy pass: both sums step by the band of K^_S.
-_S = 8  # a power of two: _block_gather squares K up to K^_S
+_S = 16  # a power of two: _block_gather squares K up to K^_S
 # States per tile: a window chain's powers hold one binary exponent per tile.
 _TILE = 64
 # A window chain starts from mass 2^_HEAD, and a tile stepped at its own
@@ -72,7 +71,8 @@ _TILE = 64
 # value keeps full precision down to 2^-(_HEAD + 1022) of that.
 _HEAD = 1000
 # One step may flush at most 2^_FLUSH_LOG2 of 2^(exponent) in one tile: 64
-# states, each below 60 * 2^-1075 off (its 17 products and 17 inputs).
+# states, each at most 66 * 2^-1075 off (its 2 _S + 1 = 33 products and 33
+# inputs), and 64 * 66 < 2^13.
 _FLUSH_LOG2 = -1060
 # The exponent of a tile without mass: below every other.
 _NO_MASS = -(1 << 30)
@@ -104,10 +104,11 @@ class _UniformizedKernel:
     @functools.cached_property
     def band(self) -> np.ndarray:
         """The band of K^_S state by state, band[m, i] = G[i, m] of
-        _block_gather (K squared three times), then rows of zeros to a whole
+        _block_gather (K squared four times), then rows of zeros to a whole
         number of tiles.  Built once, when a chain first steps past its
-        start, and shared by every chain that steps with this kernel: 72 us
-        at 430 states, 218 us at 1800 (timeit, 2-core machine)."""
+        start, and shared by every chain that steps with this kernel: 120 us
+        at 300 states, 160 us at 430, 320 us at 1000 and 930 us at 1800
+        (timeit, best of 5, 2-core machine)."""
         n = self.stay.size
         band = np.zeros((-(-n // _TILE) * _TILE, 2 * _S + 1))
         band[:n] = _block_gather(self).T
@@ -146,13 +147,26 @@ def _kernel_apply(p: np.ndarray, kern: _UniformizedKernel) -> np.ndarray:
     return q
 
 
+def _view(base: np.ndarray, offset: int, shape: tuple[int, ...], steps: tuple[int, ...]) -> np.ndarray:
+    """A read-only view of the C-contiguous array base whose element
+    [i, j, ...] is base.flat[offset + i*steps[0] + j*steps[1] + ...]:
+    np.ndarray over base's buffer, which checks it against base's bounds.
+    It costs 2 us, as_strided 7 and sliding_window_view 18 (timeit, 2-core
+    machine)."""
+    view = np.ndarray(shape, base.dtype, base, offset * base.itemsize,
+                      tuple(step * base.itemsize for step in steps))
+    view.flags.writeable = False
+    return view
+
+
 def _block_gather(kern: _UniformizedKernel) -> np.ndarray:
     """The band of B = K^_S in gather form: G[i, m] = B[m+i-_S, m], zero
     where row m+i-_S lies outside the chain, so that (y B)[m] is the sum over
-    i of y[m+i-_S] G[i, m].  Built by squaring, K -> K^2 -> ... -> K^_S: in
-    this form the band of A A, A of half-width b, reads
+    i of y[m+i-_S] G[i, m].  Built by squaring, K -> K^2 -> ... -> K^_S
+    (four products, 2 _S + 1 = 33 diagonals): in this form the band of A A,
+    A of half-width b, reads
     (A A)[m+i-2b, m] = sum_j G[i-j, m+j-b] G[j, m], one np.einsum over a
-    read-only strided view of G between 2b rows and b columns of zeros on
+    read-only view of G between 2b rows and b columns of zeros on
     each side.  Every term is a product of entries >= 0, so each entry keeps
     a relative error bound and no sum cancels (Higham 2002, ch. 3); a zero
     of the band, at the chain's ends and around a sink, stays exactly 0, and
@@ -162,11 +176,11 @@ def _block_gather(kern: _UniformizedKernel) -> np.ndarray:
     g[0, 1:], g[1], g[2, :-1] = kern.up[:-1], kern.stay, kern.down[1:]
     b = 1
     while b < _S:
-        pad = np.zeros((6 * b + 1, n + 2 * b))
+        width = n + 2 * b
+        pad = np.zeros((6 * b + 1, width))
         pad[2 * b:4 * b + 1, b:b + n] = g
-        s0, s1 = pad.strides  # view[i, j, m] = pad[2b + i - j, m + j]
-        view = as_strided(pad[2 * b:], (4 * b + 1, 2 * b + 1, n), (s0, s1 - s0, s1), writeable=False)
-        g = np.einsum("ijm,jm->im", view, g)
+        view = _view(pad, 2 * b * width, (4 * b + 1, 2 * b + 1, n), (width, 1 - width, 1))
+        g = np.einsum("ijm,jm->im", view, g)  # view[i, j, m] = pad[2b + i - j, m + j]
         b *= 2
     return g
 
@@ -195,10 +209,10 @@ def _poisson_scaled(mu: float, last: int) -> tuple[np.ndarray, np.ndarray, np.nd
     exponents (np.frexp), so that no weight of (f, a) underflows."""
     w, ratios, mode = _poisson_weights(mu, last)
     f, a = np.frexp(w)
-    for side in (np.s_[mode::-1], np.s_[mode + 1:]):
-        done = int(np.argmax(w[side] < 2.0 ** -1000)) if w[side][-1:] < 2.0 ** -1000 else 0
-        if not done:  # no weight of the side falls that low, or the first one does
+    for side in (np.s_[mode::-1], np.s_[mode:]):  # each from the mode, the largest weight
+        if not w[side][-1:] < 2.0 ** -1000:  # no weight of the side falls that low
             continue
+        done = int(np.argmax(w[side] < 2.0 ** -1000))  # past the mode: at least 1
         # 1000 mantissas of at least 1/2 each keep their product normal
         fs, es = np.frexp(ratios[side][done:])
         out_f, out_a = f[side][done:], a[side][done:]
@@ -228,11 +242,14 @@ def _poisson_cutoff(w: np.ndarray, mu: float, tol: float) -> int:
 
 def _poisson_top(mu: float) -> int:
     """The last order _poisson_terms builds, so at least its cutoff K.  Every
-    sum over Poisson orders asks it first, so a mean above _MU_MAX is
-    refused here, before any weight is built."""
+    sum over Poisson orders asks it first, so a mean above _MU_MAX, or a
+    subnormal one, is refused here, before any weight is built."""
     if not mu <= _MU_MAX:
         raise ValueError(f"the Poisson mean mu = Lam*t = {mu!r} exceeds {_MU_MAX:g}, the "
                          "largest the exact oracle sums over; use Monte Carlo")
+    if 0.0 < mu < 2.2250738585072014e-308:  # a subnormal double
+        raise ValueError(f"the Poisson mean mu = Lam*t = {mu!r} is subnormal, so it has lost "
+                         "its digits; the exact oracle sums over a normal mean")
     return int(mu + 12.0 * math.sqrt(mu)) + 40
 
 
@@ -270,13 +287,13 @@ def _block_powers(kern: _UniformizedKernel, p: np.ndarray, flushed: np.ndarray |
     """Yield (lo, hi, y_j, e_j): p K^(j*_S) is y_j 2^e_j, j = 0, 1, ..., with
     y_j float64 mantissas, 0 outside the states lo..hi-1 it can reach, and
     e_j[t] the binary exponent of the tile of states t*_TILE..(t+1)*_TILE-1.
-    A step sums, per state, a sliding view of the last power (between empty
-    tiles) times kern.band, the band of K^_S stored state by state, by one
-    np.einsum, and every exponent stays 0: plain linear arithmetic.  Given
-    flushed, one entry per tile, the steps are _tiled_stepper's, which
-    raise flushed[t] to the largest exponent at which tile t may have
-    flushed.  The band is asked for once a second power is; a yielded row
-    is overwritten two steps on.
+    A step of _S = 16 orders sums, per state, 2 _S + 1 = 33 products of a
+    sliding view of the last power (between empty tiles) and kern.band, the
+    band of K^_S stored state by state, by one np.einsum, and every exponent
+    stays 0: plain linear arithmetic.  Given flushed, one entry per tile,
+    the steps are _tiled_stepper's, which raise flushed[t] to the largest
+    exponent at which tile t may have flushed.  The band is asked for once
+    a second power is; a yielded row is overwritten two steps on.
 
     A consumer may send (a, b), lo <= a < b <= hi, as simulate._blocks takes
     its counts: the last power's states outside a..b-1 are emptied, and the
@@ -299,7 +316,8 @@ def _block_powers(kern: _UniformizedKernel, p: np.ndarray, flushed: np.ndarray |
     if tiled:
         step = _tiled_stepper(ring, exps, g, flushed)
     else:
-        views = sliding_window_view(ring[:, _TILE - _S:_TILE + n + _S], n, axis=1)
+        # views[r][i, m] = ring[r, _TILE - _S + i + m]
+        views = _view(ring, _TILE - _S, (2, 2 * _S + 1, n), (ring.shape[1], 1, 1))
         views, whole = (views[0], views[1]), g[:n]
     for j in itertools.count(1):
         r = j % 2
@@ -335,11 +353,11 @@ def _tiled_stepper(ring: np.ndarray, exps: np.ndarray, band: np.ndarray, flushed
     exponent."""
     tiles = exps.shape[1] - 2
     # inputs[r, t]: row r's states of tile t with its halos; around[t]: tiles t-1, t, t+1
-    inputs = sliding_window_view(ring, _TILE + 2 * _S, axis=1)[:, _TILE - _S::_TILE]
+    inputs = _view(ring, _TILE - _S, (2, tiles, _TILE + 2 * _S), (ring.shape[1], _TILE, 1))
     around = np.arange(tiles)[:, None] + np.arange(3)
     bands = band.reshape(tiles, _TILE, 2 * _S + 1)
     scaled = np.empty((tiles, _TILE + 2 * _S))
-    shifted = sliding_window_view(scaled, 2 * _S + 1, axis=1)
+    shifted = _view(scaled, 0, (tiles, _TILE, 2 * _S + 1), (_TILE + 2 * _S, 1, 1))  # [t, k, i]: [t, k + i]
 
     def step(r: int, lo: int, hi: int) -> None:
         a, b = lo // _TILE, -(-hi // _TILE)  # the tiles a..b-1, with a neighbour each side
@@ -482,13 +500,13 @@ def _window_setup(kern: _UniformizedKernel, states: np.ndarray):
     """(lo, hi, c): c[r] = K^r 1_W, r < _S, on the states lo..hi-1 within
     _S - 1 of the window, outside which it is 0."""
     lo, hi = max(0, int(states[0]) - _S), min(kern.stay.size, int(states[-1]) + _S - 1)
-    stay, up, down = kern.stay[lo:hi], kern.up[lo:hi], kern.down[lo:hi]
+    stay, up, down = kern.stay[lo:hi], kern.up[lo:hi - 1], kern.down[lo + 1:hi]
     c = np.zeros((_S, hi - lo))
     c[0, states - 1 - lo] = 1.0
-    for r in range(1, _S):  # (K v)[m] = stay[m] v[m] + down[m] v[m-1] + up[m] v[m+1]
-        c[r] = c[r - 1] * stay
-        c[r, 1:] += c[r - 1, :-1] * down[1:]
-        c[r, :-1] += c[r - 1, 1:] * up[:-1]
+    for v, kv in zip(c, c[1:]):  # (K v)[m] = stay[m] v[m] + down[m] v[m-1] + up[m] v[m+1]
+        np.multiply(v, stay, out=kv)
+        kv[1:] += v[:-1] * down
+        kv[:-1] += v[1:] * up
     return lo, hi, c
 
 
@@ -527,11 +545,13 @@ def _log_mass_guess(kern: _UniformizedKernel, m0: int, t: float, states: np.ndar
     """A guess at a lower bound on the window's ln P from m0 on the chain
     1..N: -N S(m0/N, w/N) - ln(N)/2 - 10, w the window state nearest m0 and
     S the action of optimal_paths.optimal_action.  On the 130 deep windows
-    of the benchmark pool ln P lies 2.5 to 4.9 below -N S."""
+    of the benchmark pool ln P lies 2.5 to 4.9 below -N S.  Where no path
+    is solved, AdmissibilityError, or lam*t is out of the closed form's
+    range (ValueError, as at lam*t = 1e-20), the guess is 0."""
     n, w = kern.stay.size, int(states[np.abs(states - m0).argmin()])
     try:
         return -n * optimal_action(m0 / n, w / n, t, kern.rate / (2.0 * n)) - 0.5 * math.log(n) - 10.0
-    except AdmissibilityError:  # no path solved: no guess below P <= 1
+    except ValueError:  # no guess below P <= 1
         return 0.0
 
 
@@ -602,7 +622,8 @@ def _chain_pass(kern: _UniformizedKernel, m0: int, mu: float, states: np.ndarray
     sum stops at the first group end past K where the reach bound of the
     kept states on the orders still to come, plus the account, is at most
     tol/2 of the running sum (after Fox & Glynn 1988).  The same bound at
-    the ends of the next _MAX_GROUP blocks sizes the next group, and the sum
+    the ends of the next _MAX_GROUP blocks (past the Poisson weights built,
+    its bound over every order alone) sizes the next group, and the sum
     stops at the end of it where it holds.  The account takes at most
     _DROP_SHARE of that tol/2, and where it already exceeds that share of
     all the sum can reach the pass charges every state and ends.  The sink
@@ -620,9 +641,12 @@ def _chain_pass(kern: _UniformizedKernel, m0: int, mu: float, states: np.ndarray
         return np.array([below, hi - lo - below - above, above])
     ahead = _S * np.arange(_MAX_GROUP + 1)  # the block ends a reach bound looks at
     k_cap = int(mu + 10.0 * math.sqrt(mu + 1.0)) + 6 * n + 1000
-    w, f, a = _poisson_scaled(mu, top + 2 * ahead[-1])  # built on as the sum reads further
-    k_min = _poisson_cutoff(w[:top], mu, tol)
     reach = int(np.abs(states - m0).min())
+    # the weights a sum reads: near, to a stop short of _poisson_top; deep, on the benchmark's
+    # pool, to within a block and two lookaheads of that top or the window's distance.  Built
+    # on where a sum reads further
+    w, f, a = _poisson_scaled(mu, max(top, reach) + _S + 2 * ahead[-1] if deep else top)
+    k_min = _poisson_cutoff(w[:top], mu, tol)
     if deep:  # R > 1 can bound far tighter
         depth, rho_m1 = _reach_weights(kern, w0, w1)
     else:
@@ -649,8 +673,8 @@ def _chain_pass(kern: _UniformizedKernel, m0: int, mu: float, states: np.ndarray
     count = min(_MAX_GROUP, max(reach, k_min) // _S + 1)
     cut, certified = None, math.inf
     while k0 <= k_cap:
-        if k0 + count * _S + ahead[-1] >= f.size:
-            _, f, a = _poisson_scaled(mu, 2 * f.size)
+        if k0 + count * _S > f.size:
+            _, f, a = _poisson_scaled(mu, max(2 * f.size, k0 + count * _S))
         # the next count blocks: untiled, their powers whole; tiled, the states near the
         # window at one exponent per block, and the total masses
         y = np.empty((count, n if not tiled else near_hi - near_lo))
@@ -704,7 +728,9 @@ def _chain_pass(kern: _UniformizedKernel, m0: int, mu: float, states: np.ndarray
         # the reach bound of the last power, at order k1 - _S, over the orders from k1 + s:
         # log_t per R, zone and s, and z = ln y - depth per R and state
         ratio = mu_rho / (orders + 1)
-        lpmf = np.log(f[orders]) + a[orders] * _LN2
+        built = orders[orders < f.size]  # past them, the bound over every order alone
+        lpmf = np.full(orders.size, np.inf)
+        lpmf[:built.size] = np.log(f[built]) + a[built] * _LN2
         log_t = np.fmin(np.where(ratio < 1.0, grow + lpmf - np.log1p(-ratio), np.inf),
                         mu_rho - mu - (k1 - _S) * log_rho)
         if deep:

@@ -462,6 +462,16 @@ class TestLlnCommands:
         results = json.loads(_read(tmp_path / "report.json"))["results"]
         assert results["bound"] == "inf" and results["estimate"] == 1.0
 
+    def test_lln_point_at_a_tiny_horizon(self, tmp_path):
+        # lam*T = 2.9e-20 admits no closed-form path, which lln-point never
+        # reads: the oracle answers without a guess at ln P
+        code = main(["lln-point", "--n", "100", "--gamma0", "0.5", "--eps", "0.1",
+                     "--horizon", "1e-20", "--reps", "10", "--seed", "1", "--out", str(tmp_path)])
+        assert code == 0
+        report = json.loads(_read(tmp_path / "report.json"))
+        assert report["verdicts"] == {"matches_oracle": True, "within_bound": True}
+        assert report["results"]["estimate"] == 0.0 and 0.0 < report["results"]["exact"] < 1e-180
+
     def test_lln_stationary_oracle_verdict(self, tmp_path):
         code = main(["lln-stationary", "--n", "100", "--u", "0.3",
                      "--times", "0.2,0.6", "--reps", "400", "--seed", "2",

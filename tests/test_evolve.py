@@ -28,6 +28,7 @@ from bdld.evolve import (
     window_log_probability,
     window_probability,
 )
+from bdld.optimal_paths import optimal_action
 from bdld.simulate import SimConfig, _lln_band, sample_path
 
 # the mpmath uniformization reference, lam = 1 (ln P at any depth)
@@ -305,7 +306,6 @@ class TestWindowProbability:
         # A window needing far more jumps than the bulk Poisson cutoff: the
         # window chain must resolve masses way below 1e-308 and land near the
         # action of the window's cheap edge.
-        from bdld.optimal_paths import optimal_action
         edge_action = optimal_action(0.5, 0.97, 0.1, 1.0)
         gaps = []
         for n in (600, 2000):
@@ -582,6 +582,28 @@ class TestPoissonTerms:
         for mu in (math.nextafter(evolve._MU_MAX, math.inf), math.inf, math.nan):
             with pytest.raises(ValueError, match=re.escape(f"mu = Lam*t = {mu!r} exceeds 1e+07")):
                 evolve._poisson_top(mu)
+        # a subnormal mean has lost its digits; the least normal one and 0 are summed
+        assert evolve._poisson_top(2.2250738585072014e-308) == evolve._poisson_top(0.0) == 40
+        for mu in (5e-324, 1e-310, math.nextafter(2.2250738585072014e-308, 0.0)):
+            with pytest.raises(ValueError, match=re.escape(f"mu = Lam*t = {mu!r} is subnormal")):
+                evolve._poisson_top(mu)
+        # t = 5e-324 at N = 50 is a mean of 4.9e-322
+        with pytest.raises(ValueError, match="is subnormal"):
+            window_log_probability(ModelParams(50, 1.0), 25, 5e-324, [30], 1e-10)
+
+    @pytest.mark.parametrize("t, window", [(1e-305, [30]), (1e-303, [30]), (1e-305, [20])])
+    def test_a_mean_below_2_to_the_minus_1000(self, t, window):
+        # mu = 1e-303: even the first weight past the mode, mu e^-mu, lies
+        # below 2^-1000, so the mantissas start from the mode's own
+        params = ModelParams(50, 1.0)
+        mu, k = 100.0 * t, np.arange(41)
+        _, f, a = evolve._poisson_scaled(mu, 40)
+        log_pmf = k * math.log(mu) - np.cumsum(np.log(np.maximum(k, 1)))  # e^-mu rounds to 1
+        assert (f > 0.0).all()
+        assert np.allclose(np.log(f) + a * math.log(2.0), log_pmf, rtol=1e-14, atol=0.0)
+        got = window_log_probability(params, 25, t, window, 1e-10)
+        ref = _log_space_reference(params, 25, t, window, 1e-10)
+        assert abs(got - ref) <= 1e-15 * abs(ref)
 
     @pytest.mark.parametrize("query", [
         lambda: window_log_probability(ModelParams(10, 1.0), 5, 1e12, [8]),
@@ -654,6 +676,23 @@ class TestBlockedKernel:
     @pytest.mark.parametrize("n", [1, 2, 3, 17, 50, 1000])
     def test_block_gather_matches_full_band_steps(self, n):
         self._assert_band_matches_steps(_uniformized_kernel(ModelParams(n, 1.3)))
+
+    @pytest.mark.parametrize("n, sinks", [(2, [2]), (3, [2]), (17, [1, 9]), (33, [5, 33]),
+                                          (300, [40, 150, 260])])
+    def test_squared_band_with_sinks_matches_the_stepped_band(self, n, sinks):
+        # the band of K^_S by squaring against _S steps, entry by entry, on
+        # 1..N with sinks at the chain's ends and inside it
+        kern = _uniformized_kernel(ModelParams(n, 1.3), 1, n, sinks)
+        self._assert_band_matches_steps(kern)
+        s, g = evolve._S, evolve._block_gather(kern)
+        col = np.arange(n)
+        row = col + np.arange(2 * s + 1)[:, None] - s  # G[i, m] = B[row[i, m], m]
+        assert (g[(row < 0) | (row >= n)] == 0.0).all()  # past the chain's ends
+        for sink in kern.sinks:
+            # no mass leaves a sink or crosses it: exact zeros, and its row is e_s
+            crossing = (row - sink) * (col - sink) < 0
+            assert (g[crossing | ((row == sink) & (col != sink))] == 0.0).all()
+            assert g[s, sink] == 1.0
 
     @pytest.mark.parametrize("n, lo, hi", [(1000, 200, 700), (400, 1, 300), (400, 100, 400)])
     def test_block_gather_keeps_sinks_absorbing(self, n, lo, hi):
@@ -1023,13 +1062,14 @@ class TestRangeKernel:
 
     def test_full_mass_is_bracketed_by_the_sink_bound(self):
         # P_range <= P_full <= P_range + sink bound, up to each chain's
-        # certified truncation, on seeded ranges from tight to loose
+        # certified truncation, on seeded ranges from tight to loose: pads of
+        # at least _S states, over times long enough that a fifth lose mass
         rng = np.random.default_rng(17)
         losses = 0
         for _ in range(100):
             n = int(rng.integers(40, 400))
             m0 = int(rng.integers(1, n + 1))
-            t = float(rng.uniform(0.01, 0.5))
+            t = float(rng.uniform(0.01, 1.0))
             lo_w = int(np.clip(m0 + rng.integers(-8, 9), 1, n))
             states = np.arange(lo_w, min(n, lo_w + int(rng.integers(0, 6))) + 1)
             a, b = min(m0, int(states[0])), max(m0, int(states[-1]))
@@ -1102,7 +1142,8 @@ class TestRoute:
     def test_a_window_takes_the_route_its_distance_sets(self, monkeypatch):
         # near windows as the benchmark's bulk rows draw them (N log-uniform
         # in 100..3200, t <= 1, within 3 sd of m0), deep ones 8 to 20 sd from
-        # m0, and pool rows
+        # m0 at times long enough that each drops states at a group end, and
+        # pool rows
         rng = np.random.default_rng(28)
         queries = list(self.POOL_ROWS)
         for _ in range(30):
@@ -1112,7 +1153,7 @@ class TestRoute:
             half = int(rng.integers(0, 20))
             queries.append(((n, m0, t, max(1, center - half), min(n, center + half), 1e-12), False))
         for _ in range(8):
-            n, t = int(rng.integers(400, 801)), float(rng.uniform(0.002, 0.01))
+            n, t = int(rng.integers(400, 801)), float(rng.uniform(0.004, 0.02))
             m0 = int(rng.integers(n // 4, 3 * n // 4))
             lo = m0 + int(rng.choice([-1, 1]) * rng.uniform(8.0, 20.0) * math.sqrt(2.0 * n * t))
             queries.append(((n, m0, t, lo, lo + int(rng.integers(0, 6)), 1e-10), True))
@@ -1281,9 +1322,10 @@ class TestReachBound:
     each certified: the answer lies within tol/2 of P, and 1% more."""
 
     # (n, m0, t, window): deep windows above and below m0, at state 1 from a
-    # high m0 and at N from a low one, one in two parts, and one holding m0
+    # high m0 and at N from a low one, one in two parts, and one holding m0;
+    # each but the last sums past its first group, so its drops are sent
     CASES = [
-        (400, 200, 0.002, range(395, 401)),
+        (400, 200, 0.01, range(395, 401)),
         (400, 300, 0.01, range(5, 11)),
         (600, 450, 0.03, range(1, 4)),
         (600, 60, 0.03, range(598, 601)),
@@ -1307,10 +1349,12 @@ class TestReachBound:
         # states were dropped, except where the window's hull holds m0
         assert passes[0]["cuts"] or min(window) <= m0 <= max(window)
 
-    @pytest.mark.parametrize("m0, window", [(450, range(1, 4)), (60, range(598, 601))])
+    @pytest.mark.parametrize("m0, window", [(560, range(1, 4)), (40, range(598, 601))])
     def test_a_guess_too_high_is_caught_and_rerun(self, m0, window, monkeypatch):
         # a lower-bound guess 100 nats above ln P lets the drops take far
-        # more than the certificate allows: the pass reruns without drops
+        # more than the certificate allows: the pass reruns without drops.
+        # The window lies more than _MAX_GROUP * _S orders from m0, so the
+        # first group ends short of it and its drops are sent
         params, states = ModelParams(600, 1.0), np.array(window)
         guess = evolve._log_mass_guess
         monkeypatch.setattr(evolve, "_log_mass_guess", lambda *args: -math.inf)
@@ -1322,6 +1366,17 @@ class TestReachBound:
         assert logp == no_drops
         monkeypatch.setattr(evolve, "_log_mass_guess", guess)
         assert abs(logp - _log_chain(params, m0, 0.03, states, 1e-10)) <= 1e-10
+
+    @pytest.mark.parametrize("t, log_p", [(1e-20, -219.37801227995960), (1e-200, -2291.7045959746010)])
+    def test_a_deep_window_at_a_tiny_time_needs_no_guess(self, t, log_p):
+        # lam*t is too small for a closed-form path, so there is no guess at
+        # ln P: the chain answers with a budget of P <= 1
+        params = ModelParams(50, 1.0)
+        with pytest.raises(ValueError, match="too small for the closed-form path"):
+            optimal_action(0.5, 0.4, t, 1.0)
+        got = window_log_probability(params, 25, t, [20])
+        assert got == log_p
+        assert abs(got - _log_space_reference(params, 25, t, [20], 1e-12)) <= 1e-15 * abs(log_p)
 
     @pytest.mark.parametrize("n, m0, t, window, excess", [
         (600, 450, 0.03, range(1, 4), 100.0),
