@@ -24,7 +24,10 @@ the parent's IQR as a fraction of its median, the change of the medians,
 the pairs the change won (by the ``better`` direction in PARENT's
 ``BENCHMARK.json``), and, with A/A pairs, the A/A spread
 |median(second run) / median(first run) - 1|.  A change is marked ``clear``
-when its size exceeds both the parent's relative IQR and the A/A spread.
+(true) when its size exceeds both the parent's relative IQR and the A/A
+spread, and not clear (false) when it does not.  With fewer than two pairs
+there is no IQR, and with no A/A pair no spread, to judge it by, so its
+``clear`` is null.
 Every run must report ``correct: true``; the counts are written too.
 """
 
@@ -92,7 +95,7 @@ def summarize(pairs: list, aa: list, better: dict) -> dict:
             first = statistics.median(a[name] for a, _ in aa)
             row["aa_spread"] = abs(statistics.median(b[name] for _, b in aa) / first - 1.0)
             noise = max(noise, row["aa_spread"])
-        row["clear"] = abs(row["change"]) > noise
+        row["clear"] = abs(row["change"]) > noise if len(pairs) >= 2 and aa else None
         summary[name] = row
     return summary
 

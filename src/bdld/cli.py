@@ -1,16 +1,17 @@
 """Command-line front end: runs the library's experiments, persists JSON
 reports plus plot-ready CSV tables, and turns built-in checks into exit codes.
 
-``main(argv)``, the Python entry, is the one pipeline: it parses argv, takes
-the flags set (``_given``), normalises them (``_normalise``), runs the
-subcommand's handler, writes its CSV tables and ``report.json``, prints the
-verdicts and returns the exit code: 0 success, 1 a built-in verdict failed,
-2 usage error (a library ValueError included), 3 internal error.  The same
-settings (seed included) reproduce byte-identical CSVs; the report's
-``timings`` are its only non-reproducible field.
+``main(argv)``, the Python entry, is the one pipeline: it parses argv with
+argparse, runs the subcommand's handler, writes its CSV tables and
+``report.json``, prints the verdicts and returns the exit code: 0 success, 1
+a built-in verdict failed, 2 usage error (a library ValueError included), 3
+internal error.  The same settings (seed included) reproduce byte-identical
+CSVs; the report's ``timings`` are its only non-reproducible field.
 
-Each subcommand declares the settings it reads, once, in ``_COMMANDS``; it
-takes only those flags, and argparse refuses (exit 2) any other.  The
+Each subcommand declares the settings it reads, once, in ``_COMMANDS``, and
+each setting its flag, parser and help, once, in ``_SETTINGS``; argparse
+parses each flag, fills in each default and refuses (exit 2) a missing
+required flag, a value its parser refuses or an undeclared flag.  The
 BDLD_OUT environment variable sets the default output directory.
 """
 
@@ -281,24 +282,26 @@ def _run_action(settings):
 
 def _run_tilted_mc(settings):
     params = _params(settings)
-    tol = settings["tol"]
-    lam = params.lam
     gamma0, gammaT = settings["gamma0"], settings["gamma_t"]
     horizon = settings["horizon"]
     half_width = settings["half_width"]
     # solve_boundary first checks that gamma0 and gammaT lie in [0, 1] (NaN
     # does not), so only checked values are rounded to states below
-    path = solve_boundary(gamma0, gammaT, horizon, lam)
+    path = solve_boundary(gamma0, gammaT, horizon, params.lam)
     tilt = dual_tilt(path)
     if not 0.0 <= half_width < math.inf:
         raise UsageError(f"half_width must be finite and >= 0, got {half_width!r}")
+    if settings["reps"] == 1 and path.case is not PathCase.CONSTANT:
+        # one weighted replication has a stderr of 0, so the 3-sigma verdict
+        # below would fail every correct run
+        raise UsageError("tilted-mc: --reps 1 leaves a tilted estimate no stderr to judge it by")
     n = params.n_states
     m0 = round(gamma0 * n)
     lo, hi = lattice_window(n, gammaT, half_width)
 
     def exact_window():
         # window_probability's value, or its underflow worded for this command
-        prob, log_p = _window_mass(params, m0, horizon, range(lo, hi + 1), tol)
+        prob, log_p = _window_mass(params, m0, horizon, range(lo, hi + 1), settings["tol"])
         if prob == 0.0 and log_p > -math.inf:
             raise UsageError(
                 f"tilted-mc: with N={n}, the window {lo}..{hi} is reached by --horizon "
@@ -351,64 +354,70 @@ def _run_hconv(settings):
 # settings and subcommands
 
 
-def _finite(value) -> float:
+def _reasoned(parse):
+    """parse as an argparse type that keeps its reason: argparse drops a
+    ValueError's text, so it is raised again as an ArgumentTypeError, whose
+    text argparse prints after the flag."""
+    def typed(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return typed
+
+
+def _finite(text: str) -> float:
     """A float that is neither NaN nor infinite."""
-    x = float(value)
+    x = float(text)
     if not math.isfinite(x):
-        raise ValueError(f"{value!r} is not finite")
+        raise ValueError(f"{text!r} is not finite")
     return x
 
 
 def _list_of(item):
-    """Parser of a non-empty list, given as comma-separated text or, for a
-    default, as a tuple."""
-    def parse(value) -> list:
-        if not isinstance(value, tuple):
-            value = [x for x in value.split(",") if x.strip()]
-        if not value:
+    """Parser of a non-empty comma-separated list of item(x) values."""
+    @_reasoned
+    def parse(text: str) -> list:
+        values = [item(x) for x in text.split(",") if x.strip()]
+        if not values:
             raise ValueError("expected a non-empty list")
-        return [item(x) for x in value]
+        return values
     return parse
 
 
-def _initial(value):
-    return value if value == "stationary" else int(value)
+@_reasoned
+def _initial(text: str):
+    return text if text == "stationary" else int(text)
 
 
-def _tol(value) -> float:
+@_reasoned
+def _tol(text: str) -> float:
     """A tolerance that evolve.check_tol accepts, refused as it is parsed,
     before any exact or Monte Carlo run spends its time."""
-    tol = float(value)
+    tol = float(text)
     check_tol(tol)
     return tol
 
 
-def _figure(value) -> str:
-    if value not in _FIGURES:
-        raise ValueError(f"choose from {', '.join(sorted(_FIGURES))}")
-    return value
-
-
-# setting -> (flag, parser[, help]).  Every value, from a flag or a default,
-# goes through its parser once, in _normalise.
+# setting -> (flag, the keywords of its argparse argument other than its default)
 _SETTINGS = {
-    "n": ("--n", int, "number of states N"),
-    "lam": ("--lambda", float, "rate scale"),
-    "horizon": ("--horizon", float, "time horizon T"),
-    "seed": ("--seed", int),
-    "reps": ("--reps", int, "Monte Carlo replications"),
-    "tol": ("--tol", _tol, "tolerance of the exact oracle or the quadrature"),
-    "initial": ("--initial", _initial, 'state index or "stationary"'),
-    "gamma0": ("--gamma0", float, "scaled start state"),
-    "gamma_t": ("--gamma-t", float, "scaled end state"),
-    "eps": ("--eps", float, "deviation from gamma0"),
-    "u": ("--u", float, "scaled threshold"),
-    "times": ("--times", _list_of(_finite), "comma-separated sample times"),
-    "half_width": ("--half-width", float, "half-width of the end window"),
-    "n_ladder": ("--n-ladder", _list_of(int), "comma-separated chain sizes"),
-    "grid": ("--grid", int, "points per path table"),
-    "figure": ("--figure", _figure, f"one of {', '.join(sorted(_FIGURES))}"),
-    "path_csv": ("--path-csv", str, "CSV with columns t,gamma[,dgamma]"),
+    "n": ("--n", dict(type=int, help="number of states N")),
+    "lam": ("--lambda", dict(type=float, help="rate scale")),
+    "horizon": ("--horizon", dict(type=float, help="time horizon T")),
+    "seed": ("--seed", dict(type=int)),
+    "reps": ("--reps", dict(type=int, help="Monte Carlo replications")),
+    "tol": ("--tol", dict(type=_tol, help="tolerance of the exact oracle or the quadrature")),
+    "initial": ("--initial", dict(type=_initial, help='state index or "stationary"')),
+    "gamma0": ("--gamma0", dict(type=float, help="scaled start state")),
+    "gamma_t": ("--gamma-t", dict(type=float, help="scaled end state")),
+    "eps": ("--eps", dict(type=float, help="deviation from gamma0")),
+    "u": ("--u", dict(type=float, help="scaled threshold")),
+    "times": ("--times", dict(type=_list_of(_finite), help="comma-separated sample times")),
+    "half_width": ("--half-width", dict(type=float, help="half-width of the end window")),
+    "n_ladder": ("--n-ladder", dict(type=_list_of(int), help="comma-separated chain sizes")),
+    "grid": ("--grid", dict(type=int, help="points per path table")),
+    "figure": ("--figure", dict(choices=sorted(_FIGURES))),
+    "path_csv": ("--path-csv", dict(help="CSV with columns t,gamma[,dgamma]")),
 }
 
 _NO_DEFAULT = object()  # marks a required setting
@@ -417,7 +426,8 @@ _NO_DEFAULT = object()  # marks a required setting
 class _Command(NamedTuple):
     handler: Callable[[dict], tuple]
     help: str
-    settings: dict  # setting -> default, None (optional) or _NO_DEFAULT (required)
+    # setting -> its parsed default, None (optional) or _NO_DEFAULT (required)
+    settings: dict
 
 
 _COMMANDS = {
@@ -434,7 +444,7 @@ _COMMANDS = {
     "lln-stationary": _Command(_run_lln_stationary,
                                "below-threshold probability from stationarity",
                                {"n": _NO_DEFAULT, "u": _NO_DEFAULT, "lam": 1.0, "seed": 0,
-                                "reps": 1000, "times": (0.25, 0.5, 0.75, 1.0), "tol": 1e-10}),
+                                "reps": 1000, "times": [0.25, 0.5, 0.75, 1.0], "tol": 1e-10}),
     "rate-curve": _Command(_run_rate_curve, "finite-N decay rates against the optimal action",
                            {"n_ladder": _NO_DEFAULT, "gamma0": _NO_DEFAULT,
                             "gamma_t": _NO_DEFAULT, "lam": 1.0, "horizon": 1.0,
@@ -450,30 +460,8 @@ _COMMANDS = {
                            "lam": 1.0, "horizon": 1.0, "half_width": 0.02, "seed": 0,
                            "reps": 10000, "tol": 1e-12}),
     "hconv": _Command(_run_hconv, "prelimit-generator convergence sweep",
-                      {"n_ladder": (100, 200, 400, 800, 1600), "lam": 1.0}),
+                      {"n_ladder": [100, 200, 400, 800, 1600], "lam": 1.0}),
 }
-
-
-def _normalise(kind: str, given: dict) -> dict:
-    """The settings a subcommand reads, from the flags given: defaults filled
-    in and every value parsed.  Text that a setting's parser refuses, such as
-    ``--n 4.7`` or ``--n 4.0``, is a usage error."""
-    command = _COMMANDS[kind]
-    missing = [name for name, default in command.settings.items()
-               if default is _NO_DEFAULT and name not in given]
-    if missing:
-        raise UsageError(f"{kind}: missing required setting(s): {', '.join(missing)}")
-    settings = {}
-    for name, default in command.settings.items():
-        value = given.get(name, default)
-        if value is not None:
-            flag, parse = _SETTINGS[name][:2]
-            try:
-                value = parse(value)
-            except ValueError as exc:
-                raise UsageError(f"{kind}: bad {flag} value {value!r}: {exc}") from None
-        settings[name] = value
-    return settings
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -484,18 +472,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="kind", required=True)
     for kind, command in _COMMANDS.items():
         p = sub.add_parser(kind, help=command.help)
-        p.add_argument("--out", type=str, default=None,
-                       help="output directory (default: $BDLD_OUT or '.')")
-        for name in command.settings:
-            flag, _, *help_text = _SETTINGS[name]
-            p.add_argument(flag, dest=name, default=None, help=help_text[0] if help_text else None)
+        p.add_argument("--out", help="output directory (default: $BDLD_OUT or '.')")
+        for name, default in command.settings.items():
+            flag, keywords = _SETTINGS[name]
+            # argparse exits before a missing required flag's default is read
+            p.add_argument(flag, dest=name, default=default, required=default is _NO_DEFAULT,
+                           **keywords)
     return parser
-
-
-def _given(args: argparse.Namespace) -> dict:
-    """The settings given: the flags set."""
-    return {key: value for key, value in vars(args).items()
-            if key not in ("kind", "out") and value is not None}
 
 
 def main(argv=None) -> int:
@@ -504,10 +487,10 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse already printed the message
         return int(exc.code) if exc.code else 0
-    kind = args.kind
-    out_dir = Path(args.out or os.environ.get("BDLD_OUT") or ".")
+    settings = vars(args)  # the subcommand's settings, once kind and out are taken out
+    kind = settings.pop("kind")
+    out_dir = Path(settings.pop("out") or os.environ.get("BDLD_OUT") or ".")
     try:
-        settings = _normalise(kind, _given(args))
         t0 = time.perf_counter()
         results, verdicts, tables = _COMMANDS[kind].handler(settings)
         timings = {"wall_time_s": time.perf_counter() - t0}

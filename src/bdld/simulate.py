@@ -149,12 +149,6 @@ class Trajectory:
     def visited_states(self) -> np.ndarray:
         return np.concatenate(([self.initial_state], self.states_after_jump))
 
-    def state_at(self, t: float) -> int:
-        if not 0.0 <= t <= self.horizon:
-            raise ValueError(f"t={t} outside [0, {self.horizon}]")
-        idx = int(np.searchsorted(self.jump_times, t, side="right"))
-        return self.initial_state if idx == 0 else int(self.states_after_jump[idx - 1])
-
     def csv_table(self) -> tuple[list[str], np.ndarray]:
         """Header and (time, state) rows, as a structured array: time 0 with
         the initial state, then one row per jump."""
@@ -415,12 +409,12 @@ def _walk(n: int, lam: float, starts: list, stops, rngs: list, jumps: list, tilt
     """Run the chain on {1..n} once per row, row i from state starts[i] with
     the stream rngs[i], append the (times, states) arrays of row i's jumps
     to jumps[i], one piece per pass, and return each row's state at the last
-    of the increasing ``stops`` it reads.  A jump at exactly a stop counts,
-    as in Trajectory.state_at, and nothing past the last stop read is
-    recorded.  A row ends after its last stop, or at its first stop with a
-    state at or above ``ceiling``, or, given a ``band`` (lo, hi), at its
-    first jump to a state <= lo or >= hi: that jump is its last recorded,
-    and its state the row's result.
+    of the increasing ``stops`` it reads.  A jump at exactly a stop counts:
+    the state at a stop is the one entered at or before it.  Nothing past
+    the last stop read is recorded.  A row ends after its last stop, or at
+    its first stop with a state at or above ``ceiling``, or, given a
+    ``band`` (lo, hi), at its first jump to a state <= lo or >= hi: that
+    jump is its last recorded, and its state the row's result.
 
     With a tilt the chain is the tilted one, with z held: each row reads
     ``tilt.value`` at time 0 and then after every _HOLD jumps, at the time

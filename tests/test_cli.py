@@ -66,7 +66,8 @@ class TestExitCodes:
 
     def test_usage_error_missing_setting(self, tmp_path, capsys):
         assert main(["rate-curve", "--out", str(tmp_path)]) == 2
-        assert "missing required" in capsys.readouterr().err
+        assert ("the following arguments are required: --n-ladder, --gamma0, --gamma-t"
+                in capsys.readouterr().err)
 
     def test_usage_error_empty_ladder(self, tmp_path, capsys):
         assert main(["rate-curve", "--n-ladder", "", "--gamma0", "0.5",
@@ -132,7 +133,7 @@ class TestExitCodes:
         assert main(["rate-curve", "--n-ladder", "10,20", "--gamma0", "0.5", "--gamma-t", "0.8",
                      "--tol", "nan", "--out", str(tmp_path)]) == 2
         assert calls == []
-        assert ("rate-curve: bad --tol value 'nan': tol must be positive and finite, got nan"
+        assert ("rate-curve: error: argument --tol: tol must be positive and finite, got nan"
                 in capsys.readouterr().err)
 
     def test_underflowing_reference_rejected_before_monte_carlo(self, tmp_path, capsys,
@@ -235,7 +236,7 @@ class TestExitCodes:
             done = subprocess.run([sys.executable, "-m", "bdld.cli", *argv], env=_SRC_ENV,
                                   capture_output=True, text=True, timeout=60)
             assert done.returncode == 2
-            assert "--times" in done.stderr and "nan" in done.stderr
+            assert "argument --times: 'nan' is not finite" in done.stderr
             err = done.stderr
         else:
             assert main(argv) == 2
@@ -282,7 +283,7 @@ class TestExitCodes:
         (["lln-stationary", "--n", "10", "--u", "0.5", "--times", "0,1e12", "--reps", "1"],
          "mu = Lam*t = 20000000000000.0 exceeds 1e+07"),
         (["tilted-mc", "--n", "10", "--gamma0", "0.5", "--gamma-t", "0.8", "--horizon", "1e12",
-          "--reps", "1"], "mu = Lam*t = 20000000000000.0 exceeds 1e+07"),
+          "--reps", "2"], "mu = Lam*t = 20000000000000.0 exceeds 1e+07"),
         # ... or underflows one of its intermediates to 0
         (["action", "--gamma0", "0.5", "--gamma-t", "0.8", "--horizon", "5e-324"],
          "lam*T = 5e-324 is too small"),
@@ -299,10 +300,22 @@ class TestExitCodes:
         (["embedded", "--n", "1"], "embedded chain requires n_states >= 2"),
         # a flag is text: an integer setting takes neither a fraction nor a
         # float's spelling, and a settings file is no input
-        (["stationary", "--n", "4.7"], "stationary: bad --n value '4.7'"),
-        (["stationary", "--n", "four"], "stationary: bad --n value 'four'"),
-        (["stationary", "--n", "4.0"], "stationary: bad --n value '4.0'"),
+        (["stationary", "--n", "4.7"], "argument --n: invalid int value: '4.7'"),
+        (["stationary", "--n", "four"], "argument --n: invalid int value: 'four'"),
+        (["stationary", "--n", "4.0"], "argument --n: invalid int value: '4.0'"),
         (["stationary", "--n", "4", "--config", "c.json"], "unrecognized arguments: --config"),
+        # one weighted replication has a stderr of 0: the 3-sigma verdict
+        # would fail every correct run
+        (["tilted-mc", "--n", "100", "--gamma0", "0.5", "--gamma-t", "0.8", "--reps", "1"],
+         "tilted-mc: --reps 1 leaves a tilted estimate no stderr to judge it by"),
+        # a parser's reason follows the flag's name
+        (["opt-path", "--figure", "fig9"],
+         "argument --figure: invalid choice: 'fig9' (choose from 'fig2', 'fig3')"),
+        (["simulate", "--n", "10", "--horizon", "1", "--initial", "middle"],
+         "argument --initial: invalid literal for int() with base 10: 'middle'"),
+        (["hconv", "--n-ladder", "100,2x"],
+         "argument --n-ladder: invalid literal for int() with base 10: '2x'"),
+        (["hconv", "--n-ladder", ","], "argument --n-ladder: expected a non-empty list"),
     ])
     def test_bad_input_message_names_the_culprit(self, tmp_path, capsys, monkeypatch,
                                                  argv, message):
@@ -734,12 +747,11 @@ class TestTiltedMcCommand:
         report = json.loads(_read(tmp_path / "report.json"))
         assert report["verdicts"]["matches_oracle"] is True
 
-    @pytest.mark.parametrize("n, reps, seed", [(1600, 20, 4), (800, 20, 5), (100, 1, 1)])
+    @pytest.mark.parametrize("n, reps, seed", [(1600, 20, 4), (800, 20, 5)])
     def test_run_far_from_the_oracle_fails(self, tmp_path, n, reps, seed):
         # about 11 sigma low at N = 1600, where a floor of 1e-15 on the
         # standard error would pass any estimate, and about 40 sigma low at
-        # N = 800; one replication has a standard error of 0 and passes
-        # only with the exact value
+        # N = 800 (one tilted replication is refused: see TestExitCodes)
         code = main(["tilted-mc", "--n", str(n), "--gamma0", "0.5", "--gamma-t", "0.8",
                      "--reps", str(reps), "--seed", str(seed), "--out", str(tmp_path)])
         assert code == 1
@@ -757,6 +769,15 @@ class TestTiltedMcCommand:
         assert (results["estimate"], results["stderr"]) == (0.0, 0.0)
         assert results["exact"] == pytest.approx(0.1674, abs=1e-4)
         assert code == 0
+
+    def test_identity_tilt_takes_one_replication(self, tmp_path):
+        # the binomial test judges one hit count as it judges ten, so the
+        # identity tilt keeps --reps 1, which a tilted run is refused
+        code = main(["tilted-mc", "--n", "50", "--gamma0", "0.5", "--gamma-t", "0.5",
+                     "--reps", "1", "--seed", "0", "--out", str(tmp_path)])
+        assert code == 0
+        results = json.loads(_read(tmp_path / "report.json"))["results"]
+        assert results["replications"] == 1
 
     def test_identity_tilt_fails_a_wrong_exact(self, tmp_path, monkeypatch):
         # 0 hits of 10 lie in a tail of probability 1e-10 under p = 0.9
@@ -1041,10 +1062,18 @@ class TestReadmeCommands:
 
     @pytest.mark.parametrize("line", _readme_commands())
     def test_command_parses(self, line):
-        # every README command names only flags its subcommand declares,
-        # and its settings normalise; nothing is run
+        # every README command names only flags its subcommand declares and
+        # gives every required one, and each value parses; nothing is run
         args = cli._build_parser().parse_args(shlex.split(line)[1:])
-        cli._normalise(args.kind, cli._given(args))
+        assert set(vars(args)) == {"kind", "out", *cli._COMMANDS[args.kind].settings}
+
+
+@pytest.mark.parametrize("kind", list(cli._COMMANDS))
+def test_help_lists_every_declared_flag(kind, capsys):
+    assert main([kind, "--help"]) == 0
+    shown = capsys.readouterr().out
+    for name in cli._COMMANDS[kind].settings:
+        assert f" {cli._SETTINGS[name][0]} " in shown
 
 
 def test_cli_import_loads_no_scipy():

@@ -136,15 +136,6 @@ class TestTrajectoryType:
         with pytest.raises(ValueError, match="equal length"):
             Trajectory(1, np.array([0.5, 0.7]), np.array([2]), 1.0)
 
-    def test_state_at(self):
-        traj = Trajectory(2, np.array([0.25, 0.75]), np.array([3, 2]), 1.0)
-        assert traj.state_at(0.0) == 2
-        assert traj.state_at(0.5) == 3
-        assert traj.state_at(1.0) == 2
-        for t in (-0.1, 1.1):
-            with pytest.raises(ValueError, match="outside"):
-                traj.state_at(t)
-
     @pytest.mark.parametrize("seed", [1.5, "1", True])
     def test_config_seed_must_be_an_integer(self, seed):
         with pytest.raises(ValueError, match="seed must be an integer"):
@@ -361,7 +352,9 @@ class TestLlnStationaryExperiment:
         want = 0
         for rep in range(60):
             traj = sample_path(params, start, rep)
-            read = next((t for t in times if traj.state_at(t) / 300 >= 0.05), times[-1])
+            # the state at t: the one entered at or before it
+            states = traj.visited_states()[np.searchsorted(traj.jump_times, times, side="right")]
+            read = next((t for t, m in zip(times, states) if m / 300 >= 0.05), times[-1])
             want += int(np.searchsorted(traj.jump_times, read, side="right"))
         assert 0 < res.estimate < 1
         assert res.extra["jumps"] == want
@@ -499,7 +492,7 @@ class TestTiltedSampling:
         config = SimConfig(horizon=1.0, seed=13, initial=20, replications=200)
         res = tilted_window_experiment(params, ConstantTilt(1.0), (22, 26), config)
         finals = [sample_path(params, config, rep) for rep in range(200)]
-        hits = sum(22 <= traj.state_at(1.0) <= 26 for traj in finals)
+        hits = sum(22 <= traj.visited_states()[-1] <= 26 for traj in finals)
         assert res.extra["jumps"] == sum(traj.n_jumps for traj in finals)
         assert 0 < hits < 200
         assert res.estimate == hits / 200
@@ -515,7 +508,7 @@ class TestTiltedSampling:
         values, log_weights, reads = [], [], 0
         for rep in range(300):
             weighted = tilted_sample_path(params, tilt, config, rep)
-            final = weighted.trajectory.state_at(1.0)
+            final = weighted.trajectory.visited_states()[-1]  # the state at the horizon
             values.append(math.exp(weighted.log_weight) if 78 <= final <= 82 else 0.0)
             if 78 <= final <= 82:
                 log_weights.append(weighted.log_weight)
